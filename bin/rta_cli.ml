@@ -1288,11 +1288,8 @@ let profile_impl verbosity spec (config, buffer) input n_queries qrs store slack
            independent — running them over a real page store proves the
            zero-copy path doesn't change what the tree visits. *)
         let path = Filename.temp_file "rta-profile-store" "" in
-        let page_size =
-          (max 4096 (Rta.min_page_size config) + 4095) / 4096 * 4096
-        in
         Rta.create_durable ~config ~pool_capacity:buffer ~stats ~telemetry:tracer ~store
-          ~page_size ~max_key:spec.Workload.Generator.max_key ~path ()
+          ~max_key:spec.Workload.Generator.max_key ~path ()
   in
   let checker = Telemetry.Bound_check.create ~slack ~worst ~b:config.Mvsbt.b () in
   (* K for the update envelope is the number of distinct keys ever seen

@@ -147,9 +147,9 @@ let gen_prefix path gen = Printf.sprintf "%s.ckpt-%d" path gen
 let snapshot_exts = [ ".lkst"; ".lklt"; ".meta" ]
 let wal_path path = path ^ ".wal"
 
-(* Prefix under which a [File]/[Mmap] engine materialises its page-file
-   working set ([<p>.store.lkst.pages] etc.).  The page files are {e not}
-   a recovery source — snapshot + WAL are; they are rebuilt here on every
+(* Prefix under which a [File]/[Mmap] engine keeps its page-file working
+   set ([<p>.store.lkst.pages] etc.).  The page files are {e not} a
+   recovery source — snapshot + WAL are; they are rebuilt here on every
    open, which is also what makes switching [store] kinds between runs
    safe. *)
 let store_prefix path = path ^ ".store"
@@ -246,6 +246,16 @@ let apply_record rta rd =
         ignore (Rta.vacuum_apply rta (decode_vacuum_actions rd))
     | x -> failwith (Printf.sprintf "Durable: unknown WAL opcode %d" x)
 
+(* [f ()], but an exception out of it first runs [release] (best effort)
+   so a failed open gives back the log and page files it had opened. *)
+let release_on_error release f =
+  match f () with
+  | v -> v
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      (try release () with _ -> ());
+      Printexc.raise_with_backtrace e bt
+
 let open_ ?config ?pool_capacity ?stats ?(sync_policy = Wal.Every_n 32)
     ?(checkpoint_every = 0) ?wal_stats ?(wal_wrap = fun f -> f)
     ?(retry = Some Storage.Retry.default) ?(telemetry = Telemetry.Tracer.noop)
@@ -277,54 +287,58 @@ let open_ ?config ?pool_capacity ?stats ?(sync_policy = Wal.Every_n 32)
     Telemetry.Tracer.with_span telemetry "durable.recover"
       ~attrs:(fun () -> [ ("path", Telemetry.Tracer.Str path) ])
     @@ fun () ->
-    let pointer = read_pointer vfs path in
-    let ckpt_gen, rta =
-      match pointer with
-      | Some gen ->
-          let rta =
-            Rta.load ?pool_capacity ~stats ~telemetry ~vfs ~path:(gen_prefix path gen) ()
-          in
-          if Rta.max_key rta <> max_key then
-            failwith
-              (Printf.sprintf "Durable.open_: checkpoint has max_key %d, asked for %d"
-                 (Rta.max_key rta) max_key);
-          (gen, rta)
-      | None -> (0, Rta.create ?config ?pool_capacity ~stats ~telemetry ~max_key ())
-    in
-    (* Snapshot files of a checkpoint that crashed before its commit point
-       are dead weight; clear them so they cannot be confused with state. *)
-    remove_stale_generations vfs path ~keep:ckpt_gen;
+    (* The log is opened first: under [Vfs.os] that takes its lock, so a
+       second process opening a live warehouse is rejected before it reads
+       the pointer, clears a generation or rebuilds the page files the
+       live engine runs over. *)
     let wal =
       Wal.open_log ~policy:sync_policy ?stats:wal_stats ~telemetry
         ~path:(wal_path path)
         (wal_wrap (vfs.Storage.Vfs.v_open `Log (wal_path path)))
     in
+    release_on_error (fun () -> Wal.close wal) @@ fun () ->
+    let pointer = read_pointer vfs path in
+    (* With a page-file backend the working set is built straight into
+       fresh page files, and replay and every later page touch run over
+       {e those}: real disk I/O (or a mapped access), not a heap lookup.
+       Rebuilt on every open from snapshot + WAL — the page files are a
+       working set, never a recovery source, so a torn or stale working
+       set can never corrupt recovery. *)
+    let ckpt_gen, rta =
+      match pointer with
+      | Some gen ->
+          let snapshot = gen_prefix path gen in
+          ( gen,
+            match store with
+            | Storage.Store_kind.Memory ->
+                Rta.load ?pool_capacity ~stats ~telemetry ~vfs ~path:snapshot ()
+            | (File | Mmap) as kind ->
+                (* Snapshot chunks are framed into the page files as
+                   they are read, never decoded. *)
+                Rta.load_durable ?pool_capacity ~stats ~telemetry ~vfs ~store:kind
+                  ~backing:arena_backing ~snapshot ~path:(store_prefix path) () )
+      | None ->
+          ( 0,
+            match store with
+            | Memory -> Rta.create ?config ?pool_capacity ~stats ~telemetry ~max_key ()
+            | (File | Mmap) as kind ->
+                Rta.create_durable ?config ?pool_capacity ~stats ~telemetry ~vfs
+                  ~store:kind ~backing:arena_backing ~max_key ~path:(store_prefix path) () )
+    in
+    release_on_error (fun () -> Rta.close rta) @@ fun () ->
+    if Rta.max_key rta <> max_key then
+      failwith
+        (Printf.sprintf "Durable.open_: checkpoint has max_key %d, asked for %d"
+           (Rta.max_key rta) max_key);
+    (* Snapshot files of a checkpoint that crashed before its commit point
+       are dead weight; clear them so they cannot be confused with state. *)
+    remove_stale_generations vfs path ~keep:ckpt_gen;
     let st = Wal.stats wal in
     let dropped_before = Wal.Stats.dropped_bytes st in
     let n_replayed = Wal.replay wal (apply_record rta) in
-    (* With a page-file backend, the recovered state is now materialised
-       into fresh page files and the engine runs over {e those}: every
-       subsequent page touch is real disk I/O (or a mapped access), not a
-       heap lookup.  Rebuilt on every open from snapshot + WAL — the page
-       files are a working set, never a recovery source, so a torn or
-       stale working set can never corrupt recovery. *)
-    let rta =
-      match store with
-      | Storage.Store_kind.Memory -> rta
-      | (File | Mmap) as kind ->
-          Telemetry.Tracer.with_span telemetry "durable.materialize"
-            ~attrs:(fun () ->
-              [ ("store", Telemetry.Tracer.Str (Storage.Store_kind.to_string kind)) ])
-          @@ fun () ->
-          (* Analytic configs push [b] past what a 4 KiB page holds, so
-             size the working set to the config — rounded up to 4 KiB so
-             mapped pages stay OS-page aligned. *)
-          let page_size =
-            (max 4096 (Rta.min_page_size (Rta.config rta)) + 4095) / 4096 * 4096
-          in
-          Rta.materialize_durable ?pool_capacity ~stats ~telemetry ~vfs ~store:kind
-            ~backing:arena_backing ~page_size ~path:(store_prefix path) rta
-    in
+    (* The working set ends the build flushed: pages synced, meta
+       sidecars committed. *)
+    (match store with Memory -> () | File | Mmap -> Rta.flush rta);
     (pointer, ckpt_gen, rta, wal, n_replayed,
      Wal.Stats.dropped_bytes st - dropped_before)
   in
@@ -485,7 +499,7 @@ let checkpoint t =
       @@ fun () ->
       let prefix = gen_prefix t.path gen in
       match
-        E.protect (fun () ->
+        Storage.Page_store.protect (fun () ->
             (* Working set first: dirty pages reach their page files (and,
                under mmap, the arena msyncs and commits its header) before
                the WAL that could rebuild them is allowed to truncate. *)
@@ -504,7 +518,9 @@ let checkpoint t =
           (* The pointer still names the previous generation, which is
              untouched; this attempt's files are stale leftovers swept on
              the next open.  The WAL still holds every update, so the
-             engine keeps accepting writes — degraded, not read-only. *)
+             engine keeps accepting writes — degraded, not read-only.
+             That holds for a working-set page failing its checksum too:
+             the next open rebuilds the working set from snapshot + WAL. *)
           t.ckpt_failed <- true;
           t.last_error <- Some e;
           if t.io_health <> Read_only then t.io_health <- Degraded;
@@ -755,9 +771,10 @@ let set_phase_cell t c = t.phase_cell <- c
 
 let close t =
   (* Best effort: a failing final fsync must not prevent releasing the
-     file — whatever the log already holds is what recovery will see.
+     files — whatever the log already holds is what recovery will see.
      The page-file working set is flushed first so a clean shutdown
      leaves it consistent (a torn one is rebuilt on open anyway). *)
   (match Rta.try_flush t.rta with Ok () | Error _ -> ());
   (match Wal.sync t.wal with Ok () -> () | Error _ -> ());
-  Wal.close t.wal
+  Wal.close t.wal;
+  try Rta.close t.rta with E.Io _ -> ()

@@ -115,15 +115,18 @@ val open_ :
 
     [store] (default [Memory]) picks where the warehouse's MVSBT pages
     live while the engine runs.  [Memory] is the original in-heap
-    warehouse.  [File] and [Mmap] materialise the recovered state into
-    real page files under [path ^ ".store"] and run over those, so every
-    page touch is genuine disk I/O ([File]: pread/pwrite; [Mmap]: a
-    mapped arena with zero-copy codecs — [arena_backing] as in
-    {!Storage.Arena.create}; pass [`Buffered] under a synthetic [vfs]).
-    The page files are a {e working set}, rebuilt from snapshot + WAL on
-    every open and flushed/msynced by every {!checkpoint} before the WAL
-    truncates — they are never themselves a recovery source, which is
-    also why switching [store] between runs is always safe.  [telemetry] (default {!Telemetry.Tracer.noop})
+    warehouse.  [File] and [Mmap] run over real page files under
+    [path ^ ".store"], so every page touch is genuine disk I/O ([File]:
+    pread/pwrite; [Mmap]: a mapped arena with zero-copy codecs —
+    [arena_backing] as in {!Storage.Arena.create}; pass [`Buffered]
+    under a synthetic [vfs]).  The page files are a {e working set},
+    rebuilt on every open: the checkpoint's page chunks are streamed into
+    them as encoded bytes ({!Rta.load_durable}), never decoded into the
+    heap, then the WAL tail replays over them and the build ends with a
+    flush.  Every {!checkpoint} flushes/msyncs them before the WAL
+    truncates and copies their stored bytes into the snapshot.  They are
+    never themselves a recovery source, which is also why switching
+    [store] between runs is always safe.  [telemetry] (default {!Telemetry.Tracer.noop})
     attaches a tracer to the whole stack: the engine emits
     [durable.recover] / [durable.insert] / [durable.delete] /
     [durable.checkpoint] spans and [durable.health] transition events,
@@ -152,8 +155,12 @@ val open_ :
     shrinks usage below the watermarks, service resumes.  Configure
     retention on leaders only; followers receive the leader's vacuum
     through the shipped WAL and must not invent their own.
-    @raise Failure if an existing checkpoint disagrees with [max_key] or
-    a snapshot file is malformed.
+    The log is opened first, so under {!Storage.Vfs.os} its lock rejects
+    a second process before it reads the checkpoint pointer, clears a
+    generation or touches the page files of an engine already running
+    on [path].  A failed open closes the log and page files it opened.
+    @raise Failure if another process holds the log, an existing
+    checkpoint disagrees with [max_key], or a snapshot file is malformed.
     @raise Storage.Storage_error.Io if recovery I/O fails even after
     retries (the handle is not created; nothing on disk is damaged
     beyond what already was). *)
@@ -190,8 +197,10 @@ val checkpoint : t -> (unit, Storage.Storage_error.t) result
     previously committed checkpoint and the full WAL are intact — no
     acknowledged update is at risk — and the engine degrades to
     [Degraded] but keeps accepting updates; a failed attempt's
-    generation number is never reused.  Refused with [Read_only_store]
-    when the engine is [Read_only]. *)
+    generation number is never reused.  A working-set page that fails
+    its checksum is such an error ([Checksum_mismatch]; the next open
+    rebuilds the working set).  Refused with [Read_only_store] when the
+    engine is [Read_only]. *)
 
 (** {2 Vacuum (crash-safe retention)}
 
@@ -319,6 +328,7 @@ val set_phase_cell : t -> Telemetry.Phases.cell option -> unit
     clears it after; [None] (the default) costs one comparison. *)
 
 val close : t -> unit
-(** Fsync the log (best effort) and release the file; no checkpoint is
-    taken.  Never raises a typed I/O error: whatever the log already
-    holds is what recovery will see. *)
+(** Flush the working set and fsync the log (best effort), then release
+    the log and the working-set page files (descriptors and mappings);
+    no checkpoint is taken.  Never raises a typed I/O error: whatever the
+    log already holds is what recovery will see. *)

@@ -20,6 +20,62 @@ let default_config ~b =
   { b; f = 0.9; variant = Logical; merging = true; disposal = true;
     root_star_btree = false }
 
+(* Sequential reader of a snapshot file: a fixed-size magic, then
+   [len i32][len bytes] chunks.  One buffer, refilled by large preads and
+   grown only for a chunk larger than itself, serves every chunk, so
+   loading never holds more than a buffer of the file. *)
+module Chunk_reader = struct
+  type t = {
+    file : Storage.Vfs.file;
+    size : int;
+    mutable buf : bytes;
+    mutable pos : int; (* next unread byte of [buf] *)
+    mutable lim : int; (* end of the bytes read into [buf] *)
+    mutable file_pos : int; (* file offset of [buf]'s byte [lim] *)
+  }
+
+  let fail msg = failwith ("Mvsbt.Persist: " ^ msg)
+
+  let create file =
+    { file; size = file.Storage.Vfs.f_size (); buf = Bytes.create 65536; pos = 0;
+      lim = 0; file_pos = 0 }
+
+  (* The next [n] bytes, as an offset into [t.buf] valid until the next
+     call.  A request past the end of the file fails before any buffer is
+     grown for it. *)
+  let take t n =
+    let have = t.lim - t.pos in
+    if have < n then begin
+      if have + (t.size - t.file_pos) < n then fail "truncated snapshot";
+      let dst =
+        if n <= Bytes.length t.buf then t.buf
+        else Bytes.create (max n (2 * Bytes.length t.buf))
+      in
+      Bytes.blit t.buf t.pos dst 0 have;
+      t.buf <- dst;
+      t.pos <- 0;
+      t.lim <- have;
+      let want = min (Bytes.length dst - have) (t.size - t.file_pos) in
+      while t.lim < have + want do
+        let got = t.file.Storage.Vfs.f_pread t.file_pos dst t.lim (have + want - t.lim) in
+        if got <= 0 then fail "truncated snapshot";
+        t.lim <- t.lim + got;
+        t.file_pos <- t.file_pos + got
+      done
+    end;
+    let at = t.pos in
+    t.pos <- t.pos + n;
+    at
+
+  let chunk t =
+    let len = Int32.to_int (Bytes.get_int32_le t.buf (take t 4)) in
+    if len < 0 || len > 1 lsl 30 then fail "corrupt chunk length";
+    let pos = take t len in
+    (t.buf, pos, len)
+
+  let at_end t = t.pos = t.lim && t.file_pos = t.size
+end
+
 module Make (G : Aggregate.Group.S) = struct
   type record = {
     range : Interval.t;
@@ -57,6 +113,9 @@ module Make (G : Aggregate.Group.S) = struct
     b_live : unit -> int;
     b_drop : unit -> unit;
     b_flush : unit -> unit;
+    b_payload : (Storage.Page_id.t -> bytes) option;
+        (* [Some] on a page file: a page's stored encoded payload *)
+    b_close : unit -> unit;
   }
 
   let mem_backend ~pool_capacity ~io_stats =
@@ -74,6 +133,8 @@ module Make (G : Aggregate.Group.S) = struct
         b_live = (fun () -> Store.live_pages store);
         b_drop = (fun () -> Pool.drop_cache pool);
         b_flush = (fun () -> Pool.flush pool);
+        b_payload = None;
+        b_close = ignore;
       } )
 
   type t = {
@@ -143,6 +204,7 @@ module Make (G : Aggregate.Group.S) = struct
 
   let flush t = Telemetry.Tracer.with_span t.tel "mvsbt.flush" (fun () -> t.backend.b_flush ())
   let try_flush t = Storage.Storage_error.protect (fun () -> flush t)
+  let close t = t.backend.b_close ()
 
   let read t pid =
     t.touches <- t.touches + 1;
@@ -622,24 +684,32 @@ module Make (G : Aggregate.Group.S) = struct
 
   let page_exists t pid = t.backend.b_exists pid
 
-  let iter_pages t f =
+  (* Preorder walk from the root tenures, each page once.  [f pid page]
+     gets the page read, or [None] under [~leaves:false] for a leaf
+     reached from its parent: its level is known, so it is not read. *)
+  let walk t ~leaves f =
     let visited = ref Storage.Page_id.Set.empty in
-    let rec go pid =
+    let rec go pid ~leaf =
       if not (Storage.Page_id.Set.mem pid !visited) then begin
         visited := Storage.Page_id.Set.add pid !visited;
-        let page = read t pid in
-        f page;
-        List.iter
-          (fun r ->
-            match r.child with
-            (* Dead record copies may reference disposed pages; queries can
-               never follow them (their effective lifetime is empty). *)
-            | Some c when page_exists t c -> go c
-            | Some _ | None -> ())
-          page.records
+        if leaf && not leaves then f pid None
+        else begin
+          let page = read t pid in
+          f pid (Some page);
+          List.iter
+            (fun r ->
+              match r.child with
+              (* Dead record copies may reference disposed pages; queries can
+                 never follow them (their effective lifetime is empty). *)
+              | Some c when page_exists t c -> go c ~leaf:(page.level = 1)
+              | Some _ | None -> ())
+            page.records
+        end
       end
     in
-    List.iter (fun (_, pid) -> go pid) (Root_star.tenures t.root_star)
+    List.iter (fun (_, pid) -> go pid ~leaf:false) (Root_star.tenures t.root_star)
+
+  let iter_pages t f = walk t ~leaves:true (fun _ page -> Option.iter f page)
 
   let record_count t =
     let n = ref 0 in
@@ -820,6 +890,47 @@ module Make (G : Aggregate.Group.S) = struct
 
     let page_header_bytes = 8 + 4 + (4 * 8) + 4
 
+    (* A page chunk's structure, checked without building the page: a
+       level, a record count within [b], child flags of 0 or 1, and
+       records that fill the chunk exactly.  Only the values are decoded,
+       to learn their sizes.  The raw load runs it before it frames a
+       chunk into a page file; the heap load, which decodes every page
+       anyway, holds the decoded page to the same level, count and length
+       rule. *)
+    let check_page_chunk ~b buf ~pos ~len =
+      let module R = Storage.Codec.Reader in
+      let rd = R.create ~pos ~len buf in
+      let skip_i64s k =
+        for _ = 1 to k do
+          ignore (R.i64 rd)
+        done
+      in
+      let rec records n =
+        n = 0
+        || begin
+             skip_i64s 4;
+             ignore (V.decode rd);
+             match R.u8 rd with
+             | 0 -> records (n - 1)
+             | 1 ->
+                 skip_i64s 1;
+                 records (n - 1)
+             | _ -> false
+           end
+      in
+      let well_formed =
+        match
+          skip_i64s 1;
+          let level = R.i32 rd in
+          skip_i64s 4;
+          let n = R.i32 rd in
+          level >= 0 && n >= 0 && n <= b && records n && R.pos rd = pos + len
+        with
+        | ok -> ok
+        | exception Storage.Codec.Overflow _ -> false
+      in
+      if not well_formed then Chunk_reader.fail "corrupt page chunk"
+
     (* The zero-copy twins: byte-identical wire format, but encoding and
        decoding run directly against a mapped slice ({!Storage.Zcodec})
        instead of an intermediate [bytes] buffer.  Cross-codec equality
@@ -872,6 +983,104 @@ module Make (G : Aggregate.Group.S) = struct
       { pid; level; prange = Interval.make lo hi; created; closed; records }
   end
 
+  (* The handle state — configuration, clock, current root, root*
+     directory — in the one layout that both the snapshot header chunk
+     and the durable meta sidecar carry. *)
+  type state = {
+    s_cfg : config;
+    s_key_space : int;
+    s_now : int;
+    s_horizon : int;
+    s_cur_root : Storage.Page_id.t;
+    s_height : int;
+    s_roots : (int * Storage.Page_id.t) list;
+  }
+
+  let state_bytes t = 128 + (List.length (Root_star.tenures t.root_star) * 16)
+
+  let encode_state w t =
+    let module W = Storage.Codec.Writer in
+    let tenures = Root_star.tenures t.root_star in
+    W.i32 w t.cfg.b;
+    W.i64 w (Int64.to_int (Int64.bits_of_float t.cfg.f));
+    W.u8 w (match t.cfg.variant with Plain -> 0 | Logical -> 1);
+    W.bool w t.cfg.merging;
+    W.bool w t.cfg.disposal;
+    W.bool w t.cfg.root_star_btree;
+    W.i64 w t.key_space;
+    W.i64 w t.now_;
+    W.i64 w t.horizon;
+    W.i64 w (Storage.Page_id.to_int t.cur_root);
+    W.i32 w t.height;
+    W.i32 w (List.length tenures);
+    List.iter
+      (fun (iv, pid) ->
+        W.i64 w iv.Interval.lo;
+        W.i64 w (Storage.Page_id.to_int pid))
+      tenures
+
+  let decode_state ~who rd =
+    let module R = Storage.Codec.Reader in
+    let b = R.i32 rd in
+    let f = Int64.float_of_bits (Int64.of_int (R.i64 rd)) in
+    let variant =
+      match R.u8 rd with
+      | 0 -> Plain
+      | 1 -> Logical
+      | _ -> failwith (who ^ ": bad variant")
+    in
+    let merging = R.bool rd in
+    let disposal = R.bool rd in
+    let root_star_btree = R.bool rd in
+    let s_key_space = R.i64 rd in
+    let s_now = R.i64 rd in
+    let s_horizon = R.i64 rd in
+    let s_cur_root = Storage.Page_id.of_int (R.i64 rd) in
+    let s_height = R.i32 rd in
+    let n_roots = R.i32 rd in
+    let s_roots =
+      List.init n_roots (fun _ ->
+          let ts = R.i64 rd in
+          let pid = Storage.Page_id.of_int (R.i64 rd) in
+          (ts, pid))
+    in
+    { s_cfg = { b; f; variant; merging; disposal; root_star_btree }; s_key_space;
+      s_now; s_horizon; s_cur_root; s_height; s_roots }
+
+  let of_state ~io_stats backend st =
+    let root_star = Root_star.create ~btree:st.s_cfg.root_star_btree ~stats:io_stats () in
+    List.iter (fun (ts, pid) -> Root_star.register root_star ~at:ts pid) st.s_roots;
+    { backend; io_stats; cfg = st.s_cfg; key_space = st.s_key_space; root_star;
+      cur_root = st.s_cur_root; height = st.s_height; now_ = st.s_now;
+      horizon = st.s_horizon; touches = 0; tel = Telemetry.Tracer.noop }
+
+  (* A snapshot ({!Persist.save}) is the magic, the state chunk, a chunk
+     holding the page count, then one chunk per page: the page encoded
+     exactly as a page file's block carries it. *)
+  let snapshot_magic = "MVSBT-SNAPSHOT-2"
+
+  (* Stream the snapshot at [path]: [k] gets its state and a function
+     that feeds each page chunk to a consumer, as a slice of a reused
+     buffer valid only during the call.  A short, misframed or overlong
+     file fails. *)
+  let with_snapshot ~vfs ~path k =
+    let file = vfs.Storage.Vfs.v_open `Reopen path in
+    Fun.protect ~finally:(fun () -> file.Storage.Vfs.f_close ()) @@ fun () ->
+    let rd = Chunk_reader.create file in
+    let n = String.length snapshot_magic in
+    let at = Chunk_reader.take rd n in
+    if Bytes.sub_string rd.buf at n <> snapshot_magic then
+      failwith "Mvsbt.Persist.load: bad magic";
+    let slice (buf, pos, len) = Storage.Codec.Reader.create ~pos ~len buf in
+    let st = decode_state ~who:"Mvsbt.Persist.load" (slice (Chunk_reader.chunk rd)) in
+    k st (fun page ->
+        let n_pages = Storage.Codec.Reader.i32 (slice (Chunk_reader.chunk rd)) in
+        for _ = 1 to n_pages do
+          let buf, pos, len = Chunk_reader.chunk rd in
+          page buf ~pos ~len
+        done;
+        if not (Chunk_reader.at_end rd) then Chunk_reader.fail "bytes after the last page")
+
   module Durable (V : VALUE_CODEC) = struct
     module RC = Record_codec (V)
 
@@ -897,6 +1106,11 @@ module Make (G : Aggregate.Group.S) = struct
     let min_page_size cfg =
       File_store.block_overhead + RC.page_header_bytes + (cfg.b * RC.record_bytes)
 
+    (* Analytic configs push [b] past what a 4 KiB page holds, so the
+       default page fits the config — rounded up to 4 KiB so mapped pages
+       stay OS-page aligned. *)
+    let page_size_for cfg = (max 4096 (min_page_size cfg) + 4095) / 4096 * 4096
+
     (* The page file holds only pages; the handle state (configuration,
        clock, current root, root* directory) lives in a CRC-framed meta
        sidecar rewritten atomically on every flush — flush order is pages,
@@ -907,27 +1121,9 @@ module Make (G : Aggregate.Group.S) = struct
     let meta_path path = path ^ ".meta"
 
     let write_meta t ~vfs ~path =
-      let tenures = Root_star.tenures t.root_star in
-      let cap = String.length meta_magic + 128 + (List.length tenures * 16) + 4 in
-      let w = Storage.Codec.Writer.create cap in
+      let w = Storage.Codec.Writer.create (String.length meta_magic + state_bytes t + 4) in
       String.iter (fun ch -> Storage.Codec.Writer.u8 w (Char.code ch)) meta_magic;
-      Storage.Codec.Writer.i32 w t.cfg.b;
-      Storage.Codec.Writer.i64 w (Int64.to_int (Int64.bits_of_float t.cfg.f));
-      Storage.Codec.Writer.u8 w (match t.cfg.variant with Plain -> 0 | Logical -> 1);
-      Storage.Codec.Writer.bool w t.cfg.merging;
-      Storage.Codec.Writer.bool w t.cfg.disposal;
-      Storage.Codec.Writer.bool w t.cfg.root_star_btree;
-      Storage.Codec.Writer.i64 w t.key_space;
-      Storage.Codec.Writer.i64 w t.now_;
-      Storage.Codec.Writer.i64 w t.horizon;
-      Storage.Codec.Writer.i64 w (Storage.Page_id.to_int t.cur_root);
-      Storage.Codec.Writer.i32 w t.height;
-      Storage.Codec.Writer.i32 w (List.length tenures);
-      List.iter
-        (fun (iv, pid) ->
-          Storage.Codec.Writer.i64 w iv.Interval.lo;
-          Storage.Codec.Writer.i64 w (Storage.Page_id.to_int pid))
-        tenures;
+      encode_state w t;
       let len = Storage.Codec.Writer.pos w in
       let buf = Storage.Codec.Writer.contents w in
       (* The CRC is unsigned 32-bit; Writer.i32 would reject the top half
@@ -952,31 +1148,7 @@ module Make (G : Aggregate.Group.S) = struct
         String.init (String.length meta_magic) (fun _ -> Char.chr (Storage.Codec.Reader.u8 rd))
       in
       if magic <> meta_magic then failwith "Mvsbt.Durable.reopen: bad meta magic";
-      let b = Storage.Codec.Reader.i32 rd in
-      let f = Int64.float_of_bits (Int64.of_int (Storage.Codec.Reader.i64 rd)) in
-      let variant =
-        match Storage.Codec.Reader.u8 rd with
-        | 0 -> Plain
-        | 1 -> Logical
-        | _ -> failwith "Mvsbt.Durable.reopen: bad variant"
-      in
-      let merging = Storage.Codec.Reader.bool rd in
-      let disposal = Storage.Codec.Reader.bool rd in
-      let root_star_btree = Storage.Codec.Reader.bool rd in
-      let key_space = Storage.Codec.Reader.i64 rd in
-      let now_ = Storage.Codec.Reader.i64 rd in
-      let horizon = Storage.Codec.Reader.i64 rd in
-      let cur_root = Storage.Page_id.of_int (Storage.Codec.Reader.i64 rd) in
-      let height = Storage.Codec.Reader.i32 rd in
-      let n_roots = Storage.Codec.Reader.i32 rd in
-      let roots =
-        List.init n_roots (fun _ ->
-            let ts = Storage.Codec.Reader.i64 rd in
-            let pid = Storage.Page_id.of_int (Storage.Codec.Reader.i64 rd) in
-            (ts, pid))
-      in
-      ( { b; f; variant; merging; disposal; root_star_btree },
-        key_space, now_, horizon, cur_root, height, roots )
+      decode_state ~who:"Mvsbt.Durable.reopen" rd
 
     (* The physical layer behind a durable tree — store + buffer pool —
        as one closure record, so every entry point dispatches on the
@@ -988,7 +1160,9 @@ module Make (G : Aggregate.Group.S) = struct
       p_alloc : unit -> Storage.Page_id.t;
       p_read : Storage.Page_id.t -> page;
       p_write : Storage.Page_id.t -> page -> unit;
-      p_install : Storage.Page_id.t -> page -> unit;
+      p_install_raw : Storage.Page_id.t -> bytes -> pos:int -> len:int -> unit;
+      p_payload : Storage.Page_id.t -> bytes;
+          (** The stored payload, once the pool has written back its copy. *)
       p_free : Storage.Page_id.t -> unit;
       p_mem : Storage.Page_id.t -> bool;
       p_pin : Storage.Page_id.t -> unit;
@@ -1017,7 +1191,11 @@ module Make (G : Aggregate.Group.S) = struct
         p_alloc = (fun () -> File_pool.alloc pool);
         p_read = (fun pid -> File_pool.read pool pid);
         p_write = (fun pid page -> File_pool.write pool pid page);
-        p_install = (fun pid page -> File_store.install store pid page);
+        p_install_raw = File_store.install_raw store;
+        p_payload =
+          (fun pid ->
+            File_pool.clean pool pid;
+            File_store.read_payload store pid);
         p_free = (fun pid -> File_pool.free pool pid);
         p_mem = (fun pid -> File_pool.mem pool pid);
         p_pin = (fun pid -> File_pool.pin pool pid);
@@ -1051,7 +1229,11 @@ module Make (G : Aggregate.Group.S) = struct
         p_alloc = (fun () -> Mmap_pool.alloc pool);
         p_read = (fun pid -> Mmap_pool.read pool pid);
         p_write = (fun pid page -> Mmap_pool.write pool pid page);
-        p_install = (fun pid page -> Mmap_store.install store pid page);
+        p_install_raw = Mmap_store.install_raw store;
+        p_payload =
+          (fun pid ->
+            Mmap_pool.clean pool pid;
+            Mmap_store.read_payload store pid);
         p_free = (fun pid -> Mmap_pool.free pool pid);
         p_mem = (fun pid -> Mmap_pool.mem pool pid);
         p_pin = (fun pid -> Mmap_pool.pin pool pid);
@@ -1145,13 +1327,16 @@ module Make (G : Aggregate.Group.S) = struct
             phys.p_flush ();
             phys.p_sync ();
             match !self with Some t -> write_meta t ~vfs ~path | None -> ());
+        b_payload = Some phys.p_payload;
+        b_close = (fun () -> phys.p_close ());
       }
 
-    let create ?config ?(pool_capacity = 64) ?stats ?(page_size = 4096)
+    let create ?config ?(pool_capacity = 64) ?stats ?page_size
         ?(vfs = Storage.Vfs.os) ?(store = Storage.Store_kind.File) ?(backing = `Auto)
         ~key_space ~path () =
       let cfg = match config with Some c -> c | None -> default_config ~b:64 in
       validate_create cfg key_space;
+      let page_size = match page_size with Some p -> p | None -> page_size_for cfg in
       if min_page_size cfg > page_size then
         invalid_arg
           (Printf.sprintf
@@ -1169,67 +1354,46 @@ module Make (G : Aggregate.Group.S) = struct
       write_meta t ~vfs ~path;
       t
 
-    let reopen ?(pool_capacity = 64) ?stats ?(page_size = 4096) ?(vfs = Storage.Vfs.os)
+    let reopen ?(pool_capacity = 64) ?stats ?page_size ?(vfs = Storage.Vfs.os)
         ?(store = Storage.Store_kind.File) ?(backing = `Auto) ~path () =
-      let cfg, key_space, now_, horizon, cur_root, height, roots = read_meta ~vfs ~path in
+      let st = read_meta ~vfs ~path in
+      let page_size = match page_size with Some p -> p | None -> page_size_for st.s_cfg in
       let io_stats = match stats with Some s -> s | None -> Storage.Io_stats.create () in
       let phys =
         phys_make ~store_kind:store ~backing ~stats:io_stats ~page_size ~mode:`Reopen
           ~vfs ~pool_capacity ~path ()
       in
-      if not (phys.p_mem cur_root) then
+      if not (phys.p_mem st.s_cur_root) then
         failwith "Mvsbt.Durable.reopen: meta names a root the page file does not hold";
       let self = ref None in
-      let backend = make_backend ~vfs ~path ~self phys in
-      let root_star = Root_star.create ~btree:cfg.root_star_btree ~stats:io_stats () in
-      List.iter (fun (ts, pid) -> Root_star.register root_star ~at:ts pid) roots;
-      let t =
-        { backend; io_stats; cfg; key_space; root_star; cur_root; height; now_; horizon;
-          touches = 0; tel = Telemetry.Tracer.noop }
-      in
+      let t = of_state ~io_stats (make_backend ~vfs ~path ~self phys) st in
       self := Some t;
       t
 
-    (* Materialise the working set of [src] — typically a tree just
-       loaded from a checkpoint snapshot — into a fresh page file at
-       [path]: every live page lands under its original id (page ids are
-       stable across backends), the meta sidecar commits the same logical
-       state, and the returned handle serves from the new store.  [src]
-       itself is read, never modified.  The installs are real, charged
-       physical writes: materialisation is the recovery cost a page-file
-       engine pays to rebuild its working set, and hiding it would skew
-       every recovery experiment. *)
-    let materialize ?(pool_capacity = 64) ?stats ?(page_size = 4096)
-        ?(vfs = Storage.Vfs.os) ?(store = Storage.Store_kind.File) ?(backing = `Auto)
-        ~path src =
-      if min_page_size src.cfg > page_size then
-        invalid_arg
-          (Printf.sprintf
-             "Mvsbt.Durable.materialize: %d-byte pages cannot hold b=%d records (need \
-              %d)"
-             page_size src.cfg.b (min_page_size src.cfg));
-      let io_stats = match stats with Some s -> s | None -> src.io_stats in
+    (* Build a page file at [path] from a {!Persist} snapshot without
+       decoding a page: each chunk already is the page's block payload, so
+       it is framed into the block of its id as is — one charged write per
+       page.  The snapshot's config sizes the pages.  The tree is meant to
+       be flushed by its caller, which commits the meta sidecar. *)
+    let of_snapshot ?(pool_capacity = 64) ?stats ?(vfs = Storage.Vfs.os)
+        ?(store = Storage.Store_kind.File) ?(backing = `Auto) ~snapshot ~path () =
+      let io_stats = match stats with Some s -> s | None -> Storage.Io_stats.create () in
+      with_snapshot ~vfs ~path:snapshot @@ fun st pages ->
       let phys =
-        phys_make ~store_kind:store ~backing ~stats:io_stats ~page_size ~mode:`Create
-          ~vfs ~pool_capacity ~path ()
+        phys_make ~store_kind:store ~backing ~stats:io_stats
+          ~page_size:(page_size_for st.s_cfg) ~mode:`Create ~vfs ~pool_capacity ~path ()
       in
-      List.iter
-        (fun pid -> phys.p_install pid (src.backend.b_read pid))
-        (src.backend.b_list ());
+      (try
+         pages (fun buf ~pos ~len ->
+             RC.check_page_chunk ~b:st.s_cfg.b buf ~pos ~len;
+             let pid = Storage.Page_id.of_int (Int64.to_int (Bytes.get_int64_le buf pos)) in
+             phys.p_install_raw pid buf ~pos ~len)
+       with e ->
+         phys.p_close ();
+         raise e);
       let self = ref None in
-      let backend = make_backend ~vfs ~path ~self phys in
-      let root_star = Root_star.create ~btree:src.cfg.root_star_btree ~stats:io_stats () in
-      List.iter
-        (fun (iv, pid) -> Root_star.register root_star ~at:iv.Interval.lo pid)
-        (Root_star.tenures src.root_star);
-      let t =
-        { backend; io_stats; cfg = src.cfg; key_space = src.key_space; root_star;
-          cur_root = src.cur_root; height = src.height; now_ = src.now_;
-          horizon = src.horizon; touches = 0; tel = src.tel }
-      in
+      let t = of_state ~io_stats (make_backend ~vfs ~path ~self phys) st in
       self := Some t;
-      phys.p_sync ();
-      write_meta t ~vfs ~path;
       t
 
     (* --- Scrub and repair ----------------------------------------------------- *)
@@ -1322,153 +1486,75 @@ module Make (G : Aggregate.Group.S) = struct
   (* --- Snapshot persistence --------------------------------------------------- *)
 
   module Persist (V : VALUE_CODEC) = struct
-    let magic = "MVSBT-SNAPSHOT-2"
+    include Record_codec (V)
 
-    (* The snapshot is assembled in memory and written through the VFS in
-       one [f_append] per chunk, so snapshot writes are journalled by
-       [Vfs.Memory] like every other disk operation. *)
-    let write_chunk out (w : Storage.Codec.Writer.t) =
-      let len = Storage.Codec.Writer.pos w in
+    (* Written through the VFS in one [f_append] per chunk header and one
+       per chunk, so snapshot writes are journalled by [Vfs.Memory] like
+       every other disk operation. *)
+    let write_chunk out buf len =
       let hdr = Bytes.create 4 in
       Bytes.set_int32_le hdr 0 (Int32.of_int len);
       out.Storage.Vfs.f_append hdr 0 4;
-      out.Storage.Vfs.f_append (Storage.Codec.Writer.contents w) 0 len
+      out.Storage.Vfs.f_append buf 0 len
 
-    (* Sequential cursor over the loaded snapshot bytes. *)
-    let read_chunk buf pos =
-      if !pos + 4 > Bytes.length buf then failwith "Mvsbt.Persist: truncated snapshot";
-      let len = Int32.to_int (Bytes.get_int32_le buf !pos) in
-      if len < 0 || len > 1 lsl 30 then failwith "Mvsbt.Persist: corrupt chunk length";
-      if !pos + 4 + len > Bytes.length buf then failwith "Mvsbt.Persist: truncated snapshot";
-      let chunk = Bytes.sub buf (!pos + 4) len in
-      pos := !pos + 4 + len;
-      Storage.Codec.Reader.create chunk
-
-    include Record_codec (V)
+    let write_writer out w =
+      write_chunk out (Storage.Codec.Writer.contents w) (Storage.Codec.Writer.pos w)
 
     let save ?(vfs = Storage.Vfs.os) t ~path =
       let oc = vfs.Storage.Vfs.v_open `Create path in
       Fun.protect ~finally:(fun () -> oc.Storage.Vfs.f_close ()) @@ fun () ->
-      oc.Storage.Vfs.f_append (Bytes.of_string magic) 0 (String.length magic);
-      (* Header. *)
-      let tenures = Root_star.tenures t.root_star in
-      let w = Storage.Codec.Writer.create (128 + (List.length tenures * 16)) in
-      Storage.Codec.Writer.i32 w t.cfg.b;
-      Storage.Codec.Writer.i64 w (Int64.to_int (Int64.bits_of_float t.cfg.f));
-      Storage.Codec.Writer.u8 w (match t.cfg.variant with Plain -> 0 | Logical -> 1);
-      Storage.Codec.Writer.bool w t.cfg.merging;
-      Storage.Codec.Writer.bool w t.cfg.disposal;
-      Storage.Codec.Writer.bool w t.cfg.root_star_btree;
-      Storage.Codec.Writer.i64 w t.key_space;
-      Storage.Codec.Writer.i64 w t.now_;
-      Storage.Codec.Writer.i64 w t.horizon;
-      Storage.Codec.Writer.i64 w (Storage.Page_id.to_int t.cur_root);
-      Storage.Codec.Writer.i32 w t.height;
-      Storage.Codec.Writer.i32 w (List.length tenures);
-      List.iter
-        (fun (iv, pid) ->
-          Storage.Codec.Writer.i64 w iv.Interval.lo;
-          Storage.Codec.Writer.i64 w (Storage.Page_id.to_int pid))
-        tenures;
-      write_chunk oc w;
-      (* Pages: count, then one chunk each. *)
-      let pages = ref [] in
-      iter_pages t (fun p -> pages := p :: !pages);
+      let magic = Bytes.of_string snapshot_magic in
+      oc.Storage.Vfs.f_append magic 0 (Bytes.length magic);
+      let w = Storage.Codec.Writer.create (state_bytes t) in
+      encode_state w t;
+      write_writer oc w;
+      (* Pages in the reverse of the walk's preorder, one write each.  A
+         heap tree's pages are in memory already and are encoded.  A page
+         file already holds each page's chunk, so its walk decodes only
+         roots and index pages, to find children, and every page is
+         copied as stored: holding the decoded index pages until they are
+         written would put a slice of the tree back in the heap. *)
+      let writes = ref [] in
+      (match t.backend.b_payload with
+      | None ->
+          iter_pages t (fun p ->
+              writes :=
+                (fun () ->
+                  let w =
+                    Storage.Codec.Writer.create
+                      (page_header_bytes + (List.length p.records * record_bytes))
+                  in
+                  encode_page w p;
+                  write_writer oc w)
+                :: !writes)
+      | Some stored ->
+          walk t ~leaves:false (fun pid _ ->
+              writes :=
+                (fun () ->
+                  let payload = stored pid in
+                  write_chunk oc payload (Bytes.length payload))
+                :: !writes));
       let w = Storage.Codec.Writer.create 8 in
-      Storage.Codec.Writer.i32 w (List.length !pages);
-      write_chunk oc w;
-      List.iter
-        (fun p ->
-          let w = Storage.Codec.Writer.create (64 + (List.length p.records * record_bytes)) in
-          Storage.Codec.Writer.i64 w (Storage.Page_id.to_int p.pid);
-          Storage.Codec.Writer.i32 w p.level;
-          Storage.Codec.Writer.i64 w p.prange.Interval.lo;
-          Storage.Codec.Writer.i64 w p.prange.Interval.hi;
-          Storage.Codec.Writer.i64 w p.created;
-          Storage.Codec.Writer.i64 w p.closed;
-          Storage.Codec.Writer.i32 w (List.length p.records);
-          List.iter (encode_record w) p.records;
-          write_chunk oc w)
-        !pages
+      Storage.Codec.Writer.i32 w (List.length !writes);
+      write_writer oc w;
+      List.iter (fun write -> write ()) !writes
 
     let load ?(pool_capacity = 64) ?stats ?(vfs = Storage.Vfs.os) ~path () =
-      let all = Storage.Vfs.read_file vfs path in
-      if Bytes.length all < String.length magic then
-        failwith "Mvsbt.Persist.load: bad magic";
-      let m = Bytes.sub_string all 0 (String.length magic) in
-      if m <> magic then failwith "Mvsbt.Persist.load: bad magic";
-      let pos = ref (String.length magic) in
-      let rd = read_chunk all pos in
-      let b = Storage.Codec.Reader.i32 rd in
-      let f = Int64.float_of_bits (Int64.of_int (Storage.Codec.Reader.i64 rd)) in
-      let variant =
-        match Storage.Codec.Reader.u8 rd with
-        | 0 -> Plain
-        | 1 -> Logical
-        | _ -> failwith "Mvsbt.Persist.load: bad variant"
-      in
-      let merging = Storage.Codec.Reader.bool rd in
-      let disposal = Storage.Codec.Reader.bool rd in
-      let root_star_btree = Storage.Codec.Reader.bool rd in
-      let key_space = Storage.Codec.Reader.i64 rd in
-      let now_ = Storage.Codec.Reader.i64 rd in
-      let horizon = Storage.Codec.Reader.i64 rd in
-      let cur_root = Storage.Page_id.of_int (Storage.Codec.Reader.i64 rd) in
-      let height = Storage.Codec.Reader.i32 rd in
-      let n_roots = Storage.Codec.Reader.i32 rd in
-      let roots =
-        List.init n_roots (fun _ ->
-            let ts = Storage.Codec.Reader.i64 rd in
-            let pid = Storage.Page_id.of_int (Storage.Codec.Reader.i64 rd) in
-            (ts, pid))
-      in
       let io_stats = match stats with Some s -> s | None -> Storage.Io_stats.create () in
-      let store = Store.create ~stats:io_stats () in
-      let pool = Pool.create ~capacity:pool_capacity store in
+      let store, backend = mem_backend ~pool_capacity ~io_stats in
+      with_snapshot ~vfs ~path @@ fun st pages ->
       (* [Store.install] charges no I/O, so loading is free of counters. *)
-      let backend =
-        {
-          b_alloc = (fun () -> Pool.alloc pool);
-          b_read = (fun pid -> Pool.read pool pid);
-          b_write = (fun pid page -> Pool.write pool pid page);
-          b_free = (fun pid -> Pool.free pool pid);
-          b_exists = (fun pid -> Pool.mem pool pid);
-          b_list = (fun () -> Pool.flush pool; Store.ids store);
-          b_live = (fun () -> Store.live_pages store);
-          b_drop = (fun () -> Pool.drop_cache pool);
-          b_flush = (fun () -> Pool.flush pool);
-        }
-      in
-      let root_star = Root_star.create ~btree:root_star_btree ~stats:io_stats () in
-      List.iter (fun (ts, pid) -> Root_star.register root_star ~at:ts pid) roots;
-      let rd = read_chunk all pos in
-      let n_pages = Storage.Codec.Reader.i32 rd in
-      for _ = 1 to n_pages do
-        let rd = read_chunk all pos in
-        let pid = Storage.Page_id.of_int (Storage.Codec.Reader.i64 rd) in
-        let level = Storage.Codec.Reader.i32 rd in
-        let lo = Storage.Codec.Reader.i64 rd in
-        let hi = Storage.Codec.Reader.i64 rd in
-        let created = Storage.Codec.Reader.i64 rd in
-        let closed = Storage.Codec.Reader.i64 rd in
-        let n_records = Storage.Codec.Reader.i32 rd in
-        let records = List.init n_records (fun _ -> decode_record rd) in
-        Store.install store pid
-          { pid; level; prange = Interval.make lo hi; created; closed; records }
-      done;
-      {
-        backend;
-        io_stats;
-        cfg = { b; f; variant; merging; disposal; root_star_btree };
-        key_space;
-        root_star;
-        cur_root;
-        height;
-        now_;
-        horizon;
-        touches = 0;
-        tel = Telemetry.Tracer.noop;
-      }
+      pages (fun buf ~pos ~len ->
+          let rd = Storage.Codec.Reader.create ~pos ~len buf in
+          match decode_page rd with
+          | p
+            when p.level >= 0
+                 && List.length p.records <= st.s_cfg.b
+                 && Storage.Codec.Reader.pos rd = pos + len ->
+              Store.install store p.pid p
+          | _ | (exception (Invalid_argument _ | Storage.Codec.Overflow _)) ->
+              Chunk_reader.fail "corrupt page chunk");
+      of_state ~io_stats backend st
   end
 
   let pp_dot ppf t =

@@ -173,6 +173,11 @@ module Make (G : Aggregate.Group.S) : sig
   (** {!flush} with the typed error channel: a [Storage_error.Io] from
       the underlying store is returned as [Error] instead of raising. *)
 
+  val close : t -> unit
+  (** Release a {!Durable} tree's page file (its descriptor and mapping);
+      a no-op for heap trees.  Unflushed pages are lost, and the handle
+      must not be used afterwards. *)
+
   val check_invariants : t -> unit
   (** Structural validation over the whole graph: Property 1 (alive
       records partition the page rectangle at every instant of its
@@ -219,13 +224,15 @@ module Make (G : Aggregate.Group.S) : sig
       path:string ->
       unit ->
       t
-    (** Creates (truncating) [path].  [page_size] defaults to 4096 bytes;
-        it must be able to hold [b] maximal records plus the per-page
-        integrity frame.  Alongside the page file, a meta sidecar
-        [path ^ ".meta"] records the handle state (configuration, clock,
-        current root, root* directory); it is rewritten atomically on
-        every {!flush}, making {!reopen} possible.  All I/O goes through
-        [vfs] (default {!Storage.Vfs.os}).  [store] (default [File])
+    (** Creates (truncating) [path].  [page_size] must be able to hold [b]
+        maximal records plus the per-page integrity frame; it defaults to
+        the smallest multiple of 4096 bytes that does.  The same rule
+        sizes {!of_snapshot} and {!reopen}.  Alongside the page file, a
+        meta sidecar [path ^ ".meta"] records the handle state
+        (configuration, clock, current root, root* directory); it is
+        rewritten atomically on every {!flush}, making {!reopen}
+        possible.  All I/O goes through [vfs] (default
+        {!Storage.Vfs.os}).  [store] (default [File])
         selects the page backend; [backing] (default [`Auto]) the arena
         flavour when [store = Mmap] — see {!Storage.Arena.create}.
         @raise Invalid_argument when the configuration cannot fit, or
@@ -255,24 +262,28 @@ module Make (G : Aggregate.Group.S) : sig
         @raise Failure on a missing/corrupt sidecar or page file, or a
         [page_size] mismatch. *)
 
-    val materialize :
+    val of_snapshot :
       ?pool_capacity:int ->
       ?stats:Storage.Io_stats.t ->
-      ?page_size:int ->
       ?vfs:Storage.Vfs.t ->
       ?store:Storage.Store_kind.t ->
       ?backing:[ `Auto | `Map | `Buffered ] ->
+      snapshot:string ->
       path:string ->
-      t ->
+      unit ->
       t
-    (** Write a fresh page file at [path] holding an exact copy of the
-        source tree's page graph (every page under its original id, so
-        scrub's repair-by-id stays sound), and return a durable handle
-        over it.  The source — typically an in-memory tree just rebuilt
-        from snapshot + WAL — is left untouched.  Every page copy is
-        charged to [stats] as a real write: materialisation is honest
-        recovery cost, not free.  [stats] defaults to the {e source}
-        tree's counter sink. *)
+    (** Build a fresh page file at [path] from the {!Persist} snapshot
+        [snapshot] and return a durable handle over it.  A snapshot's
+        page chunk is byte for byte the payload of the page's block, so
+        pages move as encoded bytes
+        ({!Storage.Page_store.File.install_raw}), each under its original
+        id (repair-by-id stays sound), through one reused read buffer:
+        nothing is decoded and the tree never sits in the heap.  Each
+        page is charged to [stats] as one write — rebuilding the working
+        set is honest recovery cost.  The page size follows the
+        snapshot's config (see {!create}).  No meta sidecar exists until
+        the first {!flush}.
+        @raise Failure on a malformed, truncated or overlong snapshot. *)
 
     val min_page_size : config -> int
     (** The smallest page size accepted for a configuration. *)
@@ -325,10 +336,18 @@ module Make (G : Aggregate.Group.S) : sig
   (** Snapshot persistence: serialise the whole page graph (every page
       with its original id, the [root*] directory, and the configuration)
       to a file and reload it later.  The caller supplies the binary codec
-      for aggregate values. *)
+      for aggregate values.  Each page is one length-prefixed chunk
+      holding exactly the payload a page file's block carries, so a
+      {!Durable} tree copies its pages' stored bytes out, and
+      {!Durable.of_snapshot} copies them back in, without decoding. *)
   module Persist (V : VALUE_CODEC) : sig
     val save : ?vfs:Storage.Vfs.t -> t -> path:string -> unit
-    (** Write a snapshot.  The index remains usable. *)
+    (** Write a snapshot.  The index remains usable.  A {!Durable} tree's
+        pages are copied as stored (one charged read each, CRC-checked;
+        only index pages are decoded, to walk the graph); a heap tree's
+        are encoded.  The bytes are the same either way.
+        @raise Storage.Page_store.Corrupt_page if a stored page fails its
+        checksum. *)
 
     val load :
       ?pool_capacity:int ->
@@ -337,8 +356,9 @@ module Make (G : Aggregate.Group.S) : sig
       path:string ->
       unit ->
       t
-    (** Reload a snapshot; queries and further (time-monotone) insertions
+    (** Reload a snapshot into heap pages, streamed through one reused
+        read buffer; queries and further (time-monotone) insertions
         behave exactly as on the saved index.
-        @raise Failure on a malformed or incompatible file. *)
+        @raise Failure on a malformed, truncated or overlong file. *)
   end
 end

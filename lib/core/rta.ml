@@ -180,28 +180,6 @@ let reopen_durable ?pool_capacity ?stats ?telemetry ?page_size
     { lkst = mk lkst_suffix; lklt = mk lklt_suffix; alive; max_key; now_;
       n_updates; tel = Telemetry.Tracer.noop; durable = Some (path, vfs) }
 
-let materialize_durable ?pool_capacity ?stats ?telemetry ?page_size
-    ?(vfs = Storage.Vfs.os) ?store ?backing ~path src =
-  let mk suffix tree =
-    Durable_index.materialize ?pool_capacity ?stats ?page_size ~vfs ?store
-      ?backing ~path:(path ^ suffix) tree
-  in
-  let t =
-    apply_telemetry telemetry
-      {
-        lkst = mk lkst_suffix src.lkst;
-        lklt = mk lklt_suffix src.lklt;
-        alive = Hashtbl.copy src.alive;
-        max_key = src.max_key;
-        now_ = src.now_;
-        n_updates = src.n_updates;
-        tel = Telemetry.Tracer.noop;
-        durable = Some (path, vfs);
-      }
-  in
-  write_durable_meta t ~vfs ~path;
-  t
-
 let flush t =
   Telemetry.Tracer.with_span t.tel "rta.flush" @@ fun () ->
   Index.flush t.lkst;
@@ -209,6 +187,10 @@ let flush t =
   match t.durable with Some (path, vfs) -> write_durable_meta t ~vfs ~path | None -> ()
 
 let try_flush t = Storage.Storage_error.protect (fun () -> flush t)
+
+let close t =
+  Index.close t.lkst;
+  Index.close t.lklt
 
 let max_key t = t.max_key
 let config t = Index.config t.lkst
@@ -350,26 +332,39 @@ let save ?(vfs = Storage.Vfs.os) t ~path =
   let len = Storage.Codec.Writer.pos w in
   oc.Storage.Vfs.f_append (Storage.Codec.Writer.contents w) 0 len
 
-let try_save ?vfs t ~path =
-  Storage.Storage_error.protect (fun () -> save ?vfs t ~path)
+let try_save ?vfs t ~path = Storage.Page_store.protect (fun () -> save ?vfs t ~path)
 
-let load ?pool_capacity ?stats ?telemetry ?(vfs = Storage.Vfs.os) ~path () =
-  let stats = match stats with Some s -> s | None -> Storage.Io_stats.create () in
-  let lkst = Persist.load ?pool_capacity ~stats ~vfs ~path:(path ^ ".lkst") () in
-  let lklt = Persist.load ?pool_capacity ~stats ~vfs ~path:(path ^ ".lklt") () in
+(* The base table and counters come from the snapshot's [.meta], each
+   tree from [tree snapshot_ext pages_suffix]; a tree that fails to load
+   closes the one built before it. *)
+let load_with ?telemetry ~vfs ~path ~durable tree =
   let buf = Storage.Vfs.read_file vfs (path ^ ".meta") in
   if Bytes.length buf < String.length meta_magic then failwith "Rta.load: bad meta magic";
   let m = Bytes.sub_string buf 0 (String.length meta_magic) in
   if m <> meta_magic then failwith "Rta.load: bad meta magic";
-  let rest =
-    Bytes.sub buf (String.length meta_magic)
-      (Bytes.length buf - String.length meta_magic)
-  in
-  let rd = Storage.Codec.Reader.create rest in
+  let rd = Storage.Codec.Reader.create ~pos:(String.length meta_magic) buf in
   let max_key, now_, n_updates, alive = decode_meta rd in
+  let lkst = tree ".lkst" lkst_suffix in
+  let lklt =
+    try tree ".lklt" lklt_suffix
+    with e ->
+      Index.close lkst;
+      raise e
+  in
   apply_telemetry telemetry
-    { lkst; lklt; alive; max_key; now_; n_updates;
-      tel = Telemetry.Tracer.noop; durable = None }
+    { lkst; lklt; alive; max_key; now_; n_updates; tel = Telemetry.Tracer.noop; durable }
+
+let load ?pool_capacity ?stats ?telemetry ?(vfs = Storage.Vfs.os) ~path () =
+  let stats = match stats with Some s -> s | None -> Storage.Io_stats.create () in
+  load_with ?telemetry ~vfs ~path ~durable:None (fun ext _ ->
+      Persist.load ?pool_capacity ~stats ~vfs ~path:(path ^ ext) ())
+
+let load_durable ?pool_capacity ?stats ?telemetry ?(vfs = Storage.Vfs.os) ?store ?backing
+    ~snapshot ~path () =
+  let stats = match stats with Some s -> s | None -> Storage.Io_stats.create () in
+  load_with ?telemetry ~vfs ~path:snapshot ~durable:(Some (path, vfs)) (fun ext suffix ->
+      Durable_index.of_snapshot ?pool_capacity ~stats ~vfs ?store ?backing
+        ~snapshot:(snapshot ^ ext) ~path:(path ^ suffix) ())
 
 (* --- Scrub and repair ----------------------------------------------------- *)
 

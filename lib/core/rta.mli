@@ -52,14 +52,14 @@ val create_durable :
   t
 (** Like {!create}, but both MVSBTs keep their pages in real files
     ([<path>.lkst.pages] and [<path>.lklt.pages], fixed-size blocks behind
-    pinning buffer pools).  [page_size] defaults to 4096 and must hold
-    [config.b] records (~50 bytes each).  [store] (default [File])
-    selects the page backend — [Mmap] maps the files and codecs pages in
-    place; [backing] picks the arena flavour, see
-    {!Storage.Arena.create}.  Alongside the page files, meta sidecars
-    (one per index plus [<path>.rta.meta] for the base table and counters)
-    are committed atomically on every {!flush}, so an existing warehouse
-    can be {!reopen_durable}ed instead of destroyed.
+    pinning buffer pools).  [page_size] must hold [config.b] records
+    (~57 bytes each); it defaults to the smallest multiple of 4096 that
+    does.  [store] (default [File]) selects the page backend — [Mmap]
+    maps the files and codecs pages in place; [backing] picks the arena
+    flavour, see {!Storage.Arena.create}.  Alongside the page files, meta
+    sidecars (one per index plus [<path>.rta.meta] for the base table and
+    counters) are committed atomically on every {!flush}, so an existing
+    warehouse can be {!reopen_durable}ed instead of destroyed.
     @raise Invalid_argument when the configuration cannot fit a page, or
     when [store = Memory]. *)
 
@@ -84,25 +84,6 @@ val reopen_durable :
     @raise Failure on missing or corrupt sidecars/page files, or a
     [page_size] mismatch. *)
 
-val materialize_durable :
-  ?pool_capacity:int ->
-  ?stats:Storage.Io_stats.t ->
-  ?telemetry:Telemetry.Tracer.t ->
-  ?page_size:int ->
-  ?vfs:Storage.Vfs.t ->
-  ?store:Storage.Store_kind.t ->
-  ?backing:[ `Auto | `Map | `Buffered ] ->
-  path:string ->
-  t ->
-  t
-(** Write fresh page files at [path] holding an exact copy of the source
-    warehouse's page graphs (both MVSBTs, every page under its original
-    id, so {!scrub}'s repair-by-id stays sound) plus the meta sidecars,
-    and return a durable handle over them.  The source — typically an
-    in-memory warehouse just rebuilt from snapshot + WAL — is left
-    untouched.  Page copies are charged as real writes; [stats] defaults
-    to the source's counter sink. *)
-
 val flush : t -> unit
 (** Write dirty pages of both indices back to their stores. *)
 
@@ -110,6 +91,11 @@ val try_flush : t -> (unit, Storage.Storage_error.t) result
 (** {!flush} with the typed error channel: any [Storage_error.Io] the
     underlying stores raise is returned as [Error] instead.  Other
     exceptions (corruption [Failure]s, caller bugs) still raise. *)
+
+val close : t -> unit
+(** Release the page files of a durable warehouse (descriptors and
+    mappings); a no-op for an in-memory one.  Unflushed pages are lost,
+    and the warehouse must not be used afterwards. *)
 
 val max_key : t -> int
 val config : t -> Mvsbt.config
@@ -214,10 +200,18 @@ val pp_dot : Format.formatter -> t -> unit
 (** Graphviz rendering of both MVSBT page graphs (debugging / docs). *)
 
 val save : ?vfs:Storage.Vfs.t -> t -> path:string -> unit
+(** Snapshot both MVSBTs and the base table to [path.lkst], [path.lklt]
+    and [path.meta] (see {!Mvsbt.Make.Persist}).  A durable warehouse's
+    pages are copied as stored, without decoding leaves; the files are
+    byte-identical whichever store holds the pages.
+    @raise Storage.Page_store.Corrupt_page if a stored page fails its
+    checksum. *)
 
 val try_save :
   ?vfs:Storage.Vfs.t -> t -> path:string -> (unit, Storage.Storage_error.t) result
-(** {!save} with the typed error channel, as {!try_flush}. *)
+(** {!save} with the typed error channel, as {!try_flush}; a corrupt
+    stored page is a [Checksum_mismatch] error too
+    ({!Storage.Page_store.protect}). *)
 
 val load :
   ?pool_capacity:int ->
@@ -227,7 +221,26 @@ val load :
   path:string ->
   unit ->
   t
-(** @raise Failure on malformed or missing snapshot files. *)
+(** Load a {!save}d snapshot into heap pages.
+    @raise Failure on malformed or missing snapshot files. *)
+
+val load_durable :
+  ?pool_capacity:int ->
+  ?stats:Storage.Io_stats.t ->
+  ?telemetry:Telemetry.Tracer.t ->
+  ?vfs:Storage.Vfs.t ->
+  ?store:Storage.Store_kind.t ->
+  ?backing:[ `Auto | `Map | `Buffered ] ->
+  snapshot:string ->
+  path:string ->
+  unit ->
+  t
+(** Load the {!save}d snapshot [snapshot] into fresh page files at
+    [path], as {!create_durable} lays them out: pages move as encoded
+    bytes ({!Mvsbt.Make.Durable.of_snapshot}), never decoded, one charged
+    write each.  The page size follows the snapshot's config.  The meta
+    sidecars are committed by the first {!flush}.
+    @raise Failure on malformed or missing snapshot files. *)
 
 (** {1 Scrub and repair}
 

@@ -220,10 +220,17 @@ let willneed t ~block ~count =
     | Mapped m -> willneed_range m.map (block * t.block_size) (count * t.block_size)
     | Buffered _ -> ()
 
+(* Dropping the buffer as well as the descriptor lets the GC unmap the
+   mapping (or free the RAM image) even while the closed handle is
+   still referenced. *)
 let close t =
   if not t.closed then begin
     t.closed <- true;
     match t.impl with
-    | Mapped m -> ( try Unix.close m.fd with Unix.Unix_error _ -> ())
-    | Buffered b -> b.file.Vfs.f_close ()
+    | Mapped m ->
+        m.map <- ba_create 0;
+        (try Unix.close m.fd with Unix.Unix_error _ -> ())
+    | Buffered b ->
+        b.data <- ba_create 0;
+        b.file.Vfs.f_close ()
   end

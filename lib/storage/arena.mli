@@ -85,3 +85,5 @@ val file_size_bytes : t -> int
 (** Physical capacity of the backing file in bytes. *)
 
 val close : t -> unit
+(** Release the descriptor and the buffer (the mapping is unmapped once
+    collected).  Dirty blocks not yet {!sync}ed are lost.  Idempotent. *)

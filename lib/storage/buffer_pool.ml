@@ -117,6 +117,9 @@ module Make (Store : Page_store.S) = struct
 
   let flush t = Evict.iter (fun id entry -> write_back t id entry) t.cache
 
+  let clean t id =
+    match Evict.peek t.cache id with Some entry -> write_back t id entry | None -> ()
+
   let drop_cache t =
     flush t;
     Evict.clear t.cache

@@ -97,6 +97,10 @@ module Make (Store : Page_store.S) : sig
   val flush : t -> unit
   (** Write back every dirty page; the cache keeps its contents clean. *)
 
+  val clean : t -> Page_id.t -> unit
+  (** Write back one page if its pooled copy is dirty, so the store holds
+      its current contents; it stays resident. *)
+
   val drop_cache : t -> unit
   (** Flush, then empty the cache — simulates a cold buffer pool before a
       query batch.  Pin intents survive and re-apply on fault-in. *)

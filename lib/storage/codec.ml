@@ -58,15 +58,20 @@ let crc32 buf ~pos ~len = crc32_update 0 buf ~pos ~len
 let crc32_string s = crc32 (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
 
 module Reader = struct
-  type t = { buf : bytes; mutable pos : int }
+  type t = { buf : bytes; mutable pos : int; limit : int }
 
-  let create buf = { buf; pos = 0 }
+  let create ?(pos = 0) ?len buf =
+    let len = match len with Some l -> l | None -> Bytes.length buf - pos in
+    if pos < 0 || len < 0 || pos + len > Bytes.length buf then
+      invalid_arg "Codec.Reader.create: range outside buffer";
+    { buf; pos; limit = pos + len }
+
   let pos t = t.pos
 
   let ensure t n =
-    if t.pos + n > Bytes.length t.buf then
+    if t.pos + n > t.limit then
       raise (Overflow (Printf.sprintf "read of %d bytes at %d exceeds block size %d"
-                         n t.pos (Bytes.length t.buf)))
+                         n t.pos t.limit))
 
   let u8 t =
     ensure t 1;

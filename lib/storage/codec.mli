@@ -55,7 +55,11 @@ val crc32_string : string -> int
 module Reader : sig
   type t
 
-  val create : bytes -> t
+  val create : ?pos:int -> ?len:int -> bytes -> t
+  (** A reader over [len] bytes of the buffer from [pos] (default: all of
+      it); reading past them raises {!Overflow}.  {!pos} is absolute.
+      @raise Invalid_argument if the range lies outside the buffer. *)
+
   val pos : t -> int
   val u8 : t -> int
   val i32 : t -> int

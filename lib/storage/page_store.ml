@@ -1,5 +1,22 @@
 exception Corrupt_page of { path : string; page : Page_id.t }
 
+let protect f =
+  try Storage_error.protect f
+  with Corrupt_page { path; page } ->
+    Error
+      (Storage_error.v ~op:Storage_error.Pread ~path
+         ~detail:(Printf.sprintf "page %d" (Page_id.to_int page))
+         Storage_error.Checksum_mismatch)
+
+(* [install_raw] frames bytes it did not encode, so it enforces the
+   bound an encoder would have hit. *)
+let check_raw_fits ~who ~page_size ~block_overhead ~len =
+  if len < 0 || len > page_size - block_overhead then
+    raise
+      (Codec.Overflow
+         (Printf.sprintf "%s: %d-byte payload does not fit a %d-byte block" who len
+            page_size))
+
 module type S = sig
   type payload
   type t
@@ -269,7 +286,9 @@ module File (C : PAGE_CODEC) = struct
 
   let page_attr id () = [ ("page", Telemetry.Tracer.Int (Page_id.to_int id)) ]
 
-  let read t id =
+  (* One charged page read: the block, CRC-checked, and its payload
+     length. *)
+  let read_checked t id =
     if not (Page_id.Tbl.mem t.written id) then raise Not_found;
     Telemetry.Tracer.with_span t.tracer ~level:`Debug "page.read" ~attrs:(page_attr id) @@ fun () ->
     Io_stats.record_read t.stats;
@@ -278,24 +297,36 @@ module File (C : PAGE_CODEC) = struct
       Io_stats.record_crc_failure t.stats;
       raise (Corrupt_page { path = t.path; page = id })
     end;
-    let len = Int32.to_int (Bytes.get_int32_le buf 0) in
-    C.decode (Codec.Reader.create (Bytes.sub buf block_overhead len))
+    (buf, Int32.to_int (Bytes.get_int32_le buf 0))
 
-  let write t id payload =
+  let read t id =
+    let buf, len = read_checked t id in
+    C.decode (Codec.Reader.create ~pos:block_overhead ~len buf)
+
+  let read_payload t id =
+    let buf, len = read_checked t id in
+    Bytes.sub buf block_overhead len
+
+  (* One charged page write: [fill] returns a whole block with the
+     payload after the frame, and the payload's length. *)
+  let write_framed t id fill =
     Telemetry.Tracer.with_span t.tracer ~level:`Debug "page.write" ~attrs:(page_attr id) @@ fun () ->
     Io_stats.record_write t.stats;
+    let buf, len = fill () in
+    Bytes.set_int32_le buf 0 (Int32.of_int len);
+    (* Unsigned 32-bit CRC: splice raw rather than through Writer.i32. *)
+    Bytes.set_int32_le buf 4 (Int32.of_int (Codec.crc32 buf ~pos:block_overhead ~len));
+    t.file.Vfs.f_pwrite (offset t id) buf 0 t.page_size;
+    Page_id.Tbl.remove t.freed id;
+    Page_id.Tbl.replace t.written id ()
+
+  let write t id payload =
+    write_framed t id @@ fun () ->
     let w = Codec.Writer.create t.page_size in
     Codec.Writer.i32 w 0 (* len placeholder *);
     Codec.Writer.i32 w 0 (* crc placeholder *);
     C.encode w payload;
-    let len = Codec.Writer.pos w - block_overhead in
-    let buf = Codec.Writer.contents w in
-    Bytes.set_int32_le buf 0 (Int32.of_int len);
-    (* Unsigned 32-bit CRC: splice raw rather than through Writer.i32. *)
-    Bytes.set_int32_le buf 4 (Int32.of_int (Codec.crc32 buf ~pos:block_overhead ~len));
-    t.file.Vfs.f_pwrite (offset t id) buf 0 (Bytes.length buf);
-    Page_id.Tbl.remove t.freed id;
-    Page_id.Tbl.replace t.written id ()
+    (Codec.Writer.contents w, Codec.Writer.pos w - block_overhead)
 
   let verify t id =
     if not (Page_id.Tbl.mem t.written id) then raise Not_found;
@@ -329,13 +360,19 @@ module File (C : PAGE_CODEC) = struct
   let file_size_bytes t = (1 + t.next_id) * t.page_size
   let prefetch _ _ = ()
 
-  (* Install a page under an explicit id — materialising a snapshot into
-     a fresh page file.  Unlike {!Mem.install} the physical write is real
+  (* Install an encoded page under an explicit id — building a page file
+     from a snapshot.  Unlike {!Mem.install} the physical write is real
      and charged; what is skipped is the alloc (the id was allocated in a
      previous life and must stay fixed). *)
-  let install t id payload =
+  let install_raw t id src ~pos ~len =
+    check_raw_fits ~who:"Page_store.File.install_raw" ~page_size:t.page_size
+      ~block_overhead ~len;
     let fresh = not (Page_id.Tbl.mem t.written id) in
-    write t id payload;
+    write_framed t id (fun () ->
+        (* Zero padding, as a fresh [Codec.Writer] block has. *)
+        let buf = Bytes.make t.page_size '\000' in
+        Bytes.blit src pos buf block_overhead len;
+        (buf, len));
     if fresh then t.live <- t.live + 1;
     if Page_id.to_int id + 1 > t.next_id then t.next_id <- Page_id.to_int id + 1
 end
@@ -487,7 +524,9 @@ module Mmap (C : ZPAGE_CODEC) = struct
 
   let page_attr id () = [ ("page", Telemetry.Tracer.Int (Page_id.to_int id)) ]
 
-  let read t id =
+  (* One charged page read: the mapping, the payload's offset in it
+     (CRC-checked) and its length. *)
+  let read_checked t id =
     if not (Page_id.Tbl.mem t.written id) then raise Not_found;
     Telemetry.Tracer.with_span t.tracer ~level:`Debug "page.read" ~attrs:(page_attr id)
     @@ fun () ->
@@ -502,10 +541,21 @@ module Mmap (C : ZPAGE_CODEC) = struct
       Io_stats.record_crc_failure t.stats;
       raise (Corrupt_page { path = t.path; page = id })
     end;
-    let len = Zcodec.get_i32 buf off in
-    C.decode (Zcodec.Reader.create buf ~off:(off + block_overhead) ~len)
+    (buf, off + block_overhead, Zcodec.get_i32 buf off)
 
-  let write t id payload =
+  let read t id =
+    let buf, off, len = read_checked t id in
+    C.decode (Zcodec.Reader.create buf ~off ~len)
+
+  let read_payload t id =
+    let buf, off, len = read_checked t id in
+    let out = Bytes.create len in
+    Zcodec.blit_to_bytes buf off out 0 len;
+    out
+
+  (* One charged page write: [fill] puts the payload after the block's
+     frame and returns its length; the frame and dirty mark follow. *)
+  let write_framed t id fill =
     Telemetry.Tracer.with_span t.tracer ~level:`Debug "page.write" ~attrs:(page_attr id)
     @@ fun () ->
     Io_stats.record_write t.stats;
@@ -513,16 +563,18 @@ module Mmap (C : ZPAGE_CODEC) = struct
     Arena.ensure t.arena ~blocks:(block_of id + 1);
     let buf = Arena.buffer t.arena in
     let off = offset t id in
-    let w = Zcodec.Writer.create buf ~off:(off + block_overhead)
-        ~len:(t.page_size - block_overhead)
-    in
-    C.encode w payload;
-    let len = Zcodec.Writer.pos w in
+    let len = fill buf (off + block_overhead) in
     Zcodec.set_i32 buf off len;
     Zcodec.set_i32 buf (off + 4) (Zcodec.crc32 buf ~pos:(off + block_overhead) ~len);
     Arena.mark_dirty t.arena ~block:(block_of id);
     Page_id.Tbl.remove t.freed id;
     Page_id.Tbl.replace t.written id ()
+
+  let write t id payload =
+    write_framed t id @@ fun buf off ->
+    let w = Zcodec.Writer.create buf ~off ~len:(t.page_size - block_overhead) in
+    C.encode w payload;
+    Zcodec.Writer.pos w
 
   let read_block t id =
     let buf = Bytes.create t.page_size in
@@ -598,10 +650,14 @@ module Mmap (C : ZPAGE_CODEC) = struct
   let file_size_bytes t = (1 + t.next_id) * t.page_size
   let mapped_capacity_bytes t = Arena.file_size_bytes t.arena
 
-  (* See {!File.install}. *)
-  let install t id payload =
+  (* See {!File.install_raw}. *)
+  let install_raw t id src ~pos ~len =
+    check_raw_fits ~who:"Page_store.Mmap.install_raw" ~page_size:t.page_size
+      ~block_overhead ~len;
     let fresh = not (Page_id.Tbl.mem t.written id) in
-    write t id payload;
+    write_framed t id (fun buf off ->
+        Zcodec.blit_of_bytes src pos buf off len;
+        len);
     if fresh then t.live <- t.live + 1;
     if Page_id.to_int id + 1 > t.next_id then t.next_id <- Page_id.to_int id + 1
 end

@@ -23,6 +23,11 @@ exception Corrupt_page of { path : string; page : Page_id.t }
 (** A page block whose stored CRC32 does not match its payload (or whose
     length field is out of range).  Counted in {!Io_stats.crc_failures}. *)
 
+val protect : (unit -> 'a) -> ('a, Storage_error.t) result
+(** {!Storage_error.protect}, which also returns a {!Corrupt_page} as a
+    permanent [Checksum_mismatch] error on [Pread] of the page's file,
+    naming the page in its detail. *)
+
 module type S = sig
   type payload
   (** The in-memory representation of one page. *)
@@ -158,11 +163,21 @@ module File (C : PAGE_CODEC) : sig
   val file_size_bytes : t -> int
   (** Includes the header block: [(1 + next_id) * page_size]. *)
 
-  val install : t -> Page_id.t -> payload -> unit
-  (** Install a page under an explicit id, moving the alloc cursor past
-      it — materialising a snapshot into a fresh page file.  Unlike
-      {!Mem.install} the physical write is real and charged as a write;
-      only the alloc is skipped (the id is fixed by its previous life). *)
+  val install_raw : t -> Page_id.t -> bytes -> pos:int -> len:int -> unit
+  (** Install an already-encoded page under an explicit id, moving the
+      alloc cursor past it — building a page file from a snapshot.  The
+      [len] bytes of the buffer from [pos] are framed as
+      [len][crc32][payload], the very block {!write} produces for the
+      page they encode.  Unlike {!Mem.install} the physical write is real
+      and charged as one write; only the alloc is skipped (the id is
+      fixed by its previous life).
+      @raise Codec.Overflow if the payload does not fit a block. *)
+
+  val read_payload : t -> Page_id.t -> bytes
+  (** A page's payload as the codec encoded it, CRC-checked but not
+      decoded.  Charged as one read, like {!read}.
+      @raise Corrupt_page on a checksum mismatch.
+      @raise Not_found if the page was never written or was freed. *)
 end
 
 module type ZPAGE_CODEC = sig
@@ -251,6 +266,9 @@ module Mmap (C : ZPAGE_CODEC) : sig
   val remaps : t -> int
   (** Times growth re-established the mapping. *)
 
-  val install : t -> Page_id.t -> payload -> unit
-  (** See {!File.install}. *)
+  val install_raw : t -> Page_id.t -> bytes -> pos:int -> len:int -> unit
+  (** See {!File.install_raw}; the payload is copied into the mapping. *)
+
+  val read_payload : t -> Page_id.t -> bytes
+  (** See {!File.read_payload}; the one copy out of the mapping. *)
 end

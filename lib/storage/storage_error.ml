@@ -34,6 +34,7 @@ type errno =
   | Short_write of { expected : int; got : int }
   | Read_only_store
   | Wal_poisoned
+  | Checksum_mismatch
   | Errno of string
 
 let pp_errno fmt = function
@@ -46,11 +47,12 @@ let pp_errno fmt = function
       Format.fprintf fmt "short write (%d of %d bytes)" got expected
   | Read_only_store -> Format.pp_print_string fmt "store is read-only"
   | Wal_poisoned -> Format.pp_print_string fmt "log poisoned by failed repair"
+  | Checksum_mismatch -> Format.pp_print_string fmt "stored checksum mismatch"
   | Errno e -> Format.pp_print_string fmt e
 
 let transient_of_errno = function
   | Eintr | Eio | Short_read _ | Short_write _ -> true
-  | Enospc | Read_only_store | Wal_poisoned | Errno _ -> false
+  | Enospc | Read_only_store | Wal_poisoned | Checksum_mismatch | Errno _ -> false
 
 type t = {
   op : op;

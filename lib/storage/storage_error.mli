@@ -52,6 +52,9 @@ type errno =
   | Wal_poisoned
       (** A failed append could not be rolled back; the log refuses
           further appends until recovery rewrites it. *)
+  | Checksum_mismatch
+      (** Stored bytes fail their CRC32 frame: the medium returned data
+          other than what was written.  Rereading cannot help. *)
   | Errno of string  (** Any other [Unix.error], by name. *)
 
 val pp_errno : Format.formatter -> errno -> unit

@@ -1,4 +1,4 @@
-(** Which page backend a durable tree materializes its working set on.
+(** Which page backend a durable tree keeps its working set on.
 
     [Memory] is the seed configuration: pages live in a growable in-RAM
     array ({!Page_store.Mem}), the working set is rebuilt from

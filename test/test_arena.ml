@@ -273,51 +273,298 @@ let test_mmap_store_mapped () =
         [ path; path ^ ".free" ])
   @@ fun () -> store_lifecycle ~backing:`Auto ~vfs:None ~path ()
 
+(* --- Raw frames: install_raw / read_payload --------------------------------------- *)
+
+let rm_tree dir =
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir
+
+module Int_list_bytes_codec = struct
+  type t = int list
+
+  let encode w v =
+    Storage.Codec.Writer.i32 w (List.length v);
+    List.iter (Storage.Codec.Writer.i64 w) v
+
+  let decode r =
+    let n = Storage.Codec.Reader.i32 r in
+    List.init n (fun _ -> Storage.Codec.Reader.i64 r)
+end
+
+module FStore = Storage.Page_store.File (Int_list_bytes_codec)
+
+(* The operations the raw-frame checks need, over either disk store. *)
+type raw_store = {
+  alloc : unit -> unit;
+  write : int -> int list -> unit;
+  install_raw : int -> bytes -> pos:int -> len:int -> unit;
+  read_payload : int -> bytes;
+  read : int -> int list;
+  read_block : int -> bytes;
+  write_block : int -> bytes -> unit;
+  close : unit -> unit;
+}
+
+let file_store ~vfs ~stats ~path =
+  let s = FStore.create ~stats ~page_size:128 ~vfs ~path () in
+  let id = Storage.Page_id.of_int in
+  { alloc = (fun () -> ignore (FStore.alloc s));
+    write = (fun i v -> FStore.write s (id i) v);
+    install_raw = (fun i b ~pos ~len -> FStore.install_raw s (id i) b ~pos ~len);
+    read_payload = (fun i -> FStore.read_payload s (id i));
+    read = (fun i -> FStore.read s (id i));
+    read_block = (fun i -> FStore.read_block s (id i));
+    write_block = (fun i b -> FStore.write_block s (id i) b);
+    close = (fun () -> FStore.close s) }
+
+let mmap_store ~vfs ~backing ~stats ~path =
+  let s = MStore.create ~stats ~page_size:128 ?vfs ~backing ~path () in
+  let id = Storage.Page_id.of_int in
+  { alloc = (fun () -> ignore (MStore.alloc s));
+    write = (fun i v -> MStore.write s (id i) v);
+    install_raw = (fun i b ~pos ~len -> MStore.install_raw s (id i) b ~pos ~len);
+    read_payload = (fun i -> MStore.read_payload s (id i));
+    read = (fun i -> MStore.read s (id i));
+    read_block = (fun i -> MStore.read_block s (id i));
+    write_block = (fun i b -> MStore.write_block s (id i) b);
+    close = (fun () -> MStore.close s) }
+
+(* Pages written as values into [a], their payloads read back and
+   raw-installed (from inside a larger buffer) into [b]: every block must
+   come out byte-identical, each copy charged one read and one write, and
+   a flipped payload byte must fail [read_payload]'s CRC check. *)
+let raw_frames_agree mk =
+  let stats = Storage.Io_stats.create () in
+  let a = mk ~stats ~path:"a" and b = mk ~stats ~path:"b" in
+  let ids = [ 0; 1; 2; 5; 9 ] in
+  let value i = List.init (1 + (i mod 4)) (fun j -> (i * 1000) + j - 7) in
+  for _ = 0 to 9 do
+    a.alloc ()
+  done;
+  List.iter (fun i -> a.write i (value i)) ids;
+  let reads0 = Storage.Io_stats.reads stats and writes0 = Storage.Io_stats.writes stats in
+  List.iter
+    (fun i ->
+      let payload = a.read_payload i in
+      let buf = Bytes.make (Bytes.length payload + 10) '\xff' in
+      Bytes.blit payload 0 buf 3 (Bytes.length payload);
+      b.install_raw i buf ~pos:3 ~len:(Bytes.length payload))
+    ids;
+  Alcotest.(check int) "one read per payload" (List.length ids)
+    (Storage.Io_stats.reads stats - reads0);
+  Alcotest.(check int) "one write per raw install" (List.length ids)
+    (Storage.Io_stats.writes stats - writes0);
+  List.iter
+    (fun i ->
+      Alcotest.(check bytes) "raw frame = encoded frame" (a.read_block i) (b.read_block i);
+      Alcotest.(check (list int)) "raw page decodes" (value i) (b.read i))
+    ids;
+  (match b.install_raw 3 (Bytes.create 200) ~pos:0 ~len:121 with
+  | exception Storage.Codec.Overflow _ -> ()
+  | () -> Alcotest.fail "an oversized raw payload was framed");
+  let block = b.read_block 5 in
+  Bytes.set block 13 (Char.chr (Char.code (Bytes.get block 13) lxor 0x01));
+  b.write_block 5 block;
+  let failures = Storage.Io_stats.crc_failures stats in
+  (match b.read_payload 5 with
+  | exception Storage.Page_store.Corrupt_page _ -> ()
+  | _ -> Alcotest.fail "read_payload returned a corrupt payload");
+  Alcotest.(check int) "crc failure counted" (failures + 1)
+    (Storage.Io_stats.crc_failures stats);
+  a.close ();
+  b.close ()
+
+let test_raw_frames_file () =
+  let vfs = M.vfs (M.create ()) in
+  raw_frames_agree (fun ~stats ~path -> file_store ~vfs ~stats ~path)
+
+let test_raw_frames_mmap_buffered () =
+  let vfs = M.vfs (M.create ()) in
+  raw_frames_agree (fun ~stats ~path ->
+      mmap_store ~vfs:(Some vfs) ~backing:`Buffered ~stats ~path)
+
+let test_raw_frames_mmap_mapped () =
+  let dir = Filename.temp_dir "rta-test-raw" "" in
+  Fun.protect ~finally:(fun () -> rm_tree dir) @@ fun () ->
+  raw_frames_agree (fun ~stats ~path ->
+      mmap_store ~vfs:None ~backing:`Auto ~stats ~path:(Filename.concat dir path))
+
+(* --- Snapshot streaming: damaged files fail loudly -------------------------------- *)
+
+(* Offsets of every chunk's length field in a snapshot (after the 16-byte
+   magic): state, page count, then the pages. *)
+let chunk_offsets data =
+  let rec go pos acc =
+    if pos >= String.length data then List.rev acc
+    else go (pos + 4 + Int32.to_int (String.get_int32_le data pos)) (pos :: acc)
+  in
+  go 16 []
+
+let snapshot_fs () =
+  let fs = M.create () in
+  let vfs = M.vfs fs in
+  let config = { (Mvsbt.default_config ~b:8) with f = 0.75 } in
+  let rta = Rta.create ~config ~max_key:40 () in
+  for i = 0 to 199 do
+    let key = i mod 40 in
+    if Rta.is_alive rta ~key then Rta.delete rta ~key ~at:i
+    else Rta.insert rta ~key ~value:(1 + i) ~at:i
+  done;
+  Rta.save ~vfs rta ~path:"s";
+  (fs, vfs)
+
+let with_lkst fs vfs f =
+  let data = List.assoc "s.lkst" (M.contents fs) in
+  let f' = vfs.Storage.Vfs.v_open `Create "s.lkst" in
+  let damaged = f (Bytes.of_string data) in
+  f'.Storage.Vfs.f_pwrite 0 damaged 0 (Bytes.length damaged);
+  f'.Storage.Vfs.f_close ()
+
+(* Both destinations read through the streaming reader: heap pages
+   (decoded) and a page file (raw frames). *)
+let loads_fail what vfs =
+  let attempt name load =
+    match load () with
+    | exception (Failure _ | Storage.Codec.Overflow _) -> ()
+    | _ -> Alcotest.failf "%s: %s loaded" what name
+  in
+  attempt "heap load" (fun () -> ignore (Rta.load ~vfs ~path:"s" ()));
+  List.iter
+    (fun store ->
+      attempt (Storage.Store_kind.to_string store) (fun () ->
+          ignore
+            (Rta.load_durable ~vfs ~store ~backing:`Buffered ~snapshot:"s" ~path:"ws" ())))
+    [ Storage.Store_kind.File; Storage.Store_kind.Mmap ]
+
+let test_snapshot_damage () =
+  let fs, vfs = snapshot_fs () in
+  let pristine = List.assoc "s.lkst" (M.contents fs) in
+  let restore () = with_lkst fs vfs (fun _ -> Bytes.of_string pristine) in
+  (* intact: both destinations load the same warehouse *)
+  let heap = Rta.load ~vfs ~path:"s" () in
+  let disk = Rta.load_durable ~vfs ~store:Storage.Store_kind.Mmap ~backing:`Buffered
+      ~snapshot:"s" ~path:"ws" ()
+  in
+  Alcotest.(check (pair int int)) "raw load answers as heap load"
+    (Rta.sum_count heap ~klo:0 ~khi:40 ~tlo:0 ~thi:300)
+    (Rta.sum_count disk ~klo:0 ~khi:40 ~tlo:0 ~thi:300);
+  Rta.close disk;
+  let offsets = chunk_offsets pristine in
+  let last = List.nth offsets (List.length offsets - 1) in
+  let first_page = List.nth offsets 2 in
+  Alcotest.(check bool) "several page chunks" true (List.length offsets > 5);
+  let truncate_at n = with_lkst fs vfs (fun b -> Bytes.sub b 0 n) in
+  List.iter
+    (fun n ->
+      truncate_at n;
+      loads_fail (Printf.sprintf "truncated to %d bytes" n) vfs;
+      restore ())
+    [ 10; 20; first_page + 2; first_page + 40; String.length pristine - 1 ];
+  let set_len off delta =
+    with_lkst fs vfs (fun b ->
+        Bytes.set_int32_le b off (Int32.add (Bytes.get_int32_le b off) delta);
+        b)
+  in
+  List.iter
+    (fun (name, off, delta) ->
+      set_len off delta;
+      loads_fail name vfs;
+      restore ())
+    [ ("negative chunk length", first_page, -100_000l);
+      ("huge chunk length", first_page, 1_000_000l);
+      ("first page chunk one short", first_page, -1l);
+      ("last page chunk one short", last, -1l);
+      ("last page chunk one long", last, 1l) ];
+  (* A page chunk whose framing is intact but whose header lies: the
+     record count (at payload byte 44) or the level (at byte 8), on the
+     first, a middle and the last page.  The raw path never builds the
+     page, so it must catch these as the heap path does. *)
+  let set_field off f =
+    with_lkst fs vfs (fun b ->
+        let v = Int32.to_int (Bytes.get_int32_le b off) in
+        Bytes.set_int32_le b off (Int32.of_int (f v));
+        b)
+  in
+  let b = 8 in
+  List.iter
+    (fun at ->
+      let count = at + 4 + 44 and level = at + 4 + 8 in
+      List.iter
+        (fun (name, off, f) ->
+          set_field off f;
+          loads_fail (Printf.sprintf "page chunk at %d: %s" at name) vfs;
+          restore ())
+        [ ("record count + 1", count, succ);
+          ("record count - 1", count, pred);
+          ("record count b + 1", count, fun _ -> b + 1);
+          ("record count -1", count, fun _ -> -1);
+          ("level -1", level, fun _ -> -1) ])
+    [ first_page; List.nth offsets ((List.length offsets + 2) / 2); last ];
+  with_lkst fs vfs (fun b -> Bytes.cat b (Bytes.make 3 '\000'));
+  loads_fail "trailing bytes" vfs
+
 (* --- Cross-backend equivalence ------------------------------------------------ *)
 
 (* One deterministic engine run: the harness's alive-aware script under a
-   given store kind, with a mid-run checkpoint so every flush path
-   executes.  Returns the query answers, the update script it played,
-   and the durable image minus the page-file working set (which is
-   backend-specific by design — it is rebuilt on every open and never a
-   recovery source). *)
+   given store kind.  Half the script runs, then a checkpoint, then a
+   quarter more that lives only in the WAL; the engine closes and reopens
+   from that checkpoint plus the WAL tail (under [File]/[Mmap], raw
+   snapshot chunks streamed into a fresh working set and the tail
+   replayed over it), plays the rest and checkpoints again.  Returns the
+   query answers, the update script it played, and the durable image
+   minus the page-file working set (which is backend-specific by design —
+   it is rebuilt on every open and never a recovery source). *)
 let run_script ~store ~seed ~updates ~max_key =
   let fs = M.create () in
   let vfs = M.vfs fs in
-  let eng =
+  let open_ () =
     Durable.open_ ~sync_policy:(Wal.Every_n 4) ~store ~arena_backing:`Buffered ~vfs
       ~max_key ~path:"w" ()
   in
-  let rta = Durable.warehouse eng in
   let rng = Random.State.make [| seed; 0x3a7e |] in
   let ups = ref [] in
   let now = ref 0 in
-  for i = 1 to updates do
-    now := !now + Random.State.int rng 3;
-    let alive = Rta.alive_count rta in
-    let start = Random.State.int rng max_key in
-    (if alive > 0 && (alive >= max_key || Random.State.int rng 3 = 0) then begin
-       let rec find i =
-         let k = (start + i) mod max_key in
-         if Rta.is_alive rta ~key:k then k else find (i + 1)
-       in
-       let key = find 0 in
-       Storage.Storage_error.ok_exn (Durable.delete eng ~key ~at:!now);
-       ups := `Delete (key, !now) :: !ups
-     end
-     else begin
-       let rec find i =
-         let k = (start + i) mod max_key in
-         if Rta.is_alive rta ~key:k then find (i + 1) else k
-       in
-       let key = find 0 in
-       let value = 1 + Random.State.int rng 100 in
-       Storage.Storage_error.ok_exn (Durable.insert eng ~key ~value ~at:!now);
-       ups := `Insert (key, value, !now) :: !ups
-     end);
-    if i = updates / 2 then Storage.Storage_error.ok_exn (Durable.checkpoint eng)
-  done;
+  let play eng n =
+    let rta = Durable.warehouse eng in
+    for _ = 1 to n do
+      now := !now + Random.State.int rng 3;
+      let alive = Rta.alive_count rta in
+      let start = Random.State.int rng max_key in
+      if alive > 0 && (alive >= max_key || Random.State.int rng 3 = 0) then begin
+        let rec find i =
+          let k = (start + i) mod max_key in
+          if Rta.is_alive rta ~key:k then k else find (i + 1)
+        in
+        let key = find 0 in
+        Storage.Storage_error.ok_exn (Durable.delete eng ~key ~at:!now);
+        ups := `Delete (key, !now) :: !ups
+      end
+      else begin
+        let rec find i =
+          let k = (start + i) mod max_key in
+          if Rta.is_alive rta ~key:k then find (i + 1) else k
+        in
+        let key = find 0 in
+        let value = 1 + Random.State.int rng 100 in
+        Storage.Storage_error.ok_exn (Durable.insert eng ~key ~value ~at:!now);
+        ups := `Insert (key, value, !now) :: !ups
+      end
+    done
+  in
+  let eng = open_ () in
+  play eng (updates / 2);
   Storage.Storage_error.ok_exn (Durable.checkpoint eng);
+  play eng (updates / 4);
+  Durable.close eng;
+  let eng = open_ () in
+  let report = Durable.recovery_report eng in
+  if report.Durable.checkpoint_gen <> Some 1 || report.Durable.replayed <> updates / 4 then
+    QCheck.Test.fail_reportf "reopen under %s: %a" (Storage.Store_kind.to_string store)
+      Durable.pp_recovery_report report;
+  play eng (updates - (updates / 2) - (updates / 4));
+  Storage.Storage_error.ok_exn (Durable.checkpoint eng);
+  let rta = Durable.warehouse eng in
+  Rta.check_invariants rta;
   let qs =
     Faultsim.Harness.queries ~max_key ~max_t:(!now + 2) ~seed:(seed + 1) ~count:20
   in
@@ -326,7 +573,7 @@ let run_script ~store ~seed ~updates ~max_key =
   in
   Durable.close eng;
   let contains_store p =
-    (* the materialized working set lives under "w.store.*" *)
+    (* the working set lives under "w.store.*" *)
     let needle = ".store" in
     let n = String.length needle and l = String.length p in
     let rec scan i = i + n <= l && (String.sub p i n = needle || scan (i + 1)) in
@@ -371,12 +618,166 @@ let prop_backends_agree =
       if answers file <> want then QCheck.Test.fail_report "file diverges from oracle";
       if answers mmap <> want then QCheck.Test.fail_report "mmap diverges from oracle";
       (* ...and byte-identical durable images (WAL, checkpoint snapshots,
-         pointer — everything but the rebuilt-on-open working set). *)
+         pointer — everything but the rebuilt-on-open working set), the
+         second checkpoint written from a working set that was reopened
+         from the first one. *)
       if image file <> image mem then
         QCheck.Test.fail_report "file checkpoint image differs from memory";
       if image mmap <> image mem then
         QCheck.Test.fail_report "mmap checkpoint image differs from memory";
       true)
+
+(* --- Descriptor hygiene ---------------------------------------------------------- *)
+
+(* Durable.close must release the working set's page files, not just the
+   log: 600 open/insert/close cycles (with checkpoints, so reopens stream
+   snapshots into fresh page files) keep the descriptor count flat. *)
+let test_close_releases_fds store () =
+  let fd_dir = "/proc/self/fd" in
+  if not (Sys.file_exists fd_dir) then Alcotest.skip ();
+  let open_fds () = Array.length (Sys.readdir fd_dir) in
+  (* tmpfs where there is one: the cycles are fsync-bound, and the count
+     of descriptors does not depend on the filesystem. *)
+  let temp_dir =
+    if Sys.file_exists "/dev/shm" then "/dev/shm" else Filename.get_temp_dir_name ()
+  in
+  let dir = Filename.temp_dir ~temp_dir "rta-test-fds" "" in
+  Fun.protect ~finally:(fun () -> rm_tree dir) @@ fun () ->
+  let cycle i =
+    let eng =
+      Durable.open_ ~store ~checkpoint_every:50 ~max_key:1000
+        ~path:(Filename.concat dir "wh") ()
+    in
+    Storage.Storage_error.ok_exn (Durable.insert eng ~key:i ~value:1 ~at:i);
+    Durable.close eng
+  in
+  cycle 0;
+  let base = open_fds () in
+  for i = 1 to 599 do
+    cycle i
+  done;
+  Alcotest.(check int) "descriptors after 600 cycles" base (open_fds ())
+
+(* --- A second process on a live warehouse ---------------------------------------- *)
+
+(* A forked child opens the warehouse this process is serving.  The log's
+   lock must turn it away before it touches anything — the pointer, a
+   stale generation, the page files the live engine runs over.  Updates
+   after the first checkpoint have rewritten pages in those files, so a
+   child that rebuilt them from the snapshot would leave the parent
+   reading stale pages (or faulting past a shrunken mapping). *)
+let test_second_open_rejected store () =
+  let dir = Filename.temp_dir "rta-test-lock" "" in
+  Fun.protect ~finally:(fun () -> rm_tree dir) @@ fun () ->
+  let path = Filename.concat dir "wh" in
+  let max_key = 100 in
+  let open_ ~store = Durable.open_ ~store ~pool_capacity:8 ~max_key ~path () in
+  (* Every file's bytes but the log's: closing any descriptor of the log
+     would drop this process's [lockf] lock on it, so the log is only
+     stat'ed. *)
+  let wal = Durable.wal_path path in
+  let files () =
+    Sys.readdir dir |> Array.to_list |> List.sort compare
+    |> List.map (fun f ->
+           let p = Filename.concat dir f in
+           if p = wal then (f, string_of_int (Unix.stat p).Unix.st_size)
+           else
+             let ic = open_in_bin p in
+             Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
+             (f, really_input_string ic (in_channel_length ic)))
+  in
+  let oracle = Reference.Warehouse.create () in
+  let eng = open_ ~store in
+  let apply i =
+    let key = i * 7 mod max_key in
+    if Rta.is_alive (Durable.warehouse eng) ~key then begin
+      Storage.Storage_error.ok_exn (Durable.delete eng ~key ~at:i);
+      Reference.Warehouse.delete oracle ~key ~at:i
+    end
+    else begin
+      Storage.Storage_error.ok_exn (Durable.insert eng ~key ~value:(i + 1) ~at:i);
+      Reference.Warehouse.insert oracle ~key ~value:(i + 1) ~at:i
+    end
+  in
+  for i = 0 to 1499 do
+    apply i
+  done;
+  Storage.Storage_error.ok_exn (Durable.checkpoint eng);
+  for i = 1500 to 2999 do
+    apply i
+  done;
+  Rta.flush (Durable.warehouse eng);
+  let before = files () in
+  flush_all ();
+  (match Unix.fork () with
+  | 0 ->
+      let locked msg =
+        let needle = "locked by another process" in
+        let n = String.length needle in
+        let rec scan i =
+          i + n <= String.length msg && (String.sub msg i n = needle || scan (i + 1))
+        in
+        scan 0
+      in
+      Unix._exit
+        (match open_ ~store with
+        | _ -> 2
+        | exception Failure msg when locked msg -> 0
+        | exception _ -> 3)
+  | child -> (
+      match Unix.waitpid [] child with
+      | _, Unix.WEXITED 0 -> ()
+      | _, Unix.WEXITED 2 -> Alcotest.fail "second open succeeded"
+      | _, Unix.WEXITED n -> Alcotest.failf "second open: exit %d, not the lock error" n
+      | _ -> Alcotest.fail "second open: child killed"));
+  Alcotest.(check (list (pair string string))) "no file touched" before (files ());
+  let check_answers what eng =
+    List.iter
+      (fun (klo, khi, tlo, thi) ->
+        Alcotest.(check (pair int int))
+          (Printf.sprintf "%s [%d,%d)x[%d,%d)" what klo khi tlo thi)
+          ( Reference.Warehouse.rta_sum oracle ~klo ~khi ~tlo ~thi,
+            Reference.Warehouse.rta_count oracle ~klo ~khi ~tlo ~thi )
+          (Durable.sum_count eng ~klo ~khi ~tlo ~thi))
+      (Faultsim.Harness.queries ~max_key ~max_t:3002 ~seed:5 ~count:40)
+  in
+  (* Cold pool: every answer reads its pages back out of the files. *)
+  Rta.drop_cache (Durable.warehouse eng);
+  check_answers "holder" eng;
+  Storage.Storage_error.ok_exn (Durable.checkpoint eng);
+  Durable.close eng;
+  let eng = open_ ~store:Storage.Store_kind.Memory in
+  Alcotest.(check int) "second checkpoint holds every update" 0
+    (Durable.replayed_on_open eng);
+  check_answers "second checkpoint" eng;
+  Durable.close eng
+
+(* An open that fails after it has opened the log and built the working
+   set — here, a checkpoint whose max_key disagrees — gives both back. *)
+let test_failed_open_releases_fds store () =
+  let fd_dir = "/proc/self/fd" in
+  if not (Sys.file_exists fd_dir) then Alcotest.skip ();
+  let open_fds () = Array.length (Sys.readdir fd_dir) in
+  let dir = Filename.temp_dir "rta-test-fds" "" in
+  Fun.protect ~finally:(fun () -> rm_tree dir) @@ fun () ->
+  let path = Filename.concat dir "wh" in
+  let eng = Durable.open_ ~store ~max_key:1000 ~path () in
+  for i = 0 to 99 do
+    Storage.Storage_error.ok_exn (Durable.insert eng ~key:i ~value:1 ~at:i)
+  done;
+  Storage.Storage_error.ok_exn (Durable.checkpoint eng);
+  Durable.close eng;
+  let base = open_fds () in
+  for _ = 1 to 100 do
+    match Durable.open_ ~store ~max_key:999 ~path () with
+    | exception Failure _ -> ()
+    | _ -> Alcotest.fail "open with the wrong max_key succeeded"
+  done;
+  Alcotest.(check int) "descriptors after 100 failed opens" base (open_fds ());
+  let eng = Durable.open_ ~store ~max_key:1000 ~path () in
+  Alcotest.(check (pair int int)) "warehouse intact" (100, 100)
+    (Durable.sum_count eng ~klo:0 ~khi:1000 ~tlo:0 ~thi:200);
+  Durable.close eng
 
 (* --- Crash matrices over the mmap working set --------------------------------- *)
 
@@ -428,8 +829,33 @@ let () =
           Alcotest.test_case "mapped lifecycle" `Quick test_mmap_store_mapped;
           Alcotest.test_case "truncated arena" `Quick test_mmap_store_truncated_arena;
         ] );
+      ( "raw-frames",
+        [
+          Alcotest.test_case "file store" `Quick test_raw_frames_file;
+          Alcotest.test_case "mmap store, buffered" `Quick test_raw_frames_mmap_buffered;
+          Alcotest.test_case "mmap store, mapped" `Quick test_raw_frames_mmap_mapped;
+          Alcotest.test_case "damaged snapshots fail" `Quick test_snapshot_damage;
+        ] );
       ( "cross-backend",
         [ QCheck_alcotest.to_alcotest prop_backends_agree ] );
+      ( "close",
+        [
+          Alcotest.test_case "file store releases fds" `Slow
+            (test_close_releases_fds Storage.Store_kind.File);
+          Alcotest.test_case "mmap store releases fds" `Slow
+            (test_close_releases_fds Storage.Store_kind.Mmap);
+          Alcotest.test_case "file store failed open releases fds" `Quick
+            (test_failed_open_releases_fds Storage.Store_kind.File);
+          Alcotest.test_case "mmap store failed open releases fds" `Quick
+            (test_failed_open_releases_fds Storage.Store_kind.Mmap);
+        ] );
+      ( "lock",
+        [
+          Alcotest.test_case "file store rejects a second process" `Quick
+            (test_second_open_rejected Storage.Store_kind.File);
+          Alcotest.test_case "mmap store rejects a second process" `Quick
+            (test_second_open_rejected Storage.Store_kind.Mmap);
+        ] );
       ( "crash-matrix",
         [
           Alcotest.test_case "mmap store" `Slow test_crash_matrix_mmap;

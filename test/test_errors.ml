@@ -352,6 +352,78 @@ let test_errsweep_small_clean () =
   Alcotest.(check bool) "enospc runs went read-only" true
     (r.Faultsim.Errsweep.read_only > 0)
 
+(* --- A corrupt working-set page under checkpoint --------------------------------- *)
+
+(* The checkpoint copies every page as stored, CRC-checked.  A working-set
+   page that fails its checksum must surface as a typed error — engine
+   degraded, previous generation still committed, WAL untouched — and the
+   next open rebuilds the working set from snapshot + WAL. *)
+let test_checkpoint_corrupt_working_set store () =
+  let dir = Filename.temp_dir "rta-test-corrupt" "" in
+  Fun.protect ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+  @@ fun () ->
+  let path = Filename.concat dir "wh" in
+  let max_key = 64 in
+  let open_ () = Durable.open_ ~store ~arena_backing:`Map ~max_key ~path () in
+  let oracle = Reference.Warehouse.create () in
+  let eng = open_ () in
+  let apply i =
+    let key = i mod max_key in
+    if Rta.is_alive (Durable.warehouse eng) ~key then begin
+      ok (Durable.delete eng ~key ~at:i);
+      Reference.Warehouse.delete oracle ~key ~at:i
+    end
+    else begin
+      ok (Durable.insert eng ~key ~value:(i + 1) ~at:i);
+      Reference.Warehouse.insert oracle ~key ~value:(i + 1) ~at:i
+    end
+  in
+  for i = 0 to 299 do
+    apply i
+  done;
+  ok (Durable.checkpoint eng);
+  for i = 300 to 319 do
+    apply i
+  done;
+  Durable.close eng;
+  let eng = open_ () in
+  let wal = Durable.wal_path path in
+  let wal_bytes = (Unix.stat wal).Unix.st_size in
+  (* Flip one payload byte of page 0 — the first root, reachable through
+     the root tenure that starts at time 0 — behind the engine's back. *)
+  let fd = Unix.openfile (path ^ ".store.lkst.pages") [ Unix.O_RDWR ] 0 in
+  let off = 4096 + 8 + 20 in
+  let b = Bytes.create 1 in
+  ignore (Unix.lseek fd off Unix.SEEK_SET);
+  ignore (Unix.read fd b 0 1);
+  Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0x40));
+  ignore (Unix.lseek fd off Unix.SEEK_SET);
+  ignore (Unix.write fd b 0 1);
+  Unix.close fd;
+  (match Durable.checkpoint eng with
+  | Ok () -> Alcotest.fail "checkpoint copied a corrupt page"
+  | Error { E.errno = E.Checksum_mismatch; op = E.Pread; _ } -> ()
+  | Error e -> Alcotest.failf "wrong error: %s" (E.to_string e));
+  Alcotest.(check string) "degraded" "degraded"
+    (Format.asprintf "%a" Durable.pp_health (Durable.health eng));
+  Alcotest.(check int) "no checkpoint counted" 0 (Durable.checkpoints eng);
+  Alcotest.(check int) "WAL untouched" wal_bytes (Unix.stat wal).Unix.st_size;
+  Durable.close eng;
+  let eng = open_ () in
+  let r = Durable.recovery_report eng in
+  Alcotest.(check (option int)) "pointer names generation 1" (Some 1) r.Durable.checkpoint_gen;
+  Alcotest.(check int) "WAL tail replayed" 20 r.Durable.replayed;
+  let q = (0, max_key, 0, 330) in
+  let klo, khi, tlo, thi = q in
+  Alcotest.(check (pair int int)) "answers after rebuild"
+    ( Reference.Warehouse.rta_sum oracle ~klo ~khi ~tlo ~thi,
+      Reference.Warehouse.rta_count oracle ~klo ~khi ~tlo ~thi )
+    (Durable.sum_count eng ~klo ~khi ~tlo ~thi);
+  ok (Durable.checkpoint eng);
+  Durable.close eng
+
 let () =
   Alcotest.run "errors"
     [
@@ -385,4 +457,11 @@ let () =
         ] );
       ( "sweep",
         [ Alcotest.test_case "small sweep is clean" `Quick test_errsweep_small_clean ] );
+      ( "corrupt page",
+        [
+          Alcotest.test_case "file store checkpoint returns Checksum_mismatch" `Quick
+            (test_checkpoint_corrupt_working_set Storage.Store_kind.File);
+          Alcotest.test_case "mmap store checkpoint returns Checksum_mismatch" `Quick
+            (test_checkpoint_corrupt_working_set Storage.Store_kind.Mmap);
+        ] );
     ]
