@@ -676,7 +676,7 @@ let scrub_overhead () =
   header "Scrub & checksum overhead: per-page CRC32 on durable page files";
   let evs = Lazy.force events in
   let cap = min (List.length evs) (if smoke then 1_000 else 8_000) in
-  (* The default 4KB-page config for file-backed stores (the bench-wide
+  (* The default 4KB-page config for page-file stores (the bench-wide
      mvsbt_config models pure in-memory pages and packs too many records
      to fit a real checksummed block). *)
   let config = { (Mvsbt.default_config ~b:64) with Mvsbt.f = 0.9 } in
@@ -1304,10 +1304,10 @@ let vacuum_churn () =
 
 (* Everything above charges the paper's simulated 10 ms per I/O.  This
    experiment drops the cost model entirely: the same warehouse is built
-   over each page backend — [memory] (heap pages), [file]
-   (pread/pwrite), [mmap] (zero-copy mapped arena) — with the File/Mmap
-   page files on real disk, and the Figure-4b QRS sweep plus a
-   cold-cache point-query panel are timed with the wall clock.
+   over each page backend — [memory] (heap pages) and [mmap] (zero-copy
+   mapped arena, its page files on real disk) — and the Figure-4b QRS
+   sweep plus a cold-cache point-query panel are timed with the wall
+   clock.
 
    "Cold" means pool-cold: the buffer pool is dropped (dirty pages
    written back) before every point query, so each descent faults its
@@ -1318,25 +1318,21 @@ let vacuum_churn () =
    worst case. *)
 let store_disk () =
   header "Measured disk: wall-clock QRS sweep and pool-cold point-query latency";
-  let psize = (max 4096 (Rta.min_page_size mvsbt_config) + 4095) / 4096 * 4096 in
   let dir = Filename.temp_file "rta-bench-store" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o755;
-  Printf.printf
-    "records=%d b=%d page=%dB buffer=64; file/mmap page files under %s\n" spec.n_records
-    mvsbt_b psize dir;
+  Printf.printf "records=%d b=%d buffer=64; mmap page files under %s\n" spec.n_records
+    mvsbt_b dir;
   let qrs_list = [ 0.0001; 0.001; 0.01; 0.1; 1.0 ] in
   let point_queries = if smoke then 50 else 200 in
-  let run name store =
+  let run name (store : Storage.Store_kind.t) =
     let stats = Storage.Io_stats.create () in
     let rta =
       match store with
-      | None -> Rta.create ~config:mvsbt_config ~stats ~max_key:spec.max_key ()
-      | Some kind ->
-          Rta.create_durable ~config:mvsbt_config ~stats ~page_size:psize ~store:kind
-            ~max_key:spec.max_key
-            ~path:(Filename.concat dir name)
-            ()
+      | Memory -> Rta.create ~config:mvsbt_config ~stats ~max_key:spec.max_key ()
+      | Mmap ->
+          Rta.create_durable ~config:mvsbt_config ~stats ~max_key:spec.max_key
+            ~path:(Filename.concat dir name) ()
     in
     let t0 = Unix.gettimeofday () in
     List.iter
@@ -1392,10 +1388,9 @@ let store_disk () =
     (name, sweep)
   in
   (* forced order: list literals evaluate right-to-left *)
-  let mem = run "memory" None in
-  let file = run "file" (Some Storage.Store_kind.File) in
-  let mmap = run "mmap" (Some Storage.Store_kind.Mmap) in
-  let all = [ mem; file; mmap ] in
+  let mem = run "memory" Memory in
+  let mmap = run "mmap" Mmap in
+  let all = [ mem; mmap ] in
   Printf.printf "\n  QRS sweep, wall-clock seconds per %d-query batch (pool-cold):\n"
     queries_per_batch;
   Printf.printf "  %10s" "QRS";

@@ -152,16 +152,16 @@ let store_conv =
   let parse s =
     match Storage.Store_kind.of_string s with
     | Some k -> Ok k
-    | None -> Error (`Msg (Printf.sprintf "bad store kind %S (memory|file|mmap)" s))
+    | None -> Error (`Msg (Printf.sprintf "bad store kind %S (memory|mmap|file)" s))
   in
   Arg.conv (parse, Storage.Store_kind.pp)
 
 let store_term =
   let doc =
     "Page backend for the durable engine's working set: $(b,memory) (in-heap, the \
-     default), $(b,file) (CRC-framed blocks via pread/pwrite), or $(b,mmap) \
-     (memory-mapped arena, zero-copy codecs; falls back to a buffered arena where \
-     mapping is unavailable)."
+     default) or $(b,mmap) (CRC-framed page files in a memory-mapped arena, zero-copy \
+     codecs; falls back to a buffered arena where mapping is unavailable, or when \
+     RTA_FORCE_NO_MMAP=1).  $(b,file) is another name for $(b,mmap)."
   in
   Arg.(value & opt store_conv Storage.Store_kind.Memory & info [ "store" ] ~doc)
 
@@ -716,8 +716,8 @@ let demo_updates ~n ~seed =
         `Insert (!key, 1 + Random.State.int rng 1000, !now)
       end)
 
-let build_demo_warehouse ~page_size ~store ~n ~seed ~path =
-  let rta = Rta.create_durable ~page_size ~store ~max_key:256 ~path () in
+let build_demo_warehouse ~n ~seed ~path =
+  let rta = Rta.create_durable ~max_key:256 ~path () in
   List.iter
     (function
       | `Insert (key, value, at) -> Rta.insert rta ~key ~value ~at
@@ -726,8 +726,8 @@ let build_demo_warehouse ~page_size ~store ~n ~seed ~path =
   Rta.flush rta;
   rta
 
-let run_scrub ~quiet ~stats ~page_size ~store ?repair_from ~path () =
-  let report = Rta.scrub ~stats ~page_size ~store ?repair_from ~path () in
+let run_scrub ~quiet ~stats ?repair_from ~path () =
+  let report = Rta.scrub ~stats ?repair_from ~path () in
   if not quiet then Format.printf "scrub %s: %a@." path Rta.pp_scrub_report report;
   report
 
@@ -740,42 +740,45 @@ let scrub_pages_json pages =
              ("page", Telemetry.Json.Int (Storage.Page_id.to_int pid)) ])
        pages)
 
-let scrub_impl verbosity page_size wal store inject seed repair_from demo stats_json =
+let scrub_impl verbosity wal inject seed repair_from demo stats_json =
   setup_logs verbosity;
-  (* Scrub works on page files; there is nothing to scrub in a heap, so
-     the default [memory] means "the ordinary file backend" here. *)
-  let store =
-    match store with Storage.Store_kind.Memory -> Storage.Store_kind.File | s -> s
-  in
   let stats = Storage.Io_stats.create () in
   let repair_from =
     match (repair_from, demo) with
-    | Some p, _ -> Some (Rta.reopen_durable ~page_size ~store ~path:p ())
+    | Some p, _ -> Some (Rta.reopen_durable ~path:p ())
     | None, Some n ->
         (* Self-contained round trip: build the warehouse and a matching
            reference, corrupt the former, repair from the latter. *)
-        let _target = build_demo_warehouse ~page_size ~store ~n ~seed ~path:wal in
+        let _target = build_demo_warehouse ~n ~seed ~path:wal in
         if not stats_json then
           Printf.printf "demo: built %d-update warehouse at %s (+ reference at %s.ref)\n" n
             wal wal;
-        Some (build_demo_warehouse ~page_size ~store ~n ~seed ~path:(wal ^ ".ref"))
+        Some (build_demo_warehouse ~n ~seed ~path:(wal ^ ".ref"))
     | None, None -> None
   in
-  (match inject with
-  | Some flips when flips > 0 ->
-      let hits = Rta.inject_bit_flips ~page_size ~store ~path:wal ~seed ~flips () in
-      if not stats_json then
-        Printf.printf "injected single-bit flips into %d pages\n" (List.length hits)
-  | _ -> ());
-  let report =
-    run_scrub ~quiet:stats_json ~stats ~page_size ~store ?repair_from ~path:wal ()
+  let injected =
+    match inject with
+    | Some flips when flips > 0 ->
+        let hits = Rta.inject_bit_flips ~path:wal ~seed ~flips () in
+        if not stats_json then
+          Printf.printf "injected single-bit flips into %d pages\n" (List.length hits);
+        List.length hits
+    | _ -> 0
   in
+  let report = run_scrub ~quiet:stats_json ~stats ?repair_from ~path:wal () in
   let final =
-    if report.Rta.repaired <> [] then
-      run_scrub ~quiet:stats_json ~stats ~page_size ~store ~path:wal ()
+    if report.Rta.repaired <> [] then run_scrub ~quiet:stats_json ~stats ~path:wal ()
     else report
   in
-  let ok = Rta.scrub_clean final || final.Rta.corrupt = final.Rta.repaired in
+  (* A flip the scrub did not find means the injection never reached the
+     file, so the round trip has checked nothing. *)
+  let missed = List.length report.Rta.corrupt < injected in
+  if missed && not stats_json then
+    Printf.printf "scrub found %d corrupt pages, %d were injected\n"
+      (List.length report.Rta.corrupt) injected;
+  let ok =
+    (not missed) && (Rta.scrub_clean final || final.Rta.corrupt = final.Rta.repaired)
+  in
   if stats_json then
     print_json
       (Telemetry.Json.Obj
@@ -794,10 +797,6 @@ let scrub_impl verbosity page_size wal store inject seed repair_from demo stats_
   if not ok then exit 1
 
 let scrub_cmd =
-  let page_size =
-    let doc = "Page size of the warehouse's page files." in
-    Arg.(value & opt int 4096 & info [ "page-size" ] ~doc)
-  in
   let path =
     let doc =
       "Durable warehouse path prefix (page files at PREFIX.lkst.pages / \
@@ -806,7 +805,10 @@ let scrub_cmd =
     Arg.(required & opt (some string) None & info [ "path" ] ~doc ~docv:"PREFIX")
   in
   let inject =
-    let doc = "First flip one random bit in each of N distinct pages (testing/demo)." in
+    let doc =
+      "First flip one random bit in each of N distinct pages (testing/demo); the scrub \
+       must then find every flipped page."
+    in
     Arg.(value & opt (some int) None & info [ "inject-flips" ] ~doc ~docv:"N")
   in
   let seed =
@@ -832,9 +834,10 @@ let scrub_cmd =
     (Cmd.info "scrub"
        ~doc:
          "Verify the per-page checksums of a durable warehouse and repair corrupt pages \
-          from a reference (exits 1 if corruption remains)")
-    Term.(const scrub_impl $ verbosity $ page_size $ path $ store_term $ inject $ seed
-          $ repair_from $ demo $ stats_json_term)
+          from a reference (exits 1 if corruption remains, or if it finds fewer corrupt \
+          pages than --inject-flips flipped)")
+    Term.(const scrub_impl $ verbosity $ path $ inject $ seed $ repair_from $ demo
+          $ stats_json_term)
 
 (* --- crash-matrix ----------------------------------------------------------------- *)
 
@@ -1283,12 +1286,12 @@ let profile_impl verbosity spec (config, buffer) input n_queries qrs store slack
     | Memory ->
         Rta.create ~config ~pool_capacity:buffer ~stats ~telemetry:tracer
           ~max_key:spec.Workload.Generator.max_key ()
-    | (File | Mmap) as store ->
+    | Mmap ->
         (* The envelopes count logical page touches, which are backend
            independent — running them over a real page store proves the
            zero-copy path doesn't change what the tree visits. *)
         let path = Filename.temp_file "rta-profile-store" "" in
-        Rta.create_durable ~config ~pool_capacity:buffer ~stats ~telemetry:tracer ~store
+        Rta.create_durable ~config ~pool_capacity:buffer ~stats ~telemetry:tracer
           ~max_key:spec.Workload.Generator.max_key ~path ()
   in
   let checker = Telemetry.Bound_check.create ~slack ~worst ~b:config.Mvsbt.b () in

@@ -147,7 +147,7 @@ let gen_prefix path gen = Printf.sprintf "%s.ckpt-%d" path gen
 let snapshot_exts = [ ".lkst"; ".lklt"; ".meta" ]
 let wal_path path = path ^ ".wal"
 
-(* Prefix under which a [File]/[Mmap] engine keeps its page-file working
+(* Prefix under which an [Mmap] engine keeps its page-file working
    set ([<p>.store.lkst.pages] etc.).  The page files are {e not} a
    recovery source — snapshot + WAL are; they are rebuilt here on every
    open, which is also what makes switching [store] kinds between runs
@@ -312,18 +312,18 @@ let open_ ?config ?pool_capacity ?stats ?(sync_policy = Wal.Every_n 32)
             match store with
             | Storage.Store_kind.Memory ->
                 Rta.load ?pool_capacity ~stats ~telemetry ~vfs ~path:snapshot ()
-            | (File | Mmap) as kind ->
+            | Mmap ->
                 (* Snapshot chunks are framed into the page files as
                    they are read, never decoded. *)
-                Rta.load_durable ?pool_capacity ~stats ~telemetry ~vfs ~store:kind
+                Rta.load_durable ?pool_capacity ~stats ~telemetry ~vfs
                   ~backing:arena_backing ~snapshot ~path:(store_prefix path) () )
       | None ->
           ( 0,
             match store with
             | Memory -> Rta.create ?config ?pool_capacity ~stats ~telemetry ~max_key ()
-            | (File | Mmap) as kind ->
+            | Mmap ->
                 Rta.create_durable ?config ?pool_capacity ~stats ~telemetry ~vfs
-                  ~store:kind ~backing:arena_backing ~max_key ~path:(store_prefix path) () )
+                  ~backing:arena_backing ~max_key ~path:(store_prefix path) () )
     in
     release_on_error (fun () -> Rta.close rta) @@ fun () ->
     if Rta.max_key rta <> max_key then
@@ -338,7 +338,7 @@ let open_ ?config ?pool_capacity ?stats ?(sync_policy = Wal.Every_n 32)
     let n_replayed = Wal.replay wal (apply_record rta) in
     (* The working set ends the build flushed: pages synced, meta
        sidecars committed. *)
-    (match store with Memory -> () | File | Mmap -> Rta.flush rta);
+    (match store with Memory -> () | Mmap -> Rta.flush rta);
     (pointer, ckpt_gen, rta, wal, n_replayed,
      Wal.Stats.dropped_bytes st - dropped_before)
   in

@@ -115,11 +115,11 @@ val open_ :
 
     [store] (default [Memory]) picks where the warehouse's MVSBT pages
     live while the engine runs.  [Memory] is the original in-heap
-    warehouse.  [File] and [Mmap] run over real page files under
-    [path ^ ".store"], so every page touch is genuine disk I/O ([File]:
-    pread/pwrite; [Mmap]: a mapped arena with zero-copy codecs —
-    [arena_backing] as in {!Storage.Arena.create}; pass [`Buffered]
-    under a synthetic [vfs]).  The page files are a {e working set},
+    warehouse.  [Mmap] runs over real page files under
+    [path ^ ".store"], so every page touch is a genuine mapped access
+    with zero-copy codecs ([arena_backing] as in
+    {!Storage.Arena.create}; pass [`Buffered] under a synthetic [vfs]).
+    The page files are a {e working set},
     rebuilt on every open: the checkpoint's page chunks are streamed into
     them as encoded bytes ({!Rta.load_durable}), never decoded into the
     heap, then the WAL tail replays over them and the build ends with a

@@ -830,157 +830,68 @@ module Make (G : Aggregate.Group.S) = struct
   (* --- On-disk formats ---------------------------------------------------------- *)
 
   module type VALUE_CODEC = sig
-    val max_size : int
-    val encode : Storage.Codec.Writer.t -> G.t -> unit
-    val decode : Storage.Codec.Reader.t -> G.t
-    val zencode : Storage.Zcodec.Writer.t -> G.t -> unit
-    val zdecode : Storage.Zcodec.Reader.t -> G.t
+    val words : int
+    val encode : (int -> unit) -> G.t -> unit
+    val decode : (unit -> int) -> G.t
   end
 
-  (* Binary layout of records and pages, shared by the durable (file-resident)
-     tree and snapshot persistence. *)
-  module Record_codec (V : VALUE_CODEC) = struct
-    let encode_record w r =
-      Storage.Codec.Writer.i64 w r.range.Interval.lo;
-      Storage.Codec.Writer.i64 w r.range.Interval.hi;
-      Storage.Codec.Writer.i64 w r.rt_start;
-      Storage.Codec.Writer.i64 w r.rt_end;
-      V.encode w r.value;
+  (* Binary layout of records and pages, written once over the shared
+     reader/writer signature.  Snapshots apply it to [bytes]
+     ({!Storage.Codec}) and the durable tree to its mapped page file
+     ({!Storage.Zcodec}); the two instances write the same bytes. *)
+  module Record_codec
+      (V : VALUE_CODEC)
+      (R : Storage.Codec.READER)
+      (W : Storage.Codec.WRITER) =
+  struct
+    let encode_record w put r =
+      W.i64 w r.range.Interval.lo;
+      W.i64 w r.range.Interval.hi;
+      W.i64 w r.rt_start;
+      W.i64 w r.rt_end;
+      V.encode put r.value;
       match r.child with
-      | None -> Storage.Codec.Writer.bool w false
+      | None -> W.bool w false
       | Some c ->
-          Storage.Codec.Writer.bool w true;
-          Storage.Codec.Writer.i64 w (Storage.Page_id.to_int c)
+          W.bool w true;
+          W.i64 w (Storage.Page_id.to_int c)
 
-    let decode_record rd =
-      let lo = Storage.Codec.Reader.i64 rd in
-      let hi = Storage.Codec.Reader.i64 rd in
-      let rt_start = Storage.Codec.Reader.i64 rd in
-      let rt_end = Storage.Codec.Reader.i64 rd in
-      let value = V.decode rd in
+    let decode_record rd next =
+      let lo = R.i64 rd in
+      let hi = R.i64 rd in
+      let rt_start = R.i64 rd in
+      let rt_end = R.i64 rd in
+      let value = V.decode next in
       let child =
-        if Storage.Codec.Reader.bool rd then
-          Some (Storage.Page_id.of_int (Storage.Codec.Reader.i64 rd))
-        else None
+        if R.bool rd then Some (Storage.Page_id.of_int (R.i64 rd)) else None
       in
       { range = Interval.make lo hi; rt_start; rt_end; value; child }
 
-    let record_bytes = (4 * 8) + 9 + V.max_size
+    let record_bytes = (4 * 8) + 9 + (8 * V.words)
 
     let encode_page w p =
-      Storage.Codec.Writer.i64 w (Storage.Page_id.to_int p.pid);
-      Storage.Codec.Writer.i32 w p.level;
-      Storage.Codec.Writer.i64 w p.prange.Interval.lo;
-      Storage.Codec.Writer.i64 w p.prange.Interval.hi;
-      Storage.Codec.Writer.i64 w p.created;
-      Storage.Codec.Writer.i64 w p.closed;
-      Storage.Codec.Writer.i32 w (List.length p.records);
-      List.iter (encode_record w) p.records
+      W.i64 w (Storage.Page_id.to_int p.pid);
+      W.i32 w p.level;
+      W.i64 w p.prange.Interval.lo;
+      W.i64 w p.prange.Interval.hi;
+      W.i64 w p.created;
+      W.i64 w p.closed;
+      W.i32 w (List.length p.records);
+      List.iter (encode_record w (W.i64 w)) p.records
 
     let decode_page rd =
-      let pid = Storage.Page_id.of_int (Storage.Codec.Reader.i64 rd) in
-      let level = Storage.Codec.Reader.i32 rd in
-      let lo = Storage.Codec.Reader.i64 rd in
-      let hi = Storage.Codec.Reader.i64 rd in
-      let created = Storage.Codec.Reader.i64 rd in
-      let closed = Storage.Codec.Reader.i64 rd in
-      let n_records = Storage.Codec.Reader.i32 rd in
-      let records = List.init n_records (fun _ -> decode_record rd) in
+      let pid = Storage.Page_id.of_int (R.i64 rd) in
+      let level = R.i32 rd in
+      let lo = R.i64 rd in
+      let hi = R.i64 rd in
+      let created = R.i64 rd in
+      let closed = R.i64 rd in
+      let n_records = R.i32 rd in
+      let next () = R.i64 rd in
+      let records = List.init n_records (fun _ -> decode_record rd next) in
       { pid; level; prange = Interval.make lo hi; created; closed; records }
 
     let page_header_bytes = 8 + 4 + (4 * 8) + 4
-
-    (* A page chunk's structure, checked without building the page: a
-       level, a record count within [b], child flags of 0 or 1, and
-       records that fill the chunk exactly.  Only the values are decoded,
-       to learn their sizes.  The raw load runs it before it frames a
-       chunk into a page file; the heap load, which decodes every page
-       anyway, holds the decoded page to the same level, count and length
-       rule. *)
-    let check_page_chunk ~b buf ~pos ~len =
-      let module R = Storage.Codec.Reader in
-      let rd = R.create ~pos ~len buf in
-      let skip_i64s k =
-        for _ = 1 to k do
-          ignore (R.i64 rd)
-        done
-      in
-      let rec records n =
-        n = 0
-        || begin
-             skip_i64s 4;
-             ignore (V.decode rd);
-             match R.u8 rd with
-             | 0 -> records (n - 1)
-             | 1 ->
-                 skip_i64s 1;
-                 records (n - 1)
-             | _ -> false
-           end
-      in
-      let well_formed =
-        match
-          skip_i64s 1;
-          let level = R.i32 rd in
-          skip_i64s 4;
-          let n = R.i32 rd in
-          level >= 0 && n >= 0 && n <= b && records n && R.pos rd = pos + len
-        with
-        | ok -> ok
-        | exception Storage.Codec.Overflow _ -> false
-      in
-      if not well_formed then Chunk_reader.fail "corrupt page chunk"
-
-    (* The zero-copy twins: byte-identical wire format, but encoding and
-       decoding run directly against a mapped slice ({!Storage.Zcodec})
-       instead of an intermediate [bytes] buffer.  Cross-codec equality
-       (encode here, decode there, and vice versa) is property-tested. *)
-
-    let zencode_record w r =
-      Storage.Zcodec.Writer.i64 w r.range.Interval.lo;
-      Storage.Zcodec.Writer.i64 w r.range.Interval.hi;
-      Storage.Zcodec.Writer.i64 w r.rt_start;
-      Storage.Zcodec.Writer.i64 w r.rt_end;
-      V.zencode w r.value;
-      match r.child with
-      | None -> Storage.Zcodec.Writer.bool w false
-      | Some c ->
-          Storage.Zcodec.Writer.bool w true;
-          Storage.Zcodec.Writer.i64 w (Storage.Page_id.to_int c)
-
-    let zdecode_record rd =
-      let lo = Storage.Zcodec.Reader.i64 rd in
-      let hi = Storage.Zcodec.Reader.i64 rd in
-      let rt_start = Storage.Zcodec.Reader.i64 rd in
-      let rt_end = Storage.Zcodec.Reader.i64 rd in
-      let value = V.zdecode rd in
-      let child =
-        if Storage.Zcodec.Reader.bool rd then
-          Some (Storage.Page_id.of_int (Storage.Zcodec.Reader.i64 rd))
-        else None
-      in
-      { range = Interval.make lo hi; rt_start; rt_end; value; child }
-
-    let zencode_page w p =
-      Storage.Zcodec.Writer.i64 w (Storage.Page_id.to_int p.pid);
-      Storage.Zcodec.Writer.i32 w p.level;
-      Storage.Zcodec.Writer.i64 w p.prange.Interval.lo;
-      Storage.Zcodec.Writer.i64 w p.prange.Interval.hi;
-      Storage.Zcodec.Writer.i64 w p.created;
-      Storage.Zcodec.Writer.i64 w p.closed;
-      Storage.Zcodec.Writer.i32 w (List.length p.records);
-      List.iter (zencode_record w) p.records
-
-    let zdecode_page rd =
-      let pid = Storage.Page_id.of_int (Storage.Zcodec.Reader.i64 rd) in
-      let level = Storage.Zcodec.Reader.i32 rd in
-      let lo = Storage.Zcodec.Reader.i64 rd in
-      let hi = Storage.Zcodec.Reader.i64 rd in
-      let created = Storage.Zcodec.Reader.i64 rd in
-      let closed = Storage.Zcodec.Reader.i64 rd in
-      let n_records = Storage.Zcodec.Reader.i32 rd in
-      let records = List.init n_records (fun _ -> zdecode_record rd) in
-      { pid; level; prange = Interval.make lo hi; created; closed; records }
   end
 
   (* The handle state — configuration, clock, current root, root*
@@ -1082,29 +993,19 @@ module Make (G : Aggregate.Group.S) = struct
         if not (Chunk_reader.at_end rd) then Chunk_reader.fail "bytes after the last page")
 
   module Durable (V : VALUE_CODEC) = struct
-    module RC = Record_codec (V)
+    module RC = Record_codec (V) (Storage.Zcodec.Reader) (Storage.Zcodec.Writer)
 
-    module File_store = Storage.Page_store.File (struct
+    module Mmap_store = Storage.Page_store.Mmap (struct
       type t = page
 
       let encode = RC.encode_page
       let decode = RC.decode_page
     end)
 
-    module File_pool = Storage.Buffer_pool.Make (File_store)
-
-    module Mmap_store = Storage.Page_store.Mmap (struct
-      type t = page
-
-      let encode = RC.zencode_page
-      let decode = RC.zdecode_page
-    end)
-
     module Mmap_pool = Storage.Buffer_pool.Make (Mmap_store)
 
-    (* Same 8-byte frame on both stores, so one bound serves both. *)
     let min_page_size cfg =
-      File_store.block_overhead + RC.page_header_bytes + (cfg.b * RC.record_bytes)
+      Mmap_store.block_overhead + RC.page_header_bytes + (cfg.b * RC.record_bytes)
 
     (* Analytic configs push [b] past what a 4 KiB page holds, so the
        default page fits the config — rounded up to 4 KiB so mapped pages
@@ -1135,135 +1036,34 @@ module Make (G : Aggregate.Group.S) = struct
       let file = meta_path path in
       if not (vfs.Storage.Vfs.v_exists file) then
         failwith
-          (Printf.sprintf "Mvsbt.Durable.reopen: no meta sidecar %s (never flushed?)" file);
+          (Printf.sprintf "Mvsbt.Durable: no meta sidecar %s (never flushed?)" file);
       let buf = Storage.Vfs.read_file vfs file in
       let size = Bytes.length buf in
       if size < String.length meta_magic + 4 then
-        failwith "Mvsbt.Durable.reopen: truncated meta sidecar";
+        failwith "Mvsbt.Durable: truncated meta sidecar";
       let crc = Int32.to_int (Bytes.get_int32_le buf (size - 4)) land 0xFFFFFFFF in
       if Storage.Codec.crc32 buf ~pos:0 ~len:(size - 4) <> crc then
-        failwith "Mvsbt.Durable.reopen: meta sidecar checksum mismatch";
+        failwith "Mvsbt.Durable: meta sidecar checksum mismatch";
       let rd = Storage.Codec.Reader.create buf in
       let magic =
         String.init (String.length meta_magic) (fun _ -> Char.chr (Storage.Codec.Reader.u8 rd))
       in
-      if magic <> meta_magic then failwith "Mvsbt.Durable.reopen: bad meta magic";
-      decode_state ~who:"Mvsbt.Durable.reopen" rd
+      if magic <> meta_magic then failwith "Mvsbt.Durable: bad meta magic";
+      decode_state ~who:"Mvsbt.Durable" rd
 
-    (* The physical layer behind a durable tree — store + buffer pool —
-       as one closure record, so every entry point dispatches on the
-       {!Storage.Store_kind} once, at construction, and the tree machinery
-       above stays backend-blind. *)
-    type phys = {
-      p_kind : Storage.Store_kind.t;
-      p_backing : Storage.Arena.backing option;  (** [Mmap] only. *)
-      p_alloc : unit -> Storage.Page_id.t;
-      p_read : Storage.Page_id.t -> page;
-      p_write : Storage.Page_id.t -> page -> unit;
-      p_install_raw : Storage.Page_id.t -> bytes -> pos:int -> len:int -> unit;
-      p_payload : Storage.Page_id.t -> bytes;
-          (** The stored payload, once the pool has written back its copy. *)
-      p_free : Storage.Page_id.t -> unit;
-      p_mem : Storage.Page_id.t -> bool;
-      p_pin : Storage.Page_id.t -> unit;
-      p_unpin : Storage.Page_id.t -> unit;
-      p_pin_count : Storage.Page_id.t -> int;
-      p_resident : Storage.Page_id.t -> bool;
-      p_readahead : Storage.Page_id.t list -> unit;
-      p_flush : unit -> unit;
-      p_drop : unit -> unit;
-      p_written_ids : unit -> Storage.Page_id.t list;
-      p_live : unit -> int;
-      p_sync : unit -> unit;
-      p_close : unit -> unit;
-      p_verify : Storage.Page_id.t -> bool;
-      p_read_block : Storage.Page_id.t -> bytes;
-      p_write_block : Storage.Page_id.t -> bytes -> unit;
-      p_store_write : Storage.Page_id.t -> page -> unit;
-    }
-
-    let phys_file ~stats ~page_size ~mode ~vfs ~pool_capacity ~path () =
-      let store = File_store.create ~stats ~page_size ~mode ~vfs ~path () in
-      let pool = File_pool.create ~capacity:pool_capacity store in
-      {
-        p_kind = Storage.Store_kind.File;
-        p_backing = None;
-        p_alloc = (fun () -> File_pool.alloc pool);
-        p_read = (fun pid -> File_pool.read pool pid);
-        p_write = (fun pid page -> File_pool.write pool pid page);
-        p_install_raw = File_store.install_raw store;
-        p_payload =
-          (fun pid ->
-            File_pool.clean pool pid;
-            File_store.read_payload store pid);
-        p_free = (fun pid -> File_pool.free pool pid);
-        p_mem = (fun pid -> File_pool.mem pool pid);
-        p_pin = (fun pid -> File_pool.pin pool pid);
-        p_unpin = (fun pid -> File_pool.unpin pool pid);
-        p_pin_count = (fun pid -> File_pool.pin_count pool pid);
-        p_resident = (fun pid -> File_pool.resident pool pid);
-        p_readahead = (fun pids -> File_pool.readahead pool pids);
-        p_flush = (fun () -> File_pool.flush pool);
-        p_drop = (fun () -> File_pool.drop_cache pool);
-        p_written_ids = (fun () -> File_store.written_ids store);
-        p_live = (fun () -> File_store.live_pages store);
-        p_sync = (fun () -> File_store.sync store);
-        p_close = (fun () -> File_store.close store);
-        p_verify = (fun pid -> File_store.verify store pid);
-        p_read_block = (fun pid -> File_store.read_block store pid);
-        p_write_block = (fun pid block -> File_store.write_block store pid block);
-        p_store_write = (fun pid page -> File_store.write store pid page);
-      }
+    (* Unless the caller names one, an existing page file's page size is
+       the one its meta sidecar's config implies — as {!reopen} sizes it. *)
+    let stored_page_size ~vfs ~path = function
+      | Some p -> p
+      | None -> page_size_for (read_meta ~vfs ~path).s_cfg
 
     (* The mapped store pairs with clock eviction: with reads decoding
        straight out of the mapping, eviction is pure bookkeeping, so the
        cheaper approximation beats exact LRU's list surgery per touch. *)
-    let phys_mmap ~stats ~page_size ~mode ~vfs ~backing ~pool_capacity ~path () =
-      let store = Mmap_store.create ~stats ~page_size ~mode ~vfs ~backing ~path () in
+    let make_backend ~vfs ~path ~pool_capacity ~self store =
       let pool =
         Mmap_pool.create ~capacity:pool_capacity ~policy:Storage.Evict.Second_chance store
       in
-      {
-        p_kind = Storage.Store_kind.Mmap;
-        p_backing = Some (Mmap_store.backing store);
-        p_alloc = (fun () -> Mmap_pool.alloc pool);
-        p_read = (fun pid -> Mmap_pool.read pool pid);
-        p_write = (fun pid page -> Mmap_pool.write pool pid page);
-        p_install_raw = Mmap_store.install_raw store;
-        p_payload =
-          (fun pid ->
-            Mmap_pool.clean pool pid;
-            Mmap_store.read_payload store pid);
-        p_free = (fun pid -> Mmap_pool.free pool pid);
-        p_mem = (fun pid -> Mmap_pool.mem pool pid);
-        p_pin = (fun pid -> Mmap_pool.pin pool pid);
-        p_unpin = (fun pid -> Mmap_pool.unpin pool pid);
-        p_pin_count = (fun pid -> Mmap_pool.pin_count pool pid);
-        p_resident = (fun pid -> Mmap_pool.resident pool pid);
-        p_readahead = (fun pids -> Mmap_pool.readahead pool pids);
-        p_flush = (fun () -> Mmap_pool.flush pool);
-        p_drop = (fun () -> Mmap_pool.drop_cache pool);
-        p_written_ids = (fun () -> Mmap_store.written_ids store);
-        p_live = (fun () -> Mmap_store.live_pages store);
-        p_sync = (fun () -> Mmap_store.sync store);
-        p_close = (fun () -> Mmap_store.close store);
-        p_verify = (fun pid -> Mmap_store.verify store pid);
-        p_read_block = (fun pid -> Mmap_store.read_block store pid);
-        p_write_block = (fun pid block -> Mmap_store.write_block store pid block);
-        p_store_write = (fun pid page -> Mmap_store.write store pid page);
-      }
-
-    let phys_make ~store_kind ~backing ~stats ~page_size ~mode ~vfs ~pool_capacity ~path
-        () =
-      match (store_kind : Storage.Store_kind.t) with
-      | File -> phys_file ~stats ~page_size ~mode ~vfs ~pool_capacity ~path ()
-      | Mmap -> phys_mmap ~stats ~page_size ~mode ~vfs ~backing ~pool_capacity ~path ()
-      | Memory ->
-          invalid_arg
-            "Mvsbt.Durable: Memory is not a page-file store kind (use the in-memory \
-             tree)"
-
-    let make_backend ~vfs ~path ~self phys =
       (* The current root is pinned in the pool: every descent starts
          there, and with readers decoding records straight out of mapped
          blocks, evicting the page a descent is standing on is not an
@@ -1280,10 +1080,10 @@ module Make (G : Aggregate.Group.S) = struct
                 ()
             | held ->
                 (match held with
-                | Some old when phys.p_pin_count old > 0 -> phys.p_unpin old
+                | Some old when Mmap_pool.pin_count pool old > 0 -> Mmap_pool.unpin pool old
                 | _ -> ());
-                if phys.p_mem want then begin
-                  phys.p_pin want;
+                if Mmap_pool.mem pool want then begin
+                  Mmap_pool.pin pool want;
                   pinned_root := Some want
                 end)
       in
@@ -1295,45 +1095,50 @@ module Make (G : Aggregate.Group.S) = struct
         else List.filter_map (fun r -> r.child) page.records
       in
       {
-        b_alloc = (fun () -> phys.p_alloc ());
+        b_alloc = (fun () -> Mmap_pool.alloc pool);
         b_read =
           (fun pid ->
             repin ();
             (* Hint only when this page itself had to be faulted in: a
                pool-resident parent already issued its batch, and hinting
                again on every hit would drown the kernel in madvise. *)
-            let faulted = not (phys.p_resident pid) in
-            let page = phys.p_read pid in
+            let faulted = not (Mmap_pool.resident pool pid) in
+            let page = Mmap_pool.read pool pid in
             if faulted then
-              (match children_of page with [] -> () | kids -> phys.p_readahead kids);
+              (match children_of page with
+              | [] -> ()
+              | kids -> Mmap_pool.readahead pool kids);
             page);
         b_write =
           (fun pid page ->
             repin ();
-            phys.p_write pid page);
-        b_free = (fun pid -> phys.p_free pid);
-        b_exists = (fun pid -> phys.p_mem pid);
+            Mmap_pool.write pool pid page);
+        b_free = (fun pid -> Mmap_pool.free pool pid);
+        b_exists = (fun pid -> Mmap_pool.mem pool pid);
         b_list =
           (fun () ->
-            phys.p_flush ();
-            phys.p_written_ids ());
-        b_live = (fun () -> phys.p_live ());
-        b_drop = (fun () -> phys.p_drop ());
+            Mmap_pool.flush pool;
+            Mmap_store.written_ids store);
+        b_live = (fun () -> Mmap_store.live_pages store);
+        b_drop = (fun () -> Mmap_pool.drop_cache pool);
         (* A durable flush must reach the platter, not just the kernel:
-           write back dirty pages, fsync/msync the page file, then commit
-           the meta sidecar describing exactly that on-disk state. *)
+           write back dirty pages, msync the page file, then commit the
+           meta sidecar describing exactly that on-disk state. *)
         b_flush =
           (fun () ->
-            phys.p_flush ();
-            phys.p_sync ();
+            Mmap_pool.flush pool;
+            Mmap_store.sync store;
             match !self with Some t -> write_meta t ~vfs ~path | None -> ());
-        b_payload = Some phys.p_payload;
-        b_close = (fun () -> phys.p_close ());
+        b_payload =
+          Some
+            (fun pid ->
+              Mmap_pool.clean pool pid;
+              Mmap_store.read_payload store pid);
+        b_close = (fun () -> Mmap_store.close store);
       }
 
     let create ?config ?(pool_capacity = 64) ?stats ?page_size
-        ?(vfs = Storage.Vfs.os) ?(store = Storage.Store_kind.File) ?(backing = `Auto)
-        ~key_space ~path () =
+        ?(vfs = Storage.Vfs.os) ?(backing = `Auto) ~key_space ~path () =
       let cfg = match config with Some c -> c | None -> default_config ~b:64 in
       validate_create cfg key_space;
       let page_size = match page_size with Some p -> p | None -> page_size_for cfg in
@@ -1343,32 +1148,69 @@ module Make (G : Aggregate.Group.S) = struct
              "Mvsbt.Durable.create: %d-byte pages cannot hold b=%d records (need %d)"
              page_size cfg.b (min_page_size cfg));
       let io_stats = match stats with Some s -> s | None -> Storage.Io_stats.create () in
-      let phys =
-        phys_make ~store_kind:store ~backing ~stats:io_stats ~page_size ~mode:`Create
-          ~vfs ~pool_capacity ~path ()
-      in
+      let store = Mmap_store.create ~stats:io_stats ~page_size ~vfs ~backing ~path () in
       let self = ref None in
-      let backend = make_backend ~vfs ~path ~self phys in
+      let backend = make_backend ~vfs ~path ~pool_capacity ~self store in
       let t = boot ~cfg ~key_space ~io_stats backend in
       self := Some t;
       write_meta t ~vfs ~path;
       t
 
     let reopen ?(pool_capacity = 64) ?stats ?page_size ?(vfs = Storage.Vfs.os)
-        ?(store = Storage.Store_kind.File) ?(backing = `Auto) ~path () =
+        ?(backing = `Auto) ~path () =
       let st = read_meta ~vfs ~path in
       let page_size = match page_size with Some p -> p | None -> page_size_for st.s_cfg in
       let io_stats = match stats with Some s -> s | None -> Storage.Io_stats.create () in
-      let phys =
-        phys_make ~store_kind:store ~backing ~stats:io_stats ~page_size ~mode:`Reopen
-          ~vfs ~pool_capacity ~path ()
+      let store =
+        Mmap_store.create ~stats:io_stats ~page_size ~mode:`Reopen ~vfs ~backing ~path ()
       in
-      if not (phys.p_mem st.s_cur_root) then
-        failwith "Mvsbt.Durable.reopen: meta names a root the page file does not hold";
+      if not (Mmap_store.mem store st.s_cur_root) then begin
+        Mmap_store.close store;
+        failwith "Mvsbt.Durable.reopen: meta names a root the page file does not hold"
+      end;
       let self = ref None in
-      let t = of_state ~io_stats (make_backend ~vfs ~path ~self phys) st in
+      let t = of_state ~io_stats (make_backend ~vfs ~path ~pool_capacity ~self store) st in
       self := Some t;
       t
+
+    (* A page chunk's structure, checked without building the page: a
+       level, a record count within [b], child flags of 0 or 1, and
+       records that fill the chunk exactly.  {!of_snapshot} runs it before
+       it frames a chunk into a page file; {!Persist.load}, which decodes
+       every page anyway, holds the decoded page to the same level, count
+       and length rule. *)
+    let check_page_chunk ~b buf ~pos ~len =
+      let module R = Storage.Codec.Reader in
+      let rd = R.create ~pos ~len buf in
+      let skip_i64s k =
+        for _ = 1 to k do
+          ignore (R.i64 rd)
+        done
+      in
+      let rec records n =
+        n = 0
+        || begin
+             skip_i64s (4 + V.words);
+             match R.u8 rd with
+             | 0 -> records (n - 1)
+             | 1 ->
+                 skip_i64s 1;
+                 records (n - 1)
+             | _ -> false
+           end
+      in
+      let well_formed =
+        match
+          skip_i64s 1;
+          let level = R.i32 rd in
+          skip_i64s 4;
+          let n = R.i32 rd in
+          level >= 0 && n >= 0 && n <= b && records n && R.pos rd = pos + len
+        with
+        | ok -> ok
+        | exception Storage.Codec.Overflow _ -> false
+      in
+      if not well_formed then Chunk_reader.fail "corrupt page chunk"
 
     (* Build a page file at [path] from a {!Persist} snapshot without
        decoding a page: each chunk already is the page's block payload, so
@@ -1376,23 +1218,23 @@ module Make (G : Aggregate.Group.S) = struct
        page.  The snapshot's config sizes the pages.  The tree is meant to
        be flushed by its caller, which commits the meta sidecar. *)
     let of_snapshot ?(pool_capacity = 64) ?stats ?(vfs = Storage.Vfs.os)
-        ?(store = Storage.Store_kind.File) ?(backing = `Auto) ~snapshot ~path () =
+        ?(backing = `Auto) ~snapshot ~path () =
       let io_stats = match stats with Some s -> s | None -> Storage.Io_stats.create () in
       with_snapshot ~vfs ~path:snapshot @@ fun st pages ->
-      let phys =
-        phys_make ~store_kind:store ~backing ~stats:io_stats
-          ~page_size:(page_size_for st.s_cfg) ~mode:`Create ~vfs ~pool_capacity ~path ()
+      let store =
+        Mmap_store.create ~stats:io_stats ~page_size:(page_size_for st.s_cfg) ~vfs ~backing
+          ~path ()
       in
       (try
          pages (fun buf ~pos ~len ->
-             RC.check_page_chunk ~b:st.s_cfg.b buf ~pos ~len;
+             check_page_chunk ~b:st.s_cfg.b buf ~pos ~len;
              let pid = Storage.Page_id.of_int (Int64.to_int (Bytes.get_int64_le buf pos)) in
-             phys.p_install_raw pid buf ~pos ~len)
+             Mmap_store.install_raw store pid buf ~pos ~len)
        with e ->
-         phys.p_close ();
+         Mmap_store.close store;
          raise e);
       let self = ref None in
-      let t = of_state ~io_stats (make_backend ~vfs ~path ~self phys) st in
+      let t = of_state ~io_stats (make_backend ~vfs ~path ~pool_capacity ~self store) st in
       self := Some t;
       t
 
@@ -1411,19 +1253,20 @@ module Make (G : Aggregate.Group.S) = struct
        sound.  The caller is responsible for that precondition (see
        [Rta.scrub], which checks the update counters); an id the reference
        does not hold is reported irreparable. *)
-    let scrub ?stats ?(page_size = 4096) ?(vfs = Storage.Vfs.os)
-        ?(store = Storage.Store_kind.File) ?(backing = `Auto) ?repair_from ~path () =
+    let scrub ?stats ?page_size ?(vfs = Storage.Vfs.os) ?(backing = `Auto) ?repair_from
+        ~path () =
       let io_stats = match stats with Some s -> s | None -> Storage.Io_stats.create () in
-      let phys =
-        phys_make ~store_kind:store ~backing ~stats:io_stats ~page_size ~mode:`Reopen
-          ~vfs ~pool_capacity:8 ~path ()
+      let store =
+        Mmap_store.create ~stats:io_stats
+          ~page_size:(stored_page_size ~vfs ~path page_size)
+          ~mode:`Reopen ~vfs ~backing ~path ()
       in
-      Fun.protect ~finally:(fun () -> phys.p_close ()) @@ fun () ->
-      let ids = phys.p_written_ids () in
+      Fun.protect ~finally:(fun () -> Mmap_store.close store) @@ fun () ->
+      let ids = Mmap_store.written_ids store in
       let corrupt =
         List.filter
           (fun id ->
-            let ok = phys.p_verify id in
+            let ok = Mmap_store.verify store id in
             Storage.Io_stats.record_scrubbed io_stats;
             not ok)
           ids
@@ -1435,14 +1278,14 @@ module Make (G : Aggregate.Group.S) = struct
             List.partition
               (fun id ->
                 if src.backend.b_exists id then begin
-                  phys.p_store_write id (src.backend.b_read id);
+                  Mmap_store.write store id (src.backend.b_read id);
                   Storage.Io_stats.record_repaired io_stats;
                   true
                 end
                 else false)
               corrupt
       in
-      if repaired <> [] then phys.p_sync ();
+      if repaired <> [] then Mmap_store.sync store;
       { pages_checked = List.length ids; corrupt; repaired; irreparable }
 
     (* Fault injection for scrub tests: flip one random bit in each of
@@ -1450,14 +1293,15 @@ module Make (G : Aggregate.Group.S) = struct
        the block ([len]+[crc]+payload — never the padding, which no
        checksum covers), so every flip is detectable by construction.
        Returns the ids hit, ascending. *)
-    let inject_bit_flips ?(page_size = 4096) ?(vfs = Storage.Vfs.os)
-        ?(store = Storage.Store_kind.File) ?(backing = `Auto) ~path ~seed ~flips () =
-      let phys =
-        phys_make ~store_kind:store ~backing ~stats:(Storage.Io_stats.create ())
-          ~page_size ~mode:`Reopen ~vfs ~pool_capacity:8 ~path ()
+    let inject_bit_flips ?page_size ?(vfs = Storage.Vfs.os) ?(backing = `Auto) ~path
+        ~seed ~flips () =
+      let store =
+        Mmap_store.create
+          ~page_size:(stored_page_size ~vfs ~path page_size)
+          ~mode:`Reopen ~vfs ~backing ~path ()
       in
-      Fun.protect ~finally:(fun () -> phys.p_close ()) @@ fun () ->
-      let ids = Array.of_list (phys.p_written_ids ()) in
+      Fun.protect ~finally:(fun () -> Mmap_store.close store) @@ fun () ->
+      let ids = Array.of_list (Mmap_store.written_ids store) in
       let rng = Random.State.make [| seed |] in
       let n = min flips (Array.length ids) in
       (* Partial Fisher-Yates: the first [n] slots end up a uniform sample. *)
@@ -1468,16 +1312,17 @@ module Make (G : Aggregate.Group.S) = struct
         ids.(j) <- tmp
       done;
       let hit = Array.sub ids 0 n in
+      let overhead = Mmap_store.block_overhead in
       Array.iter
         (fun id ->
-          let block = phys.p_read_block id in
+          let block = Mmap_store.read_block store id in
           let len = Int32.to_int (Bytes.get_int32_le block 0) in
-          let covered = File_store.block_overhead + max 0 (min len (page_size - 8)) in
+          let covered = overhead + max 0 (min len (Bytes.length block - overhead)) in
           let bit = Random.State.int rng (covered * 8) in
           let byte = bit / 8 in
           Bytes.set block byte
             (Char.chr (Char.code (Bytes.get block byte) lxor (1 lsl (bit mod 8))));
-          phys.p_write_block id block)
+          Mmap_store.write_block store id block)
         hit;
       Array.to_list hit
       |> List.sort (fun a b -> compare (Storage.Page_id.to_int a) (Storage.Page_id.to_int b))
@@ -1486,7 +1331,7 @@ module Make (G : Aggregate.Group.S) = struct
   (* --- Snapshot persistence --------------------------------------------------- *)
 
   module Persist (V : VALUE_CODEC) = struct
-    include Record_codec (V)
+    include Record_codec (V) (Storage.Codec.Reader) (Storage.Codec.Writer)
 
     (* Written through the VFS in one [f_append] per chunk header and one
        per chunk, so snapshot writes are journalled by [Vfs.Memory] like

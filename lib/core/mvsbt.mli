@@ -189,26 +189,27 @@ module Make (G : Aggregate.Group.S) : sig
   (** Graphviz rendering of the page graph, for debugging and docs. *)
 
   (** Binary codec for aggregate values, supplied by the caller to enable
-      on-disk page formats ({!Persist} snapshots and {!Durable} trees). *)
+      on-disk page formats ({!Persist} snapshots and {!Durable} trees).
+      A value is a fixed number of 64-bit words, so one codec serves
+      every buffer a page is laid out in. *)
   module type VALUE_CODEC = sig
-    val max_size : int
-    (** Upper bound on the encoded size of one value, in bytes. *)
+    val words : int
+    (** The number of 64-bit words one value encodes to. *)
 
-    val encode : Storage.Codec.Writer.t -> G.t -> unit
-    val decode : Storage.Codec.Reader.t -> G.t
+    val encode : (int -> unit) -> G.t -> unit
+    (** [encode put v] passes [v]'s [words] words to [put], in order. *)
 
-    val zencode : Storage.Zcodec.Writer.t -> G.t -> unit
-    (** Same wire format as {!encode}, written straight into a mapped
-        block (the {!Storage.Page_store.Mmap} backend). *)
-
-    val zdecode : Storage.Zcodec.Reader.t -> G.t
+    val decode : (unit -> int) -> G.t
+    (** [decode next] rebuilds a value from [words] calls to [next], which
+        return the words {!encode} produced, in the same order. *)
   end
 
   (** A file-resident MVSBT: pages are encoded into fixed-size blocks of a
-      real file behind a pinning buffer pool, so physical reads and
-      writes hit the filesystem.  The [store] parameter picks the page
-      backend: [File] (pread/pwrite blocks, LRU pool — the default) or
-      [Mmap] (memory-mapped arena, zero-copy codec, second-chance pool).
+      page file ({!Storage.Page_store.Mmap}: a memory-mapped arena, or a
+      buffered image of it where mapping is unavailable) behind a
+      pinning, second-chance buffer pool, so physical reads and writes
+      hit the file.  Pages are encoded and decoded in place in the
+      block, through the same layout {!Persist} writes to snapshots.
       The handle type and every operation are those of the in-memory
       tree. *)
   module Durable (V : VALUE_CODEC) : sig
@@ -218,7 +219,6 @@ module Make (G : Aggregate.Group.S) : sig
       ?stats:Storage.Io_stats.t ->
       ?page_size:int ->
       ?vfs:Storage.Vfs.t ->
-      ?store:Storage.Store_kind.t ->
       ?backing:[ `Auto | `Map | `Buffered ] ->
       key_space:int ->
       path:string ->
@@ -227,23 +227,21 @@ module Make (G : Aggregate.Group.S) : sig
     (** Creates (truncating) [path].  [page_size] must be able to hold [b]
         maximal records plus the per-page integrity frame; it defaults to
         the smallest multiple of 4096 bytes that does.  The same rule
-        sizes {!of_snapshot} and {!reopen}.  Alongside the page file, a
-        meta sidecar [path ^ ".meta"] records the handle state
-        (configuration, clock, current root, root* directory); it is
-        rewritten atomically on every {!flush}, making {!reopen}
-        possible.  All I/O goes through [vfs] (default
-        {!Storage.Vfs.os}).  [store] (default [File])
-        selects the page backend; [backing] (default [`Auto]) the arena
-        flavour when [store = Mmap] — see {!Storage.Arena.create}.
-        @raise Invalid_argument when the configuration cannot fit, or
-        when [store = Memory] (use the plain in-memory tree for that). *)
+        sizes {!of_snapshot}, {!reopen}, {!scrub} and
+        {!inject_bit_flips}.  Alongside the page file, a meta sidecar
+        [path ^ ".meta"] records the handle state (configuration, clock,
+        current root, root* directory); it is rewritten atomically on
+        every {!flush}, making {!reopen} possible.  All I/O goes through
+        [vfs] (default {!Storage.Vfs.os}); [backing] (default [`Auto])
+        picks the arena flavour — see {!Storage.Arena.create}, and pass
+        [`Buffered] under a synthetic [vfs].
+        @raise Invalid_argument when the configuration cannot fit. *)
 
     val reopen :
       ?pool_capacity:int ->
       ?stats:Storage.Io_stats.t ->
       ?page_size:int ->
       ?vfs:Storage.Vfs.t ->
-      ?store:Storage.Store_kind.t ->
       ?backing:[ `Auto | `Map | `Buffered ] ->
       path:string ->
       unit ->
@@ -251,10 +249,6 @@ module Make (G : Aggregate.Group.S) : sig
     (** Reopen an existing durable index {e without} truncating it,
         restoring the state committed by the last {!flush} (configuration
         and geometry come from the sidecar and the page-file header).
-        [store] must match the backend the file was written with (the
-        two share File's block layout, so they are mutually readable —
-        but the header count semantics differ after a crash; reopen with
-        the kind that wrote the file).
         This is a {e clean-shutdown} reopen: updates made after the last
         flush are not recovered — pair the index with the WAL engine
         ({!Durable} in [lib/core/durable.ml]) when crash recovery of the
@@ -266,7 +260,6 @@ module Make (G : Aggregate.Group.S) : sig
       ?pool_capacity:int ->
       ?stats:Storage.Io_stats.t ->
       ?vfs:Storage.Vfs.t ->
-      ?store:Storage.Store_kind.t ->
       ?backing:[ `Auto | `Map | `Buffered ] ->
       snapshot:string ->
       path:string ->
@@ -276,7 +269,7 @@ module Make (G : Aggregate.Group.S) : sig
         [snapshot] and return a durable handle over it.  A snapshot's
         page chunk is byte for byte the payload of the page's block, so
         pages move as encoded bytes
-        ({!Storage.Page_store.File.install_raw}), each under its original
+        ({!Storage.Page_store.Mmap.install_raw}), each under its original
         id (repair-by-id stays sound), through one reused read buffer:
         nothing is decoded and the tree never sits in the heap.  Each
         page is charged to [stats] as one write — rebuilding the working
@@ -299,7 +292,6 @@ module Make (G : Aggregate.Group.S) : sig
       ?stats:Storage.Io_stats.t ->
       ?page_size:int ->
       ?vfs:Storage.Vfs.t ->
-      ?store:Storage.Store_kind.t ->
       ?backing:[ `Auto | `Map | `Buffered ] ->
       ?repair_from:t ->
       path:string ->
@@ -313,14 +305,16 @@ module Make (G : Aggregate.Group.S) : sig
         only when the reference went through the {e same} update sequence
         (page allocation is deterministic) — callers must ensure that;
         {!Rta.scrub} checks the update counters.  The file must be
-        quiescent (no unflushed writer).  Verified, corrupt, and repaired
-        pages are counted in [stats] ([scrubbed] / [crc_failures] /
-        [repaired]). *)
+        quiescent (no unflushed writer).  [page_size] defaults to the one
+        {!reopen} would use, from the meta sidecar's config.  Verified,
+        corrupt, and repaired pages are counted in [stats] ([scrubbed] /
+        [crc_failures] / [repaired]).
+        @raise Failure if [page_size] is not given and the meta sidecar
+        is missing or corrupt, or if the page-file header is. *)
 
     val inject_bit_flips :
       ?page_size:int ->
       ?vfs:Storage.Vfs.t ->
-      ?store:Storage.Store_kind.t ->
       ?backing:[ `Auto | `Map | `Buffered ] ->
       path:string ->
       seed:int ->
@@ -330,7 +324,9 @@ module Make (G : Aggregate.Group.S) : sig
     (** Corruption injection for scrub tests: flip one random bit in each
         of [flips] distinct written pages (fewer if the file is smaller),
         always inside the CRC-covered region so every flip is detectable.
-        Returns the page ids hit, ascending. *)
+        The flips reach the file when it closes, on either arena backing.
+        [page_size] defaults as in {!scrub}.  Returns the page ids hit,
+        ascending. *)
   end
 
   (** Snapshot persistence: serialise the whole page graph (every page

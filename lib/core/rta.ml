@@ -2,24 +2,15 @@ module G = Aggregate.Group.Sum_count
 module Index = Mvsbt.Make (G)
 
 module Value_codec = struct
-  let max_size = 16
+  let words = 2
 
-  let encode w ((s, c) : G.t) =
-    Storage.Codec.Writer.i64 w s;
-    Storage.Codec.Writer.i64 w c
+  let encode put ((s, c) : G.t) =
+    put s;
+    put c
 
-  let decode rd =
-    let s = Storage.Codec.Reader.i64 rd in
-    let c = Storage.Codec.Reader.i64 rd in
-    (s, c)
-
-  let zencode w ((s, c) : G.t) =
-    Storage.Zcodec.Writer.i64 w s;
-    Storage.Zcodec.Writer.i64 w c
-
-  let zdecode rd =
-    let s = Storage.Zcodec.Reader.i64 rd in
-    let c = Storage.Zcodec.Reader.i64 rd in
+  let decode next =
+    let s = next () in
+    let c = next () in
     (s, c)
 end
 
@@ -144,13 +135,13 @@ let lkst_suffix = ".lkst.pages"
 let lklt_suffix = ".lklt.pages"
 
 let create_durable ?config ?pool_capacity ?stats ?telemetry ?page_size
-    ?(vfs = Storage.Vfs.os) ?store ?backing ~max_key ~path () =
+    ?(vfs = Storage.Vfs.os) ?backing ~max_key ~path () =
   if max_key < 1 then invalid_arg "Rta.create_durable: max_key must be >= 1";
   let stats = match stats with Some s -> s | None -> Storage.Io_stats.create () in
   let key_space = max_key + 1 in
   let mk suffix =
-    Durable_index.create ?config ?pool_capacity ~stats ?page_size ~vfs ?store
-      ?backing ~key_space ~path:(path ^ suffix) ()
+    Durable_index.create ?config ?pool_capacity ~stats ?page_size ~vfs ?backing
+      ~key_space ~path:(path ^ suffix) ()
   in
   let t =
     apply_telemetry telemetry
@@ -169,11 +160,11 @@ let create_durable ?config ?pool_capacity ?stats ?telemetry ?page_size
   t
 
 let reopen_durable ?pool_capacity ?stats ?telemetry ?page_size
-    ?(vfs = Storage.Vfs.os) ?store ?backing ~path () =
+    ?(vfs = Storage.Vfs.os) ?backing ~path () =
   let max_key, now_, n_updates, alive = read_durable_meta ~vfs ~path in
   let stats = match stats with Some s -> s | None -> Storage.Io_stats.create () in
   let mk suffix =
-    Durable_index.reopen ?pool_capacity ~stats ?page_size ~vfs ?store ?backing
+    Durable_index.reopen ?pool_capacity ~stats ?page_size ~vfs ?backing
       ~path:(path ^ suffix) ()
   in
   apply_telemetry telemetry
@@ -188,9 +179,13 @@ let flush t =
 
 let try_flush t = Storage.Storage_error.protect (fun () -> flush t)
 
+(* Both page files are released even when the first close fails. *)
 let close t =
-  Index.close t.lkst;
-  Index.close t.lklt
+  match Index.close t.lkst with
+  | () -> Index.close t.lklt
+  | exception e ->
+      (try Index.close t.lklt with _ -> ());
+      raise e
 
 let max_key t = t.max_key
 let config t = Index.config t.lkst
@@ -359,11 +354,11 @@ let load ?pool_capacity ?stats ?telemetry ?(vfs = Storage.Vfs.os) ~path () =
   load_with ?telemetry ~vfs ~path ~durable:None (fun ext _ ->
       Persist.load ?pool_capacity ~stats ~vfs ~path:(path ^ ext) ())
 
-let load_durable ?pool_capacity ?stats ?telemetry ?(vfs = Storage.Vfs.os) ?store ?backing
+let load_durable ?pool_capacity ?stats ?telemetry ?(vfs = Storage.Vfs.os) ?backing
     ~snapshot ~path () =
   let stats = match stats with Some s -> s | None -> Storage.Io_stats.create () in
   load_with ?telemetry ~vfs ~path:snapshot ~durable:(Some (path, vfs)) (fun ext suffix ->
-      Durable_index.of_snapshot ?pool_capacity ~stats ~vfs ?store ?backing
+      Durable_index.of_snapshot ?pool_capacity ~stats ~vfs ?backing
         ~snapshot:(snapshot ^ ext) ~path:(path ^ suffix) ())
 
 (* --- Scrub and repair ----------------------------------------------------- *)
@@ -405,7 +400,7 @@ let pp_scrub_report ppf r =
    counter against the one in the scrubbed warehouse's flushed sidecar.
    On a mismatch every corrupt page is reported irreparable rather than
    "repaired" with stale content. *)
-let scrub ?stats ?page_size ?(vfs = Storage.Vfs.os) ?store ?backing ?repair_from
+let scrub ?stats ?page_size ?(vfs = Storage.Vfs.os) ?backing ?repair_from
     ?(telemetry = Telemetry.Tracer.noop) ~path () =
   Telemetry.Tracer.with_span telemetry "rta.scrub"
     ~attrs:(fun () -> [ ("path", Telemetry.Tracer.Str path) ])
@@ -419,7 +414,7 @@ let scrub ?stats ?page_size ?(vfs = Storage.Vfs.os) ?store ?backing ?repair_from
   let side_report side suffix tree =
     let repair_from = Option.map tree usable_reference in
     let r =
-      Durable_index.scrub ?stats ?page_size ~vfs ?store ?backing ?repair_from
+      Durable_index.scrub ?stats ?page_size ~vfs ?backing ?repair_from
         ~path:(path ^ suffix) ()
     in
     let tag = List.map (fun pid -> (side, pid)) in
@@ -433,11 +428,11 @@ let scrub ?stats ?page_size ?(vfs = Storage.Vfs.os) ?store ?backing ?repair_from
   { pages_checked = n1 + n2; corrupt = c1 @ c2; repaired = r1 @ r2;
     irreparable = i1 @ i2 }
 
-let inject_bit_flips ?page_size ?(vfs = Storage.Vfs.os) ?store ?backing ~path
-    ~seed ~flips () =
+let inject_bit_flips ?page_size ?(vfs = Storage.Vfs.os) ?backing ~path ~seed ~flips
+    () =
   let side tag suffix ~seed ~flips =
-    Durable_index.inject_bit_flips ?page_size ~vfs ?store ?backing
-      ~path:(path ^ suffix) ~seed ~flips ()
+    Durable_index.inject_bit_flips ?page_size ~vfs ?backing ~path:(path ^ suffix) ~seed
+      ~flips ()
     |> List.map (fun pid -> (tag, pid))
   in
   side Lkst lkst_suffix ~seed ~flips:((flips + 1) / 2)

@@ -44,7 +44,6 @@ val create_durable :
   ?telemetry:Telemetry.Tracer.t ->
   ?page_size:int ->
   ?vfs:Storage.Vfs.t ->
-  ?store:Storage.Store_kind.t ->
   ?backing:[ `Auto | `Map | `Buffered ] ->
   max_key:int ->
   path:string ->
@@ -52,16 +51,16 @@ val create_durable :
   t
 (** Like {!create}, but both MVSBTs keep their pages in real files
     ([<path>.lkst.pages] and [<path>.lklt.pages], fixed-size blocks behind
-    pinning buffer pools).  [page_size] must hold [config.b] records
-    (~57 bytes each); it defaults to the smallest multiple of 4096 that
-    does.  [store] (default [File]) selects the page backend — [Mmap]
-    maps the files and codecs pages in place; [backing] picks the arena
-    flavour, see {!Storage.Arena.create}.  Alongside the page files, meta
-    sidecars (one per index plus [<path>.rta.meta] for the base table and
-    counters) are committed atomically on every {!flush}, so an existing
-    warehouse can be {!reopen_durable}ed instead of destroyed.
-    @raise Invalid_argument when the configuration cannot fit a page, or
-    when [store = Memory]. *)
+    pinning buffer pools, {!Storage.Page_store.Mmap}).  [page_size] must
+    hold [config.b] records (~57 bytes each); it defaults to the smallest
+    multiple of 4096 that does.  [backing] picks the arena flavour: the
+    files are mapped and pages codec'd in place, or buffered where
+    mapping is unavailable — see {!Storage.Arena.create}.  Alongside the
+    page files, meta sidecars (one per index plus [<path>.rta.meta] for
+    the base table and counters) are committed atomically on every
+    {!flush}, so an existing warehouse can be {!reopen_durable}ed instead
+    of destroyed.
+    @raise Invalid_argument when the configuration cannot fit a page. *)
 
 val reopen_durable :
   ?pool_capacity:int ->
@@ -69,15 +68,13 @@ val reopen_durable :
   ?telemetry:Telemetry.Tracer.t ->
   ?page_size:int ->
   ?vfs:Storage.Vfs.t ->
-  ?store:Storage.Store_kind.t ->
   ?backing:[ `Auto | `Map | `Buffered ] ->
   path:string ->
   unit ->
   t
 (** Reopen a warehouse previously built with {!create_durable} — which
     truncates; this does not — restoring the state committed by its last
-    {!flush}.  Configuration and [max_key] come from the sidecars;
-    [store] must match the backend that wrote the files.  This
+    {!flush}.  Configuration and [max_key] come from the sidecars.  This
     is a {e clean-shutdown} restore: updates made after the last flush
     are lost, so pair the warehouse with the WAL engine ({!Durable}) when
     the update tail must survive crashes.
@@ -229,7 +226,6 @@ val load_durable :
   ?stats:Storage.Io_stats.t ->
   ?telemetry:Telemetry.Tracer.t ->
   ?vfs:Storage.Vfs.t ->
-  ?store:Storage.Store_kind.t ->
   ?backing:[ `Auto | `Map | `Buffered ] ->
   snapshot:string ->
   path:string ->
@@ -270,7 +266,6 @@ val scrub :
   ?stats:Storage.Io_stats.t ->
   ?page_size:int ->
   ?vfs:Storage.Vfs.t ->
-  ?store:Storage.Store_kind.t ->
   ?backing:[ `Auto | `Map | `Buffered ] ->
   ?repair_from:t ->
   ?telemetry:Telemetry.Tracer.t ->
@@ -290,15 +285,16 @@ val scrub :
     scrubbed warehouse's flushed sidecar) and reports every corrupt page
     irreparable on a mismatch rather than writing stale bytes.
 
-    Counters: each page verified bumps [stats]' [scrubbed], each failure
-    [crc_failures], each rewrite [repaired].
+    [page_size] defaults to the one {!reopen_durable} would use, from
+    each index's meta sidecar.  Counters: each page verified bumps
+    [stats]' [scrubbed], each failure [crc_failures], each rewrite
+    [repaired].
     @raise Failure if the warehouse sidecar or a page-file header is
     missing or corrupt (scrub needs at least those to orient itself). *)
 
 val inject_bit_flips :
   ?page_size:int ->
   ?vfs:Storage.Vfs.t ->
-  ?store:Storage.Store_kind.t ->
   ?backing:[ `Auto | `Map | `Buffered ] ->
   path:string ->
   seed:int ->
@@ -308,8 +304,8 @@ val inject_bit_flips :
 (** Corruption injection for tests and demos: flip one random bit in each
     of [flips] distinct written pages (split across the two MVSBTs, fewer
     if the files are smaller), always inside the CRC-covered region of the
-    block so every flip is detectable by {!scrub}.  Returns the pages
-    hit. *)
+    block so every flip is detectable by {!scrub}.  [page_size] defaults
+    as in {!scrub}.  Returns the pages hit. *)
 
 (** {1 Vacuum (retention)}
 

@@ -49,10 +49,10 @@ val run_trace :
     three updates) through a {!Durable} engine over
     {!Storage.Vfs.Memory}, recording the journal.  Deterministic in
     [seed].  Defaults: [Every_n 4] group commit, no automatic
-    checkpoints, 120 updates, [Memory] page store.  Under [File]/[Mmap]
-    the engine's page working set rides the same journaled filesystem
-    ([Mmap] on its buffered arena backing), so crash images tear it too
-    — recovery must rebuild it from the WAL regardless. *)
+    checkpoints, 120 updates, [Memory] page store.  Under [Mmap] the
+    engine's page working set rides the same journaled filesystem, on
+    its buffered arena backing, so crash images tear it too — recovery
+    must rebuild it from the WAL regardless. *)
 
 val issued_ceiling : trace -> cut:int -> int
 (** Updates that could possibly be recovered at [cut]: everything fully

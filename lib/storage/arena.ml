@@ -47,6 +47,12 @@ let round_cap ~initial_blocks blocks =
 let create ?(initial_blocks = 64) ?(vfs = Vfs.os) ~backing ~block_size ~path ~mode () =
   if block_size < 16 then invalid_arg "Arena.create: block_size too small";
   if initial_blocks < 1 then invalid_arg "Arena.create: initial_blocks must be >= 1";
+  (* A new arena starts at [initial_blocks]; a reopened one covers the
+     file's whole blocks and leaves the file as it is.  A crash can leave
+     a torn trailing partial block, which the rounding drops. *)
+  let capacity size =
+    match mode with `Create -> initial_blocks | `Reopen -> size / block_size
+  in
   let try_map () =
     if forced_off () then failwith "mmap disabled by RTA_FORCE_NO_MMAP";
     let flags =
@@ -56,18 +62,13 @@ let create ?(initial_blocks = 64) ?(vfs = Vfs.os) ~backing ~block_size ~path ~mo
     in
     let fd = Unix.openfile path flags 0o644 in
     match
-      let size = (Unix.fstat fd).Unix.st_size in
-      let cap_blocks =
-        match mode with
-        | `Create -> initial_blocks
-        | `Reopen -> max initial_blocks (size / block_size)
-      in
+      let cap_blocks = capacity ((Unix.fstat fd).Unix.st_size) in
       let bytes = cap_blocks * block_size in
-      if size < bytes then Unix.ftruncate fd bytes;
+      if mode = `Create then Unix.ftruncate fd bytes;
       let map = map_fd fd ~bytes in
       (* Prove the mapping is actually usable (some filesystems hand out
          a mapping that faults on first touch). *)
-      ignore (Zcodec.get_u8 map 0);
+      if bytes > 0 then ignore (Zcodec.get_u8 map 0);
       (cap_blocks, map)
     with
     | exception e ->
@@ -78,18 +79,12 @@ let create ?(initial_blocks = 64) ?(vfs = Vfs.os) ~backing ~block_size ~path ~mo
   let buffered () =
     let file = vfs.Vfs.v_open (mode :> Vfs.open_mode) path in
     let size = file.Vfs.f_size () in
-    let cap_blocks =
-      match mode with
-      | `Create -> initial_blocks
-      | `Reopen -> max initial_blocks (size / block_size)
-    in
+    let cap_blocks = capacity size in
     let bytes = cap_blocks * block_size in
     let data = ba_create bytes in
     Bigarray.Array1.fill data '\000';
-    (* Pull the durable image into the RAM "mapping".  Clamp to the
-       buffer: a crash can leave a torn trailing partial block, which
-       [cap_blocks] rounds down past — drop it, as [Page_store.File]
-       drops a torn trailing page. *)
+    (* Pull the durable image into the RAM "mapping", up to the whole
+       blocks it covers. *)
     let limit = min size bytes in
     let buf = Bytes.create 65536 in
     let rec pull off =
@@ -102,7 +97,7 @@ let create ?(initial_blocks = 64) ?(vfs = Vfs.os) ~backing ~block_size ~path ~mo
       end
     in
     pull 0;
-    if size < bytes then file.Vfs.f_truncate bytes;
+    if mode = `Create then file.Vfs.f_truncate bytes;
     (Buffered { file; data }, cap_blocks)
   in
   let impl, cap_blocks =
@@ -181,6 +176,17 @@ let dirty_ranges t =
   in
   go [] blocks
 
+(* One [pwrite] per dirty block of the RAM image. *)
+let write_back t b ranges =
+  let scratch = Bytes.create t.block_size in
+  List.iter
+    (fun (first, count) ->
+      for blk = first to first + count - 1 do
+        Zcodec.blit_to_bytes b.data (blk * t.block_size) scratch 0 t.block_size;
+        b.file.Vfs.f_pwrite (blk * t.block_size) scratch 0 t.block_size
+      done)
+    ranges
+
 let sync t =
   check_open t Storage_error.Fsync;
   let ranges = dirty_ranges t in
@@ -201,14 +207,7 @@ let sync t =
             (Storage_error.Io
                (Storage_error.of_unix ~op:Storage_error.Fsync ~path:t.path errno)))
   | Buffered b ->
-      let scratch = Bytes.create t.block_size in
-      List.iter
-        (fun (first, count) ->
-          for blk = first to first + count - 1 do
-            Zcodec.blit_to_bytes b.data (blk * t.block_size) scratch 0 t.block_size;
-            b.file.Vfs.f_pwrite (blk * t.block_size) scratch 0 t.block_size
-          done)
-        ranges;
+      write_back t b ranges;
       b.file.Vfs.f_sync ());
   t.n_msync_ranges <- t.n_msync_ranges + List.length ranges;
   Hashtbl.reset t.dirty
@@ -220,9 +219,12 @@ let willneed t ~block ~count =
     | Mapped m -> willneed_range m.map (block * t.block_size) (count * t.block_size)
     | Buffered _ -> ()
 
-(* Dropping the buffer as well as the descriptor lets the GC unmap the
-   mapping (or free the RAM image) even while the closed handle is
-   still referenced. *)
+(* Close means the same on both backings: every write made so far is
+   handed to the file, none is forced to the platter.  A mapping's
+   stores are in the page cache already; the RAM image writes back its
+   dirty blocks.  Dropping the buffer as well as the descriptor lets the
+   GC unmap the mapping (or free the RAM image) even while the closed
+   handle is still referenced. *)
 let close t =
   if not t.closed then begin
     t.closed <- true;
@@ -231,6 +233,11 @@ let close t =
         m.map <- ba_create 0;
         (try Unix.close m.fd with Unix.Unix_error _ -> ())
     | Buffered b ->
-        b.data <- ba_create 0;
-        b.file.Vfs.f_close ()
+        let ranges = dirty_ranges t in
+        Hashtbl.reset t.dirty;
+        Fun.protect
+          ~finally:(fun () ->
+            b.data <- ba_create 0;
+            b.file.Vfs.f_close ())
+          (fun () -> write_back t b ranges)
   end

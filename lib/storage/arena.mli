@@ -41,7 +41,12 @@ val create :
   mode:[ `Create | `Reopen ] ->
   unit ->
   t
-(** [`Auto] tries [`Map] and falls back to [`Buffered] (over [vfs]) if
+(** [`Create] truncates [path] and sizes it to [initial_blocks] (default
+    64).  [`Reopen] covers the file's whole blocks and leaves the file
+    exactly as it is — a torn trailing partial block is not covered —
+    so a caller can validate what it finds before anything grows it.
+
+    [`Auto] tries [`Map] and falls back to [`Buffered] (over [vfs]) if
     mapping fails; [`Map] raises {!Unavailable} instead of falling back.
     [`Buffered] and the fallback do all I/O through [vfs] (default
     {!Vfs.os}); [`Map] uses the OS directly and ignores [vfs].
@@ -85,5 +90,8 @@ val file_size_bytes : t -> int
 (** Physical capacity of the backing file in bytes. *)
 
 val close : t -> unit
-(** Release the descriptor and the buffer (the mapping is unmapped once
-    collected).  Dirty blocks not yet {!sync}ed are lost.  Idempotent. *)
+(** Hand every write to the file, then release the descriptor and the
+    buffer (the mapping is unmapped once collected).  Nothing is forced
+    to the platter: a mapping's stores are already in the page cache,
+    and [`Buffered] writes back its dirty blocks without an [fsync].
+    Either way the next [`Reopen] sees every write.  Idempotent. *)

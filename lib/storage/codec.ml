@@ -1,5 +1,23 @@
 exception Overflow of string
 
+module type WRITER = sig
+  type t
+
+  val u8 : t -> int -> unit
+  val i32 : t -> int -> unit
+  val i64 : t -> int -> unit
+  val bool : t -> bool -> unit
+end
+
+module type READER = sig
+  type t
+
+  val u8 : t -> int
+  val i32 : t -> int
+  val i64 : t -> int
+  val bool : t -> bool
+end
+
 module Writer = struct
   type t = { buf : bytes; mutable pos : int }
 
@@ -36,18 +54,17 @@ end
    precomputed table.  Pure OCaml; values stay in the native int (the low
    32 bits are the checksum). *)
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 1 to 8 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 1 to 8 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
 let crc32_update crc buf ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length buf then
     invalid_arg "Codec.crc32_update: range outside buffer";
-  let table = Lazy.force crc_table in
+  let table = crc_table in
   let c = ref (crc lxor 0xFFFFFFFF) in
   for i = pos to pos + len - 1 do
     c := table.((!c lxor Bytes.get_uint8 buf i) land 0xff) lxor (!c lsr 8)

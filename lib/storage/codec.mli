@@ -1,22 +1,20 @@
 (** Little-endian binary encoding of page payloads.
 
-    The file-backed page store serialises every page into a fixed-size
-    block.  [Writer] appends primitive values into a sized buffer and
-    [Reader] consumes them back; both raise on overflow so a page whose
-    payload exceeds the configured page size fails loudly instead of
-    corrupting its neighbours. *)
+    One wire format, two buffers: [Writer]/[Reader] here work over
+    [bytes] (snapshots, sidecars, the WAL), and {!Zcodec} works over a
+    mapped arena (page files).  Both satisfy {!WRITER}/{!READER}, so a
+    page layout is written once, as a functor over those signatures,
+    and yields the same bytes on either buffer.  Writers and readers
+    raise on overflow, so a page whose payload exceeds the configured
+    page size fails loudly instead of corrupting its neighbours. *)
 
 exception Overflow of string
 (** Raised when an encoder exceeds the page size or a decoder reads past
     the end of the block. *)
 
-module Writer : sig
+(** Appends primitive values to a bounded buffer. *)
+module type WRITER = sig
   type t
-
-  val create : int -> t
-  (** [create size] is a writer over a zero-filled buffer of [size] bytes. *)
-
-  val pos : t -> int
 
   val u8 : t -> int -> unit
   (** Writes the low 8 bits. *)
@@ -29,6 +27,28 @@ module Writer : sig
   (** Writes a full OCaml native int as 64 bits. *)
 
   val bool : t -> bool -> unit
+end
+
+(** Consumes what a {!WRITER} wrote, in the same order. *)
+module type READER = sig
+  type t
+
+  val u8 : t -> int
+
+  val i32 : t -> int
+  (** Sign-extended from 32 bits. *)
+
+  val i64 : t -> int
+  val bool : t -> bool
+end
+
+module Writer : sig
+  include WRITER
+
+  val create : int -> t
+  (** [create size] is a writer over a zero-filled buffer of [size] bytes. *)
+
+  val pos : t -> int
 
   val contents : t -> bytes
   (** The full fixed-size buffer (trailing bytes are zero). *)
@@ -52,8 +72,11 @@ val crc32_update : int -> bytes -> pos:int -> len:int -> int
 
 val crc32_string : string -> int
 
+val crc_table : int array
+(** The 256-entry table behind {!crc32}, which {!Zcodec.crc32} shares. *)
+
 module Reader : sig
-  type t
+  include READER
 
   val create : ?pos:int -> ?len:int -> bytes -> t
   (** A reader over [len] bytes of the buffer from [pos] (default: all of
@@ -61,8 +84,4 @@ module Reader : sig
       @raise Invalid_argument if the range lies outside the buffer. *)
 
   val pos : t -> int
-  val u8 : t -> int
-  val i32 : t -> int
-  val i64 : t -> int
-  val bool : t -> bool
 end

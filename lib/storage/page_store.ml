@@ -8,15 +8,6 @@ let protect f =
          ~detail:(Printf.sprintf "page %d" (Page_id.to_int page))
          Storage_error.Checksum_mismatch)
 
-(* [install_raw] frames bytes it did not encode, so it enforces the
-   bound an encoder would have hit. *)
-let check_raw_fits ~who ~page_size ~block_overhead ~len =
-  if len < 0 || len > page_size - block_overhead then
-    raise
-      (Codec.Overflow
-         (Printf.sprintf "%s: %d-byte payload does not fit a %d-byte block" who len
-            page_size))
-
 module type S = sig
   type payload
   type t
@@ -31,8 +22,8 @@ module type S = sig
 
   val prefetch : t -> Page_id.t list -> unit
   (** Advisory: hint that these pages are about to be read.  No-op for
-      stores with nothing to warm ({!Mem}, {!File}); {!Mmap} forwards the
-      hint to the kernel.  Never charged as I/O. *)
+      {!Mem}, which has nothing to warm; {!Mmap} forwards the hint to the
+      kernel.  Never charged as I/O. *)
 end
 
 module Mem (P : sig
@@ -92,22 +83,13 @@ struct
     reserve t ~next:(Page_id.to_int id + 1)
 end
 
-module type PAGE_CODEC = sig
-  type t
-
-  val encode : Codec.Writer.t -> t -> unit
-  val decode : Codec.Reader.t -> t
-end
-
 (* Freed page ids are persisted to a small sidecar ([path ^ ".free"],
    CRC-framed, rewritten atomically on every [sync] and on [close]) so a
    reopen does not resurrect pages freed before the restart.  The sidecar
    is a hint, not a ledger: if it is stale (crash after frees but before
    the next sync) or torn, reopen degrades {e conservatively} — some
    freed pages come back as written and [live_pages] overcounts — but a
-   reopen after a clean [sync]/[close] restores liveness exactly.  Shared
-   verbatim by {!File} and {!Mmap}, which therefore stay
-   sidecar-compatible with each other. *)
+   reopen after a clean [sync]/[close] restores liveness exactly. *)
 module Freed_sidecar = struct
   let magic = "PGSTFREE"
   let path_of path = path ^ ".free"
@@ -149,242 +131,14 @@ module Freed_sidecar = struct
     with Sys_error _ | Storage_error.Io _ -> ()
 end
 
-module File (C : PAGE_CODEC) = struct
-  type payload = C.t
-
-  type t = {
-    file : Vfs.file;
-    vfs : Vfs.t;
-    path : string;
-    page_size : int;
-    mutable next_id : int;
-    written : unit Page_id.Tbl.t;
-    freed : unit Page_id.Tbl.t;
-    mutable live : int;
-    stats : Io_stats.t;
-    tracer : Telemetry.Tracer.t;
-  }
-
-  (* Every page block carries its own CRC32 frame so bit-rot anywhere in
-     the file is detected at read time, not silently decoded:
-
-       offset 0        4        8                      page_size
-              | len 4B | crc 4B | payload (len bytes) | padding |
-
-     The CRC covers the payload only; [len] is validated against the block
-     geometry before the checksum runs, so a corrupt length cannot read
-     out of bounds. *)
-  let block_overhead = 8
-
-  (* Block 0 of the file is a CRC-framed header; pages occupy blocks 1..
-     The header lets a reopen verify it is looking at a page file of the
-     expected geometry rather than decoding arbitrary bytes.  Version 2:
-     per-page checksummed blocks. *)
-  let header_magic = "PGSTORE2"
-  let header_payload_bytes = String.length header_magic + 4
-
-  let write_header file ~page_size =
-    let w = Codec.Writer.create page_size in
-    Codec.Writer.i32 w header_payload_bytes;
-    Codec.Writer.i32 w 0 (* crc placeholder *);
-    String.iter (fun ch -> Codec.Writer.u8 w (Char.code ch)) header_magic;
-    Codec.Writer.i32 w page_size;
-    let buf = Codec.Writer.contents w in
-    let crc = Codec.crc32 buf ~pos:8 ~len:header_payload_bytes in
-    Bytes.set_int32_le buf 4 (Int32.of_int crc);
-    file.Vfs.f_pwrite 0 buf 0 (Bytes.length buf)
-
-  let read_header file ~page_size =
-    let buf = Bytes.create page_size in
-    let got = file.Vfs.f_pread 0 buf 0 page_size in
-    if got < page_size then failwith "Page_store.File: truncated header";
-    let rd = Codec.Reader.create buf in
-    let len = Codec.Reader.i32 rd in
-    (* Reader.i32 sign-extends; the CRC is an unsigned 32-bit value. *)
-    let crc = Codec.Reader.i32 rd land 0xFFFFFFFF in
-    if len <> header_payload_bytes then failwith "Page_store.File: bad header length";
-    if Codec.crc32 buf ~pos:8 ~len <> crc then
-      failwith "Page_store.File: header checksum mismatch";
-    let magic = String.init (String.length header_magic) (fun _ -> Char.chr (Codec.Reader.u8 rd)) in
-    if magic <> header_magic then failwith "Page_store.File: bad header magic";
-    let stored = Codec.Reader.i32 rd in
-    if stored <> page_size then
-      failwith
-        (Printf.sprintf "Page_store.File: page size mismatch (file has %d, asked for %d)"
-           stored page_size)
-
-  let create ?(stats = Io_stats.create ()) ?(page_size = 4096) ?(mode = `Create)
-      ?(vfs = Vfs.os) ?(tracer = Telemetry.Tracer.noop) ~path () =
-    if page_size < 32 + block_overhead then invalid_arg "Page_store.File: page_size too small";
-    match mode with
-    | `Create ->
-        let file = vfs.Vfs.v_open `Create path in
-        write_header file ~page_size;
-        Freed_sidecar.remove ~vfs ~path;
-        { file; vfs; path; page_size; next_id = 0; written = Page_id.Tbl.create 1024;
-          freed = Page_id.Tbl.create 64; live = 0; stats; tracer }
-    | `Reopen ->
-        let file = vfs.Vfs.v_open `Reopen path in
-        (try read_header file ~page_size
-         with e ->
-           file.Vfs.f_close ();
-           raise e);
-        let len = file.Vfs.f_size () in
-        (* Only complete page blocks count; a torn trailing page is ignored
-           (its id will be rewritten by the recovery replay). *)
-        let next_id = max 0 ((len / page_size) - 1) in
-        let freed = Freed_sidecar.load ~vfs ~path in
-        (* Ids at or past next_id cannot be in the file; drop them so the
-           sidecar of a longer previous incarnation cannot mask new pages. *)
-        Page_id.Tbl.fold
-          (fun id () acc -> if Page_id.to_int id >= next_id then id :: acc else acc)
-          freed []
-        |> List.iter (Page_id.Tbl.remove freed);
-        let written = Page_id.Tbl.create 1024 in
-        for i = 0 to next_id - 1 do
-          let id = Page_id.of_int i in
-          if not (Page_id.Tbl.mem freed id) then Page_id.Tbl.replace written id ()
-        done;
-        { file; vfs; path; page_size; next_id; written; freed;
-          live = Page_id.Tbl.length written; stats; tracer }
-
-  let stats t = t.stats
-  let page_size t = t.page_size
-
-  (* As in {!Mem}: ids are never reused. *)
-  let alloc t =
-    Io_stats.record_alloc t.stats;
-    t.live <- t.live + 1;
-    let id = Page_id.of_int t.next_id in
-    t.next_id <- t.next_id + 1;
-    id
-
-  let offset t id = (1 + Page_id.to_int id) * t.page_size
-
-  let read_block t id =
-    let buf = Bytes.create t.page_size in
-    let got = t.file.Vfs.f_pread (offset t id) buf 0 t.page_size in
-    if got < t.page_size then
-      (* The file ends inside this page: data loss, not a transient
-         glitch — retrying the read cannot grow the file. *)
-      Storage_error.raise_io ~op:Storage_error.Pread ~path:t.path ~transient:false
-        (Storage_error.Short_read { expected = t.page_size; got });
-    buf
-
-  let write_block t id buf =
-    if Bytes.length buf <> t.page_size then
-      invalid_arg "Page_store.File: write_block needs exactly one page";
-    t.file.Vfs.f_pwrite (offset t id) buf 0 t.page_size
-
-  let check_block t buf =
-    let len = Int32.to_int (Bytes.get_int32_le buf 0) in
-    if len < 0 || len > t.page_size - block_overhead then false
-    else begin
-      let crc = Int32.to_int (Bytes.get_int32_le buf 4) land 0xFFFFFFFF in
-      Codec.crc32 buf ~pos:block_overhead ~len = crc
-    end
-
-  let page_attr id () = [ ("page", Telemetry.Tracer.Int (Page_id.to_int id)) ]
-
-  (* One charged page read: the block, CRC-checked, and its payload
-     length. *)
-  let read_checked t id =
-    if not (Page_id.Tbl.mem t.written id) then raise Not_found;
-    Telemetry.Tracer.with_span t.tracer ~level:`Debug "page.read" ~attrs:(page_attr id) @@ fun () ->
-    Io_stats.record_read t.stats;
-    let buf = read_block t id in
-    if not (check_block t buf) then begin
-      Io_stats.record_crc_failure t.stats;
-      raise (Corrupt_page { path = t.path; page = id })
-    end;
-    (buf, Int32.to_int (Bytes.get_int32_le buf 0))
-
-  let read t id =
-    let buf, len = read_checked t id in
-    C.decode (Codec.Reader.create ~pos:block_overhead ~len buf)
-
-  let read_payload t id =
-    let buf, len = read_checked t id in
-    Bytes.sub buf block_overhead len
-
-  (* One charged page write: [fill] returns a whole block with the
-     payload after the frame, and the payload's length. *)
-  let write_framed t id fill =
-    Telemetry.Tracer.with_span t.tracer ~level:`Debug "page.write" ~attrs:(page_attr id) @@ fun () ->
-    Io_stats.record_write t.stats;
-    let buf, len = fill () in
-    Bytes.set_int32_le buf 0 (Int32.of_int len);
-    (* Unsigned 32-bit CRC: splice raw rather than through Writer.i32. *)
-    Bytes.set_int32_le buf 4 (Int32.of_int (Codec.crc32 buf ~pos:block_overhead ~len));
-    t.file.Vfs.f_pwrite (offset t id) buf 0 t.page_size;
-    Page_id.Tbl.remove t.freed id;
-    Page_id.Tbl.replace t.written id ()
-
-  let write t id payload =
-    write_framed t id @@ fun () ->
-    let w = Codec.Writer.create t.page_size in
-    Codec.Writer.i32 w 0 (* len placeholder *);
-    Codec.Writer.i32 w 0 (* crc placeholder *);
-    C.encode w payload;
-    (Codec.Writer.contents w, Codec.Writer.pos w - block_overhead)
-
-  let verify t id =
-    if not (Page_id.Tbl.mem t.written id) then raise Not_found;
-    let ok = check_block t (read_block t id) in
-    if not ok then Io_stats.record_crc_failure t.stats;
-    ok
-
-  let free t id =
-    Io_stats.record_free t.stats;
-    Page_id.Tbl.remove t.written id;
-    Page_id.Tbl.replace t.freed id ();
-    t.live <- t.live - 1
-
-  let mem t id = Page_id.Tbl.mem t.written id
-  let live_pages t = t.live
-
-  let written_ids t =
-    Page_id.Tbl.fold (fun id () acc -> id :: acc) t.written []
-    |> List.sort (fun a b -> compare (Page_id.to_int a) (Page_id.to_int b))
-
-  let sync t =
-    Telemetry.Tracer.with_span t.tracer ~level:`Debug "page.sync" @@ fun () ->
-    Io_stats.record_sync t.stats;
-    t.file.Vfs.f_sync ();
-    Freed_sidecar.save ~vfs:t.vfs ~path:t.path t.freed
-
-  let close t =
-    (try Freed_sidecar.save ~vfs:t.vfs ~path:t.path t.freed with _ -> ());
-    t.file.Vfs.f_close ()
-
-  let file_size_bytes t = (1 + t.next_id) * t.page_size
-  let prefetch _ _ = ()
-
-  (* Install an encoded page under an explicit id — building a page file
-     from a snapshot.  Unlike {!Mem.install} the physical write is real
-     and charged; what is skipped is the alloc (the id was allocated in a
-     previous life and must stay fixed). *)
-  let install_raw t id src ~pos ~len =
-    check_raw_fits ~who:"Page_store.File.install_raw" ~page_size:t.page_size
-      ~block_overhead ~len;
-    let fresh = not (Page_id.Tbl.mem t.written id) in
-    write_framed t id (fun () ->
-        (* Zero padding, as a fresh [Codec.Writer] block has. *)
-        let buf = Bytes.make t.page_size '\000' in
-        Bytes.blit src pos buf block_overhead len;
-        (buf, len));
-    if fresh then t.live <- t.live + 1;
-    if Page_id.to_int id + 1 > t.next_id then t.next_id <- Page_id.to_int id + 1
-end
-
-module type ZPAGE_CODEC = sig
+module type PAGE_CODEC = sig
   type t
 
   val encode : Zcodec.Writer.t -> t -> unit
   val decode : Zcodec.Reader.t -> t
 end
 
-module Mmap (C : ZPAGE_CODEC) = struct
+module Mmap (C : PAGE_CODEC) = struct
   type payload = C.t
 
   type t = {
@@ -401,20 +155,20 @@ module Mmap (C : ZPAGE_CODEC) = struct
     tracer : Telemetry.Tracer.t;
   }
 
-  (* Byte layout is {!File}'s, block for block — header in block 0, page
-     [id] in block [1 + id], each page framed [len][crc32][payload] — so
-     the scrub/repair machinery and the corruption tests see the same
-     geometry on both.  Two deliberate differences:
+  (* Block 0 of the file is a CRC-framed header; page [id] occupies
+     block [1 + id], framed so bit-rot anywhere in the file is detected
+     at read time, not silently decoded:
 
-     - the arena grows by doubling, so the file's physical length runs
-       ahead of the used prefix; [next_id] therefore cannot be derived
-       from the file length as {!File} does and is carried in the header
-       instead, rewritten on every {!sync} ({e after} the data ranges are
-       flushed — a crash between the two leaves the old header pointing
-       at the old, fully-flushed prefix);
-     - the header magic differs ("PGSTORM1" vs "PGSTORE2") precisely so a
-       [File] reopen cannot mistake an arena file's length for its page
-       count. *)
+       offset 0        4        8                      page_size
+              | len 4B | crc 4B | payload (len bytes) | padding |
+
+     The CRC covers the payload only; [len] is validated against the block
+     geometry before the checksum runs, so a corrupt length cannot read
+     out of bounds.  The arena grows by doubling, so the file's physical
+     length runs ahead of the used prefix; the header therefore carries
+     the committed page count, rewritten on every {!sync} ({e after} the
+     data ranges are flushed — a crash between the two leaves the old
+     header pointing at the old, fully-flushed prefix). *)
   let block_overhead = 8
   let header_magic = "PGSTORM1"
   let header_payload_bytes = String.length header_magic + 4 + 8
@@ -456,11 +210,9 @@ module Mmap (C : ZPAGE_CODEC) = struct
       ?(vfs = Vfs.os) ?(tracer = Telemetry.Tracer.noop) ?(backing = `Auto) ~path () =
     if page_size < 32 + block_overhead then
       invalid_arg "Page_store.Mmap: page_size too small";
-    let arena =
-      Arena.create ~vfs ~backing ~block_size:page_size ~path
-        ~mode:(match mode with `Create -> `Create | `Reopen -> `Reopen)
-        ()
-    in
+    (* A reopen maps the file as it is, so a foreign or mismatched file is
+       rejected below before anything can extend it. *)
+    let arena = Arena.create ~vfs ~backing ~block_size:page_size ~path ~mode () in
     match mode with
     | `Create ->
         let t =
@@ -650,10 +402,18 @@ module Mmap (C : ZPAGE_CODEC) = struct
   let file_size_bytes t = (1 + t.next_id) * t.page_size
   let mapped_capacity_bytes t = Arena.file_size_bytes t.arena
 
-  (* See {!File.install_raw}. *)
+  (* Install an encoded page under an explicit id — building a page file
+     from a snapshot.  Unlike {!Mem.install} the physical write is real
+     and charged; what is skipped is the alloc (the id was allocated in a
+     previous life and must stay fixed).  The bytes were not encoded
+     here, so the bound an encoder would have hit is enforced. *)
   let install_raw t id src ~pos ~len =
-    check_raw_fits ~who:"Page_store.Mmap.install_raw" ~page_size:t.page_size
-      ~block_overhead ~len;
+    if len < 0 || len > t.page_size - block_overhead then
+      raise
+        (Codec.Overflow
+           (Printf.sprintf
+              "Page_store.Mmap.install_raw: %d-byte payload does not fit a %d-byte block"
+              len t.page_size));
     let fresh = not (Page_id.Tbl.mem t.written id) in
     write_framed t id (fun buf off ->
         Zcodec.blit_of_bytes src pos buf off len;

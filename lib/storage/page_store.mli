@@ -6,15 +6,14 @@
     - {!Mem} keeps payloads in memory — fast, used by tests and benchmarks;
       physical I/O is still charged to {!Io_stats} so experiments measure
       the same quantity the paper does.
-    - {!File} serialises each page through a {!PAGE_CODEC} into a fixed-size
-      block of a real file (through a {!Vfs.t}), proving the structures are
-      genuinely disk-resident.  Every block carries a CRC32 over its
-      payload, verified on every read, so bit-rot is detected loudly
-      ({!Corrupt_page}) instead of being decoded into garbage.
-    - {!Mmap} keeps {!File}'s block geometry but maps the file into an
-      {!Arena} and codecs pages in place through {!Zcodec} — no
-      [read]/[write] syscalls, no intermediate [bytes].  See
-      {!Store_kind} for when to pick which.
+    - {!Mmap} keeps each page in a fixed-size block of one page file,
+      proving the structures are genuinely disk-resident.  The file is an
+      {!Arena} — mapped, or a buffered image where mapping is unavailable
+      — and pages are encoded and decoded in place through a
+      {!PAGE_CODEC} over {!Zcodec}, with no intermediate [bytes].  Every
+      block carries a CRC32 over its payload, verified on every read, so
+      bit-rot is detected loudly ({!Corrupt_page}) instead of being
+      decoded into garbage.
 
     Stores are deliberately dumb: no caching.  Layer {!Buffer_pool} on top
     for buffering. *)
@@ -60,8 +59,8 @@ module type S = sig
   val prefetch : t -> Page_id.t list -> unit
   (** Advisory: hint that these pages are about to be read (a buffer pool
       batches the root-to-leaf descent path through this).  No-op for
-      stores with nothing to warm ({!Mem}, {!File}); {!Mmap} forwards the
-      hint to the kernel via [posix_madvise].  Never charged as I/O. *)
+      {!Mem}, which has nothing to warm; {!Mmap} forwards the hint to the
+      kernel via [posix_madvise].  Never charged as I/O. *)
 end
 
 module Mem (P : sig
@@ -88,13 +87,13 @@ end
 module type PAGE_CODEC = sig
   type t
 
-  val encode : Codec.Writer.t -> t -> unit
+  val encode : Zcodec.Writer.t -> t -> unit
   (** @raise Codec.Overflow if the payload exceeds the page size. *)
 
-  val decode : Codec.Reader.t -> t
+  val decode : Zcodec.Reader.t -> t
 end
 
-module File (C : PAGE_CODEC) : sig
+module Mmap (C : PAGE_CODEC) : sig
   include S with type payload = C.t
 
   val block_overhead : int
@@ -107,118 +106,39 @@ module File (C : PAGE_CODEC) : sig
     ?mode:[ `Create | `Reopen ] ->
     ?vfs:Vfs.t ->
     ?tracer:Telemetry.Tracer.t ->
-    path:string ->
-    unit ->
-    t
-  (** Every page occupies one fixed-size block of [page_size] bytes
-      (default 4096, the paper's setting); block 0 holds a CRC32-framed
-      header recording the geometry, and each page block is framed as
-      [len][crc32][payload].
-
-      With [`Create] (the default) the file is created or truncated.  With
-      [`Reopen] an existing page file is opened in place: the header is
-      validated against [page_size], [next_id] is rebuilt from the file
-      length (a torn trailing page is ignored), and the written set is
-      every complete block minus the freed ids persisted in the
-      [path ^ ".free"] sidecar ({!sync}/{!close} rewrite it atomically).
-      If the sidecar is stale or torn the reopen degrades conservatively:
-      pages freed after the last sync resurrect and {!live_pages}
-      overcounts; after a clean {!sync} or {!close} liveness is exact.
-
-      All I/O goes through [vfs] (default {!Vfs.os}).  When [tracer]
-      (default {!Telemetry.Tracer.noop}) is enabled, each {!read},
-      {!write} and {!sync} emits a [page.read]/[page.write]/[page.sync]
-      span carrying the page id.
-      @raise Failure on a missing, foreign, or geometry-mismatched file
-      under [`Reopen]. *)
-
-  val page_size : t -> int
-
-  val verify : t -> Page_id.t -> bool
-  (** Check the stored CRC of a written page without decoding it.  [false]
-      (a corrupt block) is also counted in {!Io_stats.crc_failures}.
-      @raise Not_found if the page was never written or was freed. *)
-
-  val read_block : t -> Page_id.t -> bytes
-  (** The raw [page_size]-byte block of a page, frame included — scrub and
-      explorer plumbing. *)
-
-  val write_block : t -> Page_id.t -> bytes -> unit
-  (** Overwrite a page's raw block verbatim (must be exactly [page_size]
-      bytes).  Bypasses the codec {e and the CRC framing} — the caller is
-      responsible for the frame's integrity.  Scrub/repair and
-      fault-injection plumbing; not charged as a logical write. *)
-
-  val written_ids : t -> Page_id.t list
-  (** Every currently written (allocated, not freed) page id, ascending. *)
-
-  val sync : t -> unit
-  (** [fsync] the backing file — every completed {!write} is on the
-      platter when this returns — then persist the freed-id sidecar.
-      Charged to {!Io_stats.syncs}. *)
-
-  val close : t -> unit
-  (** Persist the freed-id sidecar (best-effort) and release the file. *)
-
-  val file_size_bytes : t -> int
-  (** Includes the header block: [(1 + next_id) * page_size]. *)
-
-  val install_raw : t -> Page_id.t -> bytes -> pos:int -> len:int -> unit
-  (** Install an already-encoded page under an explicit id, moving the
-      alloc cursor past it — building a page file from a snapshot.  The
-      [len] bytes of the buffer from [pos] are framed as
-      [len][crc32][payload], the very block {!write} produces for the
-      page they encode.  Unlike {!Mem.install} the physical write is real
-      and charged as one write; only the alloc is skipped (the id is
-      fixed by its previous life).
-      @raise Codec.Overflow if the payload does not fit a block. *)
-
-  val read_payload : t -> Page_id.t -> bytes
-  (** A page's payload as the codec encoded it, CRC-checked but not
-      decoded.  Charged as one read, like {!read}.
-      @raise Corrupt_page on a checksum mismatch.
-      @raise Not_found if the page was never written or was freed. *)
-end
-
-module type ZPAGE_CODEC = sig
-  type t
-
-  val encode : Zcodec.Writer.t -> t -> unit
-  (** @raise Codec.Overflow if the payload exceeds the page size. *)
-
-  val decode : Zcodec.Reader.t -> t
-end
-
-module Mmap (C : ZPAGE_CODEC) : sig
-  include S with type payload = C.t
-
-  val block_overhead : int
-  (** Same frame as {!File.block_overhead}: [len] + [crc], 8 bytes. *)
-
-  val create :
-    ?stats:Io_stats.t ->
-    ?page_size:int ->
-    ?mode:[ `Create | `Reopen ] ->
-    ?vfs:Vfs.t ->
-    ?tracer:Telemetry.Tracer.t ->
     ?backing:[ `Auto | `Map | `Buffered ] ->
     path:string ->
     unit ->
     t
-  (** Block-for-block the layout of {!File} — header in block 0, page
-      [id] in block [1 + id], each block CRC32-framed — but the file is
-      memory-mapped (an {!Arena}) and pages are encoded/decoded in place
-      through the {!ZPAGE_CODEC}.  Because the arena grows by doubling,
+  (** Every page occupies one fixed-size block of [page_size] bytes
+      (default 4096, the paper's setting): block 0 holds a CRC32-framed
+      header recording the geometry and the committed page count, and
+      page [id] occupies block [1 + id], framed as [len][crc32][payload].
+      The file is an {!Arena}, so pages are encoded/decoded in place
+      through the {!PAGE_CODEC}.  Because the arena grows by doubling,
       the physical file length runs ahead of the used prefix; the header
       therefore carries the {e committed} page count, rewritten (and
       flushed separately, after the data ranges) on every {!sync}.
+
+      With [`Create] (the default) the file is created or truncated.  With
+      [`Reopen] an existing page file is opened in place: the header is
+      validated against [page_size] before anything can write to the
+      file, so a rejected reopen leaves it byte-identical.  The written
+      set is every committed id minus the freed ids persisted in the
+      [path ^ ".free"] sidecar ({!sync}/{!close} rewrite it atomically).
+      If the sidecar is stale or torn the reopen degrades conservatively:
+      pages freed after the last sync resurrect and {!live_pages}
+      overcounts; after a clean {!sync} or {!close} liveness is exact.
 
       [backing] selects the arena flavour (default [`Auto]: real
       [map_file], falling back to a RAM buffer flushed through [vfs]
       where mapping is unavailable — see {!Arena.create}).  Each logical
       read/write is charged to [stats] as a [read]/[write] {e plus} a
       [mapped_read]/[mapped_write], so cost-model totals stay comparable
-      across backends while the zero-copy share stays visible.
+      with {!Mem} while the zero-copy share stays visible.  When [tracer]
+      (default {!Telemetry.Tracer.noop}) is enabled, each {!read},
+      {!write} and {!sync} emits a [page.read]/[page.write]/[page.sync]
+      span carrying the page id.
 
       @raise Failure on a missing, foreign, or geometry-mismatched file
       under [`Reopen].
@@ -237,7 +157,7 @@ module Mmap (C : ZPAGE_CODEC) : sig
 
   val read_block : t -> Page_id.t -> bytes
   (** Copy of the raw [page_size]-byte block, frame included — scrub and
-      explorer plumbing (the one place the mmap store does copy). *)
+      explorer plumbing. *)
 
   val write_block : t -> Page_id.t -> bytes -> unit
   (** Overwrite a page's raw block verbatim and mark it dirty.  Bypasses
@@ -245,6 +165,7 @@ module Mmap (C : ZPAGE_CODEC) : sig
       plumbing, not charged as a logical write. *)
 
   val written_ids : t -> Page_id.t list
+  (** Every currently written (allocated, not freed) page id, ascending. *)
 
   val sync : t -> unit
   (** Flush dirty data ranges ([msync] per coalesced range), then commit
@@ -254,10 +175,14 @@ module Mmap (C : ZPAGE_CODEC) : sig
       count lands in {!Io_stats.msyncs}. *)
 
   val close : t -> unit
+  (** Persist the freed-id sidecar (best-effort) and release the file.
+      Writes made since the last {!sync} reach the file (not necessarily
+      the platter) on either backing, so the next [`Reopen] reads them.
+      The committed page count is {!sync}'s alone: ids allocated since
+      then are not part of the reopened store. *)
 
   val file_size_bytes : t -> int
-  (** The used prefix, [(1 + next_id) * page_size] — comparable with
-      {!File.file_size_bytes} as the space metric. *)
+  (** The used prefix, [(1 + next_id) * page_size] — the space metric. *)
 
   val mapped_capacity_bytes : t -> int
   (** Physical capacity of the arena file (runs ahead of
@@ -267,8 +192,19 @@ module Mmap (C : ZPAGE_CODEC) : sig
   (** Times growth re-established the mapping. *)
 
   val install_raw : t -> Page_id.t -> bytes -> pos:int -> len:int -> unit
-  (** See {!File.install_raw}; the payload is copied into the mapping. *)
+  (** Install an already-encoded page under an explicit id, moving the
+      alloc cursor past it — building a page file from a snapshot.  The
+      [len] bytes of the buffer from [pos] are copied into the block and
+      framed as [len][crc32][payload], the very block {!write} produces
+      for the page they encode.  Unlike {!Mem.install} the physical
+      write is real and charged as one write; only the alloc is skipped
+      (the id is fixed by its previous life).
+      @raise Codec.Overflow if the payload does not fit a block. *)
 
   val read_payload : t -> Page_id.t -> bytes
-  (** See {!File.read_payload}; the one copy out of the mapping. *)
+  (** A page's payload as the codec encoded it, CRC-checked but not
+      decoded, copied out of the block.  Charged as one read, like
+      {!read}.
+      @raise Corrupt_page on a checksum mismatch.
+      @raise Not_found if the page was never written or was freed. *)
 end

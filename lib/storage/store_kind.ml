@@ -1,12 +1,11 @@
-type t = Memory | File | Mmap
+type t = Memory | Mmap
 
-let to_string = function Memory -> "memory" | File -> "file" | Mmap -> "mmap"
+let to_string = function Memory -> "memory" | Mmap -> "mmap"
 
 let of_string = function
   | "memory" | "mem" -> Some Memory
-  | "file" -> Some File
-  | "mmap" -> Some Mmap
+  | "mmap" | "file" -> Some Mmap
   | _ -> None
 
-let all = [ Memory; File; Mmap ]
+let all = [ Memory; Mmap ]
 let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -1,10 +1,10 @@
 (** The virtual file system all disk writers go through.
 
-    Every durable artifact in this code base — the WAL, {!Page_store.File}
-    page files and their free-list sidecars, the MVSBT and warehouse meta
-    sidecars, checkpoint snapshots, and the checkpoint pointer — performs
-    its byte-level I/O through a {!t}.  Three implementations share the
-    interface:
+    Every durable artifact in this code base — the WAL, {!Page_store.Mmap}
+    page files (on their buffered backing) and their free-list sidecars,
+    the MVSBT and warehouse meta sidecars, checkpoint snapshots, and the
+    checkpoint pointer — performs its byte-level I/O through a {!t}.
+    Three implementations share the interface:
 
     - {!os} is the real thing (Unix file descriptors, [fsync], atomic
       [rename]);

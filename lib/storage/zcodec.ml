@@ -45,22 +45,11 @@ let set_i64 (b : buf) i v =
   set_i32 b i (v land 0xFFFFFFFF);
   set_i32 b (i + 4) ((v asr 32) land 0xFFFFFFFF)
 
-(* CRC-32 (IEEE 802.3), same table as {!Codec} — recomputed here rather
-   than exported from Codec so neither module grows a dependency on the
-   other's internals; the known-answer tests pin them equal. *)
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 1 to 8 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
-
+(* CRC-32 (IEEE 802.3) over {!Codec}'s table. *)
 let crc32 (b : buf) ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bigarray.Array1.dim b then
     invalid_arg "Zcodec.crc32: range outside buffer";
-  let table = Lazy.force crc_table in
+  let table = Codec.crc_table in
   let c = ref 0xFFFFFFFF in
   for i = pos to pos + len - 1 do
     c := table.((!c lxor get_u8 b i) land 0xff) lxor (!c lsr 8)

@@ -7,10 +7,10 @@
     MVSBT node fields are decoded from and encoded into the mapped page
     {e in place}.
 
-    Byte-for-byte compatibility with {!Codec} is load-bearing: a page
-    written through a {!Writer} here must be readable by
-    [Codec.Reader] (and vice versa), and {!crc32} must agree with
-    [Codec.crc32] on equal contents.  [test_storage] pins both. *)
+    {!Writer} and {!Reader} satisfy {!Codec.WRITER}/{!Codec.READER}, so
+    a layout written as a functor over those signatures produces the
+    same bytes here as over [Codec]'s buffers, and {!crc32} agrees with
+    [Codec.crc32] on equal contents.  [test_arena] pins both. *)
 
 type buf = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -33,28 +33,20 @@ module Writer : sig
   (** Writes directly into a slice of the mapped region; [Overflow] on
       running past the slice, mirroring [Codec.Writer]. *)
 
-  type t
+  include Codec.WRITER
 
   val create : buf -> off:int -> len:int -> t
   (** Writer over [len] bytes of [buf] starting at absolute offset [off].
       Positions reported by {!pos} are relative to [off]. *)
 
   val pos : t -> int
-  val u8 : t -> int -> unit
-  val i32 : t -> int -> unit
-  val i64 : t -> int -> unit
-  val bool : t -> bool -> unit
 end
 
 module Reader : sig
   (** Reads directly out of a slice of the mapped region. *)
 
-  type t
+  include Codec.READER
 
   val create : buf -> off:int -> len:int -> t
   val pos : t -> int
-  val u8 : t -> int
-  val i32 : t -> int
-  val i64 : t -> int
-  val bool : t -> bool
 end

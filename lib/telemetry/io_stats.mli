@@ -15,8 +15,8 @@
     charges:
     - [reads], [writes] — physical page transfers;
     - [frees] — page disposals (section 4.2.3): handing a page back is
-      charged as one I/O by the paper's accounting even though the file
-      store defers the free-list write to the next sync.
+      charged as one I/O by the paper's accounting even though the
+      page-file store defers the free-list write to the next sync.
 
     {e Events} — bookkeeping with no per-increment transfer of their own:
     - [allocs] — page-id allocation; the first write pays the I/O;
@@ -89,8 +89,9 @@ val mapped_reads : t -> int
 (** Event — page reads served by decoding straight out of a memory
     mapping ([Mmap] stores).  Each is {e also} charged as a [read] — the
     logical page transfer the cost model and the Theorem-1/2 bound
-    checker count — so mapped stores stay comparable with file stores;
-    this counter isolates how many of those transfers were zero-copy. *)
+    checker count — so mapped stores stay comparable with the in-memory
+    store; this counter isolates how many of those transfers were
+    zero-copy. *)
 
 val mapped_writes : t -> int
 (** Event — page writes encoded straight into a memory mapping.  Each is

@@ -1,7 +1,8 @@
 (* Storage-engine tests: Zcodec/Codec byte equivalence, the mmap arena
    (both backings), the Mmap page store, cross-backend engine
-   equivalence (Memory/File/Mmap answer and checkpoint identically), and
-   the crash matrices over an mmap-backed working set. *)
+   equivalence (Memory/Mmap answer and checkpoint identically), scrub
+   round trips, and the crash matrices over an mmap-backed working
+   set. *)
 
 module Zc = Storage.Zcodec
 module A = Storage.Arena
@@ -128,9 +129,8 @@ let test_arena_mapped () =
 
 let test_arena_buffered_torn_tail () =
   (* A crash can leave the file with a torn trailing partial block.
-     Buffered reopen must drop the tail (as Page_store.File drops a torn
-     trailing page) rather than fail pulling more bytes than the
-     rounded-down buffer holds. *)
+     Buffered reopen must drop the tail rather than fail pulling more
+     bytes than the rounded-down buffer holds. *)
   let fs = M.create () in
   let vfs = M.vfs fs in
   let a =
@@ -157,6 +157,31 @@ let test_arena_buffered_torn_tail () =
   done;
   A.close a2
 
+(* Close hands every write to the file on both backings, without a sync:
+   the mapping's stores are in the page cache already, and the buffered
+   image writes back its dirty blocks. *)
+let arena_close_keeps_writes ~backing ~vfs ~path () =
+  let a = A.create ~initial_blocks:4 ?vfs ~backing ~block_size:64 ~path ~mode:`Create () in
+  for b = 0 to 3 do
+    fill_block a ~block:b ~seed:5
+  done;
+  A.sync a;
+  fill_block a ~block:2 ~seed:99;
+  A.close a;
+  let a2 = A.create ?vfs ~backing ~block_size:64 ~path ~mode:`Reopen () in
+  check_block a2 ~block:1 ~seed:5;
+  check_block a2 ~block:2 ~seed:99;
+  A.close a2
+
+let test_arena_close_keeps_writes_buffered () =
+  let fs = M.create () in
+  arena_close_keeps_writes ~backing:`Buffered ~vfs:(Some (M.vfs fs)) ~path:"arena" ()
+
+let test_arena_close_keeps_writes_mapped () =
+  let path = Filename.temp_file "rta-test-arena" "" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () -> arena_close_keeps_writes ~backing:`Auto ~vfs:None ~path ()
+
 (* --- Mmap page store ---------------------------------------------------------- *)
 
 module Int_list_codec = struct
@@ -175,7 +200,11 @@ module MStore = Storage.Page_store.Mmap (Int_list_codec)
 
 let store_lifecycle ~backing ~vfs ~path () =
   let stats = Storage.Io_stats.create () in
-  let mk mode = MStore.create ~stats ~page_size:128 ~mode ?vfs ~backing ~path () in
+  let mk ?(page_size = 128) mode =
+    MStore.create ~stats ~page_size ~mode ?vfs ~backing ~path ()
+  in
+  let fs = Option.value vfs ~default:Storage.Vfs.os in
+  let file_bytes () = Storage.Vfs.read_file fs path in
   let s = mk `Create in
   let payload i = [ i; i * i; -i ] in
   let ids =
@@ -189,6 +218,8 @@ let store_lifecycle ~backing ~vfs ~path () =
       Alcotest.(check (list int)) "round trip" (payload i) (MStore.read s id);
       Alcotest.(check bool) "crc verifies" true (MStore.verify s id))
     ids;
+  Alcotest.(check int) "used prefix (header + 10 pages)" (11 * 128)
+    (MStore.file_size_bytes s);
   (* mapped accesses are charged both as I/O and as mapped ops *)
   Alcotest.(check bool) "mapped reads counted" true
     (Storage.Io_stats.mapped_reads stats >= 10);
@@ -198,6 +229,7 @@ let store_lifecycle ~backing ~vfs ~path () =
   let freed = List.nth ids 3 in
   MStore.free s freed;
   Alcotest.(check bool) "freed page gone" false (MStore.mem s freed);
+  Alcotest.check_raises "read freed" Not_found (fun () -> ignore (MStore.read s freed));
   let victim = List.nth ids 5 in
   let block = MStore.read_block s victim in
   (* byte 12 sits inside the CRC-covered payload (the frame is 8 bytes) *)
@@ -209,9 +241,11 @@ let store_lifecycle ~backing ~vfs ~path () =
   | _ -> Alcotest.fail "corrupt page decoded");
   MStore.sync s;
   Alcotest.(check bool) "msync ranges recorded" true (Storage.Io_stats.msyncs stats >= 1);
+  Alcotest.(check int) "sync counted" 1 (Storage.Io_stats.syncs stats);
   MStore.close s;
   (* reopen: committed pages survive, the freed id stays freed *)
   let s2 = mk `Reopen in
+  Alcotest.(check int) "live after reopen" 9 (MStore.live_pages s2);
   Alcotest.(check bool) "freed survives reopen" false (MStore.mem s2 freed);
   List.iteri
     (fun i id ->
@@ -219,11 +253,45 @@ let store_lifecycle ~backing ~vfs ~path () =
         Alcotest.(check (list int)) "reopen round trip" (payload i) (MStore.read s2 id))
     ids;
   Alcotest.(check bool) "corruption survives reopen" false (MStore.verify s2 victim);
-  (* a fresh alloc never reuses a retired id *)
+  (* ids continue past the committed ones; a retired id is never reused *)
   let fresh = MStore.alloc s2 in
-  Alcotest.(check bool) "ids never recycled" true
-    (List.for_all (fun id -> id <> fresh) ids);
-  MStore.close s2
+  Alcotest.(check int) "ids continue" 10 (Storage.Page_id.to_int fresh);
+  MStore.write s2 fresh (payload 10);
+  Alcotest.(check (list int)) "write after reopen" (payload 10) (MStore.read s2 fresh);
+  MStore.sync s2;
+  (* after the last sync: overwrite a page in place and free another;
+     close alone must carry both to the next reopen *)
+  let first = List.nth ids 0 and second = List.nth ids 1 in
+  MStore.write s2 first [ 42 ];
+  MStore.free s2 second;
+  MStore.close s2;
+  let s3 = mk `Reopen in
+  Alcotest.(check (list int)) "close kept the overwrite" [ 42 ] (MStore.read s3 first);
+  Alcotest.(check bool) "close persisted the free" false (MStore.mem s3 second);
+  Alcotest.(check int) "live after second reopen" 9 (MStore.live_pages s3);
+  MStore.close s3;
+  (* a torn freed-id sidecar degrades to conservative liveness: every
+     committed id counts as written *)
+  let sidecar = fs.Storage.Vfs.v_open `Create (path ^ ".free") in
+  sidecar.Storage.Vfs.f_pwrite 0 (Bytes.of_string "garbage") 0 7;
+  sidecar.Storage.Vfs.f_close ();
+  let s4 = mk `Reopen in
+  Alcotest.(check int) "torn sidecar: conservative liveness" 11 (MStore.live_pages s4);
+  MStore.close s4;
+  (* a reopen that rejects the file leaves it byte-identical *)
+  let rejected what f =
+    let before = file_bytes () in
+    (match f () with
+    | exception Failure _ -> ()
+    | s -> MStore.close s; Alcotest.failf "%s: reopened" what);
+    Alcotest.(check bytes) (what ^ ": file untouched") before (file_bytes ())
+  in
+  rejected "page size mismatch" (fun () -> mk ~page_size:256 `Reopen);
+  let foreign = fs.Storage.Vfs.v_open `Create path in
+  let junk = Bytes.of_string "this is not a page file at all" in
+  foreign.Storage.Vfs.f_pwrite 0 junk 0 (Bytes.length junk);
+  foreign.Storage.Vfs.f_close ();
+  rejected "foreign file" (fun () -> mk `Reopen)
 
 let test_mmap_store_buffered () =
   let fs = M.create () in
@@ -279,56 +347,6 @@ let rm_tree dir =
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Sys.rmdir dir
 
-module Int_list_bytes_codec = struct
-  type t = int list
-
-  let encode w v =
-    Storage.Codec.Writer.i32 w (List.length v);
-    List.iter (Storage.Codec.Writer.i64 w) v
-
-  let decode r =
-    let n = Storage.Codec.Reader.i32 r in
-    List.init n (fun _ -> Storage.Codec.Reader.i64 r)
-end
-
-module FStore = Storage.Page_store.File (Int_list_bytes_codec)
-
-(* The operations the raw-frame checks need, over either disk store. *)
-type raw_store = {
-  alloc : unit -> unit;
-  write : int -> int list -> unit;
-  install_raw : int -> bytes -> pos:int -> len:int -> unit;
-  read_payload : int -> bytes;
-  read : int -> int list;
-  read_block : int -> bytes;
-  write_block : int -> bytes -> unit;
-  close : unit -> unit;
-}
-
-let file_store ~vfs ~stats ~path =
-  let s = FStore.create ~stats ~page_size:128 ~vfs ~path () in
-  let id = Storage.Page_id.of_int in
-  { alloc = (fun () -> ignore (FStore.alloc s));
-    write = (fun i v -> FStore.write s (id i) v);
-    install_raw = (fun i b ~pos ~len -> FStore.install_raw s (id i) b ~pos ~len);
-    read_payload = (fun i -> FStore.read_payload s (id i));
-    read = (fun i -> FStore.read s (id i));
-    read_block = (fun i -> FStore.read_block s (id i));
-    write_block = (fun i b -> FStore.write_block s (id i) b);
-    close = (fun () -> FStore.close s) }
-
-let mmap_store ~vfs ~backing ~stats ~path =
-  let s = MStore.create ~stats ~page_size:128 ?vfs ~backing ~path () in
-  let id = Storage.Page_id.of_int in
-  { alloc = (fun () -> ignore (MStore.alloc s));
-    write = (fun i v -> MStore.write s (id i) v);
-    install_raw = (fun i b ~pos ~len -> MStore.install_raw s (id i) b ~pos ~len);
-    read_payload = (fun i -> MStore.read_payload s (id i));
-    read = (fun i -> MStore.read s (id i));
-    read_block = (fun i -> MStore.read_block s (id i));
-    write_block = (fun i b -> MStore.write_block s (id i) b);
-    close = (fun () -> MStore.close s) }
-
 (* Pages written as values into [a], their payloads read back and
    raw-installed (from inside a larger buffer) into [b]: every block must
    come out byte-identical, each copy charged one read and one write, and
@@ -336,19 +354,20 @@ let mmap_store ~vfs ~backing ~stats ~path =
 let raw_frames_agree mk =
   let stats = Storage.Io_stats.create () in
   let a = mk ~stats ~path:"a" and b = mk ~stats ~path:"b" in
+  let id = Storage.Page_id.of_int in
   let ids = [ 0; 1; 2; 5; 9 ] in
   let value i = List.init (1 + (i mod 4)) (fun j -> (i * 1000) + j - 7) in
   for _ = 0 to 9 do
-    a.alloc ()
+    ignore (MStore.alloc a)
   done;
-  List.iter (fun i -> a.write i (value i)) ids;
+  List.iter (fun i -> MStore.write a (id i) (value i)) ids;
   let reads0 = Storage.Io_stats.reads stats and writes0 = Storage.Io_stats.writes stats in
   List.iter
     (fun i ->
-      let payload = a.read_payload i in
+      let payload = MStore.read_payload a (id i) in
       let buf = Bytes.make (Bytes.length payload + 10) '\xff' in
       Bytes.blit payload 0 buf 3 (Bytes.length payload);
-      b.install_raw i buf ~pos:3 ~len:(Bytes.length payload))
+      MStore.install_raw b (id i) buf ~pos:3 ~len:(Bytes.length payload))
     ids;
   Alcotest.(check int) "one read per payload" (List.length ids)
     (Storage.Io_stats.reads stats - reads0);
@@ -356,38 +375,35 @@ let raw_frames_agree mk =
     (Storage.Io_stats.writes stats - writes0);
   List.iter
     (fun i ->
-      Alcotest.(check bytes) "raw frame = encoded frame" (a.read_block i) (b.read_block i);
-      Alcotest.(check (list int)) "raw page decodes" (value i) (b.read i))
+      Alcotest.(check bytes) "raw frame = encoded frame" (MStore.read_block a (id i))
+        (MStore.read_block b (id i));
+      Alcotest.(check (list int)) "raw page decodes" (value i) (MStore.read b (id i)))
     ids;
-  (match b.install_raw 3 (Bytes.create 200) ~pos:0 ~len:121 with
+  (match MStore.install_raw b (id 3) (Bytes.create 200) ~pos:0 ~len:121 with
   | exception Storage.Codec.Overflow _ -> ()
   | () -> Alcotest.fail "an oversized raw payload was framed");
-  let block = b.read_block 5 in
+  let block = MStore.read_block b (id 5) in
   Bytes.set block 13 (Char.chr (Char.code (Bytes.get block 13) lxor 0x01));
-  b.write_block 5 block;
+  MStore.write_block b (id 5) block;
   let failures = Storage.Io_stats.crc_failures stats in
-  (match b.read_payload 5 with
+  (match MStore.read_payload b (id 5) with
   | exception Storage.Page_store.Corrupt_page _ -> ()
   | _ -> Alcotest.fail "read_payload returned a corrupt payload");
   Alcotest.(check int) "crc failure counted" (failures + 1)
     (Storage.Io_stats.crc_failures stats);
-  a.close ();
-  b.close ()
-
-let test_raw_frames_file () =
-  let vfs = M.vfs (M.create ()) in
-  raw_frames_agree (fun ~stats ~path -> file_store ~vfs ~stats ~path)
+  MStore.close a;
+  MStore.close b
 
 let test_raw_frames_mmap_buffered () =
   let vfs = M.vfs (M.create ()) in
   raw_frames_agree (fun ~stats ~path ->
-      mmap_store ~vfs:(Some vfs) ~backing:`Buffered ~stats ~path)
+      MStore.create ~stats ~page_size:128 ~vfs ~backing:`Buffered ~path ())
 
 let test_raw_frames_mmap_mapped () =
   let dir = Filename.temp_dir "rta-test-raw" "" in
   Fun.protect ~finally:(fun () -> rm_tree dir) @@ fun () ->
   raw_frames_agree (fun ~stats ~path ->
-      mmap_store ~vfs:None ~backing:`Auto ~stats ~path:(Filename.concat dir path))
+      MStore.create ~stats ~page_size:128 ~backing:`Auto ~path:(Filename.concat dir path) ())
 
 (* --- Snapshot streaming: damaged files fail loudly -------------------------------- *)
 
@@ -429,12 +445,8 @@ let loads_fail what vfs =
     | _ -> Alcotest.failf "%s: %s loaded" what name
   in
   attempt "heap load" (fun () -> ignore (Rta.load ~vfs ~path:"s" ()));
-  List.iter
-    (fun store ->
-      attempt (Storage.Store_kind.to_string store) (fun () ->
-          ignore
-            (Rta.load_durable ~vfs ~store ~backing:`Buffered ~snapshot:"s" ~path:"ws" ())))
-    [ Storage.Store_kind.File; Storage.Store_kind.Mmap ]
+  attempt "page-file load" (fun () ->
+      ignore (Rta.load_durable ~vfs ~backing:`Buffered ~snapshot:"s" ~path:"ws" ()))
 
 let test_snapshot_damage () =
   let fs, vfs = snapshot_fs () in
@@ -442,9 +454,7 @@ let test_snapshot_damage () =
   let restore () = with_lkst fs vfs (fun _ -> Bytes.of_string pristine) in
   (* intact: both destinations load the same warehouse *)
   let heap = Rta.load ~vfs ~path:"s" () in
-  let disk = Rta.load_durable ~vfs ~store:Storage.Store_kind.Mmap ~backing:`Buffered
-      ~snapshot:"s" ~path:"ws" ()
-  in
+  let disk = Rta.load_durable ~vfs ~backing:`Buffered ~snapshot:"s" ~path:"ws" () in
   Alcotest.(check (pair int int)) "raw load answers as heap load"
     (Rta.sum_count heap ~klo:0 ~khi:40 ~tlo:0 ~thi:300)
     (Rta.sum_count disk ~klo:0 ~khi:40 ~tlo:0 ~thi:300);
@@ -508,9 +518,9 @@ let test_snapshot_damage () =
 (* One deterministic engine run: the harness's alive-aware script under a
    given store kind.  Half the script runs, then a checkpoint, then a
    quarter more that lives only in the WAL; the engine closes and reopens
-   from that checkpoint plus the WAL tail (under [File]/[Mmap], raw
-   snapshot chunks streamed into a fresh working set and the tail
-   replayed over it), plays the rest and checkpoints again.  Returns the
+   from that checkpoint plus the WAL tail (under [Mmap], raw snapshot
+   chunks streamed into a fresh working set and the tail replayed over
+   it), plays the rest and checkpoints again.  Returns the
    query answers, the update script it played, and the durable image
    minus the page-file working set (which is backend-specific by design —
    it is rebuilt on every open and never a recovery source). *)
@@ -598,41 +608,81 @@ let oracle_answers ups qs =
     qs
 
 let prop_backends_agree =
-  QCheck.Test.make ~count:15 ~name:"memory/file/mmap engines are indistinguishable"
+  QCheck.Test.make ~count:15 ~name:"memory/mmap engines are indistinguishable"
     QCheck.(pair (int_range 1 1000) (int_range 20 60))
     (fun (seed, updates) ->
       let max_key = 12 in
       let mem = run_script ~store:Storage.Store_kind.Memory ~seed ~updates ~max_key in
-      let file = run_script ~store:Storage.Store_kind.File ~seed ~updates ~max_key in
       let mmap = run_script ~store:Storage.Store_kind.Mmap ~seed ~updates ~max_key in
       let answers (a, _, _, _) = a
       and ups (_, u, _, _) = u
       and qs (_, _, q, _) = q
       and image (_, _, _, i) = i in
       (* identical scripts (the generator is backend-blind)... *)
-      if ups file <> ups mem || ups mmap <> ups mem then
+      if ups mmap <> ups mem then
         QCheck.Test.fail_report "backends played different scripts";
       (* ...identical, oracle-exact answers... *)
       let want = oracle_answers (ups mem) (qs mem) in
       if answers mem <> want then QCheck.Test.fail_report "memory diverges from oracle";
-      if answers file <> want then QCheck.Test.fail_report "file diverges from oracle";
       if answers mmap <> want then QCheck.Test.fail_report "mmap diverges from oracle";
       (* ...and byte-identical durable images (WAL, checkpoint snapshots,
          pointer — everything but the rebuilt-on-open working set), the
          second checkpoint written from a working set that was reopened
          from the first one. *)
-      if image file <> image mem then
-        QCheck.Test.fail_report "file checkpoint image differs from memory";
       if image mmap <> image mem then
         QCheck.Test.fail_report "mmap checkpoint image differs from memory";
       true)
 
+(* --- Scrub round trips ------------------------------------------------------------ *)
+
+(* A warehouse and a twin built by the same updates.  Flips injected into
+   the first must all be found by a scrub, then repaired from the twin,
+   on either arena backing and at the page size the config implies (12
+   KiB for b=170), which scrub and the injector read from the sidecars. *)
+let scrub_round_trip ~b ~backing ~flips () =
+  let dir = Filename.temp_dir "rta-test-scrub" "" in
+  Fun.protect ~finally:(fun () -> rm_tree dir) @@ fun () ->
+  let max_key = 200 and path = Filename.concat dir "a" in
+  let build path =
+    let rta =
+      Rta.create_durable ~config:(Mvsbt.default_config ~b) ~backing ~max_key ~path ()
+    in
+    for i = 0 to 1999 do
+      let key = i * 37 mod max_key in
+      if Rta.is_alive rta ~key then Rta.delete rta ~key ~at:i
+      else Rta.insert rta ~key ~value:(i + 1) ~at:i
+    done;
+    Rta.flush rta;
+    rta
+  in
+  let target = build path and twin = build (Filename.concat dir "b") in
+  let pages l =
+    List.map
+      (fun (side, pid) ->
+        (Format.asprintf "%a" Rta.pp_scrub_side side, Storage.Page_id.to_int pid))
+      l
+    |> List.sort compare
+  in
+  let scrub ?repair_from () = Rta.scrub ~backing ?repair_from ~path () in
+  Alcotest.(check bool) "built clean" true (Rta.scrub_clean (scrub ()));
+  let hits = Rta.inject_bit_flips ~backing ~path ~seed:3 ~flips () in
+  Alcotest.(check int) "flips injected" flips (List.length hits);
+  Alcotest.(check (list (pair string int))) "every flip found" (pages hits)
+    (pages (scrub ()).Rta.corrupt);
+  let r = scrub ~repair_from:twin () in
+  Alcotest.(check (list (pair string int))) "every flip repaired" (pages hits)
+    (pages r.Rta.repaired);
+  Alcotest.(check bool) "clean after repair" true (Rta.scrub_clean (scrub ()));
+  Rta.close target;
+  Rta.close twin
+
 (* --- Descriptor hygiene ---------------------------------------------------------- *)
 
 (* Durable.close must release the working set's page files, not just the
-   log: 600 open/insert/close cycles (with checkpoints, so reopens stream
-   snapshots into fresh page files) keep the descriptor count flat. *)
-let test_close_releases_fds store () =
+   log: [cycles] open/insert/close cycles (with checkpoints, so reopens
+   stream snapshots into fresh page files) keep the descriptor count
+   flat.  A leak of one descriptor per cycle would show as [cycles]. *)
+let test_close_releases_fds ~cycles arena_backing () =
   let fd_dir = "/proc/self/fd" in
   if not (Sys.file_exists fd_dir) then Alcotest.skip ();
   let open_fds () = Array.length (Sys.readdir fd_dir) in
@@ -645,7 +695,8 @@ let test_close_releases_fds store () =
   Fun.protect ~finally:(fun () -> rm_tree dir) @@ fun () ->
   let cycle i =
     let eng =
-      Durable.open_ ~store ~checkpoint_every:50 ~max_key:1000
+      Durable.open_ ~store:Storage.Store_kind.Mmap ~arena_backing ~checkpoint_every:50
+        ~max_key:1000
         ~path:(Filename.concat dir "wh") ()
     in
     Storage.Storage_error.ok_exn (Durable.insert eng ~key:i ~value:1 ~at:i);
@@ -653,10 +704,10 @@ let test_close_releases_fds store () =
   in
   cycle 0;
   let base = open_fds () in
-  for i = 1 to 599 do
+  for i = 1 to cycles - 1 do
     cycle i
   done;
-  Alcotest.(check int) "descriptors after 600 cycles" base (open_fds ())
+  Alcotest.(check int) (Printf.sprintf "descriptors after %d cycles" cycles) base (open_fds ())
 
 (* --- A second process on a live warehouse ---------------------------------------- *)
 
@@ -666,12 +717,13 @@ let test_close_releases_fds store () =
    after the first checkpoint have rewritten pages in those files, so a
    child that rebuilt them from the snapshot would leave the parent
    reading stale pages (or faulting past a shrunken mapping). *)
-let test_second_open_rejected store () =
+let test_second_open_rejected arena_backing () =
   let dir = Filename.temp_dir "rta-test-lock" "" in
   Fun.protect ~finally:(fun () -> rm_tree dir) @@ fun () ->
   let path = Filename.concat dir "wh" in
   let max_key = 100 in
-  let open_ ~store = Durable.open_ ~store ~pool_capacity:8 ~max_key ~path () in
+  let open_ ~store = Durable.open_ ~store ~arena_backing ~pool_capacity:8 ~max_key ~path () in
+  let store = Storage.Store_kind.Mmap in
   (* Every file's bytes but the log's: closing any descriptor of the log
      would drop this process's [lockf] lock on it, so the log is only
      stat'ed. *)
@@ -754,14 +806,17 @@ let test_second_open_rejected store () =
 
 (* An open that fails after it has opened the log and built the working
    set — here, a checkpoint whose max_key disagrees — gives both back. *)
-let test_failed_open_releases_fds store () =
+let test_failed_open_releases_fds arena_backing () =
   let fd_dir = "/proc/self/fd" in
   if not (Sys.file_exists fd_dir) then Alcotest.skip ();
   let open_fds () = Array.length (Sys.readdir fd_dir) in
   let dir = Filename.temp_dir "rta-test-fds" "" in
   Fun.protect ~finally:(fun () -> rm_tree dir) @@ fun () ->
   let path = Filename.concat dir "wh" in
-  let eng = Durable.open_ ~store ~max_key:1000 ~path () in
+  let open_ ~max_key =
+    Durable.open_ ~store:Storage.Store_kind.Mmap ~arena_backing ~max_key ~path ()
+  in
+  let eng = open_ ~max_key:1000 in
   for i = 0 to 99 do
     Storage.Storage_error.ok_exn (Durable.insert eng ~key:i ~value:1 ~at:i)
   done;
@@ -769,12 +824,12 @@ let test_failed_open_releases_fds store () =
   Durable.close eng;
   let base = open_fds () in
   for _ = 1 to 100 do
-    match Durable.open_ ~store ~max_key:999 ~path () with
+    match open_ ~max_key:999 with
     | exception Failure _ -> ()
     | _ -> Alcotest.fail "open with the wrong max_key succeeded"
   done;
   Alcotest.(check int) "descriptors after 100 failed opens" base (open_fds ());
-  let eng = Durable.open_ ~store ~max_key:1000 ~path () in
+  let eng = open_ ~max_key:1000 in
   Alcotest.(check (pair int int)) "warehouse intact" (100, 100)
     (Durable.sum_count eng ~klo:0 ~khi:1000 ~tlo:0 ~thi:200);
   Durable.close eng
@@ -822,6 +877,10 @@ let () =
           Alcotest.test_case "buffered lifecycle" `Quick test_arena_buffered;
           Alcotest.test_case "mapped lifecycle" `Quick test_arena_mapped;
           Alcotest.test_case "torn trailing block" `Quick test_arena_buffered_torn_tail;
+          Alcotest.test_case "buffered close keeps writes" `Quick
+            test_arena_close_keeps_writes_buffered;
+          Alcotest.test_case "mapped close keeps writes" `Quick
+            test_arena_close_keeps_writes_mapped;
         ] );
       ( "mmap-store",
         [
@@ -831,30 +890,38 @@ let () =
         ] );
       ( "raw-frames",
         [
-          Alcotest.test_case "file store" `Quick test_raw_frames_file;
           Alcotest.test_case "mmap store, buffered" `Quick test_raw_frames_mmap_buffered;
           Alcotest.test_case "mmap store, mapped" `Quick test_raw_frames_mmap_mapped;
           Alcotest.test_case "damaged snapshots fail" `Quick test_snapshot_damage;
         ] );
       ( "cross-backend",
         [ QCheck_alcotest.to_alcotest prop_backends_agree ] );
+      ( "scrub",
+        [
+          Alcotest.test_case "flip round trip, mapped" `Quick
+            (scrub_round_trip ~b:64 ~backing:`Auto ~flips:12);
+          Alcotest.test_case "flip round trip, buffered" `Quick
+            (scrub_round_trip ~b:64 ~backing:`Buffered ~flips:12);
+          Alcotest.test_case "b=170 pages scrub at their own size" `Quick
+            (scrub_round_trip ~b:170 ~backing:`Auto ~flips:4);
+        ] );
       ( "close",
         [
-          Alcotest.test_case "file store releases fds" `Slow
-            (test_close_releases_fds Storage.Store_kind.File);
+          Alcotest.test_case "buffered arena releases fds" `Slow
+            (test_close_releases_fds ~cycles:100 `Buffered);
           Alcotest.test_case "mmap store releases fds" `Slow
-            (test_close_releases_fds Storage.Store_kind.Mmap);
-          Alcotest.test_case "file store failed open releases fds" `Quick
-            (test_failed_open_releases_fds Storage.Store_kind.File);
+            (test_close_releases_fds ~cycles:600 `Auto);
+          Alcotest.test_case "buffered arena failed open releases fds" `Quick
+            (test_failed_open_releases_fds `Buffered);
           Alcotest.test_case "mmap store failed open releases fds" `Quick
-            (test_failed_open_releases_fds Storage.Store_kind.Mmap);
+            (test_failed_open_releases_fds `Auto);
         ] );
       ( "lock",
         [
-          Alcotest.test_case "file store rejects a second process" `Quick
-            (test_second_open_rejected Storage.Store_kind.File);
+          Alcotest.test_case "buffered arena rejects a second process" `Quick
+            (test_second_open_rejected `Buffered);
           Alcotest.test_case "mmap store rejects a second process" `Quick
-            (test_second_open_rejected Storage.Store_kind.Mmap);
+            (test_second_open_rejected `Auto);
         ] );
       ( "crash-matrix",
         [

@@ -358,7 +358,7 @@ let test_errsweep_small_clean () =
    page that fails its checksum must surface as a typed error — engine
    degraded, previous generation still committed, WAL untouched — and the
    next open rebuilds the working set from snapshot + WAL. *)
-let test_checkpoint_corrupt_working_set store () =
+let test_checkpoint_corrupt_working_set () =
   let dir = Filename.temp_dir "rta-test-corrupt" "" in
   Fun.protect ~finally:(fun () ->
       Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
@@ -366,7 +366,11 @@ let test_checkpoint_corrupt_working_set store () =
   @@ fun () ->
   let path = Filename.concat dir "wh" in
   let max_key = 64 in
-  let open_ () = Durable.open_ ~store ~arena_backing:`Map ~max_key ~path () in
+  (* A real mapping: the flip below goes behind the engine's back, and
+     only a mapping sees it. *)
+  let open_ () =
+    Durable.open_ ~store:Storage.Store_kind.Mmap ~arena_backing:`Map ~max_key ~path ()
+  in
   let oracle = Reference.Warehouse.create () in
   let eng = open_ () in
   let apply i =
@@ -459,9 +463,7 @@ let () =
         [ Alcotest.test_case "small sweep is clean" `Quick test_errsweep_small_clean ] );
       ( "corrupt page",
         [
-          Alcotest.test_case "file store checkpoint returns Checksum_mismatch" `Quick
-            (test_checkpoint_corrupt_working_set Storage.Store_kind.File);
           Alcotest.test_case "mmap store checkpoint returns Checksum_mismatch" `Quick
-            (test_checkpoint_corrupt_working_set Storage.Store_kind.Mmap);
+            test_checkpoint_corrupt_working_set;
         ] );
     ]

@@ -251,11 +251,9 @@ let test_durable_mvsbt_direct () =
   (* The file-resident MVSBT must match the in-memory one operation for
      operation, through a pool small enough to force real file traffic. *)
   let module D = T.Durable (struct
-    let max_size = 8
-    let encode w v = Storage.Codec.Writer.i64 w v
-    let decode rd = Storage.Codec.Reader.i64 rd
-    let zencode w v = Storage.Zcodec.Writer.i64 w v
-    let zdecode rd = Storage.Zcodec.Reader.i64 rd
+    let words = 1
+    let encode put v = put v
+    let decode next = next ()
   end) in
   let config = mk_config ~b:8 ~f:0.75 () in
   let path = Filename.temp_file "mvsbt_pages" ".db" in

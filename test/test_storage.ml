@@ -1,6 +1,7 @@
 (* Tests for the storage substrate: I/O stats, the LRU index, the buffer
-   pool's caching and write-back behaviour, both page stores, the binary
-   codec, and the cost model. *)
+   pool's caching and write-back behaviour, the in-memory page store, the
+   binary codec, and the cost model.  The page-file store is tested with
+   its arena in test_arena. *)
 
 module Mem = Storage.Page_store.Mem (struct
   type t = string
@@ -263,42 +264,6 @@ let test_codec_overflow () =
        false
      with Storage.Codec.Overflow _ -> true)
 
-(* File-backed store: string payloads padded into fixed 64-byte blocks. *)
-module File_store = Storage.Page_store.File (struct
-  type t = string
-
-  let encode w s =
-    Storage.Codec.Writer.i32 w (String.length s);
-    String.iter (fun ch -> Storage.Codec.Writer.u8 w (Char.code ch)) s
-
-  let decode r =
-    let n = Storage.Codec.Reader.i32 r in
-    String.init n (fun _ -> Char.chr (Storage.Codec.Reader.u8 r))
-end)
-
-let test_file_store () =
-  let path = Filename.temp_file "mvsbt_store" ".pages" in
-  let s = File_store.create ~page_size:64 ~path () in
-  let ids = List.init 10 (fun _ -> File_store.alloc s) in
-  List.iteri (fun i id -> File_store.write s id (Printf.sprintf "page-%d" i)) ids;
-  List.iteri
-    (fun i id ->
-      Alcotest.(check string) (Printf.sprintf "roundtrip %d" i)
-        (Printf.sprintf "page-%d" i)
-        (File_store.read s id))
-    (List.rev ids |> List.rev);
-  (* Overwrite in place. *)
-  File_store.write s (List.nth ids 3) "overwritten";
-  Alcotest.(check string) "overwrite" "overwritten" (File_store.read s (List.nth ids 3));
-  Alcotest.(check int) "file size (header + 10 pages)" (11 * 64)
-    (File_store.file_size_bytes s);
-  File_store.free s (List.nth ids 0);
-  Alcotest.check_raises "read freed" Not_found (fun () ->
-      ignore (File_store.read s (List.nth ids 0)));
-  File_store.close s;
-  Sys.remove path;
-  (try Sys.remove (path ^ ".free") with Sys_error _ -> ())
-
 let test_crc32 () =
   (* Known-answer vectors for CRC-32/IEEE (the zlib/PNG polynomial). *)
   Alcotest.(check int) "empty" 0 (Storage.Codec.crc32_string "");
@@ -312,79 +277,6 @@ let test_crc32 () =
     (Storage.Codec.crc32_update partial b ~pos:4 ~len:5);
   Alcotest.(check int) "slice" (Storage.Codec.crc32_string "345")
     (Storage.Codec.crc32 b ~pos:2 ~len:3)
-
-let test_file_store_reopen () =
-  let path = Filename.temp_file "mvsbt_store" ".pages" in
-  let s = File_store.create ~page_size:64 ~path () in
-  let ids = List.init 5 (fun _ -> File_store.alloc s) in
-  List.iteri (fun i id -> File_store.write s id (Printf.sprintf "page-%d" i)) ids;
-  File_store.sync s;
-  Alcotest.(check int) "sync counted" 1 (Storage.Io_stats.syncs (File_store.stats s));
-  File_store.close s;
-  (* Reopen must not truncate: all five pages survive and ids continue. *)
-  let s = File_store.create ~page_size:64 ~mode:`Reopen ~path () in
-  Alcotest.(check int) "live after reopen" 5 (File_store.live_pages s);
-  List.iteri
-    (fun i id ->
-      Alcotest.(check string) (Printf.sprintf "reopen roundtrip %d" i)
-        (Printf.sprintf "page-%d" i)
-        (File_store.read s id))
-    ids;
-  let fresh = File_store.alloc s in
-  Alcotest.(check int) "ids continue" 5 (Storage.Page_id.to_int fresh);
-  File_store.write s fresh "page-5";
-  Alcotest.(check string) "write after reopen" "page-5" (File_store.read s fresh);
-  File_store.close s;
-  (* Geometry mismatch and garbage headers are detected, not decoded. *)
-  Alcotest.(check bool) "page size mismatch rejected" true
-    (try
-       ignore (File_store.create ~page_size:128 ~mode:`Reopen ~path ());
-       false
-     with Failure _ -> true);
-  let oc = open_out_bin path in
-  output_string oc "this is not a page file at all";
-  close_out oc;
-  Alcotest.(check bool) "garbage rejected" true
-    (try
-       ignore (File_store.create ~page_size:64 ~mode:`Reopen ~path ());
-       false
-     with Failure _ -> true);
-  Sys.remove path;
-  (try Sys.remove (path ^ ".free") with Sys_error _ -> ())
-
-let test_file_store_reopen_freed () =
-  let path = Filename.temp_file "mvsbt_store" ".pages" in
-  let s = File_store.create ~page_size:64 ~path () in
-  let ids = List.init 6 (fun _ -> File_store.alloc s) in
-  List.iteri (fun i id -> File_store.write s id (Printf.sprintf "page-%d" i)) ids;
-  File_store.free s (List.nth ids 1);
-  File_store.free s (List.nth ids 4);
-  File_store.sync s;
-  File_store.close s;
-  (* Freed ids persist through the sidecar: a reopen must not resurrect
-     them, and live_pages must stay exact. *)
-  let s = File_store.create ~page_size:64 ~mode:`Reopen ~path () in
-  Alcotest.(check int) "live excludes freed" 4 (File_store.live_pages s);
-  Alcotest.(check bool) "freed not mem" false (File_store.mem s (List.nth ids 1));
-  Alcotest.check_raises "freed read raises" Not_found (fun () ->
-      ignore (File_store.read s (List.nth ids 4)));
-  Alcotest.(check string) "survivor intact" "page-2" (File_store.read s (List.nth ids 2));
-  (* Frees after the last sync are persisted by close too. *)
-  File_store.free s (List.nth ids 0);
-  File_store.close s;
-  let s = File_store.create ~page_size:64 ~mode:`Reopen ~path () in
-  Alcotest.(check bool) "close persisted the free" false (File_store.mem s (List.nth ids 0));
-  Alcotest.(check int) "live after second reopen" 3 (File_store.live_pages s);
-  File_store.close s;
-  (* A torn sidecar degrades conservatively instead of failing. *)
-  let oc = open_out_bin (path ^ ".free") in
-  output_string oc "garbage";
-  close_out oc;
-  let s = File_store.create ~page_size:64 ~mode:`Reopen ~path () in
-  Alcotest.(check int) "torn sidecar: conservative liveness" 6 (File_store.live_pages s);
-  File_store.close s;
-  Sys.remove path;
-  (try Sys.remove (path ^ ".free") with Sys_error _ -> ())
 
 let test_cost_model () =
   let est = Storage.Cost_model.estimate_s ~model:Storage.Cost_model.default ~ios:100 ~cpu_s:0.5 in
@@ -410,9 +302,6 @@ let () =
         [
           Alcotest.test_case "io stats" `Quick test_io_stats;
           Alcotest.test_case "mem store" `Quick test_mem_store;
-          Alcotest.test_case "file store" `Quick test_file_store;
-          Alcotest.test_case "file store reopen" `Quick test_file_store_reopen;
-          Alcotest.test_case "file store reopen freed" `Quick test_file_store_reopen_freed;
           Alcotest.test_case "cost model" `Quick test_cost_model;
         ] );
       ( "evict",

@@ -361,8 +361,11 @@ let test_watermarks () =
 
 let test_scrub_after_vacuum () =
   let max_key = 40 in
+  (* The page files live on the in-memory filesystem, so their arenas
+     must be buffered images, not mappings. *)
   let vfs = M.vfs (M.create ()) in
-  let mk path = Rta.create_durable ~vfs ~max_key ~path () in
+  let backing = `Buffered in
+  let mk path = Rta.create_durable ~vfs ~backing ~max_key ~path () in
   let a = mk "a" and b = mk "b" in
   let now =
     churn ~n:500 ~max_key ~seed:17 (function
@@ -375,7 +378,7 @@ let test_scrub_after_vacuum () =
   in
   Rta.flush a;
   Rta.flush b;
-  let r0 = Rta.scrub ~vfs ~path:"a" () in
+  let r0 = Rta.scrub ~vfs ~backing ~path:"a" () in
   Alcotest.(check bool) "clean before vacuum" true (Rta.scrub_clean r0);
   (* Both sides run the same vacuum (same state, same deterministic plan),
      so the repair reference keeps matching sequence numbers. *)
@@ -384,23 +387,23 @@ let test_scrub_after_vacuum () =
   ignore (Rta.vacuum b ~horizon:h);
   Rta.flush a;
   Rta.flush b;
-  let r1 = Rta.scrub ~vfs ~path:"a" () in
+  let r1 = Rta.scrub ~vfs ~backing ~path:"a" () in
   Alcotest.(check bool) "clean after vacuum" true (Rta.scrub_clean r1);
   Alcotest.(check bool) "freed pages left the scrub set" true
     (r1.Rta.pages_checked < r0.Rta.pages_checked);
-  let hit = Rta.inject_bit_flips ~vfs ~path:"a" ~seed:5 ~flips:4 () in
+  let hit = Rta.inject_bit_flips ~vfs ~backing ~path:"a" ~seed:5 ~flips:4 () in
   Alcotest.(check bool) "flips landed" true (hit <> []);
-  let r2 = Rta.scrub ~vfs ~path:"a" ~repair_from:b () in
+  let r2 = Rta.scrub ~vfs ~backing ~path:"a" ~repair_from:b () in
   Alcotest.(check int) "all hit pages detected" (List.length hit) (List.length r2.Rta.corrupt);
   Alcotest.(check (list (pair string int))) "all repaired from the replica"
     (List.map (fun (s, p) -> (Format.asprintf "%a" Rta.pp_scrub_side s, Storage.Page_id.to_int p)) r2.Rta.corrupt)
     (List.map (fun (s, p) -> (Format.asprintf "%a" Rta.pp_scrub_side s, Storage.Page_id.to_int p)) r2.Rta.repaired);
   Alcotest.(check (list (pair string int))) "nothing irreparable" []
     (List.map (fun (s, p) -> (Format.asprintf "%a" Rta.pp_scrub_side s, Storage.Page_id.to_int p)) r2.Rta.irreparable);
-  let r3 = Rta.scrub ~vfs ~path:"a" () in
+  let r3 = Rta.scrub ~vfs ~backing ~path:"a" () in
   Alcotest.(check bool) "clean after repair" true (Rta.scrub_clean r3);
   (* The repaired store still answers like its reference. *)
-  let a2 = Rta.reopen_durable ~vfs ~path:"a" () in
+  let a2 = Rta.reopen_durable ~vfs ~backing ~path:"a" () in
   Rta.check_invariants a2;
   let rand = make_rng 71 in
   for _ = 1 to 100 do
