@@ -670,15 +670,12 @@ let retry_overhead () =
 
 (* Also wall clock: CRC32 verification and the scrub sweep are CPU + real
    file reads, invisible to the simulated-disk counters.  The Io_stats
-   integrity counters (crc_failures / scrubbed / repaired) do show up in
-   the printed stats line. *)
+   integrity counters (crc_failures / scrubbed / repaired, in chunks) do
+   show up in the printed stats line. *)
 let scrub_overhead () =
-  header "Scrub & checksum overhead: per-page CRC32 on durable page files";
+  header "Scrub & checksum overhead: per-chunk CRC32 over a committed checkpoint";
   let evs = Lazy.force events in
   let cap = min (List.length evs) (if smoke then 1_000 else 8_000) in
-  (* The default 4KB-page config for page-file stores (the bench-wide
-     mvsbt_config models pure in-memory pages and packs too many records
-     to fit a real checksummed block). *)
   let config = { (Mvsbt.default_config ~b:64) with Mvsbt.f = 0.9 } in
   let wall f =
     let t0 = Unix.gettimeofday () in
@@ -696,53 +693,61 @@ let scrub_overhead () =
       (fun () -> f dir)
   in
   with_tmp_dir @@ fun dir ->
+  (* Target and twin: the same updates through the engine, one
+     checkpoint each. *)
   let build path =
-    let rta = Rta.create_durable ~config ~page_size ~max_key:spec.max_key ~path () in
-    let i = ref 0 in
-    List.iter
-      (fun ev ->
-        incr i;
-        if !i <= cap then
+    let ok = Storage.Storage_error.ok_exn in
+    let eng = Durable.open_ ~config ~max_key:spec.max_key ~path () in
+    List.iteri
+      (fun i ev ->
+        if i < cap then
           match ev with
-          | Workload.Generator.Insert { key; value; at } -> Rta.insert rta ~key ~value ~at
-          | Workload.Generator.Delete { key; at } -> Rta.delete rta ~key ~at)
+          | Workload.Generator.Insert { key; value; at } ->
+              ok (Durable.insert eng ~key ~value ~at)
+          | Workload.Generator.Delete { key; at } -> ok (Durable.delete eng ~key ~at))
       evs;
-    Rta.flush rta;
-    rta
+    ok (Durable.checkpoint eng);
+    Durable.close eng
   in
-  let target_path = Filename.concat dir "target" in
-  let reference, build_s =
-    wall (fun () ->
-        let _target = build target_path in
-        build (Filename.concat dir "reference"))
-  in
-  Printf.printf "  built two durable warehouses: %d updates each, %.3f s total\n" cap
+  let target = Filename.concat dir "target" and twin = Filename.concat dir "twin" in
+  let (), build_s = wall (fun () -> build target; build twin) in
+  Printf.printf "  built two checkpointed warehouses: %d updates each, %.3f s total\n" cap
     build_s;
+  let ckpt_bytes =
+    Array.fold_left
+      (fun acc f ->
+        if String.starts_with ~prefix:"target.ckpt-" f then
+          acc + (Unix.stat (Filename.concat dir f)).Unix.st_size
+        else acc)
+      0 (Sys.readdir dir)
+  in
   let stats = Storage.Io_stats.create () in
-  let clean, scrub_s =
-    wall (fun () -> Rta.scrub ~stats ~page_size ~path:target_path ())
-  in
-  let pages = clean.Rta.pages_checked in
+  let clean, scrub_s = wall (fun () -> Durable.scrub ~stats ~path:target ()) in
+  let chunks = clean.Durable.chunks_checked in
   Printf.printf
-    "  scrub (clean): %d pages in %.4f s — %.1f MB/s, %.1f µs/page (read + CRC32)\n"
-    pages scrub_s
-    (float_of_int (pages * page_size) /. 1e6 /. scrub_s)
-    (scrub_s *. 1e6 /. float_of_int (max 1 pages));
-  let hits = Rta.inject_bit_flips ~page_size ~path:target_path ~seed:2001 ~flips:16 () in
+    "  scrub (clean): %d chunks, %.2f MB in %.4f s — %.1f MB/s, %.1f µs/chunk (read + CRC32)\n"
+    chunks
+    (float_of_int ckpt_bytes /. 1e6)
+    scrub_s
+    (float_of_int ckpt_bytes /. 1e6 /. scrub_s)
+    (scrub_s *. 1e6 /. float_of_int (max 1 chunks));
+  let hits = Durable.inject_bit_flips ~path:target ~seed:2001 ~flips:16 () in
   let repair, repair_s =
-    wall (fun () ->
-        Rta.scrub ~stats ~page_size ~repair_from:reference ~path:target_path ())
+    wall (fun () -> Durable.scrub ~stats ~repair_from:twin ~path:target ())
   in
-  let final = Rta.scrub ~stats ~page_size ~path:target_path () in
+  let final = Durable.scrub ~stats ~path:target () in
   Printf.printf
-    "  corruption round trip: %d pages flipped, %d detected, %d repaired in %.4f s; \
+    "  corruption round trip: %d chunks flipped, %d detected, %d repaired in %.4f s; \
      clean after: %b\n"
     (List.length hits)
-    (List.length repair.Rta.corrupt)
-    (List.length repair.Rta.repaired)
-    repair_s (Rta.scrub_clean final);
+    (List.length repair.Durable.corrupt)
+    (List.length repair.Durable.repaired)
+    repair_s (Durable.scrub_clean final);
   Format.printf "  io: %a@." Storage.Io_stats.pp stats;
-  if List.length repair.Rta.corrupt <> List.length hits || not (Rta.scrub_clean final)
+  if
+    List.length repair.Durable.corrupt <> List.length hits
+    || List.length repair.Durable.repaired <> List.length hits
+    || not (Durable.scrub_clean final)
   then Printf.printf "!! scrub failed to detect or repair injected corruption\n"
 
 (* --- Telemetry overhead -------------------------------------------------------------- *)
@@ -1341,9 +1346,6 @@ let store_disk () =
         | Workload.Generator.Insert { key; value; at } -> Rta.insert rta ~key ~value ~at
         | Workload.Generator.Delete { key; at } -> Rta.delete rta ~key ~at)
       (Lazy.force events);
-    (match Rta.try_flush rta with
-    | Ok () -> ()
-    | Error e -> failwith (Format.asprintf "%s flush: %a" name Storage.Storage_error.pp e));
     let build_s = Unix.gettimeofday () -. t0 in
     (* Figure 4b on the wall clock: batch of 100 per QRS, pool dropped
        once per batch (the sweep regime of the simulated figure). *)
@@ -1380,10 +1382,9 @@ let store_disk () =
     Printf.printf
       "  %-6s build %6.2f s; cold point query p50 %8.1f us, p99 %8.1f us, max %8.1f us\n"
       name build_s (q 0.5) (q 0.99) (q 1.);
-    Printf.printf "         mapped: %d reads, %d writes; %d msync ranges, %d readaheads\n"
+    Printf.printf "         mapped: %d reads, %d writes; %d readaheads\n"
       (Storage.Io_stats.mapped_reads stats)
       (Storage.Io_stats.mapped_writes stats)
-      (Storage.Io_stats.msyncs stats)
       (Storage.Io_stats.readaheads stats);
     (name, sweep)
   in

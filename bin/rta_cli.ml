@@ -8,7 +8,7 @@
      compare    — build both 2-MVSBT and MVBT, run a query batch on each
      checkpoint — recover a durable warehouse, snapshot it, truncate its log
      recover    — recover a durable warehouse and report what was replayed
-     scrub      — verify per-page checksums, repair from a reference warehouse
+     scrub      — verify checkpoint and log checksums, repair from a twin warehouse
      crash-matrix — enumerate post-crash disk images and verify recovery on each
      errsweep   — sweep single I/O-error injections over a trace and verify the
                   typed-error / read-only degradation contract
@@ -160,8 +160,9 @@ let store_term =
   let doc =
     "Page backend for the durable engine's working set: $(b,memory) (in-heap, the \
      default) or $(b,mmap) (CRC-framed page files in a memory-mapped arena, zero-copy \
-     codecs; falls back to a buffered arena where mapping is unavailable, or when \
-     RTA_FORCE_NO_MMAP=1).  $(b,file) is another name for $(b,mmap)."
+     codecs; falls back to pages in RAM where mapping is unavailable, or when \
+     RTA_FORCE_NO_MMAP=1).  The page files are a cache that every open rebuilds from \
+     the checkpoint and the log.  $(b,file) is another name for $(b,mmap)."
   in
   Arg.(value & opt store_conv Storage.Store_kind.Memory & info [ "store" ] ~doc)
 
@@ -716,78 +717,91 @@ let demo_updates ~n ~seed =
         `Insert (!key, 1 + Random.State.int rng 1000, !now)
       end)
 
+(* A fresh demo warehouse at [path]: the files of any earlier one go,
+   then [n] updates through the engine and one checkpoint. *)
 let build_demo_warehouse ~n ~seed ~path =
-  let rta = Rta.create_durable ~max_key:256 ~path () in
+  let dir = Filename.dirname path and base = Filename.basename path in
+  Array.iter
+    (fun f ->
+      if List.exists (fun ext -> String.starts_with ~prefix:(base ^ ext) f) [ ".wal"; ".ckpt" ]
+      then Sys.remove (Filename.concat dir f))
+    (try Sys.readdir dir with Sys_error _ -> [||]);
+  let eng = Durable.open_ ~max_key:256 ~path () in
+  let ok = Storage.Storage_error.ok_exn in
   List.iter
     (function
-      | `Insert (key, value, at) -> Rta.insert rta ~key ~value ~at
-      | `Delete (key, at) -> Rta.delete rta ~key ~at)
+      | `Insert (key, value, at) -> ok (Durable.insert eng ~key ~value ~at)
+      | `Delete (key, at) -> ok (Durable.delete eng ~key ~at))
     (demo_updates ~n ~seed);
-  Rta.flush rta;
-  rta
+  ok (Durable.checkpoint eng);
+  Durable.close eng
 
 let run_scrub ~quiet ~stats ?repair_from ~path () =
-  let report = Rta.scrub ~stats ?repair_from ~path () in
-  if not quiet then Format.printf "scrub %s: %a@." path Rta.pp_scrub_report report;
+  let report = Durable.scrub ~stats ?repair_from ~path () in
+  if not quiet then Format.printf "scrub %s: %a@." path Durable.pp_scrub_report report;
   report
 
-let scrub_pages_json pages =
+let scrub_chunks_json chunks =
   Telemetry.Json.List
     (List.map
-       (fun (side, pid) ->
+       (fun (c : Durable.chunk) ->
          Telemetry.Json.Obj
-           [ ("side", Telemetry.Json.Str (Format.asprintf "%a" Rta.pp_scrub_side side));
-             ("page", Telemetry.Json.Int (Storage.Page_id.to_int pid)) ])
-       pages)
+           [ ("file", Telemetry.Json.Str (Filename.basename c.file));
+             ("chunk", Telemetry.Json.Int c.index) ])
+       chunks)
 
-let scrub_impl verbosity wal inject seed repair_from demo stats_json =
+let scrub_impl verbosity path inject seed repair_from demo stats_json =
   setup_logs verbosity;
   let stats = Storage.Io_stats.create () in
   let repair_from =
     match (repair_from, demo) with
-    | Some p, _ -> Some (Rta.reopen_durable ~path:p ())
+    | Some p, _ -> Some p
     | None, Some n ->
-        (* Self-contained round trip: build the warehouse and a matching
-           reference, corrupt the former, repair from the latter. *)
-        let _target = build_demo_warehouse ~n ~seed ~path:wal in
+        (* Self-contained round trip: build the warehouse and a twin,
+           corrupt the former, repair from the latter. *)
+        build_demo_warehouse ~n ~seed ~path;
+        build_demo_warehouse ~n ~seed ~path:(path ^ ".ref");
         if not stats_json then
-          Printf.printf "demo: built %d-update warehouse at %s (+ reference at %s.ref)\n" n
-            wal wal;
-        Some (build_demo_warehouse ~n ~seed ~path:(wal ^ ".ref"))
+          Printf.printf "demo: built %d-update warehouse at %s (+ twin at %s.ref)\n" n path
+            path;
+        Some (path ^ ".ref")
     | None, None -> None
   in
   let injected =
     match inject with
     | Some flips when flips > 0 ->
-        let hits = Rta.inject_bit_flips ~path:wal ~seed ~flips () in
+        let hits = Durable.inject_bit_flips ~path ~seed ~flips () in
         if not stats_json then
-          Printf.printf "injected single-bit flips into %d pages\n" (List.length hits);
+          Printf.printf "injected single-bit flips into %d checkpoint chunks\n"
+            (List.length hits);
         List.length hits
     | _ -> 0
   in
-  let report = run_scrub ~quiet:stats_json ~stats ?repair_from ~path:wal () in
+  let report = run_scrub ~quiet:stats_json ~stats ?repair_from ~path () in
   let final =
-    if report.Rta.repaired <> [] then run_scrub ~quiet:stats_json ~stats ~path:wal ()
+    if report.Durable.repaired <> [] then run_scrub ~quiet:stats_json ~stats ~path ()
     else report
   in
   (* A flip the scrub did not find means the injection never reached the
      file, so the round trip has checked nothing. *)
-  let missed = List.length report.Rta.corrupt < injected in
+  let missed = List.length report.Durable.corrupt < injected in
   if missed && not stats_json then
-    Printf.printf "scrub found %d corrupt pages, %d were injected\n"
-      (List.length report.Rta.corrupt) injected;
-  let ok =
-    (not missed) && (Rta.scrub_clean final || final.Rta.corrupt = final.Rta.repaired)
-  in
+    Printf.printf "scrub found %d corrupt chunks, %d were injected\n"
+      (List.length report.Durable.corrupt) injected;
+  let ok = (not missed) && Durable.scrub_clean final in
   if stats_json then
     print_json
       (Telemetry.Json.Obj
          [ ("mode", Telemetry.Json.Str "scrub");
-           ("pages_checked", Telemetry.Json.Int report.Rta.pages_checked);
-           ("corrupt", scrub_pages_json report.Rta.corrupt);
-           ("repaired", scrub_pages_json report.Rta.repaired);
-           ("irreparable", scrub_pages_json report.Rta.irreparable);
-           ("clean_after_repair", Telemetry.Json.Bool (Rta.scrub_clean final));
+           ("chunks_checked", Telemetry.Json.Int report.Durable.chunks_checked);
+           ("corrupt", scrub_chunks_json report.Durable.corrupt);
+           ("repaired", scrub_chunks_json report.Durable.repaired);
+           ("irreparable", scrub_chunks_json report.Durable.irreparable);
+           ("wal_frames", Telemetry.Json.Int report.Durable.wal_frames);
+           ( "wal_corrupt",
+             Telemetry.Json.List
+               (List.map (fun o -> Telemetry.Json.Int o) report.Durable.wal_corrupt) );
+           ("clean_after_repair", Telemetry.Json.Bool (Durable.scrub_clean final));
            ("ok", Telemetry.Json.Bool ok);
            ( "health",
              Telemetry.Json.Str
@@ -799,15 +813,16 @@ let scrub_impl verbosity wal inject seed repair_from demo stats_json =
 let scrub_cmd =
   let path =
     let doc =
-      "Durable warehouse path prefix (page files at PREFIX.lkst.pages / \
-       PREFIX.lklt.pages, sidecar at PREFIX.rta.meta)."
+      "Warehouse path prefix, as $(b,--wal) names it: scrub checks the committed \
+       checkpoint (PREFIX.ckpt-<gen>.{lkst,lklt,meta}) and the log (PREFIX.wal)."
     in
     Arg.(required & opt (some string) None & info [ "path" ] ~doc ~docv:"PREFIX")
   in
   let inject =
     let doc =
-      "First flip one random bit in each of N distinct pages (testing/demo); the scrub \
-       must then find every flipped page."
+      "First flip one random bit in each of N distinct chunks of the committed \
+       checkpoint's snapshots (testing/demo); the scrub must then find every flipped \
+       chunk."
     in
     Arg.(value & opt (some int) None & info [ "inject-flips" ] ~doc ~docv:"N")
   in
@@ -817,25 +832,27 @@ let scrub_cmd =
   in
   let repair_from =
     let doc =
-      "Reopen the durable warehouse at this prefix as the repair reference (it must \
-       have gone through the same update sequence)."
+      "Path prefix of a twin warehouse to repair corrupt chunks from: built from the \
+       same updates and checkpointed at the same update count."
     in
     Arg.(value & opt (some string) None & info [ "repair-from" ] ~doc ~docv:"PREFIX")
   in
   let demo =
     let doc =
-      "Build a fresh N-update demo warehouse at the prefix (plus a matching reference \
-       at PREFIX.ref) before scrubbing — a self-contained corruption round trip with \
-       --inject-flips."
+      "Build a fresh N-update demo warehouse at the prefix (plus a twin at PREFIX.ref), \
+       each through the engine with one checkpoint, before scrubbing — a \
+       self-contained corruption round trip with --inject-flips."
     in
     Arg.(value & opt (some int) None & info [ "demo" ] ~doc ~docv:"N")
   in
   Cmd.v
     (Cmd.info "scrub"
        ~doc:
-         "Verify the per-page checksums of a durable warehouse and repair corrupt pages \
-          from a reference (exits 1 if corruption remains, or if it finds fewer corrupt \
-          pages than --inject-flips flipped)")
+         "Verify the checksums of what recovery reads — every chunk of a warehouse's \
+          committed checkpoint and every frame of its log — and repair corrupt chunks \
+          from a twin (exits 1 if corruption remains, or if it finds fewer corrupt \
+          chunks than --inject-flips flipped).  The log is only checked, never \
+          repaired.")
     Term.(const scrub_impl $ verbosity $ path $ inject $ seed $ repair_from $ demo
           $ stats_json_term)
 
@@ -1290,9 +1307,17 @@ let profile_impl verbosity spec (config, buffer) input n_queries qrs store slack
         (* The envelopes count logical page touches, which are backend
            independent — running them over a real page store proves the
            zero-copy path doesn't change what the tree visits. *)
-        let path = Filename.temp_file "rta-profile-store" "" in
-        Rta.create_durable ~config ~pool_capacity:buffer ~stats ~telemetry:tracer
-          ~max_key:spec.Workload.Generator.max_key ~path ()
+        let dir = Filename.temp_dir "rta-profile-store" "" in
+        let rta =
+          Rta.create_durable ~config ~pool_capacity:buffer ~stats ~telemetry:tracer
+            ~max_key:spec.Workload.Generator.max_key ~path:(Filename.concat dir "wh") ()
+        in
+        (* The page files are a cache of this run: they go when it ends. *)
+        at_exit (fun () ->
+            Rta.close rta;
+            Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+            Sys.rmdir dir);
+        rta
   in
   let checker = Telemetry.Bound_check.create ~slack ~worst ~b:config.Mvsbt.b () in
   (* K for the update envelope is the number of distinct keys ever seen

@@ -1,22 +1,22 @@
-(* Integrity: surviving bit rot with checksums, scrub, and a replica.
+(* Integrity: surviving bit rot with checksums, scrub, and a twin.
 
      dune exec examples/scrub_repair.exe
 
-   Every page block of a durable warehouse carries a CRC32, so silent
-   corruption — a cosmic-ray bit flip, a torn sector, a buggy firmware
-   write — is caught on read instead of being decoded into garbage
-   aggregates.  This example builds a warehouse and an identical replica,
-   flips random bits in the primary's page files, shows that queries now
-   fail loudly, then runs the scrub pipeline: detect every corrupt page,
-   repair each one from the replica, and verify the healed warehouse
-   answers exactly like the replica again. *)
+   Every chunk of a checkpoint carries a CRC32, so silent corruption — a
+   cosmic-ray bit flip, a torn sector, a buggy firmware write — is caught
+   when recovery reads it instead of being decoded into garbage
+   aggregates.  This example builds a warehouse and an identical twin,
+   each checkpointed once, flips random bits in the primary's checkpoint,
+   shows that opening it now fails loudly, then runs the scrub pipeline:
+   detect every corrupt chunk, repair each one from the twin, and verify
+   the healed warehouse answers exactly like the twin again. *)
 
 let () =
   let dir = Filename.temp_file "scrub" ".d" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
   let primary = Filename.concat dir "primary" in
-  let replica = Filename.concat dir "replica" in
+  let twin = Filename.concat dir "twin" in
 
   let spec : Workload.Generator.spec =
     {
@@ -32,73 +32,72 @@ let () =
     }
   in
   let events = Workload.Generator.events spec in
+  let ok = Storage.Storage_error.ok_exn in
+  let open_ path = Durable.open_ ~max_key:spec.max_key ~path () in
 
-  (* Same update sequence into both stores: page allocation is
-     deterministic, so the replica holds byte-identical logical pages
-     under the same ids — exactly what repair needs. *)
+  (* Same update sequence into both warehouses, checkpointed at the same
+     update count: page allocation is deterministic, so the twin's
+     checkpoint is byte for byte the primary's — exactly what repair
+     needs. *)
   let build path =
-    let w = Rta.create_durable ~max_key:spec.max_key ~path () in
+    let eng = open_ path in
     Workload.Trace.replay events
-      ~insert:(fun ~key ~value ~at -> Rta.insert w ~key ~value ~at)
-      ~delete:(fun ~key ~at -> Rta.delete w ~key ~at);
-    Rta.flush w;
-    w
+      ~insert:(fun ~key ~value ~at -> ok (Durable.insert eng ~key ~value ~at))
+      ~delete:(fun ~key ~at -> ok (Durable.delete eng ~key ~at));
+    ok (Durable.checkpoint eng);
+    let n = Rta.n_updates (Durable.warehouse eng) in
+    Durable.close eng;
+    n
   in
-  let _primary_w = build primary in
-  let replica_w = build replica in
-  Printf.printf "Built primary and replica: %d updates each.\n"
-    (Rta.n_updates replica_w);
+  let n = build primary in
+  ignore (build twin);
+  Printf.printf "Built primary and twin: %d updates each, one checkpoint.\n" n;
 
-  let clean = Rta.scrub ~path:primary () in
-  Format.printf "Initial scrub: %a@." Rta.pp_scrub_report clean;
+  (* Scrub opens the log with a descriptor of its own, so it runs with no
+     engine open on the warehouse in this process. *)
+  let clean = Durable.scrub ~path:primary () in
+  Format.printf "Initial scrub: %a@." Durable.pp_scrub_report clean;
 
-  (* Bit rot strikes the primary's page files. *)
-  let hits = Rta.inject_bit_flips ~path:primary ~seed:13 ~flips:9 () in
-  Printf.printf "\nFlipped one bit in each of %d pages of the primary.\n"
+  (* Bit rot strikes the primary's checkpoint. *)
+  let hits = Durable.inject_bit_flips ~path:primary ~seed:13 ~flips:9 () in
+  Printf.printf "\nFlipped one bit in each of %d checkpoint chunks of the primary.\n"
     (List.length hits);
 
-  (* The damage is not silent: the first query whose root-to-leaf path
-     crosses a poisoned page refuses to decode it. *)
-  (let w = Rta.reopen_durable ~path:primary () in
-   let rng = Random.State.make [| 42 |] in
-   match
-     for i = 1 to 200 do
-       let klo = Random.State.int rng spec.max_key in
-       let khi = klo + 1 + Random.State.int rng (spec.max_key - klo) in
-       let tlo = Random.State.int rng spec.max_time in
-       let thi = tlo + 1 + Random.State.int rng (spec.max_time - tlo) in
-       ignore (Rta.sum_count w ~klo ~khi ~tlo ~thi);
-       if i = 200 then
-         Printf.printf "200 queries dodged every corrupt page (unlucky seed).\n"
-     done
-   with
-   | () -> ()
-   | exception Storage.Page_store.Corrupt_page { page; _ } ->
-       Printf.printf "Query failed loudly: CRC mismatch on page %d — no garbage served.\n"
-         (Storage.Page_id.to_int page));
+  (* The damage is not silent: recovery reads every chunk and refuses the
+     first one that fails its CRC, so no garbage is ever served. *)
+  (match open_ primary with
+  | eng ->
+      Durable.close eng;
+      failwith "a corrupt checkpoint opened"
+  | exception Storage.Storage_error.Io e ->
+      assert (e.Storage.Storage_error.errno = Storage.Storage_error.Checksum_mismatch);
+      Format.printf "Open failed loudly: %a — no garbage served.@."
+        Storage.Storage_error.pp e);
 
-  (* Scrub + repair from the replica, then prove the patient recovered. *)
+  (* Scrub + repair from the twin, then prove the patient recovered. *)
   let stats = Storage.Io_stats.create () in
-  let report =
-    Rta.scrub ~stats ~repair_from:replica_w ~path:primary ()
-  in
-  Format.printf "\nScrub with repair: %a@." Rta.pp_scrub_report report;
+  let report = Durable.scrub ~stats ~repair_from:twin ~path:primary () in
+  Format.printf "\nScrub with repair: %a@." Durable.pp_scrub_report report;
   Format.printf "Counters: %a@." Storage.Io_stats.pp stats;
-  assert (List.length report.Rta.repaired = List.length hits);
-  assert (Rta.scrub_clean (Rta.scrub ~path:primary ()));
+  assert (report.Durable.repaired = hits);
+  assert (Durable.scrub_clean (Durable.scrub ~path:primary ()));
 
-  let healed = Rta.reopen_durable ~path:primary () in
+  let healed = open_ primary and reference = open_ twin in
   let rects =
     [ (0, spec.max_key, 0, spec.max_time); (100, 4_000, 20_000, 70_000);
       (2_000, 8_000, 0, 50_000); (0, 1_000, 90_000, 100_000) ]
   in
   List.iter
     (fun (klo, khi, tlo, thi) ->
-      let s, c = Rta.sum_count healed ~klo ~khi ~tlo ~thi in
-      let s', c' = Rta.sum_count replica_w ~klo ~khi ~tlo ~thi in
+      let s, c = Durable.sum_count healed ~klo ~khi ~tlo ~thi in
+      let s', c' = Durable.sum_count reference ~klo ~khi ~tlo ~thi in
       assert (s = s' && c = c');
-      Printf.printf "  SUM=%-8d COUNT=%-5d over [%d,%d)x[%d,%d) — matches replica\n"
+      Printf.printf "  SUM=%-8d COUNT=%-5d over [%d,%d)x[%d,%d) — matches twin\n"
         s c klo khi tlo thi)
     rects;
-  Printf.printf "\nAll %d query rectangles agree with the replica; warehouse healed.\n"
+  Durable.close healed;
+  Durable.close reference;
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Unix.rmdir dir;
+  Printf.printf "\nAll %d query rectangles agree with the twin; warehouse healed.\n"
     (List.length rects)

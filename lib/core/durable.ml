@@ -144,12 +144,12 @@ let decode_vacuum_actions rd =
 let ptr_path path = path ^ ".ckpt"
 let ptr_magic = "RTA-CKPT-PTR-1"
 let gen_prefix path gen = Printf.sprintf "%s.ckpt-%d" path gen
-let snapshot_exts = [ ".lkst"; ".lklt"; ".meta" ]
+let snapshot_exts = List.map fst Rta.snapshot_files
 let wal_path path = path ^ ".wal"
 
 (* Prefix under which an [Mmap] engine keeps its page-file working
-   set ([<p>.store.lkst.pages] etc.).  The page files are {e not} a
-   recovery source — snapshot + WAL are; they are rebuilt here on every
+   set ([<p>.store.lkst.pages] etc.).  The page files are a cache, never
+   a recovery source — snapshot + WAL are; they are rebuilt here on every
    open, which is also what makes switching [store] kinds between runs
    safe. *)
 let store_prefix path = path ^ ".store"
@@ -300,10 +300,11 @@ let open_ ?config ?pool_capacity ?stats ?(sync_policy = Wal.Every_n 32)
     let pointer = read_pointer vfs path in
     (* With a page-file backend the working set is built straight into
        fresh page files, and replay and every later page touch run over
-       {e those}: real disk I/O (or a mapped access), not a heap lookup.
-       Rebuilt on every open from snapshot + WAL — the page files are a
-       working set, never a recovery source, so a torn or stale working
-       set can never corrupt recovery. *)
+       {e those}: a mapped access, not a heap lookup.  Rebuilt on every
+       open from snapshot + WAL — the page files are a cache, never a
+       recovery source.  Every checkpoint chunk read on the way is
+       verified against its CRC under either store; a mismatch fails the
+       open before the log is replayed or truncated. *)
     let ckpt_gen, rta =
       match pointer with
       | Some gen ->
@@ -322,7 +323,7 @@ let open_ ?config ?pool_capacity ?stats ?(sync_policy = Wal.Every_n 32)
             match store with
             | Memory -> Rta.create ?config ?pool_capacity ~stats ~telemetry ~max_key ()
             | Mmap ->
-                Rta.create_durable ?config ?pool_capacity ~stats ~telemetry ~vfs
+                Rta.create_durable ?config ?pool_capacity ~stats ~telemetry
                   ~backing:arena_backing ~max_key ~path:(store_prefix path) () )
     in
     release_on_error (fun () -> Rta.close rta) @@ fun () ->
@@ -336,9 +337,6 @@ let open_ ?config ?pool_capacity ?stats ?(sync_policy = Wal.Every_n 32)
     let st = Wal.stats wal in
     let dropped_before = Wal.Stats.dropped_bytes st in
     let n_replayed = Wal.replay wal (apply_record rta) in
-    (* The working set ends the build flushed: pages synced, meta
-       sidecars committed. *)
-    (match store with Memory -> () | Mmap -> Rta.flush rta);
     (pointer, ckpt_gen, rta, wal, n_replayed,
      Wal.Stats.dropped_bytes st - dropped_before)
   in
@@ -500,10 +498,9 @@ let checkpoint t =
       let prefix = gen_prefix t.path gen in
       match
         Storage.Page_store.protect (fun () ->
-            (* Working set first: dirty pages reach their page files (and,
-               under mmap, the arena msyncs and commits its header) before
-               the WAL that could rebuild them is allowed to truncate. *)
-            Rta.flush t.rta;
+            (* A page-file working set hands each page over as its stored
+               frame, written back from the pool first; the snapshot is
+               the durable copy, the page files stay a cache. *)
             Rta.save ~vfs:t.vfs t.rta ~path:prefix;
             (* Force the snapshot files (and the new directory entries) to
                the platter before the pointer can name them, and the
@@ -619,7 +616,7 @@ let rec log_then_apply ?maintenance t ~append ~apply =
             let timed phase f () =
               let t0 = Telemetry.Phases.now_ns () in
               let r = f () in
-              Telemetry.Phases.charge c phase ~since:t0;
+              Telemetry.Phases.add c phase ~ns:(Int64.sub (Telemetry.Phases.now_ns ()) t0);
               r
             in
             (timed Telemetry.Phases.Wal_append append, timed Telemetry.Phases.Apply apply)
@@ -772,9 +769,205 @@ let set_phase_cell t c = t.phase_cell <- c
 let close t =
   (* Best effort: a failing final fsync must not prevent releasing the
      files — whatever the log already holds is what recovery will see.
-     The page-file working set is flushed first so a clean shutdown
-     leaves it consistent (a torn one is rebuilt on open anyway). *)
-  (match Rta.try_flush t.rta with Ok () | Error _ -> ());
+     The page-file working set is a cache and is dropped as it is. *)
   (match Wal.sync t.wal with Ok () -> () | Error _ -> ());
   Wal.close t.wal;
   try Rta.close t.rta with E.Io _ -> ()
+
+(* --- Scrub ---------------------------------------------------------------------- *)
+
+(* Scrub checks what recovery reads: the three files of the committed
+   checkpoint, chunk by chunk, and the frames of the log.  It takes no
+   lock and never writes the log. *)
+
+type chunk = { file : string; index : int }
+
+type scrub_report = {
+  chunks_checked : int;
+  corrupt : chunk list;
+  repaired : chunk list;
+  irreparable : chunk list;
+  wal_frames : int;
+  wal_corrupt : int list;
+}
+
+let scrub_clean r = r.corrupt = [] && r.wal_corrupt = []
+
+let pp_chunk ppf c = Format.fprintf ppf "%s:%d" (Filename.basename c.file) c.index
+
+let pp_scrub_report ppf r =
+  let pp_list pp ppf l =
+    Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ") pp ppf l
+  in
+  if scrub_clean r then
+    Format.fprintf ppf "clean (%d chunks, %d log frames checked)" r.chunks_checked
+      r.wal_frames
+  else begin
+    Format.fprintf ppf "@[<v>%d chunks checked, %d corrupt" r.chunks_checked
+      (List.length r.corrupt);
+    List.iter
+      (fun (name, l) ->
+        if l <> [] then Format.fprintf ppf "@,%s: @[%a@]" name (pp_list pp_chunk) l)
+      [ ("corrupt", r.corrupt); ("repaired", r.repaired); ("irreparable", r.irreparable) ];
+    Format.fprintf ppf "@,log: %d frames verified" r.wal_frames;
+    if r.wal_corrupt <> [] then
+      Format.fprintf ppf ", corrupt at offsets @[%a@]" (pp_list Format.pp_print_int)
+        r.wal_corrupt;
+    Format.fprintf ppf "@]"
+  end
+
+let committed_prefix vfs path = Option.map (gen_prefix path) (read_pointer vfs path)
+
+(* A twin is a warehouse built from the same updates and checkpointed at
+   the same update count: page allocation is deterministic, so its
+   checkpoint files are byte-identical to a clean copy of this one.  The
+   update counts come from the two [.meta] chunks, which must both
+   verify. *)
+let twin_prefix vfs ~prefix twin =
+  match
+    let twin = committed_prefix vfs twin in
+    ( twin,
+      Option.map (fun p -> Rta.snapshot_updates ~vfs ~path:p ()) twin,
+      Rta.snapshot_updates ~vfs ~path:prefix () )
+  with
+  | Some twin, Some n, n' when n = n' -> Some twin
+  | _ | (exception (Failure _ | Sys_error _ | E.Io _)) -> None
+
+let scrub ?(stats = Storage.Io_stats.create ()) ?(vfs = Storage.Vfs.os) ?repair_from ~path
+    () =
+  let checked = ref 0 and corrupt = ref [] and repaired = ref [] and irreparable = ref [] in
+  let scrub_file ~twin file magic =
+    Mvsbt.Chunks.with_file vfs ~path:file ~magic @@ fun rd ->
+    let with_twin k =
+      match twin with
+      | None -> k (fun () -> None)
+      | Some t ->
+          Mvsbt.Chunks.with_file vfs ~path:t ~magic @@ fun trd ->
+          k (fun () -> try Mvsbt.Chunks.next trd with Failure _ -> None)
+    in
+    with_twin @@ fun twin_next ->
+    let out = lazy (vfs.Storage.Vfs.v_open `Reopen file) in
+    let repair (f : Mvsbt.Chunks.frame) =
+      match twin_next () with
+      | Some (t : Mvsbt.Chunks.frame) when t.ok && t.offset = f.offset && t.len = f.len ->
+          (Lazy.force out).Storage.Vfs.f_pwrite f.offset t.buf t.pos
+            (Mvsbt.Chunks.frame_bytes + t.len);
+          Storage.Io_stats.record_repaired stats;
+          true
+      | _ -> false
+    in
+    let bad index repaired_ =
+      let c = { file; index } in
+      Storage.Io_stats.record_crc_failure stats;
+      corrupt := c :: !corrupt;
+      if repaired_ then repaired := c :: !repaired else irreparable := c :: !irreparable
+    in
+    (* A damaged length field ends the walk of its file: the chunks after
+       it cannot be found. *)
+    let rec walk index =
+      match Mvsbt.Chunks.next rd with
+      | None -> ()
+      | exception Failure _ -> bad index false
+      | Some f ->
+          incr checked;
+          Storage.Io_stats.record_scrubbed stats;
+          if f.ok then ignore (twin_next ()) else bad index (repair f);
+          walk (index + 1)
+    in
+    Fun.protect
+      ~finally:(fun () ->
+        if Lazy.is_val out then
+          let o = Lazy.force out in
+          Fun.protect ~finally:(fun () -> o.Storage.Vfs.f_close ()) o.Storage.Vfs.f_sync)
+      (fun () -> walk 0)
+  in
+  (match committed_prefix vfs path with
+  | None ->
+      if not (vfs.Storage.Vfs.v_exists (wal_path path)) then
+        failwith (Printf.sprintf "Durable.scrub: no warehouse at %s" path)
+  | Some prefix ->
+      let twin = Option.bind repair_from (twin_prefix vfs ~prefix) in
+      List.iter
+        (fun (ext, magic) ->
+          scrub_file ~twin:(Option.map (fun t -> t ^ ext) twin) (prefix ^ ext) magic)
+        Rta.snapshot_files);
+  (* The log: every fully-present frame must verify.  A frame whose
+     length is sane is stepped over, so every bad one is reported; an
+     impossible length ends the walk. *)
+  let wal_frames, wal_corrupt =
+    let file = wal_path path in
+    if not (vfs.Storage.Vfs.v_exists file) then (0, [])
+    else begin
+      let f = vfs.Storage.Vfs.v_open `Reopen file in
+      let rec go tail n bad =
+        match Wal.Tail.poll tail with
+        | Wal.Tail.Frame _ -> go tail (n + 1) bad
+        | Need_more -> (n, List.rev bad)
+        | Corrupt _ ->
+            let off = Wal.Tail.offset tail in
+            let hdr = Bytes.create 4 in
+            let len =
+              if f.Storage.Vfs.f_pread off hdr 0 4 = 4 then
+                Int32.to_int (Bytes.get_int32_le hdr 0)
+              else 0
+            in
+            if len > 0 && len <= Wal.max_record_bytes then
+              go (Wal.Tail.create ~from:(off + 8 + len) f) n (off :: bad)
+            else (n, List.rev (off :: bad))
+      in
+      Fun.protect ~finally:(fun () -> f.Storage.Vfs.f_close ()) @@ fun () ->
+      go (Wal.Tail.create f) 0 []
+    end
+  in
+  let sort l = List.sort compare l in
+  { chunks_checked = !checked; corrupt = sort !corrupt; repaired = sort !repaired;
+    irreparable = sort !irreparable; wal_frames; wal_corrupt }
+
+(* Flips land only in the bytes a CRC covers — chunk payloads of the two
+   snapshots — so every flip is detectable.  [.meta] is left alone:
+   scrub repairs only when both [.meta] chunks verify. *)
+let inject_bit_flips ?(vfs = Storage.Vfs.os) ~path ~seed ~flips () =
+  let prefix =
+    match committed_prefix vfs path with
+    | Some p -> p
+    | None -> failwith (Printf.sprintf "Durable.inject_bit_flips: %s has no checkpoint" path)
+  in
+  let chunks =
+    List.concat_map
+      (fun (ext, magic) ->
+        if ext = ".meta" then []
+        else
+          let file = prefix ^ ext in
+          Mvsbt.Chunks.with_file vfs ~path:file ~magic @@ fun rd ->
+          let rec go acc =
+            match Mvsbt.Chunks.next rd with
+            | None -> List.rev acc
+            | Some f ->
+                go (({ file; index = f.index }, f.offset + Mvsbt.Chunks.frame_bytes, f.len) :: acc)
+          in
+          go [])
+      Rta.snapshot_files
+    |> Array.of_list
+  in
+  let rng = Random.State.make [| seed |] in
+  let n = min flips (Array.length chunks) in
+  (* Partial Fisher-Yates: the first [n] slots end up a uniform sample. *)
+  for i = 0 to n - 1 do
+    let j = i + Random.State.int rng (Array.length chunks - i) in
+    let tmp = chunks.(i) in
+    chunks.(i) <- chunks.(j);
+    chunks.(j) <- tmp
+  done;
+  let hit = Array.to_list (Array.sub chunks 0 n) in
+  List.iter
+    (fun (c, payload, len) ->
+      let f = vfs.Storage.Vfs.v_open `Reopen c.file in
+      Fun.protect ~finally:(fun () -> f.Storage.Vfs.f_close ()) @@ fun () ->
+      let at = payload + Random.State.int rng len in
+      let b = Bytes.create 1 in
+      if f.Storage.Vfs.f_pread at b 0 1 <> 1 then failwith "Durable.inject_bit_flips: short read";
+      Bytes.set_uint8 b 0 (Bytes.get_uint8 b 0 lxor (1 lsl Random.State.int rng 8));
+      f.Storage.Vfs.f_pwrite at b 0 1;
+      f.Storage.Vfs.f_sync ())
+    hit;
+  List.sort compare (List.map (fun (c, _, _) -> c) hit)

@@ -19,14 +19,22 @@
     On-disk layout under a path prefix [p]:
     - [p.wal] — the log;
     - [p.ckpt-<gen>.lkst], [p.ckpt-<gen>.lklt], [p.ckpt-<gen>.meta] — the
-      snapshot files of checkpoint generation [<gen>];
+      snapshot files of checkpoint generation [<gen>], every chunk framed
+      with its length and CRC32 ({!Mvsbt.Chunks});
     - [p.ckpt] — a small CRC-framed pointer naming the committed
       generation.  The snapshot files and the directory are fsynced
       before the pointer is atomically renamed into place (the single
       commit point), and the WAL is truncated only after that — so a
       crash at any step leaves either the old checkpoint or the new one,
       never a mix, and never discards log records whose effects are not
-      yet durable.
+      yet durable;
+    - under [store = Mmap], [p.store.lkst.pages] and [p.store.lklt.pages]
+      — the page files, a cache of the running engine's pages that every
+      open rebuilds and nothing reads back.
+
+    Checkpoint and log are the one recovery source, and both are
+    checksummed: a checkpoint chunk that fails its CRC fails the open
+    under every store, and {!scrub} checks the same bytes ahead of time.
 
     Mutate the warehouse only through this module; going behind its back
     via {!Rta.insert} on {!warehouse} would leave updates unlogged.
@@ -115,17 +123,16 @@ val open_ :
 
     [store] (default [Memory]) picks where the warehouse's MVSBT pages
     live while the engine runs.  [Memory] is the original in-heap
-    warehouse.  [Mmap] runs over real page files under
-    [path ^ ".store"], so every page touch is a genuine mapped access
-    with zero-copy codecs ([arena_backing] as in
-    {!Storage.Arena.create}; pass [`Buffered] under a synthetic [vfs]).
-    The page files are a {e working set},
-    rebuilt on every open: the checkpoint's page chunks are streamed into
-    them as encoded bytes ({!Rta.load_durable}), never decoded into the
-    heap, then the WAL tail replays over them and the build ends with a
-    flush.  Every {!checkpoint} flushes/msyncs them before the WAL
-    truncates and copies their stored bytes into the snapshot.  They are
-    never themselves a recovery source, which is also why switching
+    warehouse.  [Mmap] runs over page files under [path ^ ".store"], so
+    every page touch is a genuine mapped access with zero-copy codecs
+    ([arena_backing] as in {!Storage.Arena.create}; pass [`Buffered]
+    under a synthetic [vfs], where the pages stay in RAM).  The page
+    files are a {e cache}, rebuilt on every open: the checkpoint's
+    verified page frames are copied into them as they are
+    ({!Rta.load_durable}), never decoded into the heap, then the WAL tail
+    replays over them.  Every {!checkpoint} copies their stored frames
+    into the snapshot.  They are never themselves a recovery source,
+    which is also why switching
     [store] between runs is always safe.  [telemetry] (default {!Telemetry.Tracer.noop})
     attaches a tracer to the whole stack: the engine emits
     [durable.recover] / [durable.insert] / [durable.delete] /
@@ -158,12 +165,15 @@ val open_ :
     The log is opened first, so under {!Storage.Vfs.os} its lock rejects
     a second process before it reads the checkpoint pointer, clears a
     generation or touches the page files of an engine already running
-    on [path].  A failed open closes the log and page files it opened.
+    on [path].  A failed open closes the log and page files it opened,
+    and leaves the checkpoint and the log as it found them.
     @raise Failure if another process holds the log, an existing
-    checkpoint disagrees with [max_key], or a snapshot file is malformed.
+    checkpoint disagrees with [max_key], or a snapshot file is malformed
+    or of an older format.
     @raise Storage.Storage_error.Io if recovery I/O fails even after
-    retries (the handle is not created; nothing on disk is damaged
-    beyond what already was). *)
+    retries, or with [Checksum_mismatch], naming the file and the chunk
+    index, if a checkpoint chunk fails its CRC (the handle is not
+    created; nothing on disk is damaged beyond what already was). *)
 
 val insert :
   t -> key:int -> value:int -> at:int -> (unit, Storage.Storage_error.t) result
@@ -328,7 +338,73 @@ val set_phase_cell : t -> Telemetry.Phases.cell option -> unit
     clears it after; [None] (the default) costs one comparison. *)
 
 val close : t -> unit
-(** Flush the working set and fsync the log (best effort), then release
-    the log and the working-set page files (descriptors and mappings);
-    no checkpoint is taken.  Never raises a typed I/O error: whatever the
-    log already holds is what recovery will see. *)
+(** Fsync the log (best effort), then release the log and the page files
+    (descriptors and mappings); no checkpoint is taken.  Never raises a
+    typed I/O error: whatever the log already holds is what recovery will
+    see. *)
+
+(** {2 Scrub}
+
+    Scrub checks ahead of time what recovery reads: the three files of
+    the committed checkpoint, chunk by chunk, and the frames of the log.
+    It takes no lock and never writes the log.  Under {!Storage.Vfs.os}
+    run it in a process that does not hold the warehouse open: closing a
+    descriptor of the log drops the process's [lockf] lock on it. *)
+
+type chunk = { file : string; index : int }
+(** A checkpoint chunk: its file and its number from 0 (for a snapshot,
+    0 is the state, 1 the page count, then one chunk per page). *)
+
+type scrub_report = {
+  chunks_checked : int;
+  corrupt : chunk list;  (** Every chunk that failed its CRC; sorted. *)
+  repaired : chunk list;  (** Corrupt chunks rewritten from the twin. *)
+  irreparable : chunk list;  (** Corrupt chunks no usable twin covers. *)
+  wal_frames : int;  (** Log frames that verified. *)
+  wal_corrupt : int list;
+      (** Offsets of fully-present log frames that failed their CRC.  Scrub
+          never repairs the log: a twin's log bytes differ. *)
+}
+
+val scrub_clean : scrub_report -> bool
+(** No corrupt chunk and no corrupt log frame. *)
+
+val pp_chunk : Format.formatter -> chunk -> unit
+val pp_scrub_report : Format.formatter -> scrub_report -> unit
+
+val scrub :
+  ?stats:Storage.Io_stats.t ->
+  ?vfs:Storage.Vfs.t ->
+  ?repair_from:string ->
+  path:string ->
+  unit ->
+  scrub_report
+(** Verify every chunk of the committed checkpoint of the warehouse at
+    path prefix [path] (none if nothing was ever checkpointed) and every
+    frame of its log.  A chunk whose length field is damaged ends the
+    walk of its file, reported corrupt and irreparable.
+
+    [repair_from] names a twin: a warehouse built from the same updates
+    and checkpointed at the same update count, whose checkpoint is then
+    byte-identical to a clean copy of this one.  When both [.meta]
+    chunks verify and record the same update count, each corrupt chunk
+    is rewritten in place from the twin's chunk at the same index (which
+    must verify and sit at the same offset), and the file is fsynced.
+    Otherwise every corrupt chunk is reported irreparable.
+
+    Counters: each chunk verified bumps [stats]' [scrubbed], each
+    failure [crc_failures], each rewrite [repaired].
+    @raise Failure if there is neither a checkpoint nor a log at [path],
+    the checkpoint pointer is corrupt, or a checkpoint file is of another
+    format.
+    @raise Sys_error if a file of the committed checkpoint is missing. *)
+
+val inject_bit_flips :
+  ?vfs:Storage.Vfs.t -> path:string -> seed:int -> flips:int -> unit -> chunk list
+(** Corruption injection for tests and demos: flip one random bit in
+    each of [flips] distinct chunks of the committed checkpoint's two
+    snapshots (fewer if they hold fewer chunks), always inside a
+    CRC-covered payload, so every flip is detectable by {!scrub}, and
+    fsync.  [.meta] is never hit, so a twin stays usable.  Returns the
+    chunks hit, sorted.
+    @raise Failure if the warehouse has no checkpoint. *)

@@ -20,61 +20,137 @@ let default_config ~b =
   { b; f = 0.9; variant = Logical; merging = true; disposal = true;
     root_star_btree = false }
 
-(* Sequential reader of a snapshot file: a fixed-size magic, then
-   [len i32][len bytes] chunks.  One buffer, refilled by large preads and
-   grown only for a chunk larger than itself, serves every chunk, so
-   loading never holds more than a buffer of the file. *)
-module Chunk_reader = struct
-  type t = {
+(* Checkpoint files: a magic naming the format, then chunks framed
+   [len u32][crc32 u32][payload] — the frame of WAL records and page
+   blocks.  Chunks are written with one [f_append] for the frame header
+   and one for the payload, so [Vfs.Memory] journals each as a disk
+   operation.  The reader streams through one buffer, refilled by large
+   preads and grown only for a chunk larger than itself, so reading never
+   holds more than a buffer of the file. *)
+module Chunks = struct
+  let frame_bytes = 8
+
+  let writer n =
+    let w = Storage.Codec.Writer.create (frame_bytes + n) in
+    Storage.Codec.Writer.i64 w 0;
+    w
+
+  let append_frame out buf =
+    let len = Bytes.length buf - frame_bytes in
+    out.Storage.Vfs.f_append buf 0 frame_bytes;
+    out.Storage.Vfs.f_append buf frame_bytes len
+
+  let append out w =
+    let buf = Storage.Codec.Writer.contents w in
+    let len = Storage.Codec.Writer.pos w - frame_bytes in
+    Bytes.set_int32_le buf 0 (Int32.of_int len);
+    Bytes.set_int32_le buf 4
+      (Int32.of_int (Storage.Codec.crc32 buf ~pos:frame_bytes ~len));
+    out.Storage.Vfs.f_append buf 0 frame_bytes;
+    out.Storage.Vfs.f_append buf frame_bytes len
+
+  type reader = {
     file : Storage.Vfs.file;
+    path : string;
     size : int;
     mutable buf : bytes;
     mutable pos : int; (* next unread byte of [buf] *)
     mutable lim : int; (* end of the bytes read into [buf] *)
     mutable file_pos : int; (* file offset of [buf]'s byte [lim] *)
+    mutable index : int; (* of the next chunk *)
   }
 
-  let fail msg = failwith ("Mvsbt.Persist: " ^ msg)
+  type frame = { offset : int; index : int; buf : bytes; pos : int; len : int; ok : bool }
 
-  let create file =
-    { file; size = file.Storage.Vfs.f_size (); buf = Bytes.create 65536; pos = 0;
-      lim = 0; file_pos = 0 }
+  let fail (rd : reader) msg = failwith (Printf.sprintf "Mvsbt.Chunks: %s: %s" rd.path msg)
 
-  (* The next [n] bytes, as an offset into [t.buf] valid until the next
-     call.  A request past the end of the file fails before any buffer is
-     grown for it. *)
-  let take t n =
-    let have = t.lim - t.pos in
+  (* Make the next [n] bytes contiguous in [rd.buf] from [rd.pos].  A
+     request past the end of the file fails before any buffer is grown
+     for it. *)
+  let fill (rd : reader) n =
+    let have = rd.lim - rd.pos in
     if have < n then begin
-      if have + (t.size - t.file_pos) < n then fail "truncated snapshot";
+      if have + (rd.size - rd.file_pos) < n then fail rd "truncated file";
       let dst =
-        if n <= Bytes.length t.buf then t.buf
-        else Bytes.create (max n (2 * Bytes.length t.buf))
+        if n <= Bytes.length rd.buf then rd.buf
+        else Bytes.create (max n (2 * Bytes.length rd.buf))
       in
-      Bytes.blit t.buf t.pos dst 0 have;
-      t.buf <- dst;
-      t.pos <- 0;
-      t.lim <- have;
-      let want = min (Bytes.length dst - have) (t.size - t.file_pos) in
-      while t.lim < have + want do
-        let got = t.file.Storage.Vfs.f_pread t.file_pos dst t.lim (have + want - t.lim) in
-        if got <= 0 then fail "truncated snapshot";
-        t.lim <- t.lim + got;
-        t.file_pos <- t.file_pos + got
+      Bytes.blit rd.buf rd.pos dst 0 have;
+      rd.buf <- dst;
+      rd.pos <- 0;
+      rd.lim <- have;
+      let want = min (Bytes.length dst - have) (rd.size - rd.file_pos) in
+      while rd.lim < have + want do
+        let got =
+          rd.file.Storage.Vfs.f_pread rd.file_pos dst rd.lim (have + want - rd.lim)
+        in
+        if got <= 0 then fail rd "truncated file";
+        rd.lim <- rd.lim + got;
+        rd.file_pos <- rd.file_pos + got
       done
+    end
+
+  let at_end (rd : reader) = rd.pos = rd.lim && rd.file_pos = rd.size
+
+  let next (rd : reader) =
+    if at_end rd then None
+    else begin
+      fill rd frame_bytes;
+      let len = Int32.to_int (Bytes.get_int32_le rd.buf rd.pos) land 0xFFFFFFFF in
+      if len > 1 lsl 30 then fail rd "corrupt chunk length";
+      let crc = Int32.to_int (Bytes.get_int32_le rd.buf (rd.pos + 4)) land 0xFFFFFFFF in
+      fill rd (frame_bytes + len);
+      let pos = rd.pos and index = rd.index in
+      rd.pos <- pos + frame_bytes + len;
+      rd.index <- index + 1;
+      Some
+        { offset = rd.file_pos - (rd.lim - pos); index; buf = rd.buf; pos; len;
+          ok = Storage.Codec.crc32 rd.buf ~pos:(pos + frame_bytes) ~len = crc }
+    end
+
+  let frame rd =
+    match next rd with
+    | None -> fail rd "truncated file"
+    | Some f when f.ok -> f
+    | Some f ->
+        Storage.Storage_error.raise_io ~op:Storage.Storage_error.Pread ~path:rd.path
+          ~detail:(Printf.sprintf "chunk %d" f.index) Storage.Storage_error.Checksum_mismatch
+
+  let chunk rd =
+    let f = frame rd in
+    Storage.Codec.Reader.create ~pos:(f.pos + frame_bytes) ~len:f.len f.buf
+
+  (* A file of another format — including this one's predecessors, whose
+     chunks carry no CRC — is refused by name; there is no second reader. *)
+  let with_file vfs ~path ~magic k =
+    let file = vfs.Storage.Vfs.v_open `Reopen path in
+    Fun.protect ~finally:(fun () -> file.Storage.Vfs.f_close ()) @@ fun () ->
+    let rd =
+      { file; path; size = file.Storage.Vfs.f_size (); buf = Bytes.create 65536; pos = 0;
+        lim = 0; file_pos = 0; index = 0 }
+    in
+    let n = String.length magic in
+    let got =
+      if rd.size < n then ""
+      else begin
+        fill rd n;
+        rd.pos <- n;
+        Bytes.sub_string rd.buf 0 n
+      end
+    in
+    if got <> magic then begin
+      let family = String.sub magic 0 (String.rindex magic '-' + 1) in
+      if String.starts_with ~prefix:family got then
+        fail rd (Printf.sprintf "format %s is not readable (this build reads %s)" got magic)
+      else fail rd "bad magic"
     end;
-    let at = t.pos in
-    t.pos <- t.pos + n;
-    at
-
-  let chunk t =
-    let len = Int32.to_int (Bytes.get_int32_le t.buf (take t 4)) in
-    if len < 0 || len > 1 lsl 30 then fail "corrupt chunk length";
-    let pos = take t len in
-    (t.buf, pos, len)
-
-  let at_end t = t.pos = t.lim && t.file_pos = t.size
+    k rd
 end
+
+(* A snapshot ({!Make.Persist.save}) is this magic, then {!Chunks}: the
+   state, the page count, then one chunk per page — the page's frame
+   exactly as a page file's block carries it. *)
+let snapshot_magic = "MVSBT-SNAPSHOT-3"
 
 module Make (G : Aggregate.Group.S) = struct
   type record = {
@@ -112,9 +188,8 @@ module Make (G : Aggregate.Group.S) = struct
     b_list : unit -> Storage.Page_id.t list;
     b_live : unit -> int;
     b_drop : unit -> unit;
-    b_flush : unit -> unit;
-    b_payload : (Storage.Page_id.t -> bytes) option;
-        (* [Some] on a page file: a page's stored encoded payload *)
+    b_frame : (Storage.Page_id.t -> bytes) option;
+        (* [Some] on a page file: a page's stored frame, CRC-checked *)
     b_close : unit -> unit;
   }
 
@@ -132,8 +207,7 @@ module Make (G : Aggregate.Group.S) = struct
         b_list = (fun () -> Pool.flush pool; Store.ids store);
         b_live = (fun () -> Store.live_pages store);
         b_drop = (fun () -> Pool.drop_cache pool);
-        b_flush = (fun () -> Pool.flush pool);
-        b_payload = None;
+        b_frame = None;
         b_close = ignore;
       } )
 
@@ -202,8 +276,6 @@ module Make (G : Aggregate.Group.S) = struct
     t.backend.b_drop ();
     Root_star.drop_cache t.root_star
 
-  let flush t = Telemetry.Tracer.with_span t.tel "mvsbt.flush" (fun () -> t.backend.b_flush ())
-  let try_flush t = Storage.Storage_error.protect (fun () -> flush t)
   let close t = t.backend.b_close ()
 
   let read t pid =
@@ -895,8 +967,7 @@ module Make (G : Aggregate.Group.S) = struct
   end
 
   (* The handle state — configuration, clock, current root, root*
-     directory — in the one layout that both the snapshot header chunk
-     and the durable meta sidecar carry. *)
+     directory — as the snapshot's state chunk carries it. *)
   type state = {
     s_cfg : config;
     s_key_space : int;
@@ -965,32 +1036,22 @@ module Make (G : Aggregate.Group.S) = struct
       cur_root = st.s_cur_root; height = st.s_height; now_ = st.s_now;
       horizon = st.s_horizon; touches = 0; tel = Telemetry.Tracer.noop }
 
-  (* A snapshot ({!Persist.save}) is the magic, the state chunk, a chunk
-     holding the page count, then one chunk per page: the page encoded
-     exactly as a page file's block carries it. *)
-  let snapshot_magic = "MVSBT-SNAPSHOT-2"
+  let corrupt_page_chunk path =
+    failwith (Printf.sprintf "Mvsbt.Persist: %s: corrupt page chunk" path)
 
   (* Stream the snapshot at [path]: [k] gets its state and a function
-     that feeds each page chunk to a consumer, as a slice of a reused
-     buffer valid only during the call.  A short, misframed or overlong
-     file fails. *)
+     that feeds each verified page frame to a consumer, as a slice of a
+     reused buffer valid only during the call.  A short, misframed,
+     overlong or checksum-failing file fails. *)
   let with_snapshot ~vfs ~path k =
-    let file = vfs.Storage.Vfs.v_open `Reopen path in
-    Fun.protect ~finally:(fun () -> file.Storage.Vfs.f_close ()) @@ fun () ->
-    let rd = Chunk_reader.create file in
-    let n = String.length snapshot_magic in
-    let at = Chunk_reader.take rd n in
-    if Bytes.sub_string rd.buf at n <> snapshot_magic then
-      failwith "Mvsbt.Persist.load: bad magic";
-    let slice (buf, pos, len) = Storage.Codec.Reader.create ~pos ~len buf in
-    let st = decode_state ~who:"Mvsbt.Persist.load" (slice (Chunk_reader.chunk rd)) in
+    Chunks.with_file vfs ~path ~magic:snapshot_magic @@ fun rd ->
+    let st = decode_state ~who:"Mvsbt.Persist.load" (Chunks.chunk rd) in
     k st (fun page ->
-        let n_pages = Storage.Codec.Reader.i32 (slice (Chunk_reader.chunk rd)) in
+        let n_pages = Storage.Codec.Reader.i32 (Chunks.chunk rd) in
         for _ = 1 to n_pages do
-          let buf, pos, len = Chunk_reader.chunk rd in
-          page buf ~pos ~len
+          page (Chunks.frame rd)
         done;
-        if not (Chunk_reader.at_end rd) then Chunk_reader.fail "bytes after the last page")
+        if not (Chunks.at_end rd) then Chunks.fail rd "bytes after the last page")
 
   module Durable (V : VALUE_CODEC) = struct
     module RC = Record_codec (V) (Storage.Zcodec.Reader) (Storage.Zcodec.Writer)
@@ -1012,55 +1073,10 @@ module Make (G : Aggregate.Group.S) = struct
        stay OS-page aligned. *)
     let page_size_for cfg = (max 4096 (min_page_size cfg) + 4095) / 4096 * 4096
 
-    (* The page file holds only pages; the handle state (configuration,
-       clock, current root, root* directory) lives in a CRC-framed meta
-       sidecar rewritten atomically on every flush — flush order is pages,
-       fsync, then meta, so the meta never points at pages that have not
-       reached the disk.  [reopen] restores the state of the last flush. *)
-    let meta_magic = "MVSBT-DURMETA-2!"
-
-    let meta_path path = path ^ ".meta"
-
-    let write_meta t ~vfs ~path =
-      let w = Storage.Codec.Writer.create (String.length meta_magic + state_bytes t + 4) in
-      String.iter (fun ch -> Storage.Codec.Writer.u8 w (Char.code ch)) meta_magic;
-      encode_state w t;
-      let len = Storage.Codec.Writer.pos w in
-      let buf = Storage.Codec.Writer.contents w in
-      (* The CRC is unsigned 32-bit; Writer.i32 would reject the top half
-         of its range, so splice it in raw. *)
-      Bytes.set_int32_le buf len (Int32.of_int (Storage.Codec.crc32 buf ~pos:0 ~len));
-      Storage.Vfs.write_file_atomic vfs ~path:(meta_path path) buf ~len:(len + 4)
-
-    let read_meta ~vfs ~path =
-      let file = meta_path path in
-      if not (vfs.Storage.Vfs.v_exists file) then
-        failwith
-          (Printf.sprintf "Mvsbt.Durable: no meta sidecar %s (never flushed?)" file);
-      let buf = Storage.Vfs.read_file vfs file in
-      let size = Bytes.length buf in
-      if size < String.length meta_magic + 4 then
-        failwith "Mvsbt.Durable: truncated meta sidecar";
-      let crc = Int32.to_int (Bytes.get_int32_le buf (size - 4)) land 0xFFFFFFFF in
-      if Storage.Codec.crc32 buf ~pos:0 ~len:(size - 4) <> crc then
-        failwith "Mvsbt.Durable: meta sidecar checksum mismatch";
-      let rd = Storage.Codec.Reader.create buf in
-      let magic =
-        String.init (String.length meta_magic) (fun _ -> Char.chr (Storage.Codec.Reader.u8 rd))
-      in
-      if magic <> meta_magic then failwith "Mvsbt.Durable: bad meta magic";
-      decode_state ~who:"Mvsbt.Durable" rd
-
-    (* Unless the caller names one, an existing page file's page size is
-       the one its meta sidecar's config implies — as {!reopen} sizes it. *)
-    let stored_page_size ~vfs ~path = function
-      | Some p -> p
-      | None -> page_size_for (read_meta ~vfs ~path).s_cfg
-
     (* The mapped store pairs with clock eviction: with reads decoding
        straight out of the mapping, eviction is pure bookkeeping, so the
        cheaper approximation beats exact LRU's list surgery per touch. *)
-    let make_backend ~vfs ~path ~pool_capacity ~self store =
+    let make_backend ~pool_capacity ~self store =
       let pool =
         Mmap_pool.create ~capacity:pool_capacity ~policy:Storage.Evict.Second_chance store
       in
@@ -1121,24 +1137,16 @@ module Make (G : Aggregate.Group.S) = struct
             Mmap_store.written_ids store);
         b_live = (fun () -> Mmap_store.live_pages store);
         b_drop = (fun () -> Mmap_pool.drop_cache pool);
-        (* A durable flush must reach the platter, not just the kernel:
-           write back dirty pages, msync the page file, then commit the
-           meta sidecar describing exactly that on-disk state. *)
-        b_flush =
-          (fun () ->
-            Mmap_pool.flush pool;
-            Mmap_store.sync store;
-            match !self with Some t -> write_meta t ~vfs ~path | None -> ());
-        b_payload =
+        b_frame =
           Some
             (fun pid ->
               Mmap_pool.clean pool pid;
-              Mmap_store.read_payload store pid);
+              Mmap_store.read_frame store pid);
         b_close = (fun () -> Mmap_store.close store);
       }
 
-    let create ?config ?(pool_capacity = 64) ?stats ?page_size
-        ?(vfs = Storage.Vfs.os) ?(backing = `Auto) ~key_space ~path () =
+    let create ?config ?(pool_capacity = 64) ?stats ?page_size ?(backing = `Auto)
+        ~key_space ~path () =
       let cfg = match config with Some c -> c | None -> default_config ~b:64 in
       validate_create cfg key_space;
       let page_size = match page_size with Some p -> p | None -> page_size_for cfg in
@@ -1148,50 +1156,33 @@ module Make (G : Aggregate.Group.S) = struct
              "Mvsbt.Durable.create: %d-byte pages cannot hold b=%d records (need %d)"
              page_size cfg.b (min_page_size cfg));
       let io_stats = match stats with Some s -> s | None -> Storage.Io_stats.create () in
-      let store = Mmap_store.create ~stats:io_stats ~page_size ~vfs ~backing ~path () in
+      let store = Mmap_store.create ~stats:io_stats ~page_size ~backing ~path () in
       let self = ref None in
-      let backend = make_backend ~vfs ~path ~pool_capacity ~self store in
-      let t = boot ~cfg ~key_space ~io_stats backend in
-      self := Some t;
-      write_meta t ~vfs ~path;
-      t
-
-    let reopen ?(pool_capacity = 64) ?stats ?page_size ?(vfs = Storage.Vfs.os)
-        ?(backing = `Auto) ~path () =
-      let st = read_meta ~vfs ~path in
-      let page_size = match page_size with Some p -> p | None -> page_size_for st.s_cfg in
-      let io_stats = match stats with Some s -> s | None -> Storage.Io_stats.create () in
-      let store =
-        Mmap_store.create ~stats:io_stats ~page_size ~mode:`Reopen ~vfs ~backing ~path ()
-      in
-      if not (Mmap_store.mem store st.s_cur_root) then begin
-        Mmap_store.close store;
-        failwith "Mvsbt.Durable.reopen: meta names a root the page file does not hold"
-      end;
-      let self = ref None in
-      let t = of_state ~io_stats (make_backend ~vfs ~path ~pool_capacity ~self store) st in
+      let t = boot ~cfg ~key_space ~io_stats (make_backend ~pool_capacity ~self store) in
       self := Some t;
       t
 
     (* A page chunk's structure, checked without building the page: a
        level, a record count within [b], child flags of 0 or 1, and
        records that fill the chunk exactly.  {!of_snapshot} runs it before
-       it frames a chunk into a page file; {!Persist.load}, which decodes
+       it copies a frame into a page file; {!Persist.load}, which decodes
        every page anyway, holds the decoded page to the same level, count
-       and length rule. *)
-    let check_page_chunk ~b buf ~pos ~len =
+       and length rule.  The CRC only catches bit rot; these rules check
+       input from outside the program. *)
+    let check_page_chunk ~b ~path (f : Chunks.frame) =
       let module R = Storage.Codec.Reader in
-      let rd = R.create ~pos ~len buf in
+      let pos = f.pos + Chunks.frame_bytes in
+      let r = R.create ~pos ~len:f.len f.buf in
       let skip_i64s k =
         for _ = 1 to k do
-          ignore (R.i64 rd)
+          ignore (R.i64 r)
         done
       in
       let rec records n =
         n = 0
         || begin
              skip_i64s (4 + V.words);
-             match R.u8 rd with
+             match R.u8 r with
              | 0 -> records (n - 1)
              | 1 ->
                  skip_i64s 1;
@@ -1202,130 +1193,44 @@ module Make (G : Aggregate.Group.S) = struct
       let well_formed =
         match
           skip_i64s 1;
-          let level = R.i32 rd in
+          let level = R.i32 r in
           skip_i64s 4;
-          let n = R.i32 rd in
-          level >= 0 && n >= 0 && n <= b && records n && R.pos rd = pos + len
+          let n = R.i32 r in
+          level >= 0 && n >= 0 && n <= b && records n && R.pos r = pos + f.len
         with
         | ok -> ok
         | exception Storage.Codec.Overflow _ -> false
       in
-      if not well_formed then Chunk_reader.fail "corrupt page chunk"
+      if not well_formed then corrupt_page_chunk path
 
     (* Build a page file at [path] from a {!Persist} snapshot without
-       decoding a page: each chunk already is the page's block payload, so
-       it is framed into the block of its id as is — one charged write per
-       page.  The snapshot's config sizes the pages.  The tree is meant to
-       be flushed by its caller, which commits the meta sidecar. *)
+       decoding a page: each verified chunk frame already is the page's
+       block frame, CRC included, so it is copied into the block of its
+       id as is — one charged write per page.  The snapshot's config
+       sizes the pages. *)
     let of_snapshot ?(pool_capacity = 64) ?stats ?(vfs = Storage.Vfs.os)
         ?(backing = `Auto) ~snapshot ~path () =
       let io_stats = match stats with Some s -> s | None -> Storage.Io_stats.create () in
       with_snapshot ~vfs ~path:snapshot @@ fun st pages ->
       let store =
-        Mmap_store.create ~stats:io_stats ~page_size:(page_size_for st.s_cfg) ~vfs ~backing
-          ~path ()
+        Mmap_store.create ~stats:io_stats ~page_size:(page_size_for st.s_cfg) ~backing ~path ()
       in
       (try
-         pages (fun buf ~pos ~len ->
-             check_page_chunk ~b:st.s_cfg.b buf ~pos ~len;
-             let pid = Storage.Page_id.of_int (Int64.to_int (Bytes.get_int64_le buf pos)) in
-             Mmap_store.install_raw store pid buf ~pos ~len)
+         pages (fun f ->
+             check_page_chunk ~b:st.s_cfg.b ~path:snapshot f;
+             let pid =
+               Storage.Page_id.of_int
+                 (Int64.to_int (Bytes.get_int64_le f.buf (f.pos + Chunks.frame_bytes)))
+             in
+             Mmap_store.install_raw store pid f.buf ~pos:f.pos
+               ~len:(Chunks.frame_bytes + f.len))
        with e ->
          Mmap_store.close store;
          raise e);
       let self = ref None in
-      let t = of_state ~io_stats (make_backend ~vfs ~path ~pool_capacity ~self store) st in
+      let t = of_state ~io_stats (make_backend ~pool_capacity ~self store) st in
       self := Some t;
       t
-
-    (* --- Scrub and repair ----------------------------------------------------- *)
-
-    type scrub_report = {
-      pages_checked : int;
-      corrupt : Storage.Page_id.t list;  (** Checksum failures found (ascending). *)
-      repaired : Storage.Page_id.t list;
-      irreparable : Storage.Page_id.t list;
-    }
-
-    (* Page ids are allocated deterministically, so a reference tree that
-       went through the same update sequence holds byte-for-byte the same
-       logical page under the same id — that is what makes repair-by-id
-       sound.  The caller is responsible for that precondition (see
-       [Rta.scrub], which checks the update counters); an id the reference
-       does not hold is reported irreparable. *)
-    let scrub ?stats ?page_size ?(vfs = Storage.Vfs.os) ?(backing = `Auto) ?repair_from
-        ~path () =
-      let io_stats = match stats with Some s -> s | None -> Storage.Io_stats.create () in
-      let store =
-        Mmap_store.create ~stats:io_stats
-          ~page_size:(stored_page_size ~vfs ~path page_size)
-          ~mode:`Reopen ~vfs ~backing ~path ()
-      in
-      Fun.protect ~finally:(fun () -> Mmap_store.close store) @@ fun () ->
-      let ids = Mmap_store.written_ids store in
-      let corrupt =
-        List.filter
-          (fun id ->
-            let ok = Mmap_store.verify store id in
-            Storage.Io_stats.record_scrubbed io_stats;
-            not ok)
-          ids
-      in
-      let repaired, irreparable =
-        match repair_from with
-        | None -> ([], corrupt)
-        | Some src ->
-            List.partition
-              (fun id ->
-                if src.backend.b_exists id then begin
-                  Mmap_store.write store id (src.backend.b_read id);
-                  Storage.Io_stats.record_repaired io_stats;
-                  true
-                end
-                else false)
-              corrupt
-      in
-      if repaired <> [] then Mmap_store.sync store;
-      { pages_checked = List.length ids; corrupt; repaired; irreparable }
-
-    (* Fault injection for scrub tests: flip one random bit in each of
-       [flips] distinct written pages, inside the CRC-covered region of
-       the block ([len]+[crc]+payload — never the padding, which no
-       checksum covers), so every flip is detectable by construction.
-       Returns the ids hit, ascending. *)
-    let inject_bit_flips ?page_size ?(vfs = Storage.Vfs.os) ?(backing = `Auto) ~path
-        ~seed ~flips () =
-      let store =
-        Mmap_store.create
-          ~page_size:(stored_page_size ~vfs ~path page_size)
-          ~mode:`Reopen ~vfs ~backing ~path ()
-      in
-      Fun.protect ~finally:(fun () -> Mmap_store.close store) @@ fun () ->
-      let ids = Array.of_list (Mmap_store.written_ids store) in
-      let rng = Random.State.make [| seed |] in
-      let n = min flips (Array.length ids) in
-      (* Partial Fisher-Yates: the first [n] slots end up a uniform sample. *)
-      for i = 0 to n - 1 do
-        let j = i + Random.State.int rng (Array.length ids - i) in
-        let tmp = ids.(i) in
-        ids.(i) <- ids.(j);
-        ids.(j) <- tmp
-      done;
-      let hit = Array.sub ids 0 n in
-      let overhead = Mmap_store.block_overhead in
-      Array.iter
-        (fun id ->
-          let block = Mmap_store.read_block store id in
-          let len = Int32.to_int (Bytes.get_int32_le block 0) in
-          let covered = overhead + max 0 (min len (Bytes.length block - overhead)) in
-          let bit = Random.State.int rng (covered * 8) in
-          let byte = bit / 8 in
-          Bytes.set block byte
-            (Char.chr (Char.code (Bytes.get block byte) lxor (1 lsl (bit mod 8))));
-          Mmap_store.write_block store id block)
-        hit;
-      Array.to_list hit
-      |> List.sort (fun a b -> compare (Storage.Page_id.to_int a) (Storage.Page_id.to_int b))
   end
 
   (* --- Snapshot persistence --------------------------------------------------- *)
@@ -1333,55 +1238,40 @@ module Make (G : Aggregate.Group.S) = struct
   module Persist (V : VALUE_CODEC) = struct
     include Record_codec (V) (Storage.Codec.Reader) (Storage.Codec.Writer)
 
-    (* Written through the VFS in one [f_append] per chunk header and one
-       per chunk, so snapshot writes are journalled by [Vfs.Memory] like
-       every other disk operation. *)
-    let write_chunk out buf len =
-      let hdr = Bytes.create 4 in
-      Bytes.set_int32_le hdr 0 (Int32.of_int len);
-      out.Storage.Vfs.f_append hdr 0 4;
-      out.Storage.Vfs.f_append buf 0 len
-
-    let write_writer out w =
-      write_chunk out (Storage.Codec.Writer.contents w) (Storage.Codec.Writer.pos w)
-
     let save ?(vfs = Storage.Vfs.os) t ~path =
       let oc = vfs.Storage.Vfs.v_open `Create path in
       Fun.protect ~finally:(fun () -> oc.Storage.Vfs.f_close ()) @@ fun () ->
       let magic = Bytes.of_string snapshot_magic in
       oc.Storage.Vfs.f_append magic 0 (Bytes.length magic);
-      let w = Storage.Codec.Writer.create (state_bytes t) in
+      let w = Chunks.writer (state_bytes t) in
       encode_state w t;
-      write_writer oc w;
-      (* Pages in the reverse of the walk's preorder, one write each.  A
-         heap tree's pages are in memory already and are encoded.  A page
-         file already holds each page's chunk, so its walk decodes only
-         roots and index pages, to find children, and every page is
-         copied as stored: holding the decoded index pages until they are
-         written would put a slice of the tree back in the heap. *)
+      Chunks.append oc w;
+      (* Pages in the reverse of the walk's preorder, one frame each.  A
+         heap tree's pages are in memory already and are encoded, their
+         CRC computed as they are framed.  A page file already holds each
+         page's frame, so its walk decodes only roots and index pages, to
+         find children, and every frame is copied as stored, its CRC
+         verified on the way out: holding the decoded index pages until
+         they are written would put a slice of the tree back in the
+         heap. *)
       let writes = ref [] in
-      (match t.backend.b_payload with
+      (match t.backend.b_frame with
       | None ->
           iter_pages t (fun p ->
               writes :=
                 (fun () ->
                   let w =
-                    Storage.Codec.Writer.create
-                      (page_header_bytes + (List.length p.records * record_bytes))
+                    Chunks.writer (page_header_bytes + (List.length p.records * record_bytes))
                   in
                   encode_page w p;
-                  write_writer oc w)
+                  Chunks.append oc w)
                 :: !writes)
       | Some stored ->
           walk t ~leaves:false (fun pid _ ->
-              writes :=
-                (fun () ->
-                  let payload = stored pid in
-                  write_chunk oc payload (Bytes.length payload))
-                :: !writes));
-      let w = Storage.Codec.Writer.create 8 in
+              writes := (fun () -> Chunks.append_frame oc (stored pid)) :: !writes));
+      let w = Chunks.writer 4 in
       Storage.Codec.Writer.i32 w (List.length !writes);
-      write_writer oc w;
+      Chunks.append oc w;
       List.iter (fun write -> write ()) !writes
 
     let load ?(pool_capacity = 64) ?stats ?(vfs = Storage.Vfs.os) ~path () =
@@ -1389,16 +1279,17 @@ module Make (G : Aggregate.Group.S) = struct
       let store, backend = mem_backend ~pool_capacity ~io_stats in
       with_snapshot ~vfs ~path @@ fun st pages ->
       (* [Store.install] charges no I/O, so loading is free of counters. *)
-      pages (fun buf ~pos ~len ->
-          let rd = Storage.Codec.Reader.create ~pos ~len buf in
+      pages (fun f ->
+          let pos = f.Chunks.pos + Chunks.frame_bytes in
+          let rd = Storage.Codec.Reader.create ~pos ~len:f.len f.buf in
           match decode_page rd with
           | p
             when p.level >= 0
                  && List.length p.records <= st.s_cfg.b
-                 && Storage.Codec.Reader.pos rd = pos + len ->
+                 && Storage.Codec.Reader.pos rd = pos + f.len ->
               Store.install store p.pid p
           | _ | (exception (Invalid_argument _ | Storage.Codec.Overflow _)) ->
-              Chunk_reader.fail "corrupt page chunk");
+              corrupt_page_chunk path);
       of_state ~io_stats backend st
   end
 

@@ -59,6 +59,69 @@ val default_config : b:int -> config
 (** [f = 0.9] (the paper's experimental setting), [Logical] variant,
     merging and disposal on, main-memory [root*]. *)
 
+(** Checkpoint files: a magic naming the format, then a sequence of
+    chunks, each framed [[len u32][crc32 u32][payload]] — the frame of
+    WAL records and of page blocks ({!Storage.Page_store.Mmap}), with the
+    CRC over the payload.  {!Make.Persist} writes MVSBT snapshots this
+    way and {!Rta} its base-table file; {!Durable} scrubs all three files
+    of a checkpoint through the same reader. *)
+module Chunks : sig
+  val frame_bytes : int
+  (** The frame header: length and CRC, 8 bytes. *)
+
+  val writer : int -> Storage.Codec.Writer.t
+  (** A writer with room for an [n]-byte payload after a blank frame
+      header; encode the payload into it, then {!append} it. *)
+
+  val append : Storage.Vfs.file -> Storage.Codec.Writer.t -> unit
+  (** Fill in a {!writer}'s frame header (length and CRC of what was
+      written after it) and append the chunk. *)
+
+  val append_frame : Storage.Vfs.file -> bytes -> unit
+  (** Append a buffer that is exactly one framed chunk, as stored. *)
+
+  type reader
+
+  type frame = {
+    offset : int;  (** File offset of the frame header. *)
+    index : int;  (** Chunk number, from 0 after the magic. *)
+    buf : bytes;
+    pos : int;
+        (** The frame is [buf]'s bytes [pos .. pos + frame_bytes + len - 1],
+            valid until the next read. *)
+    len : int;  (** Payload length. *)
+    ok : bool;  (** Whether the payload matches its CRC. *)
+  }
+
+  val with_file :
+    Storage.Vfs.t -> path:string -> magic:string -> (reader -> 'a) -> 'a
+  (** Open [path], check that it starts with [magic], and stream it.  A
+      file of another format is refused by name — one of this format's
+      predecessors, whose chunks carry no CRC, included.
+      @raise Failure on a missing, foreign or older-format file. *)
+
+  val next : reader -> frame option
+  (** The next chunk, judged but not refused; [None] at the end.
+      @raise Failure on a length that runs past the end of the file. *)
+
+  val frame : reader -> frame
+  (** The next chunk, which must be there and verify.
+      @raise Storage.Storage_error.Io with [Checksum_mismatch] on [Pread]
+      of the file, naming the chunk index, if it does not.
+      @raise Failure on a truncated file. *)
+
+  val chunk : reader -> Storage.Codec.Reader.t
+  (** {!frame}'s payload, as a reader. *)
+
+  val at_end : reader -> bool
+
+  val fail : reader -> string -> 'a
+  (** Raise [Failure] naming the file. *)
+end
+
+val snapshot_magic : string
+(** The magic of {!Make.Persist} snapshots. *)
+
 module Make (G : Aggregate.Group.S) : sig
   type t
 
@@ -157,26 +220,17 @@ module Make (G : Aggregate.Group.S) : sig
   val telemetry : t -> Telemetry.Tracer.t
 
   val set_telemetry : t -> Telemetry.Tracer.t -> unit
-  (** Attach a tracer (default {!Telemetry.Tracer.noop}): {!insert},
-      {!query} and {!flush} emit [mvsbt.insert]/[mvsbt.query]/
-      [mvsbt.flush] spans, and structural changes emit
+  (** Attach a tracer (default {!Telemetry.Tracer.noop}): {!insert} and
+      {!query} emit [mvsbt.insert]/[mvsbt.query] spans, and structural
+      changes emit
       [mvsbt.time_split]/[mvsbt.key_split]/[mvsbt.root_grow] events. *)
 
   val drop_cache : t -> unit
   (** Flush and empty the buffer pool (cold-cache measurements). *)
 
-  val flush : t -> unit
-  (** Write dirty pages back to the underlying store (a real file for
-      {!Durable} trees). *)
-
-  val try_flush : t -> (unit, Storage.Storage_error.t) result
-  (** {!flush} with the typed error channel: a [Storage_error.Io] from
-      the underlying store is returned as [Error] instead of raising. *)
-
   val close : t -> unit
   (** Release a {!Durable} tree's page file (its descriptor and mapping);
-      a no-op for heap trees.  Unflushed pages are lost, and the handle
-      must not be used afterwards. *)
+      a no-op for heap trees.  The handle must not be used afterwards. *)
 
   val check_invariants : t -> unit
   (** Structural validation over the whole graph: Property 1 (alive
@@ -206,55 +260,31 @@ module Make (G : Aggregate.Group.S) : sig
 
   (** A file-resident MVSBT: pages are encoded into fixed-size blocks of a
       page file ({!Storage.Page_store.Mmap}: a memory-mapped arena, or a
-      buffered image of it where mapping is unavailable) behind a
-      pinning, second-chance buffer pool, so physical reads and writes
-      hit the file.  Pages are encoded and decoded in place in the
-      block, through the same layout {!Persist} writes to snapshots.
-      The handle type and every operation are those of the in-memory
-      tree. *)
+      RAM image of it where mapping is unavailable) behind a pinning,
+      second-chance buffer pool, so physical reads and writes hit the
+      file.  Pages are encoded and decoded in place in the block, through
+      the same layout {!Persist} writes to snapshots.  The handle type
+      and every operation are those of the in-memory tree.  The page
+      file is a cache of this handle's pages: nothing reads it back after
+      {!close}, and a tree is made durable by {!Persist.save}. *)
   module Durable (V : VALUE_CODEC) : sig
     val create :
       ?config:config ->
       ?pool_capacity:int ->
       ?stats:Storage.Io_stats.t ->
       ?page_size:int ->
-      ?vfs:Storage.Vfs.t ->
       ?backing:[ `Auto | `Map | `Buffered ] ->
       key_space:int ->
       path:string ->
       unit ->
       t
-    (** Creates (truncating) [path].  [page_size] must be able to hold [b]
-        maximal records plus the per-page integrity frame; it defaults to
-        the smallest multiple of 4096 bytes that does.  The same rule
-        sizes {!of_snapshot}, {!reopen}, {!scrub} and
-        {!inject_bit_flips}.  Alongside the page file, a meta sidecar
-        [path ^ ".meta"] records the handle state (configuration, clock,
-        current root, root* directory); it is rewritten atomically on
-        every {!flush}, making {!reopen} possible.  All I/O goes through
-        [vfs] (default {!Storage.Vfs.os}); [backing] (default [`Auto])
-        picks the arena flavour — see {!Storage.Arena.create}, and pass
-        [`Buffered] under a synthetic [vfs].
+    (** Creates (truncating) the page file at [path].  [page_size] must
+        be able to hold [b] maximal records plus the per-page integrity
+        frame; it defaults to the smallest multiple of 4096 bytes that
+        does, the rule {!of_snapshot} sizes its pages by.  [backing]
+        (default [`Auto]) picks the arena flavour — see
+        {!Storage.Arena.create}.
         @raise Invalid_argument when the configuration cannot fit. *)
-
-    val reopen :
-      ?pool_capacity:int ->
-      ?stats:Storage.Io_stats.t ->
-      ?page_size:int ->
-      ?vfs:Storage.Vfs.t ->
-      ?backing:[ `Auto | `Map | `Buffered ] ->
-      path:string ->
-      unit ->
-      t
-    (** Reopen an existing durable index {e without} truncating it,
-        restoring the state committed by the last {!flush} (configuration
-        and geometry come from the sidecar and the page-file header).
-        This is a {e clean-shutdown} reopen: updates made after the last
-        flush are not recovered — pair the index with the WAL engine
-        ({!Durable} in [lib/core/durable.ml]) when crash recovery of the
-        update tail is required.
-        @raise Failure on a missing/corrupt sidecar or page file, or a
-        [page_size] mismatch. *)
 
     val of_snapshot :
       ?pool_capacity:int ->
@@ -266,82 +296,37 @@ module Make (G : Aggregate.Group.S) : sig
       unit ->
       t
     (** Build a fresh page file at [path] from the {!Persist} snapshot
-        [snapshot] and return a durable handle over it.  A snapshot's
-        page chunk is byte for byte the payload of the page's block, so
-        pages move as encoded bytes
-        ({!Storage.Page_store.Mmap.install_raw}), each under its original
-        id (repair-by-id stays sound), through one reused read buffer:
-        nothing is decoded and the tree never sits in the heap.  Each
-        page is charged to [stats] as one write — rebuilding the working
-        set is honest recovery cost.  The page size follows the
-        snapshot's config (see {!create}).  No meta sidecar exists until
-        the first {!flush}.
+        [snapshot], read through [vfs] (default {!Storage.Vfs.os}), and
+        return a durable handle over it.  A snapshot's page chunk is byte
+        for byte the frame of the page's block, so each verified frame is
+        copied in as is, CRC included
+        ({!Storage.Page_store.Mmap.install_raw}), under its original id,
+        through one reused read buffer: nothing is decoded, no second CRC
+        is computed, and the tree never sits in the heap.  Each page is
+        charged to [stats] as one write — rebuilding the working set is
+        honest recovery cost.  The page size follows the snapshot's
+        config (see {!create}).
+        @raise Storage.Storage_error.Io with [Checksum_mismatch] on a
+        chunk that fails its CRC.
         @raise Failure on a malformed, truncated or overlong snapshot. *)
 
     val min_page_size : config -> int
     (** The smallest page size accepted for a configuration. *)
-
-    type scrub_report = {
-      pages_checked : int;
-      corrupt : Storage.Page_id.t list;  (** Checksum failures found (ascending). *)
-      repaired : Storage.Page_id.t list;
-      irreparable : Storage.Page_id.t list;
-    }
-
-    val scrub :
-      ?stats:Storage.Io_stats.t ->
-      ?page_size:int ->
-      ?vfs:Storage.Vfs.t ->
-      ?backing:[ `Auto | `Map | `Buffered ] ->
-      ?repair_from:t ->
-      path:string ->
-      unit ->
-      scrub_report
-    (** Verify the stored CRC32 of every written page of the page file at
-        [path] ([corrupt = \[\]] iff the file is clean).  With
-        [repair_from], each corrupt page whose id the reference tree holds
-        is rewritten from the reference and counted in [repaired]; ids the
-        reference does not hold are [irreparable].  Repair-by-id is sound
-        only when the reference went through the {e same} update sequence
-        (page allocation is deterministic) — callers must ensure that;
-        {!Rta.scrub} checks the update counters.  The file must be
-        quiescent (no unflushed writer).  [page_size] defaults to the one
-        {!reopen} would use, from the meta sidecar's config.  Verified,
-        corrupt, and repaired pages are counted in [stats] ([scrubbed] /
-        [crc_failures] / [repaired]).
-        @raise Failure if [page_size] is not given and the meta sidecar
-        is missing or corrupt, or if the page-file header is. *)
-
-    val inject_bit_flips :
-      ?page_size:int ->
-      ?vfs:Storage.Vfs.t ->
-      ?backing:[ `Auto | `Map | `Buffered ] ->
-      path:string ->
-      seed:int ->
-      flips:int ->
-      unit ->
-      Storage.Page_id.t list
-    (** Corruption injection for scrub tests: flip one random bit in each
-        of [flips] distinct written pages (fewer if the file is smaller),
-        always inside the CRC-covered region so every flip is detectable.
-        The flips reach the file when it closes, on either arena backing.
-        [page_size] defaults as in {!scrub}.  Returns the page ids hit,
-        ascending. *)
   end
 
   (** Snapshot persistence: serialise the whole page graph (every page
       with its original id, the [root*] directory, and the configuration)
-      to a file and reload it later.  The caller supplies the binary codec
-      for aggregate values.  Each page is one length-prefixed chunk
-      holding exactly the payload a page file's block carries, so a
-      {!Durable} tree copies its pages' stored bytes out, and
+      to a file of {!Chunks} and reload it later.  The caller supplies
+      the binary codec for aggregate values.  Each page is one chunk
+      whose frame is exactly the frame a page file's block carries, so a
+      {!Durable} tree copies its pages' stored frames out, and
       {!Durable.of_snapshot} copies them back in, without decoding. *)
   module Persist (V : VALUE_CODEC) : sig
     val save : ?vfs:Storage.Vfs.t -> t -> path:string -> unit
     (** Write a snapshot.  The index remains usable.  A {!Durable} tree's
         pages are copied as stored (one charged read each, CRC-checked;
         only index pages are decoded, to walk the graph); a heap tree's
-        are encoded.  The bytes are the same either way.
+        are encoded and checksummed.  The bytes are the same either way.
         @raise Storage.Page_store.Corrupt_page if a stored page fails its
         checksum. *)
 
@@ -353,8 +338,10 @@ module Make (G : Aggregate.Group.S) : sig
       unit ->
       t
     (** Reload a snapshot into heap pages, streamed through one reused
-        read buffer; queries and further (time-monotone) insertions
-        behave exactly as on the saved index.
+        read buffer, every chunk's CRC verified; queries and further
+        (time-monotone) insertions behave exactly as on the saved index.
+        @raise Storage.Storage_error.Io with [Checksum_mismatch] on a
+        chunk that fails its CRC.
         @raise Failure on a malformed, truncated or overlong file. *)
   end
 end

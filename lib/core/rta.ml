@@ -24,8 +24,6 @@ type t = {
   mutable now_ : int;
   mutable n_updates : int;
   mutable tel : Telemetry.Tracer.t;
-  durable : (string * Storage.Vfs.t) option;
-      (* path prefix and filesystem when the MVSBTs are file-backed *)
 }
 
 let set_telemetry t tel =
@@ -57,21 +55,11 @@ let create ?config ?pool_capacity ?stats ?telemetry ~max_key () =
       now_ = 0;
       n_updates = 0;
       tel = Telemetry.Tracer.noop;
-      durable = None;
     }
 
 (* --- Durable (file-backed) warehouses ------------------------------------- *)
 
-(* The two page files persist tree pages and (via their sidecars) tree
-   handle state, but the warehouse adds state of its own: the base table
-   and the update counter.  A durable warehouse writes those to one more
-   CRC-framed sidecar on every [flush], making [reopen_durable] a
-   clean-shutdown restore of the last flushed state. *)
-
-let durable_meta_magic = "RTA-DURMETA-1"
-
-let durable_meta_path path = path ^ ".rta.meta"
-
+(* The base table and counters, as a checkpoint's [.meta] carries them. *)
 let encode_meta t w =
   Storage.Codec.Writer.i64 w t.max_key;
   Storage.Codec.Writer.i64 w t.now_;
@@ -98,86 +86,28 @@ let decode_meta rd =
   done;
   (max_key, now_, n_updates, alive)
 
-let write_durable_meta t ~vfs ~path =
-  let w =
-    Storage.Codec.Writer.create
-      (String.length durable_meta_magic + 64 + (Hashtbl.length t.alive * 24) + 4)
-  in
-  String.iter (fun ch -> Storage.Codec.Writer.u8 w (Char.code ch)) durable_meta_magic;
-  encode_meta t w;
-  let len = Storage.Codec.Writer.pos w in
-  let buf = Storage.Codec.Writer.contents w in
-  (* Unsigned 32-bit CRC: splice raw rather than through Writer.i32. *)
-  Bytes.set_int32_le buf len (Int32.of_int (Storage.Codec.crc32 buf ~pos:0 ~len));
-  Storage.Vfs.write_file_atomic vfs ~path:(durable_meta_path path) buf ~len:(len + 4)
-
-let read_durable_meta ~vfs ~path =
-  let file = durable_meta_path path in
-  if not (vfs.Storage.Vfs.v_exists file) then
-    failwith
-      (Printf.sprintf "Rta.reopen_durable: no meta sidecar %s (never flushed?)" file);
-  let buf = Storage.Vfs.read_file vfs file in
-  let size = Bytes.length buf in
-  if size < String.length durable_meta_magic + 4 then
-    failwith "Rta.reopen_durable: truncated meta sidecar";
-  let crc = Int32.to_int (Bytes.get_int32_le buf (size - 4)) land 0xFFFFFFFF in
-  if Storage.Codec.crc32 buf ~pos:0 ~len:(size - 4) <> crc then
-    failwith "Rta.reopen_durable: meta sidecar checksum mismatch";
-  let rd = Storage.Codec.Reader.create buf in
-  let magic =
-    String.init (String.length durable_meta_magic) (fun _ ->
-        Char.chr (Storage.Codec.Reader.u8 rd))
-  in
-  if magic <> durable_meta_magic then failwith "Rta.reopen_durable: bad meta magic";
-  decode_meta rd
-
 let lkst_suffix = ".lkst.pages"
 let lklt_suffix = ".lklt.pages"
 
-let create_durable ?config ?pool_capacity ?stats ?telemetry ?page_size
-    ?(vfs = Storage.Vfs.os) ?backing ~max_key ~path () =
+let create_durable ?config ?pool_capacity ?stats ?telemetry ?page_size ?backing ~max_key
+    ~path () =
   if max_key < 1 then invalid_arg "Rta.create_durable: max_key must be >= 1";
   let stats = match stats with Some s -> s | None -> Storage.Io_stats.create () in
   let key_space = max_key + 1 in
   let mk suffix =
-    Durable_index.create ?config ?pool_capacity ~stats ?page_size ~vfs ?backing
-      ~key_space ~path:(path ^ suffix) ()
-  in
-  let t =
-    apply_telemetry telemetry
-      {
-        lkst = mk lkst_suffix;
-        lklt = mk lklt_suffix;
-        alive = Hashtbl.create 1024;
-        max_key;
-        now_ = 0;
-        n_updates = 0;
-        tel = Telemetry.Tracer.noop;
-        durable = Some (path, vfs);
-      }
-  in
-  write_durable_meta t ~vfs ~path;
-  t
-
-let reopen_durable ?pool_capacity ?stats ?telemetry ?page_size
-    ?(vfs = Storage.Vfs.os) ?backing ~path () =
-  let max_key, now_, n_updates, alive = read_durable_meta ~vfs ~path in
-  let stats = match stats with Some s -> s | None -> Storage.Io_stats.create () in
-  let mk suffix =
-    Durable_index.reopen ?pool_capacity ~stats ?page_size ~vfs ?backing
+    Durable_index.create ?config ?pool_capacity ~stats ?page_size ?backing ~key_space
       ~path:(path ^ suffix) ()
   in
   apply_telemetry telemetry
-    { lkst = mk lkst_suffix; lklt = mk lklt_suffix; alive; max_key; now_;
-      n_updates; tel = Telemetry.Tracer.noop; durable = Some (path, vfs) }
-
-let flush t =
-  Telemetry.Tracer.with_span t.tel "rta.flush" @@ fun () ->
-  Index.flush t.lkst;
-  Index.flush t.lklt;
-  match t.durable with Some (path, vfs) -> write_durable_meta t ~vfs ~path | None -> ()
-
-let try_flush t = Storage.Storage_error.protect (fun () -> flush t)
+    {
+      lkst = mk lkst_suffix;
+      lklt = mk lklt_suffix;
+      alive = Hashtbl.create 1024;
+      max_key;
+      now_ = 0;
+      n_updates = 0;
+      tel = Telemetry.Tracer.noop;
+    }
 
 (* Both page files are released even when the first close fails. *)
 let close t =
@@ -312,33 +242,39 @@ let pp_dot ppf t =
 
 module Persist = Index.Persist (Value_codec)
 
-let meta_magic = "RTA-META-1"
+let meta_magic = "RTA-META-2"
 
+(* [.meta] is the magic and one chunk: the base table and counters. *)
 let save ?(vfs = Storage.Vfs.os) t ~path =
   Persist.save ~vfs t.lkst ~path:(path ^ ".lkst");
   Persist.save ~vfs t.lklt ~path:(path ^ ".lklt");
   let oc = vfs.Storage.Vfs.v_open `Create (path ^ ".meta") in
   Fun.protect ~finally:(fun () -> oc.Storage.Vfs.f_close ()) @@ fun () ->
   oc.Storage.Vfs.f_append (Bytes.of_string meta_magic) 0 (String.length meta_magic);
-  let w =
-    Storage.Codec.Writer.create (64 + (Hashtbl.length t.alive * 24))
-  in
+  let w = Mvsbt.Chunks.writer (64 + (Hashtbl.length t.alive * 24)) in
   encode_meta t w;
-  let len = Storage.Codec.Writer.pos w in
-  oc.Storage.Vfs.f_append (Storage.Codec.Writer.contents w) 0 len
+  Mvsbt.Chunks.append oc w
 
 let try_save ?vfs t ~path = Storage.Page_store.protect (fun () -> save ?vfs t ~path)
+
+let snapshot_files = [ (".lkst", Mvsbt.snapshot_magic); (".lklt", Mvsbt.snapshot_magic);
+                       (".meta", meta_magic) ]
+
+let read_meta ~vfs ~path =
+  Mvsbt.Chunks.with_file vfs ~path:(path ^ ".meta") ~magic:meta_magic @@ fun rd ->
+  let meta = decode_meta (Mvsbt.Chunks.chunk rd) in
+  if not (Mvsbt.Chunks.at_end rd) then Mvsbt.Chunks.fail rd "bytes after the last chunk";
+  meta
+
+let snapshot_updates ?(vfs = Storage.Vfs.os) ~path () =
+  let _, _, n_updates, _ = read_meta ~vfs ~path in
+  n_updates
 
 (* The base table and counters come from the snapshot's [.meta], each
    tree from [tree snapshot_ext pages_suffix]; a tree that fails to load
    closes the one built before it. *)
-let load_with ?telemetry ~vfs ~path ~durable tree =
-  let buf = Storage.Vfs.read_file vfs (path ^ ".meta") in
-  if Bytes.length buf < String.length meta_magic then failwith "Rta.load: bad meta magic";
-  let m = Bytes.sub_string buf 0 (String.length meta_magic) in
-  if m <> meta_magic then failwith "Rta.load: bad meta magic";
-  let rd = Storage.Codec.Reader.create ~pos:(String.length meta_magic) buf in
-  let max_key, now_, n_updates, alive = decode_meta rd in
+let load_with ?telemetry ~vfs ~path tree =
+  let max_key, now_, n_updates, alive = read_meta ~vfs ~path in
   let lkst = tree ".lkst" lkst_suffix in
   let lklt =
     try tree ".lklt" lklt_suffix
@@ -347,96 +283,19 @@ let load_with ?telemetry ~vfs ~path ~durable tree =
       raise e
   in
   apply_telemetry telemetry
-    { lkst; lklt; alive; max_key; now_; n_updates; tel = Telemetry.Tracer.noop; durable }
+    { lkst; lklt; alive; max_key; now_; n_updates; tel = Telemetry.Tracer.noop }
 
 let load ?pool_capacity ?stats ?telemetry ?(vfs = Storage.Vfs.os) ~path () =
   let stats = match stats with Some s -> s | None -> Storage.Io_stats.create () in
-  load_with ?telemetry ~vfs ~path ~durable:None (fun ext _ ->
+  load_with ?telemetry ~vfs ~path (fun ext _ ->
       Persist.load ?pool_capacity ~stats ~vfs ~path:(path ^ ext) ())
 
 let load_durable ?pool_capacity ?stats ?telemetry ?(vfs = Storage.Vfs.os) ?backing
     ~snapshot ~path () =
   let stats = match stats with Some s -> s | None -> Storage.Io_stats.create () in
-  load_with ?telemetry ~vfs ~path:snapshot ~durable:(Some (path, vfs)) (fun ext suffix ->
+  load_with ?telemetry ~vfs ~path:snapshot (fun ext suffix ->
       Durable_index.of_snapshot ?pool_capacity ~stats ~vfs ?backing
         ~snapshot:(snapshot ^ ext) ~path:(path ^ suffix) ())
-
-(* --- Scrub and repair ----------------------------------------------------- *)
-
-type scrub_side = Lkst | Lklt
-
-let pp_scrub_side ppf = function
-  | Lkst -> Format.pp_print_string ppf "lkst"
-  | Lklt -> Format.pp_print_string ppf "lklt"
-
-type scrub_report = {
-  pages_checked : int;
-  corrupt : (scrub_side * Storage.Page_id.t) list;
-  repaired : (scrub_side * Storage.Page_id.t) list;
-  irreparable : (scrub_side * Storage.Page_id.t) list;
-}
-
-let scrub_clean r = r.corrupt = []
-
-let pp_scrub_report ppf r =
-  let pp_list ppf l =
-    Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ")
-      (fun ppf (side, pid) ->
-        Format.fprintf ppf "%a:%d" pp_scrub_side side (Storage.Page_id.to_int pid))
-      ppf l
-  in
-  if scrub_clean r then Format.fprintf ppf "clean (%d pages checked)" r.pages_checked
-  else
-    Format.fprintf ppf
-      "@[<v>%d pages checked, %d corrupt@,corrupt: @[%a@]@,repaired: @[%a@]@,irreparable: @[%a@]@]"
-      r.pages_checked (List.length r.corrupt) pp_list r.corrupt pp_list r.repaired
-      pp_list r.irreparable
-
-(* Repair-by-id re-derives a quarantined page from a reference warehouse
-   (typically one recovered from the last checkpoint + WAL by the
-   [Durable] engine).  Page allocation is deterministic, so the
-   reference holds byte-for-byte the same logical pages {e iff} it went
-   through the same update sequence — checked here by comparing its update
-   counter against the one in the scrubbed warehouse's flushed sidecar.
-   On a mismatch every corrupt page is reported irreparable rather than
-   "repaired" with stale content. *)
-let scrub ?stats ?page_size ?(vfs = Storage.Vfs.os) ?backing ?repair_from
-    ?(telemetry = Telemetry.Tracer.noop) ~path () =
-  Telemetry.Tracer.with_span telemetry "rta.scrub"
-    ~attrs:(fun () -> [ ("path", Telemetry.Tracer.Str path) ])
-  @@ fun () ->
-  let _max_key, _now, n_updates, _alive = read_durable_meta ~vfs ~path in
-  let usable_reference =
-    match repair_from with
-    | Some src when src.n_updates = n_updates -> Some src
-    | _ -> None
-  in
-  let side_report side suffix tree =
-    let repair_from = Option.map tree usable_reference in
-    let r =
-      Durable_index.scrub ?stats ?page_size ~vfs ?backing ?repair_from
-        ~path:(path ^ suffix) ()
-    in
-    let tag = List.map (fun pid -> (side, pid)) in
-    ( r.Durable_index.pages_checked,
-      tag r.Durable_index.corrupt,
-      tag r.Durable_index.repaired,
-      tag r.Durable_index.irreparable )
-  in
-  let n1, c1, r1, i1 = side_report Lkst lkst_suffix (fun t -> t.lkst) in
-  let n2, c2, r2, i2 = side_report Lklt lklt_suffix (fun t -> t.lklt) in
-  { pages_checked = n1 + n2; corrupt = c1 @ c2; repaired = r1 @ r2;
-    irreparable = i1 @ i2 }
-
-let inject_bit_flips ?page_size ?(vfs = Storage.Vfs.os) ?backing ~path ~seed ~flips
-    () =
-  let side tag suffix ~seed ~flips =
-    Durable_index.inject_bit_flips ?page_size ~vfs ?backing ~path:(path ^ suffix) ~seed
-      ~flips ()
-    |> List.map (fun pid -> (tag, pid))
-  in
-  side Lkst lkst_suffix ~seed ~flips:((flips + 1) / 2)
-  @ side Lklt lklt_suffix ~seed:(seed + 1) ~flips:(flips / 2)
 
 (* --- Vacuum (retention) ---------------------------------------------------- *)
 
@@ -446,9 +305,11 @@ let inject_bit_flips ?page_size ?(vfs = Storage.Vfs.os) ?backing ~path ~seed ~fl
    plan to another (the explicit page actions, so replay is deterministic
    regardless of scan order).  Both mutators consume one update sequence
    number — that keeps checkpoint cut-offs, replica watermarks and the
-   scrub reference check ([n_updates] equality) honest about vacuums. *)
+   scrub twin check ([n_updates] equality) honest about vacuums. *)
 
-type vacuum_action = { va_side : scrub_side; va_free : bool; va_pid : int }
+type side = Lkst | Lklt
+
+type vacuum_action = { va_side : side; va_free : bool; va_pid : int }
 
 type vacuum_progress = {
   pages_freed : int;

@@ -43,56 +43,26 @@ val create_durable :
   ?stats:Storage.Io_stats.t ->
   ?telemetry:Telemetry.Tracer.t ->
   ?page_size:int ->
-  ?vfs:Storage.Vfs.t ->
   ?backing:[ `Auto | `Map | `Buffered ] ->
   max_key:int ->
   path:string ->
   unit ->
   t
-(** Like {!create}, but both MVSBTs keep their pages in real files
+(** Like {!create}, but both MVSBTs keep their pages in page files
     ([<path>.lkst.pages] and [<path>.lklt.pages], fixed-size blocks behind
     pinning buffer pools, {!Storage.Page_store.Mmap}).  [page_size] must
     hold [config.b] records (~57 bytes each); it defaults to the smallest
     multiple of 4096 that does.  [backing] picks the arena flavour: the
-    files are mapped and pages codec'd in place, or buffered where
-    mapping is unavailable — see {!Storage.Arena.create}.  Alongside the
-    page files, meta sidecars (one per index plus [<path>.rta.meta] for
-    the base table and counters) are committed atomically on every
-    {!flush}, so an existing warehouse can be {!reopen_durable}ed instead
-    of destroyed.
+    files are mapped and pages codec'd in place, or held in RAM where
+    mapping is unavailable — see {!Storage.Arena.create}.  The page
+    files are a cache of this warehouse's pages, never read back: make
+    the warehouse durable with {!save}, or run it under {!Durable}.
     @raise Invalid_argument when the configuration cannot fit a page. *)
-
-val reopen_durable :
-  ?pool_capacity:int ->
-  ?stats:Storage.Io_stats.t ->
-  ?telemetry:Telemetry.Tracer.t ->
-  ?page_size:int ->
-  ?vfs:Storage.Vfs.t ->
-  ?backing:[ `Auto | `Map | `Buffered ] ->
-  path:string ->
-  unit ->
-  t
-(** Reopen a warehouse previously built with {!create_durable} — which
-    truncates; this does not — restoring the state committed by its last
-    {!flush}.  Configuration and [max_key] come from the sidecars.  This
-    is a {e clean-shutdown} restore: updates made after the last flush
-    are lost, so pair the warehouse with the WAL engine ({!Durable}) when
-    the update tail must survive crashes.
-    @raise Failure on missing or corrupt sidecars/page files, or a
-    [page_size] mismatch. *)
-
-val flush : t -> unit
-(** Write dirty pages of both indices back to their stores. *)
-
-val try_flush : t -> (unit, Storage.Storage_error.t) result
-(** {!flush} with the typed error channel: any [Storage_error.Io] the
-    underlying stores raise is returned as [Error] instead.  Other
-    exceptions (corruption [Failure]s, caller bugs) still raise. *)
 
 val close : t -> unit
 (** Release the page files of a durable warehouse (descriptors and
-    mappings); a no-op for an in-memory one.  Unflushed pages are lost,
-    and the warehouse must not be used afterwards. *)
+    mappings); a no-op for an in-memory one.  The warehouse must not be
+    used afterwards. *)
 
 val max_key : t -> int
 val config : t -> Mvsbt.config
@@ -172,7 +142,7 @@ val check_invariants : t -> unit
 (** {1 Telemetry}
 
     The warehouse emits [rta.insert] / [rta.delete] / [rta.point_query] /
-    [rta.range_query] / [rta.flush] spans (and its MVSBTs their own
+    [rta.range_query] spans (and its MVSBTs their own
     [mvsbt.*] spans and events) to the attached tracer; with the default
     {!Telemetry.Tracer.noop} the cost is one branch per operation. *)
 
@@ -191,7 +161,9 @@ val page_touches : t -> int
 
     A saved warehouse occupies three files: [<path>.lkst], [<path>.lklt]
     (the two MVSBT snapshots) and [<path>.meta] (the base table of alive
-    tuples plus counters). *)
+    tuples plus counters).  Each is a magic naming its format followed by
+    {!Mvsbt.Chunks}, every chunk framed with its length and CRC32, so a
+    load verifies every byte it reads. *)
 
 val pp_dot : Format.formatter -> t -> unit
 (** Graphviz rendering of both MVSBT page graphs (debugging / docs). *)
@@ -199,16 +171,17 @@ val pp_dot : Format.formatter -> t -> unit
 val save : ?vfs:Storage.Vfs.t -> t -> path:string -> unit
 (** Snapshot both MVSBTs and the base table to [path.lkst], [path.lklt]
     and [path.meta] (see {!Mvsbt.Make.Persist}).  A durable warehouse's
-    pages are copied as stored, without decoding leaves; the files are
-    byte-identical whichever store holds the pages.
+    pages are copied as stored, frames and CRCs included, without
+    decoding leaves; the files are byte-identical whichever store holds
+    the pages.
     @raise Storage.Page_store.Corrupt_page if a stored page fails its
     checksum. *)
 
 val try_save :
   ?vfs:Storage.Vfs.t -> t -> path:string -> (unit, Storage.Storage_error.t) result
-(** {!save} with the typed error channel, as {!try_flush}; a corrupt
-    stored page is a [Checksum_mismatch] error too
-    ({!Storage.Page_store.protect}). *)
+(** {!save} with the typed error channel: a [Storage_error.Io] is
+    returned as [Error], and so is a corrupt stored page, as a
+    [Checksum_mismatch] ({!Storage.Page_store.protect}). *)
 
 val load :
   ?pool_capacity:int ->
@@ -219,7 +192,10 @@ val load :
   unit ->
   t
 (** Load a {!save}d snapshot into heap pages.
-    @raise Failure on malformed or missing snapshot files. *)
+    @raise Storage.Storage_error.Io with [Checksum_mismatch], naming the
+    file and chunk, if any chunk fails its CRC.
+    @raise Failure on malformed, older-format or missing snapshot
+    files. *)
 
 val load_durable :
   ?pool_capacity:int ->
@@ -232,80 +208,20 @@ val load_durable :
   unit ->
   t
 (** Load the {!save}d snapshot [snapshot] into fresh page files at
-    [path], as {!create_durable} lays them out: pages move as encoded
-    bytes ({!Mvsbt.Make.Durable.of_snapshot}), never decoded, one charged
-    write each.  The page size follows the snapshot's config.  The meta
-    sidecars are committed by the first {!flush}.
-    @raise Failure on malformed or missing snapshot files. *)
+    [path], as {!create_durable} lays them out: each verified page frame
+    is copied into its block as is ({!Mvsbt.Make.Durable.of_snapshot}),
+    never decoded, one charged write each.  The page size follows the
+    snapshot's config.
+    @raise Storage.Storage_error.Io and [Failure] as {!load}. *)
 
-(** {1 Scrub and repair}
+val snapshot_files : (string * string) list
+(** The three files of a {!save}: each extension with the magic its file
+    starts with. *)
 
-    Every page block of a durable warehouse carries a CRC32 (verified on
-    every read); {!scrub} proactively sweeps both page files and, given a
-    trustworthy reference, repairs what it can. *)
-
-type scrub_side = Lkst | Lklt
-
-val pp_scrub_side : Format.formatter -> scrub_side -> unit
-
-type scrub_report = {
-  pages_checked : int;  (** Written pages verified across both MVSBTs. *)
-  corrupt : (scrub_side * Storage.Page_id.t) list;
-      (** Every checksum failure found; empty means the warehouse is clean. *)
-  repaired : (scrub_side * Storage.Page_id.t) list;
-      (** Corrupt pages rewritten from [repair_from]. *)
-  irreparable : (scrub_side * Storage.Page_id.t) list;
-      (** Corrupt pages no trustworthy reference covers. *)
-}
-
-val scrub_clean : scrub_report -> bool
-
-val pp_scrub_report : Format.formatter -> scrub_report -> unit
-
-val scrub :
-  ?stats:Storage.Io_stats.t ->
-  ?page_size:int ->
-  ?vfs:Storage.Vfs.t ->
-  ?backing:[ `Auto | `Map | `Buffered ] ->
-  ?repair_from:t ->
-  ?telemetry:Telemetry.Tracer.t ->
-  path:string ->
-  unit ->
-  scrub_report
-(** Verify the stored CRC32 of every written page of the warehouse at
-    [path] (both MVSBT page files).  The warehouse must be quiescent — no
-    open writer with unflushed state.
-
-    [repair_from] is a reference warehouse to re-derive corrupt pages
-    from, typically one recovered from the last checkpoint + WAL by the
-    {!module:Durable} engine.  Page allocation is deterministic, so the
-    reference holds the same logical pages under the same ids {e iff} it
-    went through the same update sequence; {!scrub} enforces this by
-    comparing update counters (the reference's {!n_updates} against the
-    scrubbed warehouse's flushed sidecar) and reports every corrupt page
-    irreparable on a mismatch rather than writing stale bytes.
-
-    [page_size] defaults to the one {!reopen_durable} would use, from
-    each index's meta sidecar.  Counters: each page verified bumps
-    [stats]' [scrubbed], each failure [crc_failures], each rewrite
-    [repaired].
-    @raise Failure if the warehouse sidecar or a page-file header is
-    missing or corrupt (scrub needs at least those to orient itself). *)
-
-val inject_bit_flips :
-  ?page_size:int ->
-  ?vfs:Storage.Vfs.t ->
-  ?backing:[ `Auto | `Map | `Buffered ] ->
-  path:string ->
-  seed:int ->
-  flips:int ->
-  unit ->
-  (scrub_side * Storage.Page_id.t) list
-(** Corruption injection for tests and demos: flip one random bit in each
-    of [flips] distinct written pages (split across the two MVSBTs, fewer
-    if the files are smaller), always inside the CRC-covered region of the
-    block so every flip is detectable by {!scrub}.  [page_size] defaults
-    as in {!scrub}.  Returns the pages hit. *)
+val snapshot_updates : ?vfs:Storage.Vfs.t -> path:string -> unit -> int
+(** {!n_updates} of the warehouse saved at [path], read from its
+    verified [.meta].
+    @raise Storage.Storage_error.Io and [Failure] as {!load}. *)
 
 (** {1 Vacuum (retention)}
 
@@ -324,8 +240,10 @@ val inject_bit_flips :
     re-vacuuming is idempotent.  {!vacuum} composes the three for
     callers without a WAL. *)
 
+type side = Lkst | Lklt  (** The two MVSBTs. *)
+
 type vacuum_action = {
-  va_side : scrub_side;  (** Which of the two MVSBTs the page lives in. *)
+  va_side : side;  (** Which of the two MVSBTs the page lives in. *)
   va_free : bool;  (** [true]: free the dead page; [false]: prune records. *)
   va_pid : int;
 }

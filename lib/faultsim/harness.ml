@@ -29,7 +29,8 @@ let run_trace ?(sync_policy = Wal.Every_n 4) ?(checkpoint_every = 0)
   let fs = M.create () in
   let vfs = M.vfs fs in
   (* The harness filesystem is the in-memory journal, so the arena must
-     run on its buffered backing — there is nothing to mmap. *)
+     run on its buffered backing — there is nothing to mmap, and the page
+     cache stays in RAM, off the journal. *)
   let eng =
     Durable.open_ ~sync_policy ~checkpoint_every ~store ~arena_backing:`Buffered
       ~vfs ~max_key ~path:"w" ()

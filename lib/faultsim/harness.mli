@@ -50,9 +50,10 @@ val run_trace :
     {!Storage.Vfs.Memory}, recording the journal.  Deterministic in
     [seed].  Defaults: [Every_n 4] group commit, no automatic
     checkpoints, 120 updates, [Memory] page store.  Under [Mmap] the
-    engine's page working set rides the same journaled filesystem, on
-    its buffered arena backing, so crash images tear it too — recovery
-    must rebuild it from the WAL regardless. *)
+    engine's page working set runs on its buffered arena backing, a RAM
+    image that never reaches the journaled filesystem, so the crash
+    images are those of the [Memory] store — recovery must rebuild the
+    working set from checkpoint + WAL on each. *)
 
 val issued_ceiling : trace -> cut:int -> int
 (** Updates that could possibly be recovered at [cut]: everything fully

@@ -40,7 +40,8 @@ let run_trace ?(sync_policy = Wal.Every_n 4) ?(checkpoint_every = 40)
     ?(vacuum_step_pages = 4) ~max_key () =
   let fs = M.create () in
   let vfs = M.vfs fs in
-  (* In-memory journal — the arena must use its buffered backing. *)
+  (* In-memory journal — the arena must use its buffered backing, which
+     keeps the page cache in RAM, off the journal. *)
   let eng =
     Durable.open_ ~sync_policy ~checkpoint_every ~store ~arena_backing:`Buffered
       ~vfs ~max_key ~path:"w" ()

@@ -25,9 +25,7 @@ let create ?(max_batch = 64) ?(telemetry = Telemetry.Tracer.noop)
   { eng; max_batch; tel = telemetry; on_batch; q = Queue.create (); batches = 0;
     acked = 0; gate = None }
 
-let enqueue t ?cell ?trace op k =
-  (match cell with Some c -> Phases.mark c | None -> ());
-  Queue.add (op, cell, trace, k) t.q
+let enqueue t ?cell ?trace op k = Queue.add (op, cell, trace, k) t.q
 
 let pending t = Queue.length t.q
 
@@ -51,17 +49,18 @@ let flush_batch t =
   @@ fun () ->
   let items = Array.init n (fun _ -> Queue.pop t.q) in
   let any_cell = Array.exists (fun (_, c, _, _) -> c <> None) items in
+  let charge_all p =
+    if any_cell then
+      Array.iter
+        (fun (_, c, _, _) -> match c with Some c -> Phases.charge c p | None -> ())
+        items
+  in
   (* Queue wait ends here: the batch has picked the op up.  Everything
-     from now to the post-apply timestamp that is not the op's own WAL
-     append or tree apply (charged inside the engine) is batch build —
+     from now to the end of the apply loop that is not the op's own WAL
+     append or tree apply (added inside the engine) is batch build —
      including time spent applying the op's batch-mates, which the op
      does wait for before its sync. *)
-  let t_loop0 = if any_cell then Phases.now_ns () else 0L in
-  if any_cell then
-    Array.iter
-      (fun (_, c, _, _) ->
-        match c with Some c -> Phases.charge_mark c Phases.Queue_wait | None -> ())
-      items;
+  charge_all Phases.Queue_wait;
   let outcomes =
     Array.map
       (fun (op, cell, trace, _) ->
@@ -73,37 +72,19 @@ let flush_batch t =
         o)
       items
   in
-  if any_cell then begin
-    let loop_ns = Int64.sub (Phases.now_ns ()) t_loop0 in
-    Array.iter
-      (fun (_, c, _, _) ->
-        match c with
-        | None -> ()
-        | Some c ->
-            let own =
-              Phases.phase_ns c Phases.Wal_append +. Phases.phase_ns c Phases.Apply
-            in
-            Phases.add c Phases.Batch_build
-              ~ns:(Int64.of_float (max 0. (Int64.to_float loop_ns -. own))))
-      items
-  end;
+  charge_all Phases.Batch_build;
   (* One fsync covers every append the batch landed.  If it fails, every
      provisionally applied op must fail too: the records are in the log
      but their durability is unknown, and an ack is a durability claim. *)
   let applied = Array.exists (function Applied -> true | _ -> false) outcomes in
   (if applied then begin
-     let t_sync0 = if any_cell then Phases.now_ns () else 0L in
      (match Durable.sync_wal t.eng with
      | Ok () -> ()
      | Error e ->
          Array.iteri
            (fun i o -> match o with Applied -> outcomes.(i) <- Failed e | _ -> ())
            outcomes);
-     if any_cell then
-       Array.iter
-         (fun (_, c, _, _) ->
-           match c with Some c -> Phases.charge c Phases.Fsync ~since:t_sync0 | None -> ())
-         items
+     charge_all Phases.Fsync
    end);
   t.batches <- t.batches + 1;
   Array.iter (function Applied -> t.acked <- t.acked + 1 | _ -> ()) outcomes;
@@ -115,23 +96,11 @@ let flush_batch t =
   let durably_applied = Array.exists (function Applied -> true | _ -> false) outcomes in
   match t.gate with
   | Some gate when durably_applied ->
-      let fire =
-        if not any_cell then fire
-        else begin
-          (* The gap between handing the batch to the replication gate
-             and the gate releasing it is the quorum wait. *)
-          let t_gate0 = Phases.now_ns () in
-          fun () ->
-            Array.iter
-              (fun (_, c, _, _) ->
-                match c with
-                | Some c -> Phases.charge c Phases.Quorum_wait ~since:t_gate0
-                | None -> ())
-              items;
-            fire ()
-        end
-      in
-      gate ~max_seq:(Rta.n_updates (Durable.warehouse t.eng)) ~fire
+      (* From the sync to the replication gate releasing the batch is the
+         quorum wait. *)
+      gate ~max_seq:(Rta.n_updates (Durable.warehouse t.eng)) ~fire:(fun () ->
+          charge_all Phases.Quorum_wait;
+          fire ())
   | _ -> fire ()
 
 let flush t =

@@ -30,7 +30,6 @@ type slot = {
   mutable resp : bytes option;
   s_cell : Phases.cell option;
   s_trace : int64 option;
-  mutable fill_ns : int64;  (* clock at fill, for the reply-flush phase *)
 }
 
 type conn = {
@@ -44,8 +43,8 @@ type conn = {
   mutable out_len : int;
   mutable staged_total : int;  (* bytes ever staged into [out] *)
   mutable sent_total : int;  (* bytes ever written to the socket *)
-  flushes : (Phases.cell * int64 * int) Queue.t;
-      (* (cell, fill_ns, staged_total watermark): the cell's response is
+  flushes : (Phases.cell * int) Queue.t;
+      (* (cell, staged_total watermark): the cell's response is
          fully on the socket once [sent_total] reaches the watermark —
          targets are recorded in staging order, so this stays FIFO. *)
   mutable close_after_flush : bool;
@@ -273,7 +272,7 @@ let rec pump conn =
       ignore (Queue.pop conn.slots);
       append_out conn bytes;
       (match slot.s_cell with
-      | Some c -> Queue.add (c, slot.fill_ns, conn.staged_total) conn.flushes
+      | Some c -> Queue.add (c, conn.staged_total) conn.flushes
       | None -> ());
       pump conn
   | Some { resp = None; _ } | None -> ()
@@ -281,13 +280,11 @@ let rec pump conn =
 (* --- Request handling ----------------------------------------------------------- *)
 
 let reserve ?cell ?trace conn =
-  let slot = { resp = None; s_cell = cell; s_trace = trace; fill_ns = 0L } in
+  let slot = { resp = None; s_cell = cell; s_trace = trace } in
   Queue.add slot conn.slots;
   slot
 
-let fill slot resp =
-  slot.resp <- Some (Wire.encode_response ?trace:slot.s_trace resp);
-  if slot.s_cell <> None then slot.fill_ns <- Phases.now_ns ()
+let fill slot resp = slot.resp <- Some (Wire.encode_response ?trace:slot.s_trace resp)
 
 let err code detail = Wire.Err { code; detail }
 
@@ -559,12 +556,12 @@ let handle_request t conn ~trace ~t0 (req : Wire.request) =
   let cell =
     match (t.phases, req) with
     | None, _ -> None
-    | Some _, Wire.Query _ -> Some (Phases.cell ~kind:"query" ~trace)
-    | Some _, Wire.Insert _ -> Some (Phases.cell ~kind:"insert" ~trace)
-    | Some _, Wire.Delete _ -> Some (Phases.cell ~kind:"delete" ~trace)
+    | Some _, Wire.Query _ -> Some (Phases.cell ~kind:"query" ~trace ~start_ns:t0)
+    | Some _, Wire.Insert _ -> Some (Phases.cell ~kind:"insert" ~trace ~start_ns:t0)
+    | Some _, Wire.Delete _ -> Some (Phases.cell ~kind:"delete" ~trace ~start_ns:t0)
     | Some _, _ -> None
   in
-  (match cell with Some c -> Phases.charge c Phases.Decode ~since:t0 | None -> ());
+  (match cell with Some c -> Phases.charge c Phases.Decode | None -> ());
   let slot = reserve ?cell ?trace conn in
   if t.state <> Accepting then fill slot (err Wire.Shutting_down "server is draining")
   else
@@ -578,13 +575,10 @@ let handle_request t conn ~trace ~t0 (req : Wire.request) =
     | Wire.Shard_stats -> fill slot (Wire.Shard_stats_reply (shard_stats t))
     | Wire.Observe -> fill slot (Wire.Observe_reply (observe_json t))
     | Wire.Query _ | Wire.Insert _ | Wire.Delete _ | Wire.Checkpoint | Wire.Vacuum _ -> (
-        let t_adm0 = match cell with Some _ -> Phases.now_ns () | None -> 0L in
         let decision =
           Admission.admit t.adm ~queue_depth:(queue_depth t) ~write:(Wire.is_write req)
         in
-        (match cell with
-        | Some c -> Phases.charge c Phases.Admission_wait ~since:t_adm0
-        | None -> ());
+        (match cell with Some c -> Phases.charge c Phases.Admission_wait | None -> ());
         match decision with
         | Admission.Reject_read_only ->
             Metrics.inc t.m_ro_rejected;
@@ -596,7 +590,6 @@ let handle_request t conn ~trace ~t0 (req : Wire.request) =
             if Wire.is_write req && trace <> None then t.last_write_trace_ <- trace;
             match (req, t.backend) with
             | Wire.Query { agg = _; klo; khi; tlo; thi }, Single { eng; _ } ->
-                let t_q0 = match cell with Some _ -> Phases.now_ns () | None -> 0L in
                 let resp =
                   Tracer.with_span t.tel "server.request"
                     ~attrs:(fun () -> [ ("kind", Tracer.Str "query") ])
@@ -626,9 +619,7 @@ let handle_request t conn ~trace ~t0 (req : Wire.request) =
                            horizon)
                   | exception E.Io e -> err_of_storage e
                 in
-                (match cell with
-                | Some c -> Phases.charge c Phases.Apply ~since:t_q0
-                | None -> ());
+                (match cell with Some c -> Phases.charge c Phases.Apply | None -> ());
                 fill slot resp;
                 Admission.release t.adm
             | Wire.Query { agg = _; klo; khi; tlo; thi }, Sharded c ->
@@ -785,14 +776,15 @@ let read_conn t conn =
   | exception Unix.Unix_error _ -> close_conn t conn
 
 (* Finish every phase cell whose response bytes are now fully on the
-   socket: the reply-flush phase runs from fill to here. *)
+   socket: the reply-flush phase runs from the request's last charge (its
+   result in hand) to here. *)
 let rec complete_flushes t conn =
   match Queue.peek_opt conn.flushes with
-  | Some (c, fill_ns, target) when target <= conn.sent_total ->
+  | Some (c, target) when target <= conn.sent_total ->
       ignore (Queue.pop conn.flushes);
       (match t.phases with
       | Some r ->
-          Phases.charge c Phases.Reply_flush ~since:fill_ns;
+          Phases.charge c Phases.Reply_flush;
           Phases.finish r c
       | None -> ());
       complete_flushes t conn

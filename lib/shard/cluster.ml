@@ -20,9 +20,11 @@ type query_error = Bad_query of string | Io of E.t
 (* Writes carry the request's phase cell across the domain hop: exactly
    one writer domain touches it, sequenced by the mailbox on the way in
    and the completion queue on the way out, so there is no concurrent
-   mutation.  Scatter queries may fan one request out to several writer
-   domains at once, so they carry only the trace id (for span
-   correlation); their phase charging stays on the main domain. *)
+   mutation.  The way back is a queue wait too, charged when the main
+   domain runs the completion.  Scatter queries may fan one request out
+   to several writer domains at once, so they carry only the trace id
+   (for span correlation); their phase charging stays on the main
+   domain. *)
 type wmsg =
   | W_write of Op.t * Phases.cell option * int64 option * (outcome -> unit)
   | W_query of {
@@ -216,15 +218,16 @@ let writer_loop t i eng =
         [ ("shard", Tracer.Int i); ("size", Tracer.Int (Array.length items)) ])
     @@ fun () ->
     let any_cell = Array.exists (fun (_, c, _, _) -> c <> None) items in
+    let charge_all p =
+      if any_cell then
+        Array.iter
+          (fun (_, c, _, _) -> match c with Some c -> Phases.charge c p | None -> ())
+          items
+    in
     (* Phase charging mirrors the single-engine batcher: queue wait ends
-       at pickup; the batch loop minus the op's own engine-charged append
+       at pickup; the batch loop minus the op's own engine-added append
        and apply is batch build; one fsync is charged to every rider. *)
-    let t_loop0 = if any_cell then Phases.now_ns () else 0L in
-    if any_cell then
-      Array.iter
-        (fun (_, c, _, _) ->
-          match c with Some c -> Phases.charge_mark c Phases.Queue_wait | None -> ())
-        items;
+    charge_all Phases.Queue_wait;
     let outcomes =
       Array.map
         (fun (op, cell, trace, _) ->
@@ -234,36 +237,16 @@ let writer_loop t i eng =
           o)
         items
     in
-    if any_cell then begin
-      let loop_ns = Int64.sub (Phases.now_ns ()) t_loop0 in
-      Array.iter
-        (fun (_, c, _, _) ->
-          match c with
-          | None -> ()
-          | Some c ->
-              let own =
-                Phases.phase_ns c Phases.Wal_append +. Phases.phase_ns c Phases.Apply
-              in
-              Phases.add c Phases.Batch_build
-                ~ns:(Int64.of_float (max 0. (Int64.to_float loop_ns -. own))))
-        items
-    end;
+    charge_all Phases.Batch_build;
     let applied = Array.exists (function Applied -> true | _ -> false) outcomes in
     (if applied then begin
-       let t_sync0 = if any_cell then Phases.now_ns () else 0L in
        (match Durable.sync_wal eng with
        | Ok () -> ()
        | Error e ->
            Array.iteri
              (fun j o -> match o with Applied -> outcomes.(j) <- Failed e | _ -> ())
              outcomes);
-       if any_cell then
-         Array.iter
-           (fun (_, c, _, _) ->
-             match c with
-             | Some c -> Phases.charge c Phases.Fsync ~since:t_sync0
-             | None -> ())
-           items
+       charge_all Phases.Fsync
      end);
     incr batches;
     let applied_ops = ref [] in
@@ -283,10 +266,14 @@ let writer_loop t i eng =
         (fun rmb -> ignore (Mailbox.put rmb (R_apply { shard = i; ops = applied_ops })))
         t.readers;
     publish ();
+    (* From the sync the op waits on the bookkeeping above, then in the
+       completion queue until the main domain runs its ack. *)
     Array.iteri
-      (fun j (_, _, _, k) ->
+      (fun j (_, cell, _, k) ->
         let o = outcomes.(j) in
-        post t.comp (fun () -> k o))
+        post t.comp (fun () ->
+            (match cell with Some c -> Phases.charge c Phases.Queue_wait | None -> ());
+            k o))
       items;
     !stash
   in
@@ -325,11 +312,8 @@ let reader_loop t r wh =
         (* The whole query runs on this one reader domain, so its phase
            cell crosses exactly one domain hop — same safety argument as
            a write's cell in the writer loop. *)
-        (match cell with
-        | Some c -> Phases.charge_mark c Phases.Queue_wait
-        | None -> ());
+        (match cell with Some c -> Phases.charge c Phases.Queue_wait | None -> ());
         let before = Warehouse.page_touches wh in
-        let t0 = match cell with Some _ -> Phases.now_ns () | None -> 0L in
         let res =
           Tracer.with_trace ~trace @@ fun () ->
           Tracer.with_span t.tel "reader.query"
@@ -339,11 +323,11 @@ let reader_loop t r wh =
           | sc -> Ok sc
           | exception Invalid_argument m -> Error (Bad_query m)
         in
-        (match cell with
-        | Some c -> Phases.charge c Phases.Apply ~since:t0
-        | None -> ());
         sim_sleep t (Warehouse.page_touches wh - before);
-        post t.comp (fun () -> reply res);
+        (match cell with Some c -> Phases.charge c Phases.Apply | None -> ());
+        post t.comp (fun () ->
+            (match cell with Some c -> Phases.charge c Phases.Queue_wait | None -> ());
+            reply res);
         go ()
   in
   go ()
@@ -444,7 +428,6 @@ let submit_write t ?cell ?trace op k =
     t.pending_writes_ <- t.pending_writes_ - 1;
     k o
   in
-  (match cell with Some c -> Phases.mark c | None -> ());
   let s = Router.shard_of_key t.router (Op.key op) in
   if not (Mailbox.put t.writers.(s) (W_write (op, cell, trace, k'))) then
     k' (Rejected "cluster is shut down")
@@ -458,7 +441,6 @@ let submit_query t ?cell ?trace ~klo ~khi ~tlo ~thi reply =
       t.outstanding_ <- t.outstanding_ - 1;
       reply res
     in
-    (match cell with Some c -> Phases.mark c | None -> ());
     let r = t.next_reader in
     t.next_reader <- (r + 1) mod Array.length t.readers;
     if
@@ -477,7 +459,6 @@ let submit_query t ?cell ?trace ~klo ~khi ~tlo ~thi reply =
            serve parts of this one query concurrently, so the phase cell
            stays here: the whole scatter-gather round trip is charged as
            the query's apply phase from the main domain. *)
-        (match cell with Some c -> Phases.mark c | None -> ());
         let remaining = ref (List.length parts) in
         let sum = ref 0 and count = ref 0 in
         let first_err = ref None in
@@ -490,9 +471,7 @@ let submit_query t ?cell ?trace ~klo ~khi ~tlo ~thi reply =
           decr remaining;
           if !remaining = 0 then begin
             t.outstanding_ <- t.outstanding_ - 1;
-            (match cell with
-            | Some c -> Phases.charge_mark c Phases.Apply
-            | None -> ());
+            (match cell with Some c -> Phases.charge c Phases.Apply | None -> ());
             match !first_err with
             | None -> reply (Ok (!sum, !count))
             | Some e -> reply (Error e)

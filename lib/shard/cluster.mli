@@ -127,7 +127,8 @@ val submit_write :
 (** Route to the owning shard's writer.  The callback runs from a later
     {!drain}.  [cell] rides to the owning writer domain, which charges
     the request's queue wait, batch build, WAL append, fsync share, and
-    tree apply to it; [trace] is re-installed as the ambient trace id
+    tree apply to it; the completion charges the way back to the main
+    domain as queue wait too.  [trace] is re-installed as the ambient trace id
     around the engine apply so the shard's spans join the request's
     trace. *)
 
@@ -144,7 +145,7 @@ val submit_query :
 (** Scatter-gather SUM/COUNT over the rectangle; the callback receives
     the merged pair (AVG is sum/count client-side, as on the wire).
     With readers the cell rides to the one serving reader (queue wait +
-    apply charged there); on the scatter path the whole round trip is
+    apply charged there, the way back as queue wait); on the scatter path the whole round trip is
     charged as the apply phase from the main domain, because several
     writer domains may hold parts of one query concurrently. *)
 

@@ -1,53 +1,81 @@
-/* msync/madvise bindings for the mmap page arena.
+/* C kernels for the storage layer: CRC-32 and the arena's readahead hint.
 
-   The OCaml stdlib exposes Unix.map_file but no way to force a mapped
-   range to the platter or to hint the kernel about an upcoming access
-   pattern; both matter here (durability barriers and descent-path
-   readahead).  Errors surface as Failure with the errno string — the
-   OCaml side converts them into its typed storage errors. */
+   CRC-32 (IEEE 802.3, polynomial 0xEDB88320) is computed slicing-by-8:
+   eight 256-entry tables fold eight input bytes per step.  It checks
+   every WAL record, checkpoint chunk and page block, so it sits on the
+   open and checkpoint paths; both OCaml buffer types (bytes and the
+   mapped Bigarray) are served from the one kernel.  The OCaml side
+   checks bounds before calling in.
+
+   The stdlib exposes Unix.map_file but no way to hint the kernel about
+   an upcoming access pattern, which the descent-path readahead needs. */
 
 #include <caml/mlvalues.h>
 #include <caml/bigarray.h>
-#include <caml/fail.h>
-#include <caml/threads.h>
 
-#include <errno.h>
+#include <stddef.h>
 #include <stdint.h>
-#include <string.h>
 #include <unistd.h>
 
 #ifndef _WIN32
 #include <sys/mman.h>
 #endif
 
-/* msync needs a page-aligned start address; widen the range down to the
-   enclosing page boundary (flushing a little extra is always sound). */
-static char *align_down(char *p, long pagesz, long *len)
+static uint32_t crc_tables[8][256];
+
+/* Called once from OCaml at module initialisation, before any domain
+   can compute a checksum. */
+CAMLprim value rta_crc32_init(value unit)
 {
-  uintptr_t delta = (uintptr_t)p % (uintptr_t)pagesz;
-  *len += (long)delta;
-  return p - delta;
+  (void)unit;
+  for (uint32_t n = 0; n < 256; n++) {
+    uint32_t c = n;
+    for (int k = 0; k < 8; k++)
+      c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    crc_tables[0][n] = c;
+  }
+  for (uint32_t n = 0; n < 256; n++)
+    for (int k = 1; k < 8; k++)
+      crc_tables[k][n] =
+        (crc_tables[k - 1][n] >> 8) ^ crc_tables[0][crc_tables[k - 1][n] & 0xff];
+  return Val_unit;
 }
 
-CAMLprim value rta_arena_msync(value vba, value voff, value vlen)
+static inline uint32_t load_le32(const unsigned char *p)
 {
-#ifdef _WIN32
-  caml_failwith("msync: unsupported platform");
-#else
-  char *base = (char *)Caml_ba_data_val(vba);
-  long off = Long_val(voff);
-  long len = Long_val(vlen);
-  long pagesz = sysconf(_SC_PAGESIZE);
-  char *p = align_down(base + off, pagesz, &len);
-  int rc, err;
-  caml_release_runtime_system();
-  rc = msync(p, (size_t)len, MS_SYNC);
-  err = errno;
-  caml_acquire_runtime_system();
-  if (rc != 0)
-    caml_failwith(strerror(err));
-#endif
-  return Val_unit;
+  return (uint32_t)p[0] | ((uint32_t)p[1] << 8) | ((uint32_t)p[2] << 16)
+         | ((uint32_t)p[3] << 24);
+}
+
+/* Extends [crc] (a finished checksum, 0 for none) over [len] bytes. */
+static uint32_t crc32_update(uint32_t crc, const unsigned char *p, size_t len)
+{
+  const uint32_t (*t)[256] = crc_tables;
+  crc = ~crc;
+  while (len >= 8) {
+    uint32_t lo = load_le32(p) ^ crc;
+    uint32_t hi = load_le32(p + 4);
+    crc = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^ t[5][(lo >> 16) & 0xff]
+          ^ t[4][lo >> 24] ^ t[3][hi & 0xff] ^ t[2][(hi >> 8) & 0xff]
+          ^ t[1][(hi >> 16) & 0xff] ^ t[0][hi >> 24];
+    p += 8;
+    len -= 8;
+  }
+  while (len--)
+    crc = t[0][(crc ^ *p++) & 0xff] ^ (crc >> 8);
+  return ~crc;
+}
+
+CAMLprim value rta_crc32_bytes(value vcrc, value vbuf, value vpos, value vlen)
+{
+  const unsigned char *p = (const unsigned char *)Bytes_val(vbuf) + Long_val(vpos);
+  return Val_long(crc32_update((uint32_t)Long_val(vcrc), p, (size_t)Long_val(vlen)));
+}
+
+CAMLprim value rta_crc32_bigarray(value vcrc, value vba, value vpos, value vlen)
+{
+  const unsigned char *p = (const unsigned char *)Caml_ba_data_val(vba) + Long_val(vpos);
+  return Val_long(crc32_update((uint32_t)Long_val(vcrc), p, (size_t)Long_val(vlen)));
 }
 
 CAMLprim value rta_arena_willneed(value vba, value voff, value vlen)
@@ -57,10 +85,12 @@ CAMLprim value rta_arena_willneed(value vba, value voff, value vlen)
   long off = Long_val(voff);
   long len = Long_val(vlen);
   long pagesz = sysconf(_SC_PAGESIZE);
-  char *p = align_down(base + off, pagesz, &len);
+  /* posix_madvise needs a page-aligned start address; widen the range
+     down to the enclosing page boundary. */
+  uintptr_t delta = (uintptr_t)(base + off) % (uintptr_t)pagesz;
   /* Advisory: a refusal (e.g. on weird filesystems) costs only the
      prefetch, so the return code is deliberately ignored. */
-  (void)posix_madvise(p, (size_t)len, POSIX_MADV_WILLNEED);
+  (void)posix_madvise(base + off - delta, (size_t)(len + (long)delta), POSIX_MADV_WILLNEED);
 #else
   (void)vba;
   (void)voff;

@@ -50,26 +50,18 @@ module Writer = struct
   let contents t = t.buf
 end
 
-(* CRC-32 (IEEE 802.3, polynomial 0xEDB88320), byte-at-a-time with a
-   precomputed table.  Pure OCaml; values stay in the native int (the low
-   32 bits are the checksum). *)
-let crc_table =
-  Array.init 256 (fun n ->
-      let c = ref n in
-      for _ = 1 to 8 do
-        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-      done;
-      !c)
+(* CRC-32 (IEEE 802.3, polynomial 0xEDB88320), slicing-by-8 in C
+   ([arena_stubs.c]); its tables are built here, at module
+   initialisation, before anything can checksum. *)
+external crc32_init : unit -> unit = "rta_crc32_init"
+external crc32_bytes : int -> bytes -> int -> int -> int = "rta_crc32_bytes" [@@noalloc]
+
+let () = crc32_init ()
 
 let crc32_update crc buf ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > Bytes.length buf then
+  if pos < 0 || len < 0 || pos > Bytes.length buf - len then
     invalid_arg "Codec.crc32_update: range outside buffer";
-  let table = crc_table in
-  let c = ref (crc lxor 0xFFFFFFFF) in
-  for i = pos to pos + len - 1 do
-    c := table.((!c lxor Bytes.get_uint8 buf i) land 0xff) lxor (!c lsr 8)
-  done;
-  !c lxor 0xFFFFFFFF land 0xFFFFFFFF
+  crc32_bytes (crc land 0xFFFFFFFF) buf pos len
 
 let crc32 buf ~pos ~len = crc32_update 0 buf ~pos ~len
 let crc32_string s = crc32 (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)

@@ -57,9 +57,10 @@ end
 (** {1 CRC-32}
 
     The IEEE 802.3 checksum (polynomial [0xEDB88320], the zlib/PNG/
-    Ethernet variant), computed byte-at-a-time over a precomputed table.
-    Frames WAL records and page-file headers so torn or corrupted bytes
-    are detected on recovery instead of silently decoded. *)
+    Ethernet variant), computed by one slicing-by-8 C kernel shared with
+    {!Zcodec.crc32}.  Frames WAL records, checkpoint chunks and page
+    blocks, so torn or corrupted bytes are detected instead of silently
+    decoded. *)
 
 val crc32 : bytes -> pos:int -> len:int -> int
 (** Checksum of [len] bytes starting at [pos]; the result fits 32 bits.
@@ -71,9 +72,6 @@ val crc32_update : int -> bytes -> pos:int -> len:int -> int
     [crc32_update (crc32 b0) b1] over the concatenation. *)
 
 val crc32_string : string -> int
-
-val crc_table : int array
-(** The 256-entry table behind {!crc32}, which {!Zcodec.crc32} shares. *)
 
 module Reader : sig
   include READER

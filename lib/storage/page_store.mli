@@ -8,12 +8,13 @@
       the same quantity the paper does.
     - {!Mmap} keeps each page in a fixed-size block of one page file,
       proving the structures are genuinely disk-resident.  The file is an
-      {!Arena} — mapped, or a buffered image where mapping is unavailable
-      — and pages are encoded and decoded in place through a
-      {!PAGE_CODEC} over {!Zcodec}, with no intermediate [bytes].  Every
-      block carries a CRC32 over its payload, verified on every read, so
-      bit-rot is detected loudly ({!Corrupt_page}) instead of being
-      decoded into garbage.
+      {!Arena} — mapped, or a RAM image where mapping is unavailable —
+      and pages are encoded and decoded in place through a
+      {!PAGE_CODEC} over {!Zcodec}, with no intermediate [bytes].  The
+      file is a cache of its owner's pages, never read back by a later
+      store.  Every block carries a CRC32 over its payload, verified on
+      every read, so bit-rot is detected loudly ({!Corrupt_page})
+      instead of being decoded into garbage.
 
     Stores are deliberately dumb: no caching.  Layer {!Buffer_pool} on top
     for buffering. *)
@@ -103,45 +104,24 @@ module Mmap (C : PAGE_CODEC) : sig
   val create :
     ?stats:Io_stats.t ->
     ?page_size:int ->
-    ?mode:[ `Create | `Reopen ] ->
-    ?vfs:Vfs.t ->
     ?tracer:Telemetry.Tracer.t ->
     ?backing:[ `Auto | `Map | `Buffered ] ->
     path:string ->
     unit ->
     t
-  (** Every page occupies one fixed-size block of [page_size] bytes
-      (default 4096, the paper's setting): block 0 holds a CRC32-framed
-      header recording the geometry and the committed page count, and
-      page [id] occupies block [1 + id], framed as [len][crc32][payload].
-      The file is an {!Arena}, so pages are encoded/decoded in place
-      through the {!PAGE_CODEC}.  Because the arena grows by doubling,
-      the physical file length runs ahead of the used prefix; the header
-      therefore carries the {e committed} page count, rewritten (and
-      flushed separately, after the data ranges) on every {!sync}.
+  (** A fresh, empty store.  Every page occupies one fixed-size block of
+      [page_size] bytes (default 4096, the paper's setting): page [id]
+      occupies block [id], framed as [len][crc32][payload] — the frame
+      of WAL records and checkpoint chunks.  The file is an {!Arena}
+      ([backing] as in {!Arena.create}, default [`Auto]), so pages are
+      encoded/decoded in place through the {!PAGE_CODEC}.
 
-      With [`Create] (the default) the file is created or truncated.  With
-      [`Reopen] an existing page file is opened in place: the header is
-      validated against [page_size] before anything can write to the
-      file, so a rejected reopen leaves it byte-identical.  The written
-      set is every committed id minus the freed ids persisted in the
-      [path ^ ".free"] sidecar ({!sync}/{!close} rewrite it atomically).
-      If the sidecar is stale or torn the reopen degrades conservatively:
-      pages freed after the last sync resurrect and {!live_pages}
-      overcounts; after a clean {!sync} or {!close} liveness is exact.
-
-      [backing] selects the arena flavour (default [`Auto]: real
-      [map_file], falling back to a RAM buffer flushed through [vfs]
-      where mapping is unavailable — see {!Arena.create}).  Each logical
-      read/write is charged to [stats] as a [read]/[write] {e plus} a
-      [mapped_read]/[mapped_write], so cost-model totals stay comparable
-      with {!Mem} while the zero-copy share stays visible.  When [tracer]
-      (default {!Telemetry.Tracer.noop}) is enabled, each {!read},
-      {!write} and {!sync} emits a [page.read]/[page.write]/[page.sync]
-      span carrying the page id.
-
-      @raise Failure on a missing, foreign, or geometry-mismatched file
-      under [`Reopen].
+      Each logical read/write is charged to [stats] as a [read]/[write]
+      {e plus} a [mapped_read]/[mapped_write], so cost-model totals stay
+      comparable with {!Mem} while the zero-copy share stays visible.
+      When [tracer] (default {!Telemetry.Tracer.noop}) is enabled, each
+      {!read} and {!write} emits a [page.read]/[page.write] span carrying
+      the page id.
       @raise Arena.Unavailable under [backing:`Map] on platforms that
       refuse the mapping. *)
 
@@ -150,59 +130,29 @@ module Mmap (C : PAGE_CODEC) : sig
   val backing : t -> Arena.backing
   (** Which arena flavour [`Auto] resolved to. *)
 
-  val verify : t -> Page_id.t -> bool
-  (** In-place CRC check of a written page's mapped block, without
-      decoding.  [false] is also counted in {!Io_stats.crc_failures}.
-      @raise Not_found if the page was never written or was freed. *)
-
-  val read_block : t -> Page_id.t -> bytes
-  (** Copy of the raw [page_size]-byte block, frame included — scrub and
-      explorer plumbing. *)
-
-  val write_block : t -> Page_id.t -> bytes -> unit
-  (** Overwrite a page's raw block verbatim and mark it dirty.  Bypasses
-      the codec {e and the CRC framing}; scrub/repair and fault-injection
-      plumbing, not charged as a logical write. *)
-
   val written_ids : t -> Page_id.t list
   (** Every currently written (allocated, not freed) page id, ascending. *)
 
-  val sync : t -> unit
-  (** Flush dirty data ranges ([msync] per coalesced range), then commit
-      the header's page count, then persist the freed-id sidecar — in
-      that order, so a crash between barriers leaves the previous
-      committed prefix intact.  Charged to {!Io_stats.syncs}; the range
-      count lands in {!Io_stats.msyncs}. *)
-
   val close : t -> unit
-  (** Persist the freed-id sidecar (best-effort) and release the file.
-      Writes made since the last {!sync} reach the file (not necessarily
-      the platter) on either backing, so the next [`Reopen] reads them.
-      The committed page count is {!sync}'s alone: ids allocated since
-      then are not part of the reopened store. *)
+  (** Release the file (see {!Arena.close}). *)
 
   val file_size_bytes : t -> int
-  (** The used prefix, [(1 + next_id) * page_size] — the space metric. *)
-
-  val mapped_capacity_bytes : t -> int
-  (** Physical capacity of the arena file (runs ahead of
-      {!file_size_bytes} because growth doubles). *)
-
-  val remaps : t -> int
-  (** Times growth re-established the mapping. *)
+  (** The used prefix, [next_id * page_size] — the space metric. *)
 
   val install_raw : t -> Page_id.t -> bytes -> pos:int -> len:int -> unit
-  (** Install an already-encoded page under an explicit id, moving the
-      alloc cursor past it — building a page file from a snapshot.  The
-      [len] bytes of the buffer from [pos] are copied into the block and
-      framed as [len][crc32][payload], the very block {!write} produces
-      for the page they encode.  Unlike {!Mem.install} the physical
-      write is real and charged as one write; only the alloc is skipped
-      (the id is fixed by its previous life).
-      @raise Codec.Overflow if the payload does not fit a block. *)
+  (** Install a framed page under an explicit id, moving the alloc cursor
+      past it — building a page file from a checkpoint.  The [len] bytes
+      of the buffer from [pos] are a whole frame, [len][crc32][payload]
+      as {!read_frame} returns it, and are copied into the block
+      verbatim: the CRC is not recomputed, so the caller must have
+      verified it.  Unlike {!Mem.install} the physical write is real and
+      charged as one write; only the alloc is skipped (the id is fixed by
+      its previous life).
+      @raise Codec.Overflow if the frame does not fit a block or its
+      length field disagrees with [len]. *)
 
-  val read_payload : t -> Page_id.t -> bytes
-  (** A page's payload as the codec encoded it, CRC-checked but not
+  val read_frame : t -> Page_id.t -> bytes
+  (** A page's whole frame, [len][crc32][payload], CRC-checked but not
       decoded, copied out of the block.  Charged as one read, like
       {!read}.
       @raise Corrupt_page on a checksum mismatch.

@@ -45,16 +45,14 @@ let set_i64 (b : buf) i v =
   set_i32 b i (v land 0xFFFFFFFF);
   set_i32 b (i + 4) ((v asr 32) land 0xFFFFFFFF)
 
-(* CRC-32 (IEEE 802.3) over {!Codec}'s table. *)
+(* CRC-32 (IEEE 802.3) through {!Codec}'s C kernel. *)
+external crc32_bigarray : int -> buf -> int -> int -> int = "rta_crc32_bigarray"
+  [@@noalloc]
+
 let crc32 (b : buf) ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > Bigarray.Array1.dim b then
+  if pos < 0 || len < 0 || pos > Bigarray.Array1.dim b - len then
     invalid_arg "Zcodec.crc32: range outside buffer";
-  let table = Codec.crc_table in
-  let c = ref 0xFFFFFFFF in
-  for i = pos to pos + len - 1 do
-    c := table.((!c lxor get_u8 b i) land 0xff) lxor (!c lsr 8)
-  done;
-  !c lxor 0xFFFFFFFF land 0xFFFFFFFF
+  crc32_bigarray 0 b pos len
 
 let blit_to_bytes (src : buf) src_off dst dst_off len =
   if len < 0 || src_off < 0 || dst_off < 0

@@ -24,7 +24,8 @@ val get_i64 : buf -> int -> int
 val set_i64 : buf -> int -> int -> unit
 
 val crc32 : buf -> pos:int -> len:int -> int
-(** Same polynomial and convention as [Codec.crc32]. *)
+(** [Codec.crc32] over a mapped slice: the same C kernel.
+    @raise Invalid_argument if the range lies outside the buffer. *)
 
 val blit_to_bytes : buf -> int -> bytes -> int -> int -> unit
 val blit_of_bytes : bytes -> int -> buf -> int -> int -> unit

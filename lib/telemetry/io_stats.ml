@@ -100,7 +100,6 @@ let record_pages_reclaimed t n = if n <> 0 then ignore (Atomic.fetch_and_add t.n
 let record_vacuum_step t = Atomic.incr t.n_vacuum_steps
 let record_mapped_read t = Atomic.incr t.n_mapped_reads
 let record_mapped_write t = Atomic.incr t.n_mapped_writes
-let record_msync_ranges t n = if n <> 0 then ignore (Atomic.fetch_and_add t.n_msyncs n)
 let record_readaheads t n = if n <> 0 then ignore (Atomic.fetch_and_add t.n_readaheads n)
 
 let reset t =

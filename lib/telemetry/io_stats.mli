@@ -16,7 +16,7 @@
     - [reads], [writes] — physical page transfers;
     - [frees] — page disposals (section 4.2.3): handing a page back is
       charged as one I/O by the paper's accounting even though the
-      page-file store defers the free-list write to the next sync.
+      page-file store only retires the id.
 
     {e Events} — bookkeeping with no per-increment transfer of their own:
     - [allocs] — page-id allocation; the first write pays the I/O;
@@ -54,17 +54,19 @@ val frees : t -> int
 (** I/O — pages returned to the store (page-disposal optimisation). *)
 
 val syncs : t -> int
-(** Event — [fsync]s issued against the underlying file (durable stores
-    only). *)
+(** Event — [fsync]s a page store issued against its file.  Page files
+    are a cache that is never synced, so no store in this code base
+    counts any; the counter stays in reports and on the wire. *)
 
 val crc_failures : t -> int
-(** Event — page reads whose CRC32 did not match — detected bit-rot. *)
+(** Event — page reads and scrubbed checkpoint chunks whose CRC32 did
+    not match — detected bit-rot. *)
 
 val scrubbed : t -> int
-(** Event — pages whose checksum a scrub pass verified. *)
+(** Event — checkpoint chunks whose checksum a scrub pass verified. *)
 
 val repaired : t -> int
-(** Event — quarantined pages a scrub pass rewrote from a reference state. *)
+(** Event — corrupt checkpoint chunks a scrub pass rewrote from a twin. *)
 
 val errors_injected : t -> int
 (** Event — faults fired by [Vfs.Inject] — nonzero only under error
@@ -98,10 +100,9 @@ val mapped_writes : t -> int
     also charged as a [write]; see {!mapped_reads}. *)
 
 val msyncs : t -> int
-(** Event — coalesced dirty ranges pushed to the platter by [msync]
-    (or the buffered-arena equivalent).  A durability cost like [syncs],
-    but counted per range: one sync barrier over a fragmented dirty set
-    costs more than over a sequential one. *)
+(** Event — dirty ranges of a mapping pushed to the platter by [msync].
+    Page files are a cache that is never synced, so this reads 0; the
+    counter stays in reports. *)
 
 val readaheads : t -> int
 (** Event — pages hinted to the kernel ahead of a root-to-leaf descent
@@ -131,10 +132,6 @@ val record_pages_reclaimed : t -> int -> unit
 val record_vacuum_step : t -> unit
 val record_mapped_read : t -> unit
 val record_mapped_write : t -> unit
-
-val record_msync_ranges : t -> int -> unit
-(** [record_msync_ranges t n] adds the [n] ranges one sync barrier
-    flushed in one atomic bump. *)
 
 val record_readaheads : t -> int -> unit
 (** [record_readaheads t n] adds the [n] pages one batched descent

@@ -44,20 +44,25 @@ type cell = {
   trace : int64 option;
   start_ns : int64;
   ns : float array;  (* accumulated nanoseconds per phase *)
-  mutable enqueue_ns : int64;  (* scratch mark for cross-stage waits *)
+  mutable open_ns : int64;  (* where the open window started *)
+  mutable inside_ns : float;  (* [add]ed since then, left out of its charge *)
 }
 
-let cell ~kind ~trace =
-  { kind; trace; start_ns = now_ns (); ns = Array.make n_phases 0.; enqueue_ns = 0L }
+let cell ~kind ~trace ~start_ns =
+  { kind; trace; start_ns; ns = Array.make n_phases 0.; open_ns = start_ns; inside_ns = 0. }
 
 let add c p ~ns =
-  let i = index p in
-  c.ns.(i) <- c.ns.(i) +. Int64.to_float ns
+  let i = index p and v = Int64.to_float ns in
+  c.ns.(i) <- c.ns.(i) +. v;
+  c.inside_ns <- c.inside_ns +. v
 
-let charge c p ~since = add c p ~ns:(Int64.sub (now_ns ()) since)
-let mark c = c.enqueue_ns <- now_ns ()
-let charge_mark c p = charge c p ~since:c.enqueue_ns
-let phase_ns c p = c.ns.(index p)
+let charge c p =
+  let now = now_ns () in
+  let i = index p in
+  c.ns.(i) <- c.ns.(i) +. max 0. (Int64.to_float (Int64.sub now c.open_ns) -. c.inside_ns);
+  c.open_ns <- now;
+  c.inside_ns <- 0.
+
 let kind c = c.kind
 let trace c = c.trace
 

@@ -3,8 +3,12 @@
     A {!cell} rides along with one request through the server — decode,
     the admission gate, the group-commit queue, the batch's WAL append
     and fsync, the replication-quorum gate, engine apply, and finally
-    the reply flush — and each stage {e charges} the nanoseconds it
-    consumed.  When the reply bytes reach the socket the cell is
+    the reply flush — and each stage {e charges} the time since the
+    previous stage's charge.  The phases tile the request's wall time:
+    every window starts where the last one ended, so a pause that falls
+    between two stages (a preempted thread, a stop-the-world collection
+    waiting on another domain) lands in the next phase instead of
+    nowhere.  When the reply bytes reach the socket the cell is
     {!finish}ed against a {!recorder}: every phase feeds a log-scale
     histogram in {!Metrics} (so [request_phase_fsync_ns] p99 is one
     Prometheus query away) and requests slower than the configured
@@ -17,13 +21,16 @@
 type phase =
   | Decode  (** Wire frame → request value. *)
   | Admission_wait  (** The admission gate's decision. *)
-  | Queue_wait  (** Enqueue → the batch/mailbox picks the op up. *)
+  | Queue_wait
+      (** Enqueue → the batch/mailbox picks the op up; on the sharded
+          plane also a domain's finished op → the event loop runs its
+          completion. *)
   | Batch_build  (** Assembling the group-commit batch. *)
   | Wal_append  (** The op's own WAL append. *)
   | Fsync  (** The op's share: its batch's single WAL sync. *)
   | Quorum_wait  (** Replication gate → enough follower acks. *)
   | Apply  (** Engine work: tree update or query evaluation. *)
-  | Reply_flush  (** Response encoded → bytes on the socket. *)
+  | Reply_flush  (** Result in hand → response encoded and on the socket. *)
 
 val all : phase list
 val n_phases : int
@@ -35,22 +42,22 @@ val now_ns : unit -> int64
 
 type cell
 
-val cell : kind:string -> trace:int64 option -> cell
-(** A fresh vector, stamped with the current monotonic clock as the
-    request's start.  [kind] names the request ("insert", "query", …)
-    in slow-log lines. *)
+val cell : kind:string -> trace:int64 option -> start_ns:int64 -> cell
+(** A fresh vector for a request that began at [start_ns] (the monotonic
+    clock when its frame's decode started), which opens the first
+    window.  [kind] names the request ("insert", "query", …) in
+    slow-log lines. *)
+
+val charge : cell -> phase -> unit
+(** Close the open window at the current clock: charge [p] with its
+    length, less what {!add} put inside it, and open the next window
+    there. *)
 
 val add : cell -> phase -> ns:int64 -> unit
-val charge : cell -> phase -> since:int64 -> unit
-(** [charge c p ~since] adds [now - since] to [p]. *)
+(** Add a duration measured inside the open window — the engine's own
+    WAL append and tree apply inside a group-commit batch — to [p].  The
+    window's {!charge} leaves it out, so it is counted once. *)
 
-val mark : cell -> unit
-(** Stamp the cell's scratch mark (e.g. at enqueue). *)
-
-val charge_mark : cell -> phase -> unit
-(** [charge c p ~since:<last mark>]. *)
-
-val phase_ns : cell -> phase -> float
 val kind : cell -> string
 val trace : cell -> int64 option
 

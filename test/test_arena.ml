@@ -1,8 +1,8 @@
 (* Storage-engine tests: Zcodec/Codec byte equivalence, the mmap arena
-   (both backings), the Mmap page store, cross-backend engine
-   equivalence (Memory/Mmap answer and checkpoint identically), scrub
-   round trips, and the crash matrices over an mmap-backed working
-   set. *)
+   (both backings), the Mmap page store and its verbatim frame copies,
+   checksummed snapshot streaming, cross-backend engine equivalence
+   (Memory/Mmap answer and checkpoint identically), descriptor and lock
+   hygiene, and the crash matrices over an mmap-backed working set. *)
 
 module Zc = Storage.Zcodec
 module A = Storage.Arena
@@ -77,8 +77,7 @@ let fill_block arena ~block ~seed =
   let buf = A.buffer arena in
   for i = 0 to bs - 1 do
     Zc.set_u8 buf ((block * bs) + i) ((seed + (block * 7) + i) land 0xff)
-  done;
-  A.mark_dirty arena ~block
+  done
 
 let check_block arena ~block ~seed =
   let bs = A.block_size arena in
@@ -90,97 +89,40 @@ let check_block arena ~block ~seed =
   done;
   Alcotest.(check bool) (Printf.sprintf "block %d content" block) true !ok
 
-let arena_lifecycle ~backing ~vfs ~path () =
-  let a =
-    A.create ~initial_blocks:2 ?vfs ~backing ~block_size:64 ~path ~mode:`Create ()
-  in
-  (* grow-by-remap past the initial capacity, then write every block *)
-  A.ensure a ~blocks:9;
-  Alcotest.(check bool) "capacity grew" true (A.capacity_blocks a >= 9);
-  for b = 0 to 8 do
+(* Blocks written before a growth survive the remap (or the copy into a
+   larger RAM image), and so do blocks written after it. *)
+let arena_lifecycle ~backing ~path () =
+  let a = A.create ~initial_blocks:2 ~backing ~block_size:64 ~path () in
+  for b = 0 to 1 do
     fill_block a ~block:b ~seed:11
   done;
-  Alcotest.(check int) "dirty blocks tracked" 9 (A.dirty_blocks a);
-  A.sync a;
-  Alcotest.(check int) "dirty set cleared" 0 (A.dirty_blocks a);
-  Alcotest.(check bool) "coalesced ranges flushed" true (A.msync_ranges a >= 1);
-  (match A.backing a with
-  | `Map -> Alcotest.(check bool) "growth remapped" true (A.remaps a >= 1)
-  | `Buffered -> ());
-  A.close a;
-  (* reopen and read everything back *)
-  let a2 =
-    A.create ?vfs ~backing ~block_size:64 ~path ~mode:`Reopen ()
-  in
-  Alcotest.(check bool) "reopen sees capacity" true (A.capacity_blocks a2 >= 9);
-  for b = 0 to 8 do
-    check_block a2 ~block:b ~seed:11
+  A.ensure a ~blocks:9;
+  Alcotest.(check bool) "capacity grew" true (A.capacity_blocks a >= 9);
+  for b = 2 to 8 do
+    fill_block a ~block:b ~seed:11
   done;
-  A.close a2
+  for b = 0 to 8 do
+    check_block a ~block:b ~seed:11
+  done;
+  (match A.backing a with
+  | `Map ->
+      Alcotest.(check bool) "growth remapped" true (A.remaps a >= 1);
+      Alcotest.(check int) "file sized to capacity" (A.file_size_bytes a)
+        (Unix.stat path).Unix.st_size
+  | `Buffered ->
+      Alcotest.(check bool) "no file" false (Sys.file_exists path));
+  A.close a;
+  A.close a
 
 let test_arena_buffered () =
-  let fs = M.create () in
-  arena_lifecycle ~backing:`Buffered ~vfs:(Some (M.vfs fs)) ~path:"arena" ()
+  let dir = Filename.temp_dir "rta-test-arena" "" in
+  Fun.protect ~finally:(fun () -> Sys.rmdir dir) @@ fun () ->
+  arena_lifecycle ~backing:`Buffered ~path:(Filename.concat dir "arena") ()
 
 let test_arena_mapped () =
   let path = Filename.temp_file "rta-test-arena" "" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-  @@ fun () -> arena_lifecycle ~backing:`Auto ~vfs:None ~path ()
-
-let test_arena_buffered_torn_tail () =
-  (* A crash can leave the file with a torn trailing partial block.
-     Buffered reopen must drop the tail rather than fail pulling more
-     bytes than the rounded-down buffer holds. *)
-  let fs = M.create () in
-  let vfs = M.vfs fs in
-  let a =
-    A.create ~initial_blocks:2 ~vfs ~backing:`Buffered ~block_size:64 ~path:"arena"
-      ~mode:`Create ()
-  in
-  A.ensure a ~blocks:9;
-  for b = 0 to 8 do
-    fill_block a ~block:b ~seed:23
-  done;
-  A.sync a;
-  A.close a;
-  (* Append a partial block past the last full one. *)
-  let f = vfs.Storage.Vfs.v_open `Reopen "arena" in
-  let size = f.Storage.Vfs.f_size () in
-  f.Storage.Vfs.f_pwrite size (Bytes.make 10 '\xAB') 0 10;
-  f.Storage.Vfs.f_close ();
-  let a2 =
-    A.create ~initial_blocks:2 ~vfs ~backing:`Buffered ~block_size:64 ~path:"arena"
-      ~mode:`Reopen ()
-  in
-  for b = 0 to 8 do
-    check_block a2 ~block:b ~seed:23
-  done;
-  A.close a2
-
-(* Close hands every write to the file on both backings, without a sync:
-   the mapping's stores are in the page cache already, and the buffered
-   image writes back its dirty blocks. *)
-let arena_close_keeps_writes ~backing ~vfs ~path () =
-  let a = A.create ~initial_blocks:4 ?vfs ~backing ~block_size:64 ~path ~mode:`Create () in
-  for b = 0 to 3 do
-    fill_block a ~block:b ~seed:5
-  done;
-  A.sync a;
-  fill_block a ~block:2 ~seed:99;
-  A.close a;
-  let a2 = A.create ?vfs ~backing ~block_size:64 ~path ~mode:`Reopen () in
-  check_block a2 ~block:1 ~seed:5;
-  check_block a2 ~block:2 ~seed:99;
-  A.close a2
-
-let test_arena_close_keeps_writes_buffered () =
-  let fs = M.create () in
-  arena_close_keeps_writes ~backing:`Buffered ~vfs:(Some (M.vfs fs)) ~path:"arena" ()
-
-let test_arena_close_keeps_writes_mapped () =
-  let path = Filename.temp_file "rta-test-arena" "" in
-  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-  @@ fun () -> arena_close_keeps_writes ~backing:`Auto ~vfs:None ~path ()
+  @@ fun () -> arena_lifecycle ~backing:`Auto ~path ()
 
 (* --- Mmap page store ---------------------------------------------------------- *)
 
@@ -198,14 +140,9 @@ end
 
 module MStore = Storage.Page_store.Mmap (Int_list_codec)
 
-let store_lifecycle ~backing ~vfs ~path () =
+let store_lifecycle ~backing ~path () =
   let stats = Storage.Io_stats.create () in
-  let mk ?(page_size = 128) mode =
-    MStore.create ~stats ~page_size ~mode ?vfs ~backing ~path ()
-  in
-  let fs = Option.value vfs ~default:Storage.Vfs.os in
-  let file_bytes () = Storage.Vfs.read_file fs path in
-  let s = mk `Create in
+  let s = MStore.create ~stats ~page_size:128 ~backing ~path () in
   let payload i = [ i; i * i; -i ] in
   let ids =
     List.init 10 (fun i ->
@@ -214,143 +151,46 @@ let store_lifecycle ~backing ~vfs ~path () =
         id)
   in
   List.iteri
-    (fun i id ->
-      Alcotest.(check (list int)) "round trip" (payload i) (MStore.read s id);
-      Alcotest.(check bool) "crc verifies" true (MStore.verify s id))
+    (fun i id -> Alcotest.(check (list int)) "round trip" (payload i) (MStore.read s id))
     ids;
-  Alcotest.(check int) "used prefix (header + 10 pages)" (11 * 128)
-    (MStore.file_size_bytes s);
+  Alcotest.(check int) "page i in block i" 3 (Storage.Page_id.to_int (List.nth ids 3));
+  Alcotest.(check int) "used prefix (10 pages)" (10 * 128) (MStore.file_size_bytes s);
   (* mapped accesses are charged both as I/O and as mapped ops *)
   Alcotest.(check bool) "mapped reads counted" true
     (Storage.Io_stats.mapped_reads stats >= 10);
   Alcotest.(check bool) "mapped writes counted" true
     (Storage.Io_stats.mapped_writes stats >= 10);
-  (* free one page, corrupt another through the raw-block hatch *)
   let freed = List.nth ids 3 in
   MStore.free s freed;
   Alcotest.(check bool) "freed page gone" false (MStore.mem s freed);
   Alcotest.check_raises "read freed" Not_found (fun () -> ignore (MStore.read s freed));
-  let victim = List.nth ids 5 in
-  let block = MStore.read_block s victim in
-  (* byte 12 sits inside the CRC-covered payload (the frame is 8 bytes) *)
-  Bytes.set block 12 (Char.chr (Char.code (Bytes.get block 12) lxor 0xff));
-  MStore.write_block s victim block;
-  Alcotest.(check bool) "corruption detected" false (MStore.verify s victim);
-  (match MStore.read s victim with
-  | exception Storage.Page_store.Corrupt_page _ -> ()
-  | _ -> Alcotest.fail "corrupt page decoded");
-  MStore.sync s;
-  Alcotest.(check bool) "msync ranges recorded" true (Storage.Io_stats.msyncs stats >= 1);
-  Alcotest.(check int) "sync counted" 1 (Storage.Io_stats.syncs stats);
-  MStore.close s;
-  (* reopen: committed pages survive, the freed id stays freed *)
-  let s2 = mk `Reopen in
-  Alcotest.(check int) "live after reopen" 9 (MStore.live_pages s2);
-  Alcotest.(check bool) "freed survives reopen" false (MStore.mem s2 freed);
-  List.iteri
-    (fun i id ->
-      if id <> freed && id <> victim then
-        Alcotest.(check (list int)) "reopen round trip" (payload i) (MStore.read s2 id))
-    ids;
-  Alcotest.(check bool) "corruption survives reopen" false (MStore.verify s2 victim);
-  (* ids continue past the committed ones; a retired id is never reused *)
-  let fresh = MStore.alloc s2 in
-  Alcotest.(check int) "ids continue" 10 (Storage.Page_id.to_int fresh);
-  MStore.write s2 fresh (payload 10);
-  Alcotest.(check (list int)) "write after reopen" (payload 10) (MStore.read s2 fresh);
-  MStore.sync s2;
-  (* after the last sync: overwrite a page in place and free another;
-     close alone must carry both to the next reopen *)
-  let first = List.nth ids 0 and second = List.nth ids 1 in
-  MStore.write s2 first [ 42 ];
-  MStore.free s2 second;
-  MStore.close s2;
-  let s3 = mk `Reopen in
-  Alcotest.(check (list int)) "close kept the overwrite" [ 42 ] (MStore.read s3 first);
-  Alcotest.(check bool) "close persisted the free" false (MStore.mem s3 second);
-  Alcotest.(check int) "live after second reopen" 9 (MStore.live_pages s3);
-  MStore.close s3;
-  (* a torn freed-id sidecar degrades to conservative liveness: every
-     committed id counts as written *)
-  let sidecar = fs.Storage.Vfs.v_open `Create (path ^ ".free") in
-  sidecar.Storage.Vfs.f_pwrite 0 (Bytes.of_string "garbage") 0 7;
-  sidecar.Storage.Vfs.f_close ();
-  let s4 = mk `Reopen in
-  Alcotest.(check int) "torn sidecar: conservative liveness" 11 (MStore.live_pages s4);
-  MStore.close s4;
-  (* a reopen that rejects the file leaves it byte-identical *)
-  let rejected what f =
-    let before = file_bytes () in
-    (match f () with
-    | exception Failure _ -> ()
-    | s -> MStore.close s; Alcotest.failf "%s: reopened" what);
-    Alcotest.(check bytes) (what ^ ": file untouched") before (file_bytes ())
-  in
-  rejected "page size mismatch" (fun () -> mk ~page_size:256 `Reopen);
-  let foreign = fs.Storage.Vfs.v_open `Create path in
-  let junk = Bytes.of_string "this is not a page file at all" in
-  foreign.Storage.Vfs.f_pwrite 0 junk 0 (Bytes.length junk);
-  foreign.Storage.Vfs.f_close ();
-  rejected "foreign file" (fun () -> mk `Reopen)
+  Alcotest.(check int) "live pages" 9 (MStore.live_pages s);
+  (* ids continue; a retired id is never reused *)
+  Alcotest.(check int) "ids continue" 10 (Storage.Page_id.to_int (MStore.alloc s));
+  MStore.close s
 
 let test_mmap_store_buffered () =
-  let fs = M.create () in
-  store_lifecycle ~backing:`Buffered ~vfs:(Some (M.vfs fs)) ~path:"pages" ()
-
-let test_mmap_store_truncated_arena () =
-  (* A committed id whose block lies beyond the mapped capacity (the
-     arena file truncated out from under the header) must surface as
-     Corrupt_page with a recorded CRC failure, not a raw codec range
-     error. *)
-  let fs = M.create () in
-  let vfs = M.vfs fs in
-  let stats = Storage.Io_stats.create () in
-  let mk mode =
-    MStore.create ~stats ~page_size:128 ~mode ~vfs ~backing:`Buffered ~path:"pages" ()
-  in
-  let s = mk `Create in
-  (* Enough pages that the arena grows past its default 64-block initial
-     capacity, so a truncated reopen maps fewer blocks than committed. *)
-  let ids =
-    List.init 70 (fun i ->
-        let id = MStore.alloc s in
-        MStore.write s id [ i ];
-        id)
-  in
-  MStore.sync s;
-  MStore.close s;
-  let f = vfs.Storage.Vfs.v_open `Reopen "pages" in
-  f.Storage.Vfs.f_truncate (64 * 128);
-  f.Storage.Vfs.f_close ();
-  let s2 = mk `Reopen in
-  let last = List.nth ids 69 in
-  let failures_before = Storage.Io_stats.crc_failures stats in
-  Alcotest.(check bool) "out-of-range block fails verify" false (MStore.verify s2 last);
-  (match MStore.read s2 last with
-  | exception Storage.Page_store.Corrupt_page _ -> ()
-  | _ -> Alcotest.fail "truncated-away block decoded");
-  Alcotest.(check bool) "crc failures recorded" true
-    (Storage.Io_stats.crc_failures stats > failures_before);
-  MStore.close s2
+  let dir = Filename.temp_dir "rta-test-mstore" "" in
+  Fun.protect ~finally:(fun () -> Sys.rmdir dir) @@ fun () ->
+  store_lifecycle ~backing:`Buffered ~path:(Filename.concat dir "pages") ()
 
 let test_mmap_store_mapped () =
   let path = Filename.temp_file "rta-test-mstore" "" in
-  Fun.protect ~finally:(fun () ->
-      List.iter
-        (fun p -> try Sys.remove p with Sys_error _ -> ())
-        [ path; path ^ ".free" ])
-  @@ fun () -> store_lifecycle ~backing:`Auto ~vfs:None ~path ()
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () -> store_lifecycle ~backing:`Auto ~path ()
 
-(* --- Raw frames: install_raw / read_payload --------------------------------------- *)
+(* --- Raw frames: install_raw / read_frame ------------------------------------------ *)
 
 let rm_tree dir =
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Sys.rmdir dir
 
-(* Pages written as values into [a], their payloads read back and
-   raw-installed (from inside a larger buffer) into [b]: every block must
-   come out byte-identical, each copy charged one read and one write, and
-   a flipped payload byte must fail [read_payload]'s CRC check. *)
+(* Pages written as values into [a], their frames read back and
+   installed (from inside a larger buffer) into [b]: the copy is verbatim
+   both ways — [b] hands back the very frame it was given, which decodes
+   to the value — each copy is charged one read and one write, and a
+   frame installed with a flipped payload bit (installs trust their
+   caller's CRC check) fails on the way out. *)
 let raw_frames_agree mk =
   let stats = Storage.Io_stats.create () in
   let a = mk ~stats ~path:"a" and b = mk ~stats ~path:"b" in
@@ -362,42 +202,52 @@ let raw_frames_agree mk =
   done;
   List.iter (fun i -> MStore.write a (id i) (value i)) ids;
   let reads0 = Storage.Io_stats.reads stats and writes0 = Storage.Io_stats.writes stats in
-  List.iter
-    (fun i ->
-      let payload = MStore.read_payload a (id i) in
-      let buf = Bytes.make (Bytes.length payload + 10) '\xff' in
-      Bytes.blit payload 0 buf 3 (Bytes.length payload);
-      MStore.install_raw b (id i) buf ~pos:3 ~len:(Bytes.length payload))
-    ids;
-  Alcotest.(check int) "one read per payload" (List.length ids)
+  let frames =
+    List.map
+      (fun i ->
+        let frame = MStore.read_frame a (id i) in
+        let buf = Bytes.make (Bytes.length frame + 10) '\xff' in
+        Bytes.blit frame 0 buf 3 (Bytes.length frame);
+        MStore.install_raw b (id i) buf ~pos:3 ~len:(Bytes.length frame);
+        frame)
+      ids
+  in
+  Alcotest.(check int) "one read per frame" (List.length ids)
     (Storage.Io_stats.reads stats - reads0);
   Alcotest.(check int) "one write per raw install" (List.length ids)
     (Storage.Io_stats.writes stats - writes0);
-  List.iter
-    (fun i ->
-      Alcotest.(check bytes) "raw frame = encoded frame" (MStore.read_block a (id i))
-        (MStore.read_block b (id i));
+  List.iter2
+    (fun i frame ->
+      Alcotest.(check int) "frame = [len][crc][payload]"
+        (Int32.to_int (Bytes.get_int32_le frame 0) + MStore.block_overhead)
+        (Bytes.length frame);
+      Alcotest.(check bytes) "the frame comes back verbatim" frame (MStore.read_frame b (id i));
       Alcotest.(check (list int)) "raw page decodes" (value i) (MStore.read b (id i)))
-    ids;
-  (match MStore.install_raw b (id 3) (Bytes.create 200) ~pos:0 ~len:121 with
+    ids frames;
+  (match MStore.install_raw b (id 3) (Bytes.create 200) ~pos:0 ~len:129 with
   | exception Storage.Codec.Overflow _ -> ()
-  | () -> Alcotest.fail "an oversized raw payload was framed");
-  let block = MStore.read_block b (id 5) in
-  Bytes.set block 13 (Char.chr (Char.code (Bytes.get block 13) lxor 0x01));
-  MStore.write_block b (id 5) block;
+  | () -> Alcotest.fail "an oversized frame was installed");
+  let frame = MStore.read_frame a (id 5) in
+  (match MStore.install_raw b (id 3) frame ~pos:0 ~len:(Bytes.length frame - 1) with
+  | exception Storage.Codec.Overflow _ -> ()
+  | () -> Alcotest.fail "a frame whose length field disagrees was installed");
+  Bytes.set frame 13 (Char.chr (Char.code (Bytes.get frame 13) lxor 0x01));
+  MStore.install_raw b (id 5) frame ~pos:0 ~len:(Bytes.length frame);
   let failures = Storage.Io_stats.crc_failures stats in
-  (match MStore.read_payload b (id 5) with
+  (match MStore.read_frame b (id 5) with
   | exception Storage.Page_store.Corrupt_page _ -> ()
-  | _ -> Alcotest.fail "read_payload returned a corrupt payload");
-  Alcotest.(check int) "crc failure counted" (failures + 1)
+  | _ -> Alcotest.fail "read_frame returned a corrupt frame");
+  (match MStore.read b (id 5) with
+  | exception Storage.Page_store.Corrupt_page _ -> ()
+  | _ -> Alcotest.fail "a corrupt page decoded");
+  Alcotest.(check int) "crc failures counted" (failures + 2)
     (Storage.Io_stats.crc_failures stats);
   MStore.close a;
   MStore.close b
 
 let test_raw_frames_mmap_buffered () =
-  let vfs = M.vfs (M.create ()) in
   raw_frames_agree (fun ~stats ~path ->
-      MStore.create ~stats ~page_size:128 ~vfs ~backing:`Buffered ~path ())
+      MStore.create ~stats ~page_size:128 ~backing:`Buffered ~path ())
 
 let test_raw_frames_mmap_mapped () =
   let dir = Filename.temp_dir "rta-test-raw" "" in
@@ -407,12 +257,12 @@ let test_raw_frames_mmap_mapped () =
 
 (* --- Snapshot streaming: damaged files fail loudly -------------------------------- *)
 
-(* Offsets of every chunk's length field in a snapshot (after the 16-byte
+(* Offsets of every chunk's frame in a snapshot (after the 16-byte
    magic): state, page count, then the pages. *)
 let chunk_offsets data =
   let rec go pos acc =
     if pos >= String.length data then List.rev acc
-    else go (pos + 4 + Int32.to_int (String.get_int32_le data pos)) (pos :: acc)
+    else go (pos + 8 + Int32.to_int (String.get_int32_le data pos)) (pos :: acc)
   in
   go 16 []
 
@@ -437,11 +287,16 @@ let with_lkst fs vfs f =
   f'.Storage.Vfs.f_close ()
 
 (* Both destinations read through the streaming reader: heap pages
-   (decoded) and a page file (raw frames). *)
-let loads_fail what vfs =
+   (decoded) and a page file (raw frames).  [crc] says which refusal is
+   due: a checksum mismatch, or a structural failure. *)
+let loads_fail ?(crc = false) what vfs =
   let attempt name load =
     match load () with
-    | exception (Failure _ | Storage.Codec.Overflow _) -> ()
+    | exception Storage.Storage_error.Io { errno = Storage.Storage_error.Checksum_mismatch; _ }
+      when crc ->
+        ()
+    | exception (Failure _ | Storage.Codec.Overflow _) when not crc -> ()
+    | exception e -> Alcotest.failf "%s: %s: %s" what name (Printexc.to_string e)
     | _ -> Alcotest.failf "%s: %s loaded" what name
   in
   attempt "heap load" (fun () -> ignore (Rta.load ~vfs ~path:"s" ()));
@@ -476,32 +331,47 @@ let test_snapshot_damage () =
         b)
   in
   List.iter
-    (fun (name, off, delta) ->
+    (fun (name, off, delta, crc) ->
       set_len off delta;
-      loads_fail name vfs;
+      loads_fail ~crc name vfs;
       restore ())
-    [ ("negative chunk length", first_page, -100_000l);
-      ("huge chunk length", first_page, 1_000_000l);
-      ("first page chunk one short", first_page, -1l);
-      ("last page chunk one short", last, -1l);
-      ("last page chunk one long", last, 1l) ];
-  (* A page chunk whose framing is intact but whose header lies: the
-     record count (at payload byte 44) or the level (at byte 8), on the
-     first, a middle and the last page.  The raw path never builds the
-     page, so it must catch these as the heap path does. *)
-  let set_field off f =
+    [ ("negative chunk length", first_page, -100_000l, false);
+      ("huge chunk length", first_page, 1_000_000l, false);
+      ("first page chunk one short", first_page, -1l, true);
+      ("last page chunk one short", last, -1l, true);
+      ("last page chunk one long", last, 1l, false) ];
+  (* A flipped bit anywhere in a chunk's payload: the CRC catches it,
+     in the state chunk, the page count and the pages. *)
+  List.iter
+    (fun at ->
+      with_lkst fs vfs (fun b ->
+          Bytes.set_uint8 b (at + 9) (Bytes.get_uint8 b (at + 9) lxor 0x20);
+          b);
+      loads_fail ~crc:true (Printf.sprintf "bit flip in the chunk at %d" at) vfs;
+      restore ())
+    [ List.nth offsets 0; List.nth offsets 1; first_page; last ];
+  (* A page chunk whose frame is intact, CRC included, but whose header
+     lies: the record count (at payload byte 44) or the level (at byte
+     8), on the first, a middle and the last page.  Only bit rot fails a
+     CRC, so the structure rule must catch these, and the raw path,
+     which never builds the page, must catch them as the heap path
+     does. *)
+  let set_field at off f =
     with_lkst fs vfs (fun b ->
         let v = Int32.to_int (Bytes.get_int32_le b off) in
         Bytes.set_int32_le b off (Int32.of_int (f v));
+        let len = Int32.to_int (Bytes.get_int32_le b at) in
+        Bytes.set_int32_le b (at + 4)
+          (Int32.of_int (Storage.Codec.crc32 b ~pos:(at + 8) ~len));
         b)
   in
   let b = 8 in
   List.iter
     (fun at ->
-      let count = at + 4 + 44 and level = at + 4 + 8 in
+      let count = at + 8 + 44 and level = at + 8 + 8 in
       List.iter
         (fun (name, off, f) ->
-          set_field off f;
+          set_field at off f;
           loads_fail (Printf.sprintf "page chunk at %d: %s" at name) vfs;
           restore ())
         [ ("record count + 1", count, succ);
@@ -511,7 +381,24 @@ let test_snapshot_damage () =
           ("level -1", level, fun _ -> -1) ])
     [ first_page; List.nth offsets ((List.length offsets + 2) / 2); last ];
   with_lkst fs vfs (fun b -> Bytes.cat b (Bytes.make 3 '\000'));
-  loads_fail "trailing bytes" vfs
+  loads_fail "trailing bytes" vfs;
+  restore ();
+  (* The previous format, whose chunks carry no CRC, is refused by name. *)
+  with_lkst fs vfs (fun b ->
+      Bytes.blit_string "MVSBT-SNAPSHOT-2" 0 b 0 16;
+      b);
+  match Rta.load ~vfs ~path:"s" () with
+  | exception Failure msg ->
+      Alcotest.(check bool) "names the old format" true
+        (String.length msg > 0
+         &&
+         let needle = "MVSBT-SNAPSHOT-2" in
+         let n = String.length needle in
+         let rec scan i =
+           i + n <= String.length msg && (String.sub msg i n = needle || scan (i + 1))
+         in
+         scan 0)
+  | _ -> Alcotest.fail "an old-format snapshot loaded"
 
 (* --- Cross-backend equivalence ------------------------------------------------ *)
 
@@ -521,9 +408,9 @@ let test_snapshot_damage () =
    from that checkpoint plus the WAL tail (under [Mmap], raw snapshot
    chunks streamed into a fresh working set and the tail replayed over
    it), plays the rest and checkpoints again.  Returns the
-   query answers, the update script it played, and the durable image
-   minus the page-file working set (which is backend-specific by design —
-   it is rebuilt on every open and never a recovery source). *)
+   query answers, the update script it played, and the whole image of
+   the filesystem: the buffered arena keeps the working set in RAM, so
+   under either store only WAL, checkpoints and pointer reach it. *)
 let run_script ~store ~seed ~updates ~max_key =
   let fs = M.create () in
   let vfs = M.vfs fs in
@@ -582,16 +469,7 @@ let run_script ~store ~seed ~updates ~max_key =
     List.map (fun (klo, khi, tlo, thi) -> Rta.sum_count rta ~klo ~khi ~tlo ~thi) qs
   in
   Durable.close eng;
-  let contains_store p =
-    (* the working set lives under "w.store.*" *)
-    let needle = ".store" in
-    let n = String.length needle and l = String.length p in
-    let rec scan i = i + n <= l && (String.sub p i n = needle || scan (i + 1)) in
-    scan 0
-  in
-  let image =
-    List.filter (fun (p, _) -> not (contains_store p)) (M.contents fs)
-  in
+  let image = M.contents fs in
   (answers, List.rev !ups, qs, image)
 
 let oracle_answers ups qs =
@@ -625,56 +503,13 @@ let prop_backends_agree =
       let want = oracle_answers (ups mem) (qs mem) in
       if answers mem <> want then QCheck.Test.fail_report "memory diverges from oracle";
       if answers mmap <> want then QCheck.Test.fail_report "mmap diverges from oracle";
-      (* ...and byte-identical durable images (WAL, checkpoint snapshots,
-         pointer — everything but the rebuilt-on-open working set), the
-         second checkpoint written from a working set that was reopened
+      (* ...and byte-identical filesystem images (WAL, checkpoint
+         snapshots, pointer — the working set never reaches it), the
+         second checkpoint written from a working set that was rebuilt
          from the first one. *)
       if image mmap <> image mem then
         QCheck.Test.fail_report "mmap checkpoint image differs from memory";
       true)
-
-(* --- Scrub round trips ------------------------------------------------------------ *)
-
-(* A warehouse and a twin built by the same updates.  Flips injected into
-   the first must all be found by a scrub, then repaired from the twin,
-   on either arena backing and at the page size the config implies (12
-   KiB for b=170), which scrub and the injector read from the sidecars. *)
-let scrub_round_trip ~b ~backing ~flips () =
-  let dir = Filename.temp_dir "rta-test-scrub" "" in
-  Fun.protect ~finally:(fun () -> rm_tree dir) @@ fun () ->
-  let max_key = 200 and path = Filename.concat dir "a" in
-  let build path =
-    let rta =
-      Rta.create_durable ~config:(Mvsbt.default_config ~b) ~backing ~max_key ~path ()
-    in
-    for i = 0 to 1999 do
-      let key = i * 37 mod max_key in
-      if Rta.is_alive rta ~key then Rta.delete rta ~key ~at:i
-      else Rta.insert rta ~key ~value:(i + 1) ~at:i
-    done;
-    Rta.flush rta;
-    rta
-  in
-  let target = build path and twin = build (Filename.concat dir "b") in
-  let pages l =
-    List.map
-      (fun (side, pid) ->
-        (Format.asprintf "%a" Rta.pp_scrub_side side, Storage.Page_id.to_int pid))
-      l
-    |> List.sort compare
-  in
-  let scrub ?repair_from () = Rta.scrub ~backing ?repair_from ~path () in
-  Alcotest.(check bool) "built clean" true (Rta.scrub_clean (scrub ()));
-  let hits = Rta.inject_bit_flips ~backing ~path ~seed:3 ~flips () in
-  Alcotest.(check int) "flips injected" flips (List.length hits);
-  Alcotest.(check (list (pair string int))) "every flip found" (pages hits)
-    (pages (scrub ()).Rta.corrupt);
-  let r = scrub ~repair_from:twin () in
-  Alcotest.(check (list (pair string int))) "every flip repaired" (pages hits)
-    (pages r.Rta.repaired);
-  Alcotest.(check bool) "clean after repair" true (Rta.scrub_clean (scrub ()));
-  Rta.close target;
-  Rta.close twin
 
 (* --- Descriptor hygiene ---------------------------------------------------------- *)
 
@@ -758,7 +593,6 @@ let test_second_open_rejected arena_backing () =
   for i = 1500 to 2999 do
     apply i
   done;
-  Rta.flush (Durable.warehouse eng);
   let before = files () in
   flush_all ();
   (match Unix.fork () with
@@ -836,10 +670,9 @@ let test_failed_open_releases_fds arena_backing () =
 
 (* --- Crash matrices over the mmap working set --------------------------------- *)
 
-(* Explorer tears the journal at every boundary, which for the mmap
-   store includes its buffered-arena block flushes and header commits —
-   the msync/remap analogue on the journaled filesystem.  Recovery must
-   shrug all of it off (the working set is never a recovery source). *)
+(* Explorer tears the journal at every boundary.  The buffered arena
+   keeps the mmap store's pages in RAM, so its images are exactly those
+   of the memory store; recovery rebuilds the working set from each. *)
 let test_crash_matrix_mmap () =
   let trace =
     Faultsim.Harness.run_trace ~store:Storage.Store_kind.Mmap ~checkpoint_every:20
@@ -876,17 +709,11 @@ let () =
         [
           Alcotest.test_case "buffered lifecycle" `Quick test_arena_buffered;
           Alcotest.test_case "mapped lifecycle" `Quick test_arena_mapped;
-          Alcotest.test_case "torn trailing block" `Quick test_arena_buffered_torn_tail;
-          Alcotest.test_case "buffered close keeps writes" `Quick
-            test_arena_close_keeps_writes_buffered;
-          Alcotest.test_case "mapped close keeps writes" `Quick
-            test_arena_close_keeps_writes_mapped;
         ] );
       ( "mmap-store",
         [
           Alcotest.test_case "buffered lifecycle" `Quick test_mmap_store_buffered;
           Alcotest.test_case "mapped lifecycle" `Quick test_mmap_store_mapped;
-          Alcotest.test_case "truncated arena" `Quick test_mmap_store_truncated_arena;
         ] );
       ( "raw-frames",
         [
@@ -896,15 +723,6 @@ let () =
         ] );
       ( "cross-backend",
         [ QCheck_alcotest.to_alcotest prop_backends_agree ] );
-      ( "scrub",
-        [
-          Alcotest.test_case "flip round trip, mapped" `Quick
-            (scrub_round_trip ~b:64 ~backing:`Auto ~flips:12);
-          Alcotest.test_case "flip round trip, buffered" `Quick
-            (scrub_round_trip ~b:64 ~backing:`Buffered ~flips:12);
-          Alcotest.test_case "b=170 pages scrub at their own size" `Quick
-            (scrub_round_trip ~b:170 ~backing:`Auto ~flips:4);
-        ] );
       ( "close",
         [
           Alcotest.test_case "buffered arena releases fds" `Slow

@@ -1,9 +1,12 @@
 (* Tests for the crash-state explorer, the crash-matrix harness, and the
-   checksum scrub/repair pipeline: the disk model replays correctly on
+   checksums of the recovery source: the disk model replays correctly on
    hand-built journals, every enumerated crash image of a real engine
    trace recovers within bounds and matches the oracle, recovery is
-   idempotent (also as a QCheck property), and scrub detects 100% of
-   injected single-bit flips and repairs them from a matching reference. *)
+   idempotent (also as a QCheck property), a flipped checkpoint chunk
+   fails every open, page files left by an earlier run are never read,
+   and scrub detects 100% of the single-bit flips injected into a
+   checkpoint, repairs them from a twin only where the twin verifies,
+   and reports corrupt log frames without touching the log. *)
 
 module E = Faultsim.Explorer
 module H = Faultsim.Harness
@@ -231,104 +234,367 @@ let apply_updates rta ups =
     ups
 
 let small_config = { (Mvsbt.default_config ~b:8) with f = 0.75 }
+let ok = Storage.Storage_error.ok_exn
 
-let build_durable ups ~path =
-  let rta =
-    Rta.create_durable ~config:small_config ~page_size:1024 ~max_key:16 ~path ()
-  in
-  apply_updates rta ups;
-  Rta.flush rta;
-  rta
+(* A warehouse at [path] built through the engine from [ups], optionally
+   vacuumed to half its history, then checkpointed once. *)
+let build_checkpointed ?(config = small_config) ?store ?arena_backing ?(vacuum = false)
+    ups ~path =
+  let eng = Durable.open_ ~config ?store ?arena_backing ~max_key:16 ~path () in
+  List.iter
+    (function
+      | H.Insert { key; value; at } -> ok (Durable.insert eng ~key ~value ~at)
+      | H.Delete { key; at } -> ok (Durable.delete eng ~key ~at))
+    ups;
+  if vacuum then
+    ignore (ok (Durable.vacuum eng ~horizon:(Rta.now (Durable.warehouse eng) / 2)));
+  ok (Durable.checkpoint eng);
+  Durable.close eng
 
-let ids l = List.sort compare l
+let chunk_ids l =
+  List.map (fun (c : Durable.chunk) -> (Filename.extension c.file, c.index)) l
 
-let test_scrub_detects_all_flips () =
-  let prefix = temp_prefix () in
-  let ups = fixed_updates 150 in
-  let _w = build_durable ups ~path:prefix in
-  let clean = Rta.scrub ~page_size:1024 ~path:prefix () in
-  Alcotest.(check bool) "freshly built warehouse is clean" true (Rta.scrub_clean clean);
-  Alcotest.(check bool) "scrub walked pages" true (clean.Rta.pages_checked > 0);
-  (* Corrupt far more pages than exist: the injector caps at every written
-     page, and the scrubber must flag exactly the pages hit — 100%
-     detection, no false positives. *)
+let read_all path = In_channel.with_open_bin path In_channel.input_all
+
+(* The checkpoint files of the warehouse at [prefix] (one checkpoint, so
+   generation 1). *)
+let ckpt_files prefix = List.map (fun (ext, _) -> prefix ^ ".ckpt-1" ^ ext) Rta.snapshot_files
+
+(* One checkpoint-scrub round trip.  The inputs vary what is built (the
+   store it ran on, the page size, a vacuum), how many chunks are
+   flipped, and whether the twin is true or stopped short of the target's
+   update count. *)
+let checkpoint_scrub ?config ?store ?arena_backing ?vacuum ?(n = 150) ?(stale = false)
+    ~flips () =
+  let prefix = temp_prefix () and twin = temp_prefix () in
+  Fun.protect ~finally:(fun () -> cleanup prefix; cleanup twin) @@ fun () ->
+  let ups = fixed_updates n in
+  let build = build_checkpointed ?config ?store ?arena_backing ?vacuum in
+  build ups ~path:prefix;
+  build (if stale then List.filteri (fun i _ -> i < n - 20) ups else ups) ~path:twin;
+  let clean = Durable.scrub ~path:prefix () in
+  Alcotest.(check bool) "built clean" true (Durable.scrub_clean clean);
+  let hits = Durable.inject_bit_flips ~path:prefix ~seed:7 ~flips () in
+  (* Every chunk but the one of [.meta] is a target. *)
+  Alcotest.(check int) "flips injected" (min flips (clean.Durable.chunks_checked - 1))
+    (List.length hits);
+  (match Durable.open_ ~max_key:16 ~path:prefix () with
+  | eng ->
+      Durable.close eng;
+      Alcotest.fail "a flipped checkpoint opened"
+  | exception Storage.Storage_error.Io { errno = Storage.Storage_error.Checksum_mismatch; _ }
+    ->
+      ());
   let stats = Storage.Io_stats.create () in
-  let hits = Rta.inject_bit_flips ~page_size:1024 ~path:prefix ~seed:7 ~flips:10_000 () in
-  Alcotest.(check bool) "injector hit pages" true (List.length hits > 0);
-  let r = Rta.scrub ~stats ~page_size:1024 ~path:prefix () in
-  Alcotest.(check (list (pair string int)))
-    "every flipped page detected, nothing else"
-    (ids (List.map (fun (s, p) -> (Format.asprintf "%a" Rta.pp_scrub_side s, Storage.Page_id.to_int p)) hits))
-    (ids (List.map (fun (s, p) -> (Format.asprintf "%a" Rta.pp_scrub_side s, Storage.Page_id.to_int p)) r.Rta.corrupt));
-  Alcotest.(check int) "no reference, nothing repaired" 0 (List.length r.Rta.repaired);
-  Alcotest.(check int) "all corrupt pages irreparable" (List.length r.Rta.corrupt)
-    (List.length r.Rta.irreparable);
+  let r = Durable.scrub ~stats ~repair_from:twin ~path:prefix () in
+  let pairs = Alcotest.(list (pair string int)) in
+  Alcotest.check pairs "every flip found, nothing else" (chunk_ids hits)
+    (chunk_ids r.Durable.corrupt);
+  Alcotest.check pairs "repaired" (if stale then [] else chunk_ids hits)
+    (chunk_ids r.Durable.repaired);
+  Alcotest.check pairs "irreparable" (if stale then chunk_ids hits else [])
+    (chunk_ids r.Durable.irreparable);
   let s = Storage.Io_stats.snapshot stats in
-  Alcotest.(check int) "scrubbed counter" r.Rta.pages_checked s.Storage.Io_stats.scrubbed;
-  Alcotest.(check int) "crc_failures counter" (List.length r.Rta.corrupt)
+  Alcotest.(check int) "scrubbed counter" r.Durable.chunks_checked s.Storage.Io_stats.scrubbed;
+  Alcotest.(check int) "crc_failures counter" (List.length hits)
     s.Storage.Io_stats.crc_failures;
-  (* A normal read path must refuse the rotten pages too. *)
-  let reads_corrupt =
-    try
-      let rta = Rta.reopen_durable ~page_size:1024 ~path:prefix () in
-      let _ = Rta.sum_count rta ~klo:0 ~khi:16 ~tlo:0 ~thi:1_000 in
-      false
-    with Storage.Page_store.Corrupt_page _ -> true
-  in
-  Alcotest.(check bool) "read path raises Corrupt_page" true reads_corrupt;
-  cleanup prefix
+  Alcotest.(check int) "repaired counter" (List.length r.Durable.repaired)
+    s.Storage.Io_stats.repaired;
+  if not stale then begin
+    Alcotest.(check bool) "clean after repair" true
+      (Durable.scrub_clean (Durable.scrub ~path:prefix ()));
+    (* A twin's checkpoint is a clean copy of the target's, byte for
+       byte, so the repaired files are the twin's. *)
+    List.iter2
+      (fun a b -> Alcotest.(check string) (Filename.extension a) (read_all b) (read_all a))
+      (ckpt_files prefix) (ckpt_files twin);
+    let eng = Durable.open_ ~max_key:16 ~path:prefix () in
+    let oracle = Rta.create ~max_key:16 () in
+    apply_updates oracle ups;
+    let h = Durable.horizon eng in
+    List.iter
+      (fun (klo, khi, tlo, thi) ->
+        let tlo = max tlo h in
+        if tlo < thi then
+          Alcotest.(check (pair int int))
+            (Printf.sprintf "query [%d,%d)x[%d,%d)" klo khi tlo thi)
+            (Rta.sum_count oracle ~klo ~khi ~tlo ~thi)
+            (Durable.sum_count eng ~klo ~khi ~tlo ~thi))
+      [ (0, 16, 0, 1000); (2, 9, 3, 40); (5, 6, 0, 200); (0, 16, 90, 91) ];
+    Durable.close eng
+  end
 
-let test_scrub_repairs_from_reference () =
-  let prefix = temp_prefix () and ref_prefix = temp_prefix () in
-  let ups = fixed_updates 150 in
-  let _w = build_durable ups ~path:prefix in
-  let reference = build_durable ups ~path:ref_prefix in
+(* --- The recovery source is checksummed --------------------------------------- *)
+
+let exe = "../bin/rta_cli.exe"
+
+(* A bit flipped in any chunk — the state and page-count chunks, the
+   first, a middle and the last page of either snapshot, or [.meta] —
+   fails the open with [Checksum_mismatch] naming the file and chunk,
+   under every store, and leaves every file as it was: the log is not
+   replayed, let alone truncated.  The page files of a mapped store are
+   a cache the failed open rebuilds, so they are not compared. *)
+let test_flipped_checkpoint_refused () =
+  let prefix = temp_prefix () in
+  Fun.protect ~finally:(fun () -> cleanup prefix) @@ fun () ->
+  let ups = fixed_updates 200 in
+  build_checkpointed (List.filteri (fun i _ -> i < 150) ups) ~path:prefix;
+  (let eng = Durable.open_ ~max_key:16 ~path:prefix () in
+   List.iteri
+     (fun i u ->
+       if i >= 150 then
+         match u with
+         | H.Insert { key; value; at } -> ok (Durable.insert eng ~key ~value ~at)
+         | H.Delete { key; at } -> ok (Durable.delete eng ~key ~at))
+     ups;
+   Durable.close eng);
+  let dir = Filename.dirname prefix and base = Filename.basename prefix in
+  let image () =
+    Sys.readdir dir |> Array.to_list |> List.sort compare
+    |> List.filter (fun f ->
+           String.starts_with ~prefix:base f
+           && not (String.starts_with ~prefix:(base ^ ".store") f))
+    |> List.map (fun f -> (f, read_all (Filename.concat dir f)))
+  in
+  let frames file magic =
+    Mvsbt.Chunks.with_file Storage.Vfs.os ~path:file ~magic @@ fun rd ->
+    let rec go acc =
+      match Mvsbt.Chunks.next rd with
+      | None -> Array.of_list (List.rev acc)
+      | Some f -> go ((f.Mvsbt.Chunks.index, f.offset + Mvsbt.Chunks.frame_bytes, f.len) :: acc)
+    in
+    go []
+  in
+  let targets =
+    List.concat_map
+      (fun (file, (ext, magic)) ->
+        let fs = frames file magic in
+        let n = Array.length fs in
+        if ext = ".meta" then [ (file, fs.(0)) ]
+        else
+          List.map (fun i -> (file, fs.(i))) (List.sort_uniq compare [ 0; 1; 2; (n + 1) / 2; n - 1 ]))
+      (List.combine (ckpt_files prefix) Rta.snapshot_files)
+  in
+  Alcotest.(check int) "five chunks per snapshot, one in .meta" 11 (List.length targets);
+  List.iter
+    (fun (file, (index, payload, len)) ->
+      let original = read_all file in
+      let flipped = Bytes.of_string original in
+      let at = payload + (len / 2) in
+      Bytes.set_uint8 flipped at (Bytes.get_uint8 flipped at lxor 0x10);
+      Out_channel.with_open_bin file (fun oc -> Out_channel.output_bytes oc flipped);
+      let before = image () in
+      let what = Printf.sprintf "%s chunk %d" (Filename.extension file) index in
+      List.iter
+        (fun (name, store, arena_backing) ->
+          (match Durable.open_ ~store ~arena_backing ~max_key:16 ~path:prefix () with
+          | eng ->
+              Durable.close eng;
+              Alcotest.failf "%s under %s: opened" what name
+          | exception Storage.Storage_error.Io e ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s under %s: checksum mismatch" what name)
+                true
+                (e.errno = Storage.Storage_error.Checksum_mismatch
+                 && e.path = file
+                 && e.detail = Some (Printf.sprintf "chunk %d" index)));
+          Alcotest.(check (list (pair string string)))
+            (Printf.sprintf "%s under %s: files untouched" what name)
+            before (image ()))
+        [ ("memory", Storage.Store_kind.Memory, `Auto);
+          ("mapped mmap", Storage.Store_kind.Mmap, `Map);
+          ("buffered mmap", Storage.Store_kind.Mmap, `Buffered) ];
+      List.iter
+        (fun store ->
+          let code =
+            Sys.command
+              (Printf.sprintf "%s recover --wal %s --max-key 16 --store %s > /dev/null 2>&1"
+                 exe prefix store)
+          in
+          Alcotest.(check bool) (Printf.sprintf "%s: recover --store %s fails" what store)
+            true (code <> 0))
+        [ "memory"; "mmap" ];
+      Alcotest.(check (list (pair string string))) (what ^ ": CLI left files untouched")
+        before (image ());
+      Out_channel.with_open_bin file (fun oc -> Out_channel.output_string oc original))
+    targets;
+  (* Restored, the warehouse opens and holds every update. *)
+  let eng = Durable.open_ ~max_key:16 ~path:prefix () in
+  Alcotest.(check int) "all updates recovered" 200 (Rta.n_updates (Durable.warehouse eng));
+  Durable.close eng
+
+(* Page files are a cache that every open rebuilds from the checkpoint
+   and the log.  Whatever an earlier run left in them — garbage of the
+   right size, a truncated file, bytes past the end — is never read: each
+   store answers from the recovery source alone, a mapped open leaves
+   page files byte-identical to an open over no page files at all, and a
+   buffered open does not touch them. *)
+let test_page_files_are_a_cache () =
+  let prefix = temp_prefix () in
+  Fun.protect ~finally:(fun () -> cleanup prefix) @@ fun () ->
+  let ups = fixed_updates 200 in
+  let mapped = (Storage.Store_kind.Mmap, `Map) in
+  let store, arena_backing = mapped in
+  build_checkpointed ~store ~arena_backing (List.filteri (fun i _ -> i < 150) ups)
+    ~path:prefix;
+  (let eng = Durable.open_ ~store ~arena_backing ~max_key:16 ~path:prefix () in
+   List.iteri
+     (fun i u ->
+       if i >= 150 then
+         match u with
+         | H.Insert { key; value; at } -> ok (Durable.insert eng ~key ~value ~at)
+         | H.Delete { key; at } -> ok (Durable.delete eng ~key ~at))
+     ups;
+   Durable.close eng);
+  let dir = Filename.dirname prefix and base = Filename.basename prefix in
+  let pages =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> String.starts_with ~prefix:(base ^ ".store") f)
+    |> List.map (Filename.concat dir)
+  in
+  Alcotest.(check bool) "the mapped store left page files" true (pages <> []);
+  let image () = List.map read_all pages in
+  List.iter Sys.remove pages;
+  Durable.close (Durable.open_ ~store ~arena_backing ~max_key:16 ~path:prefix ());
+  let fresh = image () in
   let oracle = Rta.create ~max_key:16 () in
   apply_updates oracle ups;
-  let hits = Rta.inject_bit_flips ~page_size:1024 ~path:prefix ~seed:11 ~flips:10_000 () in
-  let stats = Storage.Io_stats.create () in
-  let r = Rta.scrub ~stats ~page_size:1024 ~path:prefix ~repair_from:reference () in
-  Alcotest.(check int) "all corrupt pages found" (List.length hits)
-    (List.length r.Rta.corrupt);
-  Alcotest.(check int) "all corrupt pages repaired" (List.length r.Rta.corrupt)
-    (List.length r.Rta.repaired);
-  Alcotest.(check int) "nothing irreparable" 0 (List.length r.Rta.irreparable);
-  Alcotest.(check int) "repaired counter"
-    (List.length r.Rta.repaired)
-    (Storage.Io_stats.snapshot stats).Storage.Io_stats.repaired;
-  let again = Rta.scrub ~page_size:1024 ~path:prefix () in
-  Alcotest.(check bool) "clean after repair" true (Rta.scrub_clean again);
-  (* The repaired warehouse must answer exactly like the oracle. *)
-  let rta = Rta.reopen_durable ~page_size:1024 ~path:prefix () in
-  Alcotest.(check int) "n_updates restored" (Rta.n_updates oracle) (Rta.n_updates rta);
-  List.iter
-    (fun (klo, khi, tlo, thi) ->
-      Alcotest.(check (pair int int))
-        (Printf.sprintf "query [%d,%d)x[%d,%d)" klo khi tlo thi)
-        (Rta.sum_count oracle ~klo ~khi ~tlo ~thi)
-        (Rta.sum_count rta ~klo ~khi ~tlo ~thi))
-    [ (0, 16, 0, 1000); (2, 9, 3, 40); (5, 6, 0, 200); (0, 16, 90, 91) ];
-  cleanup prefix;
-  cleanup ref_prefix
-
-let test_scrub_rejects_stale_reference () =
-  let prefix = temp_prefix () and stale_prefix = temp_prefix () in
-  let ups = fixed_updates 120 in
-  let _w = build_durable ups ~path:prefix in
-  (* A reference that stopped 20 updates short holds different logical
-     pages under the same ids; repairing from it would plant stale bytes. *)
-  let stale =
-    build_durable (List.filteri (fun i _ -> i < 100) ups) ~path:stale_prefix
+  let scribbles =
+    [ ("garbage", fun s -> String.map (fun c -> Char.chr (Char.code c lxor 0xA5)) s);
+      ("truncated", fun s -> String.sub s 0 (min 100 (String.length s)));
+      ("extended", fun s -> s ^ String.make 8192 '\xff') ]
   in
-  let hits = Rta.inject_bit_flips ~page_size:1024 ~path:prefix ~seed:3 ~flips:4 () in
-  let r = Rta.scrub ~page_size:1024 ~path:prefix ~repair_from:stale () in
-  Alcotest.(check int) "corruption still detected" (List.length hits)
-    (List.length r.Rta.corrupt);
-  Alcotest.(check int) "stale reference repairs nothing" 0 (List.length r.Rta.repaired);
-  Alcotest.(check int) "everything irreparable instead" (List.length r.Rta.corrupt)
-    (List.length r.Rta.irreparable);
-  cleanup prefix;
-  cleanup stale_prefix
+  List.iter
+    (fun (how, scribble) ->
+      List.iter
+        (fun (name, (store, arena_backing)) ->
+          List.iter
+            (fun f ->
+              let s = scribble (read_all f) in
+              Out_channel.with_open_bin f (fun oc -> Out_channel.output_string oc s))
+            pages;
+          let scribbled = image () in
+          let eng = Durable.open_ ~store ~arena_backing ~max_key:16 ~path:prefix () in
+          let what = Printf.sprintf "%s page files, %s" how name in
+          Alcotest.(check int) (what ^ ": every update") 200
+            (Rta.n_updates (Durable.warehouse eng));
+          List.iter
+            (fun (klo, khi, tlo, thi) ->
+              Alcotest.(check (pair int int))
+                (Printf.sprintf "%s: query [%d,%d)x[%d,%d)" what klo khi tlo thi)
+                (Rta.sum_count oracle ~klo ~khi ~tlo ~thi)
+                (Durable.sum_count eng ~klo ~khi ~tlo ~thi))
+            [ (0, 16, 0, 1000); (2, 9, 3, 40); (5, 6, 0, 200); (0, 16, 90, 91) ];
+          Durable.close eng;
+          Alcotest.(check (list string)) (what ^ ": page files")
+            (if arena_backing = `Map then fresh else scribbled)
+            (image ()))
+        [ ("mapped mmap", mapped); ("buffered mmap", (Storage.Store_kind.Mmap, `Buffered)) ])
+    scribbles
+
+(* Flip one bit in the middle of the payload of chunk [index] of the
+   checkpoint file [file]. *)
+let flip_chunk file index =
+  let magic = List.assoc (Filename.extension file) Rta.snapshot_files in
+  let payload, len =
+    Mvsbt.Chunks.with_file Storage.Vfs.os ~path:file ~magic @@ fun rd ->
+    let rec go () =
+      match Mvsbt.Chunks.next rd with
+      | None -> Alcotest.failf "%s has no chunk %d" file index
+      | Some f when f.Mvsbt.Chunks.index = index ->
+          (f.offset + Mvsbt.Chunks.frame_bytes, f.len)
+      | Some _ -> go ()
+    in
+    go ()
+  in
+  let b = Bytes.of_string (read_all file) in
+  let at = payload + (len / 2) in
+  Bytes.set_uint8 b at (Bytes.get_uint8 b at lxor 0x10);
+  Out_channel.with_open_bin file (fun oc -> Out_channel.output_bytes oc b)
+
+(* A twin is trusted chunk by chunk: a twin chunk that fails its CRC is
+   never copied, and a [.meta] that fails on either side blocks every
+   repair, since the two update counts cannot be compared.  Scrub never
+   writes the twin. *)
+let test_scrub_verifies_the_twin () =
+  let prefix = temp_prefix () and twin = temp_prefix () in
+  Fun.protect ~finally:(fun () -> cleanup prefix; cleanup twin) @@ fun () ->
+  let ups = fixed_updates 150 in
+  build_checkpointed ups ~path:prefix;
+  build_checkpointed ups ~path:twin;
+  let hits = Durable.inject_bit_flips ~path:prefix ~seed:11 ~flips:3 () in
+  Alcotest.(check int) "three flips" 3 (List.length hits);
+  let first = List.hd hits in
+  let twin_file = twin ^ ".ckpt-1" ^ Filename.extension first.Durable.file in
+  let twin_meta = twin ^ ".ckpt-1.meta" and meta = prefix ^ ".ckpt-1.meta" in
+  let twin_image () = List.map read_all (ckpt_files twin) in
+  let pairs = Alcotest.(list (pair string int)) in
+  let scrub what ~corrupt ~repaired =
+    let before = twin_image () in
+    let r = Durable.scrub ~repair_from:twin ~path:prefix () in
+    let irreparable = List.filter (fun c -> not (List.mem c repaired)) corrupt in
+    let ids l = chunk_ids (List.sort compare l) in
+    Alcotest.check pairs (what ^ ": corrupt") (ids corrupt) (chunk_ids r.Durable.corrupt);
+    Alcotest.check pairs (what ^ ": repaired") (ids repaired) (chunk_ids r.Durable.repaired);
+    Alcotest.check pairs (what ^ ": irreparable") (ids irreparable)
+      (chunk_ids r.Durable.irreparable);
+    Alcotest.(check (list string)) (what ^ ": twin untouched") before (twin_image ())
+  in
+  (* Flipping the same bit a second time restores the chunk. *)
+  flip_chunk twin_file first.Durable.index;
+  scrub "corrupt twin chunk" ~corrupt:hits ~repaired:(List.tl hits);
+  flip_chunk twin_file first.Durable.index;
+  flip_chunk twin_meta 0;
+  scrub "corrupt twin .meta" ~corrupt:[ first ] ~repaired:[];
+  flip_chunk twin_meta 0;
+  flip_chunk meta 0;
+  scrub "corrupt target .meta"
+    ~corrupt:[ first; { Durable.file = meta; index = 0 } ]
+    ~repaired:[];
+  flip_chunk meta 0;
+  scrub "both verify" ~corrupt:[ first ] ~repaired:[ first ];
+  Alcotest.(check bool) "clean after repair" true
+    (Durable.scrub_clean (Durable.scrub ~path:prefix ()));
+  List.iter2
+    (fun a b -> Alcotest.(check string) (Filename.extension a) (read_all b) (read_all a))
+    (ckpt_files prefix) (ckpt_files twin)
+
+(* Scrub reads the log's frames too, and only reports: a flipped bit in
+   a record mid-log is found by its offset, the frames after it still
+   verify, and the log is byte-identical afterwards. *)
+let test_scrub_wal_frames () =
+  let prefix = temp_prefix () in
+  Fun.protect ~finally:(fun () -> cleanup prefix) @@ fun () ->
+  let ups = fixed_updates 150 in
+  (let eng = Durable.open_ ~max_key:16 ~path:prefix () in
+   List.iter
+     (function
+       | H.Insert { key; value; at } -> ok (Durable.insert eng ~key ~value ~at)
+       | H.Delete { key; at } -> ok (Durable.delete eng ~key ~at))
+     ups;
+   Durable.close eng);
+  let wal = Durable.wal_path prefix in
+  let clean = Durable.scrub ~path:prefix () in
+  Alcotest.(check bool) "clean log" true (Durable.scrub_clean clean);
+  Alcotest.(check int) "every record a frame" 150 clean.Durable.wal_frames;
+  Alcotest.(check int) "no checkpoint, no chunks" 0 clean.Durable.chunks_checked;
+  (* Frame offsets: a 16-byte header, then [len][crc][payload] frames. *)
+  let bytes = Bytes.of_string (read_all wal) in
+  let rec offsets off acc =
+    if off >= Bytes.length bytes then List.rev acc
+    else offsets (off + 8 + Int32.to_int (Bytes.get_int32_le bytes off)) (off :: acc)
+  in
+  let frame = List.nth (offsets 16 []) 75 in
+  Bytes.set_uint8 bytes (frame + 12) (Bytes.get_uint8 bytes (frame + 12) lxor 0x04);
+  Out_channel.with_open_bin wal (fun oc -> Out_channel.output_bytes oc bytes);
+  let r = Durable.scrub ~path:prefix () in
+  Alcotest.(check (list int)) "the flipped frame, by offset" [ frame ] r.Durable.wal_corrupt;
+  Alcotest.(check int) "the other frames verify" 149 r.Durable.wal_frames;
+  Alcotest.(check bool) "not clean" false (Durable.scrub_clean r);
+  Alcotest.(check string) "log untouched" (Bytes.to_string bytes) (read_all wal);
+  Alcotest.(check int) "the CLI exits 1" 1
+    (Sys.command (Printf.sprintf "%s scrub --path %s > /dev/null 2>&1" exe prefix));
+  Alcotest.(check string) "log untouched by the CLI" (Bytes.to_string bytes) (read_all wal)
 
 (* --- Suite -------------------------------------------------------------------- *)
 
@@ -352,13 +618,32 @@ let () =
             test_floor_and_ceiling_monotone;
           QCheck_alcotest.to_alcotest prop_recover_twice;
         ] );
+      ( "checkpoint",
+        [
+          Alcotest.test_case "a flipped chunk fails every open" `Quick
+            test_flipped_checkpoint_refused;
+          Alcotest.test_case "page files are a cache the open rebuilds" `Quick
+            test_page_files_are_a_cache;
+        ] );
       ( "scrub",
         [
+          Alcotest.test_case "round trip, memory store" `Quick (checkpoint_scrub ~flips:12);
+          Alcotest.test_case "round trip, mapped store" `Quick
+            (checkpoint_scrub ~store:Storage.Store_kind.Mmap ~arena_backing:`Auto ~flips:12);
+          Alcotest.test_case "round trip, buffered store" `Quick
+            (checkpoint_scrub ~store:Storage.Store_kind.Mmap ~arena_backing:`Buffered
+               ~flips:12);
+          Alcotest.test_case "b=170 pages" `Quick
+            (checkpoint_scrub ~config:(Mvsbt.default_config ~b:170) ~n:2000 ~flips:4);
+          Alcotest.test_case "over a vacuumed store" `Quick
+            (checkpoint_scrub ~vacuum:true ~flips:4);
           Alcotest.test_case "detects 100% of injected flips" `Quick
-            test_scrub_detects_all_flips;
-          Alcotest.test_case "repairs from a matching reference" `Quick
-            test_scrub_repairs_from_reference;
-          Alcotest.test_case "refuses a stale reference" `Quick
-            test_scrub_rejects_stale_reference;
+            (checkpoint_scrub ~flips:10_000);
+          Alcotest.test_case "refuses a stale twin" `Quick
+            (checkpoint_scrub ~stale:true ~flips:4);
+          Alcotest.test_case "log frames are checked, not repaired" `Quick
+            test_scrub_wal_frames;
+          Alcotest.test_case "trusts a twin only where it verifies" `Quick
+            test_scrub_verifies_the_twin;
         ] );
     ]

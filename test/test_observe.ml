@@ -144,7 +144,7 @@ let test_phase_cell_accounting () =
   let reg = Telemetry.Metrics.create () in
   let slow = ref [] in
   let r = Phases.create ~slow_ms:0.000001 ~on_slow:(fun j -> slow := j :: !slow) reg in
-  let c = Phases.cell ~kind:"insert" ~trace:(Some 5L) in
+  let c = Phases.cell ~kind:"insert" ~trace:(Some 5L) ~start_ns:(Phases.now_ns ()) in
   Phases.add c Phases.Decode ~ns:1_000L;
   Phases.add c Phases.Fsync ~ns:2_000_000L;
   Phases.add c Phases.Apply ~ns:5_000L;
@@ -172,6 +172,59 @@ let test_phase_cell_accounting () =
           | None -> Alcotest.fail "phase summary lacks quantiles")
         kvs
   | _ -> Alcotest.fail "summary not an object"
+
+(* Each charge closes the window the previous one opened, so a pause
+   between two stages lands in the next phase, and a duration added
+   inside a window is counted once.  The phases therefore sum to the
+   clock at the last charge, and the total only adds what passed between
+   that charge and [finish]. *)
+let test_phase_windows_tile () =
+  let reg = Telemetry.Metrics.create () in
+  let slow = ref [] in
+  let r = Phases.create ~slow_ms:0.000001 ~on_slow:(fun j -> slow := j :: !slow) reg in
+  let t0 = Phases.now_ns () in
+  let c = Phases.cell ~kind:"insert" ~trace:None ~start_ns:t0 in
+  Unix.sleepf 0.002;
+  Phases.charge c Phases.Decode;
+  Unix.sleepf 0.004;
+  Phases.charge c Phases.Queue_wait;
+  Unix.sleepf 0.001;
+  Phases.add c Phases.Apply ~ns:3_000_000L;
+  Unix.sleepf 0.003;
+  Phases.charge c Phases.Batch_build;
+  let before = Phases.now_ns () in
+  Phases.charge c Phases.Reply_flush;
+  Phases.finish r c;
+  let after = Phases.now_ns () in
+  let ms t = Int64.to_float (Int64.sub t t0) /. 1e6 in
+  let j =
+    match !slow with [ j ] -> j | l -> Alcotest.failf "%d slow records" (List.length l)
+  in
+  let phases =
+    match Json.member "phases_ms" j with
+    | Some (Json.Obj kvs) ->
+        List.map
+          (function k, Json.Float v -> (k, v) | k, _ -> Alcotest.failf "%s not a float" k)
+          kvs
+    | _ -> Alcotest.fail "no phases_ms"
+  in
+  let total =
+    match Json.member "total_ms" j with
+    | Some (Json.Float t) -> t
+    | _ -> Alcotest.fail "no total_ms"
+  in
+  let phase k = Option.value ~default:0. (List.assoc_opt k phases) in
+  let sum = List.fold_left (fun a (_, v) -> a +. v) 0. phases in
+  let eps = 1e-6 in
+  Alcotest.(check bool) "decode spans its sleep" true (phase "decode" >= 2.);
+  Alcotest.(check bool) "the pause lands in queue wait" true (phase "queue_wait" >= 4.);
+  Alcotest.(check (float eps)) "apply is the added duration" 3. (phase "apply");
+  Alcotest.(check bool) "batch build leaves the added duration out" true
+    (phase "batch_build" >= 1. && phase "batch_build" < ms before -. 9. +. eps);
+  Alcotest.(check bool) "phases end at the last charge" true
+    (sum >= ms before -. eps && sum <= ms after +. eps);
+  Alcotest.(check bool) "total covers the phases" true
+    (total >= sum -. eps && total <= ms after +. eps)
 
 (* --- Live servers ----------------------------------------------------------------- *)
 
@@ -433,7 +486,8 @@ let () =
         [ Alcotest.test_case "pid/tid rows + thread names" `Quick test_chrome_rows ] );
       ( "phases",
         [ Alcotest.test_case "cell accounting and summaries" `Quick
-            test_phase_cell_accounting ] );
+            test_phase_cell_accounting;
+          Alcotest.test_case "windows tile the wall time" `Quick test_phase_windows_tile ] );
       ( "live",
         [
           Alcotest.test_case "sharded plane end to end" `Slow test_sharded_plane;

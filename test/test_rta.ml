@@ -235,7 +235,6 @@ let test_durable_matches_memory () =
           Rta.delete dur ~key ~at)
   in
   Rta.check_invariants dur;
-  Rta.flush dur;
   (* Physical file traffic happened (the pool is tiny). *)
   Alcotest.(check bool) "file writes happened" true (Storage.Io_stats.writes stats > 0);
   let lkst_file = path ^ ".lkst.pages" in
@@ -259,71 +258,7 @@ let test_durable_matches_memory () =
     (Storage.Io_stats.reads stats > reads_before);
   List.iter
     (fun f -> try Sys.remove f with Sys_error _ -> ())
-    [ path ^ ".lkst.pages"; path ^ ".lkst.pages.meta"; path ^ ".lkst.pages.free";
-      path ^ ".lklt.pages"; path ^ ".lklt.pages.meta"; path ^ ".lklt.pages.free";
-      path ^ ".rta.meta"; path ]
-
-let test_durable_reopen () =
-  (* reopen_durable must restore the last flushed state without
-     truncating the page files, and the reopened warehouse must keep
-     agreeing with an in-memory twin through further updates. *)
-  let config = { (Mvsbt.default_config ~b:16) with Mvsbt.f = 0.9 } in
-  let mem = Rta.create ~config ~max_key:60 () in
-  let path = Filename.temp_file "rta_reopen" "" in
-  let dur =
-    Rta.create_durable ~config ~pool_capacity:8 ~page_size:4096 ~max_key:60 ~path ()
-  in
-  let horizon =
-    drive ~n:400 ~max_key:60 ~seed:77 (function
-      | `Insert (key, value, at) ->
-          Rta.insert mem ~key ~value ~at;
-          Rta.insert dur ~key ~value ~at
-      | `Delete (key, at) ->
-          Rta.delete mem ~key ~at;
-          Rta.delete dur ~key ~at)
-  in
-  Rta.flush dur;
-  let n_before = Rta.n_updates dur in
-  let re = Rta.reopen_durable ~pool_capacity:8 ~page_size:4096 ~path () in
-  Alcotest.(check int) "updates restored" n_before (Rta.n_updates re);
-  Alcotest.(check int) "max_key restored" 60 (Rta.max_key re);
-  Alcotest.(check int) "clock restored" (Rta.now dur) (Rta.now re);
-  Alcotest.(check int) "base table restored" (Rta.alive_count dur) (Rta.alive_count re);
-  Rta.check_invariants re;
-  let rand = make_rng 78 in
-  for _ = 1 to 100 do
-    let k1 = rand 61 and k2 = rand 61 in
-    let klo = min k1 k2 and khi = max k1 k2 in
-    let t1 = rand (horizon + 3) and t2 = rand (horizon + 3) in
-    let tlo = min t1 t2 and thi = max t1 t2 in
-    if Rta.sum_count mem ~klo ~khi ~tlo ~thi <> Rta.sum_count re ~klo ~khi ~tlo ~thi then
-      Alcotest.failf "reopened warehouse disagrees on [%d,%d)x[%d,%d)" klo khi tlo thi
-  done;
-  (* Still writable: evolve both twins past the reopen. *)
-  let key = ref 0 in
-  while Rta.is_alive re ~key:!key do incr key done;
-  Rta.insert mem ~key:!key ~value:123 ~at:(horizon + 5);
-  Rta.insert re ~key:!key ~value:123 ~at:(horizon + 5);
-  Rta.delete mem ~key:!key ~at:(horizon + 9);
-  Rta.delete re ~key:!key ~at:(horizon + 9);
-  Alcotest.(check (pair int int))
-    "post-reopen updates agree"
-    (Rta.sum_count mem ~klo:0 ~khi:60 ~tlo:0 ~thi:(horizon + 20))
-    (Rta.sum_count re ~klo:0 ~khi:60 ~tlo:0 ~thi:(horizon + 20));
-  (* A corrupt warehouse sidecar is rejected loudly. *)
-  let oc = open_out_bin (path ^ ".rta.meta") in
-  output_string oc "garbage-not-a-meta";
-  close_out oc;
-  Alcotest.(check bool) "corrupt sidecar rejected" true
-    (try
-       ignore (Rta.reopen_durable ~page_size:4096 ~path ());
-       false
-     with Failure _ -> true);
-  List.iter
-    (fun f -> try Sys.remove f with Sys_error _ -> ())
-    [ path ^ ".lkst.pages"; path ^ ".lkst.pages.meta"; path ^ ".lkst.pages.free";
-      path ^ ".lklt.pages"; path ^ ".lklt.pages.meta"; path ^ ".lklt.pages.free";
-      path ^ ".rta.meta"; path ]
+    [ path ^ ".lkst.pages"; path ^ ".lklt.pages"; path ]
 
 let test_durable_page_size_validation () =
   let config = Mvsbt.default_config ~b:170 in
@@ -367,7 +302,6 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_persistence_roundtrip;
           Alcotest.test_case "bad file rejected" `Quick test_persistence_bad_file;
           Alcotest.test_case "durable matches memory" `Quick test_durable_matches_memory;
-          Alcotest.test_case "durable reopen" `Quick test_durable_reopen;
           Alcotest.test_case "durable page-size check" `Quick
             test_durable_page_size_validation;
         ] );

@@ -278,6 +278,54 @@ let test_crc32 () =
   Alcotest.(check int) "slice" (Storage.Codec.crc32_string "345")
     (Storage.Codec.crc32 b ~pos:2 ~len:3)
 
+(* The byte-at-a-time table loop the slicing-by-8 kernel replaced: the
+   reference it must agree with. *)
+let crc_reference =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 1 to 8 do
+          c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  fun crc get ~pos ~len ->
+    let c = ref (crc lxor 0xFFFFFFFF) in
+    for i = pos to pos + len - 1 do
+      c := table.((!c lxor get i) land 0xff) lxor (!c lsr 8)
+    done;
+    !c lxor 0xFFFFFFFF land 0xFFFFFFFF
+
+(* Random buffers, offsets and lengths 0-9000, through both buffer types
+   and through [crc32_update] split at a random point. *)
+let test_crc32_kernel () =
+  let rng = Random.State.make [| 0xc7c |] in
+  for _ = 1 to 400 do
+    let len = if Random.State.int rng 4 = 0 then Random.State.int rng 16 else Random.State.int rng 9001 in
+    let pos = Random.State.int rng 13 in
+    let size = pos + len + Random.State.int rng 9 in
+    let b = Bytes.init size (fun _ -> Char.chr (Random.State.int rng 256)) in
+    let want = crc_reference 0 (Bytes.get_uint8 b) ~pos ~len in
+    Alcotest.(check int) "bytes" want (Storage.Codec.crc32 b ~pos ~len);
+    let z = Bigarray.Array1.create Bigarray.char Bigarray.c_layout size in
+    Storage.Zcodec.blit_of_bytes b 0 z 0 size;
+    Alcotest.(check int) "bigarray" want (Storage.Zcodec.crc32 z ~pos ~len);
+    let cut = Random.State.int rng (len + 1) in
+    let first = Storage.Codec.crc32 b ~pos ~len:cut in
+    Alcotest.(check int) "update" want
+      (Storage.Codec.crc32_update first b ~pos:(pos + cut) ~len:(len - cut));
+    Alcotest.(check int) "update, reference"
+      (crc_reference first (Bytes.get_uint8 b) ~pos:(pos + cut) ~len:(len - cut))
+      (Storage.Codec.crc32_update first b ~pos:(pos + cut) ~len:(len - cut))
+  done;
+  let b = Bytes.create 8 in
+  List.iter
+    (fun (pos, len) ->
+      Alcotest.check_raises "range outside buffer"
+        (Invalid_argument "Codec.crc32_update: range outside buffer") (fun () ->
+          ignore (Storage.Codec.crc32 b ~pos ~len)))
+    [ (-1, 2); (0, 9); (7, 2); (0, -1); (9, 0) ]
+
 let test_cost_model () =
   let est = Storage.Cost_model.estimate_s ~model:Storage.Cost_model.default ~ios:100 ~cpu_s:0.5 in
   Alcotest.(check (float 1e-9)) "100 I/Os at 10ms + 0.5s cpu" 1.5 est;
@@ -324,5 +372,6 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_codec_roundtrip;
           Alcotest.test_case "overflow" `Quick test_codec_overflow;
           Alcotest.test_case "crc32" `Quick test_crc32;
+          Alcotest.test_case "crc32 kernel = byte loop" `Quick test_crc32_kernel;
         ] );
     ]

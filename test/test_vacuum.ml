@@ -357,65 +357,6 @@ let test_watermarks () =
     (saw Durable.Read_only Durable.Healthy);
   Durable.close eng
 
-(* --- Scrub over a vacuumed store --------------------------------------------- *)
-
-let test_scrub_after_vacuum () =
-  let max_key = 40 in
-  (* The page files live on the in-memory filesystem, so their arenas
-     must be buffered images, not mappings. *)
-  let vfs = M.vfs (M.create ()) in
-  let backing = `Buffered in
-  let mk path = Rta.create_durable ~vfs ~backing ~max_key ~path () in
-  let a = mk "a" and b = mk "b" in
-  let now =
-    churn ~n:500 ~max_key ~seed:17 (function
-      | `Insert (key, value, at) ->
-          Rta.insert a ~key ~value ~at;
-          Rta.insert b ~key ~value ~at
-      | `Delete (key, at) ->
-          Rta.delete a ~key ~at;
-          Rta.delete b ~key ~at)
-  in
-  Rta.flush a;
-  Rta.flush b;
-  let r0 = Rta.scrub ~vfs ~backing ~path:"a" () in
-  Alcotest.(check bool) "clean before vacuum" true (Rta.scrub_clean r0);
-  (* Both sides run the same vacuum (same state, same deterministic plan),
-     so the repair reference keeps matching sequence numbers. *)
-  let h = now / 2 in
-  ignore (Rta.vacuum a ~horizon:h);
-  ignore (Rta.vacuum b ~horizon:h);
-  Rta.flush a;
-  Rta.flush b;
-  let r1 = Rta.scrub ~vfs ~backing ~path:"a" () in
-  Alcotest.(check bool) "clean after vacuum" true (Rta.scrub_clean r1);
-  Alcotest.(check bool) "freed pages left the scrub set" true
-    (r1.Rta.pages_checked < r0.Rta.pages_checked);
-  let hit = Rta.inject_bit_flips ~vfs ~backing ~path:"a" ~seed:5 ~flips:4 () in
-  Alcotest.(check bool) "flips landed" true (hit <> []);
-  let r2 = Rta.scrub ~vfs ~backing ~path:"a" ~repair_from:b () in
-  Alcotest.(check int) "all hit pages detected" (List.length hit) (List.length r2.Rta.corrupt);
-  Alcotest.(check (list (pair string int))) "all repaired from the replica"
-    (List.map (fun (s, p) -> (Format.asprintf "%a" Rta.pp_scrub_side s, Storage.Page_id.to_int p)) r2.Rta.corrupt)
-    (List.map (fun (s, p) -> (Format.asprintf "%a" Rta.pp_scrub_side s, Storage.Page_id.to_int p)) r2.Rta.repaired);
-  Alcotest.(check (list (pair string int))) "nothing irreparable" []
-    (List.map (fun (s, p) -> (Format.asprintf "%a" Rta.pp_scrub_side s, Storage.Page_id.to_int p)) r2.Rta.irreparable);
-  let r3 = Rta.scrub ~vfs ~backing ~path:"a" () in
-  Alcotest.(check bool) "clean after repair" true (Rta.scrub_clean r3);
-  (* The repaired store still answers like its reference. *)
-  let a2 = Rta.reopen_durable ~vfs ~backing ~path:"a" () in
-  Rta.check_invariants a2;
-  let rand = make_rng 71 in
-  for _ = 1 to 100 do
-    let klo = rand (max_key + 1) and khi = rand (max_key + 1) in
-    let tlo = h + rand (now - h + 2) and thi = h + rand (now - h + 4) in
-    if klo < khi && tlo < thi then
-      Alcotest.(check (pair int int))
-        "repaired store matches reference"
-        (Rta.sum_count b ~klo ~khi ~tlo ~thi)
-        (Rta.sum_count a2 ~klo ~khi ~tlo ~thi)
-  done
-
 (* --- The crash matrix --------------------------------------------------------- *)
 
 let test_vacuum_matrix () =
@@ -490,7 +431,6 @@ let () =
             test_durable_vacuum_recovers;
           Alcotest.test_case "replica ships the horizon" `Quick test_replica_ships_vacuum;
           Alcotest.test_case "disk-pressure watermarks" `Quick test_watermarks;
-          Alcotest.test_case "scrub over a vacuumed store" `Quick test_scrub_after_vacuum;
         ] );
       ( "matrix",
         [ Alcotest.test_case "every boundary, zero violations" `Slow test_vacuum_matrix ] );
