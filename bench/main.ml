@@ -551,12 +551,13 @@ let group_commit () =
               Durable.open_ ~config:mvsbt_config ~sync_policy ~max_key:spec.max_key
                 ~path:(Filename.concat dir "wh") ()
             in
-            let srv =
-              Server.create
-                ~config:{ Server.default_config with Server.max_batch }
-                ~engine:eng ~listen ()
+            let cluster =
+              Shard.Cluster.create
+                ~config:{ Shard.Cluster.default_config with max_batch }
+                [| eng |]
             in
-            Server.run srv;
+            Server.run (Server.create ~cluster ~listen ());
+            Shard.Cluster.shutdown cluster;
             Durable.close eng;
             Unix._exit 0
         | pid ->
@@ -894,23 +895,27 @@ let shard_scaling () =
              Shard.Op.Insert { key; value; at }
          | Workload.Generator.Delete { key; at } -> Shard.Op.Delete { key; at })
   in
-  let with_tmp_dir f =
+  let with_cluster ~shards cfg f =
     let dir = Filename.temp_file "mvsbt_shard" ".bench" in
     Sys.remove dir;
     Unix.mkdir dir 0o700;
+    let engines =
+      Array.init shards (fun i ->
+          Durable.open_ ~config:mvsbt_config ~sync_policy:Wal.Never ~max_key:spec.max_key
+            ~path:(Shard.Cluster.shard_path (Filename.concat dir "wh") ~shards i)
+            ())
+    in
+    let c = Shard.Cluster.create ~config:cfg engines in
     Fun.protect
       ~finally:(fun () ->
+        Shard.Cluster.shutdown c;
+        Array.iter Durable.close engines;
         Array.iter (fun name -> Sys.remove (Filename.concat dir name)) (Sys.readdir dir);
         Unix.rmdir dir)
-      (fun () -> f dir)
+      (fun () -> f c)
   in
   let write_run shards =
-    with_tmp_dir (fun dir ->
-        let cfg = { Shard.Cluster.default_config with shards; readers = 0 } in
-        let c =
-          Shard.Cluster.create ~config:cfg ~engine_config:mvsbt_config
-            ~max_key:spec.max_key ~path:(Filename.concat dir "wh") ()
-        in
+    with_cluster ~shards Shard.Cluster.default_config (fun c ->
         let acked = ref 0 in
         let t0 = Unix.gettimeofday () in
         List.iter
@@ -920,9 +925,7 @@ let shard_scaling () =
               | _ -> ()))
           ops;
         Shard.Cluster.await c;
-        let wall = Unix.gettimeofday () -. t0 in
-        Shard.Cluster.shutdown c;
-        (!acked, wall))
+        (!acked, Unix.gettimeofday () -. t0))
   in
   Printf.printf "  write path (%d ops, WAL group commit per shard):\n%!" (List.length ops);
   List.iter
@@ -949,19 +952,9 @@ let shard_scaling () =
           ~qrs:0.01 ~r_over_i:1.0)
   in
   let read_run readers =
-    with_tmp_dir (fun dir ->
-        let cfg =
-          {
-            Shard.Cluster.default_config with
-            shards = 4;
-            readers;
-            sim_io_ns = sim_us * 1000;
-          }
-        in
-        let c =
-          Shard.Cluster.create ~config:cfg ~engine_config:mvsbt_config
-            ~max_key:spec.max_key ~path:(Filename.concat dir "wh") ()
-        in
+    with_cluster ~shards:4
+      { Shard.Cluster.default_config with readers; sim_io_ns = sim_us * 1000 }
+      (fun c ->
         List.iter (fun op -> Shard.Cluster.submit_write c op (fun _ -> ())) read_ops;
         Shard.Cluster.await c;
         (* Let the reader replicas finish applying the preload broadcasts
@@ -975,9 +968,7 @@ let shard_scaling () =
               (function Ok _ -> incr ok | Error _ -> ()))
           rects;
         Shard.Cluster.await c;
-        let wall = Unix.gettimeofday () -. t0 in
-        Shard.Cluster.shutdown c;
-        (!ok, wall))
+        (!ok, Unix.gettimeofday () -. t0))
   in
   Printf.printf
     "  query path (%d rects over 4 shards, %d us simulated I/O per page touch):\n%!"

@@ -1529,10 +1529,7 @@ let serve_impl verbosity max_key buffer wal socket port max_batch max_in_flight
         (fd, Printf.sprintf "tcp:127.0.0.1:%d" port)
     | None, None -> need_endpoint "serve"
   in
-  let config =
-    { Server.default_config with max_batch; max_in_flight; max_queue_depth;
-      sim_io_ns = int_of_float (sim_io_us *. 1000.) }
-  in
+  let config = { Server.default_config with max_in_flight; max_queue_depth } in
   (* Observability plane.  The flight recorder (memory span ring) is on
      by default; --trace-out adds a streaming JSONL span file.  Either,
      or --slow-ms / --metrics-port, enables the per-request phase
@@ -1601,8 +1598,8 @@ let serve_impl verbosity max_key buffer wal socket port max_batch max_in_flight
     || Option.is_some metrics_port
   in
   Tracer.set_thread_name "server-loop";
-  (* Post-[Server.create] wiring shared by the single-engine and sharded
-     branches; returns the flight-dump poll hook and the shutdown hook. *)
+  (* Post-[Server.create] observability wiring; returns the flight-dump
+     poll hook and the shutdown hook. *)
   let setup_observe srv =
     if observing then begin
       let r = Telemetry.Phases.create (Server.metrics srv) in
@@ -1680,138 +1677,114 @@ let serve_impl verbosity max_key buffer wal socket port max_batch max_in_flight
       | None -> ());
       Printexc.raise_with_backtrace e bt
   in
-  if shards = 1 && readers = 0 then begin
-    (* The PR-5 single-engine path, byte-for-byte the same on-disk
-       layout (<wal>, no shard suffix).  Group commit owns the fsync
-       schedule: the engine logs every update under [Wal.Never] and only
-       the batcher's [Durable.sync_wal] — one per batch, before any ack
-       — makes them durable. *)
-    let eng =
-      Durable.open_ ~pool_capacity:buffer ~sync_policy:Wal.Never ~checkpoint_every
-        ~store ~max_key ~telemetry:tracer ~path:wal ()
-    in
-    let srv = Server.create ~config ~telemetry:tracer ~engine:eng ~listen () in
-    let stop _ = Server.request_shutdown srv in
-    Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
-    Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
-    if Durable.replayed_on_open eng > 0 then
-      Printf.printf "recovered %d logged updates\n" (Durable.replayed_on_open eng);
-    let repl =
-      if not replication then `None
+  (* One engine per key-range shard, at <wal> itself for one shard and
+     under <wal>.s<i> for several.  Group commit owns the fsync schedule:
+     the engines log every update under [Wal.Never] and only the shard
+     writer's [Durable.sync_wal] — one per batch, before any ack — makes
+     them durable. *)
+  let engines =
+    Array.init shards (fun i ->
+        Durable.open_ ~pool_capacity:buffer ~sync_policy:Wal.Never ~checkpoint_every ~store
+          ~max_key ~telemetry:tracer
+          ~path:(Shard.Cluster.shard_path wal ~shards i)
+          ())
+  in
+  let cluster =
+    Shard.Cluster.create ~telemetry:tracer
+      ~config:
+        { Shard.Cluster.default_config with
+          readers;
+          max_batch;
+          sim_io_ns = int_of_float (sim_io_us *. 1000.) }
+      engines
+  in
+  let srv = Server.create ~config ~telemetry:tracer ~cluster ~listen () in
+  let stop _ = Server.request_shutdown srv in
+  Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
+  Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
+  Array.iteri
+    (fun i eng ->
+      let n = Durable.replayed_on_open eng in
+      if n > 0 then
+        if shards = 1 then Printf.printf "recovered %d logged updates\n" n
+        else Printf.printf "shard %d: recovered %d logged updates\n" i n)
+    engines;
+  let repl =
+    if not replication then `None
+    else
+      match follower_of with
+      | None ->
+          let epoch = Replica.Epoch.load wal in
+          let hub =
+            Replica.Hub.create ~metrics:(Server.metrics srv) ~sync_replicas
+              ~heartbeat_s:(heartbeat_ms /. 1000.) ~epoch ~path:wal engines.(0)
+          in
+          Replica.Hub.attach hub srv;
+          Printf.printf "replication: leader, epoch %d, sync_replicas %d\n" epoch
+            sync_replicas;
+          `Hub hub
+      | Some upstream ->
+          let upstream = parse_upstream upstream in
+          let fcfg =
+            { (Replica.Follower.default_config upstream) with
+              Replica.Follower.failover_s = failover_ms /. 1000.;
+              heartbeat_s = heartbeat_ms /. 1000.;
+              auto_promote = not no_auto_promote;
+              sync_replicas }
+          in
+          let f = Replica.Follower.create ~config:fcfg ~path:wal ~server:srv engines.(0) in
+          Format.printf "replication: follower of %a, epoch %d%s@."
+            Replica.Follower.pp_upstream upstream (Replica.Follower.epoch f)
+            (if no_auto_promote then "" else ", auto-promote");
+          `Follower f
+  in
+  let poll_flight, finish_observe = setup_observe srv in
+  Printf.printf
+    "serving %s on %s (%d shard%s, %d readers, batch<=%d, in-flight<=%d, queue<=%d)\n%!"
+    wal where shards
+    (if shards = 1 then "" else "s")
+    readers max_batch max_in_flight max_queue_depth;
+  guard (fun () ->
+      if repl = `None && flight = None then Server.run srv
       else
-        match follower_of with
-        | None ->
-            let epoch = Replica.Epoch.load wal in
-            let hub =
-              Replica.Hub.create ~metrics:(Server.metrics srv) ~sync_replicas
-                ~heartbeat_s:(heartbeat_ms /. 1000.) ~epoch ~path:wal eng
-            in
-            Replica.Hub.attach hub srv;
-            Printf.printf "replication: leader, epoch %d, sync_replicas %d\n" epoch
-              sync_replicas;
-            `Hub hub
-        | Some upstream ->
-            let upstream = parse_upstream upstream in
-            let fcfg =
-              { (Replica.Follower.default_config upstream) with
-                Replica.Follower.failover_s = failover_ms /. 1000.;
-                heartbeat_s = heartbeat_ms /. 1000.;
-                auto_promote = not no_auto_promote;
-                sync_replicas }
-            in
-            let f = Replica.Follower.create ~config:fcfg ~path:wal ~server:srv eng in
-            Format.printf "replication: follower of %a, epoch %d%s@."
-              Replica.Follower.pp_upstream upstream (Replica.Follower.epoch f)
-              (if no_auto_promote then "" else ", auto-promote");
-            `Follower f
-    in
-    let poll_flight, finish_observe = setup_observe srv in
-    Printf.printf "serving %s on %s (batch<=%d, in-flight<=%d, queue<=%d)\n%!" wal where
-      max_batch max_in_flight max_queue_depth;
-    guard (fun () ->
-        if repl = `None && flight = None then Server.run srv
-        else
-          (* Replication needs finer ticks than [run]'s 1 s select
-             timeout (heartbeats, failure detection, reconnect pacing);
-             the flight recorder needs them to honor SIGUSR1 promptly. *)
-          let timeout = if repl = `None then 0.25 else 0.05 in
-          while Server.step srv ~timeout do
-            poll_flight ()
-          done);
-    finish_observe ();
-    let s = Server.stats srv in
-    Printf.printf "drained: %d requests, %d group commits covering %d writes, %d shed\n"
-      s.Wire.requests s.Wire.batches s.Wire.batched_writes s.Wire.shed;
-    (match repl with
-    | `Hub hub ->
-        let r = Replica.Hub.stats hub in
-        Printf.printf
-          "replication: leader epoch %d, durable %d, commit %d, %d frames shipped, %d \
-           stale acks\n"
-          r.Wire.r_epoch r.Wire.r_durable r.Wire.r_commit r.Wire.r_frames_shipped
-          (Replica.Hub.stale_acks hub)
-    | `Follower f ->
-        let r = Replica.Follower.stats f in
-        Format.printf
-          "replication: %a epoch %d, watermark %d, %d frames replayed, %d promotions@."
-          Wire.pp_role r.Wire.r_role r.Wire.r_epoch r.Wire.r_durable
-          r.Wire.r_frames_replayed r.Wire.r_promotions
-    | `None -> ());
-    Format.printf "final health: %a@." Durable.pp_health (Durable.health eng);
-    Durable.close eng
-  end
-  else begin
-    (* Sharded: one writer domain per key range under <wal>.s<i>, each
-       running its own group commit; reader domains serve snapshot
-       queries when requested. *)
-    let ccfg =
-      {
-        Shard.Cluster.default_config with
-        shards;
-        readers;
-        max_batch;
-        sim_io_ns = int_of_float (sim_io_us *. 1000.);
-      }
-    in
-    let cluster =
-      Shard.Cluster.create ~config:ccfg ~pool_capacity:buffer ~checkpoint_every ~store
-        ~max_key ~telemetry:tracer ~path:wal ()
-    in
-    let srv = Server.create_sharded ~config ~telemetry:tracer ~cluster ~listen () in
-    let stop _ = Server.request_shutdown srv in
-    Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
-    Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
-    Array.iter
-      (fun (i, (r : Durable.recovery_report)) ->
-        if r.replayed > 0 then
-          Printf.printf "shard %d: recovered %d logged updates\n" i r.replayed)
-      (Shard.Cluster.recovery cluster);
-    let poll_flight, finish_observe = setup_observe srv in
-    Printf.printf
-      "serving %s on %s (%d shards, %d readers, batch<=%d, in-flight<=%d, queue<=%d)\n%!"
-      wal where shards readers max_batch max_in_flight max_queue_depth;
-    guard (fun () ->
-        if flight = None then Server.run srv
-        else
-          while Server.step srv ~timeout:0.25 do
-            poll_flight ()
-          done);
-    finish_observe ();
-    let s = Server.stats srv in
-    Printf.printf "drained: %d requests, %d group commits covering %d writes, %d shed\n"
-      s.Wire.requests s.Wire.batches s.Wire.batched_writes s.Wire.shed;
+        (* Replication needs finer ticks than [run]'s 1 s select timeout
+           (heartbeats, failure detection, reconnect pacing); the flight
+           recorder needs them to honor SIGUSR1 promptly. *)
+        let timeout = if repl = `None then 0.25 else 0.05 in
+        while Server.step srv ~timeout do
+          poll_flight ()
+        done);
+  finish_observe ();
+  let s = Server.stats srv in
+  Printf.printf "drained: %d requests, %d group commits covering %d writes, %d shed\n"
+    s.Wire.requests s.Wire.batches s.Wire.batched_writes s.Wire.shed;
+  if shards > 1 || readers > 0 then
     List.iter
       (fun (ss : Wire.shard_stat) ->
         Format.printf
-          "  shard %d [%d,%d): watermark %d (readers at %d), %d batches, %d acked, \
-           health %a@."
+          "  shard %d [%d,%d): watermark %d (readers at %d), %d batches, %d acked, health \
+           %a@."
           ss.Wire.shard ss.Wire.s_klo ss.Wire.s_khi ss.Wire.watermark
           ss.Wire.reader_watermark ss.Wire.s_batches ss.Wire.s_acked Durable.pp_health
           ss.Wire.s_health)
       (Server.shard_stats srv);
-    Format.printf "final health: %a@." Durable.pp_health (Shard.Cluster.health cluster);
-    Shard.Cluster.shutdown cluster
-  end
+  (match repl with
+  | `Hub hub ->
+      let r = Replica.Hub.stats hub in
+      Printf.printf
+        "replication: leader epoch %d, durable %d, commit %d, %d frames shipped, %d stale \
+         acks\n"
+        r.Wire.r_epoch r.Wire.r_durable r.Wire.r_commit r.Wire.r_frames_shipped
+        (Replica.Hub.stale_acks hub)
+  | `Follower f ->
+      let r = Replica.Follower.stats f in
+      Format.printf "replication: %a epoch %d, watermark %d, %d frames replayed, %d promotions@."
+        Wire.pp_role r.Wire.r_role r.Wire.r_epoch r.Wire.r_durable r.Wire.r_frames_replayed
+        r.Wire.r_promotions
+  | `None -> ());
+  Format.printf "final health: %a@." Durable.pp_health (Shard.Cluster.health cluster);
+  Shard.Cluster.shutdown cluster;
+  Array.iter Durable.close engines
 
 let serve_cmd =
   let max_batch =
@@ -1828,8 +1801,8 @@ let serve_cmd =
   in
   let shards =
     let doc =
-      "Key-range shards, each owned by a writer domain with its own WAL (<wal>.s<i>).  \
-       1 with --readers 0 keeps the single-engine layout."
+      "Key-range shards, each with its own WAL: one shard serves <wal> from the event \
+       loop's domain, several run a writer domain each over <wal>.s<i>."
     in
     Arg.(value & opt int 1 & info [ "shards" ] ~doc)
   in
@@ -1843,8 +1816,7 @@ let serve_cmd =
   let sim_io_us =
     let doc =
       "Simulated device latency in microseconds charged per logical page touch on the \
-       query path (sharded mode only) — makes reader scaling observable on a \
-       single-core host."
+       query path — makes reader scaling observable on a single-core host."
     in
     Arg.(value & opt float 0. & info [ "sim-io-us" ] ~doc)
   in

@@ -565,7 +565,7 @@ let maybe_auto_checkpoint t =
    Precondition violations are caller bugs and still raise
    [Invalid_argument]; the [result] channel is reserved for I/O. *)
 
-(* Group commit's second half: the server batcher opens the engine with
+(* Group commit's second half: a shard writer opens the engine with
    [Wal.Never], appends a whole batch of updates without per-record
    fsyncs, then forces one sync here before acknowledging any of them.
    A failed fsync is treated exactly like a failed append — the device

@@ -191,7 +191,7 @@ val delete : t -> key:int -> at:int -> (unit, Storage.Storage_error.t) result
 
 val sync_wal : t -> (unit, Storage.Storage_error.t) result
 (** Force the WAL to disk now, regardless of the engine's sync policy —
-    the commit half of group commit: a batcher opens the engine with
+    the commit half of group commit: a shard writer opens the engine with
     [Wal.Never], applies a batch of {!insert}/{!delete} calls (each
     logged but not yet fsynced), then calls this once before
     acknowledging any of them.  [Ok] means every update applied so far is
@@ -347,9 +347,9 @@ val close : t -> unit
 
     Scrub checks ahead of time what recovery reads: the three files of
     the committed checkpoint, chunk by chunk, and the frames of the log.
-    It takes no lock and never writes the log.  Under {!Storage.Vfs.os}
-    run it in a process that does not hold the warehouse open: closing a
-    descriptor of the log drops the process's [lockf] lock on it. *)
+    It takes no lock and never writes the log; closing its descriptor
+    leaves the one-process guard of an engine open on the log in
+    place. *)
 
 type chunk = { file : string; index : int }
 (** A checkpoint chunk: its file and its number from 0 (for a snapshot,

@@ -393,9 +393,9 @@ let promote t ~reason:_ =
       in
       Hub.set_step_down hub (fun () ->
           Admission.set_standby (Server.admission t.srv) true;
-          Batcher.set_gate (Server.batcher t.srv) None);
+          Shard.Cluster.set_gate (Server.cluster t.srv) None);
       Hub.set_frame_trace hub (fun () -> Server.last_write_trace t.srv);
-      Batcher.set_gate (Server.batcher t.srv) (Some (Hub.gate hub));
+      Shard.Cluster.set_gate (Server.cluster t.srv) (Some (Hub.gate hub));
       (* Open the write path: standby off.  Health-driven read-only (a
          genuinely degraded engine) is independent and stays. *)
       Admission.set_standby (Server.admission t.srv) false;

@@ -293,7 +293,9 @@ let create ?(vfs = Storage.Vfs.os) ?metrics ?(cap = 1 lsl 16) ?(sync_replicas = 
     eng =
   if sync_replicas < 0 then invalid_arg "Replica.Hub: sync_replicas must be >= 0";
   let reg = match metrics with Some r -> r | None -> Metrics.create () in
-  let tail = Wal.Tail.create (vfs.Storage.Vfs.v_open `Log (Durable.wal_path path)) in
+  (* [`Reopen], not [`Log]: the tail is a reader and must not take (or,
+     on close, drop) the engine's one-process guard. *)
+  let tail = Wal.Tail.create (vfs.Storage.Vfs.v_open `Reopen (Durable.wal_path path)) in
   let t =
     {
       eng;
@@ -372,10 +374,10 @@ let attach t srv =
   Server.on_conn_close srv (conn_closed t);
   Server.set_observe_extra srv (observe_extra t);
   set_frame_trace t (fun () -> Server.last_write_trace srv);
-  Batcher.set_gate (Server.batcher srv) (Some (gate t));
+  Shard.Cluster.set_gate (Server.cluster srv) (Some (gate t));
   set_step_down t (fun () ->
       Admission.set_standby (Server.admission srv) true;
-      Batcher.set_gate (Server.batcher srv) None)
+      Shard.Cluster.set_gate (Server.cluster srv) None)
 
 let epoch t = t.epoch
 let set_epoch t e = t.epoch <- max t.epoch e

@@ -11,7 +11,8 @@
     {2 The no-lost-acks gate}
 
     The hub is also the semi-synchronous commit gate.  Installed as the
-    {!Batcher}'s gate, it intercepts every group commit's completion:
+    one-shard cluster's gate ({!Shard.Cluster.set_gate}), it intercepts
+    every group commit's completion:
     with [sync_replicas = 0] acks release as soon as the leader's own
     fsync returns (classic single-node durability); with
     [sync_replicas = k >= 1] they release only once [k] followers have
@@ -31,7 +32,7 @@
     Positive evidence of a newer leadership term — a [Wal_subscribe] or
     [Wal_ack] carrying [epoch > epoch t] — deposes this leader: the hub
     invokes its step-down hook exactly once ({!attach} wires it to put
-    admission in standby and remove the batcher gate, so no further
+    admission in standby and remove the cluster's gate, so no further
     client write is accepted or acked), drops its subscribers (silence
     trips their failure detectors; their resubscription is refused with
     [Fenced], sending them after the real leader), and keeps serving
@@ -56,7 +57,8 @@ val create :
   Durable.t ->
   t
 (** A hub over the engine opened at [path] (the tail opens a second read
-    handle on [Durable.wal_path path] through [vfs]).  Pre-loads the
+    handle on [Durable.wal_path path] through [vfs], without the log's
+    one-process guard).  Pre-loads the
     records already in the log into the backlog.  [cap] bounds backlog
     frames (default 65536); [heartbeat_s] (default 0.5) paces
     watermark-only frames to idle subscribers; [flow_limit] (default
@@ -67,7 +69,8 @@ val create :
 
 val attach : t -> Server.t -> unit
 (** Wire the hub into a server it owns outright: extension handler, tick,
-    connection-close hook, and the batcher gate. *)
+    connection-close hook, and the gate of the server's one-shard
+    cluster. *)
 
 (** {1 The pieces, for callers that own the dispatch} *)
 
@@ -102,7 +105,7 @@ val tick : t -> unit
     subscribers that fell behind the window. *)
 
 val gate : t -> max_seq:int -> fire:(unit -> unit) -> unit
-(** The {!Batcher} gate (see the module doc). *)
+(** The group-commit gate (see the module doc). *)
 
 val conn_closed : t -> int -> unit
 (** Drop the subscriber on that connection, if any. *)

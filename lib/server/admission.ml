@@ -7,24 +7,22 @@ type t = {
   mutable in_flight : int;
   mutable shed : int;
   mutable rejected_ro : int;
-  mutable read_only : bool;
   mutable standby : bool;
 }
 
 let create ?(config = default_config) () =
   if config.max_in_flight < 1 then invalid_arg "Admission: max_in_flight must be >= 1";
   if config.max_queue_depth < 1 then invalid_arg "Admission: max_queue_depth must be >= 1";
-  { cfg = config; in_flight = 0; shed = 0; rejected_ro = 0; read_only = false;
-    standby = false }
+  { cfg = config; in_flight = 0; shed = 0; rejected_ro = 0; standby = false }
 
 type decision = Admit | Shed | Reject_read_only
 
-(* Order matters: read-only rejection is checked before the load limits —
-   a degraded store answers its writes with the truthful [Read_only]
-   even under load, and rejected writes never consume in-flight slots
-   queries could use. *)
+(* Order matters: the standby refusal is checked before the load limits —
+   a follower answers its writes with the truthful [Read_only] even under
+   load, and refused writes never consume in-flight slots queries could
+   use. *)
 let admit t ~queue_depth ~write =
-  if write && (t.read_only || t.standby) then begin
+  if write && t.standby then begin
     t.rejected_ro <- t.rejected_ro + 1;
     Reject_read_only
   end
@@ -45,8 +43,6 @@ let release t =
   if t.in_flight <= 0 then invalid_arg "Admission.release: nothing in flight";
   t.in_flight <- t.in_flight - 1
 
-let set_read_only t v = t.read_only <- v
-let read_only t = t.read_only
 let set_standby t v = t.standby <- v
 let standby t = t.standby
 let in_flight t = t.in_flight

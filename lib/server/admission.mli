@@ -1,5 +1,5 @@
-(** Admission control: bounded in-flight work, bounded write queue, and
-    health-aware write rejection.
+(** Admission control: bounded in-flight work, a bounded write queue,
+    and the follower's closed write path.
 
     The server is a single event loop; what protects it from a client
     flood is refusing work {e at the door}, before any engine I/O:
@@ -11,10 +11,12 @@
     - writes are additionally bounded by [max_queue_depth] against the
       group-commit queue, so a write burst cannot grow the batch queue
       (and the ack latency of everything in it) without bound;
-    - when the engine degrades to read-only ({!Durable.health}, flipped
-      here by the server's {!Durable.on_health_change} hook), writes are
-      rejected with [Read_only] {e without touching the engine}, while
-      queries keep being admitted — serving what can be served.
+    - on a replication follower ({!set_standby}), writes are rejected
+      with [Read_only] {e without touching the engine}, while queries
+      keep being admitted.
+
+    A degraded engine needs no gate here: it refuses writes itself with
+    [Read_only_store], which the server answers as [Read_only].
 
     Shedding is cheap by design: a shed request costs one decoded frame
     and one small response, never an engine call or an fsync. *)
@@ -34,9 +36,9 @@ type decision =
   | Admit
   | Shed  (** Over a limit — answer [Overloaded], engine untouched. *)
   | Reject_read_only
-      (** A write against a read-only engine — answer [Read_only],
-          engine untouched.  Not counted as shed: the server is not
-          overloaded, the store is degraded. *)
+      (** A write to a standby follower — answer [Read_only], engine
+          untouched.  Not counted as shed: the server is not
+          overloaded. *)
 
 val admit : t -> queue_depth:int -> write:bool -> decision
 (** Decide one request.  [queue_depth] is the current group-commit queue
@@ -47,17 +49,11 @@ val release : t -> unit
 (** Return one in-flight slot — call exactly once per admitted request,
     when its response is handed to the connection. *)
 
-val set_read_only : t -> bool -> unit
-(** Flip write rejection; wired to {!Durable.on_health_change}. *)
-
-val read_only : t -> bool
-
 val set_standby : t -> bool -> unit
 (** Follower mode: reject writes with [Read_only] even though the engine
     is healthy — the node serves replicated reads and must not diverge
-    from its leader.  Independent of {!set_read_only} (health), so a
-    promotion (standby off) does not accidentally clear a genuine
-    degradation, and recovery does not re-enable writes on a follower. *)
+    from its leader.  Independent of engine health, so a promotion
+    (standby off) does not clear a genuine degradation. *)
 
 val standby : t -> bool
 

@@ -84,7 +84,7 @@ val query :
 val checkpoint : t -> Wire.response
 val stats : t -> Wire.stats option
 
-(** Per-shard rows; a single-engine server reports one row covering the
+(** Per-shard rows; a one-shard server reports one row covering the
     whole key domain. *)
 val shard_stats : t -> Wire.shard_stat list option
 val health : t -> Durable.health option

@@ -4,17 +4,9 @@ module Tracer = Telemetry.Tracer
 module Phases = Telemetry.Phases
 module Json = Telemetry.Json
 
-type config = {
-  max_in_flight : int;
-  max_queue_depth : int;
-  max_batch : int;
-  high_water : int;
-  sim_io_ns : int;
-}
+type config = { max_in_flight : int; max_queue_depth : int; high_water : int }
 
-let default_config =
-  { max_in_flight = 1024; max_queue_depth = 256; max_batch = 64; high_water = 256 * 1024;
-    sim_io_ns = 0 }
+let default_config = { max_in_flight = 1024; max_queue_depth = 256; high_water = 256 * 1024 }
 
 (* --- Connection state machine -------------------------------------------------- *)
 
@@ -81,19 +73,11 @@ type ext_outcome =
   | Ext_silent
   | Ext_pass
 
-(* The data plane behind the event loop: either the PR-5 single-engine
-   group-commit path, or the sharded cluster of writer/reader domains.
-   The connection state machine, admission gate, and wire handling are
-   identical for both. *)
-type backend =
-  | Single of { eng : Durable.t; bat : Batcher.t }
-  | Sharded of Shard.Cluster.t
-
 type t = {
   cfg : config;
   tel : Tracer.t;
   reg : Metrics.t;
-  backend : backend;
+  cluster : Shard.Cluster.t;
   adm : Admission.t;
   listen_fd : Unix.file_descr;
   mutable conns : conn list;
@@ -104,6 +88,9 @@ type t = {
   mutable tick : unit -> unit;
   mutable on_close : int -> unit;
   mutable watches : (Unix.file_descr * (unit -> unit)) list;
+  ready : Bytes.t;
+      (* Readiness set: byte [fd] is set while [fd] is in the current
+         [select] result. *)
   mutable phases : Phases.recorder option;
       (* When set, Query/Insert/Delete requests carry a phase cell. *)
   mutable flight : Telemetry.Flight.t option;  (* reported by Observe *)
@@ -149,7 +136,17 @@ let listen_tcp ?(host = "127.0.0.1") ~port () =
 
 (* --- Construction --------------------------------------------------------------- *)
 
-let make ~config ~telemetry ~reg ~backend ~listen () =
+(* [Unix.select] takes fd_set bitmaps of FD_SETSIZE bits: a descriptor at
+   or past it makes select fail with EINVAL, which would end the loop, so
+   the accept path refuses such connections. *)
+let fd_setsize = 1024
+
+(* A [Unix.file_descr] is the descriptor number on Unix. *)
+let fd_int (fd : Unix.file_descr) : int = Obj.magic fd
+
+let create ?(config = default_config) ?(telemetry = Tracer.noop) ?metrics ~cluster ~listen
+    () =
+  let reg = match metrics with Some r -> r | None -> Metrics.create () in
   let adm =
     Admission.create
       ~config:
@@ -164,7 +161,7 @@ let make ~config ~telemetry ~reg ~backend ~listen () =
     cfg = config;
     tel = telemetry;
     reg;
-    backend;
+    cluster;
     adm;
     listen_fd = listen;
     conns = [];
@@ -175,6 +172,7 @@ let make ~config ~telemetry ~reg ~backend ~listen () =
     tick = (fun () -> ());
     on_close = (fun _ -> ());
     watches = [];
+    ready = Bytes.make fd_setsize '\000';
     phases = None;
     flight = None;
     observe_extra = (fun () -> []);
@@ -183,7 +181,7 @@ let make ~config ~telemetry ~reg ~backend ~listen () =
     m_shed =
       Metrics.counter reg ~help:"Requests shed with Overloaded." "server_shed_total";
     m_ro_rejected =
-      Metrics.counter reg ~help:"Writes rejected while the engine was read-only."
+      Metrics.counter reg ~help:"Writes refused by a standby follower."
         "server_read_only_rejected_total";
     m_batches = Metrics.counter reg ~help:"Group commits flushed." "server_batches_total";
     m_acked =
@@ -196,36 +194,6 @@ let make ~config ~telemetry ~reg ~backend ~listen () =
       Metrics.gauge reg ~help:"Admitted requests awaiting a response." "server_in_flight";
     m_conns = Metrics.gauge reg ~help:"Open connections." "server_connections";
   }
-
-let create ?(config = default_config) ?(telemetry = Tracer.noop) ?metrics ~engine ~listen
-    () =
-  let reg = match metrics with Some r -> r | None -> Metrics.create () in
-  let m_batch_size =
-    Metrics.histogram reg ~help:"Writes per group commit (one WAL sync each)."
-      "server_batch_size"
-  in
-  let bat =
-    Batcher.create ~max_batch:config.max_batch ~telemetry
-      ~on_batch:(fun n -> Metrics.observe m_batch_size (float_of_int n))
-      engine
-  in
-  let t =
-    make ~config ~telemetry ~reg ~backend:(Single { eng = engine; bat }) ~listen ()
-  in
-  (* Health-aware routing without polling: the engine tells us the moment
-     it degrades, and writes start bouncing at the admission gate. *)
-  Durable.on_health_change engine (fun _ next ->
-      Admission.set_read_only t.adm (next = Durable.Read_only));
-  Admission.set_read_only t.adm (Durable.health engine = Durable.Read_only);
-  t
-
-let create_sharded ?(config = default_config) ?(telemetry = Tracer.noop) ?metrics
-    ~cluster ~listen () =
-  let reg = match metrics with Some r -> r | None -> Metrics.create () in
-  (* No admission-level read-only gate here: health is per shard, so a
-     write to a degraded shard bounces with its typed error while the
-     healthy shards keep accepting. *)
-  make ~config ~telemetry ~reg ~backend:(Sharded cluster) ~listen ()
 
 (* --- Buffers -------------------------------------------------------------------- *)
 
@@ -293,110 +261,52 @@ let err_of_storage (e : E.t) =
   | E.Read_only_store -> err Wire.Read_only (E.to_string e)
   | _ -> err Wire.Write_failed (E.to_string e)
 
-let queue_depth t =
-  match t.backend with
-  | Single { bat; _ } -> Batcher.pending bat
-  | Sharded c -> Shard.Cluster.pending_writes c
-
-let backend_health t =
-  match t.backend with
-  | Single { eng; _ } -> Durable.health eng
-  | Sharded c -> Shard.Cluster.health c
+let queue_depth t = Shard.Cluster.pending_writes t.cluster
 
 let stats t =
-  let ( updates, alive, pages, now, health, batches, acked, wal_syncs, horizon,
-        pages_reclaimed, vacuum_steps ) =
-    match t.backend with
-    | Single { eng; bat } ->
-        let w = Durable.warehouse eng in
-        let io = Telemetry.Io_stats.snapshot (Durable.io_stats eng) in
-        ( Rta.n_updates w,
-          Rta.alive_count w,
-          Rta.page_count w,
-          Rta.now w,
-          Durable.health eng,
-          Batcher.batches bat,
-          Batcher.acked bat,
-          Wal.Stats.fsyncs (Durable.wal_stats eng),
-          Durable.horizon eng,
-          io.Telemetry.Io_stats.pages_reclaimed,
-          io.Telemetry.Io_stats.vacuum_steps )
-    | Sharded c ->
-        (* Shards never vacuum (retention is a single-engine leader
-           concern), so the horizon is always the floor. *)
-        let s = Shard.Cluster.totals c in
-        let io = Shard.Cluster.io_totals c in
-        ( s.watermark, s.alive, s.pages, s.now, s.health, s.batches, s.acked,
-          s.wal_syncs, 0, io.Telemetry.Io_stats.pages_reclaimed,
-          io.Telemetry.Io_stats.vacuum_steps )
-  in
+  let s = Shard.Cluster.totals t.cluster in
+  let io = Shard.Cluster.io_totals t.cluster in
   {
-    Wire.updates;
-    alive;
-    pages;
-    now;
-    health;
+    Wire.updates = s.watermark;
+    alive = s.alive;
+    pages = s.pages;
+    now = s.now;
+    health = s.health;
     queue_depth = queue_depth t;
     in_flight = Admission.in_flight t.adm;
     conns = List.length t.conns;
     requests = t.requests;
     shed = Admission.shed t.adm;
-    batches;
-    batched_writes = acked;
-    wal_syncs;
-    horizon;
-    pages_reclaimed;
-    vacuum_steps;
+    batches = s.batches;
+    batched_writes = s.acked;
+    wal_syncs = s.wal_syncs;
+    horizon = s.horizon;
+    pages_reclaimed = io.Telemetry.Io_stats.pages_reclaimed;
+    vacuum_steps = io.Telemetry.Io_stats.vacuum_steps;
   }
 
 let shard_stats t : Wire.shard_stat list =
-  match t.backend with
-  | Sharded c ->
-      List.map
-        (fun (i : Shard.Cluster.shard_info) ->
-          let s = i.stat in
-          {
-            Wire.shard = i.shard;
-            s_klo = i.klo;
-            s_khi = i.khi;
-            watermark = s.watermark;
-            reader_watermark = i.reader_watermark;
-            s_now = s.now;
-            s_alive = s.alive;
-            s_queue = i.queue;
-            s_batches = s.batches;
-            s_acked = s.acked;
-            s_wal_syncs = s.wal_syncs;
-            s_health = s.health;
-            s_io_reads = s.io.Telemetry.Io_stats.reads;
-            s_io_writes = s.io.Telemetry.Io_stats.writes;
-            s_io_syncs = s.io.Telemetry.Io_stats.syncs;
-          })
-        (Shard.Cluster.shard_infos c)
-  | Single { eng; bat } ->
-      (* A single-engine server is one shard covering the whole domain;
-         there is no reader lag because queries read the engine itself. *)
-      let w = Durable.warehouse eng in
-      let io = Telemetry.Io_stats.snapshot (Durable.io_stats eng) in
-      [
-        {
-          Wire.shard = 0;
-          s_klo = 0;
-          s_khi = Rta.max_key w;
-          watermark = Rta.n_updates w;
-          reader_watermark = Rta.n_updates w;
-          s_now = Rta.now w;
-          s_alive = Rta.alive_count w;
-          s_queue = Batcher.pending bat;
-          s_batches = Batcher.batches bat;
-          s_acked = Batcher.acked bat;
-          s_wal_syncs = Wal.Stats.fsyncs (Durable.wal_stats eng);
-          s_health = Durable.health eng;
-          s_io_reads = io.Telemetry.Io_stats.reads;
-          s_io_writes = io.Telemetry.Io_stats.writes;
-          s_io_syncs = io.Telemetry.Io_stats.syncs;
-        };
-      ]
+  List.map
+    (fun (i : Shard.Cluster.shard_info) ->
+      let s = i.stat in
+      {
+        Wire.shard = i.shard;
+        s_klo = i.klo;
+        s_khi = i.khi;
+        watermark = s.watermark;
+        reader_watermark = i.reader_watermark;
+        s_now = s.now;
+        s_alive = s.alive;
+        s_queue = i.queue;
+        s_batches = s.batches;
+        s_acked = s.acked;
+        s_wal_syncs = s.wal_syncs;
+        s_health = s.health;
+        s_io_reads = i.io.Telemetry.Io_stats.reads;
+        s_io_writes = i.io.Telemetry.Io_stats.writes;
+        s_io_syncs = i.io.Telemetry.Io_stats.syncs;
+      })
+    (Shard.Cluster.shard_infos t.cluster)
 
 (* The Observe reply: one JSON document with every liveness gauge the
    paper-plane exposes — per-shard watermark/reader lag and snapshot
@@ -412,54 +322,22 @@ let observe_json t =
     else Json.Float (Int64.to_float (Int64.sub now published) /. 1e6)
   in
   let shards =
-    match t.backend with
-    | Sharded c ->
-        List.map
-          (fun (i : Shard.Cluster.shard_info) ->
-            let st = i.stat in
-            Json.Obj
-              [
-                ("shard", Json.Int i.shard);
-                ("klo", Json.Int i.klo);
-                ("khi", Json.Int i.khi);
-                ("watermark", Json.Int st.Shard.Snapshot.watermark);
-                ("reader_watermark", Json.Int i.reader_watermark);
-                ( "reader_lag",
-                  Json.Int (st.Shard.Snapshot.watermark - i.reader_watermark) );
-                ("queue", Json.Int i.queue);
-                ("snapshot_age_ms", age_ms st.Shard.Snapshot.published_ns);
-                ("health", Json.Str (health_str st.Shard.Snapshot.health));
-              ])
-          (Shard.Cluster.shard_infos c)
-    | Single { eng; bat } ->
-        let w = Durable.warehouse eng in
-        [
-          Json.Obj
-            [
-              ("shard", Json.Int 0);
-              ("klo", Json.Int 0);
-              ("khi", Json.Int (Rta.max_key w));
-              ("watermark", Json.Int (Rta.n_updates w));
-              ("reader_watermark", Json.Int (Rta.n_updates w));
-              ("reader_lag", Json.Int 0);
-              ("queue", Json.Int (Batcher.pending bat));
-              ("snapshot_age_ms", Json.Float 0.);
-              ("health", Json.Str (health_str (Durable.health eng)));
-            ];
-        ]
-  in
-  let engine_fields =
-    match t.backend with
-    | Single { eng; _ } ->
-        [
-          ( "pressure",
-            Json.Str (Format.asprintf "%a" Durable.pp_pressure (Durable.pressure eng))
-          );
-          ("disk_used", Json.Int (Durable.disk_used eng));
-          ("wal_unsynced", Json.Int (Durable.wal_unsynced eng));
-          ("horizon_distance", Json.Int (max 0 (s.Wire.now - s.Wire.horizon)));
-        ]
-    | Sharded _ -> []
+    List.map
+      (fun (i : Shard.Cluster.shard_info) ->
+        let st = i.stat in
+        Json.Obj
+          [
+            ("shard", Json.Int i.shard);
+            ("klo", Json.Int i.klo);
+            ("khi", Json.Int i.khi);
+            ("watermark", Json.Int st.Shard.Snapshot.watermark);
+            ("reader_watermark", Json.Int i.reader_watermark);
+            ("reader_lag", Json.Int (st.Shard.Snapshot.watermark - i.reader_watermark));
+            ("queue", Json.Int i.queue);
+            ("snapshot_age_ms", age_ms st.Shard.Snapshot.published_ns);
+            ("health", Json.Str (health_str st.Shard.Snapshot.health));
+          ])
+      (Shard.Cluster.shard_infos t.cluster)
   in
   let phases = match t.phases with Some r -> Phases.summary_json r | None -> Json.Null in
   let flight =
@@ -489,23 +367,21 @@ let observe_json t =
           ("requests", Json.Int s.Wire.requests);
           ("shed", Json.Int s.Wire.shed);
           ("horizon", Json.Int s.Wire.horizon);
+          ("horizon_distance", Json.Int (max 0 (s.Wire.now - s.Wire.horizon)));
         ]
-       @ engine_fields
        @ [ ("shards", Json.List shards); ("phases", phases); ("flight", flight) ]
        @ t.observe_extra ()))
 
 let outcome_response = function
-  | Batcher.Applied -> Wire.Ack
-  | Batcher.Rejected m -> err Wire.Invalid_request m
-  | Batcher.Failed e -> err_of_storage e
-
-let cluster_outcome_response = function
   | Shard.Cluster.Applied -> Wire.Ack
   | Shard.Cluster.Rejected m -> err Wire.Invalid_request m
   | Shard.Cluster.Failed e -> err_of_storage e
 
-let query_error_response = function
-  | Shard.Cluster.Bad_query m -> err Wire.Invalid_request m
+let error_response = function
+  | Shard.Cluster.Invalid m -> err Wire.Invalid_request m
+  | Shard.Cluster.Below_horizon { at; horizon } ->
+      err Wire.Below_horizon
+        (Printf.sprintf "time %d is below the retention horizon %d (vacuumed)" at horizon)
   | Shard.Cluster.Io e -> err_of_storage e
 
 (* Replication opcodes route to the extension.  [Wal_ack] is
@@ -570,7 +446,7 @@ let handle_request t conn ~trace ~t0 (req : Wire.request) =
         t.state <- Draining;
         fill slot Wire.Ack
     | Wire.Ping -> fill slot Wire.Pong
-    | Wire.Health -> fill slot (Wire.Health_reply (backend_health t))
+    | Wire.Health -> fill slot (Wire.Health_reply (Shard.Cluster.health t.cluster))
     | Wire.Stats -> fill slot (Wire.Stats_reply (stats t))
     | Wire.Shard_stats -> fill slot (Wire.Shard_stats_reply (shard_stats t))
     | Wire.Observe -> fill slot (Wire.Observe_reply (observe_json t))
@@ -582,140 +458,57 @@ let handle_request t conn ~trace ~t0 (req : Wire.request) =
         match decision with
         | Admission.Reject_read_only ->
             Metrics.inc t.m_ro_rejected;
-            fill slot (err Wire.Read_only "engine is read-only; queries still serve")
+            fill slot
+              (err Wire.Read_only
+                 "this node is on standby (a follower or a deposed leader); write to the \
+                  leader")
         | Admission.Shed ->
             Metrics.inc t.m_shed;
             fill slot (err Wire.Overloaded "admission limit reached; back off and retry")
         | Admission.Admit -> (
             if Wire.is_write req && trace <> None then t.last_write_trace_ <- trace;
-            match (req, t.backend) with
-            | Wire.Query { agg = _; klo; khi; tlo; thi }, Single { eng; _ } ->
-                let resp =
-                  Tracer.with_span t.tel "server.request"
-                    ~attrs:(fun () -> [ ("kind", Tracer.Str "query") ])
-                  @@ fun () ->
-                  let reads_before =
-                    if t.cfg.sim_io_ns > 0 then
-                      (Telemetry.Io_stats.snapshot (Durable.io_stats eng))
-                        .Telemetry.Io_stats.reads
-                    else 0
-                  in
-                  match Durable.sum_count eng ~klo ~khi ~tlo ~thi with
-                  | sum, count ->
-                      if t.cfg.sim_io_ns > 0 then begin
-                        let touches =
-                          (Telemetry.Io_stats.snapshot (Durable.io_stats eng))
-                            .Telemetry.Io_stats.reads - reads_before
-                        in
-                        if touches > 0 then
-                          Unix.sleepf (float_of_int (t.cfg.sim_io_ns * touches) /. 1e9)
-                      end;
-                      Wire.Agg { sum; count }
-                  | exception Invalid_argument m -> err Wire.Invalid_request m
-                  | exception Mvsbt.Below_horizon { at; horizon } ->
-                      err Wire.Below_horizon
-                        (Printf.sprintf
-                           "time %d is below the retention horizon %d (vacuumed)" at
-                           horizon)
-                  | exception E.Io e -> err_of_storage e
+            let reply resp =
+              fill slot resp;
+              Admission.release t.adm
+            in
+            let result ok = function
+              | Ok v -> reply (ok v)
+              | Error e -> reply (error_response e)
+            in
+            let write op =
+              Shard.Cluster.submit_write t.cluster ?cell ?trace op (fun o ->
+                  reply (outcome_response o))
+            in
+            match req with
+            | Wire.Query { agg = _; klo; khi; tlo; thi } ->
+                Shard.Cluster.submit_query t.cluster ?cell ?trace ~klo ~khi ~tlo ~thi
+                  (result (fun (sum, count) -> Wire.Agg { sum; count }))
+            | Wire.Insert { key; value; at } -> write (Shard.Op.Insert { key; value; at })
+            | Wire.Delete { key; at } -> write (Shard.Op.Delete { key; at })
+            | Wire.Checkpoint ->
+                Shard.Cluster.submit_checkpoint t.cluster (result (fun () -> Wire.Ack))
+            | Wire.Vacuum _ when Admission.standby t.adm ->
+                reply
+                  (err Wire.Invalid_request
+                     "this node is a follower; vacuum the leader (retention ships through \
+                      the WAL)")
+            | Wire.Vacuum { horizon; max_pages_per_step } ->
+                let max_pages_per_step =
+                  if max_pages_per_step <= 0 then 128 else max_pages_per_step
                 in
-                (match cell with Some c -> Phases.charge c Phases.Apply | None -> ());
-                fill slot resp;
-                Admission.release t.adm
-            | Wire.Query { agg = _; klo; khi; tlo; thi }, Sharded c ->
-                Shard.Cluster.submit_query c ?cell ?trace ~klo ~khi ~tlo ~thi
-                  (fun res ->
-                    (match res with
-                    | Ok (sum, count) -> fill slot (Wire.Agg { sum; count })
-                    | Error e -> fill slot (query_error_response e));
-                    Admission.release t.adm)
-            | Wire.Insert { key; value; at }, Single { bat; _ } ->
-                Batcher.enqueue bat ?cell ?trace
-                  (Batcher.Insert { key; value; at })
-                  (fun outcome ->
-                    fill slot (outcome_response outcome);
-                    Admission.release t.adm)
-            | Wire.Insert { key; value; at }, Sharded c ->
-                Shard.Cluster.submit_write c ?cell ?trace
-                  (Shard.Op.Insert { key; value; at })
-                  (fun outcome ->
-                    fill slot (cluster_outcome_response outcome);
-                    Admission.release t.adm)
-            | Wire.Delete { key; at }, Single { bat; _ } ->
-                Batcher.enqueue bat ?cell ?trace
-                  (Batcher.Delete { key; at })
-                  (fun outcome ->
-                    fill slot (outcome_response outcome);
-                    Admission.release t.adm)
-            | Wire.Delete { key; at }, Sharded c ->
-                Shard.Cluster.submit_write c ?cell ?trace
-                  (Shard.Op.Delete { key; at })
-                  (fun outcome ->
-                    fill slot (cluster_outcome_response outcome);
-                    Admission.release t.adm)
-            | Wire.Checkpoint, Single { eng; bat } ->
-                (* Order barrier: the snapshot must cover every write
-                   queued before the checkpoint request. *)
-                let resp =
-                  Tracer.with_span t.tel "server.request"
-                    ~attrs:(fun () -> [ ("kind", Tracer.Str "checkpoint") ])
-                  @@ fun () ->
-                  Batcher.flush bat;
-                  match Durable.checkpoint eng with
-                  | Ok () -> Wire.Ack
-                  | Error e -> err_of_storage e
-                in
-                fill slot resp;
-                Admission.release t.adm
-            | Wire.Vacuum { horizon; max_pages_per_step }, Single { eng; bat } ->
-                let resp =
-                  Tracer.with_span t.tel "server.request"
-                    ~attrs:(fun () -> [ ("kind", Tracer.Str "vacuum") ])
-                  @@ fun () ->
-                  if Admission.standby t.adm then
-                    err Wire.Invalid_request
-                      "this node is a follower; vacuum the leader (retention ships \
-                       through the WAL)"
-                  else begin
-                    (* Same order barrier as checkpoint: the horizon must
-                       land after every write queued before this request. *)
-                    Batcher.flush bat;
-                    let max_pages_per_step =
-                      if max_pages_per_step <= 0 then 128 else max_pages_per_step
-                    in
-                    match Durable.vacuum eng ~max_pages_per_step ~horizon with
-                    | Ok r ->
-                        Wire.Vacuum_reply
-                          {
-                            v_horizon = r.Rta.v_horizon;
-                            v_steps = r.Rta.v_steps;
-                            v_pages_freed = r.Rta.v_progress.Rta.pages_freed;
-                            v_pages_pruned = r.Rta.v_progress.Rta.pages_pruned;
-                            v_records_dropped = r.Rta.v_progress.Rta.records_dropped;
-                          }
-                    | Error e -> err_of_storage e
-                    | exception Invalid_argument m -> err Wire.Invalid_request m
-                  end
-                in
-                fill slot resp;
-                Admission.release t.adm
-            | Wire.Vacuum _, Sharded _ ->
-                fill slot
-                  (err Wire.Invalid_request "vacuum is not supported on a sharded server");
-                Admission.release t.adm
-            | Wire.Checkpoint, Sharded c ->
-                (* Per-shard FIFO mailboxes are the order barrier: each
-                   writer checkpoints behind every write queued before
-                   this request. *)
-                Shard.Cluster.submit_checkpoint c (fun res ->
-                    (match res with
-                    | Ok () -> fill slot Wire.Ack
-                    | Error e -> fill slot (err_of_storage e));
-                    Admission.release t.adm)
-            | ( ( Wire.Stats | Wire.Health | Wire.Ping | Wire.Shutdown
-                | Wire.Shard_stats | Wire.Observe | Wire.Wal_subscribe _
-                | Wire.Wal_ack _ | Wire.Replica_stats | Wire.Promote ),
-                _ ) ->
+                Shard.Cluster.submit_vacuum t.cluster ~horizon ~max_pages_per_step
+                  (result (fun (r : Rta.vacuum_report) ->
+                       Wire.Vacuum_reply
+                         {
+                           v_horizon = r.v_horizon;
+                           v_steps = r.v_steps;
+                           v_pages_freed = r.v_progress.pages_freed;
+                           v_pages_pruned = r.v_progress.pages_pruned;
+                           v_records_dropped = r.v_progress.records_dropped;
+                         }))
+            | Wire.Stats | Wire.Health | Wire.Ping | Wire.Shutdown | Wire.Shard_stats
+            | Wire.Observe | Wire.Wal_subscribe _ | Wire.Wal_ack _ | Wire.Replica_stats
+            | Wire.Promote ->
                 assert false))
     | Wire.Wal_subscribe _ | Wire.Wal_ack _ | Wire.Replica_stats | Wire.Promote ->
         assert false (* dispatched to the extension above *))
@@ -734,7 +527,7 @@ let parse t conn =
     | Wire.Complete ((req, trace), used) ->
         pos := !pos + used;
         (* The trace id is ambient for the whole handling extent, so
-           every span below — engine apply, batcher, extension — joins
+           every span below — engine apply, group commit, extension — joins
            the request's trace without threading it by hand. *)
         Tracer.with_trace ~trace (fun () -> handle_request t conn ~trace ~t0 req)
     | Wire.Incomplete -> continue := false
@@ -804,34 +597,54 @@ let write_conn t conn =
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
     | exception Unix.Unix_error _ -> close_conn t conn
 
-let rec accept_loop t =
-  match Unix.accept ~cloexec:true t.listen_fd with
-  | fd, _ ->
-      Unix.set_nonblock fd;
-      let conn =
-        {
-          fd;
-          id = t.next_id;
-          inbuf = Bytes.create read_chunk;
-          in_len = 0;
-          slots = Queue.create ();
-          out = Bytes.create 4096;
-          out_pos = 0;
-          out_len = 0;
-          staged_total = 0;
-          sent_total = 0;
-          flushes = Queue.create ();
-          close_after_flush = false;
-          dead = false;
-          subscriber = false;
-        }
-      in
-      t.next_id <- t.next_id + 1;
-      t.conns <- t.conns @ [ conn ];
-      accept_loop t
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop t
-  | exception Unix.Unix_error _ -> ()
+(* The answer to a connection whose descriptor [select] cannot watch. *)
+let too_many_connections =
+  lazy
+    (Wire.encode_response
+       (err Wire.Overloaded "too many open connections (FD_SETSIZE); retry later"))
+
+let refuse fd =
+  let b = Lazy.force too_many_connections in
+  (try
+     Unix.set_nonblock fd;
+     ignore (Unix.write fd b 0 (Bytes.length b))
+   with Unix.Unix_error _ -> ());
+  try Unix.close fd with Unix.Unix_error _ -> ()
+
+(* Accept every pending connection; new ones join the end of [t.conns]
+   in arrival order, in one append per call. *)
+let accept_all t =
+  let rec go acc =
+    match Unix.accept ~cloexec:true t.listen_fd with
+    | fd, _ when fd_int fd >= fd_setsize ->
+        refuse fd;
+        go acc
+    | fd, _ ->
+        Unix.set_nonblock fd;
+        let conn =
+          {
+            fd;
+            id = t.next_id;
+            inbuf = Bytes.create read_chunk;
+            in_len = 0;
+            slots = Queue.create ();
+            out = Bytes.create 4096;
+            out_pos = 0;
+            out_len = 0;
+            staged_total = 0;
+            sent_total = 0;
+            flushes = Queue.create ();
+            close_after_flush = false;
+            dead = false;
+            subscriber = false;
+          }
+        in
+        t.next_id <- t.next_id + 1;
+        go (conn :: acc)
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go acc
+    | exception Unix.Unix_error _ -> acc
+  in
+  match go [] with [] -> () | fresh -> t.conns <- t.conns @ List.rev fresh
 
 (* --- The loop -------------------------------------------------------------------- *)
 
@@ -844,10 +657,7 @@ let step t ~timeout =
       t.conns <- List.filter (fun c -> not c.dead) t.conns;
       let read_fds =
         (if t.state = Accepting then [ t.listen_fd ] else [])
-        @ (match t.backend with
-          | Single _ -> []
-          | Sharded c -> [ Shard.Cluster.wake_fd c ])
-        @ List.map fst t.watches
+        @ (Shard.Cluster.wake_fd t.cluster :: List.map fst t.watches)
         @ List.filter_map
             (fun c ->
               (* Backpressure: a connection drowning in unread responses
@@ -868,20 +678,19 @@ let step t ~timeout =
         try Unix.select read_fds write_fds [] timeout
         with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
       in
-      if List.mem t.listen_fd rs then accept_loop t;
+      let mark v = List.iter (fun fd -> Bytes.set t.ready (fd_int fd) v) rs in
+      let ready fd = Bytes.get t.ready (fd_int fd) <> '\000' in
+      mark '\001';
+      if ready t.listen_fd then accept_all t;
       (* Snapshot: a watch callback may add or remove watches. *)
-      List.iter
-        (fun (fd, k) -> if List.mem fd rs && List.mem_assoc fd t.watches then k ())
-        t.watches;
-      List.iter (fun c -> if (not c.dead) && List.mem c.fd rs then read_conn t c) t.conns;
-      (* Single: the group commit — every write parsed this iteration
-         (across all connections) lands under one WAL sync per
-         [max_batch] chunk.  Sharded: run completion callbacks posted by
-         the writer/reader domains (the shards group-commit on their own
-         clocks). *)
-      (match t.backend with
-      | Single { bat; _ } -> Batcher.flush bat
-      | Sharded c -> ignore (Shard.Cluster.drain c));
+      List.iter (fun (fd, k) -> if ready fd && List.mem_assoc fd t.watches then k ()) t.watches;
+      List.iter (fun c -> if (not c.dead) && ready c.fd then read_conn t c) t.conns;
+      mark '\000';
+      (* The group commit — every write parsed this iteration, across all
+         connections, lands under one WAL sync per [max_batch] chunk on a
+         one-shard cluster — then the completions posted by writer and
+         reader domains. *)
+      ignore (Shard.Cluster.drain t.cluster);
       (* Extension tick after group commit (the gate callbacks have run,
          new WAL records are durable and shippable) and before the pump
          (anything the tick fills or pushes flushes this same step). *)
@@ -900,25 +709,18 @@ let step t ~timeout =
           then close_conn t c)
         t.conns;
       t.conns <- List.filter (fun c -> not c.dead) t.conns;
+      let s = Shard.Cluster.totals t.cluster in
       Metrics.set_gauge t.m_queue_depth (float_of_int (queue_depth t));
       Metrics.set_gauge t.m_in_flight (float_of_int (Admission.in_flight t.adm));
       Metrics.set_gauge t.m_conns (float_of_int (List.length t.conns));
-      (match t.backend with
-      | Single { bat; _ } ->
-          Metrics.set_counter t.m_batches (Batcher.batches bat);
-          Metrics.set_counter t.m_acked (Batcher.acked bat)
-      | Sharded c ->
-          let s = Shard.Cluster.totals c in
-          Metrics.set_counter t.m_batches s.batches;
-          Metrics.set_counter t.m_acked s.acked);
+      Metrics.set_counter t.m_batches s.batches;
+      Metrics.set_counter t.m_acked s.acked;
       (match t.state with
       | Draining ->
-          let backend_idle =
-            match t.backend with
-            | Single { bat; _ } -> Batcher.pending bat = 0
-            | Sharded c -> Shard.Cluster.outstanding c = 0
-          in
-          if (not (List.exists conn_busy t.conns)) && backend_idle then begin
+          if
+            (not (List.exists conn_busy t.conns))
+            && Shard.Cluster.outstanding t.cluster = 0
+          then begin
             List.iter (close_conn t) t.conns;
             t.conns <- [];
             (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
@@ -934,17 +736,7 @@ let shutting_down t = t.state <> Accepting
 let connections t = List.length t.conns
 let requests t = t.requests
 
-let engine t =
-  match t.backend with
-  | Single { eng; _ } -> eng
-  | Sharded _ -> invalid_arg "Server.engine: this server is sharded (use cluster)"
-
-let batcher t =
-  match t.backend with
-  | Single { bat; _ } -> bat
-  | Sharded _ -> invalid_arg "Server.batcher: this server is sharded (use cluster)"
-
-let cluster t = match t.backend with Sharded c -> Some c | Single _ -> None
+let cluster t = t.cluster
 let admission t = t.adm
 let metrics t = t.reg
 let set_extension t f = t.extension <- Some f

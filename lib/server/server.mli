@@ -1,22 +1,19 @@
 (** The query service: a [Unix.select] event loop serving the {!Wire}
-    protocol over a durable RTA engine — either a single engine or a
-    {!Shard.Cluster} of writer/reader domains.
+    protocol over a {!Shard.Cluster} — one shard whose writer runs on
+    the loop's own domain, or several writer domains, with or without
+    reader domains.
 
     One single-threaded loop owns the network: the listening socket,
     every connection's read/write state machine, and the {!Admission}
     gate — so no locks on connection state, and a natural batching
     boundary: all the writes that arrive within one loop iteration
-    commit under one WAL sync.
+    commit under one WAL sync per shard.
 
-    With a {e single} engine ({!create}) the loop also owns the
-    group-commit {!Batcher} and executes queries inline.  With a
-    {e sharded} backend ({!create_sharded}) requests are submitted to the
-    cluster's writer/reader domains; their completion callbacks fill the
-    reserved response slots when the loop calls [Shard.Cluster.drain]
-    (the cluster's wake pipe sits in the [select] read set, so the loop
-    sleeps until either a socket or a completion is ready).  Response
-    ordering, backpressure, and drain semantics are identical in both
-    modes.
+    Requests are submitted to the cluster; their callbacks fill the
+    reserved response slots, at once (a query on a one-shard cluster) or
+    when the loop calls [Shard.Cluster.drain] (the cluster's wake pipe
+    sits in the [select] read set, so the loop sleeps until either a
+    socket or a completion is ready).
 
     Per iteration ({!step}):
 
@@ -24,13 +21,13 @@
       connection that is not backpressured, and every connection with
       pending output;
     + accept new connections (non-blocking);
-    + read and decode frames; admitted queries execute immediately,
-      admitted writes queue in the batcher, everything refused gets its
-      typed error response at once.  A connection that sends an
-      undecodable frame is answered with [Bad_request] and closed after
-      the response flushes (framing can no longer be trusted);
-    + flush the batcher — the group commit — completing every write
-      response;
+    + read and decode frames; admitted requests go to the cluster,
+      everything refused gets its typed error response at once.  A
+      connection that sends an undecodable frame is answered with
+      [Bad_request] and closed after the response flushes (framing can
+      no longer be trusted);
+    + drain the cluster — the one-shard group commit, then completions
+      posted by writer and reader domains;
     + write out response bytes (non-blocking, partial writes carried to
       the next iteration).
 
@@ -40,6 +37,12 @@
     though a query answered mid-iteration completes before a write
     waiting on the batch sync: each request reserves a response slot at
     decode time and the writer only flushes the filled prefix.
+
+    {2 Connections}
+
+    A connection whose descriptor reaches FD_SETSIZE (1024), which
+    [select] cannot watch, is answered with a typed [Overloaded] error
+    and closed at accept; the loop keeps serving the others.
 
     {2 Backpressure}
 
@@ -58,15 +61,9 @@
 type config = {
   max_in_flight : int;  (** {!Admission} in-flight cap (default 1024). *)
   max_queue_depth : int;  (** {!Admission} write-queue cap (default 256). *)
-  max_batch : int;  (** {!Batcher} writes per WAL sync (default 64). *)
   high_water : int;
       (** Per-connection pending-output bytes beyond which reads pause
           (default 256 KiB). *)
-  sim_io_ns : int;
-      (** Simulated device latency charged per page touched on the
-          single-engine query path (default 0 = off) — the same knob as
-          {!Shard.Cluster.config.sim_io_ns}, for benchmarking read
-          scaling across follower replicas under an I/O-bound load. *)
 }
 
 val default_config : config
@@ -85,34 +82,17 @@ val create :
   ?config:config ->
   ?telemetry:Telemetry.Tracer.t ->
   ?metrics:Telemetry.Metrics.t ->
-  engine:Durable.t ->
-  listen:Unix.file_descr ->
-  unit ->
-  t
-(** Wrap a listening socket and an engine into a server.  The engine
-    should be opened with [sync_policy:Wal.Never] so the batcher's sync
-    is the only fsync per batch (see {!Batcher}).  Registers a
-    {!Durable.on_health_change} hook so a read-only transition flips
-    write rejection immediately.  [metrics] (default a private registry)
-    receives [server_*] counters, the queue-depth gauge, and the
-    batch-size histogram; [telemetry] emits [server.request] /
-    [server.batch] spans. *)
-
-val create_sharded :
-  ?config:config ->
-  ?telemetry:Telemetry.Tracer.t ->
-  ?metrics:Telemetry.Metrics.t ->
   cluster:Shard.Cluster.t ->
   listen:Unix.file_descr ->
   unit ->
   t
-(** Serve a {!Shard.Cluster} instead of a single engine.  The caller
-    owns the cluster's lifecycle: create it first, and call
-    [Shard.Cluster.shutdown] after {!run} returns.  [config.max_batch]
-    is ignored (each shard batches by its own [Cluster] config).  There
-    is no admission-level read-only gate — shard health is per shard, so
-    writes to a degraded shard bounce with its typed error while healthy
-    shards keep accepting. *)
+(** Serve [cluster] on a listening socket.  The caller owns the
+    cluster's lifecycle: create it first, and call
+    [Shard.Cluster.shutdown] after {!run} returns.  Health is per shard:
+    a write to a degraded shard bounces with its engine's typed error
+    ([Read_only] once the engine is read-only) while healthy shards keep
+    accepting.  [metrics] (default a private registry) receives
+    [server_*] counters and the queue-depth gauge. *)
 
 val step : t -> timeout:float -> bool
 (** One event-loop iteration, blocking in [select] at most [timeout]
@@ -131,17 +111,7 @@ val shutting_down : t -> bool
 val connections : t -> int
 val requests : t -> int
 
-val engine : t -> Durable.t
-(** The single backend engine.
-    @raise Invalid_argument on a sharded server. *)
-
-val batcher : t -> Batcher.t
-(** The single backend's group-commit batcher.
-    @raise Invalid_argument on a sharded server. *)
-
-val cluster : t -> Shard.Cluster.t option
-(** The sharded backend, if this server was built with
-    {!create_sharded}. *)
+val cluster : t -> Shard.Cluster.t
 
 val admission : t -> Admission.t
 val metrics : t -> Telemetry.Metrics.t
@@ -243,9 +213,8 @@ val add_watch : t -> Unix.file_descr -> (unit -> unit) -> unit
 val remove_watch : t -> Unix.file_descr -> unit
 
 val stats : t -> Wire.stats
-(** The snapshot served to wire [Stats] requests; on a sharded server
-    the engine-level fields are the cluster totals. *)
+(** The snapshot served to wire [Stats] requests: the cluster totals. *)
 
 val shard_stats : t -> Wire.shard_stat list
-(** The per-shard rows served to wire [Shard_stats] requests; a single
-    backend reports itself as one shard covering the whole key domain. *)
+(** The per-shard rows served to wire [Shard_stats] requests, with each
+    engine's live page I/O counters. *)

@@ -83,15 +83,15 @@ type request =
   | Vacuum of { horizon : int; max_pages_per_step : int }
       (** Raise the retention horizon to [horizon] and reclaim dead pages
           online, [max_pages_per_step] pages per WAL-logged chunk (0
-          means the server default).  Answered with {!Vacuum_reply}.
-          Sharded servers and followers answer [Err Invalid_request]:
-          retention is driven on a single-engine leader and reaches
-          followers through the shipped WAL. *)
+          means the server default).  Every shard vacuums to the horizon
+          or its own clock, whichever is older.  Answered with
+          {!Vacuum_reply}.  Followers answer [Err Invalid_request]:
+          retention is driven on the leader and reaches followers
+          through the shipped WAL. *)
   | Observe
       (** Live observability snapshot: per-shard and per-follower lag
           gauges, snapshot age, backlog depth, vacuum horizon distance,
-          disk pressure, flight-recorder state.  Answered with
-          {!Observe_reply}. *)
+          flight-recorder state.  Answered with {!Observe_reply}. *)
 
 type error_code =
   | Bad_request  (** The frame decoded but the message made no sense. *)

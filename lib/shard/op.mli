@@ -1,6 +1,5 @@
-(** The routed write operations — the shard layer's copy of the wire /
-    batcher write vocabulary, so [lib/shard] does not depend on
-    [lib/server]. *)
+(** The routed write operations — the shard layer's copy of the wire
+    write vocabulary, so [lib/shard] does not depend on [lib/server]. *)
 
 type t =
   | Insert of { key : int; value : int; at : int }

@@ -7,7 +7,7 @@ type stat = {
   acked : int;
   wal_syncs : int;
   health : Durable.health;
-  io : Telemetry.Io_stats.snapshot;
+  horizon : int;
   published_ns : int64;
 }
 
@@ -21,7 +21,7 @@ let zero =
     acked = 0;
     wal_syncs = 0;
     health = Durable.Healthy;
-    io = Telemetry.Io_stats.zero;
+    horizon = 0;
     published_ns = 0L;
   }
 
@@ -36,6 +36,7 @@ let read t = Atomic.get t
 
 let pp_stat ppf s =
   Format.fprintf ppf
-    "watermark=%d now=%d alive=%d pages=%d batches=%d acked=%d wal_syncs=%d health=%a"
-    s.watermark s.now s.alive s.pages s.batches s.acked s.wal_syncs
+    "watermark=%d now=%d alive=%d pages=%d batches=%d acked=%d wal_syncs=%d horizon=%d \
+     health=%a"
+    s.watermark s.now s.alive s.pages s.batches s.acked s.wal_syncs s.horizon
     Durable.pp_health s.health

@@ -24,7 +24,7 @@ type stat = {
   acked : int;  (** Writes acknowledged through group commit. *)
   wal_syncs : int;
   health : Durable.health;
-  io : Telemetry.Io_stats.snapshot;
+  horizon : int;  (** Retention horizon: windows reaching below it are refused. *)
   published_ns : int64;
       (** Monotonic clock at publication — stamped by {!create}/
           {!publish} themselves, so [now_ns () - published_ns] is the

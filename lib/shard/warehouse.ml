@@ -25,7 +25,6 @@ let apply_to t ~shard op =
 
 let apply t op = apply_to t ~shard:(Router.shard_of_key t.router (Op.key op)) op
 
-let watermark t i = Rta.n_updates t.replicas.(i)
 let watermarks t = Array.map Rta.n_updates t.replicas
 
 let sum_count t ~klo ~khi ~tlo ~thi =

@@ -38,10 +38,8 @@ val apply_to : t -> shard:int -> Op.t -> unit
 (** Apply to a named shard — the broadcast path, where the writer
     already routed. *)
 
-val watermark : t -> int -> int
-(** Updates applied to shard [i]'s replica over its life. *)
-
 val watermarks : t -> int array
+(** Updates applied to each shard's replica over its life. *)
 
 val sum_count : t -> klo:int -> khi:int -> tlo:int -> thi:int -> int * int
 (** Scatter over the router, answer each part from its replica, merge

@@ -117,16 +117,33 @@ let os =
             let fd = openfile [ Unix.O_RDWR ] in
             os_file_of_fd ~path fd
         | `Log ->
-            (* O_APPEND makes every append land atomically at end-of-file;
-               the advisory lock rejects a second process opening the same
-               log outright (locks are per-process, so re-opening after an
-               in-process simulated crash still works). *)
-            let fd = openfile [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_APPEND ] in
-            (try Unix.lockf fd Unix.F_TLOCK 0
+            (* The one-process guard is a [lockf] lock on [<path>.lock],
+               held by a descriptor only this handle owns: POSIX drops a
+               process's locks on a file when it closes {e any} descriptor
+               of it, so a lock on the log itself would vanish when an
+               in-process reader of the log (a replication tail, scrub)
+               closed its own.  Locks are per-process, so re-opening after
+               an in-process simulated crash still works.  O_APPEND makes
+               every append land atomically at end-of-file. *)
+            let lock_path = path ^ ".lock" in
+            let lock =
+              unix_guard ~enoent_sys_error:true ~op:Storage_error.Open ~path:lock_path
+                (fun () ->
+                  Unix.openfile lock_path [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_CLOEXEC ] 0o644)
+            in
+            let release () = try Unix.close lock with Unix.Unix_error _ -> () in
+            (try Unix.lockf lock Unix.F_TLOCK 0
              with Unix.Unix_error _ ->
-               Unix.close fd;
+               release ();
                failwith (Printf.sprintf "Vfs: %s is locked by another process" path));
-            os_file_of_fd ~append:true ~path fd);
+            let fd =
+              try openfile [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_APPEND ]
+              with e ->
+                release ();
+                raise e
+            in
+            let f = os_file_of_fd ~append:true ~path fd in
+            { f with f_close = (fun () -> Fun.protect ~finally:release f.f_close) });
     v_rename =
       (fun src dst ->
         unix_guard ~enoent_sys_error:true ~op:Storage_error.Rename ~path:src

@@ -50,8 +50,9 @@ type open_mode =
   | `Reopen  (** Open an existing file; fails if absent. *)
   | `Log
     (** Create if absent, position appends at EOF ([O_APPEND] on the real
-        filesystem, where an advisory lock also rejects a second process
-        opening the same log). *) ]
+        filesystem, where an advisory lock on [<path>.lock], held until
+        this handle closes, also rejects a second process opening the
+        same log).  Readers of a live log open it [`Reopen]. *) ]
 
 type t = {
   v_open : open_mode -> string -> file;

@@ -85,8 +85,8 @@ val os_file : path:string -> file
 (** [Storage.Vfs.os] in [`Log] mode: [open(2)] with
     [O_RDWR|O_CREAT|O_APPEND] (no truncation; appends are atomic at
     end-of-file), [fsync] for [f_sync].  Takes an advisory [lockf] lock
-    on the whole file so two {e processes} cannot append to the same log
-    — the second opener fails.  (POSIX locks do not conflict within one
+    on [<path>.lock], held until the file closes, so two {e processes}
+    cannot append to the same log — the second opener fails.  (POSIX locks do not conflict within one
     process, so reopening after a simulated in-process crash still
     works.)
     @raise Failure if another process holds the log. *)
@@ -173,7 +173,7 @@ val broken : t -> bool
 val unsynced : t -> int
 (** Appends accepted since the last fsync — the records a crash right now
     could lose.  Zero immediately after {!sync}, {!truncate}, or an
-    [Always]-policy append; what a group-commit batcher checks to skip a
+    [Always]-policy append; what a group commit checks to skip a
     redundant fsync. *)
 
 val size : t -> int

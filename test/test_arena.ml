@@ -559,15 +559,15 @@ let test_second_open_rejected arena_backing () =
   let max_key = 100 in
   let open_ ~store = Durable.open_ ~store ~arena_backing ~pool_capacity:8 ~max_key ~path () in
   let store = Storage.Store_kind.Mmap in
-  (* Every file's bytes but the log's: closing any descriptor of the log
-     would drop this process's [lockf] lock on it, so the log is only
-     stat'ed. *)
+  (* Every file's bytes but the log's and its lock file's: closing any
+     descriptor of the lock file would drop this process's [lockf] lock
+     on it, so both are only stat'ed. *)
   let wal = Durable.wal_path path in
   let files () =
     Sys.readdir dir |> Array.to_list |> List.sort compare
     |> List.map (fun f ->
            let p = Filename.concat dir f in
-           if p = wal then (f, string_of_int (Unix.stat p).Unix.st_size)
+           if p = wal || p = wal ^ ".lock" then (f, string_of_int (Unix.stat p).Unix.st_size)
            else
              let ic = open_in_bin p in
              Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->

@@ -161,6 +161,10 @@ let test_apply_replay () =
 
 (* --- Live pair over real sockets ------------------------------------------------ *)
 
+(* A node: the engine behind a one-shard cluster behind a server. *)
+let serve eng ~sock =
+  Server.create ~cluster:(Shard.Cluster.create [| eng |]) ~listen:(Server.listen_unix ~path:sock) ()
+
 (* Each server runs its select loop on its own domain; the test talks to
    both only through client sockets, exactly like external processes. *)
 let spawn_loop srv = Domain.spawn (fun () -> while Server.step srv ~timeout:0.02 do () done)
@@ -186,7 +190,7 @@ let test_live_pair () =
   let lead = Filename.concat dir "lead" in
   let fol = Filename.concat dir "fol" in
   let leng = Durable.open_ ~sync_policy:Wal.Never ~max_key:1000 ~path:lead () in
-  let lsrv = Server.create ~engine:leng ~listen:(Server.listen_unix ~path:lsock) () in
+  let lsrv = serve leng ~sock:lsock in
   let hub =
     Replica.Hub.create ~metrics:(Server.metrics lsrv) ~sync_replicas:1 ~heartbeat_s:0.01
       ~path:lead leng
@@ -201,7 +205,7 @@ let test_live_pair () =
     (readable (Client.fd lcli));
   (* Attach a follower: its server loop runs on another domain. *)
   let feng = Durable.open_ ~sync_policy:Wal.Never ~max_key:1000 ~path:fol () in
-  let fsrv = Server.create ~engine:feng ~listen:(Server.listen_unix ~path:fsock) () in
+  let fsrv = serve feng ~sock:fsock in
   let fcfg =
     { (Replica.Follower.default_config (Replica.Follower.Unix_sock lsock)) with
       Replica.Follower.heartbeat_s = 0.01;
@@ -220,6 +224,11 @@ let test_live_pair () =
       match Client.replica_stats fcli with
       | Some s -> s.Wire.r_durable = 20
       | None -> false);
+  (* Replay goes straight into the follower's engine, and its stats move
+     with it. *)
+  (match Client.stats fcli with
+  | Some s -> Alcotest.(check int) "follower stats updates" 20 s.Wire.updates
+  | None -> Alcotest.fail "follower stats");
   (match Client.query fcli ~agg:Wire.Sum ~klo:0 ~khi:1000 ~tlo:0 ~thi:1000 with
   | Wire.Agg { sum; count } ->
       Alcotest.(check int) "follower count" 20 count;
@@ -229,6 +238,10 @@ let test_live_pair () =
   (match Client.insert fcli ~key:999 ~value:1 ~at:99 with
   | Wire.Err { code = Wire.Read_only; _ } -> ()
   | r -> Alcotest.failf "follower write answered %a" Wire.pp_response r);
+  (* Retention is the leader's: it reaches followers through the WAL. *)
+  (match Client.vacuum fcli ~horizon:5 with
+  | Wire.Err { code = Wire.Invalid_request; _ } -> ()
+  | r -> Alcotest.failf "follower vacuum answered %a" Wire.pp_response r);
   (* Stats from both sides of the link. *)
   (match Client.replica_stats lcli with
   | Some s ->
@@ -288,6 +301,8 @@ let test_live_pair () =
   Client.close lcli;
   Domain.join ldom;
   Domain.join fdom;
+  Shard.Cluster.shutdown (Server.cluster lsrv);
+  Shard.Cluster.shutdown (Server.cluster fsrv);
   Durable.close leng;
   Durable.close feng;
   rm_rf dir
@@ -299,7 +314,7 @@ let test_auto_promotion () =
   let lead = Filename.concat dir "lead" in
   let fol = Filename.concat dir "fol" in
   let leng = Durable.open_ ~sync_policy:Wal.Never ~max_key:1000 ~path:lead () in
-  let lsrv = Server.create ~engine:leng ~listen:(Server.listen_unix ~path:lsock) () in
+  let lsrv = serve leng ~sock:lsock in
   let hub =
     Replica.Hub.create ~metrics:(Server.metrics lsrv) ~sync_replicas:0 ~heartbeat_s:0.01
       ~path:lead leng
@@ -311,7 +326,7 @@ let test_auto_promotion () =
     expect_ack "leader write" (Client.insert lcli ~key:i ~value:i ~at:i)
   done;
   let feng = Durable.open_ ~sync_policy:Wal.Never ~max_key:1000 ~path:fol () in
-  let fsrv = Server.create ~engine:feng ~listen:(Server.listen_unix ~path:fsock) () in
+  let fsrv = serve feng ~sock:fsock in
   let fcfg =
     { (Replica.Follower.default_config (Replica.Follower.Unix_sock lsock)) with
       Replica.Follower.heartbeat_s = 0.01;
@@ -346,6 +361,8 @@ let test_auto_promotion () =
   ignore (Client.shutdown fcli);
   Client.close fcli;
   Domain.join fdom;
+  Shard.Cluster.shutdown (Server.cluster lsrv);
+  Shard.Cluster.shutdown (Server.cluster fsrv);
   Durable.close leng;
   Durable.close feng;
   rm_rf dir
@@ -361,7 +378,7 @@ let test_park_on_refusal () =
   let lead = Filename.concat dir "lead" in
   let fol = Filename.concat dir "fol" in
   let leng = Durable.open_ ~sync_policy:Wal.Never ~max_key:1000 ~path:lead () in
-  let lsrv = Server.create ~engine:leng ~listen:(Server.listen_unix ~path:lsock) () in
+  let lsrv = serve leng ~sock:lsock in
   let hub =
     Replica.Hub.create ~metrics:(Server.metrics lsrv) ~sync_replicas:0 ~heartbeat_s:0.01
       ~path:lead leng
@@ -374,7 +391,7 @@ let test_park_on_refusal () =
      budget: were refusals still counted as unreachability, it would
      self-promote almost immediately. *)
   let feng = Durable.open_ ~sync_policy:Wal.Never ~max_key:1000 ~path:fol () in
-  let fsrv = Server.create ~engine:feng ~listen:(Server.listen_unix ~path:fsock) () in
+  let fsrv = serve feng ~sock:fsock in
   let fcfg =
     { (Replica.Follower.default_config (Replica.Follower.Unix_sock lsock)) with
       Replica.Follower.heartbeat_s = 0.01;
@@ -424,6 +441,8 @@ let test_park_on_refusal () =
   Domain.join fdom;
   Alcotest.(check bool) "promotion cleared the park" true
     (Replica.Follower.parked f = None);
+  Shard.Cluster.shutdown (Server.cluster lsrv);
+  Shard.Cluster.shutdown (Server.cluster fsrv);
   Durable.close leng;
   Durable.close feng;
   rm_rf dir

@@ -300,46 +300,51 @@ let test_adversarial_frames () =
     (Wire.decode_request ~buf:padded_ping ~pos:0 ~avail:(Bytes.length padded_ping))
     (function Wire.Bad_payload _ -> true | _ -> false)
 
-(* --- Batcher: group commit ------------------------------------------------------ *)
+(* --- Group commit on the one-shard writer ---------------------------------------- *)
 
-let test_batcher_group_commit () =
+let test_group_commit () =
   let dir = temp_dir () in
   let wal_stats = Wal.Stats.create () in
   let eng =
     Durable.open_ ~sync_policy:Wal.Never ~wal_stats ~max_key:1000
       ~path:(Filename.concat dir "wh") ()
   in
-  let bat = Batcher.create ~max_batch:4 eng in
+  let c = Shard.Cluster.create ~config:{ Shard.Cluster.default_config with max_batch = 4 } [| eng |] in
   let outcomes = Array.make 10 None in
   for i = 0 to 9 do
-    Batcher.enqueue bat
-      (Batcher.Insert { key = i; value = i + 1; at = i + 1 })
+    Shard.Cluster.submit_write c
+      (Shard.Op.Insert { key = i; value = i + 1; at = i + 1 })
       (fun o -> outcomes.(i) <- Some o)
   done;
-  Alcotest.(check int) "queued" 10 (Batcher.pending bat);
-  Alcotest.(check int) "no fsync before flush" 0 (Wal.Stats.fsyncs wal_stats);
-  Batcher.flush bat;
+  Alcotest.(check int) "queued" 10 (Shard.Cluster.pending_writes c);
+  Alcotest.(check int) "no fsync before drain" 0 (Wal.Stats.fsyncs wal_stats);
+  ignore (Shard.Cluster.drain c);
   Array.iteri
     (fun i o ->
       match o with
-      | Some Batcher.Applied -> ()
+      | Some Shard.Cluster.Applied -> ()
       | _ -> Alcotest.failf "op %d not applied" i)
     outcomes;
   (* 10 writes under max_batch 4 = 3 batches = 3 fsyncs, not 10. *)
   Alcotest.(check int) "one fsync per batch" 3 (Wal.Stats.fsyncs wal_stats);
-  Alcotest.(check int) "batches" 3 (Batcher.batches bat);
-  Alcotest.(check int) "acked" 10 (Batcher.acked bat);
+  let s = Shard.Cluster.totals c in
+  Alcotest.(check int) "batches" 3 s.Shard.Snapshot.batches;
+  Alcotest.(check int) "acked" 10 s.Shard.Snapshot.acked;
   (* A precondition violation is rejected without poisoning its batch. *)
   let r1 = ref None and r2 = ref None in
-  Batcher.enqueue bat (Batcher.Insert { key = 0; value = 5; at = 20 }) (fun o -> r1 := Some o);
-  Batcher.enqueue bat (Batcher.Insert { key = 100; value = 5; at = 21 }) (fun o -> r2 := Some o);
-  Batcher.flush bat;
+  Shard.Cluster.submit_write c (Shard.Op.Insert { key = 0; value = 5; at = 20 }) (fun o ->
+      r1 := Some o);
+  Shard.Cluster.submit_write c (Shard.Op.Insert { key = 100; value = 5; at = 21 }) (fun o ->
+      r2 := Some o);
+  ignore (Shard.Cluster.drain c);
   (match !r1 with
-  | Some (Batcher.Rejected _) -> ()
+  | Some (Shard.Cluster.Rejected _) -> ()
   | _ -> Alcotest.fail "duplicate key not rejected");
   (match !r2 with
-  | Some Batcher.Applied -> ()
+  | Some Shard.Cluster.Applied -> ()
   | _ -> Alcotest.fail "valid op after rejected one not applied");
+  Alcotest.(check int) "one more fsync" 4 (Wal.Stats.fsyncs wal_stats);
+  Shard.Cluster.shutdown c;
   Durable.close eng;
   rm_rf dir
 
@@ -350,15 +355,18 @@ let step_n srv n =
     ignore (Server.step srv ~timeout:0.05)
   done
 
-let with_server ?config ?(wal_wrap = fun f -> f) k =
+(* An in-process server over a one-shard cluster: the writer runs inline
+   on the test's domain, so single-stepping the loop is deterministic. *)
+let with_server_sock ?config ?(wal_wrap = fun f -> f) k =
   let dir = temp_dir () in
   let sock = Filename.concat dir "s.sock" in
   let eng =
     Durable.open_ ~sync_policy:Wal.Never ~wal_wrap ~max_key:1000
       ~path:(Filename.concat dir "wh") ()
   in
+  let cluster = Shard.Cluster.create [| eng |] in
   let listen = Server.listen_unix ~path:sock in
-  let srv = Server.create ?config ~engine:eng ~listen () in
+  let srv = Server.create ?config ~cluster ~listen () in
   let cli = Client.connect_unix ~path:sock () in
   Fun.protect
     ~finally:(fun () ->
@@ -368,9 +376,13 @@ let with_server ?config ?(wal_wrap = fun f -> f) k =
       while Server.step srv ~timeout:0.01 && !i < 200 do
         incr i
       done;
+      Shard.Cluster.shutdown cluster;
       Durable.close eng;
       rm_rf dir)
-    (fun () -> k srv cli eng)
+    (fun () -> k sock srv cli eng)
+
+let with_server ?config ?wal_wrap k =
+  with_server_sock ?config ?wal_wrap (fun _ srv cli eng -> k srv cli eng)
 
 let expect_ack name = function
   | Wire.Ack -> ()
@@ -404,7 +416,7 @@ let test_server_basic () =
       Alcotest.(check int) "stats updates" 2 s.Wire.updates;
       Alcotest.(check int) "stats queue drained" 0 s.Wire.queue_depth
   | r -> Alcotest.failf "stats answered %a" Wire.pp_response r);
-  (* The engine never fsynced outside the batcher: group commit owns it. *)
+  (* The engine never fsyncs outside the group commit: it owns the sync. *)
   Alcotest.(check bool) "writes acked after a batch sync" true
     (Wal.Stats.fsyncs (Durable.wal_stats eng) >= 1);
   Client.send cli Wire.Checkpoint;
@@ -466,6 +478,7 @@ let test_vacuum_over_wire () =
 
 (* Responses leave in request order even though queries complete
    immediately and writes only complete at the batch sync. *)
+
 let test_server_response_order () =
   with_server @@ fun srv cli _eng ->
   for i = 0 to 4 do
@@ -495,6 +508,70 @@ let test_server_response_order () =
   match Client.recv cli with
   | Wire.Agg { count = 5; _ } -> ()
   | r -> Alcotest.failf "final query answered %a" Wire.pp_response r
+
+(* Queries decoded in the same loop iteration as writes are answered from
+   committed state at once and do not split the writes' group commit:
+   four connections interleaving writes and queries cost one fsync. *)
+let test_queries_share_group_commit () =
+  with_server_sock @@ fun sock srv cli eng ->
+  let clients = cli :: List.init 3 (fun _ -> Client.connect_unix ~path:sock ()) in
+  step_n srv 1;
+  Alcotest.(check int) "all connected" 4 (Server.connections srv);
+  let fsyncs () = Wal.Stats.fsyncs (Durable.wal_stats eng) in
+  let before = fsyncs () in
+  List.iteri
+    (fun c cl ->
+      for j = 0 to 2 do
+        Client.send cl (Wire.Insert { key = (10 * c) + j; value = 1; at = 1 });
+        Client.send cl (Wire.Query { agg = Wire.Count; klo = 0; khi = 1000; tlo = 0; thi = 10 })
+      done)
+    clients;
+  ignore (Server.step srv ~timeout:1.0);
+  Alcotest.(check int) "one fsync for the iteration" (before + 1) (fsyncs ());
+  List.iter
+    (fun cl ->
+      for _ = 0 to 2 do
+        expect_ack "interleaved write" (Client.recv cl);
+        match Client.recv cl with
+        | Wire.Agg { count = 0; _ } -> ()
+        | r -> Alcotest.failf "query saw an unsynced write: %a" Wire.pp_response r
+      done)
+    clients;
+  Client.send cli (Wire.Query { agg = Wire.Count; klo = 0; khi = 1000; tlo = 0; thi = 10 });
+  step_n srv 2;
+  (match Client.recv cli with
+  | Wire.Agg { count = 12; _ } -> ()
+  | r -> Alcotest.failf "query after the commit answered %a" Wire.pp_response r);
+  List.iter Client.close (List.tl clients)
+
+(* [select] cannot watch a descriptor at or past FD_SETSIZE (1024): such
+   a connection is refused with a typed [Overloaded] and closed, and the
+   loop keeps serving everyone else. *)
+let test_fd_setsize () =
+  with_server_sock @@ fun sock srv cli _eng ->
+  let conns = ref [] in
+  Fun.protect ~finally:(fun () -> List.iter Client.close !conns) @@ fun () ->
+  for i = 1 to 1100 do
+    (match Client.connect_unix ~path:sock () with
+    | c -> conns := c :: !conns
+    | exception Unix.Unix_error (Unix.EMFILE, _, _) ->
+        (* A descriptor limit under 2,200 keeps every fd below
+           FD_SETSIZE here: nothing to check. *)
+        Alcotest.skip ());
+    (* Accept as we go: the listen backlog is 128. *)
+    if i mod 32 = 0 then ignore (Server.step srv ~timeout:0.0)
+  done;
+  step_n srv 2;
+  Alcotest.(check bool) "connections past the limit were not kept" true
+    (Server.connections srv < 1024);
+  (match Client.recv (List.hd !conns) with
+  | Wire.Err { code = Wire.Overloaded; _ } -> ()
+  | r -> Alcotest.failf "refused connection answered %a" Wire.pp_response r);
+  Client.send cli Wire.Ping;
+  step_n srv 2;
+  match Client.recv cli with
+  | Wire.Pong -> ()
+  | r -> Alcotest.failf "early connection answered %a" Wire.pp_response r
 
 let test_server_bad_frame_closes () =
   with_server @@ fun srv cli _eng ->
@@ -528,10 +605,10 @@ let test_admission_unit () =
   Admission.release adm;
   Alcotest.(check bool) "admit after release" true
     (Admission.admit adm ~queue_depth:0 ~write:false = Admission.Admit);
-  Admission.set_read_only adm true;
-  Alcotest.(check bool) "write rejected read-only" true
+  Admission.set_standby adm true;
+  Alcotest.(check bool) "write rejected on standby" true
     (Admission.admit adm ~queue_depth:0 ~write:true = Admission.Reject_read_only);
-  Alcotest.(check bool) "read still admitted when read-only" true
+  Alcotest.(check bool) "read still admitted on standby" true
     (Admission.admit adm ~queue_depth:0 ~write:false = Admission.Shed);
   (* in-flight is back at the cap, so the read sheds — but as load, not
      as a read-only rejection. *)
@@ -568,8 +645,8 @@ let test_admission_queue_cap () =
 
 (* Fail every WAL append after the first [ok_appends] with a permanent
    ENOSPC: the engine flips read-only mid-batch; writes are answered with
-   typed errors (engine-level first, admission-level after the health
-   hook fires) while queries on the same connection keep serving. *)
+   the engine's typed errors while queries on the same connection keep
+   serving. *)
 let failing_appends ~ok_appends file =
   let appends = ref 0 in
   { file with
@@ -604,15 +681,12 @@ let test_read_only_over_wire () =
   (match Client.recv cli with
   | Wire.Err { code = Wire.Read_only; _ } -> ()
   | r -> Alcotest.failf "post-failure write answered %a" Wire.pp_response r);
-  (* The health hook flipped the admission gate: a fresh write bounces
-     there without touching the engine, *)
+  (* A fresh write bounces off the read-only engine, *)
   Client.send cli (Wire.Insert { key = 5; value = 50; at = 5 });
   step_n srv 3;
   (match Client.recv cli with
   | Wire.Err { code = Wire.Read_only; _ } -> ()
   | r -> Alcotest.failf "gated write answered %a" Wire.pp_response r);
-  Alcotest.(check int) "rejected at the admission gate" 1
-    (Admission.rejected_read_only (Server.admission srv));
   (* ...while queries and health keep serving the acknowledged state. *)
   Client.send cli (Wire.Query { agg = Wire.Sum; klo = 0; khi = 1000; tlo = 0; thi = 100 });
   Client.send cli Wire.Health;
@@ -642,7 +716,8 @@ let test_sync_failure_acks_nothing () =
     | Wire.Err { code = Wire.Write_failed; _ } -> ()
     | r -> Alcotest.failf "unsynced insert %d answered %a" i Wire.pp_response r
   done;
-  Alcotest.(check int) "nothing acked" 0 (Batcher.acked (Server.batcher srv));
+  Alcotest.(check int) "nothing acked" 0
+    (Shard.Cluster.totals (Server.cluster srv)).Shard.Snapshot.acked;
   Alcotest.(check bool) "engine read-only" true (Durable.health eng = Durable.Read_only)
 
 (* --- Graceful drain ---------------------------------------------------------------- *)
@@ -770,8 +845,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_decoder_total;
           Alcotest.test_case "adversarial frames" `Quick test_adversarial_frames;
         ] );
-      ( "batcher",
-        [ Alcotest.test_case "group commit" `Quick test_batcher_group_commit ] );
+      ( "group commit",
+        [
+          Alcotest.test_case "one-shard writer" `Quick test_group_commit;
+          Alcotest.test_case "queries ride one fsync" `Quick test_queries_share_group_commit;
+        ] );
       ( "server",
         [
           Alcotest.test_case "basic requests" `Quick test_server_basic;
@@ -779,6 +857,7 @@ let () =
           Alcotest.test_case "bad frame closes" `Quick test_server_bad_frame_closes;
           Alcotest.test_case "graceful drain" `Quick test_graceful_drain;
           Alcotest.test_case "vacuum over the wire" `Quick test_vacuum_over_wire;
+          Alcotest.test_case "past FD_SETSIZE" `Quick test_fd_setsize;
         ] );
       ( "admission",
         [

@@ -328,13 +328,22 @@ let prop_version_skew =
 
 (* --- Live cluster round trip ------------------------------------------------------- *)
 
+let open_engines ?pool_capacity ~shards ~max_key path =
+  Array.init shards (fun i ->
+      Durable.open_ ?pool_capacity ~sync_policy:Wal.Never ~max_key
+        ~path:(Cluster.shard_path path ~shards i)
+        ())
+
+let close_cluster c engines =
+  Cluster.shutdown c;
+  Array.iter Durable.close engines
+
 let test_cluster_round_trip () =
   let dir = temp_dir () in
   let max_key = 1_000 in
-  let cfg = { Cluster.default_config with shards = 2; readers = 1; max_batch = 16 } in
-  let c =
-    Cluster.create ~config:cfg ~max_key ~path:(Filename.concat dir "wh") ()
-  in
+  let cfg = { Cluster.default_config with readers = 1; max_batch = 16 } in
+  let engines = open_engines ~shards:2 ~max_key (Filename.concat dir "wh") in
+  let c = Cluster.create ~config:cfg engines in
   let oracle = Ref.create () in
   let acked = ref 0 and rejected = ref 0 in
   for i = 0 to 499 do
@@ -384,10 +393,11 @@ let test_cluster_round_trip () =
   Cluster.await c;
   (match !cp with
   | Some (Ok ()) -> ()
-  | Some (Error e) -> Alcotest.failf "checkpoint failed: %s" (Storage.Storage_error.to_string e)
+  | Some (Error _) -> Alcotest.fail "checkpoint failed"
   | None -> Alcotest.fail "checkpoint never completed");
-  Cluster.shutdown c;
-  let c2 = Cluster.create ~config:cfg ~max_key ~path:(Filename.concat dir "wh") () in
+  close_cluster c engines;
+  let engines = open_engines ~shards:2 ~max_key (Filename.concat dir "wh") in
+  let c2 = Cluster.create ~config:cfg engines in
   let got = ref None in
   Cluster.submit_query c2 ~klo:0 ~khi:max_key ~tlo:0 ~thi:1000 (fun r -> got := Some r);
   Cluster.await c2;
@@ -398,16 +408,13 @@ let test_cluster_round_trip () =
         (Ref.rta_count oracle ~klo:0 ~khi:max_key ~tlo:0 ~thi:1000)
         count
   | _ -> Alcotest.fail "recovered query did not answer");
-  Cluster.shutdown c2;
+  close_cluster c2 engines;
   rm_rf dir
 
 let test_cluster_rejects_bad_ops () =
   let dir = temp_dir () in
-  let c =
-    Cluster.create
-      ~config:{ Cluster.default_config with shards = 3; readers = 1 }
-      ~max_key:100 ~path:(Filename.concat dir "wh") ()
-  in
+  let engines = open_engines ~shards:3 ~max_key:100 (Filename.concat dir "wh") in
+  let c = Cluster.create ~config:{ Cluster.default_config with readers = 1 } engines in
   let outcomes = ref [] in
   Cluster.submit_write c (Op.Insert { key = 5; value = 1; at = 1 }) (fun o ->
       outcomes := ("first", o) :: !outcomes);
@@ -432,7 +439,7 @@ let test_cluster_rejects_bad_ops () =
   (match !r with
   | Some (Ok (0, 0)) -> ()
   | _ -> Alcotest.fail "empty rectangle should answer (0,0)");
-  Cluster.shutdown c;
+  close_cluster c engines;
   (* Submissions after shutdown get typed refusals, not hangs. *)
   let late = ref None in
   Cluster.submit_write c (Op.Insert { key = 1; value = 1; at = 9 }) (fun o -> late := Some o);
@@ -442,11 +449,191 @@ let test_cluster_rejects_bad_ops () =
   | _ -> Alcotest.fail "write after shutdown should be rejected");
   rm_rf dir
 
+(* Shard 0 vacuumed offline, as `rta_cli vacuum --wal W.s0` does: a query
+   reaching below its horizon is answered [Below_horizon] by a writer
+   domain and by a reader domain alike, within a deadline — an escaping
+   exception would end the domain and strand the query. *)
+let test_below_horizon_answers () =
+  let dir = temp_dir () in
+  let path = Filename.concat dir "wh" and max_key = 1_000 in
+  let e0 = Durable.open_ ~max_key ~path:(path ^ ".s0") () in
+  let ok = function Ok _ -> () | Error e -> Alcotest.fail (Storage.Storage_error.to_string e) in
+  for i = 0 to 39 do
+    ok (Durable.insert e0 ~key:i ~value:(i + 1) ~at:(i + 1))
+  done;
+  for i = 0 to 19 do
+    ok (Durable.delete e0 ~key:i ~at:(50 + i))
+  done;
+  ok (Durable.vacuum e0 ~max_pages_per_step:8 ~horizon:60);
+  Durable.close e0;
+  List.iter
+    (fun readers ->
+      let engines = open_engines ~shards:2 ~max_key path in
+      let c = Cluster.create ~config:{ Cluster.default_config with readers } engines in
+      let ask ~tlo =
+        let got = ref None in
+        Cluster.submit_query c ~klo:0 ~khi:max_key ~tlo ~thi:100 (fun r -> got := Some r);
+        let deadline = Unix.gettimeofday () +. 10. in
+        while !got = None && Unix.gettimeofday () < deadline do
+          ignore (Unix.select [ Cluster.wake_fd c ] [] [] 0.05);
+          ignore (Cluster.drain c)
+        done;
+        match !got with
+        | Some r -> r
+        | None -> Alcotest.failf "readers=%d: query at tlo=%d never answered" readers tlo
+      in
+      (match ask ~tlo:10 with
+      | Error (Cluster.Below_horizon { horizon = 60; _ }) -> ()
+      | _ -> Alcotest.failf "readers=%d: below-horizon query not refused" readers);
+      (match ask ~tlo:70 with
+      | Ok (sum, count) ->
+          (* Alive at some instant of [70,100): keys 20..39. *)
+          Alcotest.(check int) "count above the horizon" 20 count;
+          Alcotest.(check int) "sum above the horizon" (20 * (21 + 40) / 2) sum
+      | Error _ -> Alcotest.failf "readers=%d: query above the horizon refused" readers);
+      close_cluster c engines)
+    [ 0; 1 ];
+  rm_rf dir
+
+(* --- Served clusters ---------------------------------------------------------------- *)
+
+(* An in-process server over a cluster, its loop on its own domain so the
+   client can block on replies. *)
+let with_served ?pool_capacity ~shards ~readers ~max_key k =
+  let dir = temp_dir () in
+  let engines = open_engines ?pool_capacity ~shards ~max_key (Filename.concat dir "wh") in
+  let cluster = Cluster.create ~config:{ Cluster.default_config with readers } engines in
+  let sock = Filename.concat dir "s.sock" in
+  let srv = Server.create ~cluster ~listen:(Server.listen_unix ~path:sock) () in
+  let loop = Domain.spawn (fun () -> while Server.step srv ~timeout:0.05 do () done) in
+  let cli = Client.connect_unix ~timeout:10.0 ~path:sock () in
+  Fun.protect
+    ~finally:(fun () ->
+      (try ignore (Client.shutdown cli) with _ -> Server.request_shutdown srv);
+      Client.close cli;
+      Domain.join loop;
+      close_cluster cluster engines;
+      rm_rf dir)
+    (fun () -> k cli)
+
+(* Send [reqs] pipelined 64 deep; every one must be acknowledged. *)
+let send_acked cli reqs =
+  let rec go = function
+    | [] -> ()
+    | reqs ->
+        let now = List.filteri (fun i _ -> i < 64) reqs in
+        List.iter (Client.send cli) now;
+        List.iter
+          (fun _ ->
+            match Client.recv cli with
+            | Wire.Ack -> ()
+            | r -> Alcotest.failf "write answered %a" Wire.pp_response r)
+          now;
+        go (List.filteri (fun i _ -> i >= 64) reqs)
+  in
+  go reqs
+
+(* 450 distinct keys spread over the whole domain: 300 inserts at times
+   1..300, the first 150 deleted at 301..450, 150 more inserted at
+   451..600 — every shard's clock passes 400. *)
+let vacuum_workload ~max_key oracle =
+  let key i = i * 7919 mod max_key in
+  List.init 300 (fun i -> `Ins (key i, i + 1, i + 1))
+  @ List.init 150 (fun i -> `Del (key i, 301 + i))
+  @ List.init 150 (fun i -> `Ins (key (300 + i), i + 7, 451 + i))
+  |> List.map (function
+       | `Ins (key, value, at) ->
+           Ref.insert oracle ~key ~value ~at;
+           Wire.Insert { key; value; at }
+       | `Del (key, at) ->
+           Ref.delete oracle ~key ~at;
+           Wire.Delete { key; at })
+
+let vacuum_probes ~max_key =
+  List.concat_map
+    (fun (klo, khi) ->
+      List.map (fun (tlo, thi) -> (klo, khi, tlo, thi))
+        [ (400, 450); (400, 1000); (420, 601); (500, 700); (0, 1000); (100, 500); (399, 400) ])
+    [ (0, max_key); (0, 1000); (950, 2050); (1999, 2001); (2500, max_key) ]
+
+let check_above_horizon ~what ~horizon oracle answer =
+  List.iter
+    (fun (klo, khi, tlo, thi) ->
+      match answer ~klo ~khi ~tlo ~thi with
+      | `Agg (sum, count) when tlo >= horizon ->
+          let esum = Ref.rta_sum oracle ~klo ~khi ~tlo ~thi in
+          let ecount = Ref.rta_count oracle ~klo ~khi ~tlo ~thi in
+          if sum <> esum || count <> ecount then
+            Alcotest.failf "%s [%d,%d)x[%d,%d): got (%d,%d) want (%d,%d)" what klo khi tlo
+              thi sum count esum ecount
+      | `Below when tlo < horizon -> ()
+      | `Agg _ -> Alcotest.failf "%s [%d,%d)x[%d,%d): answered below the horizon" what klo khi tlo thi
+      | `Below -> Alcotest.failf "%s [%d,%d)x[%d,%d): refused above the horizon" what klo khi tlo thi
+      | `Other r -> Alcotest.failf "%s: query answered %a" what Wire.pp_response r)
+    (vacuum_probes ~max_key:3_000)
+
+let wire_answer cli ~klo ~khi ~tlo ~thi =
+  match Client.query cli ~agg:Wire.Sum ~klo ~khi ~tlo ~thi with
+  | Wire.Agg { sum; count } -> `Agg (sum, count)
+  | Wire.Err { code = Wire.Below_horizon; _ } -> `Below
+  | r -> `Other r
+
+(* Vacuum on a live server: the horizon takes on every shard, answers
+   above it match the oracle exactly, and queries reaching below it are
+   refused — whether writer domains, the one-shard inline writer or
+   reader domains serve them. *)
+let test_live_vacuum () =
+  let max_key = 3_000 in
+  List.iter
+    (fun (shards, readers) ->
+      with_served ~shards ~readers ~max_key @@ fun cli ->
+      let oracle = Ref.create () in
+      send_acked cli (vacuum_workload ~max_key oracle);
+      (match Client.vacuum ~max_pages_per_step:4 cli ~horizon:400 with
+      | Wire.Vacuum_reply { v_horizon; v_steps; _ } ->
+          Alcotest.(check int) "horizon took" 400 v_horizon;
+          Alcotest.(check bool) "every shard stepped" true (v_steps >= shards)
+      | r -> Alcotest.failf "vacuum answered %a" Wire.pp_response r);
+      (match Client.stats cli with
+      | Some s -> Alcotest.(check int) "stats horizon" 400 s.Wire.horizon
+      | None -> Alcotest.fail "stats");
+      check_above_horizon
+        ~what:(Printf.sprintf "shards=%d readers=%d" shards readers)
+        ~horizon:400 oracle (wire_answer cli);
+      (* Writes go on above the horizon. *)
+      send_acked cli [ Wire.Insert { key = 2999; value = 5; at = 700 } ])
+    [ (3, 0); (3, 2); (1, 2) ]
+
+(* Page reads under query-only traffic show up in the per-shard rows at
+   once: the rows read each engine's live counters, not the stats a
+   writer domain publishes after a batch. *)
+let test_live_shard_io () =
+  let max_key = 100_000 in
+  with_served ~pool_capacity:2 ~shards:2 ~readers:0 ~max_key @@ fun cli ->
+  send_acked cli
+    (List.init 2000 (fun i -> Wire.Insert { key = i * 7919 mod max_key; value = 1; at = i + 1 }));
+  let reads () =
+    match Client.shard_stats cli with
+    | Some rows -> List.fold_left (fun n r -> n + r.Wire.s_io_reads) 0 rows
+    | None -> Alcotest.fail "shard stats"
+  in
+  let before = reads () in
+  for i = 0 to 49 do
+    match Client.query cli ~agg:Wire.Count ~klo:(i * 1000) ~khi:max_key ~tlo:(i * 10) ~thi:2001 with
+    | Wire.Agg _ -> ()
+    | r -> Alcotest.failf "query answered %a" Wire.pp_response r
+  done;
+  let after = reads () in
+  if after <= before then
+    Alcotest.failf "query-only traffic read no pages: %d before, %d after" before after
+
+
+
 (* --- Kill -9 a multi-shard serve --------------------------------------------------- *)
 
 let exe = "../bin/rta_cli.exe"
 
-(* PR-5's zero-acked-but-lost contract, now per shard: burst pipelined
+(* The zero-acked-but-lost contract, per shard: burst pipelined
    writes at `serve --shards 3`, SIGKILL mid-stream, recover each
    shard's independent WAL in-process, and require
        acked_s <= recovered_s <= issued_s
@@ -455,6 +642,8 @@ let exe = "../bin/rta_cli.exe"
 let test_kill_sharded_server_recovers () =
   if not (Sys.file_exists exe) then Alcotest.skip ()
   else begin
+    (* A send after the kill must fail with EPIPE, not end the test. *)
+    Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
     let dir = temp_dir () in
     let sock = Filename.concat dir "s.sock" in
     let prefix = Filename.concat dir "wh" in
@@ -555,6 +744,64 @@ let test_kill_sharded_server_recovers () =
     rm_rf dir
   end
 
+
+(* The vacuum ack is a durability claim too: kill -9 a 3-shard serve right
+   after it, and recovering each shard's WAL in-process restores the
+   horizon on every shard, with the oracle's answers above it. *)
+let test_kill_after_vacuum () =
+  if not (Sys.file_exists exe) then Alcotest.skip ()
+  else begin
+    Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+    let dir = temp_dir () in
+    let sock = Filename.concat dir "s.sock" in
+    let prefix = Filename.concat dir "wh" in
+    let max_key = 3_000 and shards = 3 in
+    let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+    let pid =
+      Unix.create_process exe
+        [| exe; "serve"; "--wal"; prefix; "--socket"; sock; "--max-key";
+           string_of_int max_key; "--shards"; string_of_int shards; "--readers"; "1" |]
+        Unix.stdin null null
+    in
+    Unix.close null;
+    let rec connect n =
+      match Client.connect_unix ~timeout:10.0 ~path:sock () with
+      | cli -> cli
+      | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT), _, _) when n < 100 ->
+          Unix.sleepf 0.05;
+          connect (n + 1)
+    in
+    let cli = connect 0 in
+    let oracle = Ref.create () in
+    send_acked cli (vacuum_workload ~max_key oracle);
+    (match Client.vacuum ~max_pages_per_step:4 cli ~horizon:400 with
+    | Wire.Vacuum_reply { v_horizon = 400; _ } -> ()
+    | r -> Alcotest.failf "vacuum answered %a" Wire.pp_response r);
+    Unix.kill pid Sys.sigkill;
+    ignore (Unix.waitpid [] pid);
+    Client.close cli;
+    let engines =
+      Array.init shards (fun i ->
+          Durable.open_ ~max_key ~path:(Cluster.shard_path prefix ~shards i) ())
+    in
+    Array.iteri
+      (fun i eng ->
+        Alcotest.(check int) (Printf.sprintf "shard %d horizon recovered" i) 400
+          (Durable.horizon eng))
+      engines;
+    let router = Router.create ~shards ~max_key () in
+    check_above_horizon ~what:"recovered" ~horizon:400 oracle (fun ~klo ~khi ~tlo ~thi ->
+        match
+          Plan.query router
+            (fun ~shard ~klo ~khi -> Durable.sum_count engines.(shard) ~klo ~khi ~tlo ~thi)
+            ~klo ~khi
+        with
+        | sc -> `Agg sc
+        | exception Mvsbt.Below_horizon _ -> `Below);
+    Array.iter Durable.close engines;
+    rm_rf dir
+  end
+
 (* --- Suite ------------------------------------------------------------------------- *)
 
 let () =
@@ -580,10 +827,15 @@ let () =
         [
           Alcotest.test_case "round trip + recovery" `Quick test_cluster_round_trip;
           Alcotest.test_case "typed rejections" `Quick test_cluster_rejects_bad_ops;
+          Alcotest.test_case "below-horizon answers" `Quick test_below_horizon_answers;
+          Alcotest.test_case "live vacuum at every shard and reader count" `Quick
+            test_live_vacuum;
+          Alcotest.test_case "live shard I/O counters" `Quick test_live_shard_io;
         ] );
       ( "crash",
         [
           Alcotest.test_case "kill -9 multi-shard serve" `Quick
             test_kill_sharded_server_recovers;
+          Alcotest.test_case "kill -9 after a vacuum ack" `Quick test_kill_after_vacuum;
         ] );
     ]

@@ -635,6 +635,34 @@ let test_tail_corrupt_record () =
   Wal.Tail.close tail;
   cleanup prefix
 
+(* The log's one-process guard lives on [<wal>.lock]: closing another
+   descriptor of the log in the same process — a replication tail, scrub —
+   must not release it, so a second process still cannot open the live
+   warehouse. *)
+let test_guard_survives_reader_close () =
+  let prefix = temp_prefix () in
+  let eng = Durable.open_ ~max_key:100 ~path:prefix () in
+  ok (Durable.insert eng ~key:1 ~value:1 ~at:1);
+  let reader = Storage.Vfs.os.Storage.Vfs.v_open `Reopen (Durable.wal_path prefix) in
+  reader.Storage.Vfs.f_close ();
+  (match Unix.fork () with
+  | 0 ->
+      let code =
+        match Durable.open_ ~max_key:100 ~path:prefix () with
+        | _ -> 1
+        | exception Failure _ -> 0
+      in
+      Unix._exit code
+  | pid -> (
+      match Unix.waitpid [] pid with
+      | _, Unix.WEXITED 0 -> ()
+      | _, Unix.WEXITED _ -> Alcotest.fail "a second process opened the live warehouse"
+      | _ -> Alcotest.fail "child died"));
+  Durable.close eng;
+  (* Closing the engine releases the guard. *)
+  Durable.close (Durable.open_ ~max_key:100 ~path:prefix ());
+  cleanup prefix
+
 let () =
   Alcotest.run "wal"
     [
@@ -654,6 +682,8 @@ let () =
       ( "durable-engine",
         [
           Alcotest.test_case "checkpoint lifecycle" `Quick test_durable_checkpoint_lifecycle;
+          Alcotest.test_case "guard survives a reader's close" `Quick
+            test_guard_survives_reader_close;
           Alcotest.test_case "auto checkpoint" `Quick test_durable_auto_checkpoint;
           Alcotest.test_case "checkpoint atomicity" `Quick test_durable_checkpoint_atomicity;
           Alcotest.test_case "empty/garbage/truncated logs" `Quick
