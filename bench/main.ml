@@ -1301,7 +1301,8 @@ let vacuum_churn () =
 (* Everything above charges the paper's simulated 10 ms per I/O.  This
    experiment drops the cost model entirely: the same warehouse is built
    over each page backend — [memory] (heap pages) and [mmap] (zero-copy
-   mapped arena, its page files on real disk) — and the Figure-4b QRS
+   mapped overlay files on real disk, which hold every page, since no
+   checkpoint is taken) — and the Figure-4b QRS
    sweep plus a cold-cache point-query panel are timed with the wall
    clock.
 
@@ -1317,7 +1318,7 @@ let store_disk () =
   let dir = Filename.temp_file "rta-bench-store" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o755;
-  Printf.printf "records=%d b=%d buffer=64; mmap page files under %s\n" spec.n_records
+  Printf.printf "records=%d b=%d buffer=64; mmap overlay files under %s\n" spec.n_records
     mvsbt_b dir;
   let qrs_list = [ 0.0001; 0.001; 0.01; 0.1; 1.0 ] in
   let point_queries = if smoke then 50 else 200 in

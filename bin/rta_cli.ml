@@ -159,10 +159,11 @@ let store_conv =
 let store_term =
   let doc =
     "Page backend for the durable engine's working set: $(b,memory) (in-heap, the \
-     default) or $(b,mmap) (CRC-framed page files in a memory-mapped arena, zero-copy \
-     codecs; falls back to pages in RAM where mapping is unavailable, or when \
-     RTA_FORCE_NO_MMAP=1).  The page files are a cache that every open rebuilds from \
-     the checkpoint and the log.  $(b,file) is another name for $(b,mmap)."
+     default) or $(b,mmap) (CRC-framed pages read in place from the committed \
+     checkpoint, mapped read-only, and the pages written since in a memory-mapped \
+     overlay, zero-copy codecs; falls back to RAM images where mapping is \
+     unavailable, or when RTA_FORCE_NO_MMAP=1).  The overlays are a cache that every \
+     open and checkpoint empties.  $(b,file) is another name for $(b,mmap)."
   in
   Arg.(value & opt store_conv Storage.Store_kind.Memory & info [ "store" ] ~doc)
 
@@ -1312,7 +1313,7 @@ let profile_impl verbosity spec (config, buffer) input n_queries qrs store slack
           Rta.create_durable ~config ~pool_capacity:buffer ~stats ~telemetry:tracer
             ~max_key:spec.Workload.Generator.max_key ~path:(Filename.concat dir "wh") ()
         in
-        (* The page files are a cache of this run: they go when it ends. *)
+        (* The overlay files are a cache of this run: they go when it ends. *)
         at_exit (fun () ->
             Rta.close rta;
             Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);

@@ -147,11 +147,12 @@ let gen_prefix path gen = Printf.sprintf "%s.ckpt-%d" path gen
 let snapshot_exts = List.map fst Rta.snapshot_files
 let wal_path path = path ^ ".wal"
 
-(* Prefix under which an [Mmap] engine keeps its page-file working
-   set ([<p>.store.lkst.pages] etc.).  The page files are a cache, never
-   a recovery source — snapshot + WAL are; they are rebuilt here on every
-   open, which is also what makes switching [store] kinds between runs
-   safe. *)
+(* Prefix under which an [Mmap] engine keeps its overlays
+   ([<p>.store.lkst.pages] etc.): the pages written since the committed
+   checkpoint, which holds the rest.  The overlays are a cache, never a
+   recovery source — snapshot + WAL are; every open starts them empty,
+   and every checkpoint empties them, which is also what makes switching
+   [store] kinds between runs safe. *)
 let store_prefix path = path ^ ".store"
 
 let fsync_dir_of vfs p = vfs.Storage.Vfs.v_sync_dir (Filename.dirname p)
@@ -247,7 +248,7 @@ let apply_record rta rd =
     | x -> failwith (Printf.sprintf "Durable: unknown WAL opcode %d" x)
 
 (* [f ()], but an exception out of it first runs [release] (best effort)
-   so a failed open gives back the log and page files it had opened. *)
+   so a failed open gives back the log and the files it had opened. *)
 let release_on_error release f =
   match f () with
   | v -> v
@@ -289,8 +290,8 @@ let open_ ?config ?pool_capacity ?stats ?(sync_policy = Wal.Every_n 32)
     @@ fun () ->
     (* The log is opened first: under [Vfs.os] that takes its lock, so a
        second process opening a live warehouse is rejected before it reads
-       the pointer, clears a generation or rebuilds the page files the
-       live engine runs over. *)
+       the pointer, clears a generation or empties the overlays the live
+       engine runs over. *)
     let wal =
       Wal.open_log ~policy:sync_policy ?stats:wal_stats ~telemetry
         ~path:(wal_path path)
@@ -298,13 +299,12 @@ let open_ ?config ?pool_capacity ?stats ?(sync_policy = Wal.Every_n 32)
     in
     release_on_error (fun () -> Wal.close wal) @@ fun () ->
     let pointer = read_pointer vfs path in
-    (* With a page-file backend the working set is built straight into
-       fresh page files, and replay and every later page touch run over
-       {e those}: a mapped access, not a heap lookup.  Rebuilt on every
-       open from snapshot + WAL — the page files are a cache, never a
-       recovery source.  Every checkpoint chunk read on the way is
-       verified against its CRC under either store; a mismatch fails the
-       open before the log is replayed or truncated. *)
+    (* With a page-file backend the trees read their pages from the
+       committed checkpoint itself, and replay and every later page touch
+       run over it and the overlays: a mapped access, not a heap lookup.
+       Every checkpoint chunk read on the way is verified against its CRC
+       under either store; a mismatch fails the open before the log is
+       replayed or truncated. *)
     let ckpt_gen, rta =
       match pointer with
       | Some gen ->
@@ -314,8 +314,8 @@ let open_ ?config ?pool_capacity ?stats ?(sync_policy = Wal.Every_n 32)
             | Storage.Store_kind.Memory ->
                 Rta.load ?pool_capacity ~stats ~telemetry ~vfs ~path:snapshot ()
             | Mmap ->
-                (* Snapshot chunks are framed into the page files as
-                   they are read, never decoded. *)
+                (* Snapshot chunks are verified as they are read, never
+                   decoded, and no page is written. *)
                 Rta.load_durable ?pool_capacity ~stats ~telemetry ~vfs
                   ~backing:arena_backing ~snapshot ~path:(store_prefix path) () )
       | None ->
@@ -498,10 +498,10 @@ let checkpoint t =
       let prefix = gen_prefix t.path gen in
       match
         Storage.Page_store.protect (fun () ->
-            (* A page-file working set hands each page over as its stored
-               frame, written back from the pool first; the snapshot is
-               the durable copy, the page files stay a cache. *)
-            Rta.save ~vfs:t.vfs t.rta ~path:prefix;
+            (* A page-file tree hands each page over as its stored frame,
+               written back from the pool first, and notes where in the
+               new file each frame goes. *)
+            let rebase = Rta.save_staged ~vfs:t.vfs t.rta ~path:prefix in
             (* Force the snapshot files (and the new directory entries) to
                the platter before the pointer can name them, and the
                pointer before the WAL — the log records may only be
@@ -509,26 +509,45 @@ let checkpoint t =
                them. *)
             List.iter (fun ext -> Storage.Vfs.sync_path t.vfs (prefix ^ ext)) snapshot_exts;
             fsync_dir_of t.vfs t.path;
-            write_pointer t.vfs t.path gen)
+            write_pointer t.vfs t.path gen;
+            rebase)
       with
       | Error e ->
           (* The pointer still names the previous generation, which is
-             untouched; this attempt's files are stale leftovers swept on
-             the next open.  The WAL still holds every update, so the
-             engine keeps accepting writes — degraded, not read-only.
-             That holds for a working-set page failing its checksum too:
-             the next open rebuilds the working set from snapshot + WAL. *)
+             untouched, and so are the trees' bases and overlays; this
+             attempt's files are stale leftovers swept on the next open.
+             The WAL still holds every update, so the engine keeps
+             accepting writes — degraded, not read-only.  That holds for
+             a page failing its checksum too: one in an overlay is
+             rebuilt by the next open from snapshot + WAL, one in the
+             committed checkpoint is what scrub repairs. *)
           t.ckpt_failed <- true;
           t.last_error <- Some e;
           if t.io_health <> Read_only then t.io_health <- Degraded;
           publish t;
           Error e
-      | Ok () ->
+      | Ok rebase ->
           let old = t.ckpt_gen in
           t.ckpt_gen <- gen;
           t.since_ckpt <- 0;
           t.n_ckpts <- t.n_ckpts + 1;
-          t.ckpt_failed <- false;
+          (* The trees move onto the new generation before the old one is
+             removed, so no tree maps a deleted file.  One that cannot
+             move keeps its old base and overlay, which still hold every
+             page: the checkpoint counts, and the engine stays degraded
+             until one moves it. *)
+          t.ckpt_failed <-
+            (match rebase () with
+            | () -> false
+            | exception Storage.Arena.Unavailable msg ->
+                t.last_error <-
+                  Some
+                    (E.v ~op:E.Open ~path:prefix
+                       ~detail:("the trees stay on the previous checkpoint: " ^ msg)
+                       (E.Errno "map_file"));
+                if t.io_health <> Read_only then t.io_health <- Degraded;
+                publish t;
+                true);
           (* Pointer durable: every log record is now redundant.  A failed
              truncation costs space, not correctness — replay seq-skips
              covered records — so the checkpoint still counts. *)
@@ -769,7 +788,7 @@ let set_phase_cell t c = t.phase_cell <- c
 let close t =
   (* Best effort: a failing final fsync must not prevent releasing the
      files — whatever the log already holds is what recovery will see.
-     The page-file working set is a cache and is dropped as it is. *)
+     The overlays are a cache and are dropped as they are. *)
   (match Wal.sync t.wal with Ok () -> () | Error _ -> ());
   Wal.close t.wal;
   try Rta.close t.rta with E.Io _ -> ()

@@ -29,8 +29,9 @@
       never a mix, and never discards log records whose effects are not
       yet durable;
     - under [store = Mmap], [p.store.lkst.pages] and [p.store.lklt.pages]
-      — the page files, a cache of the running engine's pages that every
-      open rebuilds and nothing reads back.
+      — the overlays: the pages the running engine wrote since the
+      committed checkpoint, which holds the rest.  A cache that every
+      open and every checkpoint empties and nothing reads back.
 
     Checkpoint and log are the one recovery source, and both are
     checksummed: a checkpoint chunk that fails its CRC fails the open
@@ -123,17 +124,19 @@ val open_ :
 
     [store] (default [Memory]) picks where the warehouse's MVSBT pages
     live while the engine runs.  [Memory] is the original in-heap
-    warehouse.  [Mmap] runs over page files under [path ^ ".store"], so
-    every page touch is a genuine mapped access with zero-copy codecs
-    ([arena_backing] as in {!Storage.Arena.create}; pass [`Buffered]
-    under a synthetic [vfs], where the pages stay in RAM).  The page
-    files are a {e cache}, rebuilt on every open: the checkpoint's
-    verified page frames are copied into them as they are
-    ({!Rta.load_durable}), never decoded into the heap, then the WAL tail
-    replays over them.  Every {!checkpoint} copies their stored frames
-    into the snapshot.  They are never themselves a recovery source,
-    which is also why switching
-    [store] between runs is always safe.  [telemetry] (default {!Telemetry.Tracer.noop})
+    warehouse.  [Mmap] reads each page from the committed checkpoint
+    itself, mapped read-only, unless it was written since, in which case
+    it is in an overlay under [path ^ ".store"]; every page touch is a
+    genuine mapped access with zero-copy codecs ([arena_backing] as in
+    {!Storage.Arena.create}; a mapped store reads its checkpoint through
+    the OS, so pass [`Buffered] under a synthetic [vfs], where the
+    checkpoint's frames are copied into a RAM image as the open verifies
+    them and the overlay stays in RAM).  The open verifies every chunk
+    and writes no page ({!Rta.load_durable}), then the WAL tail replays
+    into the overlay.  Every {!checkpoint} copies the stored frames into
+    the next generation and then moves the trees onto it, emptying the
+    overlays.  The overlays are a {e cache}, never a recovery source,
+    which is also why switching [store] between runs is always safe.  [telemetry] (default {!Telemetry.Tracer.noop})
     attaches a tracer to the whole stack: the engine emits
     [durable.recover] / [durable.insert] / [durable.delete] /
     [durable.checkpoint] spans and [durable.health] transition events,
@@ -164,8 +167,8 @@ val open_ :
     through the shipped WAL and must not invent their own.
     The log is opened first, so under {!Storage.Vfs.os} its lock rejects
     a second process before it reads the checkpoint pointer, clears a
-    generation or touches the page files of an engine already running
-    on [path].  A failed open closes the log and page files it opened,
+    generation or touches the overlays of an engine already running on
+    [path].  A failed open closes the log and overlays it opened,
     and leaves the checkpoint and the log as it found them.
     @raise Failure if another process holds the log, an existing
     checkpoint disagrees with [max_key], or a snapshot file is malformed
@@ -207,10 +210,17 @@ val checkpoint : t -> (unit, Storage.Storage_error.t) result
     previously committed checkpoint and the full WAL are intact — no
     acknowledged update is at risk — and the engine degrades to
     [Degraded] but keeps accepting updates; a failed attempt's
-    generation number is never reused.  A working-set page that fails
-    its checksum is such an error ([Checksum_mismatch]; the next open
-    rebuilds the working set).  Refused with [Read_only_store] when the
-    engine is [Read_only]. *)
+    generation number is never reused.  A stored page that fails its
+    checksum is such an error ([Checksum_mismatch]; the next open
+    rebuilds a page of the overlay, and {!scrub} repairs one of the
+    committed checkpoint).  Under [Mmap], once the new pointer is
+    durable the trees move onto the new generation — its files become
+    their bases, the overlays are emptied and the old mappings released
+    — before the old generation is removed; a tree that cannot be moved
+    stays on its old base and overlay, which still hold every page, and
+    the engine stays [Degraded] (with {!last_error} saying why) until a
+    later checkpoint moves it.  The checkpoint itself still counts.
+    Refused with [Read_only_store] when the engine is [Read_only]. *)
 
 (** {2 Vacuum (crash-safe retention)}
 
@@ -338,8 +348,8 @@ val set_phase_cell : t -> Telemetry.Phases.cell option -> unit
     clears it after; [None] (the default) costs one comparison. *)
 
 val close : t -> unit
-(** Fsync the log (best effort), then release the log and the page files
-    (descriptors and mappings); no checkpoint is taken.  Never raises a
+(** Fsync the log (best effort), then release the log, the overlays and
+    the checkpoint mappings; no checkpoint is taken.  Never raises a
     typed I/O error: whatever the log already holds is what recovery will
     see. *)
 

@@ -149,7 +149,7 @@ end
 
 (* A snapshot ({!Make.Persist.save}) is this magic, then {!Chunks}: the
    state, the page count, then one chunk per page — the page's frame
-   exactly as a page file's block carries it. *)
+   exactly as a durable tree stores it, and reads it in place. *)
 let snapshot_magic = "MVSBT-SNAPSHOT-3"
 
 module Make (G : Aggregate.Group.S) = struct
@@ -176,6 +176,19 @@ module Make (G : Aggregate.Group.S) = struct
 
   module Pool = Storage.Buffer_pool.Make (Store)
 
+  (* A save of a page-file tree stages the base it writes: each frame at
+     its offset in the file, then, once the file is durable, the move of
+     the tree onto it. *)
+  type staging = {
+    add : Storage.Page_id.t -> offset:int -> bytes -> unit;
+    commit : unit -> unit;
+  }
+
+  type frames = {
+    frame : Storage.Page_id.t -> bytes; (* a page's stored frame, CRC-checked *)
+    stage : string -> staging; (* the base a save to this file builds *)
+  }
+
   (* The tree is agnostic to where its pages live; a backend bundles the
      operations of one buffer-pooled page store (in-memory by default, a
      real file through {!Durable}). *)
@@ -188,8 +201,7 @@ module Make (G : Aggregate.Group.S) = struct
     b_list : unit -> Storage.Page_id.t list;
     b_live : unit -> int;
     b_drop : unit -> unit;
-    b_frame : (Storage.Page_id.t -> bytes) option;
-        (* [Some] on a page file: a page's stored frame, CRC-checked *)
+    b_frames : frames option; (* [Some] on a page file *)
     b_close : unit -> unit;
   }
 
@@ -207,7 +219,7 @@ module Make (G : Aggregate.Group.S) = struct
         b_list = (fun () -> Pool.flush pool; Store.ids store);
         b_live = (fun () -> Store.live_pages store);
         b_drop = (fun () -> Pool.drop_cache pool);
-        b_frame = None;
+        b_frames = None;
         b_close = ignore;
       } )
 
@@ -909,7 +921,7 @@ module Make (G : Aggregate.Group.S) = struct
 
   (* Binary layout of records and pages, written once over the shared
      reader/writer signature.  Snapshots apply it to [bytes]
-     ({!Storage.Codec}) and the durable tree to its mapped page file
+     ({!Storage.Codec}) and the durable tree to its mappings
      ({!Storage.Zcodec}); the two instances write the same bytes. *)
   module Record_codec
       (V : VALUE_CODEC)
@@ -1039,14 +1051,14 @@ module Make (G : Aggregate.Group.S) = struct
   let corrupt_page_chunk path =
     failwith (Printf.sprintf "Mvsbt.Persist: %s: corrupt page chunk" path)
 
-  (* Stream the snapshot at [path]: [k] gets its state and a function
-     that feeds each verified page frame to a consumer, as a slice of a
-     reused buffer valid only during the call.  A short, misframed,
-     overlong or checksum-failing file fails. *)
+  (* Stream the snapshot at [path]: [k] gets its state, the file's size
+     and a function that feeds each verified page frame to a consumer, as
+     a slice of a reused buffer valid only during the call.  A short,
+     misframed, overlong or checksum-failing file fails. *)
   let with_snapshot ~vfs ~path k =
     Chunks.with_file vfs ~path ~magic:snapshot_magic @@ fun rd ->
     let st = decode_state ~who:"Mvsbt.Persist.load" (Chunks.chunk rd) in
-    k st (fun page ->
+    k st rd.Chunks.size (fun page ->
         let n_pages = Storage.Codec.Reader.i32 (Chunks.chunk rd) in
         for _ = 1 to n_pages do
           page (Chunks.frame rd)
@@ -1137,11 +1149,30 @@ module Make (G : Aggregate.Group.S) = struct
             Mmap_store.written_ids store);
         b_live = (fun () -> Mmap_store.live_pages store);
         b_drop = (fun () -> Mmap_pool.drop_cache pool);
-        b_frame =
+        b_frames =
           Some
-            (fun pid ->
-              Mmap_pool.clean pool pid;
-              Mmap_store.read_frame store pid);
+            {
+              frame =
+                (fun pid ->
+                  Mmap_pool.clean pool pid;
+                  Mmap_store.read_frame store pid);
+              stage =
+                (fun file ->
+                  let staged = Mmap_store.stage store ~file () in
+                  {
+                    add =
+                      (fun pid ~offset frame ->
+                        ignore
+                          (Mmap_store.stage_frame staged pid ~offset frame ~pos:0
+                             ~len:(Bytes.length frame)));
+                    (* Pages the new base left out leave the pool too, so a
+                       dirty one is never written back into the store. *)
+                    commit =
+                      (fun () ->
+                        Mmap_store.rebase store staged;
+                        Mmap_pool.retain pool (Mmap_store.mem store));
+                  });
+            };
         b_close = (fun () -> Mmap_store.close store);
       }
 
@@ -1165,10 +1196,10 @@ module Make (G : Aggregate.Group.S) = struct
     (* A page chunk's structure, checked without building the page: a
        level, a record count within [b], child flags of 0 or 1, and
        records that fill the chunk exactly.  {!of_snapshot} runs it before
-       it copies a frame into a page file; {!Persist.load}, which decodes
-       every page anyway, holds the decoded page to the same level, count
-       and length rule.  The CRC only catches bit rot; these rules check
-       input from outside the program. *)
+       it stages a frame into a base; {!Persist.load}, which decodes every
+       page anyway, holds the decoded page to the same level, count and
+       length rule.  The CRC only catches bit rot; these rules check input
+       from outside the program. *)
     let check_page_chunk ~b ~path (f : Chunks.frame) =
       let module R = Storage.Codec.Reader in
       let pos = f.pos + Chunks.frame_bytes in
@@ -1203,27 +1234,30 @@ module Make (G : Aggregate.Group.S) = struct
       in
       if not well_formed then corrupt_page_chunk path
 
-    (* Build a page file at [path] from a {!Persist} snapshot without
-       decoding a page: each verified chunk frame already is the page's
-       block frame, CRC included, so it is copied into the block of its
-       id as is — one charged write per page.  The snapshot's config
-       sizes the pages. *)
+    (* Open a tree over a {!Persist} snapshot without decoding a page:
+       each verified chunk frame already is the page's frame, CRC
+       included, so the base records where it is — mapped, or copied
+       into a RAM image — and the overlay at [path] starts empty.  The
+       snapshot's config sizes the pages. *)
     let of_snapshot ?(pool_capacity = 64) ?stats ?(vfs = Storage.Vfs.os)
         ?(backing = `Auto) ~snapshot ~path () =
       let io_stats = match stats with Some s -> s | None -> Storage.Io_stats.create () in
-      with_snapshot ~vfs ~path:snapshot @@ fun st pages ->
+      with_snapshot ~vfs ~path:snapshot @@ fun st size pages ->
       let store =
         Mmap_store.create ~stats:io_stats ~page_size:(page_size_for st.s_cfg) ~backing ~path ()
       in
       (try
+         let staged = Mmap_store.stage store ~file:snapshot ~size () in
          pages (fun f ->
              check_page_chunk ~b:st.s_cfg.b ~path:snapshot f;
-             let pid =
-               Storage.Page_id.of_int
-                 (Int64.to_int (Bytes.get_int64_le f.buf (f.pos + Chunks.frame_bytes)))
-             in
-             Mmap_store.install_raw store pid f.buf ~pos:f.pos
-               ~len:(Chunks.frame_bytes + f.len))
+             let id = Int64.to_int (Bytes.get_int64_le f.buf (f.pos + Chunks.frame_bytes)) in
+             if
+               id < 0
+               || not
+                    (Mmap_store.stage_frame staged (Storage.Page_id.of_int id)
+                       ~offset:f.offset f.buf ~pos:f.pos ~len:(Chunks.frame_bytes + f.len))
+             then corrupt_page_chunk snapshot);
+         Mmap_store.rebase store staged
        with e ->
          Mmap_store.close store;
          raise e);
@@ -1238,9 +1272,18 @@ module Make (G : Aggregate.Group.S) = struct
   module Persist (V : VALUE_CODEC) = struct
     include Record_codec (V) (Storage.Codec.Reader) (Storage.Codec.Writer)
 
-    let save ?(vfs = Storage.Vfs.os) t ~path =
-      let oc = vfs.Storage.Vfs.v_open `Create path in
-      Fun.protect ~finally:(fun () -> oc.Storage.Vfs.f_close ()) @@ fun () ->
+    let write ~stage ~vfs t ~path =
+      let file = vfs.Storage.Vfs.v_open `Create path in
+      Fun.protect ~finally:(fun () -> file.Storage.Vfs.f_close ()) @@ fun () ->
+      (* Counting what is appended gives each frame's offset in the file. *)
+      let written = ref 0 in
+      let oc =
+        { file with
+          Storage.Vfs.f_append =
+            (fun buf pos len ->
+              file.Storage.Vfs.f_append buf pos len;
+              written := !written + len) }
+      in
       let magic = Bytes.of_string snapshot_magic in
       oc.Storage.Vfs.f_append magic 0 (Bytes.length magic);
       let w = Chunks.writer (state_bytes t) in
@@ -1248,37 +1291,57 @@ module Make (G : Aggregate.Group.S) = struct
       Chunks.append oc w;
       (* Pages in the reverse of the walk's preorder, one frame each.  A
          heap tree's pages are in memory already and are encoded, their
-         CRC computed as they are framed.  A page file already holds each
-         page's frame, so its walk decodes only roots and index pages, to
-         find children, and every frame is copied as stored, its CRC
-         verified on the way out: holding the decoded index pages until
-         they are written would put a slice of the tree back in the
-         heap. *)
+         CRC computed as they are framed.  A durable tree already holds
+         each page's frame, so its walk decodes only roots and index
+         pages, to find children, and every frame is copied as stored,
+         its CRC verified on the way out: holding the decoded index pages
+         until they are written would put a slice of the tree back in the
+         heap.  When [stage], each copied frame is staged, at its offset,
+         into the base the tree moves onto once the file is durable. *)
       let writes = ref [] in
-      (match t.backend.b_frame with
-      | None ->
-          iter_pages t (fun p ->
-              writes :=
-                (fun () ->
-                  let w =
-                    Chunks.writer (page_header_bytes + (List.length p.records * record_bytes))
-                  in
-                  encode_page w p;
-                  Chunks.append oc w)
-                :: !writes)
-      | Some stored ->
-          walk t ~leaves:false (fun pid _ ->
-              writes := (fun () -> Chunks.append_frame oc (stored pid)) :: !writes));
+      let commit =
+        match t.backend.b_frames with
+        | None ->
+            iter_pages t (fun p ->
+                writes :=
+                  (fun () ->
+                    let w =
+                      Chunks.writer (page_header_bytes + (List.length p.records * record_bytes))
+                    in
+                    encode_page w p;
+                    Chunks.append oc w)
+                  :: !writes);
+            ignore
+        | Some frames ->
+            let staging = if stage then Some (frames.stage path) else None in
+            walk t ~leaves:false (fun pid _ ->
+                writes :=
+                  (fun () ->
+                    let frame = frames.frame pid in
+                    Option.iter (fun s -> s.add pid ~offset:!written frame) staging;
+                    Chunks.append_frame oc frame)
+                  :: !writes);
+            Option.fold ~none:ignore ~some:(fun s -> s.commit) staging
+      in
       let w = Chunks.writer 4 in
       Storage.Codec.Writer.i32 w (List.length !writes);
       Chunks.append oc w;
-      List.iter (fun write -> write ()) !writes
+      List.iter (fun write -> write ()) !writes;
+      commit
+
+    let save ?(vfs = Storage.Vfs.os) t ~path =
+      let (_ : unit -> unit) = write ~stage:false ~vfs t ~path in
+      ()
+
+    let save_staged ?(vfs = Storage.Vfs.os) t ~path = write ~stage:true ~vfs t ~path
 
     let load ?(pool_capacity = 64) ?stats ?(vfs = Storage.Vfs.os) ~path () =
       let io_stats = match stats with Some s -> s | None -> Storage.Io_stats.create () in
       let store, backend = mem_backend ~pool_capacity ~io_stats in
-      with_snapshot ~vfs ~path @@ fun st pages ->
-      (* [Store.install] charges no I/O, so loading is free of counters. *)
+      with_snapshot ~vfs ~path @@ fun st _ pages ->
+      (* [Store.install] charges no I/O, so loading is free of counters.
+         A negative id fails [decode_page]; a repeated one would replace
+         a page its parents name. *)
       pages (fun f ->
           let pos = f.Chunks.pos + Chunks.frame_bytes in
           let rd = Storage.Codec.Reader.create ~pos ~len:f.len f.buf in
@@ -1286,7 +1349,8 @@ module Make (G : Aggregate.Group.S) = struct
           | p
             when p.level >= 0
                  && List.length p.records <= st.s_cfg.b
-                 && Storage.Codec.Reader.pos rd = pos + f.len ->
+                 && Storage.Codec.Reader.pos rd = pos + f.len
+                 && not (Store.mem store p.pid) ->
               Store.install store p.pid p
           | _ | (exception (Invalid_argument _ | Storage.Codec.Overflow _)) ->
               corrupt_page_chunk path);

@@ -229,8 +229,9 @@ module Make (G : Aggregate.Group.S) : sig
   (** Flush and empty the buffer pool (cold-cache measurements). *)
 
   val close : t -> unit
-  (** Release a {!Durable} tree's page file (its descriptor and mapping);
-      a no-op for heap trees.  The handle must not be used afterwards. *)
+  (** Release a {!Durable} tree's files (its overlay's descriptor and
+      mapping, and its checkpoint mapping); a no-op for heap trees.  The
+      handle must not be used afterwards. *)
 
   val check_invariants : t -> unit
   (** Structural validation over the whole graph: Property 1 (alive
@@ -258,15 +259,18 @@ module Make (G : Aggregate.Group.S) : sig
         return the words {!encode} produced, in the same order. *)
   end
 
-  (** A file-resident MVSBT: pages are encoded into fixed-size blocks of a
-      page file ({!Storage.Page_store.Mmap}: a memory-mapped arena, or a
-      RAM image of it where mapping is unavailable) behind a pinning,
-      second-chance buffer pool, so physical reads and writes hit the
-      file.  Pages are encoded and decoded in place in the block, through
+  (** A file-resident MVSBT over {!Storage.Page_store.Mmap}, behind a
+      pinning, second-chance buffer pool, so physical reads and writes
+      hit files.  A page is read from the {!Persist} snapshot the tree
+      was opened or last rebased on (mapped read-only, or a RAM image of
+      its frames where mapping is unavailable), unless it was written
+      since, in which case it is in the overlay file: fixed-size slots,
+      handed out densely.  Pages are encoded and decoded in place, through
       the same layout {!Persist} writes to snapshots.  The handle type
-      and every operation are those of the in-memory tree.  The page
-      file is a cache of this handle's pages: nothing reads it back after
-      {!close}, and a tree is made durable by {!Persist.save}. *)
+      and every operation are those of the in-memory tree.  The overlay
+      is a cache of this handle's pages: nothing reads it back after
+      {!close}, and a tree is made durable by {!Persist.save_staged} and
+      the rebase it returns. *)
   module Durable (V : VALUE_CODEC) : sig
     val create :
       ?config:config ->
@@ -278,12 +282,13 @@ module Make (G : Aggregate.Group.S) : sig
       path:string ->
       unit ->
       t
-    (** Creates (truncating) the page file at [path].  [page_size] must
-        be able to hold [b] maximal records plus the per-page integrity
-        frame; it defaults to the smallest multiple of 4096 bytes that
-        does, the rule {!of_snapshot} sizes its pages by.  [backing]
-        (default [`Auto]) picks the arena flavour — see
-        {!Storage.Arena.create}.
+    (** An empty tree, its overlay created (truncating) at [path].
+        [page_size] must be able to hold [b] maximal records plus the
+        per-page integrity frame; it defaults to the smallest multiple of
+        4096 bytes that does, the rule {!of_snapshot} sizes its pages by.
+        [backing] (default [`Auto]) picks the arena flavour — see
+        {!Storage.Arena.create}; a mapped overlay goes with mapped bases,
+        which are read through the OS, not through a {!Storage.Vfs.t}.
         @raise Invalid_argument when the configuration cannot fit. *)
 
     val of_snapshot :
@@ -295,20 +300,23 @@ module Make (G : Aggregate.Group.S) : sig
       path:string ->
       unit ->
       t
-    (** Build a fresh page file at [path] from the {!Persist} snapshot
-        [snapshot], read through [vfs] (default {!Storage.Vfs.os}), and
-        return a durable handle over it.  A snapshot's page chunk is byte
-        for byte the frame of the page's block, so each verified frame is
-        copied in as is, CRC included
-        ({!Storage.Page_store.Mmap.install_raw}), under its original id,
-        through one reused read buffer: nothing is decoded, no second CRC
-        is computed, and the tree never sits in the heap.  Each page is
-        charged to [stats] as one write — rebuilding the working set is
-        honest recovery cost.  The page size follows the snapshot's
-        config (see {!create}).
+    (** A durable handle whose base is the {!Persist} snapshot
+        [snapshot], with an empty overlay created at [path].  The
+        snapshot is read once through [vfs] (default {!Storage.Vfs.os}),
+        through one reused buffer, and every chunk is verified: its CRC,
+        its structure, and its page id, which must be non-negative and
+        not repeat.  A page chunk is byte for byte the page's frame, so
+        nothing is decoded and no page is written: the base records each
+        frame's offset, and then maps the file read-only, or, under
+        [`Buffered] or where mapping fails, keeps a RAM image of the
+        frames copied as they streamed past ({!Storage.Page_store.Mmap.stage}).
+        A page read later is CRC-checked again, so a byte of the snapshot
+        that rots after the open fails the reads that reach it.  The page
+        size follows the snapshot's config (see {!create}).
         @raise Storage.Storage_error.Io with [Checksum_mismatch] on a
         chunk that fails its CRC.
-        @raise Failure on a malformed, truncated or overlong snapshot. *)
+        @raise Failure on a malformed, truncated or overlong snapshot, or
+        a page id that is negative or repeats. *)
 
     val min_page_size : config -> int
     (** The smallest page size accepted for a configuration. *)
@@ -318,9 +326,9 @@ module Make (G : Aggregate.Group.S) : sig
       with its original id, the [root*] directory, and the configuration)
       to a file of {!Chunks} and reload it later.  The caller supplies
       the binary codec for aggregate values.  Each page is one chunk
-      whose frame is exactly the frame a page file's block carries, so a
-      {!Durable} tree copies its pages' stored frames out, and
-      {!Durable.of_snapshot} copies them back in, without decoding. *)
+      whose frame is exactly the frame a {!Durable} tree stores, so such
+      a tree copies its pages' stored frames out, and
+      {!Durable.of_snapshot} reads them in place, without decoding. *)
   module Persist (V : VALUE_CODEC) : sig
     val save : ?vfs:Storage.Vfs.t -> t -> path:string -> unit
     (** Write a snapshot.  The index remains usable.  A {!Durable} tree's
@@ -329,6 +337,19 @@ module Make (G : Aggregate.Group.S) : sig
         are encoded and checksummed.  The bytes are the same either way.
         @raise Storage.Page_store.Corrupt_page if a stored page fails its
         checksum. *)
+
+    val save_staged : ?vfs:Storage.Vfs.t -> t -> path:string -> unit -> unit
+    (** {!save}, returning the rebase: for a {!Durable} tree, the step that
+        moves it onto the file just written — its base becomes that file,
+        its overlay is emptied, the previous base is released, and pages
+        the file left out (unreachable ones) leave the store and the
+        pool.  Run it only once the file is durable; it reads nothing,
+        since each frame's offset was recorded as it was written (and,
+        for a RAM base, the frame copied).  For a heap tree it does
+        nothing.
+        @raise Storage.Arena.Unavailable from the rebase if the file
+        cannot be mapped; the tree then stays on its previous base and
+        overlay, which still hold every page. *)
 
     val load :
       ?pool_capacity:int ->

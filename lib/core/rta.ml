@@ -109,7 +109,7 @@ let create_durable ?config ?pool_capacity ?stats ?telemetry ?page_size ?backing 
       tel = Telemetry.Tracer.noop;
     }
 
-(* Both page files are released even when the first close fails. *)
+(* Both trees' files are released even when the first close fails. *)
 let close t =
   match Index.close t.lkst with
   | () -> Index.close t.lklt
@@ -245,15 +245,31 @@ module Persist = Index.Persist (Value_codec)
 let meta_magic = "RTA-META-2"
 
 (* [.meta] is the magic and one chunk: the base table and counters. *)
-let save ?(vfs = Storage.Vfs.os) t ~path =
-  Persist.save ~vfs t.lkst ~path:(path ^ ".lkst");
-  Persist.save ~vfs t.lklt ~path:(path ^ ".lklt");
+let save_meta ~vfs t ~path =
   let oc = vfs.Storage.Vfs.v_open `Create (path ^ ".meta") in
   Fun.protect ~finally:(fun () -> oc.Storage.Vfs.f_close ()) @@ fun () ->
   oc.Storage.Vfs.f_append (Bytes.of_string meta_magic) 0 (String.length meta_magic);
   let w = Mvsbt.Chunks.writer (64 + (Hashtbl.length t.alive * 24)) in
   encode_meta t w;
   Mvsbt.Chunks.append oc w
+
+let save ?(vfs = Storage.Vfs.os) t ~path =
+  Persist.save ~vfs t.lkst ~path:(path ^ ".lkst");
+  Persist.save ~vfs t.lklt ~path:(path ^ ".lklt");
+  save_meta ~vfs t ~path
+
+let save_staged ?(vfs = Storage.Vfs.os) t ~path =
+  let lkst = Persist.save_staged ~vfs t.lkst ~path:(path ^ ".lkst") in
+  let lklt = Persist.save_staged ~vfs t.lklt ~path:(path ^ ".lklt") in
+  save_meta ~vfs t ~path;
+  (* Each tree moves on its own: one that fails stays whole on its old
+     base, and does not keep the other from moving. *)
+  fun () ->
+    match lkst () with
+    | () -> lklt ()
+    | exception e ->
+        (try lklt () with _ -> ());
+        raise e
 
 let try_save ?vfs t ~path = Storage.Page_store.protect (fun () -> save ?vfs t ~path)
 

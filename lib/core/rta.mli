@@ -48,21 +48,24 @@ val create_durable :
   path:string ->
   unit ->
   t
-(** Like {!create}, but both MVSBTs keep their pages in page files
-    ([<path>.lkst.pages] and [<path>.lklt.pages], fixed-size blocks behind
-    pinning buffer pools, {!Storage.Page_store.Mmap}).  [page_size] must
-    hold [config.b] records (~57 bytes each); it defaults to the smallest
-    multiple of 4096 that does.  [backing] picks the arena flavour: the
-    files are mapped and pages codec'd in place, or held in RAM where
-    mapping is unavailable — see {!Storage.Arena.create}.  The page
-    files are a cache of this warehouse's pages, never read back: make
-    the warehouse durable with {!save}, or run it under {!Durable}.
+(** Like {!create}, but both MVSBTs keep their pages on disk
+    ({!Storage.Page_store.Mmap} behind pinning buffer pools): the pages
+    written since the last checkpoint in overlay files
+    ([<path>.lkst.pages] and [<path>.lklt.pages], fixed-size slots), the
+    rest in the checkpoint itself once there is one (see
+    {!save_staged}).  [page_size] must hold [config.b] records (~57
+    bytes each); it defaults to the smallest multiple of 4096 that does.
+    [backing] picks the arena flavour: the files are mapped and pages
+    codec'd in place, or held in RAM where mapping is unavailable — see
+    {!Storage.Arena.create}.  The overlay files are a cache of this
+    warehouse's pages, never read back: make the warehouse durable with
+    {!save}, or run it under {!Durable}.
     @raise Invalid_argument when the configuration cannot fit a page. *)
 
 val close : t -> unit
-(** Release the page files of a durable warehouse (descriptors and
-    mappings); a no-op for an in-memory one.  The warehouse must not be
-    used afterwards. *)
+(** Release the files of a durable warehouse (overlay descriptors and
+    mappings, and the mapping of its checkpoint); a no-op for an
+    in-memory one.  The warehouse must not be used afterwards. *)
 
 val max_key : t -> int
 val config : t -> Mvsbt.config
@@ -177,6 +180,14 @@ val save : ?vfs:Storage.Vfs.t -> t -> path:string -> unit
     @raise Storage.Page_store.Corrupt_page if a stored page fails its
     checksum. *)
 
+val save_staged : ?vfs:Storage.Vfs.t -> t -> path:string -> unit -> unit
+(** {!save}, returning the rebase of a durable warehouse: run once the
+    three files are durable, it moves each tree onto its new snapshot
+    file and empties its overlay ({!Mvsbt.Make.Persist.save_staged}).
+    Each tree moves on its own.  A no-op for heap warehouses.
+    @raise Storage.Arena.Unavailable from the rebase if a file cannot be
+    mapped; that tree stays on its previous base and overlay. *)
+
 val try_save :
   ?vfs:Storage.Vfs.t -> t -> path:string -> (unit, Storage.Storage_error.t) result
 (** {!save} with the typed error channel: a [Storage_error.Io] is
@@ -207,12 +218,15 @@ val load_durable :
   path:string ->
   unit ->
   t
-(** Load the {!save}d snapshot [snapshot] into fresh page files at
-    [path], as {!create_durable} lays them out: each verified page frame
-    is copied into its block as is ({!Mvsbt.Make.Durable.of_snapshot}),
-    never decoded, one charged write each.  The page size follows the
-    snapshot's config.
-    @raise Storage.Storage_error.Io and [Failure] as {!load}. *)
+(** Open a durable warehouse over the {!save}d snapshot [snapshot]: each
+    tree reads its pages from its snapshot file, verified chunk by chunk
+    as it is read once and then mapped read-only (or kept as a RAM image
+    of its frames), and writes pages to a fresh, empty overlay at
+    [path], as {!create_durable} lays it out
+    ({!Mvsbt.Make.Durable.of_snapshot}).  Nothing is decoded and no page
+    is written.  The page size follows the snapshot's config.
+    @raise Storage.Storage_error.Io and [Failure] as {!load}, [Failure]
+    also on a page id that is negative or repeats. *)
 
 val snapshot_files : (string * string) list
 (** The three files of a {!save}: each extension with the magic its file

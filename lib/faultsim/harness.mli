@@ -50,10 +50,11 @@ val run_trace :
     {!Storage.Vfs.Memory}, recording the journal.  Deterministic in
     [seed].  Defaults: [Every_n 4] group commit, no automatic
     checkpoints, 120 updates, [Memory] page store.  Under [Mmap] the
-    engine's page working set runs on its buffered arena backing, a RAM
-    image that never reaches the journaled filesystem, so the crash
-    images are those of the [Memory] store — recovery must rebuild the
-    working set from checkpoint + WAL on each. *)
+    engine runs on its buffered backing: RAM images of the checkpoint's
+    frames, copied as they are read, and a RAM overlay, none of which
+    reaches the journaled filesystem, so the crash images are those of
+    the [Memory] store — recovery must rebuild the working set from
+    checkpoint + WAL on each. *)
 
 val issued_ceiling : trace -> cut:int -> int
 (** Updates that could possibly be recovered at [cut]: everything fully

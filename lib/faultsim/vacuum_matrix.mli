@@ -60,9 +60,9 @@ val run_trace :
   trace
 (** Deterministic in [seed].  Defaults: [Every_n 4] group commit,
     auto-checkpoint every 40 records, 110 updates, 4-page vacuum
-    chunks, [Memory] page store ([Mmap] runs its page working set on
-    its buffered arena backing, a RAM image that never reaches the
-    journaled filesystem, so the crash images are those of [Memory]);
+    chunks, [Memory] page store ([Mmap] runs on its buffered backing,
+    RAM images that never reach the journaled filesystem, so the crash
+    images are those of [Memory]);
     vacuums to
     [now/2] after 3/5 of the updates and to [2*now/3] at the end. *)
 

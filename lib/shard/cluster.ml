@@ -171,14 +171,14 @@ let charge_items items p =
 
 (* Map what an engine call may raise to the typed error the server answers
    with: a precondition, a window below the retention horizon, an I/O
-   failure.  Anything else escaping would end a domain and strand the
-   request. *)
+   failure, a page that fails its checksum.  Anything else escaping would
+   end a domain and strand the request. *)
 let guard f =
-  match f () with
-  | v -> Ok v
+  match Storage.Page_store.protect f with
+  | Ok v -> Ok v
+  | Error e -> Error (Io e)
   | exception Invalid_argument m -> Error (Invalid m)
   | exception Mvsbt.Below_horizon { at; horizon } -> Error (Below_horizon { at; horizon })
-  | exception E.Io e -> Error (Io e)
 
 let shut_down = Error (Invalid "cluster is shut down")
 

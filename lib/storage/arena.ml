@@ -3,6 +3,7 @@ exception Unavailable of string
 type backing = [ `Map | `Buffered ]
 
 external willneed_range : Zcodec.buf -> int -> int -> unit = "rta_arena_willneed"
+external unmap : Zcodec.buf -> bool = "rta_arena_unmap"
 
 type impl = Mapped of Unix.file_descr | Buffered
 
@@ -10,6 +11,7 @@ type t = {
   impl : impl;
   path : string;
   block_size : int;
+  initial_blocks : int;
   mutable buf : Zcodec.buf;
   mutable cap_blocks : int;
   mutable n_remaps : int;
@@ -63,7 +65,8 @@ let create ?(initial_blocks = 64) ~backing ~block_size ~path () =
         try try_map () with e -> raise (Unavailable (Printexc.to_string e)))
     | `Auto -> ( try try_map () with _ -> (Buffered, ba_create bytes))
   in
-  { impl; path; block_size; buf; cap_blocks = initial_blocks; n_remaps = 0; closed = false }
+  { impl; path; block_size; initial_blocks; buf; cap_blocks = initial_blocks; n_remaps = 0;
+    closed = false }
 
 let backing t = match t.impl with Mapped _ -> `Map | Buffered -> `Buffered
 let block_size t = t.block_size
@@ -72,10 +75,13 @@ let remaps t = t.n_remaps
 let file_size_bytes t = t.cap_blocks * t.block_size
 let buffer t = t.buf
 
-let ensure t ~blocks =
+let check_open t =
   if t.closed then
     Storage_error.raise_io ~detail:"arena is closed" ~op:Storage_error.Pwrite ~path:t.path
-      (Storage_error.Errno "EBADF");
+      (Storage_error.Errno "EBADF")
+
+let ensure t ~blocks =
+  check_open t;
   if blocks > t.cap_blocks then begin
     let cap = round_cap ~initial_blocks:t.cap_blocks blocks in
     let bytes = cap * t.block_size in
@@ -90,6 +96,21 @@ let ensure t ~blocks =
         t.buf <- data);
     t.cap_blocks <- cap
   end
+
+(* The view is dropped before the file shrinks, so no mapping ever
+   covers bytes past its end; if the shrink fails, the arena is left
+   empty and the next [ensure] regrows it. *)
+let reset t =
+  check_open t;
+  match t.impl with
+  | Mapped fd ->
+      t.buf <- ba_create 0;
+      t.cap_blocks <- 0;
+      Unix.ftruncate fd 0;
+      ensure t ~blocks:t.initial_blocks
+  | Buffered ->
+      t.buf <- ba_create (t.initial_blocks * t.block_size);
+      t.cap_blocks <- t.initial_blocks
 
 let willneed t ~block ~count =
   if count > 0 && block >= 0 && block < t.cap_blocks then
@@ -109,3 +130,58 @@ let close t =
     | Mapped fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
     | Buffered -> ()
   end
+
+(* --- Images of committed files ------------------------------------------------ *)
+
+module Image = struct
+  type t = { mutable buf : Zcodec.buf; mapped : bool; mutable used : int }
+
+  let empty () = { buf = ba_create 0; mapped = false; used = 0 }
+
+  (* A private view: nothing writes through it, so every page of it is the
+     page cache's, and a write made through another descriptor — a scrub
+     repair — shows in it. *)
+  let map ~path =
+    match
+      if forced_off () then failwith "mmap disabled by RTA_FORCE_NO_MMAP";
+      let fd = Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 in
+      Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+      let size = (Unix.fstat fd).Unix.st_size in
+      Bigarray.array1_of_genarray
+        (Unix.map_file fd Bigarray.char Bigarray.c_layout false [| size |])
+    with
+    | buf -> { buf; mapped = true; used = Bigarray.Array1.dim buf }
+    | exception e -> raise (Unavailable (Printexc.to_string e))
+
+  let ram ?(capacity = 65536) () =
+    { buf = Bigarray.Array1.create Bigarray.char Bigarray.c_layout (max 1 capacity);
+      mapped = false; used = 0 }
+
+  let append t src ~pos ~len =
+    if t.mapped then invalid_arg "Arena.Image.append: a mapped image is read-only";
+    let off = t.used in
+    if off + len > Bigarray.Array1.dim t.buf then begin
+      let rec cap c = if c >= off + len then c else cap (2 * c) in
+      let data =
+        Bigarray.Array1.create Bigarray.char Bigarray.c_layout
+          (cap (max 1 (Bigarray.Array1.dim t.buf)))
+      in
+      Bigarray.Array1.blit (Bigarray.Array1.sub t.buf 0 off) (Bigarray.Array1.sub data 0 off);
+      t.buf <- data
+    end;
+    Zcodec.blit_of_bytes src pos t.buf off len;
+    t.used <- off + len;
+    off
+
+  let buffer t = t.buf
+  let mapped t = t.mapped
+
+  let willneed t ~off ~len =
+    let len = min len (Bigarray.Array1.dim t.buf - off) in
+    if t.mapped && len > 0 && off >= 0 then willneed_range t.buf off len
+
+  let release t =
+    if t.mapped then ignore (unmap t.buf);
+    t.buf <- ba_create 0;
+    t.used <- 0
+end

@@ -1,4 +1,5 @@
-/* C kernels for the storage layer: CRC-32 and the arena's readahead hint.
+/* C kernels for the storage layer: CRC-32, the arena's readahead hint,
+   and the unmapping of a committed file's image.
 
    CRC-32 (IEEE 802.3, polynomial 0xEDB88320) is computed slicing-by-8:
    eight 256-entry tables fold eight input bytes per step.  It checks
@@ -8,7 +9,8 @@
    checks bounds before calling in.
 
    The stdlib exposes Unix.map_file but no way to hint the kernel about
-   an upcoming access pattern, which the descent-path readahead needs. */
+   an upcoming access pattern, which the descent-path readahead needs,
+   and no way to unmap a file before the GC finalises its bigarray. */
 
 #include <caml/mlvalues.h>
 #include <caml/bigarray.h>
@@ -97,4 +99,30 @@ CAMLprim value rta_arena_willneed(value vba, value voff, value vlen)
   (void)vlen;
 #endif
   return Val_unit;
+}
+
+/* Unmap a bigarray made by Unix.map_file now, rather than when the GC
+   finalises it, and leave it with no elements: a later access fails its
+   bounds check instead of touching unmapped memory, and the finaliser,
+   which unmaps the array's byte size, finds nothing left to unmap.  A
+   sub-array's mapping is shared through a proxy and is left to the GC;
+   the result says whether the mapping went. */
+CAMLprim value rta_arena_unmap(value vba)
+{
+#ifndef _WIN32
+  struct caml_ba_array *b = Caml_ba_array_val(vba);
+  if ((b->flags & CAML_BA_MANAGED_MASK) != CAML_BA_MAPPED_FILE || b->proxy != NULL)
+    return Val_false;
+  uintnat len = caml_ba_byte_size(b);
+  if (len > 0) {
+    uintnat delta = (uintnat)b->data % (uintnat)sysconf(_SC_PAGESIZE);
+    if (munmap((char *)b->data - delta, len + delta) != 0) return Val_false;
+  }
+  for (intnat i = 0; i < b->num_dims; i++)
+    b->dim[i] = 0;
+  return Val_true;
+#else
+  (void)vba;
+  return Val_false;
+#endif
 }

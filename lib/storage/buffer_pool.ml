@@ -115,6 +115,12 @@ module Make (Store : Page_store.S) = struct
     ignore (Evict.remove t.cache id);
     Store.free t.store id
 
+  let retain t keep =
+    Evict.fold (fun id _ acc -> if keep id then acc else id :: acc) t.cache []
+    |> List.iter (fun id ->
+           Hashtbl.remove t.intents id;
+           ignore (Evict.remove t.cache id))
+
   let flush t = Evict.iter (fun id entry -> write_back t id entry) t.cache
 
   let clean t id =

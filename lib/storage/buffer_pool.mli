@@ -94,6 +94,12 @@ module Make (Store : Page_store.S) : sig
   (** Drop the page from the cache (without write-back, clearing any pin
       intents) and free it in the store. *)
 
+  val retain : t -> (Page_id.t -> bool) -> unit
+  (** Drop from the cache, without write-back and with their pin intents,
+      the pages [keep] is false of — pages the store no longer holds,
+      such as those a rebase onto a checkpoint left out.  Charges
+      nothing. *)
+
   val flush : t -> unit
   (** Write back every dirty page; the cache keeps its contents clean. *)
 

@@ -1,8 +1,8 @@
 (** Little-endian binary encoding of page payloads.
 
     One wire format, two buffers: [Writer]/[Reader] here work over
-    [bytes] (snapshots, sidecars, the WAL), and {!Zcodec} works over a
-    mapped arena (page files).  Both satisfy {!WRITER}/{!READER}, so a
+    [bytes] (snapshots, the WAL), and {!Zcodec} works over a mapping
+    (checkpoints read in place, and overlays).  Both satisfy {!WRITER}/{!READER}, so a
     page layout is written once, as a functor over those signatures,
     and yields the same bytes on either buffer.  Writers and readers
     raise on overflow, so a page whose payload exceeds the configured

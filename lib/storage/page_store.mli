@@ -6,22 +6,25 @@
     - {!Mem} keeps payloads in memory — fast, used by tests and benchmarks;
       physical I/O is still charged to {!Io_stats} so experiments measure
       the same quantity the paper does.
-    - {!Mmap} keeps each page in a fixed-size block of one page file,
-      proving the structures are genuinely disk-resident.  The file is an
-      {!Arena} — mapped, or a RAM image where mapping is unavailable —
-      and pages are encoded and decoded in place through a
+    - {!Mmap} keeps pages on disk as CRC-framed frames, in two places: a
+      {e base}, the committed checkpoint file the store was opened or
+      last rebased on, mapped read-only (or, where mapping is
+      unavailable, a RAM image of its frames); and an {e overlay}, an
+      {!Arena} of fixed-size slots holding the pages written since.  Pages
+      are encoded into and decoded out of either in place through a
       {!PAGE_CODEC} over {!Zcodec}, with no intermediate [bytes].  The
-      file is a cache of its owner's pages, never read back by a later
-      store.  Every block carries a CRC32 over its payload, verified on
-      every read, so bit-rot is detected loudly ({!Corrupt_page})
-      instead of being decoded into garbage.
+      overlay is a cache of its owner's pages, never read back by a later
+      store.  Every frame carries a CRC32 over its payload, verified on
+      every read, so bit-rot is detected loudly ({!Corrupt_page}) instead
+      of being decoded into garbage.
 
     Stores are deliberately dumb: no caching.  Layer {!Buffer_pool} on top
     for buffering. *)
 
 exception Corrupt_page of { path : string; page : Page_id.t }
-(** A page block whose stored CRC32 does not match its payload (or whose
-    length field is out of range).  Counted in {!Io_stats.crc_failures}. *)
+(** A page frame whose stored CRC32 does not match its payload (or whose
+    length field is out of range); [path] is the file that holds it, a
+    checkpoint or an overlay.  Counted in {!Io_stats.crc_failures}. *)
 
 val protect : (unit -> 'a) -> ('a, Storage_error.t) result
 (** {!Storage_error.protect}, which also returns a {!Corrupt_page} as a
@@ -98,8 +101,8 @@ module Mmap (C : PAGE_CODEC) : sig
   include S with type payload = C.t
 
   val block_overhead : int
-  (** Bytes of each block spent on the integrity frame ([len] + [crc], 8);
-      the codec sees at most [page_size - block_overhead] bytes. *)
+  (** Bytes of each frame spent on its integrity header ([len] + [crc],
+      8); the codec sees at most [page_size - block_overhead] bytes. *)
 
   val create :
     ?stats:Io_stats.t ->
@@ -109,12 +112,14 @@ module Mmap (C : PAGE_CODEC) : sig
     path:string ->
     unit ->
     t
-  (** A fresh, empty store.  Every page occupies one fixed-size block of
-      [page_size] bytes (default 4096, the paper's setting): page [id]
-      occupies block [id], framed as [len][crc32][payload] — the frame
-      of WAL records and checkpoint chunks.  The file is an {!Arena}
-      ([backing] as in {!Arena.create}, default [`Auto]), so pages are
-      encoded/decoded in place through the {!PAGE_CODEC}.
+  (** A fresh, empty store: no base, and an empty overlay at [path] — an
+      {!Arena} ([backing] as in {!Arena.create}, default [`Auto]) of
+      [page_size]-byte slots (default 4096, the paper's setting), each
+      framed as [len][crc32][payload], the frame of WAL records and
+      checkpoint chunks.  Slots are handed out densely, so the overlay
+      grows with the pages written, whatever their ids.  A store whose
+      overlay is mapped maps its bases too; one whose overlay is a RAM
+      image keeps RAM images of its bases.
 
       Each logical read/write is charged to [stats] as a [read]/[write]
       {e plus} a [mapped_read]/[mapped_write], so cost-model totals stay
@@ -128,33 +133,54 @@ module Mmap (C : PAGE_CODEC) : sig
   val page_size : t -> int
 
   val backing : t -> Arena.backing
-  (** Which arena flavour [`Auto] resolved to. *)
+  (** Which arena flavour the overlay's [`Auto] resolved to. *)
 
   val written_ids : t -> Page_id.t list
-  (** Every currently written (allocated, not freed) page id, ascending. *)
+  (** Every page id with a frame, in the base or the overlay (allocated,
+      written, not freed), ascending. *)
 
   val close : t -> unit
-  (** Release the file (see {!Arena.close}). *)
-
-  val file_size_bytes : t -> int
-  (** The used prefix, [next_id * page_size] — the space metric. *)
-
-  val install_raw : t -> Page_id.t -> bytes -> pos:int -> len:int -> unit
-  (** Install a framed page under an explicit id, moving the alloc cursor
-      past it — building a page file from a checkpoint.  The [len] bytes
-      of the buffer from [pos] are a whole frame, [len][crc32][payload]
-      as {!read_frame} returns it, and are copied into the block
-      verbatim: the CRC is not recomputed, so the caller must have
-      verified it.  Unlike {!Mem.install} the physical write is real and
-      charged as one write; only the alloc is skipped (the id is fixed by
-      its previous life).
-      @raise Codec.Overflow if the frame does not fit a block or its
-      length field disagrees with [len]. *)
+  (** Release the overlay (see {!Arena.close}) and unmap the base. *)
 
   val read_frame : t -> Page_id.t -> bytes
   (** A page's whole frame, [len][crc32][payload], CRC-checked but not
-      decoded, copied out of the block.  Charged as one read, like
-      {!read}.
+      decoded, copied out of the base or the overlay.  Charged as one
+      read, like {!read}.
       @raise Corrupt_page on a checksum mismatch.
       @raise Not_found if the page was never written or was freed. *)
+
+  (** {2 Bases}
+
+      A base is built from one checkpoint file: [stage], then each page
+      frame of the file with {!stage_frame}, then {!rebase}.  The open
+      stages the frames it verifies as it reads the file; a checkpoint
+      stages the frames it writes, and rebases once the file is durable. *)
+
+  type staged
+
+  val stage : t -> file:string -> ?size:int -> unit -> staged
+  (** Begin a base over the checkpoint file [file].  [size], the length
+      of a file that already exists, has a mapping store map it now;
+      where it cannot be mapped and the store's backing is [`Auto], this
+      base and every later one are RAM images instead, of [size] bytes to
+      start with.  Without [size], a mapping store maps the file at
+      {!rebase}.  A mapped file is read through the OS, so a store over
+      a synthetic {!Vfs.t} is made [`Buffered].
+      @raise Arena.Unavailable under [`Map] when the file cannot be
+      mapped. *)
+
+  val stage_frame :
+    staged -> Page_id.t -> offset:int -> bytes -> pos:int -> len:int -> bool
+  (** Record that page [id]'s frame is at byte [offset] of the file; its
+      [len] bytes from [pos] are copied only into a RAM image.  The CRC is
+      not checked here: the caller has verified it, or has just computed
+      it.  [false], and nothing recorded, if [id] is staged already. *)
+
+  val rebase : t -> staged -> unit
+  (** Move the store onto the staged base: its pages become exactly the
+      staged ones, the previous base is released ({!Arena.Image.release}:
+      unmapped now, not by the GC), the overlay is emptied, and ids keep
+      coming from past both the old cursor and the highest staged id.
+      @raise Arena.Unavailable if the file cannot be mapped, in which
+      case the store is unchanged. *)
 end

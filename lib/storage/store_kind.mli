@@ -2,10 +2,11 @@
 
     [Memory] is the seed configuration: pages live in a growable in-RAM
     array ({!Page_store.Mem}), the working set is rebuilt from
-    snapshot + WAL at open.  [Mmap] keeps CRC-framed pages in one page
-    file and reads/writes records in place through {!Zcodec}
-    ({!Page_store.Mmap} over an {!Arena}, which maps the file or, where
-    mapping is unavailable, keeps a buffered image of it).
+    snapshot + WAL at open.  [Mmap] reads CRC-framed pages in place
+    through {!Zcodec} from the committed checkpoint, mapped read-only,
+    and keeps the pages written since in an overlay {!Arena}
+    ({!Page_store.Mmap}; where mapping is unavailable, both are RAM
+    images).  So its pages are on disk once, in the checkpoint.
 
     Selection is operational, not semantic: both backends answer
     queries identically and produce byte-identical checkpoint snapshots

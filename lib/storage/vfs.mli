@@ -1,9 +1,10 @@
 (** The virtual file system all disk writers go through.
 
-    Every durable artifact in this code base — the WAL, {!Page_store.Mmap}
-    page files (on their buffered backing) and their free-list sidecars,
-    the MVSBT and warehouse meta sidecars, checkpoint snapshots, and the
-    checkpoint pointer — performs its byte-level I/O through a {!t}.
+    Every durable artifact in this code base — the WAL, checkpoint
+    snapshots (which a mapped {!Page_store.Mmap} also reads in place,
+    through the OS, once the open has verified them through a {!t}), and
+    the checkpoint pointer — performs its byte-level I/O through a
+    {!t}.
     Three implementations share the interface:
 
     - {!os} is the real thing (Unix file descriptors, [fsync], atomic

@@ -16,7 +16,7 @@
     - [reads], [writes] — physical page transfers;
     - [frees] — page disposals (section 4.2.3): handing a page back is
       charged as one I/O by the paper's accounting even though the
-      page-file store only retires the id.
+      mapped store only retires the id.
 
     {e Events} — bookkeeping with no per-increment transfer of their own:
     - [allocs] — page-id allocation; the first write pays the I/O;
@@ -54,9 +54,11 @@ val frees : t -> int
 (** I/O — pages returned to the store (page-disposal optimisation). *)
 
 val syncs : t -> int
-(** Event — [fsync]s a page store issued against its file.  Page files
-    are a cache that is never synced, so no store in this code base
-    counts any; the counter stays in reports and on the wire. *)
+(** Event — [fsync]s a page store issued against its file.  A mapped
+    store's overlay is a cache that is never synced, and the checkpoint
+    it reads in place is synced by the engine that wrote it, so no store
+    in this code base counts any; the counter stays in reports and on
+    the wire. *)
 
 val crc_failures : t -> int
 (** Event — page reads and scrubbed checkpoint chunks whose CRC32 did
@@ -101,7 +103,7 @@ val mapped_writes : t -> int
 
 val msyncs : t -> int
 (** Event — dirty ranges of a mapping pushed to the platter by [msync].
-    Page files are a cache that is never synced, so this reads 0; the
+    Overlays are a cache that is never synced, so this reads 0; the
     counter stays in reports. *)
 
 val readaheads : t -> int

@@ -1,8 +1,9 @@
 (* Storage-engine tests: Zcodec/Codec byte equivalence, the mmap arena
-   (both backings), the Mmap page store and its verbatim frame copies,
-   checksummed snapshot streaming, cross-backend engine equivalence
-   (Memory/Mmap answer and checkpoint identically), descriptor and lock
-   hygiene, and the crash matrices over an mmap-backed working set. *)
+   (both backings), the Mmap page store, its overlay and the checkpoint
+   frames it reads in place, checksummed snapshot streaming, cross-backend
+   engine equivalence (Memory/Mmap answer and checkpoint identically),
+   descriptor, mapping and lock hygiene, and the crash matrices over an
+   mmap-backed working set. *)
 
 module Zc = Storage.Zcodec
 module A = Storage.Arena
@@ -153,8 +154,18 @@ let store_lifecycle ~backing ~path () =
   List.iteri
     (fun i id -> Alcotest.(check (list int)) "round trip" (payload i) (MStore.read s id))
     ids;
-  Alcotest.(check int) "page i in block i" 3 (Storage.Page_id.to_int (List.nth ids 3));
-  Alcotest.(check int) "used prefix (10 pages)" (10 * 128) (MStore.file_size_bytes s);
+  Alcotest.(check int) "ids count up" 3 (Storage.Page_id.to_int (List.nth ids 3));
+  (* Overlay slots are handed out densely: a page with a large id takes
+     the next slot, and the file does not grow to reach its id. *)
+  let far =
+    List.init 5000 (fun _ -> MStore.alloc s) |> List.rev |> List.hd
+  in
+  MStore.write s far [ 1 ];
+  Alcotest.(check (list int)) "far page round trip" [ 1 ] (MStore.read s far);
+  if MStore.backing s = `Map then
+    Alcotest.(check bool) "the overlay is not sized by a page id" true
+      ((Unix.stat path).Unix.st_size < 64 * 128 * 2);
+  MStore.free s far;
   (* mapped accesses are charged both as I/O and as mapped ops *)
   Alcotest.(check bool) "mapped reads counted" true
     (Storage.Io_stats.mapped_reads stats >= 10);
@@ -164,9 +175,9 @@ let store_lifecycle ~backing ~path () =
   MStore.free s freed;
   Alcotest.(check bool) "freed page gone" false (MStore.mem s freed);
   Alcotest.check_raises "read freed" Not_found (fun () -> ignore (MStore.read s freed));
-  Alcotest.(check int) "live pages" 9 (MStore.live_pages s);
+  Alcotest.(check int) "live pages" 5008 (MStore.live_pages s);
   (* ids continue; a retired id is never reused *)
-  Alcotest.(check int) "ids continue" 10 (Storage.Page_id.to_int (MStore.alloc s));
+  Alcotest.(check int) "ids continue" 5010 (Storage.Page_id.to_int (MStore.alloc s));
   MStore.close s
 
 let test_mmap_store_buffered () =
@@ -179,21 +190,42 @@ let test_mmap_store_mapped () =
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
   @@ fun () -> store_lifecycle ~backing:`Auto ~path ()
 
-(* --- Raw frames: install_raw / read_frame ------------------------------------------ *)
+(* --- Frames in a base --------------------------------------------------------------- *)
 
 let rm_tree dir =
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Sys.rmdir dir
 
-(* Pages written as values into [a], their frames read back and
-   installed (from inside a larger buffer) into [b]: the copy is verbatim
-   both ways — [b] hands back the very frame it was given, which decodes
-   to the value — each copy is charged one read and one write, and a
-   frame installed with a flipped payload bit (installs trust their
-   caller's CRC check) fails on the way out. *)
-let raw_frames_agree mk =
+let write_bytes path b = Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b)
+
+(* Flip bit 0 of the byte at [off] of [path] in place, through a
+   descriptor of its own, as a scrub repair writes: a mapping of the file
+   must show it, and the file must not be truncated under the mapping. *)
+let flip_in_place path off =
+  let fd = Unix.openfile path [ Unix.O_RDWR ] 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  let b = Bytes.create 1 in
+  ignore (Unix.lseek fd off Unix.SEEK_SET);
+  if Unix.read fd b 0 1 <> 1 then Alcotest.fail "flip_in_place: short read";
+  Bytes.set_uint8 b 0 (Bytes.get_uint8 b 0 lxor 0x01);
+  ignore (Unix.lseek fd off Unix.SEEK_SET);
+  ignore (Unix.write fd b 0 1)
+
+(* Pages written as values into [a], their frames read back and laid out
+   in a file as a checkpoint lays them out — after a header, back to
+   back — and [b] rebased onto that file.  Each copy out is charged one
+   read; [b] hands back the very frames, which decode to the values; the
+   rebase drops the page [b] had in its overlay and keeps ids counting
+   past both; a repeated id is refused; a page written after the rebase
+   shadows its base frame; and a frame that fails its CRC — staged so
+   (staging trusts its caller's check), or rotted in the mapped file
+   after the rebase — fails [read_frame] and [read] until it is mended. *)
+let base_frames ~backing ~dir =
   let stats = Storage.Io_stats.create () in
-  let a = mk ~stats ~path:"a" and b = mk ~stats ~path:"b" in
+  let mk name =
+    MStore.create ~stats ~page_size:128 ~backing ~path:(Filename.concat dir name) ()
+  in
+  let a = mk "a" and b = mk "b" in
   let id = Storage.Page_id.of_int in
   let ids = [ 0; 1; 2; 5; 9 ] in
   let value i = List.init (1 + (i mod 4)) (fun j -> (i * 1000) + j - 7) in
@@ -201,59 +233,92 @@ let raw_frames_agree mk =
     ignore (MStore.alloc a)
   done;
   List.iter (fun i -> MStore.write a (id i) (value i)) ids;
-  let reads0 = Storage.Io_stats.reads stats and writes0 = Storage.Io_stats.writes stats in
-  let frames =
-    List.map
-      (fun i ->
-        let frame = MStore.read_frame a (id i) in
-        let buf = Bytes.make (Bytes.length frame + 10) '\xff' in
-        Bytes.blit frame 0 buf 3 (Bytes.length frame);
-        MStore.install_raw b (id i) buf ~pos:3 ~len:(Bytes.length frame);
-        frame)
-      ids
-  in
+  let own = List.init 4 (fun _ -> MStore.alloc b) |> List.rev |> List.hd in
+  MStore.write b own [ 42 ];
+  let reads0 = Storage.Io_stats.reads stats in
+  let frames = List.map (fun i -> MStore.read_frame a (id i)) ids in
   Alcotest.(check int) "one read per frame" (List.length ids)
     (Storage.Io_stats.reads stats - reads0);
-  Alcotest.(check int) "one write per raw install" (List.length ids)
-    (Storage.Io_stats.writes stats - writes0);
+  let header = 13 in
+  let offsets =
+    List.rev
+      (snd
+         (List.fold_left
+            (fun (off, acc) f -> (off + Bytes.length f, off :: acc))
+            (header, []) frames))
+  in
+  let lay_out path frames =
+    write_bytes path (Bytes.concat Bytes.empty (Bytes.make header '\xee' :: frames))
+  in
+  let rebase path frames =
+    lay_out path frames;
+    let staged = MStore.stage b ~file:path () in
+    List.iter2
+      (fun i (off, f) ->
+        Alcotest.(check bool) "staged" true
+          (MStore.stage_frame staged (id i) ~offset:off f ~pos:0 ~len:(Bytes.length f)))
+      ids (List.combine offsets frames);
+    let f = List.hd frames in
+    Alcotest.(check bool) "a repeated id is refused" false
+      (MStore.stage_frame staged (id 5) ~offset:header f ~pos:0 ~len:(Bytes.length f));
+    MStore.rebase b staged
+  in
+  let base = Filename.concat dir "base" in
+  rebase base frames;
+  Alcotest.(check bool) "the overlay's page is gone" false (MStore.mem b own);
+  Alcotest.(check int) "live pages are the base's" (List.length ids) (MStore.live_pages b);
   List.iter2
     (fun i frame ->
       Alcotest.(check int) "frame = [len][crc][payload]"
         (Int32.to_int (Bytes.get_int32_le frame 0) + MStore.block_overhead)
         (Bytes.length frame);
       Alcotest.(check bytes) "the frame comes back verbatim" frame (MStore.read_frame b (id i));
-      Alcotest.(check (list int)) "raw page decodes" (value i) (MStore.read b (id i)))
+      Alcotest.(check (list int)) "a base page decodes" (value i) (MStore.read b (id i)))
     ids frames;
-  (match MStore.install_raw b (id 3) (Bytes.create 200) ~pos:0 ~len:129 with
-  | exception Storage.Codec.Overflow _ -> ()
-  | () -> Alcotest.fail "an oversized frame was installed");
-  let frame = MStore.read_frame a (id 5) in
-  (match MStore.install_raw b (id 3) frame ~pos:0 ~len:(Bytes.length frame - 1) with
-  | exception Storage.Codec.Overflow _ -> ()
-  | () -> Alcotest.fail "a frame whose length field disagrees was installed");
-  Bytes.set frame 13 (Char.chr (Char.code (Bytes.get frame 13) lxor 0x01));
-  MStore.install_raw b (id 5) frame ~pos:0 ~len:(Bytes.length frame);
+  Alcotest.(check int) "ids continue past the base" 10 (Storage.Page_id.to_int (MStore.alloc b));
+  MStore.write b (id 5) [ 7 ];
+  Alcotest.(check (list int)) "the overlay shadows the base" [ 7 ] (MStore.read b (id 5));
+  let fails what =
+    (match MStore.read_frame b (id 9) with
+    | exception Storage.Page_store.Corrupt_page _ -> ()
+    | _ -> Alcotest.failf "%s: read_frame returned a corrupt frame" what);
+    match MStore.read b (id 9) with
+    | exception Storage.Page_store.Corrupt_page _ -> ()
+    | _ -> Alcotest.failf "%s: a corrupt page decoded" what
+  in
+  let nine = List.length ids - 1 in
+  let at_nine = List.nth offsets nine + MStore.block_overhead + 3 in
+  if MStore.backing b = `Map then begin
+    let failures = Storage.Io_stats.crc_failures stats in
+    flip_in_place base at_nine;
+    fails "rot after the rebase";
+    flip_in_place base at_nine;
+    Alcotest.(check (list int)) "mended in place, read again" (value 9) (MStore.read b (id 9));
+    Alcotest.(check int) "crc failures counted" (failures + 2)
+      (Storage.Io_stats.crc_failures stats)
+  end;
+  let rotten = Bytes.copy (List.nth frames nine) in
+  Bytes.set rotten 13 (Char.chr (Char.code (Bytes.get rotten 13) lxor 0x01));
   let failures = Storage.Io_stats.crc_failures stats in
-  (match MStore.read_frame b (id 5) with
-  | exception Storage.Page_store.Corrupt_page _ -> ()
-  | _ -> Alcotest.fail "read_frame returned a corrupt frame");
-  (match MStore.read b (id 5) with
-  | exception Storage.Page_store.Corrupt_page _ -> ()
-  | _ -> Alcotest.fail "a corrupt page decoded");
+  rebase (Filename.concat dir "base2") (List.filteri (fun i _ -> i < nine) frames @ [ rotten ]);
+  fails "staged with a bad CRC";
   Alcotest.(check int) "crc failures counted" (failures + 2)
     (Storage.Io_stats.crc_failures stats);
+  (* A length field past the block, or past the end of the file, is
+     refused before the CRC reads anything. *)
+  List.iter
+    (fun len ->
+      let long = Bytes.copy (List.nth frames nine) in
+      Bytes.set_int32_le long 0 (Int32.of_int len);
+      rebase (Filename.concat dir "base3") (List.filteri (fun i _ -> i < nine) frames @ [ long ]);
+      fails (Printf.sprintf "length field %d" len))
+    [ 128; 1 lsl 20 ];
   MStore.close a;
   MStore.close b
 
-let test_raw_frames_mmap_buffered () =
-  raw_frames_agree (fun ~stats ~path ->
-      MStore.create ~stats ~page_size:128 ~backing:`Buffered ~path ())
-
-let test_raw_frames_mmap_mapped () =
-  let dir = Filename.temp_dir "rta-test-raw" "" in
-  Fun.protect ~finally:(fun () -> rm_tree dir) @@ fun () ->
-  raw_frames_agree (fun ~stats ~path ->
-      MStore.create ~stats ~page_size:128 ~backing:`Auto ~path:(Filename.concat dir path) ())
+let test_base_frames backing () =
+  let dir = Filename.temp_dir "rta-test-base" "" in
+  Fun.protect ~finally:(fun () -> rm_tree dir) @@ fun () -> base_frames ~backing ~dir
 
 (* --- Snapshot streaming: damaged files fail loudly -------------------------------- *)
 
@@ -287,8 +352,8 @@ let with_lkst fs vfs f =
   f'.Storage.Vfs.f_close ()
 
 (* Both destinations read through the streaming reader: heap pages
-   (decoded) and a page file (raw frames).  [crc] says which refusal is
-   due: a checksum mismatch, or a structural failure. *)
+   (decoded) and a base (frames read in place).  [crc] says which refusal
+   is due: a checksum mismatch, or a structural failure. *)
 let loads_fail ?(crc = false) what vfs =
   let attempt name load =
     match load () with
@@ -300,7 +365,7 @@ let loads_fail ?(crc = false) what vfs =
     | _ -> Alcotest.failf "%s: %s loaded" what name
   in
   attempt "heap load" (fun () -> ignore (Rta.load ~vfs ~path:"s" ()));
-  attempt "page-file load" (fun () ->
+  attempt "base load" (fun () ->
       ignore (Rta.load_durable ~vfs ~backing:`Buffered ~snapshot:"s" ~path:"ws" ()))
 
 let test_snapshot_damage () =
@@ -380,6 +445,44 @@ let test_snapshot_damage () =
           ("record count -1", count, fun _ -> -1);
           ("level -1", level, fun _ -> -1) ])
     [ first_page; List.nth offsets ((List.length offsets + 2) / 2); last ];
+  (* A page id is checked too: one that is negative, or that repeats —
+     one page chunk a copy of another, CRC and structure intact — would
+     leave the tree without the page its parents name. *)
+  let reseal b at =
+    let len = Int32.to_int (Bytes.get_int32_le b at) in
+    Bytes.set_int32_le b (at + 4) (Int32.of_int (Storage.Codec.crc32 b ~pos:(at + 8) ~len))
+  in
+  let set_id at id =
+    with_lkst fs vfs (fun b ->
+        Bytes.set_int64_le b (at + 8) (Int64.of_int id);
+        reseal b at;
+        b)
+  in
+  List.iter
+    (fun at ->
+      set_id at (-1);
+      loads_fail (Printf.sprintf "page chunk at %d: id -1" at) vfs;
+      restore ())
+    [ first_page; last ];
+  let chunk b at = Bytes.sub b at (8 + Int32.to_int (Bytes.get_int32_le b at)) in
+  List.iter
+    (fun (src, dst) ->
+      with_lkst fs vfs (fun b ->
+          Bytes.concat Bytes.empty
+            (Bytes.sub b 0 16
+            :: List.map (fun at -> chunk b (if at = dst then src else at)) offsets));
+      loads_fail (Printf.sprintf "page chunk at %d repeated at %d" src dst) vfs;
+      restore ())
+    [ (first_page, last); (last, first_page) ];
+  (* An id far past the others sizes nothing: both destinations load it
+     alike, one page short of the tree, where the mapped store once
+     sized its page file by it. *)
+  set_id last (1 lsl 40);
+  let heap = Rta.load ~vfs ~path:"s" () in
+  let disk = Rta.load_durable ~vfs ~backing:`Buffered ~snapshot:"s" ~path:"ws" () in
+  Alcotest.(check int) "an id of 2^40 loads alike" (Rta.page_count heap) (Rta.page_count disk);
+  Rta.close disk;
+  restore ();
   with_lkst fs vfs (fun b -> Bytes.cat b (Bytes.make 3 '\000'));
   loads_fail "trailing bytes" vfs;
   restore ();
@@ -402,24 +505,60 @@ let test_snapshot_damage () =
 
 (* --- Cross-backend equivalence ------------------------------------------------ *)
 
-(* One deterministic engine run: the harness's alive-aware script under a
-   given store kind.  Half the script runs, then a checkpoint, then a
-   quarter more that lives only in the WAL; the engine closes and reopens
-   from that checkpoint plus the WAL tail (under [Mmap], raw snapshot
-   chunks streamed into a fresh working set and the tail replayed over
-   it), plays the rest and checkpoints again.  Returns the
-   query answers, the update script it played, and the whole image of
-   the filesystem: the buffered arena keeps the working set in RAM, so
-   under either store only WAL, checkpoints and pointer reach it. *)
-let run_script ~store ~seed ~updates ~max_key =
-  let fs = M.create () in
-  let vfs = M.vfs fs in
-  let open_ () =
-    Durable.open_ ~sync_policy:(Wal.Every_n 4) ~store ~arena_backing:`Buffered ~vfs
-      ~max_key ~path:"w" ()
+(* tmpfs where there is one: the engine runs are fsync-bound, and a
+   mapping of a tmpfs file is a mapping all the same. *)
+let fast_temp_dir prefix =
+  let temp_dir =
+    if Sys.file_exists "/dev/shm" then "/dev/shm" else Filename.get_temp_dir_name ()
   in
+  Filename.temp_dir ~temp_dir prefix ""
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* The engine's files under [dir], by name, as a [Vfs.Memory] image
+   lists them: the WAL, the checkpoints and the pointer.  The overlays
+   and the lock file have no counterpart under the memory store. *)
+let dir_image dir =
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.filter (fun f ->
+         not (Filename.check_suffix f ".pages" || Filename.check_suffix f ".lock"))
+  |> List.map (fun f -> (f, read_file (Filename.concat dir f)))
+
+(* One deterministic engine run: the harness's alive-aware script under a
+   given store kind and a 4-page pool, over a [Vfs.Memory] (with
+   [`Buffered]) or the files of a temp directory (with [`Map]).  Queries
+   start from a cold pool.  A first life plays half the
+   script, checkpoints, plays an eighth more and asks queries that are
+   answered through the rebased base and the emptied overlay, then
+   closes.  A second life reopens from that checkpoint plus the WAL tail
+   (under [Mmap], the checkpoint read in place and the tail replayed
+   over it), plays another eighth, checkpoints, asks, vacuums half the
+   history away, plays the rest, checkpoints a second time and asks
+   again.  Every answer is paired with the oracle's, [None] where the
+   window reaches below the horizon.  Returns the answers, the page and
+   record counts after the last checkpoint and after a reopen from it,
+   and the image of the engine's files: the working set never reaches
+   it, so under either store only WAL, checkpoints and pointer do. *)
+let run_script ~store ~backing ~seed ~updates ~max_key =
+  let with_files k =
+    match backing with
+    | `Buffered ->
+        let fs = M.create () in
+        k (M.vfs fs) "w" (fun () -> M.contents fs)
+    | `Map ->
+        let dir = fast_temp_dir "rta-test-agree" in
+        Fun.protect ~finally:(fun () -> rm_tree dir) @@ fun () ->
+        k Storage.Vfs.os (Filename.concat dir "w") (fun () -> dir_image dir)
+  in
+  with_files @@ fun vfs path image ->
+  let open_ () =
+    Durable.open_ ~sync_policy:(Wal.Every_n 4) ~store
+      ~arena_backing:(backing :> [ `Auto | `Map | `Buffered ])
+      ~pool_capacity:4 ~vfs ~max_key ~path ()
+  in
+  let ok = Storage.Storage_error.ok_exn in
   let rng = Random.State.make [| seed; 0x3a7e |] in
-  let ups = ref [] in
+  let oracle = Reference.Warehouse.create () in
   let now = ref 0 in
   let play eng n =
     let rta = Durable.warehouse eng in
@@ -433,8 +572,8 @@ let run_script ~store ~seed ~updates ~max_key =
           if Rta.is_alive rta ~key:k then k else find (i + 1)
         in
         let key = find 0 in
-        Storage.Storage_error.ok_exn (Durable.delete eng ~key ~at:!now);
-        ups := `Delete (key, !now) :: !ups
+        ok (Durable.delete eng ~key ~at:!now);
+        Reference.Warehouse.delete oracle ~key ~at:!now
       end
       else begin
         let rec find i =
@@ -443,73 +582,153 @@ let run_script ~store ~seed ~updates ~max_key =
         in
         let key = find 0 in
         let value = 1 + Random.State.int rng 100 in
-        Storage.Storage_error.ok_exn (Durable.insert eng ~key ~value ~at:!now);
-        ups := `Insert (key, value, !now) :: !ups
+        ok (Durable.insert eng ~key ~value ~at:!now);
+        Reference.Warehouse.insert oracle ~key ~value ~at:!now
       end
     done
   in
+  let answers = ref [] in
+  let ask eng round =
+    (* A cold pool: the answers read their pages out of the store. *)
+    Rta.drop_cache (Durable.warehouse eng);
+    let h = Durable.horizon eng in
+    List.iter
+      (fun (klo, khi, tlo, thi) ->
+        let got =
+          match Durable.sum_count eng ~klo ~khi ~tlo ~thi with
+          | v -> Some v
+          | exception Mvsbt.Below_horizon _ -> None
+        in
+        let want =
+          if max 0 tlo < h then None
+          else
+            Some
+              ( Reference.Warehouse.rta_sum oracle ~klo ~khi ~tlo ~thi,
+                Reference.Warehouse.rta_count oracle ~klo ~khi ~tlo ~thi )
+        in
+        answers := (got, want) :: !answers)
+      (Faultsim.Harness.queries ~max_key ~max_t:(!now + 2) ~seed:(seed + round) ~count:10)
+  in
+  let eighth = max 1 (updates / 8) in
   let eng = open_ () in
   play eng (updates / 2);
-  Storage.Storage_error.ok_exn (Durable.checkpoint eng);
-  play eng (updates / 4);
+  ok (Durable.checkpoint eng);
+  play eng eighth;
+  ask eng 1;
   Durable.close eng;
   let eng = open_ () in
   let report = Durable.recovery_report eng in
-  if report.Durable.checkpoint_gen <> Some 1 || report.Durable.replayed <> updates / 4 then
+  if report.Durable.checkpoint_gen <> Some 1 || report.Durable.replayed <> eighth then
     QCheck.Test.fail_reportf "reopen under %s: %a" (Storage.Store_kind.to_string store)
       Durable.pp_recovery_report report;
-  play eng (updates - (updates / 2) - (updates / 4));
-  Storage.Storage_error.ok_exn (Durable.checkpoint eng);
+  play eng eighth;
+  ok (Durable.checkpoint eng);
+  ask eng 2;
+  ignore (ok (Durable.vacuum eng ~horizon:(!now / 2)));
+  play eng (updates - (updates / 2) - (2 * eighth));
+  ok (Durable.checkpoint eng);
+  ask eng 3;
   let rta = Durable.warehouse eng in
   Rta.check_invariants rta;
-  let qs =
-    Faultsim.Harness.queries ~max_key ~max_t:(!now + 2) ~seed:(seed + 1) ~count:20
-  in
-  let answers =
-    List.map (fun (klo, khi, tlo, thi) -> Rta.sum_count rta ~klo ~khi ~tlo ~thi) qs
-  in
+  let counts rta = (Rta.page_count rta, Rta.record_count rta) in
+  let live = counts rta in
   Durable.close eng;
-  let image = M.contents fs in
-  (answers, List.rev !ups, qs, image)
-
-let oracle_answers ups qs =
-  let w = Reference.Warehouse.create () in
-  List.iter
-    (function
-      | `Insert (key, value, at) -> Reference.Warehouse.insert w ~key ~value ~at
-      | `Delete (key, at) -> Reference.Warehouse.delete w ~key ~at)
-    ups;
-  List.map
-    (fun (klo, khi, tlo, thi) ->
-      ( Reference.Warehouse.rta_sum w ~klo ~khi ~tlo ~thi,
-        Reference.Warehouse.rta_count w ~klo ~khi ~tlo ~thi ))
-    qs
+  let eng = open_ () in
+  let reopened = counts (Durable.warehouse eng) in
+  Durable.close eng;
+  (List.rev !answers, (live, reopened), image ())
 
 let prop_backends_agree =
   QCheck.Test.make ~count:15 ~name:"memory/mmap engines are indistinguishable"
     QCheck.(pair (int_range 1 1000) (int_range 20 60))
     (fun (seed, updates) ->
       let max_key = 12 in
-      let mem = run_script ~store:Storage.Store_kind.Memory ~seed ~updates ~max_key in
-      let mmap = run_script ~store:Storage.Store_kind.Mmap ~seed ~updates ~max_key in
-      let answers (a, _, _, _) = a
-      and ups (_, u, _, _) = u
-      and qs (_, _, q, _) = q
-      and image (_, _, _, i) = i in
-      (* identical scripts (the generator is backend-blind)... *)
-      if ups mmap <> ups mem then
-        QCheck.Test.fail_report "backends played different scripts";
-      (* ...identical, oracle-exact answers... *)
-      let want = oracle_answers (ups mem) (qs mem) in
-      if answers mem <> want then QCheck.Test.fail_report "memory diverges from oracle";
-      if answers mmap <> want then QCheck.Test.fail_report "mmap diverges from oracle";
-      (* ...and byte-identical filesystem images (WAL, checkpoint
-         snapshots, pointer — the working set never reaches it), the
-         second checkpoint written from a working set that was rebuilt
-         from the first one. *)
-      if image mmap <> image mem then
-        QCheck.Test.fail_report "mmap checkpoint image differs from memory";
+      let run store backing = run_script ~store ~backing ~seed ~updates ~max_key in
+      let legs =
+        [ ("memory", run Storage.Store_kind.Memory `Buffered);
+          ("buffered mmap", run Storage.Store_kind.Mmap `Buffered);
+          ("mapped mmap", run Storage.Store_kind.Mmap `Map) ]
+      in
+      let _, (_, _, image) = List.hd legs in
+      List.iter
+        (fun (name, (answers, (live, reopened), image')) ->
+          (* oracle-exact answers, through every rebase... *)
+          List.iteri
+            (fun i (got, want) ->
+              if got <> want then QCheck.Test.fail_reportf "%s: query %d diverges" name i)
+            answers;
+          (* ...a store that holds what a reopen from its checkpoint
+             holds... *)
+          if live <> reopened then
+            QCheck.Test.fail_reportf "%s: %d pages, %d records; reopened, %d and %d" name
+              (fst live) (snd live) (fst reopened) (snd reopened);
+          (* ...and byte-identical images (WAL, checkpoint snapshots,
+             pointer), the later checkpoints written from trees rebased
+             onto earlier ones. *)
+          if image' <> image then
+            QCheck.Test.fail_reportf "%s: checkpoint image differs from memory" name)
+        legs;
       true)
+
+(* --- Mappings of removed generations --------------------------------------------- *)
+
+(* Each rebase unmaps the generation it leaves before the checkpoint
+   removes it, instead of leaving the mapping to the GC: a removed file
+   that is still mapped keeps its blocks on disk and its touched pages
+   resident.  After two checkpoints over a mapped store, the process maps
+   the generation in use and no removed one.  On the way: an open writes
+   no page, and each checkpoint empties the overlay the pool's evictions
+   wrote. *)
+let test_no_removed_generation_mapped () =
+  let maps = "/proc/self/maps" in
+  if not (Sys.file_exists maps) then Alcotest.skip ();
+  let dir = fast_temp_dir "rta-test-maps" in
+  Fun.protect ~finally:(fun () -> rm_tree dir) @@ fun () ->
+  let path = Filename.concat dir "wh" in
+  let max_key = 100 in
+  let open_ () =
+    Durable.open_ ~store:Storage.Store_kind.Mmap ~arena_backing:`Map ~pool_capacity:4
+      ~max_key ~path ()
+  in
+  (* Whether the LKST overlay holds a written slot. *)
+  let overlay_pages () =
+    String.exists (fun c -> c <> '\000') (read_file (path ^ ".store.lkst.pages"))
+  in
+  let round eng r =
+    for i = 0 to 299 do
+      let at = (r * 300) + i and key = (i * 7) mod max_key in
+      Storage.Storage_error.ok_exn
+        (if Rta.is_alive (Durable.warehouse eng) ~key then Durable.delete eng ~key ~at
+         else Durable.insert eng ~key ~value:(at + 1) ~at)
+    done;
+    ignore (Durable.sum_count eng ~klo:0 ~khi:max_key ~tlo:0 ~thi:((r + 1) * 300));
+    let before = overlay_pages () in
+    Storage.Storage_error.ok_exn (Durable.checkpoint eng);
+    if r > 0 then
+      Alcotest.(check (pair bool bool))
+        (Printf.sprintf "checkpoint %d empties the overlay it found written" r)
+        (true, false) (before, overlay_pages ())
+  in
+  let eng = open_ () in
+  round eng 0;
+  Durable.close eng;
+  let eng = open_ () in
+  Fun.protect ~finally:(fun () -> Durable.close eng) @@ fun () ->
+  Alcotest.(check int) "the open writes no page" 0
+    (Storage.Io_stats.writes (Durable.io_stats eng));
+  round eng 1;
+  round eng 2;
+  let mapped =
+    read_file maps |> String.split_on_char '\n'
+    |> List.filter (fun l -> Option.is_some (String.index_opt l '/'))
+    |> List.filter (fun l ->
+           let file = String.sub l (String.index l '/') (String.length l - String.index l '/') in
+           String.starts_with ~prefix:(path ^ ".ckpt-") file)
+  in
+  let deleted = List.filter (fun l -> Filename.check_suffix l "(deleted)") mapped in
+  if deleted <> [] then Alcotest.failf "removed generations still mapped:\n%s" (String.concat "\n" deleted);
+  Alcotest.(check bool) "the generation in use is mapped" true
+    (List.exists (fun l -> Filename.check_suffix l (path ^ ".ckpt-3.lkst")) mapped)
 
 (* --- Descriptor hygiene ---------------------------------------------------------- *)
 
@@ -521,12 +740,8 @@ let test_close_releases_fds ~cycles arena_backing () =
   let fd_dir = "/proc/self/fd" in
   if not (Sys.file_exists fd_dir) then Alcotest.skip ();
   let open_fds () = Array.length (Sys.readdir fd_dir) in
-  (* tmpfs where there is one: the cycles are fsync-bound, and the count
-     of descriptors does not depend on the filesystem. *)
-  let temp_dir =
-    if Sys.file_exists "/dev/shm" then "/dev/shm" else Filename.get_temp_dir_name ()
-  in
-  let dir = Filename.temp_dir ~temp_dir "rta-test-fds" "" in
+  (* The count of descriptors does not depend on the filesystem. *)
+  let dir = fast_temp_dir "rta-test-fds" in
   Fun.protect ~finally:(fun () -> rm_tree dir) @@ fun () ->
   let cycle i =
     let eng =
@@ -717,12 +932,14 @@ let () =
         ] );
       ( "raw-frames",
         [
-          Alcotest.test_case "mmap store, buffered" `Quick test_raw_frames_mmap_buffered;
-          Alcotest.test_case "mmap store, mapped" `Quick test_raw_frames_mmap_mapped;
+          Alcotest.test_case "mmap store, buffered" `Quick (test_base_frames `Buffered);
+          Alcotest.test_case "mmap store, mapped" `Quick (test_base_frames `Auto);
           Alcotest.test_case "damaged snapshots fail" `Quick test_snapshot_damage;
         ] );
       ( "cross-backend",
-        [ QCheck_alcotest.to_alcotest prop_backends_agree ] );
+        [ QCheck_alcotest.to_alcotest prop_backends_agree;
+          Alcotest.test_case "no removed generation stays mapped" `Quick
+            test_no_removed_generation_mapped ] );
       ( "close",
         [
           Alcotest.test_case "buffered arena releases fds" `Slow

@@ -354,10 +354,11 @@ let test_errsweep_small_clean () =
 
 (* --- A corrupt working-set page under checkpoint --------------------------------- *)
 
-(* The checkpoint copies every page as stored, CRC-checked.  A working-set
-   page that fails its checksum must surface as a typed error — engine
-   degraded, previous generation still committed, WAL untouched — and the
-   next open rebuilds the working set from snapshot + WAL. *)
+(* The checkpoint copies every page as stored, CRC-checked.  A page in
+   the overlay — written since the committed checkpoint — that fails its
+   checksum must surface as a typed error — engine degraded, previous
+   generation still committed, WAL untouched — and the next open rebuilds
+   the overlay's pages from snapshot + WAL. *)
 let test_checkpoint_corrupt_working_set () =
   let dir = Filename.temp_dir "rta-test-corrupt" "" in
   Fun.protect ~finally:(fun () ->
@@ -395,17 +396,29 @@ let test_checkpoint_corrupt_working_set () =
   let eng = open_ () in
   let wal = Durable.wal_path path in
   let wal_bytes = (Unix.stat wal).Unix.st_size in
-  (* Flip one payload byte of page 0 — the first root, reachable through
-     the root tenure that starts at time 0 — behind the engine's back. *)
+  (* The replayed tail's pages go to the overlay when the pool is
+     flushed; then one payload byte of every used slot is flipped behind
+     the engine's back.  The current root is among them, and the
+     checkpoint's walk starts there. *)
+  Rta.drop_cache (Durable.warehouse eng);
   let fd = Unix.openfile (path ^ ".store.lkst.pages") [ Unix.O_RDWR ] 0 in
-  let off = 4096 + 8 + 20 in
-  let b = Bytes.create 1 in
-  ignore (Unix.lseek fd off Unix.SEEK_SET);
-  ignore (Unix.read fd b 0 1);
-  Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0x40));
-  ignore (Unix.lseek fd off Unix.SEEK_SET);
-  ignore (Unix.write fd b 0 1);
+  let flipped = ref 0 in
+  let rec flip slot =
+    let off = slot * 4096 and b = Bytes.create 4 in
+    ignore (Unix.lseek fd off Unix.SEEK_SET);
+    if Unix.read fd b 0 4 = 4 && Bytes.get_int32_le b 0 <> 0l then begin
+      ignore (Unix.lseek fd (off + 8 + 20) Unix.SEEK_SET);
+      ignore (Unix.read fd b 0 1);
+      Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0x40));
+      ignore (Unix.lseek fd (off + 8 + 20) Unix.SEEK_SET);
+      ignore (Unix.write fd b 0 1);
+      incr flipped;
+      flip (slot + 1)
+    end
+  in
+  flip 0;
   Unix.close fd;
+  Alcotest.(check bool) "the overlay holds pages" true (!flipped > 0);
   (match Durable.checkpoint eng with
   | Ok () -> Alcotest.fail "checkpoint copied a corrupt page"
   | Error { E.errno = E.Checksum_mismatch; op = E.Pread; _ } -> ()
@@ -426,6 +439,81 @@ let test_checkpoint_corrupt_working_set () =
       Reference.Warehouse.rta_count oracle ~klo ~khi ~tlo ~thi )
     (Durable.sum_count eng ~klo ~khi ~tlo ~thi);
   ok (Durable.checkpoint eng);
+  Durable.close eng
+
+(* --- A checkpoint the trees cannot move onto ------------------------------------- *)
+
+(* A checkpoint whose new generation cannot be mapped still commits, but
+   the trees stay on their old base and overlay, which still hold every
+   page, though the old generation's file is removed: answers stay exact,
+   the engine is degraded with the reason in [last_error], and the next
+   checkpoint that can map moves the trees and heals it. *)
+let test_failed_rebase_keeps_old_base () =
+  let dir = Filename.temp_dir "rta-test-rebase" "" in
+  Fun.protect ~finally:(fun () ->
+      Unix.putenv "RTA_FORCE_NO_MMAP" "";
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+  @@ fun () ->
+  let path = Filename.concat dir "wh" in
+  let max_key = 64 in
+  let open_ () =
+    Durable.open_ ~store:Storage.Store_kind.Mmap ~arena_backing:`Map ~pool_capacity:2
+      ~max_key ~path ()
+  in
+  let oracle = Reference.Warehouse.create () in
+  let eng = open_ () in
+  let apply eng lo hi =
+    for i = lo to hi - 1 do
+      let key = i * 5 mod max_key in
+      if Rta.is_alive (Durable.warehouse eng) ~key then begin
+        ok (Durable.delete eng ~key ~at:i);
+        Reference.Warehouse.delete oracle ~key ~at:i
+      end
+      else begin
+        ok (Durable.insert eng ~key ~value:(i + 1) ~at:i);
+        Reference.Warehouse.insert oracle ~key ~value:(i + 1) ~at:i
+      end
+    done
+  in
+  let check_answers what eng =
+    Rta.drop_cache (Durable.warehouse eng);
+    List.iter
+      (fun (klo, khi, tlo, thi) ->
+        Alcotest.(check (pair int int))
+          (Printf.sprintf "%s [%d,%d)x[%d,%d)" what klo khi tlo thi)
+          ( Reference.Warehouse.rta_sum oracle ~klo ~khi ~tlo ~thi,
+            Reference.Warehouse.rta_count oracle ~klo ~khi ~tlo ~thi )
+          (Durable.sum_count eng ~klo ~khi ~tlo ~thi))
+      [ (0, max_key, 0, 600); (3, 40, 100, 350); (10, 11, 0, 600); (0, max_key, 420, 421) ]
+  in
+  apply eng 0 300;
+  ok (Durable.checkpoint eng);
+  apply eng 300 400;
+  Unix.putenv "RTA_FORCE_NO_MMAP" "1";
+  let r = Durable.checkpoint eng in
+  Unix.putenv "RTA_FORCE_NO_MMAP" "";
+  ok r;
+  Alcotest.(check int) "the checkpoint counts" 2 (Durable.checkpoints eng);
+  Alcotest.(check string) "degraded" "degraded"
+    (Format.asprintf "%a" Durable.pp_health (Durable.health eng));
+  (match Durable.last_error eng with
+  | Some { E.detail = Some d; _ } ->
+      Alcotest.(check bool) "the reason is kept" true
+        (String.length d > 0 && String.sub d 0 (min 9 (String.length d)) = "the trees")
+  | _ -> Alcotest.fail "no reason kept for the failed rebase");
+  check_answers "on the old base" eng;
+  apply eng 400 450;
+  check_answers "written over the old base" eng;
+  ok (Durable.checkpoint eng);
+  Alcotest.(check string) "healed" "healthy"
+    (Format.asprintf "%a" Durable.pp_health (Durable.health eng));
+  check_answers "on the new base" eng;
+  Durable.close eng;
+  let eng = open_ () in
+  Alcotest.(check int) "the last checkpoint holds every update" 0
+    (Durable.replayed_on_open eng);
+  check_answers "reopened" eng;
   Durable.close eng
 
 let () =
@@ -458,6 +546,8 @@ let () =
           Alcotest.test_case "transient glitch degrades then heals" `Quick
             test_transient_glitch_degrades_then_heals;
           QCheck_alcotest.to_alcotest prop_enospc_checkpoint_atomic;
+          Alcotest.test_case "a failed rebase keeps the old base" `Quick
+            test_failed_rebase_keeps_old_base;
         ] );
       ( "sweep",
         [ Alcotest.test_case "small sweep is clean" `Quick test_errsweep_small_clean ] );

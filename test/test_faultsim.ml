@@ -423,21 +423,27 @@ let test_flipped_checkpoint_refused () =
   Alcotest.(check int) "all updates recovered" 200 (Rta.n_updates (Durable.warehouse eng));
   Durable.close eng
 
-(* Page files are a cache that every open rebuilds from the checkpoint
-   and the log.  Whatever an earlier run left in them — garbage of the
-   right size, a truncated file, bytes past the end — is never read: each
-   store answers from the recovery source alone, a mapped open leaves
-   page files byte-identical to an open over no page files at all, and a
-   buffered open does not touch them. *)
-let test_page_files_are_a_cache () =
+(* Overlay files hold the pages written since the committed checkpoint,
+   which holds the rest, and are a cache: every open starts them empty
+   and rebuilds what they held from the checkpoint and the log.  Whatever
+   an earlier run left in them — its own pages, garbage of the right
+   size, a truncated file, bytes past the end — is never read: each store
+   answers from the recovery source alone, a mapped open leaves overlay
+   files byte-identical to an open over no overlay files at all, and a
+   buffered open does not touch them.  A 2-page pool makes every life
+   write pages back to its overlay. *)
+let test_overlay_files_are_a_cache () =
   let prefix = temp_prefix () in
   Fun.protect ~finally:(fun () -> cleanup prefix) @@ fun () ->
   let ups = fixed_updates 200 in
   let mapped = (Storage.Store_kind.Mmap, `Map) in
   let store, arena_backing = mapped in
+  let open_ (store, arena_backing) =
+    Durable.open_ ~store ~arena_backing ~pool_capacity:2 ~max_key:16 ~path:prefix ()
+  in
   build_checkpointed ~store ~arena_backing (List.filteri (fun i _ -> i < 150) ups)
     ~path:prefix;
-  (let eng = Durable.open_ ~store ~arena_backing ~max_key:16 ~path:prefix () in
+  (let eng = open_ mapped in
    List.iteri
      (fun i u ->
        if i >= 150 then
@@ -452,13 +458,28 @@ let test_page_files_are_a_cache () =
     |> List.filter (fun f -> String.starts_with ~prefix:(base ^ ".store") f)
     |> List.map (Filename.concat dir)
   in
-  Alcotest.(check bool) "the mapped store left page files" true (pages <> []);
   let image () = List.map read_all pages in
+  Alcotest.(check bool) "the mapped store left pages in its overlay files" true
+    (pages <> [] && List.exists (String.exists (fun c -> c <> '\000')) (image ()));
   List.iter Sys.remove pages;
-  Durable.close (Durable.open_ ~store ~arena_backing ~max_key:16 ~path:prefix ());
-  let fresh = image () in
   let oracle = Rta.create ~max_key:16 () in
   apply_updates oracle ups;
+  (* The queries evict the replay's dirty pages into the overlay, so an
+     open over no overlay files asks them too. *)
+  let open_and_ask what kind =
+    let eng = open_ kind in
+    Alcotest.(check int) (what ^ ": every update") 200 (Rta.n_updates (Durable.warehouse eng));
+    List.iter
+      (fun (klo, khi, tlo, thi) ->
+        Alcotest.(check (pair int int))
+          (Printf.sprintf "%s: query [%d,%d)x[%d,%d)" what klo khi tlo thi)
+          (Rta.sum_count oracle ~klo ~khi ~tlo ~thi)
+          (Durable.sum_count eng ~klo ~khi ~tlo ~thi))
+      [ (0, 16, 0, 1000); (2, 9, 3, 40); (5, 6, 0, 200); (0, 16, 90, 91) ];
+    Durable.close eng
+  in
+  open_and_ask "no overlay files" mapped;
+  let fresh = image () in
   let scribbles =
     [ ("garbage", fun s -> String.map (fun c -> Char.chr (Char.code c lxor 0xA5)) s);
       ("truncated", fun s -> String.sub s 0 (min 100 (String.length s)));
@@ -474,19 +495,9 @@ let test_page_files_are_a_cache () =
               Out_channel.with_open_bin f (fun oc -> Out_channel.output_string oc s))
             pages;
           let scribbled = image () in
-          let eng = Durable.open_ ~store ~arena_backing ~max_key:16 ~path:prefix () in
-          let what = Printf.sprintf "%s page files, %s" how name in
-          Alcotest.(check int) (what ^ ": every update") 200
-            (Rta.n_updates (Durable.warehouse eng));
-          List.iter
-            (fun (klo, khi, tlo, thi) ->
-              Alcotest.(check (pair int int))
-                (Printf.sprintf "%s: query [%d,%d)x[%d,%d)" what klo khi tlo thi)
-                (Rta.sum_count oracle ~klo ~khi ~tlo ~thi)
-                (Durable.sum_count eng ~klo ~khi ~tlo ~thi))
-            [ (0, 16, 0, 1000); (2, 9, 3, 40); (5, 6, 0, 200); (0, 16, 90, 91) ];
-          Durable.close eng;
-          Alcotest.(check (list string)) (what ^ ": page files")
+          let what = Printf.sprintf "%s overlay files, %s" how name in
+          open_and_ask what (store, arena_backing);
+          Alcotest.(check (list string)) (what ^ ": overlay files")
             (if arena_backing = `Map then fresh else scribbled)
             (image ()))
         [ ("mapped mmap", mapped); ("buffered mmap", (Storage.Store_kind.Mmap, `Buffered)) ])
@@ -622,8 +633,8 @@ let () =
         [
           Alcotest.test_case "a flipped chunk fails every open" `Quick
             test_flipped_checkpoint_refused;
-          Alcotest.test_case "page files are a cache the open rebuilds" `Quick
-            test_page_files_are_a_cache;
+          Alcotest.test_case "overlay files are a cache the open empties" `Quick
+            test_overlay_files_are_a_cache;
         ] );
       ( "scrub",
         [

@@ -750,6 +750,111 @@ let test_graceful_drain () =
   Alcotest.(check int) "all writes applied before exit" 5
     (Rta.n_updates (Durable.warehouse eng))
 
+(* --- Rot in the committed checkpoint, found by a query ----------------------------- *)
+
+let contains hay needle =
+  let n = String.length needle in
+  let rec scan i = i + n <= String.length hay && (String.sub hay i n = needle || scan (i + 1)) in
+  scan 0
+
+(* Under the mmap store a pool miss reads the committed checkpoint, so rot
+   that reaches the file after the open is found by the queries that
+   reach a rotten page.  Each gets a typed error naming the page, and the
+   server keeps serving; once scrub has repaired the file in place from a
+   twin, the mapping shows the repair and the same query answers like the
+   oracle, with no restart. *)
+let test_rotten_checkpoint_page () =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let max_key = 1000 in
+  let oracle = Reference.Warehouse.create () in
+  let open_ ?pool_capacity path =
+    Durable.open_ ~sync_policy:Wal.Never ~store:Storage.Store_kind.Mmap ~arena_backing:`Map
+      ?pool_capacity ~max_key ~path ()
+  in
+  let build ~oracle path =
+    let eng = open_ path in
+    for i = 0 to 1999 do
+      let key = i * 37 mod max_key in
+      if Rta.is_alive (Durable.warehouse eng) ~key then begin
+        E.ok_exn (Durable.delete eng ~key ~at:i);
+        Option.iter (fun o -> Reference.Warehouse.delete o ~key ~at:i) oracle
+      end
+      else begin
+        E.ok_exn (Durable.insert eng ~key ~value:(i + 1) ~at:i);
+        Option.iter (fun o -> Reference.Warehouse.insert o ~key ~value:(i + 1) ~at:i) oracle
+      end
+    done;
+    E.ok_exn (Durable.checkpoint eng);
+    Durable.close eng
+  in
+  let prefix = Filename.concat dir "wh" and twin = Filename.concat dir "twin" in
+  build ~oracle:(Some oracle) prefix;
+  build ~oracle:None twin;
+  let eng = open_ ~pool_capacity:2 prefix in
+  let cluster = Shard.Cluster.create [| eng |] in
+  let sock = Filename.concat dir "s.sock" in
+  let srv = Server.create ~cluster ~listen:(Server.listen_unix ~path:sock) () in
+  let cli = Client.connect_unix ~path:sock () in
+  Fun.protect
+    ~finally:(fun () ->
+      Client.close cli;
+      Server.request_shutdown srv;
+      let i = ref 0 in
+      while Server.step srv ~timeout:0.01 && !i < 200 do
+        incr i
+      done;
+      Shard.Cluster.shutdown cluster;
+      Durable.close eng)
+  @@ fun () ->
+  let ask req =
+    Client.send cli req;
+    step_n srv 3;
+    Client.recv cli
+  in
+  let klo, khi, tlo, thi = (0, max_key, 0, 3000) in
+  let query = Wire.Query { agg = Wire.Sum; klo; khi; tlo; thi } in
+  let want = Reference.Warehouse.rta_sum oracle ~klo ~khi ~tlo ~thi in
+  (* Flip one payload byte of every page chunk of the LKST checkpoint, in
+     place, behind the engine's back: its mapping must see the change. *)
+  let file = prefix ^ ".ckpt-1.lkst" in
+  let payloads =
+    Mvsbt.Chunks.with_file Storage.Vfs.os ~path:file ~magic:Mvsbt.snapshot_magic @@ fun rd ->
+    let rec go acc =
+      match Mvsbt.Chunks.next rd with
+      | None -> acc
+      | Some f when f.Mvsbt.Chunks.index < 2 -> go acc
+      | Some f -> go ((f.offset + Mvsbt.Chunks.frame_bytes + (f.len / 2)) :: acc)
+    in
+    go []
+  in
+  let fd = Unix.openfile file [ Unix.O_RDWR ] 0 in
+  List.iter
+    (fun off ->
+      let b = Bytes.create 1 in
+      ignore (Unix.lseek fd off Unix.SEEK_SET);
+      ignore (Unix.read fd b 0 1);
+      Bytes.set_uint8 b 0 (Bytes.get_uint8 b 0 lxor 0x10);
+      ignore (Unix.lseek fd off Unix.SEEK_SET);
+      ignore (Unix.write fd b 0 1))
+    payloads;
+  Unix.close fd;
+  (match ask query with
+  | Wire.Err { code = Wire.Write_failed; detail }
+    when contains detail "checksum" && contains detail "page" && contains detail file ->
+      ()
+  | r -> Alcotest.failf "a query over a rotten page answered %a" Wire.pp_response r);
+  (match ask Wire.Ping with
+  | Wire.Pong -> ()
+  | r -> Alcotest.failf "ping after the rot answered %a" Wire.pp_response r);
+  let report = Durable.scrub ~repair_from:twin ~path:prefix () in
+  Alcotest.(check int) "every rotten chunk repaired" (List.length payloads)
+    (List.length report.Durable.repaired);
+  Alcotest.(check int) "nothing irreparable" 0 (List.length report.Durable.irreparable);
+  match ask query with
+  | Wire.Agg { sum; _ } -> Alcotest.(check int) "answers like the oracle after the repair" want sum
+  | r -> Alcotest.failf "the query after the repair answered %a" Wire.pp_response r
+
 (* --- Kill -9 the serve process mid-burst ------------------------------------------- *)
 
 let exe = "../bin/rta_cli.exe"
@@ -870,5 +975,7 @@ let () =
           Alcotest.test_case "sync failure acks nothing" `Quick test_sync_failure_acks_nothing;
         ] );
       ( "crash",
-        [ Alcotest.test_case "kill -9 and recover" `Quick test_kill_server_recovers ] );
+        [ Alcotest.test_case "kill -9 and recover" `Quick test_kill_server_recovers;
+          Alcotest.test_case "rot in the checkpoint, found and repaired live" `Quick
+            test_rotten_checkpoint_page ] );
     ]
