@@ -158,12 +158,14 @@ let store_conv =
 
 let store_term =
   let doc =
-    "Page backend for the durable engine's working set: $(b,memory) (in-heap, the \
-     default) or $(b,mmap) (CRC-framed pages read in place from the committed \
-     checkpoint, mapped read-only, and the pages written since in a memory-mapped \
-     overlay, zero-copy codecs; falls back to RAM images where mapping is \
-     unavailable, or when RTA_FORCE_NO_MMAP=1).  The overlays are a cache that every \
-     open and checkpoint empties.  $(b,file) is another name for $(b,mmap)."
+    "Where the durable engine keeps its CRC-framed pages, which queries scan in place \
+     under either: $(b,memory) (the default: the committed checkpoint's frames copied \
+     into RAM at open, and the pages written since in RAM; no file but the WAL and \
+     the checkpoints) or $(b,mmap) (the committed checkpoint mapped read-only, and the \
+     pages written since in a memory-mapped overlay; falls back to RAM images where \
+     mapping is unavailable, or when RTA_FORCE_NO_MMAP=1).  The overlays are a cache \
+     that every open and checkpoint empties.  $(b,file) is another name for \
+     $(b,mmap)."
   in
   Arg.(value & opt store_conv Storage.Store_kind.Memory & info [ "store" ] ~doc)
 

@@ -259,18 +259,21 @@ module Make (G : Aggregate.Group.S) : sig
         return the words {!encode} produced, in the same order. *)
   end
 
-  (** A file-resident MVSBT over {!Storage.Page_store.Mmap}, behind a
-      pinning, second-chance buffer pool, so physical reads and writes
-      hit files.  A page is read from the {!Persist} snapshot the tree
-      was opened or last rebased on (mapped read-only, or a RAM image of
-      its frames where mapping is unavailable), unless it was written
-      since, in which case it is in the overlay file: fixed-size slots,
-      handed out densely.  Pages are encoded and decoded in place, through
-      the same layout {!Persist} writes to snapshots.  The handle type
-      and every operation are those of the in-memory tree.  The overlay
-      is a cache of this handle's pages: nothing reads it back after
-      {!close}, and a tree is made durable by {!Persist.save_staged} and
-      the rebase it returns. *)
+  (** An MVSBT over {!Storage.Page_store.Mmap}, behind a pinning,
+      second-chance buffer pool: the tree every durable warehouse serves
+      from, with its frames in mapped files or in RAM.  A page is read
+      from the {!Persist} snapshot the tree was opened or last rebased on
+      (mapped read-only, or a RAM image of its frames), unless it was
+      written since: then a page that can still change is held decoded,
+      and a closed one is in the overlay, fixed-size slots handed out
+      densely, encoded once when it closed.  A {!query} scans each frame
+      on its path in place, in one pass over the fixed-size records, and
+      decodes nothing; only {!insert} and maintenance passes decode a
+      frame.  The layout is the one {!Persist} writes to snapshots.  The
+      handle type and every operation are those of the heap tree.  The
+      overlay is a cache of this handle's pages: nothing reads it back
+      after {!close}, and a tree is made durable by {!Persist.save_staged}
+      and the rebase it returns. *)
   module Durable (V : VALUE_CODEC) : sig
     val create :
       ?config:config ->
@@ -304,12 +307,14 @@ module Make (G : Aggregate.Group.S) : sig
         [snapshot], with an empty overlay created at [path].  The
         snapshot is read once through [vfs] (default {!Storage.Vfs.os}),
         through one reused buffer, and every chunk is verified: its CRC,
-        its structure, and its page id, which must be non-negative and
-        not repeat.  A page chunk is byte for byte the page's frame, so
+        its structure (a record count within [b], child flags that match
+        the level, records that fill the chunk), and its page id, which
+        must be non-negative and not repeat.  A page chunk is byte for byte the page's frame, so
         nothing is decoded and no page is written: the base records each
         frame's offset, and then maps the file read-only, or, under
         [`Buffered] or where mapping fails, keeps a RAM image of the
-        frames copied as they streamed past ({!Storage.Page_store.Mmap.stage}).
+        frames copied as they streamed past ({!Storage.Page_store.Mmap.stage});
+        under [`Buffered] no file but [snapshot] is touched.
         A page read later is CRC-checked again, so a byte of the snapshot
         that rots after the open fails the reads that reach it.  The page
         size follows the snapshot's config (see {!create}).
@@ -324,17 +329,18 @@ module Make (G : Aggregate.Group.S) : sig
 
   (** Snapshot persistence: serialise the whole page graph (every page
       with its original id, the [root*] directory, and the configuration)
-      to a file of {!Chunks} and reload it later.  The caller supplies
-      the binary codec for aggregate values.  Each page is one chunk
-      whose frame is exactly the frame a {!Durable} tree stores, so such
-      a tree copies its pages' stored frames out, and
-      {!Durable.of_snapshot} reads them in place, without decoding. *)
+      to a file of {!Chunks}.  The caller supplies the binary codec for
+      aggregate values.  Each page is one chunk whose frame is exactly
+      the frame a {!Durable} tree stores, so such a tree copies its
+      pages' stored frames out, and {!Durable.of_snapshot} — the one way
+      back in — reads them in place, without decoding. *)
   module Persist (V : VALUE_CODEC) : sig
     val save : ?vfs:Storage.Vfs.t -> t -> path:string -> unit
     (** Write a snapshot.  The index remains usable.  A {!Durable} tree's
-        pages are copied as stored (one charged read each, CRC-checked;
-        only index pages are decoded, to walk the graph); a heap tree's
-        are encoded and checksummed.  The bytes are the same either way.
+        frames are copied as stored (one charged read each, CRC-checked;
+        only index pages are decoded, to walk the graph), and its pages
+        held decoded are encoded; a heap tree's pages are encoded.  The
+        bytes are the same either way.
         @raise Storage.Page_store.Corrupt_page if a stored page fails its
         checksum. *)
 
@@ -351,18 +357,5 @@ module Make (G : Aggregate.Group.S) : sig
         cannot be mapped; the tree then stays on its previous base and
         overlay, which still hold every page. *)
 
-    val load :
-      ?pool_capacity:int ->
-      ?stats:Storage.Io_stats.t ->
-      ?vfs:Storage.Vfs.t ->
-      path:string ->
-      unit ->
-      t
-    (** Reload a snapshot into heap pages, streamed through one reused
-        read buffer, every chunk's CRC verified; queries and further
-        (time-monotone) insertions behave exactly as on the saved index.
-        @raise Storage.Storage_error.Io with [Checksum_mismatch] on a
-        chunk that fails its CRC.
-        @raise Failure on a malformed, truncated or overlong file. *)
   end
 end

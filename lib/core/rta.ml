@@ -287,7 +287,7 @@ let snapshot_updates ?(vfs = Storage.Vfs.os) ~path () =
   n_updates
 
 (* The base table and counters come from the snapshot's [.meta], each
-   tree from [tree snapshot_ext pages_suffix]; a tree that fails to load
+   tree from [tree snapshot_ext overlay_suffix]; a tree that fails to load
    closes the one built before it. *)
 let load_with ?telemetry ~vfs ~path tree =
   let max_key, now_, n_updates, alive = read_meta ~vfs ~path in
@@ -301,17 +301,17 @@ let load_with ?telemetry ~vfs ~path tree =
   apply_telemetry telemetry
     { lkst; lklt; alive; max_key; now_; n_updates; tel = Telemetry.Tracer.noop }
 
-let load ?pool_capacity ?stats ?telemetry ?(vfs = Storage.Vfs.os) ~path () =
-  let stats = match stats with Some s -> s | None -> Storage.Io_stats.create () in
-  load_with ?telemetry ~vfs ~path (fun ext _ ->
-      Persist.load ?pool_capacity ~stats ~vfs ~path:(path ^ ext) ())
-
 let load_durable ?pool_capacity ?stats ?telemetry ?(vfs = Storage.Vfs.os) ?backing
     ~snapshot ~path () =
   let stats = match stats with Some s -> s | None -> Storage.Io_stats.create () in
   load_with ?telemetry ~vfs ~path:snapshot (fun ext suffix ->
       Durable_index.of_snapshot ?pool_capacity ~stats ~vfs ?backing
         ~snapshot:(snapshot ^ ext) ~path:(path ^ suffix) ())
+
+(* Under [`Buffered] the overlays are RAM: [path] only names them. *)
+let load ?pool_capacity ?stats ?telemetry ?vfs ~path () =
+  load_durable ?pool_capacity ?stats ?telemetry ?vfs ~backing:`Buffered ~snapshot:path
+    ~path ()
 
 (* --- Vacuum (retention) ---------------------------------------------------- *)
 

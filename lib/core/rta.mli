@@ -48,18 +48,20 @@ val create_durable :
   path:string ->
   unit ->
   t
-(** Like {!create}, but both MVSBTs keep their pages on disk
-    ({!Storage.Page_store.Mmap} behind pinning buffer pools): the pages
-    written since the last checkpoint in overlay files
-    ([<path>.lkst.pages] and [<path>.lklt.pages], fixed-size slots), the
-    rest in the checkpoint itself once there is one (see
+(** Like {!create}, but both MVSBTs keep their pages as CRC-framed
+    frames ({!Storage.Page_store.Mmap} behind pinning buffer pools),
+    which queries scan in place: the pages sealed since the last
+    checkpoint in overlays ([<path>.lkst.pages] and [<path>.lklt.pages],
+    fixed-size slots), the pages that can still change held decoded, and
+    the rest in the checkpoint itself once there is one (see
     {!save_staged}).  [page_size] must hold [config.b] records (~57
     bytes each); it defaults to the smallest multiple of 4096 that does.
-    [backing] picks the arena flavour: the files are mapped and pages
-    codec'd in place, or held in RAM where mapping is unavailable — see
-    {!Storage.Arena.create}.  The overlay files are a cache of this
-    warehouse's pages, never read back: make the warehouse durable with
-    {!save}, or run it under {!Durable}.
+    [backing] picks the arena flavour: the overlay files are mapped, or
+    the overlays are RAM and no file is touched ([`Buffered], and the
+    fallback where mapping is unavailable) — see {!Storage.Arena.create}.
+    The overlays are a cache of this warehouse's pages, never read back:
+    make the warehouse durable with {!save}, or run it under
+    {!Durable}.
     @raise Invalid_argument when the configuration cannot fit a page. *)
 
 val close : t -> unit
@@ -194,20 +196,6 @@ val try_save :
     returned as [Error], and so is a corrupt stored page, as a
     [Checksum_mismatch] ({!Storage.Page_store.protect}). *)
 
-val load :
-  ?pool_capacity:int ->
-  ?stats:Storage.Io_stats.t ->
-  ?telemetry:Telemetry.Tracer.t ->
-  ?vfs:Storage.Vfs.t ->
-  path:string ->
-  unit ->
-  t
-(** Load a {!save}d snapshot into heap pages.
-    @raise Storage.Storage_error.Io with [Checksum_mismatch], naming the
-    file and chunk, if any chunk fails its CRC.
-    @raise Failure on malformed, older-format or missing snapshot
-    files. *)
-
 val load_durable :
   ?pool_capacity:int ->
   ?stats:Storage.Io_stats.t ->
@@ -225,8 +213,23 @@ val load_durable :
     [path], as {!create_durable} lays it out
     ({!Mvsbt.Make.Durable.of_snapshot}).  Nothing is decoded and no page
     is written.  The page size follows the snapshot's config.
-    @raise Storage.Storage_error.Io and [Failure] as {!load}, [Failure]
-    also on a page id that is negative or repeats. *)
+    @raise Storage.Storage_error.Io with [Checksum_mismatch], naming the
+    file and chunk, if any chunk fails its CRC.
+    @raise Failure on malformed, older-format or missing snapshot files,
+    or on a page id that is negative or repeats. *)
+
+val load :
+  ?pool_capacity:int ->
+  ?stats:Storage.Io_stats.t ->
+  ?telemetry:Telemetry.Tracer.t ->
+  ?vfs:Storage.Vfs.t ->
+  path:string ->
+  unit ->
+  t
+(** {!load_durable} of the snapshot at [path] under [`Buffered]: the
+    frames are copied into RAM as they are verified, the overlays are
+    RAM too, and no file is written.  A reader replica's warehouse, and
+    the [--snapshot] of [rta_cli query], are loaded this way. *)
 
 val snapshot_files : (string * string) list
 (** The three files of a {!save}: each extension with the magic its file

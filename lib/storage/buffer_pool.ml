@@ -12,7 +12,6 @@ module Make (Store : Page_store.S) = struct
     mutable hits : int;
     mutable misses : int;
     mutable touches : int;
-    mutable readaheads : int;
   }
 
   let create ?(capacity = 64) ?(policy = Evict.Lru) store =
@@ -23,7 +22,6 @@ module Make (Store : Page_store.S) = struct
       hits = 0;
       misses = 0;
       touches = 0;
-      readaheads = 0;
     }
 
   let store t = t.store
@@ -33,7 +31,6 @@ module Make (Store : Page_store.S) = struct
   let hits t = t.hits
   let misses t = t.misses
   let touches t = t.touches
-  let readaheads t = t.readaheads
   let pinned t = Evict.pinned t.cache
   let alloc t = Store.alloc t.store
 
@@ -71,7 +68,6 @@ module Make (Store : Page_store.S) = struct
     insert t id { payload; dirty = true }
 
   let mem t id = Evict.mem t.cache id || Store.mem t.store id
-  let resident t id = Evict.mem t.cache id
 
   let mark_dirty t id =
     match Evict.peek t.cache id with
@@ -97,18 +93,6 @@ module Make (Store : Page_store.S) = struct
     | Some n -> Hashtbl.replace t.intents id (n - 1)
 
   let pin_count t id = intent t id
-
-  (* Batched descent readahead: hint every not-yet-resident page of an
-     anticipated root-to-leaf path in one go, so the kernel can overlap
-     the faults instead of taking them serially as the descent walks. *)
-  let readahead t ids =
-    let missing = List.filter (fun id -> not (Evict.mem t.cache id)) ids in
-    (match missing with
-    | [] -> ()
-    | _ ->
-        t.readaheads <- t.readaheads + List.length missing;
-        Io_stats.record_readaheads (Store.stats t.store) (List.length missing);
-        Store.prefetch t.store missing)
 
   let free t id =
     Hashtbl.remove t.intents id;

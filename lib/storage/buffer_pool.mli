@@ -10,11 +10,9 @@
     Replacement is pluggable ({!Evict.policy}): exact LRU — the paper's
     setting and the default — or second-chance (clock), the cheaper
     approximation a mapped store pairs with.  Pages can be {!pin}ned
-    against eviction while a caller holds a reference into them
-    (mandatory once records are decoded straight out of mapped blocks);
+    against eviction while a caller holds a reference into them;
     a pin is an {e intent} that survives {!drop_cache} and re-applies
-    itself when the page faults back in.  {!readahead} batches the
-    prefetch hint for an anticipated descent path. *)
+    itself when the page faults back in. *)
 
 module Make (Store : Page_store.S) : sig
   type t
@@ -38,9 +36,6 @@ module Make (Store : Page_store.S) : sig
       they hit the cache — the per-operation quantity the paper's
       [O(log_b n)] bounds speak about, and what the telemetry bound
       checker profiles. *)
-
-  val readaheads : t -> int
-  (** Pages hinted via {!readahead} over the pool's lifetime. *)
 
   val pinned : t -> int
   (** Resident pages currently pinned. *)
@@ -68,10 +63,6 @@ module Make (Store : Page_store.S) : sig
       page that has never been evicted lives only in the cache, so
       existence checks must go through the pool, not the raw store. *)
 
-  val resident : t -> Page_id.t -> bool
-  (** Whether the page is currently cached — a {!read} right now would
-      hit.  Lets callers gate advisory work (readahead) to faults. *)
-
   val pin : t -> Page_id.t -> unit
   (** Record the intent that this page must stay resident, faulting it in
       (one charged read) if it is not.  Pins nest; each {!pin} needs a
@@ -83,12 +74,6 @@ module Make (Store : Page_store.S) : sig
 
   val pin_count : t -> Page_id.t -> int
   (** Outstanding pin intents for a page (0 if none). *)
-
-  val readahead : t -> Page_id.t list -> unit
-  (** Batched prefetch hint for the not-yet-resident pages of an
-      anticipated descent path.  Advisory: charges no reads, only the
-      [readaheads] counter; actual faults are still charged where the
-      descent reads the pages. *)
 
   val free : t -> Page_id.t -> unit
   (** Drop the page from the cache (without write-back, clearing any pin

@@ -50,18 +50,32 @@ module Writer = struct
   let contents t = t.buf
 end
 
-(* CRC-32 (IEEE 802.3, polynomial 0xEDB88320), slicing-by-8 in C
-   ([arena_stubs.c]); its tables are built here, at module
+(* CRC-32 (IEEE 802.3, polynomial 0xEDB88320) in C ([arena_stubs.c]):
+   a carry-less-multiply fold where the CPU has one, slicing-by-8 tables
+   otherwise.  The tables, and the CPU check, are set up here, at module
    initialisation, before anything can checksum. *)
 external crc32_init : unit -> unit = "rta_crc32_init"
 external crc32_bytes : int -> bytes -> int -> int -> int = "rta_crc32_bytes" [@@noalloc]
 
+external crc32_tables_bytes : int -> bytes -> int -> int -> int = "rta_crc32_tables_bytes"
+  [@@noalloc]
+
+external crc32_folds_stub : unit -> bool = "rta_crc32_folds"
+
 let () = crc32_init ()
+let crc32_folds = crc32_folds_stub ()
+
+let check_range ~who buf ~pos ~len =
+  if pos < 0 || len < 0 || pos > Bytes.length buf - len then
+    invalid_arg (who ^ ": range outside buffer")
 
 let crc32_update crc buf ~pos ~len =
-  if pos < 0 || len < 0 || pos > Bytes.length buf - len then
-    invalid_arg "Codec.crc32_update: range outside buffer";
+  check_range ~who:"Codec.crc32_update" buf ~pos ~len;
   crc32_bytes (crc land 0xFFFFFFFF) buf pos len
+
+let crc32_reference buf ~pos ~len =
+  check_range ~who:"Codec.crc32_reference" buf ~pos ~len;
+  crc32_tables_bytes 0 buf pos len
 
 let crc32 buf ~pos ~len = crc32_update 0 buf ~pos ~len
 let crc32_string s = crc32 (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)

@@ -57,10 +57,11 @@ end
 (** {1 CRC-32}
 
     The IEEE 802.3 checksum (polynomial [0xEDB88320], the zlib/PNG/
-    Ethernet variant), computed by one slicing-by-8 C kernel shared with
-    {!Zcodec.crc32}.  Frames WAL records, checkpoint chunks and page
-    blocks, so torn or corrupted bytes are detected instead of silently
-    decoded. *)
+    Ethernet variant), computed by one C kernel shared with
+    {!Zcodec.crc32}: a carry-less-multiply (PCLMULQDQ) fold on x86-64
+    CPUs that report one, slicing-by-8 tables elsewhere and for the tail.
+    Frames WAL records, checkpoint chunks and page frames, so torn or
+    corrupted bytes are detected instead of silently decoded. *)
 
 val crc32 : bytes -> pos:int -> len:int -> int
 (** Checksum of [len] bytes starting at [pos]; the result fits 32 bits.
@@ -72,6 +73,14 @@ val crc32_update : int -> bytes -> pos:int -> len:int -> int
     [crc32_update (crc32 b0) b1] over the concatenation. *)
 
 val crc32_string : string -> int
+
+val crc32_reference : bytes -> pos:int -> len:int -> int
+(** {!crc32} by the slicing-by-8 tables alone, on every CPU: the
+    reference the fold is tested against. *)
+
+val crc32_folds : bool
+(** Whether this CPU computes {!crc32} with the carry-less-multiply
+    fold. *)
 
 module Reader : sig
   include READER

@@ -16,12 +16,31 @@ type buf = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1
 
 val get_u8 : buf -> int -> int
 val set_u8 : buf -> int -> int -> unit
+
+(** Words are little-endian, read and written with one load or store
+    each (byte-swapped on a big-endian host).
+    @raise Invalid_argument if the word does not lie inside the buffer. *)
+
 val get_i32 : buf -> int -> int
-(** Little-endian, sign-extended — as [Codec.Reader.i32]. *)
+(** Sign-extended — as [Codec.Reader.i32]. *)
 
 val set_i32 : buf -> int -> int -> unit
+(** The low 32 bits. *)
+
 val get_i64 : buf -> int -> int
 val set_i64 : buf -> int -> int -> unit
+
+(** {2 Unchecked loads}
+
+    For a scan that has checked its whole range once.  These are the
+    compiler's primitives, so they compile to one load wherever they are
+    used, across modules too. *)
+
+external load64 : buf -> int -> int64 = "%caml_bigstring_get64u"
+(** The 8 bytes at an offset, in host order, with no bounds check. *)
+
+external bswap64 : int64 -> int64 = "%bswap_int64"
+(** For a little-endian word on a big-endian host ([Sys.big_endian]). *)
 
 val crc32 : buf -> pos:int -> len:int -> int
 (** [Codec.crc32] over a mapped slice: the same C kernel.
