@@ -28,13 +28,11 @@ let run_trace ?(sync_policy = Wal.Every_n 4) ?(checkpoint_every = 0)
     () =
   let fs = M.create () in
   let vfs = M.vfs fs in
-  (* The harness filesystem is the in-memory journal, so the arena must
-     run on its buffered backing — there is nothing to mmap, and the page
-     cache stays in RAM, off the journal. *)
-  let eng =
-    Durable.open_ ~sync_policy ~checkpoint_every ~store ~arena_backing:`Buffered
-      ~vfs ~max_key ~path:"w" ()
-  in
+  (* The journal is an in-memory filesystem, which nothing can map, so
+     the trace runs on the memory store whatever [store] its recoveries
+     use: both stores write the same files, and the working set of
+     neither reaches them. *)
+  let eng = Durable.open_ ~sync_policy ~checkpoint_every ~vfs ~max_key ~path:"w" () in
   let rng = Random.State.make [| seed; 0x5eed |] in
   let ups = ref [] in
   let marks = ref [] in
@@ -186,10 +184,32 @@ let oracle_answers trace qs n =
 let rta_answers rta qs =
   List.map (fun (klo, khi, tlo, thi) -> Rta.sum_count rta ~klo ~khi ~tlo ~thi) qs
 
-let reopen trace vfs =
+(* [k vfs path] over a crash image, as recovery under [store] reads it.
+   The memory store opens it in a fresh in-memory filesystem.  The mmap
+   store maps the checkpoint it recovers from, which only a real file
+   allows: the image is written out to a fresh directory, the engine
+   opens it there through the OS, and the directory goes once [k]
+   returns. *)
+let with_image store ~prefix (img : Explorer.image) k =
+  match store with
+  | Storage.Store_kind.Memory -> k (M.vfs (Explorer.to_memory_fs img)) prefix
+  | Storage.Store_kind.Mmap ->
+      let dir = Filename.temp_dir "rta-crash-image" "" in
+      let rec rm path =
+        if Sys.is_directory path then begin
+          Array.iter (fun f -> rm (Filename.concat path f)) (Sys.readdir path);
+          Sys.rmdir path
+        end
+        else Sys.remove path
+      in
+      Fun.protect ~finally:(fun () -> rm dir) @@ fun () ->
+      Explorer.materialize img ~dir;
+      k Storage.Vfs.os (Filename.concat dir prefix)
+
+let reopen trace vfs path =
   Durable.open_ ~sync_policy:trace.sync_policy
-    ~checkpoint_every:trace.checkpoint_every ~store:trace.store
-    ~arena_backing:`Buffered ~vfs ~max_key:trace.max_key ~path:trace.prefix ()
+    ~checkpoint_every:trace.checkpoint_every ~store:trace.store ~vfs
+    ~max_key:trace.max_key ~path ()
 
 let check ?limit ?(query_count = 20) ?(query_seed = 42) (trace : trace) =
   let images = Explorer.enumerate (Array.to_list trace.ops) in
@@ -221,9 +241,8 @@ let check ?limit ?(query_count = 20) ?(query_seed = 42) (trace : trace) =
   in
   List.iter
     (fun (img : Explorer.image) ->
-      let fs = Explorer.to_memory_fs img in
-      let vfs = M.vfs fs in
-      match reopen trace vfs with
+      with_image trace.store ~prefix:trace.prefix img @@ fun vfs path ->
+      match reopen trace vfs path with
       | exception e -> viol img "recovery raised %s" (Printexc.to_string e)
       | eng -> (
           let rta = Durable.warehouse eng in
@@ -243,7 +262,7 @@ let check ?limit ?(query_count = 20) ?(query_seed = 42) (trace : trace) =
               (* Recovery must be idempotent: it rewrites the torn tail,
                  and opening again on what it left behind must land on the
                  exact same state. *)
-              match reopen trace vfs with
+              match reopen trace vfs path with
               | exception e ->
                   viol img "second recovery raised %s" (Printexc.to_string e)
               | eng2 ->

@@ -28,7 +28,7 @@ type trace = {
   sync_policy : Wal.sync_policy;
   checkpoint_every : int;
   store : Storage.Store_kind.t;
-      (** Page backend the engine (and every recovery) runs under. *)
+      (** Page store every recovery runs under (see {!with_image}). *)
   ops : Storage.Vfs.Memory.op array;  (** The journal, in program order. *)
   updates : update array;  (** The logical updates, in order. *)
   marks : (int * int) array;
@@ -49,12 +49,25 @@ val run_trace :
     three updates) through a {!Durable} engine over
     {!Storage.Vfs.Memory}, recording the journal.  Deterministic in
     [seed].  Defaults: [Every_n 4] group commit, no automatic
-    checkpoints, 120 updates, [Memory] page store.  Under [Mmap] the
-    engine runs on its buffered backing: RAM images of the checkpoint's
-    frames, copied as they are read, and a RAM overlay, none of which
-    reaches the journaled filesystem, so the crash images are those of
-    the [Memory] store — recovery must rebuild the working set from
-    checkpoint + WAL on each. *)
+    checkpoints, 120 updates, [Memory] page store for the recoveries.
+    The trace itself always runs on the memory store, since nothing can
+    map the journaled filesystem; neither store's working set reaches
+    its files, so the crash images are the same under both — recovery
+    must rebuild the working set from checkpoint + WAL on each. *)
+
+val with_image :
+  Storage.Store_kind.t ->
+  prefix:string ->
+  Explorer.image ->
+  (Storage.Vfs.t -> string -> 'a) ->
+  'a
+(** [with_image store ~prefix img k] runs [k vfs path] over the crash
+    image [img] as recovery under [store] reads it, [path] standing for
+    the warehouse [prefix].  [Memory] opens the image in a fresh
+    {!Storage.Vfs.Memory}.  [Mmap] maps the checkpoint it recovers
+    from, so the image is written to a fresh temporary directory
+    ({!Explorer.materialize}) and opened there through {!Storage.Vfs.os},
+    its checkpoint mapped; the directory is removed once [k] returns. *)
 
 val issued_ceiling : trace -> cut:int -> int
 (** Updates that could possibly be recovered at [cut]: everything fully

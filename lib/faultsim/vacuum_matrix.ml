@@ -40,12 +40,9 @@ let run_trace ?(sync_policy = Wal.Every_n 4) ?(checkpoint_every = 40)
     ?(vacuum_step_pages = 4) ~max_key () =
   let fs = M.create () in
   let vfs = M.vfs fs in
-  (* In-memory journal — the arena must use its buffered backing, which
-     keeps the page cache in RAM, off the journal. *)
-  let eng =
-    Durable.open_ ~sync_policy ~checkpoint_every ~store ~arena_backing:`Buffered
-      ~vfs ~max_key ~path:"w" ()
-  in
+  (* An in-memory journal, which nothing can map: the trace runs on the
+     memory store whatever [store] its recoveries use. *)
+  let eng = Durable.open_ ~sync_policy ~checkpoint_every ~vfs ~max_key ~path:"w" () in
   let rta = Durable.warehouse eng in
   let rng = Random.State.make [| seed; 0xacc5 |] in
   let ups = ref [] in
@@ -262,10 +259,10 @@ let compare_queries rta qs expected =
   in
   go qs expected
 
-let reopen trace vfs =
+let reopen trace vfs path =
   Durable.open_ ~sync_policy:trace.sync_policy
-    ~checkpoint_every:trace.checkpoint_every ~store:trace.store
-    ~arena_backing:`Buffered ~vfs ~max_key:trace.max_key ~path:trace.prefix ()
+    ~checkpoint_every:trace.checkpoint_every ~store:trace.store ~vfs
+    ~max_key:trace.max_key ~path ()
 
 let check ?limit ?(query_count = 20) ?(query_seed = 42) (trace : trace) =
   let images = Explorer.enumerate (Array.to_list trace.ops) in
@@ -301,9 +298,8 @@ let check ?limit ?(query_count = 20) ?(query_seed = 42) (trace : trace) =
   let total = Array.length trace.data_prefix - 1 in
   List.iter
     (fun (img : Explorer.image) ->
-      let fs = Explorer.to_memory_fs img in
-      let vfs = M.vfs fs in
-      match reopen trace vfs with
+      Harness.with_image trace.store ~prefix:trace.prefix img @@ fun vfs path ->
+      match reopen trace vfs path with
       | exception e -> viol img "recovery raised %s" (Printexc.to_string e)
       | eng -> (
           let rta = Durable.warehouse eng in
@@ -338,7 +334,7 @@ let check ?limit ?(query_count = 20) ?(query_seed = 42) (trace : trace) =
               | None -> ());
               Durable.close eng;
               (* Recovery must be idempotent... *)
-              match reopen trace vfs with
+              match reopen trace vfs path with
               | exception e -> viol img "second recovery raised %s" (Printexc.to_string e)
               | eng2 ->
                   let rta2 = Durable.warehouse eng2 in

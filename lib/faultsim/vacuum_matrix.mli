@@ -35,7 +35,7 @@ type trace = {
   sync_policy : Wal.sync_policy;
   checkpoint_every : int;
   store : Storage.Store_kind.t;
-      (** Page backend the engine (and every recovery) runs under. *)
+      (** Page store every recovery runs under ({!Harness.with_image}). *)
   vacuum_step_pages : int;  (** Chunk bound the trace vacuumed with. *)
   horizons : int list;  (** The vacuum targets the trace ran, in order. *)
   ops : Storage.Vfs.Memory.op array;  (** The journal, in program order. *)
@@ -60,11 +60,10 @@ val run_trace :
   trace
 (** Deterministic in [seed].  Defaults: [Every_n 4] group commit,
     auto-checkpoint every 40 records, 110 updates, 4-page vacuum
-    chunks, [Memory] page store ([Mmap] runs on its buffered backing,
-    RAM images that never reach the journaled filesystem, so the crash
-    images are those of [Memory]);
-    vacuums to
-    [now/2] after 3/5 of the updates and to [2*now/3] at the end. *)
+    chunks, [Memory] page store for the recoveries (the trace itself
+    runs on the memory store, since nothing can map the journaled
+    filesystem, and the crash images are the same under both); vacuums
+    to [now/2] after 3/5 of the updates and to [2*now/3] at the end. *)
 
 type violation = { cut : int; kind : Explorer.kind; reason : string }
 

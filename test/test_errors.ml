@@ -370,7 +370,7 @@ let test_checkpoint_corrupt_working_set () =
   (* A real mapping: the flip below goes behind the engine's back, and
      only a mapping sees it. *)
   let open_ () =
-    Durable.open_ ~store:Storage.Store_kind.Mmap ~arena_backing:`Map ~max_key ~path ()
+    Durable.open_ ~store:Storage.Store_kind.Mmap ~max_key ~path ()
   in
   let oracle = Reference.Warehouse.create () in
   let eng = open_ () in
@@ -458,7 +458,7 @@ let test_failed_rebase_keeps_old_base () =
   let path = Filename.concat dir "wh" in
   let max_key = 64 in
   let open_ () =
-    Durable.open_ ~store:Storage.Store_kind.Mmap ~arena_backing:`Map ~pool_capacity:2
+    Durable.open_ ~store:Storage.Store_kind.Mmap ~pool_capacity:2
       ~max_key ~path ()
   in
   let oracle = Reference.Warehouse.create () in

@@ -238,9 +238,8 @@ let ok = Storage.Storage_error.ok_exn
 
 (* A warehouse at [path] built through the engine from [ups], optionally
    vacuumed to half its history, then checkpointed once. *)
-let build_checkpointed ?(config = small_config) ?store ?arena_backing ?(vacuum = false)
-    ups ~path =
-  let eng = Durable.open_ ~config ?store ?arena_backing ~max_key:16 ~path () in
+let build_checkpointed ?(config = small_config) ?store ?(vacuum = false) ups ~path =
+  let eng = Durable.open_ ~config ?store ~max_key:16 ~path () in
   List.iter
     (function
       | H.Insert { key; value; at } -> ok (Durable.insert eng ~key ~value ~at)
@@ -264,12 +263,12 @@ let ckpt_files prefix = List.map (fun (ext, _) -> prefix ^ ".ckpt-1" ^ ext) Rta.
    store it ran on, the page size, a vacuum), how many chunks are
    flipped, and whether the twin is true or stopped short of the target's
    update count. *)
-let checkpoint_scrub ?config ?store ?arena_backing ?vacuum ?(n = 150) ?(stale = false)
+let checkpoint_scrub ?config ?store ?vacuum ?(n = 150) ?(stale = false)
     ~flips () =
   let prefix = temp_prefix () and twin = temp_prefix () in
   Fun.protect ~finally:(fun () -> cleanup prefix; cleanup twin) @@ fun () ->
   let ups = fixed_updates n in
-  let build = build_checkpointed ?config ?store ?arena_backing ?vacuum in
+  let build = build_checkpointed ?config ?store ?vacuum in
   build ups ~path:prefix;
   build (if stale then List.filteri (fun i _ -> i < n - 20) ups else ups) ~path:twin;
   let clean = Durable.scrub ~path:prefix () in
@@ -386,8 +385,8 @@ let test_flipped_checkpoint_refused () =
       let before = image () in
       let what = Printf.sprintf "%s chunk %d" (Filename.extension file) index in
       List.iter
-        (fun (name, store, arena_backing) ->
-          (match Durable.open_ ~store ~arena_backing ~max_key:16 ~path:prefix () with
+        (fun (name, store) ->
+          (match Durable.open_ ~store ~max_key:16 ~path:prefix () with
           | eng ->
               Durable.close eng;
               Alcotest.failf "%s under %s: opened" what name
@@ -401,9 +400,7 @@ let test_flipped_checkpoint_refused () =
           Alcotest.(check (list (pair string string)))
             (Printf.sprintf "%s under %s: files untouched" what name)
             before (image ()))
-        [ ("memory", Storage.Store_kind.Memory, `Auto);
-          ("mapped mmap", Storage.Store_kind.Mmap, `Map);
-          ("buffered mmap", Storage.Store_kind.Mmap, `Buffered) ];
+        [ ("memory", Storage.Store_kind.Memory); ("mmap", Storage.Store_kind.Mmap) ];
       List.iter
         (fun store ->
           let code =
@@ -430,19 +427,15 @@ let test_flipped_checkpoint_refused () =
    size, a truncated file, bytes past the end — is never read: each store
    answers from the recovery source alone, a mapped open leaves overlay
    files byte-identical to an open over no overlay files at all, and a
-   buffered open does not touch them.  A 2-page pool makes every life
+   memory-store open does not touch them.  A 2-page pool makes every life
    write pages back to its overlay. *)
 let test_overlay_files_are_a_cache () =
   let prefix = temp_prefix () in
   Fun.protect ~finally:(fun () -> cleanup prefix) @@ fun () ->
   let ups = fixed_updates 200 in
-  let mapped = (Storage.Store_kind.Mmap, `Map) in
-  let store, arena_backing = mapped in
-  let open_ (store, arena_backing) =
-    Durable.open_ ~store ~arena_backing ~pool_capacity:2 ~max_key:16 ~path:prefix ()
-  in
-  build_checkpointed ~store ~arena_backing (List.filteri (fun i _ -> i < 150) ups)
-    ~path:prefix;
+  let mapped = Storage.Store_kind.Mmap in
+  let open_ store = Durable.open_ ~store ~pool_capacity:2 ~max_key:16 ~path:prefix () in
+  build_checkpointed ~store:mapped (List.filteri (fun i _ -> i < 150) ups) ~path:prefix;
   (let eng = open_ mapped in
    List.iteri
      (fun i u ->
@@ -488,7 +481,7 @@ let test_overlay_files_are_a_cache () =
   List.iter
     (fun (how, scribble) ->
       List.iter
-        (fun (name, (store, arena_backing)) ->
+        (fun (name, store) ->
           List.iter
             (fun f ->
               let s = scribble (read_all f) in
@@ -496,11 +489,11 @@ let test_overlay_files_are_a_cache () =
             pages;
           let scribbled = image () in
           let what = Printf.sprintf "%s overlay files, %s" how name in
-          open_and_ask what (store, arena_backing);
+          open_and_ask what store;
           Alcotest.(check (list string)) (what ^ ": overlay files")
-            (if arena_backing = `Map then fresh else scribbled)
+            (if store = mapped then fresh else scribbled)
             (image ()))
-        [ ("mapped mmap", mapped); ("buffered mmap", (Storage.Store_kind.Mmap, `Buffered)) ])
+        [ ("mmap", mapped); ("memory", Storage.Store_kind.Memory) ])
     scribbles
 
 (* Flip one bit in the middle of the payload of chunk [index] of the
@@ -640,10 +633,7 @@ let () =
         [
           Alcotest.test_case "round trip, memory store" `Quick (checkpoint_scrub ~flips:12);
           Alcotest.test_case "round trip, mapped store" `Quick
-            (checkpoint_scrub ~store:Storage.Store_kind.Mmap ~arena_backing:`Auto ~flips:12);
-          Alcotest.test_case "round trip, buffered store" `Quick
-            (checkpoint_scrub ~store:Storage.Store_kind.Mmap ~arena_backing:`Buffered
-               ~flips:12);
+            (checkpoint_scrub ~store:Storage.Store_kind.Mmap ~flips:12);
           Alcotest.test_case "b=170 pages" `Quick
             (checkpoint_scrub ~config:(Mvsbt.default_config ~b:170) ~n:2000 ~flips:4);
           Alcotest.test_case "over a vacuumed store" `Quick

@@ -769,7 +769,7 @@ let test_rotten_checkpoint_page () =
   let max_key = 1000 in
   let oracle = Reference.Warehouse.create () in
   let open_ ?pool_capacity path =
-    Durable.open_ ~sync_policy:Wal.Never ~store:Storage.Store_kind.Mmap ~arena_backing:`Map
+    Durable.open_ ~sync_policy:Wal.Never ~store:Storage.Store_kind.Mmap
       ?pool_capacity ~max_key ~path ()
   in
   let build ~oracle path =
