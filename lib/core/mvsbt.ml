@@ -29,6 +29,7 @@ let default_config ~b =
    holds more than a buffer of the file. *)
 module Chunks = struct
   let frame_bytes = 8
+  let max_len = 1 lsl 30 (* of a payload: a length past it is corrupt *)
 
   let writer n =
     let w = Storage.Codec.Writer.create (frame_bytes + n) in
@@ -40,12 +41,17 @@ module Chunks = struct
     out.Storage.Vfs.f_append buf 0 frame_bytes;
     out.Storage.Vfs.f_append buf frame_bytes len
 
+  (* Fill in the header of the frame whose [len]-byte payload follows it
+     in [buf]. *)
+  let seal buf ~len =
+    Bytes.set_int32_le buf 0 (Int32.of_int len);
+    Bytes.set_int32_le buf 4
+      (Int32.of_int (Storage.Codec.crc32 buf ~pos:frame_bytes ~len))
+
   let append out w =
     let buf = Storage.Codec.Writer.contents w in
     let len = Storage.Codec.Writer.pos w - frame_bytes in
-    Bytes.set_int32_le buf 0 (Int32.of_int len);
-    Bytes.set_int32_le buf 4
-      (Int32.of_int (Storage.Codec.crc32 buf ~pos:frame_bytes ~len));
+    seal buf ~len;
     out.Storage.Vfs.f_append buf 0 frame_bytes;
     out.Storage.Vfs.f_append buf frame_bytes len
 
@@ -97,7 +103,7 @@ module Chunks = struct
     else begin
       fill rd frame_bytes;
       let len = Int32.to_int (Bytes.get_int32_le rd.buf rd.pos) land 0xFFFFFFFF in
-      if len > 1 lsl 30 then fail rd "corrupt chunk length";
+      if len > max_len then fail rd "corrupt chunk length";
       let crc = Int32.to_int (Bytes.get_int32_le rd.buf (rd.pos + 4)) land 0xFFFFFFFF in
       fill rd (frame_bytes + len);
       let pos = rd.pos and index = rd.index in
@@ -150,7 +156,7 @@ end
 (* A snapshot ({!Make.Persist.save}) is this magic, then {!Chunks}: the
    state, the page count, then one chunk per page — the page's frame
    exactly as a durable tree stores it, and reads it in place. *)
-let snapshot_magic = "MVSBT-SNAPSHOT-3"
+let snapshot_magic = "MVSBT-SNAPSHOT-4"
 
 module Make (G : Aggregate.Group.S) = struct
   type record = {
@@ -219,11 +225,18 @@ module Make (G : Aggregate.Group.S) = struct
           else if q.logical then q.sum <- G.add q.sum r.value)
       page.records
 
+  let point ~logical ~key ~at page =
+    let q = { key; at; logical; sum = G.zero; next = missing } in
+    scan_page q page;
+    (q.sum, q.next)
+
   (* The tree is agnostic to where its pages live; a backend bundles the
      operations of one buffer-pooled page store (in the heap by default,
      frames through {!Durable}).  [b_read] hands a writer the page,
-     decoded; [b_scan] runs a query's scan over it, wherever it is. *)
+     decoded; [b_scan] runs a query's scan over it, wherever it is.  The
+     tree calls [b_root] each time it sets its current root. *)
   type backend = {
+    b_root : Storage.Page_id.t -> unit;
     b_alloc : unit -> Storage.Page_id.t;
     b_read : Storage.Page_id.t -> page;
     b_scan : Storage.Page_id.t -> cursor -> unit;
@@ -241,6 +254,7 @@ module Make (G : Aggregate.Group.S) = struct
     let store = Store.create ~stats:io_stats () in
     let pool = Pool.create ~capacity:pool_capacity store in
     {
+      b_root = ignore;
       b_alloc = (fun () -> Pool.alloc pool);
       b_read = (fun pid -> Pool.read pool pid);
       b_scan = (fun pid q -> scan_page q (Pool.read pool pid));
@@ -296,6 +310,7 @@ module Make (G : Aggregate.Group.S) = struct
       }
     in
     backend.b_write pid root;
+    backend.b_root pid;
     Root_star.register root_star ~at:0 pid;
     { backend; io_stats; cfg; key_space; root_star; cur_root = pid; height = 1;
       now_ = 0; horizon = 0; touches = 0; tel = Telemetry.Tracer.noop }
@@ -328,6 +343,10 @@ module Make (G : Aggregate.Group.S) = struct
   let touch t page =
     t.touches <- t.touches + 1;
     t.backend.b_write page.pid page
+
+  let set_root t pid =
+    t.cur_root <- pid;
+    t.backend.b_root pid
 
   let page_touches t = t.touches
   let telemetry t = t.tel
@@ -628,7 +647,7 @@ module Make (G : Aggregate.Group.S) = struct
     | [ (_, pid) ] ->
         (* A pure time split of the root: the copy is the new root of the
            same height. *)
-        t.cur_root <- pid;
+        set_root t pid;
         Root_star.register t.root_star ~at:now pid
     | pieces ->
         let pid = t.backend.b_alloc () in
@@ -643,7 +662,7 @@ module Make (G : Aggregate.Group.S) = struct
             closed = forever; records }
         in
         touch t root;
-        t.cur_root <- pid;
+        set_root t pid;
         t.height <- t.height + 1;
         Telemetry.Tracer.event t.tel "mvsbt.root_grow"
           ~attrs:[ ("height", Telemetry.Tracer.Int t.height) ];
@@ -932,75 +951,299 @@ module Make (G : Aggregate.Group.S) = struct
     val decode : (unit -> int) -> G.t
   end
 
-  (* Binary layout of records and pages, written once over the shared
-     reader/writer signature.  Snapshots apply it to [bytes]
-     ({!Storage.Codec}) and the durable tree to its mappings
-     ({!Storage.Zcodec}); the two instances write the same bytes. *)
-  module Record_codec
-      (V : VALUE_CODEC)
-      (R : Storage.Codec.READER)
-      (W : Storage.Codec.WRITER) =
-  struct
-    let encode_record w put r =
-      W.i64 w r.range.Interval.lo;
-      W.i64 w r.range.Interval.hi;
-      W.i64 w r.rt_start;
-      W.i64 w r.rt_end;
-      V.encode put r.value;
-      match r.child with
-      | None -> W.bool w false
-      | Some c ->
-          W.bool w true;
-          W.i64 w (Storage.Page_id.to_int c)
+  (* A page's payload, one layout for snapshots and stored frames alike,
+     its records stored as frame-of-reference columns.  A header:
 
-    let decode_record rd next =
-      let lo = R.i64 rd in
-      let hi = R.i64 rd in
-      let rt_start = R.i64 rd in
-      let rt_end = R.i64 rd in
-      let value = V.decode next in
-      let child =
-        if R.bool rd then Some (Storage.Page_id.of_int (R.i64 rd)) else None
-      in
-      { range = Interval.make lo hi; rt_start; rt_end; value; child }
+       id i64 | level i32 | low key i64 | high key i64 | created i64
+       | closed i64 | record count i32                      (48 bytes)
+       | a width byte (0-8) per column | an i64 base per value word,
+       then one for the child
 
-    let record_bytes = (4 * 8) + 9 + (8 * V.words)
+     then the records, [stride] bytes each, then [pad] zero bytes.  A
+     record has one field per column: its low and high keys, less the
+     page's low key; its start and end times, less [created], the
+     column's all-ones code standing for [forever]; each word of its
+     value, and its child, less the column's base, the page's minimum.
+     A field takes its column's width, the fewest bytes that hold every
+     code of the page, at one offset in every record, so any field reads
+     as one unaligned 64-bit load, a mask and an add.  A column of width
+     0 reads at offset 0, masked to nothing, and the pad keeps every load
+     inside the payload.  The level says whether records have children:
+     at a leaf the child column is empty, of width 0 and base -1, so
+     every child there reads as -1, no page id. *)
+  module Record_codec (V : VALUE_CODEC) = struct
+    module Z = Storage.Zcodec
 
-    let encode_page w p =
-      W.i64 w (Storage.Page_id.to_int p.pid);
-      W.i32 w p.level;
-      W.i64 w p.prange.Interval.lo;
-      W.i64 w p.prange.Interval.hi;
-      W.i64 w p.created;
-      W.i64 w p.closed;
-      W.i32 w (List.length p.records);
-      List.iter (encode_record w (W.i64 w)) p.records
-
-    let decode_page rd =
-      let pid = Storage.Page_id.of_int (R.i64 rd) in
-      let level = R.i32 rd in
-      let lo = R.i64 rd in
-      let hi = R.i64 rd in
-      let created = R.i64 rd in
-      let closed = R.i64 rd in
-      let n_records = R.i32 rd in
-      let next () = R.i64 rd in
-      let records = List.init n_records (fun _ -> decode_record rd next) in
-      { pid; level; prange = Interval.make lo hi; created; closed; records }
-
-    let page_header_bytes = 8 + 4 + (4 * 8) + 4
-
-    (* Where {!encode_page} puts the level and the record count, and
-       where {!encode_record} puts each field, from the start of the page
-       and of the record.  A leaf record is [record_bytes - 8] long: it
-       has no child. *)
     let level_at = 8
+    let low_at = 12
+    let high_at = 20
+    let created_at = 28
+    let closed_at = 36
     let count_at = 44
-    let lo_at = 0
-    let hi_at = 8
-    let start_at = 16
-    let end_at = 24
-    let value_at = 32
+    let widths_at = 48
+    let lo_col = 0
+    let hi_col = 1
+    let start_col = 2
+    let end_col = 3
+    let value_col = 4
+    let child_col = value_col + V.words
+    let columns = child_col + 1
+    let bases_at = widths_at + columns
+    let header_bytes = bases_at + (8 * (V.words + 1))
+    let pad = 7
+    let max_payload ~b = header_bytes + (b * 8 * columns) + pad
+    let mask w = if w >= 8 then -1 else (1 lsl (8 * w)) - 1
+
+    (* The fewest bytes that hold [code], unsigned: a negative code is a
+       difference that wrapped, and takes all 8. *)
+    let width code =
+      let rec go w = if w = 8 || code lsr (8 * w) = 0 then w else go (w + 1) in
+      if code < 0 then 8 else go 0
+
+    (* A payload's header, checked against its length. *)
+    type shape = {
+      level : int;
+      count : int;
+      stride : int;
+      off : int array; (* each column's offset in a record *)
+      mask : int array;
+      base : int array; (* what each column's codes are relative to *)
+    }
+
+    (* The shape of the [len]-byte payload at [off] of [buf], read from
+       its header alone: the level, the record count, and each column's
+       offset, mask and base; [None] unless every width is at most 8 and
+       the records and the pad fill the payload exactly, one byte or
+       more per record.  It runs once per scan, so it reads the header
+       directly. *)
+    let frame_shape buf off len =
+      if len < header_bytes then None
+      else begin
+        let o = Array.make columns 0 and m = Array.make columns 0 in
+        let stride = ref 0 and wide = ref false in
+        for c = 0 to columns - 1 do
+          let w = Z.get_u8 buf (off + widths_at + c) in
+          if w > 8 then wide := true;
+          if w > 0 then o.(c) <- !stride;
+          m.(c) <- mask w;
+          stride := !stride + w
+        done;
+        let stride = !stride and count = Z.get_i32 buf (off + count_at) in
+        if (not !wide) && count >= 0 && (count = 0 || stride > 0)
+           && header_bytes + (count * stride) + pad = len
+        then begin
+          let base = Array.make columns (Z.get_i64 buf (off + low_at)) in
+          base.(start_col) <- Z.get_i64 buf (off + created_at);
+          base.(end_col) <- base.(start_col);
+          for c = value_col to child_col do
+            base.(c) <- Z.get_i64 buf (off + bases_at + (8 * (c - value_col)))
+          done;
+          Some { level = Z.get_i32 buf (off + level_at); count; stride; off = o; mask = m; base }
+        end
+        else None
+      end
+
+    (* The word at [i] of a buffer whose bounds the caller has checked. *)
+    let[@inline] load buf i =
+      let v = Z.load64 buf i in
+      Int64.to_int (if Sys.big_endian then Z.bswap64 v else v)
+
+    let[@inline] store buf i code =
+      let v = Int64.of_int code in
+      Z.store64 buf i (if Sys.big_endian then Z.bswap64 v else v)
+
+    (* A time column's field, from its code: all ones is [forever]. *)
+    let[@inline] instant code mask created = if code = mask then forever else created + code
+
+    (* Field [c] of the record at [at] of a frame in [buf]. *)
+    let[@inline] field buf s at c = s.base.(c) + (load buf (at + s.off.(c)) land s.mask.(c))
+
+    (* [value_reader buf s r] decodes the value of the record at [r]:
+       each call of [next] reads the next value column. *)
+    let value_reader buf s =
+      let at = ref 0 and k = ref 0 in
+      let next () =
+        let c = !k in
+        incr k;
+        field buf s !at c
+      in
+      fun r ->
+        at := r;
+        k := value_col;
+        V.decode next
+
+    let malformed buf off len =
+      Format.kasprintf failwith "Mvsbt: page %d: its %d-byte frame is malformed"
+        (if len >= 8 then Z.get_i64 buf off else -1)
+        len
+
+    let bad_page (p : page) what =
+      Format.kasprintf invalid_arg "Mvsbt: page %d: %s" (Storage.Page_id.to_int p.pid) what
+
+    (* A time column's largest code so far, [x] included: [forever]
+       takes none, and every other code stays clear of the all-ones. *)
+    let[@inline] time_top p top x created =
+      if x = forever then top
+      else begin
+        let code = x - created in
+        if code < 0 then bad_page p "a time before the page's";
+        Int.max top (code + 1)
+      end
+
+    (* [p]'s payload into the [len] bytes of [buf] from [off], in two
+       passes over the records: one finds each column's codes, hence its
+       base and width, the other stores each field with one 64-bit store,
+       in offset order, so the bytes a store writes past its field are
+       overwritten by the next field, or are the pad.  Its length. *)
+    let encode buf ~off ~len (p : page) =
+      if off < 0 || len < 0 || off > Bigarray.Array1.dim buf - len then
+        invalid_arg "Mvsbt.Record_codec.encode: slice outside buffer";
+      let leaf = p.level = 0 and plo = p.prange.Interval.lo and created = p.created in
+      (* Each record's value words, as the first pass finds them. *)
+      let words = Array.make (List.length p.records * V.words) 0 and k = ref 0 in
+      let put x =
+        words.(!k) <- x;
+        incr k
+      in
+      let child r =
+        match (r.child, leaf) with
+        | Some c, false -> Storage.Page_id.to_int c
+        | None, true -> -1
+        | _ -> bad_page p "a child the level contradicts"
+      in
+      (* Per column: the largest code, or the least and the largest
+         value, from which the base and the largest code follow. *)
+      let top = Array.make columns 0 in
+      let least = Array.make columns max_int and most = Array.make columns min_int in
+      List.iter
+        (fun r ->
+          let lo = r.range.Interval.lo - plo and hi = r.range.Interval.hi - plo in
+          if lo < 0 || hi < 0 then bad_page p "a key below the page's";
+          top.(lo_col) <- Int.max top.(lo_col) lo;
+          top.(hi_col) <- Int.max top.(hi_col) hi;
+          top.(start_col) <- time_top p top.(start_col) r.rt_start created;
+          top.(end_col) <- time_top p top.(end_col) r.rt_end created;
+          V.encode put r.value;
+          for j = 0 to V.words - 1 do
+            let c = value_col + j and x = words.(!k - V.words + j) in
+            least.(c) <- Int.min least.(c) x;
+            most.(c) <- Int.max most.(c) x
+          done;
+          if not leaf then begin
+            let c = child r in
+            least.(child_col) <- Int.min least.(child_col) c;
+            most.(child_col) <- Int.max most.(child_col) c
+          end)
+        p.records;
+      let base = Array.make columns 0 in
+      if leaf then base.(child_col) <- -1;
+      for c = value_col to child_col do
+        if least.(c) <= most.(c) then begin
+          base.(c) <- least.(c);
+          top.(c) <- most.(c) - least.(c)
+        end
+      done;
+      let w = Array.map width top and at = Array.make columns 0 and stride = ref 0 in
+      for c = 0 to columns - 1 do
+        at.(c) <- !stride;
+        stride := !stride + w.(c)
+      done;
+      let stride = !stride and n = List.length p.records in
+      let total = header_bytes + (n * stride) + pad in
+      if total > len then
+        raise
+          (Storage.Codec.Overflow
+             (Printf.sprintf "a %d-byte page payload exceeds its %d bytes" total len));
+      Z.set_i64 buf off (Storage.Page_id.to_int p.pid);
+      Z.set_i32 buf (off + level_at) p.level;
+      Z.set_i64 buf (off + low_at) plo;
+      Z.set_i64 buf (off + high_at) p.prange.Interval.hi;
+      Z.set_i64 buf (off + created_at) created;
+      Z.set_i64 buf (off + closed_at) p.closed;
+      Z.set_i32 buf (off + count_at) n;
+      for c = 0 to columns - 1 do
+        Z.set_u8 buf (off + widths_at + c) w.(c)
+      done;
+      for c = value_col to child_col do
+        Z.set_i64 buf (off + bases_at + (8 * (c - value_col))) base.(c)
+      done;
+      (* Every store lies inside [total]: the last one starts at least a
+         byte before the pad, which is 7 bytes long. *)
+      let[@inline] put_code r c code = if w.(c) > 0 then store buf (r + at.(c)) code in
+      let[@inline] put_time r c x = put_code r c (if x = forever then mask w.(c) else x - created) in
+      List.iteri
+        (fun i rc ->
+          let r = off + header_bytes + (i * stride) in
+          put_code r lo_col (rc.range.Interval.lo - plo);
+          put_code r hi_col (rc.range.Interval.hi - plo);
+          put_time r start_col rc.rt_start;
+          put_time r end_col rc.rt_end;
+          for j = 0 to V.words - 1 do
+            let c = value_col + j in
+            put_code r c (words.((i * V.words) + j) - base.(c))
+          done;
+          if not leaf then put_code r child_col (child rc - base.(child_col)))
+        p.records;
+      for i = total - pad to total - 1 do
+        Z.set_u8 buf (off + i) 0
+      done;
+      total
+
+    let decode buf off len =
+      let s = match frame_shape buf off len with Some s -> s | None -> malformed buf off len in
+      let value = value_reader buf s in
+      let time at c = instant (load buf (at + s.off.(c)) land s.mask.(c)) s.mask.(c) s.base.(c) in
+      let record i =
+        let at = off + header_bytes + (i * s.stride) in
+        let range = Interval.make (field buf s at lo_col) (field buf s at hi_col) in
+        let rt_start = time at start_col and rt_end = time at end_col in
+        let value = value at in
+        let child =
+          if s.level = 0 then None
+          else Some (Storage.Page_id.of_int (field buf s at child_col))
+        in
+        { range; rt_start; rt_end; value; child }
+      in
+      { pid = Storage.Page_id.of_int (Z.get_i64 buf off); level = s.level;
+        prange = Interval.make (Z.get_i64 buf (off + low_at)) (Z.get_i64 buf (off + high_at));
+        created = Z.get_i64 buf (off + created_at); closed = Z.get_i64 buf (off + closed_at);
+        records = List.init s.count record }
+
+    (* [scan_page] over a frame in place, decoding nothing but the values
+       it adds: the key and time columns' offsets, masks and bases are
+       read once, and each field is one load. *)
+    let scan_frame q (buf, off, len) =
+      let s = match frame_shape buf off len with Some s -> s | None -> malformed buf off len in
+      (* The records lie inside the frame, and the frame inside [buf]
+         ({!Storage.Page_store.Mmap.frame}), so the loads go unchecked. *)
+      let lo_at = s.off.(lo_col) and lo_mask = s.mask.(lo_col) in
+      let hi_at = s.off.(hi_col) and hi_mask = s.mask.(hi_col) in
+      let start_at = s.off.(start_col) and start_mask = s.mask.(start_col) in
+      let end_at = s.off.(end_col) and end_mask = s.mask.(end_col) in
+      let low = s.base.(lo_col) and created = s.base.(start_col) in
+      let value = value_reader buf s in
+      let key = q.key and t = q.at and stride = s.stride in
+      q.next <- missing;
+      (* Loop invariants are hoisted by hand: the compiler does not. *)
+      let at = ref (off + header_bytes) in
+      for _ = 1 to s.count do
+        let r = !at in
+        if instant (load buf (r + start_at) land start_mask) start_mask created <= t
+           && t < instant (load buf (r + end_at) land end_mask) end_mask created
+           && low + (load buf (r + lo_at) land lo_mask) <= key
+        then
+          if key < low + (load buf (r + hi_at) land hi_mask) then begin
+            q.sum <- G.add q.sum (value r);
+            q.next <- (if s.level = 0 then leaf else field buf s r child_col)
+          end
+          else if q.logical then q.sum <- G.add q.sum (value r);
+        at := r + stride
+      done
+
+    let point ~logical ~key ~at frame =
+      let q = { key; at; logical; sum = G.zero; next = missing } in
+      scan_frame q frame;
+      (q.sum, q.next)
   end
 
   (* The handle state — configuration, clock, current root, root*
@@ -1069,12 +1312,13 @@ module Make (G : Aggregate.Group.S) = struct
   let of_state ~io_stats backend st =
     let root_star = Root_star.create ~btree:st.s_cfg.root_star_btree ~stats:io_stats () in
     List.iter (fun (ts, pid) -> Root_star.register root_star ~at:ts pid) st.s_roots;
+    backend.b_root st.s_cur_root;
     { backend; io_stats; cfg = st.s_cfg; key_space = st.s_key_space; root_star;
       cur_root = st.s_cur_root; height = st.s_height; now_ = st.s_now;
       horizon = st.s_horizon; touches = 0; tel = Telemetry.Tracer.noop }
 
-  let corrupt_page_chunk path =
-    failwith (Printf.sprintf "Mvsbt.Persist: %s: corrupt page chunk" path)
+  let corrupt_chunk path what =
+    failwith (Printf.sprintf "Mvsbt.Persist: %s: corrupt %s chunk" path what)
 
   (* Stream the snapshot at [path]: [k] gets its state, the file's size
      and a function that feeds each verified page frame to a consumer, as
@@ -1091,116 +1335,58 @@ module Make (G : Aggregate.Group.S) = struct
         if not (Chunks.at_end rd) then Chunks.fail rd "bytes after the last page")
 
   module Durable (V : VALUE_CODEC) = struct
-    module RC = Record_codec (V) (Storage.Zcodec.Reader) (Storage.Zcodec.Writer)
+    module RC = Record_codec (V)
 
     (* A page is sealed once it closes: only vacuum changes it after. *)
     module Mmap_store = Storage.Page_store.Mmap (struct
       type t = page
 
-      let encode = RC.encode_page
+      let encode = RC.encode
       let sealed p = p.closed <> forever
     end)
 
     module Mmap_pool = Storage.Buffer_pool.Make (Mmap_store)
 
-    let min_page_size cfg =
-      Mmap_store.block_overhead + RC.page_header_bytes + (cfg.b * RC.record_bytes)
+    let min_page_size cfg = Mmap_store.block_overhead + RC.max_payload ~b:cfg.b
 
     (* Analytic configs push [b] past what a 4 KiB page holds, so the
        default page fits the config — rounded up to 4 KiB so mapped pages
        stay OS-page aligned. *)
     let page_size_for cfg = (max 4096 (min_page_size cfg) + 4095) / 4096 * 4096
 
-    (* [scan_page] over a frame in place, decoding nothing but the values
-       it adds.  Every record of a page has one size, so each field is at
-       a fixed offset ({!Record_codec}): the low and high keys, the start
-       and end times, the value's words, the child flag, and, at an index
-       level, the child. *)
-    let scan_frame q pid (buf, off, len) =
-      let module Z = Storage.Zcodec in
-      let level = Z.get_i32 buf (off + RC.level_at) and n = Z.get_i32 buf (off + RC.count_at) in
-      let stride = if level = 0 then RC.record_bytes - 8 else RC.record_bytes in
-      if n < 0 || RC.page_header_bytes + (n * stride) > len then
-        Format.kasprintf failwith "Mvsbt: page %d: %d records do not fit its %d-byte frame"
-          (Storage.Page_id.to_int pid) n len;
-      (* The records lie inside the frame, and the frame inside [buf]
-         ({!Storage.Page_store.Mmap.frame}), so the loads go unchecked. *)
-      let word i =
-        let v = Z.load64 buf i in
-        Int64.to_int (if Sys.big_endian then Z.bswap64 v else v)
-      in
-      let at_word = ref 0 in
-      let next () =
-        let v = word !at_word in
-        at_word := !at_word + 8;
-        v
-      in
-      let value r =
-        at_word := r + RC.value_at;
-        V.decode next
-      in
-      q.next <- missing;
-      for i = 0 to n - 1 do
-        let r = off + RC.page_header_bytes + (i * stride) in
-        if word (r + RC.start_at) <= q.at && q.at < word (r + RC.end_at)
-           && word (r + RC.lo_at) <= q.key
-        then
-          if q.key < word (r + RC.hi_at) then begin
-            q.sum <- G.add q.sum (value r);
-            q.next <- (if level = 0 then leaf else word (r + stride - 8))
-          end
-          else if q.logical then q.sum <- G.add q.sum (value r)
-      done
-
     (* The mapped store pairs with clock eviction: with queries scanning
        frames in place, eviction is pure bookkeeping, so the cheaper
        approximation beats exact LRU's list surgery per touch. *)
-    let make_backend ~pool_capacity ~self store =
+    let make_backend ~pool_capacity store =
       let pool =
         Mmap_pool.create ~capacity:pool_capacity ~policy:Storage.Evict.Second_chance store
       in
       (* The current root is pinned in the pool: every descent starts
-         there.  The pin follows root switches lazily — re-checked at
-         each access, moved when [cur_root] changed. *)
+         there.  The pin moves when the tree moves its root. *)
       let pinned_root = ref None in
-      let repin () =
-        match !self with
-        | None -> () (* still booting *)
-        | Some t -> (
-            let want = t.cur_root in
-            match !pinned_root with
-            | Some held when Storage.Page_id.to_int held = Storage.Page_id.to_int want ->
-                ()
-            | held ->
-                (match held with
-                | Some old when Mmap_pool.pin_count pool old > 0 -> Mmap_pool.unpin pool old
-                | _ -> ());
-                if Mmap_pool.mem pool want then begin
-                  Mmap_pool.pin pool want;
-                  pinned_root := Some want
-                end)
-      in
       {
+        b_root =
+          (fun pid ->
+            (match !pinned_root with
+            | Some old when Mmap_pool.pin_count pool old > 0 -> Mmap_pool.unpin pool old
+            | _ -> ());
+            Mmap_pool.pin pool pid;
+            pinned_root := Some pid);
         b_alloc = (fun () -> Mmap_pool.alloc pool);
         (* Only writers and maintenance passes decode a frame. *)
         b_read =
           (fun pid ->
-            repin ();
             match Mmap_pool.read pool pid with
             | Storage.Page_store.Decoded page -> page
             | Framed ->
                 let buf, off, len = Mmap_store.frame store pid in
-                RC.decode_page (Storage.Zcodec.Reader.create buf ~off ~len));
+                RC.decode buf off len);
         b_scan =
           (fun pid q ->
-            repin ();
             match Mmap_pool.read pool pid with
             | Storage.Page_store.Decoded page -> scan_page q page
-            | Framed -> scan_frame q pid (Mmap_store.frame store pid));
-        b_write =
-          (fun pid page ->
-            repin ();
-            Mmap_pool.write pool pid (Storage.Page_store.Decoded page));
+            | Framed -> RC.scan_frame q (Mmap_store.frame store pid));
+        b_write = (fun pid page -> Mmap_pool.write pool pid (Storage.Page_store.Decoded page));
         b_free = (fun pid -> Mmap_pool.free pool pid);
         b_exists = (fun pid -> Mmap_pool.mem pool pid);
         b_list =
@@ -1248,91 +1434,95 @@ module Make (G : Aggregate.Group.S) = struct
              page_size cfg.b (min_page_size cfg));
       let io_stats = match stats with Some s -> s | None -> Storage.Io_stats.create () in
       let store = Mmap_store.create ~stats:io_stats ~page_size ~backing ~path () in
-      let self = ref None in
-      let t = boot ~cfg ~key_space ~io_stats (make_backend ~pool_capacity ~self store) in
-      self := Some t;
-      t
+      boot ~cfg ~key_space ~io_stats (make_backend ~pool_capacity store)
+
+    (* A state chunk brings in only what {!create} accepts: a
+       configuration that passes {!validate_create}, and a [b] whose
+       largest page payload fits a chunk, so a snapshot's config can never
+       size its pages past what a snapshot can hold. *)
+    let check_state ~path st =
+      match validate_create st.s_cfg st.s_key_space with
+      | () when RC.max_payload ~b:st.s_cfg.b <= Chunks.max_len -> ()
+      | () | (exception Invalid_argument _) -> corrupt_chunk path "state"
 
     (* A page chunk's structure, checked without building the page: a
-       level, a record count within [b], child flags that say what the
-       level says (a child at an index level, none at a leaf), children
-       that are page ids (a negative one would read as a scan's [leaf]
-       sentinel, and end a descent early with a partial sum), and records
-       that fill the chunk exactly — so every record of the page has the
-       size a query's scan steps by.  {!of_snapshot} runs it
-       before it stages a frame into a base.  The CRC only catches bit
-       rot; these rules check input from outside the program. *)
-    let check_page_chunk ~b ~path (f : Chunks.frame) =
-      let module R = Storage.Codec.Reader in
-      let pos = f.pos + Chunks.frame_bytes in
-      let r = R.create ~pos ~len:f.len f.buf in
-      let skip_i64s k =
-        for _ = 1 to k do
-          ignore (R.i64 r)
-        done
-      in
-      let rec records ~index n =
-        n = 0
-        || begin
-             skip_i64s (4 + V.words);
-             match (R.u8 r, index) with
-             | 0, false -> records ~index (n - 1)
-             | 1, true -> R.i64 r >= 0 && records ~index (n - 1)
-             | _ -> false
-           end
-      in
+       level, a record count within [b], column widths of at most 8 bytes,
+       records and a pad that fill the chunk exactly (so every record of
+       the page has the size a query's scan steps by, and every load of
+       the scan stays inside the chunk), a pad of zeros, an empty child
+       column at a leaf, and at an index level children that are page ids
+       (a negative one would read as a scan's [leaf] sentinel, and end a
+       descent early with a partial sum).  A level flipped either way
+       breaks one of the last two.  {!of_snapshot} runs it before
+       it stages a frame into a base.  The CRC only catches bit rot;
+       these rules check input from outside the program. *)
+    let check_page_chunk ~b ~path ~header (f : Chunks.frame) =
+      let buf = f.buf and p = f.pos + Chunks.frame_bytes in
+      let u8 i = Bytes.get_uint8 buf (p + i)
+      and i64 i = Int64.to_int (Bytes.get_int64_le buf (p + i)) in
       let well_formed =
+        f.len >= RC.header_bytes
+        &&
+        (* The header is parsed as a scan parses it, from a copy. *)
         match
-          skip_i64s 1;
-          let level = R.i32 r in
-          skip_i64s 4;
-          let n = R.i32 r in
-          level >= 0 && n >= 0 && n <= b
-          && records ~index:(level > 0) n
-          && R.pos r = pos + f.len
+          Storage.Zcodec.blit_of_bytes buf p header 0 RC.header_bytes;
+          RC.frame_shape header 0 f.len
         with
-        | ok -> ok
-        | exception Storage.Codec.Overflow _ -> false
+        | None -> false
+        | Some s ->
+            let c = RC.child_col in
+            let record i = RC.header_bytes + (i * s.stride) in
+            let rec zeros i = i >= f.len || (u8 i = 0 && zeros (i + 1)) in
+            let rec children i =
+              i = s.count
+              || s.base.(c) + (i64 (record i + s.off.(c)) land s.mask.(c)) >= 0
+                 && children (i + 1)
+            in
+            s.level >= 0 && s.count <= b
+            && zeros (record s.count)
+            && if s.level = 0 then s.mask.(c) = 0 && s.base.(c) = -1 else children 0
       in
-      if not well_formed then corrupt_page_chunk path
+      if not well_formed then corrupt_chunk path "page"
 
     (* Open a tree over a {!Persist} snapshot without decoding a page:
        each verified chunk frame already is the page's frame, CRC
        included, so the base records where it is — mapped, or copied
        into a RAM image — and the overlay at [path] starts empty.  The
-       snapshot's config sizes the pages. *)
+       snapshot's config, checked before any store exists, sizes the
+       pages. *)
     let of_snapshot ?(pool_capacity = 64) ?stats ?(vfs = Storage.Vfs.os)
         ?(backing = `Auto) ~snapshot ~path () =
       let io_stats = match stats with Some s -> s | None -> Storage.Io_stats.create () in
       with_snapshot ~vfs ~path:snapshot @@ fun st size pages ->
+      check_state ~path:snapshot st;
       let store =
         Mmap_store.create ~stats:io_stats ~page_size:(page_size_for st.s_cfg) ~backing ~path ()
       in
       (try
          let staged = Mmap_store.stage store ~file:snapshot ~size () in
+         let header = Bigarray.Array1.create Bigarray.char Bigarray.c_layout RC.header_bytes in
          pages (fun f ->
-             check_page_chunk ~b:st.s_cfg.b ~path:snapshot f;
+             check_page_chunk ~b:st.s_cfg.b ~path:snapshot ~header f;
              let id = Int64.to_int (Bytes.get_int64_le f.buf (f.pos + Chunks.frame_bytes)) in
              if
                id < 0
                || not
                     (Mmap_store.stage_frame staged (Storage.Page_id.of_int id)
                        ~offset:f.offset f.buf ~pos:f.pos ~len:(Chunks.frame_bytes + f.len))
-             then corrupt_page_chunk snapshot);
-         Mmap_store.rebase store staged
+             then corrupt_chunk snapshot "page");
+         Mmap_store.rebase store staged;
+         (* The root is pinned now, so it must be a page of the base. *)
+         if not (Mmap_store.mem store st.s_cur_root) then corrupt_chunk snapshot "state";
+         of_state ~io_stats (make_backend ~pool_capacity store) st
        with e ->
          Mmap_store.close store;
-         raise e);
-      let self = ref None in
-      let t = of_state ~io_stats (make_backend ~pool_capacity ~self store) st in
-      self := Some t;
-      t
+         raise e)
   end
 
   (* --- Snapshot persistence --------------------------------------------------- *)
 
   module Persist (V : VALUE_CODEC) = struct
-    include Record_codec (V) (Storage.Codec.Reader) (Storage.Codec.Writer)
+    module RC = Record_codec (V)
 
     let write ~stage ~vfs t ~path =
       let file = vfs.Storage.Vfs.v_open `Create path in
@@ -1352,26 +1542,29 @@ module Make (G : Aggregate.Group.S) = struct
       encode_state w t;
       Chunks.append oc w;
       (* Pages in the reverse of the walk's preorder, one frame each.  A
-         heap tree's pages are in memory already and are encoded, their
-         CRC computed as they are framed.  A durable tree already holds
-         each page's frame, so its walk decodes only roots and index
-         pages, to find children, and every frame is copied as stored,
-         its CRC verified on the way out: holding the decoded index pages
-         until they are written would put a slice of the tree back in the
-         heap.  When [stage], each copied frame is staged, at its offset,
-         into the base the tree moves onto once the file is durable. *)
+         heap tree's pages are in memory already and are encoded, one at
+         a time into one scratch buffer, their CRC computed as they are
+         framed.  A durable tree already holds each page's frame, so its
+         walk decodes only roots and index pages, to find children, and
+         every frame is copied as stored, its CRC verified on the way out:
+         holding the decoded index pages until they are written would put
+         a slice of the tree back in the heap.  When [stage], each copied
+         frame is staged, at its offset, into the base the tree moves onto
+         once the file is durable. *)
       let writes = ref [] in
       let commit =
         match t.backend.b_frames with
         | None ->
+            let room = RC.max_payload ~b:t.cfg.b in
+            let scratch = Bigarray.Array1.create Bigarray.char Bigarray.c_layout room in
             iter_pages t (fun p ->
                 writes :=
                   (fun () ->
-                    let w =
-                      Chunks.writer (page_header_bytes + (List.length p.records * record_bytes))
-                    in
-                    encode_page w p;
-                    Chunks.append oc w)
+                    let len = RC.encode scratch ~off:0 ~len:room p in
+                    let frame = Bytes.create (Chunks.frame_bytes + len) in
+                    Storage.Zcodec.blit_to_bytes scratch 0 frame Chunks.frame_bytes len;
+                    Chunks.seal frame ~len;
+                    Chunks.append_frame oc frame)
                   :: !writes);
             ignore
         | Some frames ->
@@ -1396,8 +1589,7 @@ module Make (G : Aggregate.Group.S) = struct
       ()
 
     let save_staged ?(vfs = Storage.Vfs.os) t ~path = write ~stage:true ~vfs t ~path
-
-end
+  end
 
   let pp_dot ppf t =
     Format.fprintf ppf "digraph mvsbt {@.  node [shape=record];@.";

@@ -245,11 +245,12 @@ module Make (G : Aggregate.Group.S) : sig
 
   (** Binary codec for aggregate values, supplied by the caller to enable
       on-disk page formats ({!Persist} snapshots and {!Durable} trees).
-      A value is a fixed number of 64-bit words, so one codec serves
-      every buffer a page is laid out in. *)
+      A value is a fixed number of integer words; each word is a column
+      of the page ({!Record_codec}), stored relative to the page's least
+      word in that column, in the fewest bytes that hold them all. *)
   module type VALUE_CODEC = sig
     val words : int
-    (** The number of 64-bit words one value encodes to. *)
+    (** The number of words one value encodes to. *)
 
     val encode : (int -> unit) -> G.t -> unit
     (** [encode put v] passes [v]'s [words] words to [put], in order. *)
@@ -259,6 +260,80 @@ module Make (G : Aggregate.Group.S) : sig
         return the words {!encode} produced, in the same order. *)
   end
 
+  (** {2 Pages and their layout}
+
+      A page as writers hold it, decoded, and the one byte layout every
+      stored page and snapshot page chunk has.  Exposed for the layout's
+      tests; a tree's pages are reached only through its operations. *)
+
+  type record = {
+    range : Interval.t;  (** Its key range, within the page's. *)
+    rt_start : int;
+    mutable rt_end : int;  (** [max_int] while alive. *)
+    mutable value : G.t;
+    child : Storage.Page_id.t option;  (** [None] exactly at a leaf. *)
+  }
+
+  type page = {
+    pid : Storage.Page_id.t;
+    level : int;  (** 0 at a leaf. *)
+    prange : Interval.t;
+    created : int;
+    mutable closed : int;  (** [max_int] while alive. *)
+    mutable records : record list;
+  }
+
+  (** A page's payload as frame-of-reference columns.  The header keeps
+      the page's id (i64), level (i32), key range (two i64), created and
+      closed times (i64 each) and record count (i32) in its first 48
+      bytes; then comes one width byte, 0 to 8, per column, and an i64
+      base per value word and for the child.  The records follow, each
+      the sum of the widths long, then 7 zero bytes.  The columns are a
+      record's low key and high key, less the page's low key; its start
+      and end times, less the page's created time, the column's all-ones
+      code standing for [max_int] (alive); each value word, and the
+      child, less its column's base, the page's least.  Each column takes
+      the fewest bytes that hold all its codes in the page, and a leaf's
+      child column is empty (width 0, base -1: no page).  Every field is
+      at one offset in each record, so a scan reads it with one unaligned
+      64-bit load, a mask and an add, and the zero bytes at the end keep
+      every such load inside the payload. *)
+  module Record_codec (V : VALUE_CODEC) : sig
+    val header_bytes : int
+
+    val widths_at : int
+    (** The offset of the width bytes: low key, high key, start, end,
+        each value word, child. *)
+
+    val max_payload : b:int -> int
+    (** The largest payload of a page of at most [b] records: every
+        column 8 bytes wide. *)
+
+    val encode : Storage.Zcodec.buf -> off:int -> len:int -> page -> int
+    (** [encode buf ~off ~len p] writes [p]'s payload into the [len] bytes
+        of [buf] from [off] and returns its length.
+        @raise Storage.Codec.Overflow if it does not fit.
+        @raise Invalid_argument on a page no tree makes: a key below the
+        page's low key, a time before it was created, or a child the
+        level contradicts. *)
+
+    val decode : Storage.Zcodec.buf -> int -> int -> page
+    (** [decode buf off len] reads back the payload of [len] bytes at
+        [off].
+        @raise Failure if its header and length disagree. *)
+
+    val point : logical:bool -> key:int -> at:int -> Storage.Zcodec.buf * int * int -> G.t * int
+    (** One page's share of a point query, by a pass over the payload in
+        place, as {!query} runs it on a stored frame: the sum of the
+        values it adds (every record alive at [at] whose low key is at or
+        below [key] when [logical], else only the one containing the
+        point), and the child of the record containing the point — its
+        page id, [-1] at a leaf, [-2] if no record contains it. *)
+  end
+
+  val point : logical:bool -> key:int -> at:int -> page -> G.t * int
+  (** {!Record_codec.point} over a decoded page. *)
+
   (** An MVSBT over {!Storage.Page_store.Mmap}, behind a pinning,
       second-chance buffer pool: the tree every durable warehouse serves
       from, with its frames in mapped files or in RAM.  A page is read
@@ -266,11 +341,14 @@ module Make (G : Aggregate.Group.S) : sig
       (mapped read-only, or a RAM image of its frames), unless it was
       written since: then a page that can still change is held decoded,
       and a closed one is in the overlay, fixed-size slots handed out
-      densely, encoded once when it closed.  A {!query} scans each frame
-      on its path in place, in one pass over the fixed-size records, and
-      decodes nothing; only {!insert} and maintenance passes decode a
-      frame.  The layout is the one {!Persist} writes to snapshots.  The
-      handle type and every operation are those of the heap tree.  The
+      densely, encoded once when it closed.  Every frame is laid out by
+      {!Record_codec}: each page's records one size, each field in the
+      bytes that page needs.  A {!query} scans each frame on its path in
+      place, in one pass over the records, and decodes nothing; only
+      {!insert} and maintenance passes decode a frame.  The layout is
+      the one {!Persist} writes to snapshots.  The handle type and every
+      operation are those of the heap tree.  The pool keeps the current
+      root pinned, moving the pin when the tree moves its root.  The
       overlay is a cache of this handle's pages: nothing reads it back
       after {!close}, and a tree is made durable by {!Persist.save_staged}
       and the rebase it returns. *)
@@ -286,9 +364,11 @@ module Make (G : Aggregate.Group.S) : sig
       unit ->
       t
     (** An empty tree, its overlay created (truncating) at [path].
-        [page_size] must be able to hold [b] maximal records plus the
-        per-page integrity frame; it defaults to the smallest multiple of
-        4096 bytes that does, the rule {!of_snapshot} sizes its pages by.
+        [page_size] must be able to hold the largest payload of [b]
+        records ({!Record_codec.max_payload}: every column 8 bytes wide)
+        plus the per-page integrity frame; it defaults to the smallest
+        multiple of 4096 bytes that does, the rule {!of_snapshot} sizes
+        its pages by.
         [backing] (default [`Auto]) picks the arena flavour — see
         {!Storage.Arena.create}; a mapped overlay goes with mapped bases,
         which are read through the OS, not through a {!Storage.Vfs.t}.
@@ -306,10 +386,15 @@ module Make (G : Aggregate.Group.S) : sig
     (** A durable handle whose base is the {!Persist} snapshot
         [snapshot], with an empty overlay created at [path].  The
         snapshot is read once through [vfs] (default {!Storage.Vfs.os}),
-        through one reused buffer, and every chunk is verified: its CRC,
-        its structure (a record count within [b], child flags that match
-        the level, records that fill the chunk), and its page id, which
-        must be non-negative and not repeat.  A page chunk is byte for byte the page's frame, so
+        through one reused buffer, and every chunk is verified: its CRC;
+        the state's configuration, by {!create}'s rules and a [b] whose
+        largest payload fits a chunk, before any store is made; each page
+        chunk's structure (a record count within [b], column widths of at
+        most 8, records and zero padding that fill the chunk, an empty
+        child column at a leaf, children that are page ids); and its page id,
+        which must be non-negative and not repeat.  The current root must
+        be one of the pages.  A page chunk is byte for byte the page's
+        {!Record_codec} frame, so
         nothing is decoded and no page is written: the base records each
         frame's offset, and then maps the file read-only, or, under
         [`Buffered] or where mapping fails, keeps a RAM image of the
@@ -320,8 +405,8 @@ module Make (G : Aggregate.Group.S) : sig
         size follows the snapshot's config (see {!create}).
         @raise Storage.Storage_error.Io with [Checksum_mismatch] on a
         chunk that fails its CRC.
-        @raise Failure on a malformed, truncated or overlong snapshot, or
-        a page id that is negative or repeats. *)
+        @raise Failure on a malformed, truncated or overlong snapshot, a
+        corrupt state chunk, or a page id that is negative or repeats. *)
 
     val min_page_size : config -> int
     (** The smallest page size accepted for a configuration. *)

@@ -54,8 +54,11 @@ val create_durable :
     checkpoint in overlays ([<path>.lkst.pages] and [<path>.lklt.pages],
     fixed-size slots), the pages that can still change held decoded, and
     the rest in the checkpoint itself once there is one (see
-    {!save_staged}).  [page_size] must hold [config.b] records (~57
-    bytes each); it defaults to the smallest multiple of 4096 that does.
+    {!save_staged}).  A page stores each field of its records in the
+    bytes that page needs (about 17 a record over the benchmark's
+    store), but [page_size] must hold [config.b] records in the widest
+    layout (56 bytes each, {!min_page_size}); it defaults to the
+    smallest multiple of 4096 that does.
     [backing] picks the arena flavour: the overlay files are mapped, or
     the overlays are RAM and no file is touched ([`Buffered], and the
     fallback where mapping is unavailable) — see {!Storage.Arena.create}.
@@ -73,8 +76,9 @@ val max_key : t -> int
 val config : t -> Mvsbt.config
 
 val min_page_size : Mvsbt.config -> int
-(** Smallest on-disk page able to hold [config.b] durable records — the
-    floor for [page_size] in {!create_durable} and friends. *)
+(** Smallest on-disk page able to hold [config.b] durable records with
+    every field 8 bytes wide — the floor for [page_size] in
+    {!create_durable} and friends. *)
 
 val stats : t -> Storage.Io_stats.t
 val now : t -> int

@@ -1,23 +1,5 @@
 exception Overflow of string
 
-module type WRITER = sig
-  type t
-
-  val u8 : t -> int -> unit
-  val i32 : t -> int -> unit
-  val i64 : t -> int -> unit
-  val bool : t -> bool -> unit
-end
-
-module type READER = sig
-  type t
-
-  val u8 : t -> int
-  val i32 : t -> int
-  val i64 : t -> int
-  val bool : t -> bool
-end
-
 module Writer = struct
   type t = { buf : bytes; mutable pos : int }
 

@@ -1,19 +1,15 @@
-(** Little-endian binary encoding of page payloads.
-
-    One wire format, two buffers: [Writer]/[Reader] here work over
-    [bytes] (snapshots, the WAL), and {!Zcodec} works over a mapping
-    (checkpoints read in place, and overlays).  Both satisfy {!WRITER}/{!READER}, so a
-    page layout is written once, as a functor over those signatures,
-    and yields the same bytes on either buffer.  Writers and readers
-    raise on overflow, so a page whose payload exceeds the configured
-    page size fails loudly instead of corrupting its neighbours. *)
+(** Little-endian binary encoding over [bytes]: WAL records, wire
+    messages, checkpoint state and metadata chunks.  {!Zcodec} reads and
+    writes the same words over a mapping, where page frames live.
+    Writers and readers raise on overflow, so a payload that exceeds its
+    buffer fails loudly instead of corrupting its neighbours. *)
 
 exception Overflow of string
-(** Raised when an encoder exceeds the page size or a decoder reads past
+(** Raised when an encoder exceeds its buffer or a decoder reads past
     the end of the block. *)
 
 (** Appends primitive values to a bounded buffer. *)
-module type WRITER = sig
+module Writer : sig
   type t
 
   val u8 : t -> int -> unit
@@ -27,23 +23,6 @@ module type WRITER = sig
   (** Writes a full OCaml native int as 64 bits. *)
 
   val bool : t -> bool -> unit
-end
-
-(** Consumes what a {!WRITER} wrote, in the same order. *)
-module type READER = sig
-  type t
-
-  val u8 : t -> int
-
-  val i32 : t -> int
-  (** Sign-extended from 32 bits. *)
-
-  val i64 : t -> int
-  val bool : t -> bool
-end
-
-module Writer : sig
-  include WRITER
 
   val create : int -> t
   (** [create size] is a writer over a zero-filled buffer of [size] bytes. *)
@@ -82,8 +61,17 @@ val crc32_folds : bool
 (** Whether this CPU computes {!crc32} with the carry-less-multiply
     fold. *)
 
+(** Consumes what a {!Writer} wrote, in the same order. *)
 module Reader : sig
-  include READER
+  type t
+
+  val u8 : t -> int
+
+  val i32 : t -> int
+  (** Sign-extended from 32 bits. *)
+
+  val i64 : t -> int
+  val bool : t -> bool
 
   val create : ?pos:int -> ?len:int -> bytes -> t
   (** A reader over [len] bytes of the buffer from [pos] (default: all of

@@ -73,7 +73,7 @@ end
 module type PAGE_CODEC = sig
   type t
 
-  val encode : Zcodec.Writer.t -> t -> unit
+  val encode : Zcodec.buf -> off:int -> len:int -> t -> int
   val sealed : t -> bool
 end
 
@@ -207,11 +207,7 @@ module Mmap (C : PAGE_CODEC) = struct
 
   (* Encode [p] as a frame at [off] of [buf], which has room for a slot. *)
   let encode_frame t buf off p =
-    let w =
-      Zcodec.Writer.create buf ~off:(off + block_overhead) ~len:(t.page_size - block_overhead)
-    in
-    C.encode w p;
-    let len = Zcodec.Writer.pos w in
+    let len = C.encode buf ~off:(off + block_overhead) ~len:(t.page_size - block_overhead) p in
     Zcodec.set_i32 buf off len;
     Zcodec.set_i32 buf (off + 4) (Zcodec.crc32 buf ~pos:(off + block_overhead) ~len);
     len

@@ -82,8 +82,10 @@ end
 module type PAGE_CODEC = sig
   type t
 
-  val encode : Zcodec.Writer.t -> t -> unit
-  (** @raise Codec.Overflow if the payload exceeds the page size. *)
+  val encode : Zcodec.buf -> off:int -> len:int -> t -> int
+  (** [encode buf ~off ~len p] writes [p]'s payload into the [len] bytes
+      of [buf] from [off] and returns its length.
+      @raise Codec.Overflow if the payload exceeds [len] bytes. *)
 
   val sealed : t -> bool
   (** Whether the page can no longer change, bar vacuum: a sealed page

@@ -78,78 +78,3 @@ let blit_of_bytes src src_off (dst : buf) dst_off len =
   for i = 0 to len - 1 do
     Bigarray.Array1.unsafe_set dst (dst_off + i) (Bytes.unsafe_get src (src_off + i))
   done
-
-module Writer = struct
-  type t = { buf : buf; off : int; len : int; mutable pos : int }
-
-  let create buf ~off ~len =
-    if off < 0 || len < 0 || off + len > Bigarray.Array1.dim buf then
-      invalid_arg "Zcodec.Writer.create: slice outside buffer";
-    { buf; off; len; pos = 0 }
-
-  let pos t = t.pos
-
-  let ensure t n =
-    if t.pos + n > t.len then
-      raise
-        (Codec.Overflow
-           (Printf.sprintf "write of %d bytes at %d exceeds mapped slice of %d" n t.pos
-              t.len))
-
-  let u8 t v =
-    ensure t 1;
-    set_u8 t.buf (t.off + t.pos) v;
-    t.pos <- t.pos + 1
-
-  let i32 t v =
-    if v < Int32.to_int Int32.min_int || v > Int32.to_int Int32.max_int then
-      raise (Codec.Overflow (Printf.sprintf "value %d does not fit in 32 bits" v));
-    ensure t 4;
-    unsafe_set_i32 t.buf (t.off + t.pos) v;
-    t.pos <- t.pos + 4
-
-  let i64 t v =
-    ensure t 8;
-    unsafe_set_i64 t.buf (t.off + t.pos) v;
-    t.pos <- t.pos + 8
-
-  let bool t b = u8 t (if b then 1 else 0)
-end
-
-module Reader = struct
-  type t = { buf : buf; off : int; len : int; mutable pos : int }
-
-  let create buf ~off ~len =
-    if off < 0 || len < 0 || off + len > Bigarray.Array1.dim buf then
-      invalid_arg "Zcodec.Reader.create: slice outside buffer";
-    { buf; off; len; pos = 0 }
-
-  let pos t = t.pos
-
-  let ensure t n =
-    if t.pos + n > t.len then
-      raise
-        (Codec.Overflow
-           (Printf.sprintf "read of %d bytes at %d exceeds mapped slice of %d" n t.pos
-              t.len))
-
-  let u8 t =
-    ensure t 1;
-    let v = get_u8 t.buf (t.off + t.pos) in
-    t.pos <- t.pos + 1;
-    v
-
-  let i32 t =
-    ensure t 4;
-    let v = unsafe_get_i32 t.buf (t.off + t.pos) in
-    t.pos <- t.pos + 4;
-    v
-
-  let i64 t =
-    ensure t 8;
-    let v = unsafe_get_i64 t.buf (t.off + t.pos) in
-    t.pos <- t.pos + 8;
-    v
-
-  let bool t = u8 t <> 0
-end

@@ -27,24 +27,26 @@ let probe_values =
 
 let test_zcodec_codec_equivalence () =
   let size = 256 in
-  (* Same sequence through both writers... *)
+  (* Same sequence through the bytes writer and the mapping's stores... *)
   let cw = Storage.Codec.Writer.create size in
   let zb = make_buf size in
-  let zw = Zc.Writer.create zb ~off:0 ~len:size in
+  let at = ref 0 in
+  let z n f =
+    f zb !at;
+    at := !at + n
+  in
   List.iter
     (fun v ->
       Storage.Codec.Writer.u8 cw (v land 0xff);
-      Zc.Writer.u8 zw (v land 0xff);
+      z 1 (fun b i -> Zc.set_u8 b i (v land 0xff));
       if v >= -0x80000000 && v <= 0x7fffffff then begin
         Storage.Codec.Writer.i32 cw v;
-        Zc.Writer.i32 zw v
+        z 4 (fun b i -> Zc.set_i32 b i v)
       end;
       Storage.Codec.Writer.i64 cw (v * 1_000_003);
-      Zc.Writer.i64 zw (v * 1_000_003);
-      Storage.Codec.Writer.bool cw (v land 1 = 0);
-      Zc.Writer.bool zw (v land 1 = 0))
+      z 8 (fun b i -> Zc.set_i64 b i (v * 1_000_003)))
     probe_values;
-  Alcotest.(check int) "positions agree" (Storage.Codec.Writer.pos cw) (Zc.Writer.pos zw);
+  Alcotest.(check int) "positions agree" (Storage.Codec.Writer.pos cw) !at;
   (* ... must produce identical bytes, *)
   let cb = Storage.Codec.Writer.contents cw in
   Alcotest.(check bytes) "identical encodings" cb (buf_to_bytes zb);
@@ -52,23 +54,26 @@ let test_zcodec_codec_equivalence () =
   Alcotest.(check int) "crc32 agrees"
     (Storage.Codec.crc32 cb ~pos:0 ~len:size)
     (Zc.crc32 zb ~pos:0 ~len:size);
-  (* and cross-read: each reader decodes the other's buffer. *)
+  (* and cross-read: each side decodes the other's buffer. *)
   let cr = Storage.Codec.Reader.create (buf_to_bytes zb) in
   let zb2 = make_buf size in
   Zc.blit_of_bytes cb 0 zb2 0 size;
-  let zr = Zc.Reader.create zb2 ~off:0 ~len:size in
+  at := 0;
+  let z n f =
+    let v = f zb2 !at in
+    at := !at + n;
+    v
+  in
   List.iter
     (fun v ->
       Alcotest.(check int) "u8" (v land 0xff) (Storage.Codec.Reader.u8 cr);
-      Alcotest.(check int) "z u8" (v land 0xff) (Zc.Reader.u8 zr);
+      Alcotest.(check int) "z u8" (v land 0xff) (z 1 Zc.get_u8);
       if v >= -0x80000000 && v <= 0x7fffffff then begin
         Alcotest.(check int) "i32" v (Storage.Codec.Reader.i32 cr);
-        Alcotest.(check int) "z i32" v (Zc.Reader.i32 zr)
+        Alcotest.(check int) "z i32" v (z 4 Zc.get_i32)
       end;
       Alcotest.(check int) "i64" (v * 1_000_003) (Storage.Codec.Reader.i64 cr);
-      Alcotest.(check int) "z i64" (v * 1_000_003) (Zc.Reader.i64 zr);
-      Alcotest.(check bool) "bool" (v land 1 = 0) (Storage.Codec.Reader.bool cr);
-      Alcotest.(check bool) "z bool" (v land 1 = 0) (Zc.Reader.bool zr))
+      Alcotest.(check int) "z i64" (v * 1_000_003) (z 8 Zc.get_i64))
     probe_values
 
 (* Every accessor at every offset of a word, the unaligned ones included:
@@ -103,33 +108,32 @@ let test_zcodec_words () =
           (le_bytes v 8) (List.init 8 (fun k -> Zc.get_u8 b (off + k)));
         Alcotest.(check int) (Printf.sprintf "i64 %d at %d" v off) v (Zc.get_i64 b off))
       i64s;
-    (* through a reader and a writer over an unaligned slice *)
-    let w = Zc.Writer.create b ~off ~len:(size - off) in
-    List.iter (Zc.Writer.i32 w) i32s;
+    (* a run of words from an unaligned offset, as the bytes writer
+       lays them out *)
+    List.iteri (fun k v -> Zc.set_i32 b (off + (4 * k)) v) i32s;
     let cw = Storage.Codec.Writer.create (size - off) in
     List.iter (Storage.Codec.Writer.i32 cw) i32s;
-    Alcotest.(check bytes) (Printf.sprintf "writer bytes at %d" off)
-      (Bytes.sub (Storage.Codec.Writer.contents cw) 0 (Zc.Writer.pos w))
-      (Bytes.sub (buf_to_bytes b) off (Zc.Writer.pos w));
-    let r = Zc.Reader.create b ~off ~len:(size - off) in
-    List.iter (fun v -> Alcotest.(check int) "reader i32" v (Zc.Reader.i32 r)) i32s
+    let n = 4 * List.length i32s in
+    Alcotest.(check bytes) (Printf.sprintf "run bytes at %d" off)
+      (Bytes.sub (Storage.Codec.Writer.contents cw) 0 n)
+      (Bytes.sub (buf_to_bytes b) off n);
+    List.iteri
+      (fun k v -> Alcotest.(check int) "run i32" v (Zc.get_i32 b (off + (4 * k))))
+      i32s;
+    (* one unchecked 64-bit store and load, as a page's columns use them *)
+    List.iter
+      (fun v ->
+        Zc.store64 b off (Int64.of_int v);
+        Alcotest.(check int) (Printf.sprintf "store64 %d at %d" v off) v (Zc.get_i64 b off);
+        Alcotest.(check int) (Printf.sprintf "load64 %d at %d" v off) v
+          (Int64.to_int (Zc.load64 b off)))
+      (if Sys.big_endian then [] else i64s)
   done;
   let b = make_buf size in
-  let w = Zc.Writer.create b ~off:3 ~len:20 in
-  List.iter (Zc.Writer.i64 w) [ max_int; min_int ];
-  let r = Zc.Reader.create b ~off:3 ~len:20 in
-  let first = Zc.Reader.i64 r in
-  let second = Zc.Reader.i64 r in
-  Alcotest.(check (pair int int)) "reader i64 limits" (max_int, min_int) (first, second);
-  Alcotest.check_raises "a slice read past its end"
-    (Storage.Codec.Overflow "read of 8 bytes at 16 exceeds mapped slice of 20") (fun () ->
-      ignore (Zc.Reader.i64 r));
-  List.iter
-    (fun v ->
-      match Zc.Writer.i32 (Zc.Writer.create b ~off:0 ~len:8) v with
-      | exception Storage.Codec.Overflow _ -> ()
-      | () -> Alcotest.failf "i32 %d written" v)
-    [ 0x80000000; -0x80000001 ];
+  Zc.set_i64 b 3 max_int;
+  Zc.set_i64 b 11 min_int;
+  Alcotest.(check (pair int int)) "i64 limits" (max_int, min_int)
+    (Zc.get_i64 b 3, Zc.get_i64 b 11);
   List.iter
     (fun (name, f) ->
       match f () with
@@ -256,9 +260,12 @@ let test_image_chunks () =
 module Int_list_codec = struct
   type t = int list
 
-  let encode w v =
-    Zc.Writer.i32 w (List.length v);
-    List.iter (Zc.Writer.i64 w) v
+  let encode buf ~off ~len v =
+    let n = 4 + (8 * List.length v) in
+    if n > len then raise (Storage.Codec.Overflow "int list");
+    Zc.set_i32 buf off (List.length v);
+    List.iteri (fun i x -> Zc.set_i64 buf (off + 4 + (8 * i)) x) v;
+    n
 
   let sealed _ = true
 end
@@ -266,9 +273,9 @@ end
 module MStore = Storage.Page_store.Mmap (Int_list_codec)
 
 let decode_int_list (buf, off, len) =
-  let r = Zc.Reader.create buf ~off ~len in
-  let n = Zc.Reader.i32 r in
-  List.init n (fun _ -> Zc.Reader.i64 r)
+  let n = Zc.get_i32 buf off in
+  if 4 + (8 * n) > len then Alcotest.fail "a list longer than its frame";
+  List.init n (fun i -> Zc.get_i64 buf (off + 4 + (8 * i)))
 
 (* A charged read, its frame decoded. *)
 let read_value s id =
@@ -337,9 +344,9 @@ module Counted = struct
 
   let encodes = ref 0
 
-  let encode w p =
+  let encode buf ~off ~len p =
     incr encodes;
-    Int_list_codec.encode w p.value
+    Int_list_codec.encode buf ~off ~len p.value
 
   let sealed p = p.closed
 end
@@ -551,6 +558,44 @@ let with_lkst fs vfs f =
   f'.Storage.Vfs.f_pwrite 0 damaged 0 (Bytes.length damaged);
   f'.Storage.Vfs.f_close ()
 
+(* Replace the payload of the chunk at [at] by [f] of it, the chunk's
+   length and CRC made to match: a damage only the structure rules can
+   catch. *)
+let rechunk fs vfs at f =
+  with_lkst fs vfs (fun b ->
+      let len = Int32.to_int (Bytes.get_int32_le b at) in
+      let payload = f (Bytes.sub b (at + 8) len) in
+      let n = Bytes.length payload in
+      let head = Bytes.create 8 in
+      Bytes.set_int32_le head 0 (Int32.of_int n);
+      Bytes.set_int32_le head 4 (Int32.of_int (Storage.Codec.crc32 payload ~pos:0 ~len:n));
+      let rest = at + 8 + len in
+      Bytes.concat Bytes.empty
+        [ Bytes.sub b 0 at; head; payload; Bytes.sub b rest (Bytes.length b - rest) ])
+
+(* The warehouse's page layout: Rta's values, a sum and a count. *)
+module Sum_count_tree = Mvsbt.Make (Aggregate.Group.Sum_count)
+
+module Layout =
+  Sum_count_tree.Record_codec
+    (struct
+      let words = 2
+
+      let encode put (s, c) =
+        put s;
+        put c
+
+      let decode next =
+        let s = next () in
+        let c = next () in
+        (s, c)
+    end)
+
+let contains msg needle =
+  let n = String.length needle in
+  let rec scan i = i + n <= String.length msg && (String.sub msg i n = needle || scan (i + 1)) in
+  scan 0
+
 (* The one way a snapshot is loaded, the frame load (here into RAM, as
    [--store memory] and reader replicas load it), streams it through the
    chunk reader.  [crc] says which refusal is due: a checksum mismatch,
@@ -617,11 +662,10 @@ let test_snapshot_damage () =
       restore ())
     [ List.nth offsets 0; List.nth offsets 1; first_page; last ];
   (* A page chunk whose frame is intact, CRC included, but whose header
-     lies: the record count (at payload byte 44) or the level (at byte
-     8), on the first, a middle and the last page.  Only bit rot fails a
-     CRC, so the structure rule must catch these, and the raw path,
-     which never builds the page, must catch them as the heap path
-     does. *)
+     lies: the record count (at payload byte 44), which then disagrees
+     with the chunk's length, or the level (at byte 8), on the first, a
+     middle and the last page.  Only bit rot fails a CRC, so the
+     structure rules must catch these, without building the page. *)
   let set_field at off f =
     with_lkst fs vfs (fun b ->
         let v = Int32.to_int (Bytes.get_int32_le b off) in
@@ -645,8 +689,9 @@ let test_snapshot_damage () =
           ("record count b + 1", count, fun _ -> b + 1);
           ("record count -1", count, fun _ -> -1);
           ("level -1", level, fun _ -> -1);
-          (* records whose child flags the level contradicts: a scan
-             would step through them at the wrong size *)
+          (* a leaf read as an index page would name child -1 (a
+             leaf's child base), and an index page read as a leaf has a
+             child column a leaf cannot have *)
           ("leaf and index level swapped", level, fun l -> if l = 0 then 1 else 0) ])
     [ first_page; List.nth offsets ((List.length offsets + 2) / 2); last ];
   (* A page id is checked too: one that is negative, or that repeats —
@@ -670,26 +715,40 @@ let test_snapshot_damage () =
     [ first_page; last ];
   (* So is every child an index page names: a negative one, CRC and
      structure intact, would read as a scan's leaf sentinel and end the
-     descent with a partial sum.  The first record of each index page
-     (level, at payload byte 8, above 0) names child -1; a record's child
-     is its last 8 bytes, after the 48-byte page header. *)
-  let index_pages =
-    List.filter
-      (fun at -> at >= first_page && Int32.to_int (String.get_int32_le pristine (at + 16)) > 0)
-      offsets
+     descent with a partial sum.  Each index page (level, at payload byte
+     8, above 0) gets a child base of -1, the last word of the header, so
+     the record naming its least child names -1. *)
+  let level_of at = Int32.to_int (String.get_int32_le pristine (at + 16)) in
+  let index_pages = List.filter (fun at -> at >= first_page && level_of at > 0) offsets in
+  let leaf_pages = List.filter (fun at -> at >= first_page && level_of at = 0) offsets in
+  Alcotest.(check bool) "index and leaf page chunks" true (index_pages <> [] && leaf_pages <> []);
+  let damage name pages f =
+    List.iter
+      (fun at ->
+        rechunk fs vfs at f;
+        loads_fail (Printf.sprintf "page chunk at %d: %s" at name) vfs;
+        restore ())
+      pages
   in
-  Alcotest.(check bool) "index page chunks" true (index_pages <> []);
+  damage "a child that decodes negative" index_pages (fun p ->
+      Bytes.set_int64_le p (Layout.header_bytes - 8) (-1L);
+      p);
+  (* The column widths and the pad: a width of 9, the records grown to
+     match it so only the width is wrong; a payload without its 7 zero
+     bytes, so that a scan's last load would run past it; and a pad byte
+     that is not zero. *)
+  let count p = Int32.to_int (Bytes.get_int32_le p 44) in
   List.iter
-    (fun at ->
-      with_lkst fs vfs (fun b ->
-          let len = Int32.to_int (Bytes.get_int32_le b at)
-          and n = Int32.to_int (Bytes.get_int32_le b (at + 8 + 44)) in
-          Bytes.set_int64_le b (at + 8 + 48 + ((len - 48) / n) - 8) (-1L);
-          reseal b at;
-          b);
-      loads_fail (Printf.sprintf "index page chunk at %d: negative child id" at) vfs;
-      restore ())
-    index_pages;
+    (fun pages ->
+      damage "a width of 9" pages (fun p ->
+          let w = Bytes.get_uint8 p Layout.widths_at in
+          Bytes.set_uint8 p Layout.widths_at 9;
+          Bytes.cat p (Bytes.make (count p * (9 - w)) '\000'));
+      damage "no pad" pages (fun p -> Bytes.sub p 0 (Bytes.length p - 7));
+      damage "a pad byte of 1" pages (fun p ->
+          Bytes.set_uint8 p (Bytes.length p - 1) 1;
+          p))
+    [ leaf_pages; index_pages ];
   let chunk b at = Bytes.sub b at (8 + Int32.to_int (Bytes.get_int32_le b at)) in
   List.iter
     (fun (src, dst) ->
@@ -710,22 +769,53 @@ let test_snapshot_damage () =
   with_lkst fs vfs (fun b -> Bytes.cat b (Bytes.make 3 '\000'));
   loads_fail "trailing bytes" vfs;
   restore ();
-  (* The previous format, whose chunks carry no CRC, is refused by name. *)
-  with_lkst fs vfs (fun b ->
-      Bytes.blit_string "MVSBT-SNAPSHOT-2" 0 b 0 16;
-      b);
-  match Rta.load ~vfs ~path:"s" () with
-  | exception Failure msg ->
-      Alcotest.(check bool) "names the old format" true
-        (String.length msg > 0
-         &&
-         let needle = "MVSBT-SNAPSHOT-2" in
-         let n = String.length needle in
-         let rec scan i =
-           i + n <= String.length msg && (String.sub msg i n = needle || scan (i + 1))
-         in
-         scan 0)
-  | _ -> Alcotest.fail "an old-format snapshot loaded"
+  (* The previous formats — one whose chunks carry no CRC, one with 64-bit
+     fields — are refused by name. *)
+  List.iter
+    (fun old ->
+      with_lkst fs vfs (fun b ->
+          Bytes.blit_string old 0 b 0 16;
+          b);
+      (match Rta.load ~vfs ~path:"s" () with
+      | exception Failure msg -> Alcotest.(check bool) ("names " ^ old) true (contains msg old)
+      | _ -> Alcotest.failf "an %s snapshot loaded" old);
+      restore ())
+    [ "MVSBT-SNAPSHOT-2"; "MVSBT-SNAPSHOT-3" ]
+
+(* A state chunk whose CRC holds but whose configuration no tree could
+   have is refused at open, as a corrupt chunk, before a store is made:
+   [f = 0] would divide by zero at the first key split, and a [b] of
+   2^31 - 1 would size each page's slot at about 120 GB.  So is one
+   whose current root is not a page of the snapshot, which the open
+   pins.  The state is the first chunk, after the 16-byte magic: [b]
+   (i32) at payload byte 0, [f] (a float's i64 bits) at 4, the key space
+   at 16 and the current root at 40 (i64s). *)
+let test_state_damage () =
+  let fs, vfs, _ = snapshot_fs () in
+  let pristine = List.assoc "s.lkst" (M.contents fs) in
+  let per_record = Layout.max_payload ~b:1 - Layout.max_payload ~b:0 in
+  let b_over = (((1 lsl 30) - Layout.max_payload ~b:0) / per_record) + 1 in
+  List.iter
+    (fun (what, f) ->
+      rechunk fs vfs 16 (fun p ->
+          f p;
+          p);
+      (match Rta.load ~vfs ~path:"s" () with
+      | exception Failure msg when contains msg "corrupt state chunk" -> ()
+      | exception e -> Alcotest.failf "%s: %s" what (Printexc.to_string e)
+      | _ -> Alcotest.failf "%s: loaded" what);
+      with_lkst fs vfs (fun _ -> Bytes.of_string pristine))
+    [ ("f = 0", fun p -> Bytes.set_int64_le p 4 (Int64.bits_of_float 0.));
+      ("f = nan", fun p -> Bytes.set_int64_le p 4 (Int64.bits_of_float Float.nan));
+      ("f = 1.5", fun p -> Bytes.set_int64_le p 4 (Int64.bits_of_float 1.5));
+      ("b = 3", fun p -> Bytes.set_int32_le p 0 3l);
+      ("b = 2^31 - 1", fun p -> Bytes.set_int32_le p 0 Int32.max_int);
+      ( Printf.sprintf "b = %d, a page past a chunk" b_over,
+        fun p -> Bytes.set_int32_le p 0 (Int32.of_int b_over) );
+      ("key space 0", fun p -> Bytes.set_int64_le p 16 0L);
+      ("a current root that is no page", fun p -> Bytes.set_int64_le p 40 (Int64.of_int (1 lsl 40)))
+    ];
+  Alcotest.(check bool) "intact, it loads" true (Rta.page_count (Rta.load ~vfs ~path:"s" ()) > 0)
 
 (* tmpfs where there is one: the engine runs are fsync-bound, and a
    mapping of a tmpfs file is a mapping all the same. *)
@@ -812,7 +902,7 @@ let test_frames_move backing () =
 (* A mapped base shows the checkpoint file's current bytes, so a frame
    the pool took in while its CRC held can rot while it stays pooled.  A
    scan must still fail on it, with no fault to re-check it: here every
-   page of a mapped base is pooled, a byte of each page's first value is
+   page of a mapped base is pooled, a byte of each page's first record is
    flipped in the file, and a query fails with [Corrupt_page] reading no
    page from the store.  A vacuum, which decodes what it prunes and
    re-encodes it, fails too, and re-seals nothing: once the bytes are
@@ -849,8 +939,7 @@ let test_rot_while_pooled () =
   in
   Rta.drop_cache disk;
   agree "faulted in from the base" ~from:0;
-  (* The low byte of the first record's first value word: payload byte
-     48 (the page header) + 32 (the record's keys and times). *)
+  (* The first byte of each page's first record, past the page header. *)
   let flip_all () =
     List.iter
       (fun ext ->
@@ -859,7 +948,7 @@ let test_rot_while_pooled () =
         List.iteri
           (fun i at ->
             if i >= 2 && Int32.to_int (String.get_int32_le data (at + 8 + 44)) > 0 then
-              flip_in_place file (at + 8 + 48 + 32))
+              flip_in_place file (at + 8 + Layout.header_bytes))
           (chunk_offsets data))
       [ ".lkst"; ".lklt" ]
   in
@@ -1381,6 +1470,7 @@ let () =
           Alcotest.test_case "mmap store, buffered" `Quick (test_base_frames `Buffered);
           Alcotest.test_case "mmap store, mapped" `Quick (test_base_frames `Auto);
           Alcotest.test_case "damaged snapshots fail" `Quick test_snapshot_damage;
+          Alcotest.test_case "damaged state chunks fail" `Quick test_state_damage;
           Alcotest.test_case "pooled frames move, buffered" `Quick (test_frames_move `Buffered);
           Alcotest.test_case "pooled frames move, mapped" `Quick (test_frames_move `Map);
           Alcotest.test_case "rot under a pooled frame" `Quick test_rot_while_pooled;

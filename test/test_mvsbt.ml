@@ -411,10 +411,202 @@ let prop_root_count_grows_slowly =
          in practice many — allow a generous constant. *)
       T.root_count tree <= 2 + (4 * n / b))
 
+(* --- Page layout --------------------------------------------------------------- *)
+
+(* Pages of the warehouse's trees — a sum and a count per value — laid
+   out by the one page codec, compared with the pages themselves. *)
+module SC = Mvsbt.Make (Aggregate.Group.Sum_count)
+
+module Layout = SC.Record_codec (struct
+  let words = 2
+
+  let encode put (s, c) =
+    put s;
+    put c
+
+  let decode next =
+    let s = next () in
+    let c = next () in
+    (s, c)
+end)
+
+let forever = max_int
+
+(* The codes a page stores in each column, in the column order the
+   header's width bytes follow: low key, high key, start, end, the two
+   value words, child.  [`Time] codes keep the all-ones code clear for
+   [forever], which is representable at any width. *)
+let column_codes (p : SC.page) =
+  let recs = p.SC.records in
+  let plo = p.SC.prange.Interval.lo in
+  let spread xs =
+    match xs with
+    | [] -> []
+    | x :: rest ->
+        let least = List.fold_left min x rest in
+        List.map (fun v -> v - least) xs
+  in
+  let times f =
+    `Time
+      (List.filter_map
+         (fun r -> if f r = forever then None else Some (f r - p.SC.created))
+         recs)
+  in
+  [ `Plain (List.map (fun r -> r.SC.range.Interval.lo - plo) recs);
+    `Plain (List.map (fun r -> r.SC.range.Interval.hi - plo) recs);
+    times (fun r -> r.SC.rt_start);
+    times (fun r -> r.SC.rt_end);
+    `Plain (spread (List.map (fun r -> fst r.SC.value) recs));
+    `Plain (spread (List.map (fun r -> snd r.SC.value) recs));
+    `Plain
+      (spread
+         (List.filter_map (fun r -> Option.map Storage.Page_id.to_int r.SC.child) recs)) ]
+
+(* Whether [w] bytes hold [code], unsigned: a code that wrapped negative
+   needs all 8; a time's code must also stay below the all-ones code. *)
+let fits ~time code w =
+  w = 8 || (code >= 0 && if time then code < (1 lsl (8 * w)) - 1 else code lsr (8 * w) = 0)
+
+let check_layout (p : SC.page) ~off ~probes =
+  let room = Layout.max_payload ~b:(List.length p.SC.records) in
+  let buf = Bigarray.Array1.create Bigarray.char Bigarray.c_layout (off + room) in
+  Bigarray.Array1.fill buf '\xa5';
+  let len = Layout.encode buf ~off ~len:room p in
+  (* a page comes back whole *)
+  if Layout.decode buf off len <> p then QCheck.Test.fail_report "the page does not decode back";
+  (* each column in the fewest bytes, and the records one stride each *)
+  let stride = ref 0 in
+  List.iteri
+    (fun c codes ->
+      let w = Storage.Zcodec.get_u8 buf (off + Layout.widths_at + c) in
+      stride := !stride + w;
+      let time, codes = match codes with `Time cs -> (true, cs) | `Plain cs -> (false, cs) in
+      let all w = List.for_all (fun code -> fits ~time code w) codes in
+      if not (all w && (w = 0 || not (all (w - 1)))) then
+        QCheck.Test.fail_reportf "column %d: width %d is not the least" c w)
+    (column_codes p);
+  if len <> Layout.header_bytes + (List.length p.SC.records * !stride) + 7 then
+    QCheck.Test.fail_reportf "a %d-byte payload for stride %d" len !stride;
+  (* a scan in place answers as a scan of the page *)
+  List.iter
+    (fun (key, at) ->
+      List.iter
+        (fun logical ->
+          let want = SC.point ~logical ~key ~at p
+          and got = Layout.point ~logical ~key ~at (buf, off, len) in
+          if got <> want then
+            QCheck.Test.fail_reportf "(%d, %d)%s: scanned (%d, %d) child %d, want (%d, %d) child %d"
+              key at (if logical then " logical" else "") (fst (fst got)) (snd (fst got))
+              (snd got) (fst (fst want)) (snd (fst want)) (snd want))
+        [ true; false ])
+    probes;
+  true
+
+(* A value word: zero, small of either sign, or extreme. *)
+let gen_word =
+  QCheck.Gen.(
+    frequency
+      [ (2, return 0); (4, int_range (-300) 300); (1, return max_int); (1, return min_int);
+        (2, int) ])
+
+(* A page of 1 to 64 records whose every column ranges over one value,
+   a few bytes or all 8: keys in the page's range, times from [created]
+   on (some [forever]), values of any sign, children any page id. *)
+let gen_page =
+  let open QCheck.Gen in
+  let span = oneofl [ 0; 200; 70_000; 1 lsl 40; max_int / 4 ] in
+  let* n = int_range 1 64 and* level = frequency [ (1, return 0); (1, int_range 1 3) ] in
+  let* plo = oneofl [ 0; 17; 1 lsl 33 ] and* key_span = span in
+  let* created = oneofl [ 0; 5; 1 lsl 35 ] and* time_span = span in
+  let* child_base = oneofl [ 0; 9; 1 lsl 50 ] in
+  let* child_span = span and* value_span = oneofl [ `Same; `Any ] in
+  let* alive = oneofl [ `None; `Some; `All ] in
+  let phi = plo + 1 + key_span in
+  let* records =
+    list_repeat n
+      (let* lo = int_range plo (phi - 1) in
+       let* hi = int_range (lo + 1) phi in
+       let* start = int_range created (created + time_span) in
+       let* stop = int_range start (created + time_span) in
+       let* ends = match alive with `None -> return false | `All -> return true | `Some -> bool in
+       let* s = gen_word and* c = gen_word in
+       let* child = int_range child_base (child_base + child_span) in
+       return
+         { SC.range = Interval.make lo hi; rt_start = start;
+           rt_end = (if ends then forever else stop);
+           value = (match value_span with `Same -> (7, -7) | `Any -> (s, c));
+           child = (if level = 0 then None else Some (Storage.Page_id.of_int child)) })
+  in
+  return
+    { SC.pid = Storage.Page_id.of_int 3; level; prange = Interval.make plo phi; created;
+      closed = (match alive with `All -> forever | _ -> created + time_span + 1); records }
+
+(* Points at and beside every record's boundaries, and a few past the
+   page's. *)
+let probes (p : SC.page) =
+  let keys =
+    List.concat_map
+      (fun r ->
+        let { Interval.lo; hi } = r.SC.range in
+        [ lo - 1; lo; hi - 1; hi ])
+      p.SC.records
+  and times =
+    List.concat_map
+      (fun r -> [ r.SC.rt_start - 1; r.SC.rt_start; r.SC.rt_end - 1; min r.SC.rt_end (forever - 1) ])
+      p.SC.records
+  in
+  let pick l i = List.nth l (i mod List.length l) in
+  List.init 40 (fun i -> (pick keys (i * 7), pick times (i * 13)))
+  @ [ (p.SC.prange.Interval.lo, p.SC.created); (p.SC.prange.Interval.hi, forever - 1) ]
+
+let prop_page_layout =
+  QCheck.Test.make ~name:"page layout: round trip, scan in place, least widths" ~count:300
+    (QCheck.make
+       ~print:(fun p ->
+         Printf.sprintf "level %d, %d records, keys from %d, created %d" p.SC.level
+           (List.length p.SC.records) p.SC.prange.Interval.lo p.SC.created)
+       gen_page)
+    (* at an unaligned offset, past bytes that are not zero *)
+    (fun p -> check_layout p ~off:3 ~probes:(probes p))
+
+(* The two extremes the random pages reach only now and then: every
+   column of width 0 but the high key's (one record, its value zero, its
+   end [forever]), and every column 8 bytes wide. *)
+let test_layout_extremes () =
+  let record ~lo ~hi ~start ~stop value child =
+    { SC.range = Interval.make lo hi; rt_start = start; rt_end = stop; value; child }
+  in
+  let narrow =
+    { SC.pid = Storage.Page_id.of_int 0; level = 0; prange = Interval.make 0 10; created = 4;
+      closed = forever;
+      records = [ record ~lo:0 ~hi:10 ~start:forever ~stop:forever (0, 0) None ] }
+  and wide =
+    { SC.pid = Storage.Page_id.of_int 1; level = 1; prange = Interval.make 0 max_int; created = 0;
+      closed = forever;
+      records =
+        [ record ~lo:0 ~hi:1 ~start:0 ~stop:(max_int - 1) (min_int, max_int)
+            (Some (Storage.Page_id.of_int 0));
+          record ~lo:(max_int - 1) ~hi:max_int ~start:(max_int - 2) ~stop:forever
+            (max_int, min_int) (Some (Storage.Page_id.of_int max_int)) ] }
+  in
+  let widths p =
+    let buf = Bigarray.Array1.create Bigarray.char Bigarray.c_layout 512 in
+    ignore (Layout.encode buf ~off:0 ~len:512 p);
+    List.init 7 (fun c -> Storage.Zcodec.get_u8 buf (Layout.widths_at + c))
+  in
+  Alcotest.(check (list int)) "narrow" [ 0; 1; 0; 0; 0; 0; 0 ] (widths narrow);
+  Alcotest.(check (list int)) "wide" [ 8; 8; 8; 8; 8; 8; 8 ] (widths wide);
+  List.iter
+    (fun p ->
+      ignore
+        (check_layout p ~off:3
+           ~probes:[ (0, 0); (5, 4); (0, max_int - 2); (max_int - 1, max_int - 1); (9, 5) ]))
+    [ narrow; wide ]
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_matches_oracle; prop_height_bound; prop_pages_per_insertion;
-      prop_root_count_grows_slowly ]
+      prop_root_count_grows_slowly; prop_page_layout ]
 
 let () =
   Alcotest.run "mvsbt"
@@ -434,6 +626,7 @@ let () =
           Alcotest.test_case "boundary keys" `Quick test_boundary_keys;
           Alcotest.test_case "durable file-backed tree" `Quick test_durable_mvsbt_direct;
           Alcotest.test_case "graphviz dump" `Quick test_pp_dot_smoke;
+          Alcotest.test_case "page layout extremes" `Quick test_layout_extremes;
         ] );
       ("oracle", oracle_tests);
       ("properties", qcheck_tests);
