@@ -193,6 +193,7 @@ module Make (G : Aggregate.Group.S) = struct
   type frames = {
     frame : Storage.Page_id.t -> bytes; (* a page's stored frame, CRC-checked *)
     stage : string -> staging; (* the base a save to this file builds *)
+    overlay : unit -> int; (* bytes of the frames sealed since the last rebase *)
   }
 
   (* A point query's state as it descends: the point, the sum so far,
@@ -327,6 +328,7 @@ module Make (G : Aggregate.Group.S) = struct
   let now t = t.now_
   let horizon t = t.horizon
   let page_count t = t.backend.b_live ()
+  let overlay_bytes t = match t.backend.b_frames with Some f -> f.overlay () | None -> 0
   let height t = t.height
   let root_count t = Root_star.count t.root_star
 
@@ -1347,12 +1349,9 @@ module Make (G : Aggregate.Group.S) = struct
 
     module Mmap_pool = Storage.Buffer_pool.Make (Mmap_store)
 
+    (* The room a page's frame may take: [b] records in the widest
+       layout.  A sealed page's frame takes only the bytes it encodes to. *)
     let min_page_size cfg = Mmap_store.block_overhead + RC.max_payload ~b:cfg.b
-
-    (* Analytic configs push [b] past what a 4 KiB page holds, so the
-       default page fits the config — rounded up to 4 KiB so mapped pages
-       stay OS-page aligned. *)
-    let page_size_for cfg = (max 4096 (min_page_size cfg) + 4095) / 4096 * 4096
 
     (* The mapped store pairs with clock eviction: with queries scanning
        frames in place, eviction is pure bookkeeping, so the cheaper
@@ -1418,22 +1417,18 @@ module Make (G : Aggregate.Group.S) = struct
                         Mmap_store.rebase store staged;
                         Mmap_pool.retain pool (Mmap_store.mem store));
                   });
+              overlay = (fun () -> Mmap_store.overlay_bytes store);
             };
         b_close = (fun () -> Mmap_store.close store);
       }
 
-    let create ?config ?(pool_capacity = 64) ?stats ?page_size ?(backing = `Auto)
-        ~key_space ~path () =
+    let create ?config ?(pool_capacity = 64) ?stats ?(backing = `Auto) ~key_space ~path () =
       let cfg = match config with Some c -> c | None -> default_config ~b:64 in
       validate_create cfg key_space;
-      let page_size = match page_size with Some p -> p | None -> page_size_for cfg in
-      if min_page_size cfg > page_size then
-        invalid_arg
-          (Printf.sprintf
-             "Mvsbt.Durable.create: %d-byte pages cannot hold b=%d records (need %d)"
-             page_size cfg.b (min_page_size cfg));
       let io_stats = match stats with Some s -> s | None -> Storage.Io_stats.create () in
-      let store = Mmap_store.create ~stats:io_stats ~page_size ~backing ~path () in
+      let store =
+        Mmap_store.create ~stats:io_stats ~page_size:(min_page_size cfg) ~backing ~path ()
+      in
       boot ~cfg ~key_space ~io_stats (make_backend ~pool_capacity store)
 
     (* A state chunk brings in only what {!create} accepts: a
@@ -1496,7 +1491,7 @@ module Make (G : Aggregate.Group.S) = struct
       with_snapshot ~vfs ~path:snapshot @@ fun st size pages ->
       check_state ~path:snapshot st;
       let store =
-        Mmap_store.create ~stats:io_stats ~page_size:(page_size_for st.s_cfg) ~backing ~path ()
+        Mmap_store.create ~stats:io_stats ~page_size:(min_page_size st.s_cfg) ~backing ~path ()
       in
       (try
          let staged = Mmap_store.stage store ~file:snapshot ~size () in

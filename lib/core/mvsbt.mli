@@ -201,6 +201,11 @@ module Make (G : Aggregate.Group.S) : sig
   val page_count : t -> int
   (** Live pages — the space metric of figure 4a. *)
 
+  val overlay_bytes : t -> int
+  (** Bytes a {!Durable} tree's overlay holds: the frames of the pages
+      sealed since its last rebase, dead ones included; 0 for a heap
+      tree. *)
+
   val record_count : t -> int
   (** Total records over all pages (occupied slots).  Full scan. *)
 
@@ -340,8 +345,9 @@ module Make (G : Aggregate.Group.S) : sig
       from the {!Persist} snapshot the tree was opened or last rebased on
       (mapped read-only, or a RAM image of its frames), unless it was
       written since: then a page that can still change is held decoded,
-      and a closed one is in the overlay, fixed-size slots handed out
-      densely, encoded once when it closed.  Every frame is laid out by
+      and a closed one is in the overlay, a log of the frames sealed
+      since, each encoded once when its page closed and taking the bytes
+      it encodes to.  Every frame is laid out by
       {!Record_codec}: each page's records one size, each field in the
       bytes that page needs.  A {!query} scans each frame on its path in
       place, in one pass over the records, and decodes nothing; only
@@ -357,22 +363,20 @@ module Make (G : Aggregate.Group.S) : sig
       ?config:config ->
       ?pool_capacity:int ->
       ?stats:Storage.Io_stats.t ->
-      ?page_size:int ->
       ?backing:[ `Auto | `Map | `Buffered ] ->
       key_space:int ->
       path:string ->
       unit ->
       t
-    (** An empty tree, its overlay created (truncating) at [path].
-        [page_size] must be able to hold the largest payload of [b]
-        records ({!Record_codec.max_payload}: every column 8 bytes wide)
-        plus the per-page integrity frame; it defaults to the smallest
-        multiple of 4096 bytes that does, the rule {!of_snapshot} sizes
-        its pages by.
+    (** An empty tree, its overlay created (truncating) at [path].  A
+        page's frame may take up to the largest payload of [b] records
+        ({!Record_codec.max_payload}: every column 8 bytes wide) plus the
+        per-page integrity frame, the rule {!of_snapshot} sizes its pages
+        by too; each takes the bytes it encodes to.
         [backing] (default [`Auto]) picks the arena flavour — see
         {!Storage.Arena.create}; a mapped overlay goes with mapped bases,
         which are read through the OS, not through a {!Storage.Vfs.t}.
-        @raise Invalid_argument when the configuration cannot fit. *)
+        @raise Invalid_argument on a configuration no tree can have. *)
 
     val of_snapshot :
       ?pool_capacity:int ->
@@ -401,15 +405,12 @@ module Make (G : Aggregate.Group.S) : sig
         frames copied as they streamed past ({!Storage.Page_store.Mmap.stage});
         under [`Buffered] no file but [snapshot] is touched.
         A page read later is CRC-checked again, so a byte of the snapshot
-        that rots after the open fails the reads that reach it.  The page
-        size follows the snapshot's config (see {!create}).
+        that rots after the open fails the reads that reach it.  A page's
+        room follows the snapshot's config (see {!create}).
         @raise Storage.Storage_error.Io with [Checksum_mismatch] on a
         chunk that fails its CRC.
         @raise Failure on a malformed, truncated or overlong snapshot, a
         corrupt state chunk, or a page id that is negative or repeats. *)
-
-    val min_page_size : config -> int
-    (** The smallest page size accepted for a configuration. *)
   end
 
   (** Snapshot persistence: serialise the whole page graph (every page

@@ -89,13 +89,12 @@ let decode_meta rd =
 let lkst_suffix = ".lkst.pages"
 let lklt_suffix = ".lklt.pages"
 
-let create_durable ?config ?pool_capacity ?stats ?telemetry ?page_size ?backing ~max_key
-    ~path () =
+let create_durable ?config ?pool_capacity ?stats ?telemetry ?backing ~max_key ~path () =
   if max_key < 1 then invalid_arg "Rta.create_durable: max_key must be >= 1";
   let stats = match stats with Some s -> s | None -> Storage.Io_stats.create () in
   let key_space = max_key + 1 in
   let mk suffix =
-    Durable_index.create ?config ?pool_capacity ~stats ?page_size ?backing ~key_space
+    Durable_index.create ?config ?pool_capacity ~stats ?backing ~key_space
       ~path:(path ^ suffix) ()
   in
   apply_telemetry telemetry
@@ -119,7 +118,6 @@ let close t =
 
 let max_key t = t.max_key
 let config t = Index.config t.lkst
-let min_page_size config = Durable_index.min_page_size config
 let stats t = Index.stats t.lkst
 let now t = t.now_
 let n_updates t = t.n_updates
@@ -222,6 +220,7 @@ let avg t ~klo ~khi ~tlo ~thi =
   if c = 0 then None else Some (float_of_int s /. float_of_int c)
 
 let page_count t = Index.page_count t.lkst + Index.page_count t.lklt
+let overlay_bytes t = Index.overlay_bytes t.lkst + Index.overlay_bytes t.lklt
 let record_count t = Index.record_count t.lkst + Index.record_count t.lklt
 let root_count t = Index.root_count t.lkst + Index.root_count t.lklt
 let height t = max (Index.height t.lkst) (Index.height t.lklt)

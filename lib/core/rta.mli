@@ -42,7 +42,6 @@ val create_durable :
   ?pool_capacity:int ->
   ?stats:Storage.Io_stats.t ->
   ?telemetry:Telemetry.Tracer.t ->
-  ?page_size:int ->
   ?backing:[ `Auto | `Map | `Buffered ] ->
   max_key:int ->
   path:string ->
@@ -52,20 +51,18 @@ val create_durable :
     frames ({!Storage.Page_store.Mmap} behind pinning buffer pools),
     which queries scan in place: the pages sealed since the last
     checkpoint in overlays ([<path>.lkst.pages] and [<path>.lklt.pages],
-    fixed-size slots), the pages that can still change held decoded, and
-    the rest in the checkpoint itself once there is one (see
-    {!save_staged}).  A page stores each field of its records in the
-    bytes that page needs (about 17 a record over the benchmark's
-    store), but [page_size] must hold [config.b] records in the widest
-    layout (56 bytes each, {!min_page_size}); it defaults to the
-    smallest multiple of 4096 that does.
+    their frames back to back), the pages that can still change held
+    decoded, and the rest in the checkpoint itself once there is one
+    (see {!save_staged}).  A page stores each field of its records in
+    the bytes that page needs (about 17 a record over the benchmark's
+    store), and its frame takes those bytes.
     [backing] picks the arena flavour: the overlay files are mapped, or
     the overlays are RAM and no file is touched ([`Buffered], and the
     fallback where mapping is unavailable) — see {!Storage.Arena.create}.
     The overlays are a cache of this warehouse's pages, never read back:
     make the warehouse durable with {!save}, or run it under
     {!Durable}.
-    @raise Invalid_argument when the configuration cannot fit a page. *)
+    @raise Invalid_argument on a configuration no tree can have. *)
 
 val close : t -> unit
 (** Release the files of a durable warehouse (overlay descriptors and
@@ -74,11 +71,6 @@ val close : t -> unit
 
 val max_key : t -> int
 val config : t -> Mvsbt.config
-
-val min_page_size : Mvsbt.config -> int
-(** Smallest on-disk page able to hold [config.b] durable records with
-    every field 8 bytes wide — the floor for [page_size] in
-    {!create_durable} and friends. *)
 
 val stats : t -> Storage.Io_stats.t
 val now : t -> int
@@ -135,6 +127,10 @@ val lklt : t -> key:int -> at:int -> int * int
 
 val page_count : t -> int
 (** Live pages over both MVSBTs (the "two-MVSBT" space of figure 4a). *)
+
+val overlay_bytes : t -> int
+(** Bytes both overlays of a durable warehouse hold (see
+    {!Mvsbt.Make.overlay_bytes}); 0 for an in-memory one. *)
 
 val record_count : t -> int
 (** Total records (occupied slots) over both MVSBTs.  Full scan. *)

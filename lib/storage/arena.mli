@@ -1,26 +1,26 @@
-(** Memory-mapped page arena, and read-only images of committed files.
+(** Memory-mapped byte arenas, and read-only images of committed files.
 
-    An arena is a growable run of fixed-size blocks in [Bigarray.Array1]s
-    (see {!Zcodec.buf}), so page reads and writes are loads and stores
-    into the mapping — no [read]/[write] syscalls, no intermediate
+    An arena is a byte-addressed log in [Bigarray.Array1]s (see
+    {!Zcodec.buf}): {!append} hands its writer room at the tail and
+    advances by what was written, so reads and writes are loads and
+    stores into the memory — no [read]/[write] syscalls, no intermediate
     [bytes].  {!Page_store.Mmap} keeps its overlay — CRC-framed pages
-    sealed since the last checkpoint — in one; this module only manages
-    the memory itself.  A mapped arena is one flat mapping of its file,
-    and grows by remapping: the file is extended ([ftruncate]) in
-    doubling steps and remapped.  A RAM arena is a run of chunks of
-    [initial_blocks] blocks, and grows by adding chunks, so it never
-    copies a block it holds.  Callers must re-fetch {!block} after any
-    {!ensure} or {!reset}.
+    sealed since the last checkpoint, back to back — in one; this module
+    only manages the memory itself.  A mapped arena is one flat mapping
+    of its file, and grows by remapping: the file is extended
+    ([ftruncate]) in doubling steps and remapped.  A RAM arena is an
+    {!Image.ram} of [chunk]-byte chunks, so it never copies a byte it
+    holds, and no range straddles two chunks.  Callers must {!locate}
+    again after any {!append} or {!reset}.
 
     An arena is a cache that lives and dies with its owner: nothing is
     ever read back from a previous arena, so nothing is synced, and a
     crash can leave the file in any state.  Two backings share the
     interface.  [`Map] maps a file ([Unix.map_file]) that the kernel
-    pages in and out.  [`Buffered] keeps the blocks in a RAM image and
-    touches no file at all — the fallback where [map_file] is
-    unavailable (tmpfs oddities, exotic filesystems,
-    [RTA_FORCE_NO_MMAP=1]) and the backing to use under a synthetic
-    filesystem. *)
+    pages in and out.  [`Buffered] keeps the bytes in RAM and touches no
+    file at all — the fallback where [map_file] is unavailable (tmpfs
+    oddities, exotic filesystems, [RTA_FORCE_NO_MMAP=1]) and the backing
+    to use under a synthetic filesystem. *)
 
 exception Unavailable of string
 (** [`Map] was demanded but the platform refused the mapping. *)
@@ -29,53 +29,47 @@ type backing = [ `Map | `Buffered ]
 
 type t
 
-val create :
-  ?initial_blocks:int ->
-  backing:[ `Auto | `Map | `Buffered ] ->
-  block_size:int ->
-  path:string ->
-  unit ->
-  t
-(** A fresh arena of [initial_blocks] (default 64) zeroed blocks.  Under
-    [`Map] it creates or truncates the file at [path]; [`Buffered]
-    touches no file and uses [path] only to name the arena in errors.
-    [`Auto] tries [`Map] and falls back to [`Buffered] if mapping fails;
-    [`Map] raises {!Unavailable} instead of falling back. *)
+val create : backing:[ `Auto | `Map | `Buffered ] -> chunk:int -> path:string -> unit -> t
+(** A fresh, empty arena.  Under [`Map] it creates or truncates the file
+    at [path] and maps its first [chunk] bytes, the size it grows from;
+    [`Buffered] touches no file and uses [path] only to name the arena
+    in errors, and holds RAM in chunks of [chunk] bytes, the first
+    allocated by the first {!append}.  [`Auto] tries [`Map] and falls
+    back to [`Buffered] if mapping fails; [`Map] raises {!Unavailable}
+    instead of falling back. *)
 
 val backing : t -> backing
 (** The resolved backing ([`Auto] collapses to one of the two). *)
 
-val block_size : t -> int
+val append : t -> room:int -> (Zcodec.buf -> int -> int) -> int
+(** [append t ~room write] calls [write buf off], where [room] bytes of
+    [buf] from [off] are the arena's tail, and advances the tail by the
+    count [write] returns; the result is the offset the bytes landed at,
+    for {!locate}.  Under [`Map] the file grows first if the room runs
+    past it (ftruncate + remap, doubling, so amortized remaps are
+    logarithmic); under [`Buffered] a chunk without the room is left
+    with its last bytes unused, and the bytes go to a fresh one.
+    @raise Invalid_argument if [room] exceeds [chunk], or [write] returns
+    a count outside [0, room]. *)
 
-val capacity_blocks : t -> int
-(** Blocks the current mapping covers (capacity, not usage). *)
+val locate : t -> int -> Zcodec.buf * int
+(** [(buf, off)]: the arena's byte at offset [o] is byte [off] of [buf],
+    the mapping or the RAM chunk that holds it, where the range appended
+    at [o] lies whole.
+    @raise Invalid_argument past the tail. *)
 
-val block : t -> int -> Zcodec.buf * int
-(** [(buf, off)]: block [b] is [block_size] bytes of [buf] from [off].
-    Under [`Map], [buf] is the whole mapping, replaced by an {!ensure}
-    that remaps; under [`Buffered], the chunk holding the block.
-    @raise Invalid_argument past {!capacity_blocks}. *)
-
-val ensure : t -> blocks:int -> unit
-(** Grow until {!capacity_blocks} [>= blocks]: under [`Map] by ftruncate
-    + remap, doubling, so amortized remaps are logarithmic; under
-    [`Buffered] by adding zeroed chunks. *)
+val used : t -> int
+(** The offset of the tail: the bytes appended since the arena was made
+    or {!reset}, with the unused ends of RAM chunks. *)
 
 val reset : t -> unit
-(** Drop every block: under [`Map] the file is cut to nothing and
-    regrown, sparse, to the initial capacity (so it holds no disk
-    blocks), under [`Buffered] the chunks are replaced by one zeroed
-    chunk.  Re-fetch {!block} afterwards. *)
-
-val remaps : t -> int
-(** Times the mapping was re-established by growth (0 for [`Buffered]). *)
-
-val file_size_bytes : t -> int
-(** Capacity in bytes: the length of the backing file under [`Map]. *)
+(** Drop every byte: under [`Map] the view is unmapped, the file cut to
+    nothing and regrown, sparse, to its first [chunk] bytes (so it holds
+    no disk blocks); under [`Buffered] the chunks are dropped. *)
 
 val close : t -> unit
-(** Release the descriptor and the buffers (the mapping is unmapped, or
-    the RAM chunks freed, once collected).  Idempotent. *)
+(** Release the descriptor and the memory (the mapping is unmapped now,
+    the RAM chunks once collected).  Idempotent. *)
 
 (** A committed file, read-only: either mapped whole, or a RAM image into
     which the caller copies the byte ranges it will read.  {!Page_store.Mmap}
@@ -98,7 +92,8 @@ module Image : sig
       bytes: it grows a chunk at a time, allocated when the first range
       that does not fit the last one arrives, and never copies a byte it
       holds.  A range never straddles two chunks, so a chunk leaves
-      unused at most the length of the range that opened the next. *)
+      unused at most the length of the range that opened the next.  A
+      [`Buffered] arena keeps its bytes in one. *)
 
   val append : t -> bytes -> pos:int -> len:int -> int
   (** Copy [len] bytes from [pos] to the end of a RAM image, and return

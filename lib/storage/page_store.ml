@@ -83,10 +83,10 @@ module Mmap (C : PAGE_CODEC) = struct
   type payload = C.t view
 
   (* Where a page is: its frame at an offset of the base, the image of
-     the committed checkpoint the store was last based on, or in a slot
-     of the overlay if it was sealed since; or, written since and not
-     sealed, the page itself, decoded. *)
-  type loc = Base of int | Slot of int | Live of C.t
+     the committed checkpoint the store was last based on, or at an
+     offset of the overlay if it was sealed since; or, written since and
+     not sealed, the page itself, decoded. *)
+  type loc = Base of int | Overlay of int | Live of C.t
 
   type t = {
     overlay : Arena.t;
@@ -97,34 +97,32 @@ module Mmap (C : PAGE_CODEC) = struct
     mutable base : Arena.Image.t;
     mutable base_path : string;
     mutable where : loc Page_id.Tbl.t;
-    mutable free_slots : int list;
-    mutable slots : int; (* overlay slots handed out since the last rebase *)
     mutable next_id : int;
     mutable live : int;
     stats : Io_stats.t;
     tracer : Telemetry.Tracer.t;
   }
 
-  (* A frame, in a base or an overlay slot, is framed so bit-rot anywhere
-     is detected at read time, not silently decoded — the frame of WAL
+  (* A frame, in a base or the overlay, is framed so bit-rot anywhere is
+     detected at read time, not silently decoded — the frame of WAL
      records and checkpoint chunks:
 
        | len 4B | crc 4B | payload (len bytes) |
 
-     An overlay slot is [page_size] bytes, the frame then padding.  The
-     CRC covers the payload only; [len] is validated against the block
-     and the buffer before the checksum runs, so a corrupt length cannot
-     read out of bounds. *)
+     The overlay holds them back to back, each from an 8-byte boundary.
+     The CRC covers the payload only; [len] is validated against the page
+     size and the buffer before the checksum runs, so a corrupt length
+     cannot read out of bounds. *)
   let block_overhead = 8
 
   let create ?(stats = Io_stats.create ()) ?(page_size = 4096)
       ?(tracer = Telemetry.Tracer.noop) ?(backing = `Auto) ~path () =
     if page_size < 32 + block_overhead then
       invalid_arg "Page_store.Mmap: page_size too small";
-    let overlay = Arena.create ~backing ~block_size:page_size ~path () in
+    let overlay = Arena.create ~backing ~chunk:(64 * page_size) ~path () in
     { overlay; path; page_size; backing; map_base = Arena.backing overlay = `Map;
       base = Arena.Image.empty (); base_path = path; where = Page_id.Tbl.create 1024;
-      free_slots = []; slots = 0; next_id = 0; live = 0; stats; tracer }
+      next_id = 0; live = 0; stats; tracer }
 
   let stats t = t.stats
   let page_size t = t.page_size
@@ -151,13 +149,13 @@ module Mmap (C : PAGE_CODEC) = struct
     | Base off ->
         let buf, off = Arena.Image.locate t.base off in
         (buf, off, t.base_path)
-    | Slot s ->
-        let buf, off = Arena.block t.overlay s in
+    | Overlay off ->
+        let buf, off = Arena.locate t.overlay off in
         (buf, off, t.path)
     | Live _ -> invalid_arg "Page_store.Mmap: the page is held decoded"
 
   (* The payload length of the frame at [off] of [buf]; [Corrupt_page]
-     when its length field runs past the block or the buffer, checked
+     when its length field runs past the page size or the buffer, checked
      before anything reads the payload. *)
   let frame_len t buf off ~path id =
     let room = Bigarray.Array1.dim buf - off - block_overhead in
@@ -205,7 +203,7 @@ module Mmap (C : PAGE_CODEC) = struct
   (* Not charged: the read that made the page resident was. *)
   let frame t id = checked_frame t id (find t id)
 
-  (* Encode [p] as a frame at [off] of [buf], which has room for a slot. *)
+  (* Encode [p] as a frame at [off] of [buf], which has room for a page. *)
   let encode_frame t buf off p =
     let len = C.encode buf ~off:(off + block_overhead) ~len:(t.page_size - block_overhead) p in
     Zcodec.set_i32 buf off len;
@@ -226,17 +224,13 @@ module Mmap (C : PAGE_CODEC) = struct
         Zcodec.blit_to_bytes buf (pos - block_overhead) out 0 (block_overhead + len);
         out
 
-  let release_slot t id =
-    match Page_id.Tbl.find_opt t.where id with
-    | Some (Slot s) -> t.free_slots <- s :: t.free_slots
-    | Some (Base _ | Live _) | None -> ()
-
-  (* A sealed page is encoded into its overlay slot: a page sealed since
-     the last rebase keeps its slot, one sealed for the first time takes
-     a freed slot or the next one, so the overlay grows with the pages
-     sealed, not with their ids.  A page that can still change is kept as
-     it is, and encoded only once it seals, or by the checkpoint that
-     copies it into the next base. *)
+  (* A sealed page is encoded at the overlay's tail, from an 8-byte
+     boundary: the overlay grows by the bytes of the pages sealed, not by
+     their ids or a page size.  A frame the page had there before, or
+     that a freed page leaves, is dead until the next rebase empties the
+     overlay.  A page that can still change is kept as it is, and encoded
+     only once it seals, or by the checkpoint that copies it into the
+     next base. *)
   let write t id = function
     | Framed -> invalid_arg "Page_store.Mmap.write: a page is written decoded"
     | Decoded p ->
@@ -244,30 +238,17 @@ module Mmap (C : PAGE_CODEC) = struct
         @@ fun () ->
         Io_stats.record_write t.stats;
         Io_stats.record_mapped_write t.stats;
-        if not (C.sealed p) then begin
-          release_slot t id;
-          Page_id.Tbl.replace t.where id (Live p)
-        end
-        else begin
-          let slot =
-            match (Page_id.Tbl.find_opt t.where id, t.free_slots) with
-            | Some (Slot s), _ -> s
-            | _, s :: rest ->
-                t.free_slots <- rest;
-                s
-            | _, [] ->
-                t.slots <- t.slots + 1;
-                t.slots - 1
+        if not (C.sealed p) then Page_id.Tbl.replace t.where id (Live p)
+        else
+          let align8 n = (n + 7) land lnot 7 in
+          let off =
+            Arena.append t.overlay ~room:(align8 t.page_size) (fun buf off ->
+                align8 (block_overhead + encode_frame t buf off p))
           in
-          Arena.ensure t.overlay ~blocks:(slot + 1);
-          let buf, off = Arena.block t.overlay slot in
-          ignore (encode_frame t buf off p);
-          Page_id.Tbl.replace t.where id (Slot slot)
-        end
+          Page_id.Tbl.replace t.where id (Overlay off)
 
   let free t id =
     Io_stats.record_free t.stats;
-    release_slot t id;
     Page_id.Tbl.remove t.where id;
     t.live <- t.live - 1
 
@@ -277,6 +258,8 @@ module Mmap (C : PAGE_CODEC) = struct
   let written_ids t =
     Page_id.Tbl.fold (fun id _ acc -> id :: acc) t.where []
     |> List.sort (fun a b -> compare (Page_id.to_int a) (Page_id.to_int b))
+
+  let overlay_bytes t = Arena.used t.overlay
 
   let close t =
     Arena.close t.overlay;
@@ -293,8 +276,9 @@ module Mmap (C : PAGE_CODEC) = struct
 
   let stage t ~file ?size () =
     (* A file that exists goes into one chunk of its size; one being
-       written grows by chunks of 256 slots, so a RAM base never holds
-       more than a chunk it does not use, and is never copied to grow. *)
+       written grows by chunks of 256 pages' room, so a RAM base never
+       holds more than a chunk it does not use, and is never copied to
+       grow. *)
     let ram () =
       t.map_base <- false;
       Some (Arena.Image.ram ~chunk:(Option.value size ~default:(256 * t.page_size)) ())
@@ -329,9 +313,9 @@ module Mmap (C : PAGE_CODEC) = struct
 
   (* Mapping the new file is the one step that can fail, and it comes
      first: a failed rebase leaves the old base and the overlay, which
-     together still hold every page.  The overlay is emptied best-effort:
-     a file that will not shrink costs space, and its slots are handed
-     out again from the first. *)
+     together still hold every page.  The overlay is emptied, dead frames
+     and all, best-effort: a file that will not shrink costs space, and
+     is written again from its start. *)
   let rebase t s =
     let image =
       match s.image with Some img -> img | None -> Arena.Image.map ~path:s.file
@@ -349,7 +333,5 @@ module Mmap (C : PAGE_CODEC) = struct
     t.where <- s.offsets;
     t.live <- Page_id.Tbl.length s.offsets;
     t.next_id <- max t.next_id s.top;
-    t.free_slots <- [];
-    t.slots <- 0;
     try Arena.reset t.overlay with Unix.Unix_error _ -> ()
 end

@@ -11,8 +11,8 @@
       store kinds.  It keeps pages as CRC-framed frames in two places: a
       {e base}, the committed checkpoint the store was opened or last
       rebased on — the file mapped read-only, or a RAM image of its
-      frames — and an {e overlay}, an {!Arena} of fixed-size slots
-      holding the pages sealed since.  A page that can still change is
+      frames — and an {e overlay}, an {!Arena} holding the frames of the
+      pages sealed since, back to back.  A page that can still change is
       the one exception: once written it is held decoded until it seals,
       when it is encoded once into the overlay, or until the next rebase,
       whose checkpoint encoded it into the new base.  A read hands back
@@ -115,13 +115,17 @@ module Mmap (C : PAGE_CODEC) : sig
     unit ->
     t
   (** A fresh, empty store: no base, and an empty overlay at [path] — an
-      {!Arena} ([backing] as in {!Arena.create}, default [`Auto]) of
-      [page_size]-byte slots (default 4096, the paper's setting), each
-      framed as [len][crc32][payload], the frame of WAL records and
-      checkpoint chunks.  Slots are handed out densely, so the overlay
-      grows with the pages written, whatever their ids.  A store whose
-      overlay is mapped maps its bases too; one whose overlay is a RAM
-      image keeps RAM images of its bases.
+      {!Arena} ([backing] as in {!Arena.create}, default [`Auto]; RAM
+      chunks, or a first mapping, of 64 pages) to which each page sealed
+      is appended as a frame, [len][crc32][payload] — the frame of WAL
+      records and checkpoint chunks — from an 8-byte boundary.  A frame
+      takes the bytes its page encodes to, at most [page_size] (default
+      4096, the paper's setting), so the overlay grows with the bytes of
+      the pages sealed, whatever their ids.  A page sealed again (a
+      vacuum's prune) is appended again, and its old frame, like a freed
+      page's, is dead until the next {!rebase} empties the overlay.  A
+      store whose overlay is mapped maps its bases too; one whose overlay
+      is RAM keeps RAM images of its bases.
 
       Each logical read/write is charged to [stats] as a [read]/[write]
       {e plus} a [mapped_read]/[mapped_write], whether or not it touches a
@@ -137,6 +141,10 @@ module Mmap (C : PAGE_CODEC) : sig
 
   val backing : t -> Arena.backing
   (** Which arena flavour the overlay's [`Auto] resolved to. *)
+
+  val overlay_bytes : t -> int
+  (** Bytes the overlay holds ({!Arena.used}): every frame appended since
+      the last {!rebase}, live or dead, with its alignment. *)
 
   val written_ids : t -> Page_id.t list
   (** Every page id written (allocated, written, not freed), in the base,
@@ -157,7 +165,7 @@ module Mmap (C : PAGE_CODEC) : sig
       keeping it, since an overlay that grows moves to a new buffer, and
       a rebase moves every frame and unmaps the base it leaves.
       @raise Corrupt_page on a checksum mismatch, or a length field that
-      runs past the block.
+      runs past the page size or the buffer.
       @raise Invalid_argument if the page is held decoded.
       @raise Not_found if the page was never written or was freed. *)
 
@@ -184,10 +192,10 @@ module Mmap (C : PAGE_CODEC) : sig
       base and every later one are RAM images instead.  Without [size], a
       mapping store maps the file at {!rebase}.  A RAM image
       ({!Arena.Image.ram}) is one chunk of [size] bytes, or, for a file
-      being written, grows by chunks of 256 slots: it is never copied to
-      grow, and never holds more than a chunk it does not use.  A mapped
-      file is read through the OS, so a store over a synthetic
-      {!Vfs.t} is made [`Buffered].
+      being written, grows by chunks of 256 times [page_size]: it is
+      never copied to grow, and never holds more than a chunk it does
+      not use.  A mapped file is read through the OS, so a store over a
+      synthetic {!Vfs.t} is made [`Buffered].
       @raise Arena.Unavailable under [`Map] when the file cannot be
       mapped. *)
 
@@ -202,10 +210,11 @@ module Mmap (C : PAGE_CODEC) : sig
   (** Move the store onto the staged base: its pages become exactly the
       staged ones, held decoded pages included, the previous base is
       released ({!Arena.Image.release}: unmapped now, not by the GC), the
-      overlay is emptied, and ids keep coming from past both the old
-      cursor and the highest staged id.  A mapped base is hinted to the
-      kernel once, whole ([posix_madvise(WILLNEED)]), and its pages are
-      counted in {!Io_stats.readaheads}.
+      overlay is emptied ({!Arena.reset}), dead frames and all, and ids
+      keep coming from past both the old cursor and the highest staged
+      id.  A mapped base is hinted to the kernel once, whole
+      ([posix_madvise(WILLNEED)]), and its pages are counted in
+      {!Io_stats.readaheads}.
       @raise Arena.Unavailable if the file cannot be mapped, in which
       case the store is unchanged. *)
 end

@@ -20,6 +20,9 @@ let buf_to_bytes (b : Zc.buf) =
   Zc.blit_to_bytes b 0 out 0 n;
   out
 
+let write_bytes path b = Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b)
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
 (* A value sequence hitting the interesting encodings: zero, sign
    boundaries, full-width 32-bit edges, and 64-bit values. *)
 let probe_values =
@@ -181,44 +184,76 @@ let test_crc_kernel () =
 
 (* --- Arena -------------------------------------------------------------------- *)
 
-let fill_block arena ~block ~seed =
-  let buf, off = A.block arena block in
-  for i = 0 to A.block_size arena - 1 do
-    Zc.set_u8 buf (off + i) ((seed + (block * 7) + i) land 0xff)
-  done
+(* The byte [i] of a range of [n] bytes. *)
+let range_byte n i = (n + (7 * i)) land 0xff
 
-let check_block arena ~block ~seed =
-  let buf, off = A.block arena block in
-  let ok = ref true in
-  for i = 0 to A.block_size arena - 1 do
-    if Zc.get_u8 buf (off + i) <> (seed + (block * 7) + i) land 0xff then ok := false
-  done;
-  Alcotest.(check bool) (Printf.sprintf "block %d content" block) true !ok
-
-(* Blocks written before a growth survive the remap (or, in RAM, the
-   chunks added), and so do blocks written after it. *)
+(* Ranges of assorted lengths, each given more room than it takes,
+   appended before and after the arena grows (a remap, or fresh RAM
+   chunks) and after a reset, read back whole from where [locate] puts
+   them: inside one buffer, which in RAM is one chunk, so no range
+   straddles two.  A mapped file grows past its first chunk, and a reset
+   cuts it back. *)
 let arena_lifecycle ~backing ~path () =
-  let a = A.create ~initial_blocks:2 ~backing ~block_size:64 ~path () in
-  for b = 0 to 1 do
-    fill_block a ~block:b ~seed:11
-  done;
-  A.ensure a ~blocks:9;
-  Alcotest.(check bool) "capacity grew" true (A.capacity_blocks a >= 9);
-  for b = 2 to 8 do
-    fill_block a ~block:b ~seed:11
-  done;
-  for b = 0 to 8 do
-    check_block a ~block:b ~seed:11
-  done;
+  let chunk = 256 in
+  let a = A.create ~backing ~chunk ~path () in
+  let append n =
+    A.append a ~room:(min chunk (n + 40)) (fun buf off ->
+        for i = 0 to n - 1 do
+          Zc.set_u8 buf (off + i) (range_byte n i)
+        done;
+        n)
+  in
+  let check_ranges what ranges =
+    List.iter
+      (fun (n, off) ->
+        if n > 0 then begin
+          let buf, at = A.locate a off in
+          let dim = Bigarray.Array1.dim buf in
+          if at + n > dim then Alcotest.failf "%s: the range at %d leaves its buffer" what off;
+          if A.backing a = `Buffered && dim <> chunk then
+            Alcotest.failf "%s: a RAM buffer of %d bytes, not a chunk" what dim;
+          Alcotest.(check (list int)) (Printf.sprintf "%s: range at %d" what off)
+            (List.init n (range_byte n))
+            (List.init n (fun i -> Zc.get_u8 buf (at + i)))
+        end)
+      ranges
+  in
+  let lengths = [ 1; 200; 17; 216; 0; 64; 100; 215; 8; 130; 3; 199; 40; 77 ] in
+  let first = List.map (fun n -> (n, append n)) lengths in
+  let total = List.fold_left (fun acc (n, _) -> acc + n) 0 first in
+  check_ranges "before growth" first;
+  let second = List.map (fun n -> (n, append n)) lengths in
+  check_ranges "after growth" (first @ second);
+  let used = A.used a in
+  Alcotest.(check bool) "used counts every range, and a room per chunk at most" true
+    (used >= 2 * total && used <= (2 * total) + (chunk * (1 + (used / chunk))));
   (match A.backing a with
   | `Map ->
-      Alcotest.(check bool) "growth remapped" true (A.remaps a >= 1);
-      Alcotest.(check int) "file sized to capacity" (A.file_size_bytes a)
-        (Unix.stat path).Unix.st_size
-  | `Buffered ->
-      Alcotest.(check bool) "no file" false (Sys.file_exists path));
+      Alcotest.(check int) "a mapping wastes nothing" (2 * total) used;
+      Alcotest.(check bool) "the file grew past its first chunk" true
+        ((Unix.stat path).Unix.st_size >= used && (Unix.stat path).Unix.st_size > chunk)
+  | `Buffered -> Alcotest.(check bool) "no file" false (Sys.file_exists path));
+  Alcotest.check_raises "a room past a chunk"
+    (Invalid_argument "Arena.append: room larger than a chunk") (fun () ->
+      ignore (A.append a ~room:(chunk + 1) (fun _ _ -> 0)));
+  Alcotest.check_raises "a write past its room"
+    (Invalid_argument "Arena.append: wrote past its room") (fun () ->
+      ignore (A.append a ~room:8 (fun _ _ -> 9)));
+  A.reset a;
+  Alcotest.(check int) "a reset empties the arena" 0 (A.used a);
+  if A.backing a = `Map then
+    Alcotest.(check int) "and cuts the file back" chunk (Unix.stat path).Unix.st_size;
+  Alcotest.check_raises "nothing past the tail"
+    (Invalid_argument "Arena.Image.locate: offset outside the image") (fun () ->
+      ignore (A.locate a 0));
+  let third = List.map (fun n -> (n, append n)) lengths in
+  Alcotest.(check int) "written again from the start" 0 (snd (List.hd third));
+  check_ranges "after a reset" third;
   A.close a;
-  A.close a
+  A.close a;
+  match append 1 with
+  | exception Storage.Storage_error.Io _ -> ()
+  | _ -> Alcotest.fail "an append after close"
 
 let test_arena_buffered () =
   let dir = Filename.temp_dir "rta-test-arena" "" in
@@ -310,6 +345,29 @@ let store_lifecycle ~backing ~path () =
     Alcotest.(check bool) "the overlay is not sized by a page id" true
       ((Unix.stat path).Unix.st_size < 64 * 128 * 2);
   MStore.free s far;
+  (* The overlay is sized by its frames: short pages sealed at a 4 KiB
+     page size take the bytes they encode to, 92 each (96 aligned), not
+     4 KiB each, and read back. *)
+  let wide = MStore.create ~page_size:4096 ~backing ~path:(path ^ ".wide") () in
+  let n = 4000 and value i = List.init 10 (fun j -> i + j) in
+  let wide_ids =
+    List.init n (fun i ->
+        let id = MStore.alloc wide in
+        write_value wide id (value i);
+        id)
+  in
+  List.iteri
+    (fun i id ->
+      if i mod 97 = 0 then
+        Alcotest.(check (list int)) "wide round trip" (value i) (read_value wide id))
+    wide_ids;
+  let frame_bytes = n * (MStore.block_overhead + 4 + 80) in
+  Alcotest.(check bool) "the overlay is sized by its frames" true
+    (MStore.overlay_bytes wide >= frame_bytes && MStore.overlay_bytes wide <= 2 * frame_bytes);
+  if MStore.backing wide = `Map then
+    Alcotest.(check bool) "the overlay file is sized by its frames" true
+      ((Unix.stat (path ^ ".wide")).Unix.st_size <= 2 * frame_bytes);
+  MStore.close wide;
   (* mapped accesses are charged both as I/O and as mapped ops *)
   Alcotest.(check bool) "mapped reads counted" true
     (Storage.Io_stats.mapped_reads stats >= 10);
@@ -331,7 +389,8 @@ let test_mmap_store_buffered () =
 
 let test_mmap_store_mapped () =
   let path = Filename.temp_file "rta-test-mstore" "" in
-  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  Fun.protect ~finally:(fun () ->
+      List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ path; path ^ ".wide" ])
   @@ fun () -> store_lifecycle ~backing:`Auto ~path ()
 
 let rm_tree dir =
@@ -357,7 +416,10 @@ module CStore = Storage.Page_store.Mmap (Counted)
    reads after them, encode and decode nothing.  It is encoded once, when
    it is written sealed; reads of it after that check its frame and
    encode nothing more, and a later write (vacuum's prune) encodes it
-   again.  A checkpoint's copy of a page held decoded encodes it. *)
+   again, at the overlay's tail, where it reads back pruned.  A
+   checkpoint's copy of a page held decoded encodes it.  A rebase onto
+   those copies empties the overlay, the pruned page's dead frame
+   with it. *)
 let test_encode_once backing () =
   let dir = Filename.temp_dir "rta-test-encode" "" in
   Fun.protect ~finally:(fun () -> rm_tree dir) @@ fun () ->
@@ -390,6 +452,11 @@ let test_encode_once backing () =
   Alcotest.(check int) "reads of a sealed page encode nothing" 1 !encodes;
   CStore.write s id (Storage.Page_store.Decoded { Counted.value = [ 3 ]; closed = true });
   Alcotest.(check int) "a pruned sealed page is encoded again" 2 !encodes;
+  Alcotest.(check (list int)) "the pruned page reads back pruned" [ 3 ]
+    (decode_int_list (CStore.frame s id));
+  (* 36 bytes, then 20, each from an 8-byte boundary *)
+  Alcotest.(check int) "the overlay holds the dead frame and the live one" (40 + 24)
+    (CStore.overlay_bytes s);
   let other = CStore.alloc s in
   CStore.write s other (Storage.Page_store.Decoded { Counted.value = [ 9 ]; closed = false });
   let frame = CStore.read_frame s other in
@@ -398,12 +465,23 @@ let test_encode_once backing () =
     (CStore.block_overhead + Int32.to_int (Bytes.get_int32_le frame 0));
   Alcotest.(check (pair int int)) "every access charged" (5, 8)
     (Storage.Io_stats.reads stats, Storage.Io_stats.writes stats);
+  let frames = [ (id, CStore.read_frame s id); (other, frame) ] in
+  let file = Filename.concat dir "base" in
+  write_bytes file (Bytes.concat Bytes.empty (List.map snd frames));
+  let staged = CStore.stage s ~file () in
+  ignore
+    (List.fold_left
+       (fun offset (id, f) ->
+         ignore (CStore.stage_frame staged id ~offset f ~pos:0 ~len:(Bytes.length f));
+         offset + Bytes.length f)
+       0 frames);
+  CStore.rebase s staged;
+  Alcotest.(check int) "a rebase empties the overlay" 0 (CStore.overlay_bytes s);
+  Alcotest.(check (list (list int))) "the base holds both pages" [ [ 3 ]; [ 9 ] ]
+    (List.map (fun (id, _) -> decode_int_list (CStore.frame s id)) frames);
   CStore.close s
 
 (* --- Frames in a base --------------------------------------------------------------- *)
-
-let write_bytes path b = Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b)
-let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 (* Flip bit 0 of the byte at [off] of [path] in place, through a
    descriptor of its own, as a scrub repair writes: a mapping of the file
@@ -825,6 +903,144 @@ let fast_temp_dir prefix =
   in
   Filename.temp_dir ~temp_dir prefix ""
 
+(* --- The overlay against a model ------------------------------------------------- *)
+
+(* Pages of raw bytes, sealed when told: any payload the room holds. *)
+module Raw = struct
+  type t = { data : string; sealed : bool }
+
+  let encode buf ~off ~len p =
+    let n = String.length p.data in
+    if n > len then raise (Storage.Codec.Overflow "raw page");
+    String.iteri (fun i c -> Zc.set_u8 buf (off + i) (Char.code c)) p.data;
+    n
+
+  let sealed p = p.sealed
+end
+
+module RStore = Storage.Page_store.Mmap (Raw)
+
+type store_op = Alloc | Write of int * int * bool | Free of int | Rebase
+
+let pp_store_op = function
+  | Alloc -> "alloc"
+  | Write (i, n, sealed) -> Printf.sprintf "write %d %dB%s" i n (if sealed then " sealed" else "")
+  | Free i -> Printf.sprintf "free %d" i
+  | Rebase -> "rebase"
+
+(* Random runs of the store's operations at a 128-byte page size: allocs;
+   writes of pages that can still change and of sealed ones, of any
+   length from 0 to the codec's 120 bytes of room, to fresh pages and to
+   written ones (a sealed page written sealed again is a re-seal); frees;
+   and rebases onto a file of every page's frame, as a checkpoint makes
+   one.  After each step, every page written reads back as the model has
+   it — held as written if it can change and was written since the last
+   rebase, else a frame whose payload is its bytes — a freed page is
+   gone, and the overlay holds no more than the frames appended since the
+   last rebase, each from an 8-byte boundary, plus one room per RAM
+   chunk. *)
+let prop_overlay_model backing =
+  let page_size = 128 in
+  let chunk = 64 * page_size in
+  (* Rebases are rare enough that the frames sealed between two often
+     fill more than a RAM chunk. *)
+  let gen =
+    QCheck.Gen.(
+      list_size (0 -- 800)
+        (frequency
+           [ (20, return Alloc);
+             ( 100,
+               map3
+                 (fun i n s -> Write (i, n, s > 0))
+                 (0 -- 1000) (0 -- (page_size - 8)) (0 -- 3) );
+             (8, map (fun i -> Free i) (0 -- 1000));
+             (1, return Rebase) ]))
+  in
+  QCheck.Test.make ~count:30
+    ~name:
+      (Printf.sprintf "the overlay agrees with a model, %s"
+         (if backing = `Buffered then "buffered" else "mapped"))
+    (QCheck.make ~print:(fun ops -> String.concat "; " (List.map pp_store_op ops)) gen)
+    (fun ops ->
+      let dir = fast_temp_dir "rta-test-model" in
+      Fun.protect ~finally:(fun () -> rm_tree dir) @@ fun () ->
+      let s = RStore.create ~page_size ~backing ~path:(Filename.concat dir "o") () in
+      Fun.protect ~finally:(fun () -> RStore.close s) @@ fun () ->
+      let module Id = Storage.Page_id in
+      (* page id -> (page, held as written) *)
+      let model = Hashtbl.create 64 and writable = ref [||] and freed = ref [] in
+      let appended = ref 0 and bases = ref 0 in
+      let written () = Hashtbl.fold (fun id _ acc -> id :: acc) model [] |> List.sort compare in
+      let base_file n = Filename.concat dir (Printf.sprintf "base%d" n) in
+      let step k = function
+        | Alloc -> writable := Array.append !writable [| Id.to_int (RStore.alloc s) |]
+        | Write (i, n, sealed) when !writable <> [||] ->
+            let id = !writable.(i mod Array.length !writable) in
+            let p =
+              { Raw.data = String.init n (fun j -> Char.chr ((k + (31 * j)) land 0xff)); sealed }
+            in
+            RStore.write s (Id.of_int id) (Storage.Page_store.Decoded p);
+            Hashtbl.replace model id (p, not sealed);
+            if sealed then appended := !appended + ((RStore.block_overhead + n + 7) land lnot 7)
+        | Free i when Hashtbl.length model > 0 ->
+            let ids = written () in
+            let id = List.nth ids (i mod List.length ids) in
+            RStore.free s (Id.of_int id);
+            Hashtbl.remove model id;
+            writable := Array.of_list (List.filter (( <> ) id) (Array.to_list !writable));
+            freed := id :: !freed
+        | Rebase ->
+            let frames =
+              List.map (fun id -> (id, RStore.read_frame s (Id.of_int id))) (written ())
+            in
+            incr bases;
+            write_bytes (base_file !bases) (Bytes.concat Bytes.empty (List.map snd frames));
+            let staged = RStore.stage s ~file:(base_file !bases) () in
+            ignore
+              (List.fold_left
+                 (fun offset (id, f) ->
+                   ignore
+                     (RStore.stage_frame staged (Id.of_int id) ~offset f ~pos:0
+                        ~len:(Bytes.length f));
+                   offset + Bytes.length f)
+                 0 frames);
+            RStore.rebase s staged;
+            if !bases > 1 then Sys.remove (base_file (!bases - 1));
+            Hashtbl.filter_map_inplace (fun _ (p, _) -> Some (p, false)) model;
+            appended := 0
+        | Write _ | Free _ -> ()
+      in
+      let check k op =
+        let fail fmt = QCheck.Test.fail_reportf ("step %d (%s): " ^^ fmt) k (pp_store_op op) in
+        Hashtbl.iter
+          (fun id (p, held) ->
+            match RStore.read s (Id.of_int id) with
+            | Storage.Page_store.Decoded q ->
+                if not (held && q == p) then fail "page %d came back decoded" id
+            | Framed ->
+                if held then fail "page %d, held as written, came back framed" id;
+                let buf, off, len = RStore.frame s (Id.of_int id) in
+                if String.init len (fun j -> Char.chr (Zc.get_u8 buf (off + j))) <> p.Raw.data
+                then fail "page %d reads %d bytes, not its %d" id len (String.length p.Raw.data))
+          model;
+        List.iter
+          (fun id ->
+            match RStore.read s (Id.of_int id) with
+            | exception Not_found -> ()
+            | _ -> fail "freed page %d reads" id)
+          !freed;
+        let used = RStore.overlay_bytes s in
+        let chunks = (used + chunk - 1) / chunk in
+        if used > !appended + (page_size * chunks) then
+          fail "the overlay holds %d bytes, %d appended since the last rebase" used !appended
+      in
+      List.iteri
+        (fun k op ->
+          step k op;
+          check k op)
+        ops;
+      true)
+
 (* --- Frames the pool holds while they move -------------------------------------- *)
 
 (* A query scans a pooled frame where the store has it now, never through
@@ -968,6 +1184,70 @@ let test_rot_while_pooled () =
   agree "mended in place" ~from:(Rta.horizon disk);
   ignore (Rta.vacuum disk ~horizon:300);
   agree "vacuumed once mended" ~from:300;
+  Rta.check_invariants disk
+
+(* --- Dead frames go with the checkpoint ---------------------------------------- *)
+
+(* A vacuum re-seals the pages it prunes, appending each to the overlay
+   again and leaving its old frame there dead, and a page it frees
+   leaves its frame dead too.  The checkpoint after it copies the live
+   pages into the next base and empties the overlay, dead frames and
+   all.  Under either store, answers match a heap twin's before the
+   vacuum, after it and after the checkpoint. *)
+let test_vacuum_then_checkpoint store () =
+  let dir = fast_temp_dir "rta-test-dead" in
+  Fun.protect ~finally:(fun () -> rm_tree dir) @@ fun () ->
+  let config = { (Mvsbt.default_config ~b:8) with f = 0.75 } and max_key = 40 in
+  let heap = Rta.create ~config ~max_key () in
+  let eng =
+    Durable.open_ ~config ~store ~pool_capacity:8 ~max_key ~path:(Filename.concat dir "w") ()
+  in
+  Fun.protect ~finally:(fun () -> Durable.close eng) @@ fun () ->
+  let disk = Durable.warehouse eng and ok = Storage.Storage_error.ok_exn in
+  let play lo hi =
+    for at = lo to hi do
+      let key = at * 7 mod max_key and value = 1 + (at mod 13) in
+      if Rta.is_alive heap ~key then begin
+        ok (Durable.delete eng ~key ~at);
+        Rta.delete heap ~key ~at
+      end
+      else begin
+        ok (Durable.insert eng ~key ~value ~at);
+        Rta.insert heap ~key ~value ~at
+      end
+    done
+  in
+  let agree what =
+    let from = Rta.horizon disk in
+    for i = 0 to 20 do
+      let at = from + (i * (1202 - from) / 20) and key = i * 3 mod (max_key + 1) in
+      Alcotest.(check (pair int int)) (what ^ ": lkst") (Rta.lkst heap ~key ~at)
+        (Rta.lkst disk ~key ~at);
+      Alcotest.(check (pair int int)) (what ^ ": range")
+        (Rta.sum_count heap ~klo:(i mod 10) ~khi:max_key ~tlo:from ~thi:(at + 1))
+        (Rta.sum_count disk ~klo:(i mod 10) ~khi:max_key ~tlo:from ~thi:(at + 1))
+    done
+  in
+  play 1 600;
+  ok (Durable.checkpoint eng);
+  play 601 1200;
+  (* A cold pool: the pages sealed since the checkpoint are in the
+     overlay. *)
+  Rta.drop_cache disk;
+  agree "before the vacuum";
+  let sealed = Rta.overlay_bytes disk in
+  Alcotest.(check bool) "the overlay holds the pages sealed since the checkpoint" true
+    (sealed > 0);
+  let r = ok (Durable.vacuum eng ~horizon:900) in
+  ignore (Rta.vacuum heap ~horizon:900);
+  Rta.drop_cache disk;
+  Alcotest.(check bool) "the vacuum freed and pruned pages" true
+    (r.Rta.v_progress.Rta.pages_freed > 0 && r.Rta.v_progress.Rta.pages_pruned > 0);
+  Alcotest.(check bool) "pruned pages are appended again" true (Rta.overlay_bytes disk > sealed);
+  agree "after the vacuum";
+  ok (Durable.checkpoint eng);
+  Alcotest.(check int) "the checkpoint empties the overlay" 0 (Rta.overlay_bytes disk);
+  agree "after the checkpoint";
   Rta.check_invariants disk
 
 (* --- Cross-backend equivalence ------------------------------------------------ *)
@@ -1464,6 +1744,12 @@ let () =
           Alcotest.test_case "mapped lifecycle" `Quick test_mmap_store_mapped;
           Alcotest.test_case "encoded once, buffered" `Quick (test_encode_once `Buffered);
           Alcotest.test_case "encoded once, mapped" `Quick (test_encode_once `Auto);
+          QCheck_alcotest.to_alcotest (prop_overlay_model `Buffered);
+          QCheck_alcotest.to_alcotest (prop_overlay_model `Auto);
+          Alcotest.test_case "vacuum, then checkpoint, memory store" `Quick
+            (test_vacuum_then_checkpoint Storage.Store_kind.Memory);
+          Alcotest.test_case "vacuum, then checkpoint, mmap store" `Quick
+            (test_vacuum_then_checkpoint Storage.Store_kind.Mmap);
         ] );
       ( "raw-frames",
         [

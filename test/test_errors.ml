@@ -397,23 +397,25 @@ let test_checkpoint_corrupt_working_set () =
   let wal = Durable.wal_path path in
   let wal_bytes = (Unix.stat wal).Unix.st_size in
   (* The replayed tail's pages go to the overlay when the pool is
-     flushed; then one payload byte of every used slot is flipped behind
-     the engine's back.  The current root is among them, and the
-     checkpoint's walk starts there. *)
+     flushed; then one payload byte of every frame there — back to back,
+     each from an 8-byte boundary — is flipped behind the engine's back.
+     The current root is among them, and the checkpoint's walk starts
+     there. *)
   Rta.drop_cache (Durable.warehouse eng);
   let fd = Unix.openfile (path ^ ".store.lkst.pages") [ Unix.O_RDWR ] 0 in
   let flipped = ref 0 in
-  let rec flip slot =
-    let off = slot * 4096 and b = Bytes.create 4 in
+  let rec flip off =
+    let b = Bytes.create 4 in
     ignore (Unix.lseek fd off Unix.SEEK_SET);
     if Unix.read fd b 0 4 = 4 && Bytes.get_int32_le b 0 <> 0l then begin
+      let len = Int32.to_int (Bytes.get_int32_le b 0) in
       ignore (Unix.lseek fd (off + 8 + 20) Unix.SEEK_SET);
       ignore (Unix.read fd b 0 1);
       Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0x40));
       ignore (Unix.lseek fd (off + 8 + 20) Unix.SEEK_SET);
       ignore (Unix.write fd b 0 1);
       incr flipped;
-      flip (slot + 1)
+      flip ((off + 8 + len + 7) land lnot 7)
     end
   in
   flip 0;

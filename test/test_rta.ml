@@ -223,7 +223,7 @@ let test_durable_matches_memory () =
   let path = Filename.temp_file "rta_durable" "" in
   let stats = Storage.Io_stats.create () in
   let dur =
-    Rta.create_durable ~config ~pool_capacity:8 ~stats ~page_size:4096 ~max_key:60 ~path ()
+    Rta.create_durable ~config ~pool_capacity:8 ~stats ~max_key:60 ~path ()
   in
   let horizon =
     drive ~n:500 ~max_key:60 ~seed:31 (function
@@ -260,16 +260,6 @@ let test_durable_matches_memory () =
     (fun f -> try Sys.remove f with Sys_error _ -> ())
     [ path ^ ".lkst.pages"; path ^ ".lklt.pages"; path ]
 
-let test_durable_page_size_validation () =
-  let config = Mvsbt.default_config ~b:170 in
-  let path = Filename.temp_file "rta_durable_bad" "" in
-  Alcotest.(check bool) "tiny pages rejected" true
-    (try
-       ignore (Rta.create_durable ~config ~page_size:512 ~max_key:10 ~path ());
-       false
-     with Invalid_argument _ -> true);
-  Sys.remove path
-
 let test_persistence_bad_file () =
   let path = Filename.temp_file "rta_bad" "" in
   List.iter
@@ -302,7 +292,5 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_persistence_roundtrip;
           Alcotest.test_case "bad file rejected" `Quick test_persistence_bad_file;
           Alcotest.test_case "durable matches memory" `Quick test_durable_matches_memory;
-          Alcotest.test_case "durable page-size check" `Quick
-            test_durable_page_size_validation;
         ] );
     ]
