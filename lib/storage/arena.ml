@@ -5,6 +5,9 @@ type backing = [ `Map | `Buffered ]
 external willneed_range : Zcodec.buf -> int -> int -> unit = "rta_arena_willneed"
 external unmap : Zcodec.buf -> bool = "rta_arena_unmap"
 
+(* A RAM chunk: an anonymous mapping, so [unmap] gives it back too. *)
+external ram_chunk : int -> Zcodec.buf = "rta_arena_ram"
+
 let forced_off () =
   match Sys.getenv_opt "RTA_FORCE_NO_MMAP" with
   | Some ("" | "0") | None -> false
@@ -21,7 +24,8 @@ module Image = struct
      leaves.  A RAM image is a run of chunks of [chunk] bytes, each range
      written whole into one, so the image grows by adding a chunk and
      never copies what it holds; an offset into it is [chunk * index +
-     offset in the chunk]. *)
+     offset in the chunk].  Either way every buffer is a mapping, which
+     [release] unmaps. *)
   type t = {
     mutable chunks : Zcodec.buf array;
     mapped : bool;
@@ -56,8 +60,7 @@ module Image = struct
      might not fit there.  A mapping must have the room already. *)
   let put t ~room write =
     if (not t.mapped) && (Array.length t.chunks = 0 || t.used + room > t.chunk) then begin
-      let fresh = Bigarray.Array1.create Bigarray.char Bigarray.c_layout t.chunk in
-      t.chunks <- Array.append t.chunks [| fresh |];
+      t.chunks <- Array.append t.chunks [| ram_chunk t.chunk |];
       t.used <- 0
     end;
     let last = Array.length t.chunks - 1 in
@@ -83,7 +86,7 @@ module Image = struct
     if t.mapped && t.used > 0 then willneed_range t.chunks.(0) 0 t.used
 
   let release t =
-    if t.mapped then Array.iter (fun buf -> ignore (unmap buf)) t.chunks;
+    Array.iter (fun buf -> ignore (unmap buf)) t.chunks;
     t.chunks <- [||];
     t.used <- 0
 end

@@ -33,10 +33,10 @@ val create : backing:[ `Auto | `Map | `Buffered ] -> chunk:int -> path:string ->
 (** A fresh, empty arena.  Under [`Map] it creates or truncates the file
     at [path] and maps its first [chunk] bytes, the size it grows from;
     [`Buffered] touches no file and uses [path] only to name the arena
-    in errors, and holds RAM in chunks of [chunk] bytes, the first
-    allocated by the first {!append}.  [`Auto] tries [`Map] and falls
-    back to [`Buffered] if mapping fails; [`Map] raises {!Unavailable}
-    instead of falling back. *)
+    in errors, and holds RAM in chunks of [chunk] bytes (see
+    {!Image.ram}), the first allocated by the first {!append}.  [`Auto]
+    tries [`Map] and falls back to [`Buffered] if mapping fails; [`Map]
+    raises {!Unavailable} instead of falling back. *)
 
 val backing : t -> backing
 (** The resolved backing ([`Auto] collapses to one of the two). *)
@@ -65,11 +65,12 @@ val used : t -> int
 val reset : t -> unit
 (** Drop every byte: under [`Map] the view is unmapped, the file cut to
     nothing and regrown, sparse, to its first [chunk] bytes (so it holds
-    no disk blocks); under [`Buffered] the chunks are dropped. *)
+    no disk blocks); under [`Buffered] the chunks are unmapped.  Either
+    way a buffer {!locate} returned before has no elements left. *)
 
 val close : t -> unit
-(** Release the descriptor and the memory (the mapping is unmapped now,
-    the RAM chunks once collected).  Idempotent. *)
+(** Release the descriptor and the memory now: the mapping, or the RAM
+    chunks, are unmapped, as by {!reset}.  Idempotent. *)
 
 (** A committed file, read-only: either mapped whole, or a RAM image into
     which the caller copies the byte ranges it will read.  {!Page_store.Mmap}
@@ -92,12 +93,15 @@ module Image : sig
       bytes: it grows a chunk at a time, allocated when the first range
       that does not fit the last one arrives, and never copies a byte it
       holds.  A range never straddles two chunks, so a chunk leaves
-      unused at most the length of the range that opened the next.  A
-      [`Buffered] arena keeps its bytes in one. *)
+      unused at most the length of the range that opened the next.  Each
+      chunk is an anonymous private mapping, zero-filled and resident
+      only where written, which {!release} unmaps, or the GC once the
+      chunk is collected.  A [`Buffered] arena keeps its bytes in one. *)
 
   val append : t -> bytes -> pos:int -> len:int -> int
-  (** Copy [len] bytes from [pos] to the end of a RAM image, and return
-      the offset they landed at.
+  (** Copy [len] bytes from [pos] to the end of a RAM image, one
+      [memcpy] ({!Zcodec.blit_of_bytes}), and return the offset they
+      landed at.
       @raise Invalid_argument on a mapped image, or if [len] exceeds the
       image's chunk. *)
 
@@ -114,8 +118,9 @@ module Image : sig
       image; a no-op on a RAM image. *)
 
   val release : t -> unit
-  (** Unmap the file now, not when the GC gets to it — a removed file
-      that is still mapped keeps its blocks on disk — or drop the RAM
-      image.  The image is empty afterwards, and a buffer of a mapped
-      image fetched before has no elements left.  Idempotent. *)
+  (** Unmap the file or the RAM chunks now, not when the GC gets to
+      them: a removed file that is still mapped keeps its blocks on
+      disk, and RAM left to the GC stays with the process until a
+      collection finds it.  The image is empty afterwards, and a buffer
+      of it fetched before has no elements left.  Idempotent. *)
 end

@@ -1,6 +1,7 @@
 /* C kernels for the storage layer: CRC-32, copies between a mapping and
-   bytes, the readahead hint for a mapped checkpoint, and the unmapping
-   of a committed file's image.
+   bytes, RAM chunks that give their memory back, the readahead hint for
+   a mapped checkpoint, and the unmapping of a committed file's image or
+   a RAM chunk.
 
    CRC-32 (IEEE 802.3, polynomial 0xEDB88320) checks every WAL record,
    checkpoint chunk and page frame, and every charged page read verifies
@@ -14,17 +15,21 @@
    Both compute the same polynomial, so the bytes checksummed never
    depend on the CPU.  Both OCaml buffer types (bytes and the mapped
    Bigarray) are served from the one kernel; the OCaml side checks
-   bounds before calling in.
+   bounds before calling in, as it does for the copies, which are one
+   memcpy each.
 
    The stdlib exposes Unix.map_file but no way to hint the kernel about
    an upcoming access pattern, and no way to unmap a file before the GC
-   finalises its bigarray. */
+   finalises its bigarray.  A RAM chunk is an anonymous mapping wrapped
+   the way Unix.map_file wraps a file's, so the one unmap serves both. */
 
 #include <caml/mlvalues.h>
 #include <caml/bigarray.h>
+#include <caml/fail.h>
 
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 #include <unistd.h>
 
 #ifndef _WIN32
@@ -201,6 +206,29 @@ CAMLprim value rta_crc32_folds(value unit)
   return Val_bool(crc_clmul);
 }
 
+/* Copies between a mapping and bytes, for frames: the OCaml side has
+   checked both ranges, so these check nothing.  Bytes live in the OCaml
+   heap and a bigarray's data outside it, so the two never overlap. */
+CAMLprim value rta_blit_bigarray_bytes(value vsrc, value vsrc_off, value vdst,
+                                       value vdst_off, value vlen)
+{
+  size_t len = (size_t)Long_val(vlen);
+  if (len > 0)
+    memcpy(Bytes_val(vdst) + Long_val(vdst_off),
+           (const char *)Caml_ba_data_val(vsrc) + Long_val(vsrc_off), len);
+  return Val_unit;
+}
+
+CAMLprim value rta_blit_bytes_bigarray(value vsrc, value vsrc_off, value vdst,
+                                       value vdst_off, value vlen)
+{
+  size_t len = (size_t)Long_val(vlen);
+  if (len > 0)
+    memcpy((char *)Caml_ba_data_val(vdst) + Long_val(vdst_off),
+           Bytes_val(vsrc) + Long_val(vsrc_off), len);
+  return Val_unit;
+}
+
 CAMLprim value rta_arena_willneed(value vba, value voff, value vlen)
 {
 #if !defined(_WIN32) && defined(POSIX_MADV_WILLNEED)
@@ -222,12 +250,37 @@ CAMLprim value rta_arena_willneed(value vba, value voff, value vlen)
   return Val_unit;
 }
 
-/* Unmap a bigarray made by Unix.map_file now, rather than when the GC
-   finalises it, and leave it with no elements: a later access fails its
-   bounds check instead of touching unmapped memory, and the finaliser,
-   which unmaps the array's byte size, finds nothing left to unmap.  A
-   sub-array's mapping is shared through a proxy and is left to the GC;
-   the result says whether the mapping went. */
+/* Exported by the unix library: wraps [data] as a bigarray whose
+   finaliser unmaps it, the wrapper Unix.map_file gives a mapped file. */
+extern value caml_unix_mapped_alloc(int flags, int num_dims, void *data, intnat *dim);
+
+/* A RAM chunk of [len] bytes: a private anonymous mapping, zero-filled
+   and backed by memory only where it is written, wrapped as Unix.map_file
+   wraps a file.  Unmapping it gives the memory back to the system at
+   once, which a malloc'd array freed into the allocator's heap need not
+   do. */
+CAMLprim value rta_arena_ram(value vlen)
+{
+  intnat dim = Long_val(vlen);
+  void *data = NULL;
+#ifndef _WIN32
+  if (dim > 0) {
+    data = mmap(NULL, (size_t)dim, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (data == MAP_FAILED) caml_raise_out_of_memory();
+  }
+  return caml_unix_mapped_alloc(CAML_BA_CHAR | CAML_BA_C_LAYOUT, 1, data, &dim);
+#else
+  (void)data;
+  return caml_ba_alloc(CAML_BA_CHAR | CAML_BA_C_LAYOUT, 1, NULL, &dim);
+#endif
+}
+
+/* Unmap a bigarray made by Unix.map_file or rta_arena_ram now, rather
+   than when the GC finalises it, and leave it with no elements: a later
+   access fails its bounds check instead of touching unmapped memory, and
+   the finaliser, which unmaps the array's byte size, finds nothing left
+   to unmap.  A sub-array's mapping is shared through a proxy and is left
+   to the GC; the result says whether the mapping went. */
 CAMLprim value rta_arena_unmap(value vba)
 {
 #ifndef _WIN32

@@ -61,20 +61,26 @@ let crc32 (b : buf) ~pos ~len =
     invalid_arg "Zcodec.crc32: range outside buffer";
   crc32_bigarray 0 b pos len
 
+(* One [memcpy] each, behind a bounds check of both ranges written, as
+   [crc32]'s is, so that no sum can wrap: the C side checks nothing. *)
+external unsafe_blit_to_bytes : buf -> int -> bytes -> int -> int -> unit
+  = "rta_blit_bigarray_bytes"
+  [@@noalloc]
+
+external unsafe_blit_of_bytes : bytes -> int -> buf -> int -> int -> unit
+  = "rta_blit_bytes_bigarray"
+  [@@noalloc]
+
 let blit_to_bytes (src : buf) src_off dst dst_off len =
   if len < 0 || src_off < 0 || dst_off < 0
-     || src_off + len > Bigarray.Array1.dim src
-     || dst_off + len > Bytes.length dst
+     || src_off > Bigarray.Array1.dim src - len
+     || dst_off > Bytes.length dst - len
   then invalid_arg "Zcodec.blit_to_bytes: range outside buffer";
-  for i = 0 to len - 1 do
-    Bytes.unsafe_set dst (dst_off + i) (Bigarray.Array1.unsafe_get src (src_off + i))
-  done
+  unsafe_blit_to_bytes src src_off dst dst_off len
 
 let blit_of_bytes src src_off (dst : buf) dst_off len =
   if len < 0 || src_off < 0 || dst_off < 0
-     || src_off + len > Bytes.length src
-     || dst_off + len > Bigarray.Array1.dim dst
+     || src_off > Bytes.length src - len
+     || dst_off > Bigarray.Array1.dim dst - len
   then invalid_arg "Zcodec.blit_of_bytes: range outside buffer";
-  for i = 0 to len - 1 do
-    Bigarray.Array1.unsafe_set dst (dst_off + i) (Bytes.unsafe_get src (src_off + i))
-  done
+  unsafe_blit_of_bytes src src_off dst dst_off len

@@ -48,4 +48,11 @@ val crc32 : buf -> pos:int -> len:int -> int
     @raise Invalid_argument if the range lies outside the buffer. *)
 
 val blit_to_bytes : buf -> int -> bytes -> int -> int -> unit
+(** [blit_to_bytes src src_off dst dst_off len] copies [len] bytes of
+    [src] from [src_off] into [dst] at [dst_off]: one [memcpy], after
+    both ranges are checked.
+    @raise Invalid_argument, before any byte moves, if an offset or
+    [len] is negative or either range runs past its buffer. *)
+
 val blit_of_bytes : bytes -> int -> buf -> int -> int -> unit
+(** The same copy the other way, from bytes into a mapped slice. *)

@@ -79,10 +79,85 @@ let test_zcodec_codec_equivalence () =
       Alcotest.(check int) "z i64" (v * 1_000_003) (z 8 Zc.get_i64))
     probe_values
 
+(* Both blits, mapped to bytes and bytes to mapped, from a [src_len]-byte
+   source into a [dst_len]-byte destination, at every source and
+   destination offset and every length from one before each buffer to
+   one past it.  A range inside both buffers copies what [Bytes.blit]
+   copies, zero-length ones at either end included, and into a buffer of
+   its own length what [Bytes.sub] returns.  Any other range (a negative
+   offset or length, an end past either buffer by one byte, or a sum so
+   large it wraps) raises [Invalid_argument] and leaves the destination
+   as it was.  Each blit is one [memcpy] after its bounds check, so the
+   check is all that guards the memory around the buffers. *)
+let check_blits ~src_len ~dst_len =
+  let pattern n seed = Bytes.init n (fun i -> Char.chr ((seed + (7 * i)) land 0xff)) in
+  let src = pattern src_len 1 and dst0 = pattern dst_len 200 in
+  let to_buf b =
+    let z = make_buf (Bytes.length b) in
+    Bytes.iteri (Bigarray.Array1.set z) b;
+    z
+  in
+  let of_buf (z : Zc.buf) = Bytes.init (Bigarray.Array1.dim z) (Bigarray.Array1.get z) in
+  let zsrc = to_buf src in
+  let dst = Bytes.create dst_len and zdst = make_buf dst_len in
+  let check so d_o len =
+    let valid =
+      so >= 0 && d_o >= 0 && len >= 0 && so <= src_len - len && d_o <= dst_len - len
+    in
+    let want =
+      if valid then begin
+        let w = Bytes.copy dst0 in
+        Bytes.blit src so w d_o len;
+        w
+      end
+      else dst0
+    in
+    let judge name blit get =
+      let fail what =
+        Alcotest.failf "%s of %d bytes from %d of %d to %d of %d: %s" name len so src_len d_o
+          dst_len what
+      in
+      (match blit () with
+      | () -> if not valid then fail "no bounds check"
+      | exception Invalid_argument _ -> if valid then fail "refused");
+      for i = 0 to dst_len - 1 do
+        if get i <> Bytes.get want i then
+          fail (if valid then "wrong bytes" else "the destination moved")
+      done
+    in
+    Bytes.blit dst0 0 dst 0 dst_len;
+    judge "blit_to_bytes" (fun () -> Zc.blit_to_bytes zsrc so dst d_o len) (Bytes.get dst);
+    Bytes.iteri (Bigarray.Array1.set zdst) dst0;
+    judge "blit_of_bytes"
+      (fun () -> Zc.blit_of_bytes src so zdst d_o len)
+      (Bigarray.Array1.get zdst);
+    if valid && d_o = 0 then begin
+      let out = Bytes.create len and zout = make_buf len in
+      Zc.blit_to_bytes zsrc so out 0 len;
+      Zc.blit_of_bytes src so zout 0 len;
+      Alcotest.(check (pair bytes bytes)) (Printf.sprintf "sub of %d bytes from %d" len so)
+        (Bytes.sub src so len, Bytes.sub src so len) (out, of_buf zout)
+    end
+  in
+  for so = -1 to src_len + 1 do
+    for d_o = -1 to dst_len + 1 do
+      for len = -1 to max src_len dst_len + 1 do
+        check so d_o len
+      done
+    done
+  done;
+  List.iter
+    (fun (so, d_o, len) -> check so d_o len)
+    [ (1, 1, max_int); (max_int, max_int, 1); (max_int, 0, 1); (0, max_int, 1);
+      (src_len, dst_len, max_int); (min_int, 0, 1); (0, min_int, 1); (0, 0, min_int) ]
+
 (* Every accessor at every offset of a word, the unaligned ones included:
    one-load reads and writes must land the same little-endian bytes as a
    byte at a time, sign-extend a 32-bit read, keep the 32- and 64-bit
-   limits, and refuse a word that runs past the buffer. *)
+   limits, and refuse a word that runs past the buffer.  Then the blits
+   at every offset and length ({!check_blits}): of a 64-byte pair, and of
+   pairs whose source or destination is the shorter, so that a range is
+   checked against the buffer it lies in. *)
 let test_zcodec_words () =
   let size = 64 in
   let le_bytes v n = List.init n (fun k -> (v asr (8 * k)) land 0xff) in
@@ -146,7 +221,10 @@ let test_zcodec_words () =
       ("get_i64 at the end", fun () -> Zc.get_i64 b (size - 7));
       ("get_i64 before the start", fun () -> Zc.get_i64 b (-1));
       ("set_i32 at the end", fun () -> Zc.set_i32 b (size - 3) 0; 0);
-      ("set_i64 at the end", fun () -> Zc.set_i64 b (size - 7) 0; 0) ]
+      ("set_i64 at the end", fun () -> Zc.set_i64 b (size - 7) 0; 0) ];
+  List.iter
+    (fun (src_len, dst_len) -> check_blits ~src_len ~dst_len)
+    [ (size, size); (size, 40); (40, size) ]
 
 (* The carry-less-multiply fold against the slicing-by-8 tables, over
    every length up to 2,000 bytes (below, at and past each fold step) at
@@ -192,7 +270,9 @@ let range_byte n i = (n + (7 * i)) land 0xff
    chunks) and after a reset, read back whole from where [locate] puts
    them: inside one buffer, which in RAM is one chunk, so no range
    straddles two.  A mapped file grows past its first chunk, and a reset
-   cuts it back. *)
+   cuts it back.  A reset and a close unmap the buffers they drop, RAM
+   chunks as well as a file's view: a buffer fetched before has no
+   elements left. *)
 let arena_lifecycle ~backing ~path () =
   let chunk = 256 in
   let a = A.create ~backing ~chunk ~path () in
@@ -239,8 +319,10 @@ let arena_lifecycle ~backing ~path () =
   Alcotest.check_raises "a write past its room"
     (Invalid_argument "Arena.append: wrote past its room") (fun () ->
       ignore (A.append a ~room:8 (fun _ _ -> 9)));
+  let kept, _ = A.locate a (snd (List.hd first)) in
   A.reset a;
   Alcotest.(check int) "a reset empties the arena" 0 (A.used a);
+  Alcotest.(check int) "and unmaps the buffers it drops" 0 (Bigarray.Array1.dim kept);
   if A.backing a = `Map then
     Alcotest.(check int) "and cuts the file back" chunk (Unix.stat path).Unix.st_size;
   Alcotest.check_raises "nothing past the tail"
@@ -249,7 +331,9 @@ let arena_lifecycle ~backing ~path () =
   let third = List.map (fun n -> (n, append n)) lengths in
   Alcotest.(check int) "written again from the start" 0 (snd (List.hd third));
   check_ranges "after a reset" third;
+  let kept, _ = A.locate a (snd (List.hd third)) in
   A.close a;
+  Alcotest.(check int) "a close unmaps its buffers" 0 (Bigarray.Array1.dim kept);
   A.close a;
   match append 1 with
   | exception Storage.Storage_error.Io _ -> ()
@@ -267,7 +351,8 @@ let test_arena_mapped () =
 
 (* A RAM image grows a chunk at a time and never splits a range: a range
    that does not fit the last chunk opens the next, and every range reads
-   back whole from the chunk [locate] names. *)
+   back whole from the chunk [locate] names.  Its chunks are anonymous
+   mappings, and a release unmaps them. *)
 let test_image_chunks () =
   let img = A.Image.ram ~chunk:100 () in
   let range n = Bytes.init n (fun i -> Char.chr ((n + (7 * i)) land 0xff)) in
@@ -287,7 +372,11 @@ let test_image_chunks () =
       ignore (A.Image.append img (range 101) ~pos:0 ~len:101));
   Alcotest.check_raises "past the end"
     (Invalid_argument "Arena.Image.locate: offset outside the image") (fun () ->
-      ignore (A.Image.locate img 400))
+      ignore (A.Image.locate img 400));
+  let chunks = List.map (fun (_, off) -> fst (A.Image.locate img off)) offsets in
+  A.Image.release img;
+  Alcotest.(check (list int)) "a release unmaps every chunk" [ 0; 0; 0; 0; 0 ]
+    (List.map Bigarray.Array1.dim chunks)
 
 (* --- Mmap page store ---------------------------------------------------------- *)
 
@@ -1450,6 +1539,64 @@ let prop_backends_agree =
 
 (* --- Mappings of removed generations --------------------------------------------- *)
 
+(* A rebase releases the base it leaves, and the overlay it empties, at
+   once: a buffer of either, fetched before, has no elements afterwards.
+   A mapped base's file is unmapped, and so are a RAM base's chunks, which
+   are anonymous mappings, so the memory goes back to the system without
+   waiting for the GC.  A close releases the last base the same way.
+   [backing] is the store's: [`Buffered] for the memory store, whose
+   bases are RAM images of the checkpoint's frames, [`Auto] for the mmap
+   store. *)
+let check_bases_released backing =
+  let dir = fast_temp_dir "rta-test-release" in
+  Fun.protect ~finally:(fun () -> rm_tree dir) @@ fun () ->
+  let s = RStore.create ~page_size:128 ~backing ~path:(Filename.concat dir "o") () in
+  let page k = Storage.Page_store.Decoded { Raw.data = String.make (k + 1) 'p'; sealed = true } in
+  let ids = List.init 40 (fun k -> (RStore.alloc s, k)) in
+  List.iter (fun (id, k) -> RStore.write s id (page k)) ids;
+  (* A checkpoint's rebase: every page's frame into a file, staged as the
+     open stages a checkpoint, with the file's size. *)
+  let rebase gen =
+    let file = Filename.concat dir (Printf.sprintf "base%d" gen) in
+    let frames = List.map (fun (id, _) -> (id, RStore.read_frame s id)) ids in
+    write_bytes file (Bytes.concat Bytes.empty (List.map snd frames));
+    let staged = RStore.stage s ~file ~size:(Unix.stat file).Unix.st_size () in
+    ignore
+      (List.fold_left
+         (fun offset (id, f) ->
+           ignore (RStore.stage_frame staged id ~offset f ~pos:0 ~len:(Bytes.length f));
+           offset + Bytes.length f)
+         0 frames);
+    RStore.rebase s staged
+  in
+  let buffer (id, _) =
+    let buf, _, _ = RStore.frame s id in
+    buf
+  in
+  let reads what =
+    List.iter
+      (fun (id, k) ->
+        let buf, off, len = RStore.frame s id in
+        if len <> k + 1 || Zc.get_u8 buf off <> Char.code 'p' then
+          Alcotest.failf "%s: page %d reads %d bytes" what k len)
+      ids
+  in
+  rebase 1;
+  let base = buffer (List.hd ids) in
+  (* A page sealed again goes to the overlay. *)
+  let last = List.nth ids 39 in
+  RStore.write s (fst last) (page (snd last));
+  let overlay = buffer last in
+  Alcotest.(check bool) "the base and the overlay hold frames" true
+    (Bigarray.Array1.dim base > 0 && Bigarray.Array1.dim overlay > 0);
+  rebase 2;
+  Alcotest.(check (pair int int)) "the base and the overlay a rebase leaves hold nothing"
+    (0, 0) (Bigarray.Array1.dim base, Bigarray.Array1.dim overlay);
+  reads "after the rebase";
+  let base = buffer (List.hd ids) in
+  RStore.close s;
+  Alcotest.(check int) "a close releases the last base" 0 (Bigarray.Array1.dim base)
+
 (* Each rebase unmaps the generation it leaves before the checkpoint
    removes it, instead of leaving the mapping to the GC: a removed file
    that is still mapped keeps its blocks on disk and its touched pages
@@ -1457,7 +1604,7 @@ let prop_backends_agree =
    the generation in use and no removed one.  On the way: an open writes
    no page, and each checkpoint empties the overlay the pool's evictions
    wrote. *)
-let test_no_removed_generation_mapped () =
+let check_no_removed_file_mapped () =
   let maps = "/proc/self/maps" in
   if not (Sys.file_exists maps) then Alcotest.skip ();
   let dir = fast_temp_dir "rta-test-maps" in
@@ -1507,6 +1654,16 @@ let test_no_removed_generation_mapped () =
   if deleted <> [] then Alcotest.failf "removed generations still mapped:\n%s" (String.concat "\n" deleted);
   Alcotest.(check bool) "the generation in use is mapped" true
     (List.exists (fun l -> Filename.check_suffix l (path ^ ".ckpt-3.lkst")) mapped)
+
+(* Under either store, a buffer of a base or an overlay that a rebase
+   leaves has no elements; the memory store, which maps no file, is
+   checked for that alone. *)
+let test_no_removed_generation_mapped store () =
+  match store with
+  | Storage.Store_kind.Memory -> check_bases_released `Buffered
+  | Mmap ->
+      check_bases_released `Auto;
+      check_no_removed_file_mapped ()
 
 (* --- Descriptor hygiene ---------------------------------------------------------- *)
 
@@ -1764,7 +1921,9 @@ let () =
       ( "cross-backend",
         [ QCheck_alcotest.to_alcotest prop_backends_agree;
           Alcotest.test_case "no removed generation stays mapped" `Quick
-            test_no_removed_generation_mapped ] );
+            (test_no_removed_generation_mapped Storage.Store_kind.Mmap);
+          Alcotest.test_case "no removed generation stays mapped, memory store" `Quick
+            (test_no_removed_generation_mapped Storage.Store_kind.Memory) ] );
       ( "close",
         [
           Alcotest.test_case "buffered arena releases fds" `Slow
