@@ -1281,6 +1281,15 @@ let validate_chrome path ~spans =
             (Printf.sprintf "%s: %d traceEvents for %d spans" path (List.length evs) spans)
       | _ -> Error (Printf.sprintf "%s: no traceEvents array" path))
 
+(* A fresh directory in the temp directory, removed with what is in it
+   when the program exits. *)
+let scratch_dir prefix =
+  let dir = Filename.temp_dir prefix "" in
+  at_exit (fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir);
+  dir
+
 let profile_impl verbosity spec (config, buffer) input n_queries qrs store slack worst
     smoke trace_out =
   setup_logs verbosity;
@@ -1295,7 +1304,7 @@ let profile_impl verbosity spec (config, buffer) input n_queries qrs store slack
   let trace_out =
     match trace_out with
     | Some _ -> trace_out
-    | None when smoke -> Some (Filename.temp_file "rta-profile" "")
+    | None when smoke -> Some (Filename.concat (scratch_dir "rta-profile") "trace")
     | None -> None
   in
   let mem = Tracer.Memory.create ~capacity:(ring_capacity ~spec ~n_queries) () in
@@ -1310,16 +1319,14 @@ let profile_impl verbosity spec (config, buffer) input n_queries qrs store slack
         (* The envelopes count logical page touches, which are backend
            independent — running them over a real page store proves the
            zero-copy path doesn't change what the tree visits. *)
-        let dir = Filename.temp_dir "rta-profile-store" "" in
+        let dir = scratch_dir "rta-profile-store" in
         let rta =
           Rta.create_durable ~config ~pool_capacity:buffer ~stats ~telemetry:tracer
             ~max_key:spec.Workload.Generator.max_key ~path:(Filename.concat dir "wh") ()
         in
-        (* The overlay files are a cache of this run: they go when it ends. *)
-        at_exit (fun () ->
-            Rta.close rta;
-            Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-            Sys.rmdir dir);
+        (* The overlay files are a cache of this run: the tree closes
+           before its directory goes, as [at_exit] runs the latest first. *)
+        at_exit (fun () -> Rta.close rta);
         rta
   in
   let checker = Telemetry.Bound_check.create ~slack ~worst ~b:config.Mvsbt.b () in
@@ -1403,7 +1410,8 @@ let profile_cmd =
   let smoke =
     let doc =
       "Bounded CI run: caps the workload at 2000 updates and 200 queries, writes the \
-       JSONL and Chrome traces to a temp prefix, re-parses both, and exits 1 on any \
+       JSONL and Chrome traces to a temp directory removed at exit (unless \
+       $(b,--trace-out) names a prefix), re-parses both, and exits 1 on any \
        envelope violation or artifact mismatch."
     in
     Arg.(value & flag & info [ "smoke" ] ~doc)

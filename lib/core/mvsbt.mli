@@ -40,6 +40,14 @@ exception Below_horizon of { at : int; horizon : int }
     that would answer it have been (or are being) vacuumed away, so the
     engine refuses instead of silently returning a wrong sum. *)
 
+exception Malformed_frame of { page : int; detail : string }
+(** A stored page whose bytes its layout ({!Make.Record_codec}) cannot
+    read: a header that disagrees with the frame's length, or a record
+    whose rank runs past its dictionary.  Every frame is CRC-checked
+    before it is read, and every open checks each page's header and
+    dictionaries, so only a frame built outside the program, its CRC
+    intact, raises it; [page] is the id the frame names. *)
+
 type variant =
   | Plain  (** Section 4.1: split all fully-covered records. *)
   | Logical  (** Section 4.2.1: logical splitting (the default). *)
@@ -288,21 +296,30 @@ module Make (G : Aggregate.Group.S) : sig
     mutable records : record list;
   }
 
-  (** A page's payload as frame-of-reference columns.  The header keeps
-      the page's id (i64), level (i32), key range (two i64), created and
-      closed times (i64 each) and record count (i32) in its first 48
-      bytes; then comes one width byte, 0 to 8, per column, and an i64
-      base per value word and for the child.  The records follow, each
-      the sum of the widths long, then 7 zero bytes.  The columns are a
-      record's low key and high key, less the page's low key; its start
-      and end times, less the page's created time, the column's all-ones
-      code standing for [max_int] (alive); each value word, and the
-      child, less its column's base, the page's least.  Each column takes
-      the fewest bytes that hold all its codes in the page, and a leaf's
-      child column is empty (width 0, base -1: no page).  Every field is
-      at one offset in each record, so a scan reads it with one unaligned
-      64-bit load, a mask and an add, and the zero bytes at the end keep
-      every such load inside the payload. *)
+  (** A page's payload: a header, two dictionaries, then the records in
+      columns.  The header keeps the page's id (i64), level (i32), key
+      range (two i64), created and closed times (i64 each) and record
+      count (i32) in its first 48 bytes; then the sizes of the key and
+      the time dictionary (i32 each) and their entry widths (a byte
+      each); then one width byte, 0 to 8, per column, and an i64 base per
+      value word and for the child.  The key dictionary holds the page's
+      key boundaries (every record's low and high key) less its low key,
+      the time dictionary its instants (every start and end but
+      [max_int]) less its created time, each ascending, each entry once,
+      in the fewest bytes that hold every entry.  The records follow,
+      each the sum of the widths long, then 7 zero bytes.  The columns
+      are a record's low key, high key, start and end, as ranks into the
+      dictionaries (a time rank equal to the time dictionary's size is
+      [max_int], alive); each value word, and the child, less its
+      column's base, the page's least.  Each column takes the fewest
+      bytes that hold all its codes in the page (at [b] = 64 a rank takes
+      one byte), and a leaf's child column is empty (width 0, base -1: no
+      page).  Every field is at one offset in each record, so a scan
+      reads it with one unaligned 64-bit load and a mask.  Ranks order as
+      the keys and times they stand for: a scan ranks its point in each
+      dictionary once, by bisection, and tests each record on its ranks
+      without decoding a key or a time.  The zero bytes at the end keep
+      every load inside the payload. *)
   module Record_codec (V : VALUE_CODEC) : sig
     val header_bytes : int
 
@@ -311,8 +328,9 @@ module Make (G : Aggregate.Group.S) : sig
         each value word, child. *)
 
     val max_payload : b:int -> int
-    (** The largest payload of a page of at most [b] records: every
-        column 8 bytes wide. *)
+    (** The largest payload of a page of at most [b] records: [2 b]
+        entries in each dictionary, each entry, value word and child 8
+        bytes wide, each rank in the bytes that hold [2 b]. *)
 
     val encode : Storage.Zcodec.buf -> off:int -> len:int -> page -> int
     (** [encode buf ~off ~len p] writes [p]'s payload into the [len] bytes
@@ -325,7 +343,8 @@ module Make (G : Aggregate.Group.S) : sig
     val decode : Storage.Zcodec.buf -> int -> int -> page
     (** [decode buf off len] reads back the payload of [len] bytes at
         [off].
-        @raise Failure if its header and length disagree. *)
+        @raise Malformed_frame if its header and length disagree, or a
+        record's rank runs past its dictionary. *)
 
     val point : logical:bool -> key:int -> at:int -> Storage.Zcodec.buf * int * int -> G.t * int
     (** One page's share of a point query, by a pass over the payload in
@@ -333,7 +352,9 @@ module Make (G : Aggregate.Group.S) : sig
         values it adds (every record alive at [at] whose low key is at or
         below [key] when [logical], else only the one containing the
         point), and the child of the record containing the point — its
-        page id, [-1] at a leaf, [-2] if no record contains it. *)
+        page id, [-1] at a leaf, [-2] if no record contains it.  The pass
+        allocates only the values it adds; [point] adds its result pair.
+        @raise Malformed_frame if the header and length disagree. *)
   end
 
   val point : logical:bool -> key:int -> at:int -> page -> G.t * int
@@ -370,7 +391,7 @@ module Make (G : Aggregate.Group.S) : sig
       t
     (** An empty tree, its overlay created (truncating) at [path].  A
         page's frame may take up to the largest payload of [b] records
-        ({!Record_codec.max_payload}: every column 8 bytes wide) plus the
+        ({!Record_codec.max_payload}: every field 8 bytes wide) plus the
         per-page integrity frame, the rule {!of_snapshot} sizes its pages
         by too; each takes the bytes it encodes to.
         [backing] (default [`Auto]) picks the arena flavour — see
@@ -393,9 +414,10 @@ module Make (G : Aggregate.Group.S) : sig
         through one reused buffer, and every chunk is verified: its CRC;
         the state's configuration, by {!create}'s rules and a [b] whose
         largest payload fits a chunk, before any store is made; each page
-        chunk's structure (a record count within [b], column widths of at
-        most 8, records and zero padding that fill the chunk, an empty
-        child column at a leaf, children that are page ids); and its page id,
+        chunk's structure (a record count within [b], widths of at most
+        8, dictionaries that ascend strictly, dictionaries, records and
+        zero padding that fill the chunk, an empty child column at a
+        leaf, children that are page ids); and its page id,
         which must be non-negative and not repeat.  The current root must
         be one of the pages.  A page chunk is byte for byte the page's
         {!Record_codec} frame, so

@@ -53,9 +53,11 @@ val create_durable :
     checkpoint in overlays ([<path>.lkst.pages] and [<path>.lklt.pages],
     their frames back to back), the pages that can still change held
     decoded, and the rest in the checkpoint itself once there is one
-    (see {!save_staged}).  A page stores each field of its records in
-    the bytes that page needs (about 17 a record over the benchmark's
-    store), and its frame takes those bytes.
+    (see {!save_staged}).  A page stores its keys and times once each,
+    in two sorted dictionaries, each record's keys and times as ranks
+    into them, and each field in the bytes that page needs (about 12 a
+    record, dictionaries included, over the benchmark's store); its
+    frame takes those bytes.
     [backing] picks the arena flavour: the overlay files are mapped, or
     the overlays are RAM and no file is touched ([`Buffered], and the
     fallback where mapping is unavailable) — see {!Storage.Arena.create}.

@@ -916,6 +916,49 @@ let test_snapshot_damage () =
           Bytes.set_uint8 p (Bytes.length p - 1) 1;
           p))
     [ leaf_pages; index_pages ];
+  (* The dictionaries, which a scan bisects, so each must ascend, every
+     entry once: two entries swapped, an entry repeated, and a size the
+     payload cannot hold, one more or one less.  The key dictionary's
+     size is an i32 at payload byte 48 and its entry width byte 56, its
+     entries from the header's end; the time dictionary's are at bytes
+     52 and 57, its entries after the key dictionary's.  Every page with
+     two entries or more in the dictionary takes each damage. *)
+  let dictionary p which =
+    let size_at, width_at = match which with `Keys -> (48, 56) | `Times -> (52, 57) in
+    let keys = Int32.to_int (Bytes.get_int32_le p 48) * Bytes.get_uint8 p 56 in
+    ( size_at,
+      Int32.to_int (Bytes.get_int32_le p size_at),
+      Bytes.get_uint8 p width_at,
+      Layout.header_bytes + (match which with `Keys -> 0 | `Times -> keys) )
+  in
+  List.iter
+    (fun (name, which) ->
+      let pages =
+        List.filter
+          (fun at ->
+            let _, n, _, _ = dictionary (Bytes.of_string (String.sub pristine (at + 8) 64)) which in
+            at >= first_page && n >= 2)
+          offsets
+      in
+      Alcotest.(check bool) (name ^ ": pages to damage") true (List.length pages >= 3);
+      damage (name ^ " entries 0 and 1 swapped") pages (fun p ->
+          let _, _, w, at = dictionary p which in
+          let first = Bytes.sub p at w in
+          Bytes.blit p (at + w) p at w;
+          Bytes.blit first 0 p (at + w) w;
+          p);
+      damage (name ^ " entry 0 repeated") pages (fun p ->
+          let _, _, w, at = dictionary p which in
+          Bytes.blit p at p (at + w) w;
+          p);
+      List.iter
+        (fun delta ->
+          damage (Printf.sprintf "%s dictionary size %+d" name delta) pages (fun p ->
+              let size_at, n, _, _ = dictionary p which in
+              Bytes.set_int32_le p size_at (Int32.of_int (n + delta));
+              p))
+        [ 1; -1 ])
+    [ ("key", `Keys); ("time", `Times) ];
   let chunk b at = Bytes.sub b at (8 + Int32.to_int (Bytes.get_int32_le b at)) in
   List.iter
     (fun (src, dst) ->
@@ -937,7 +980,8 @@ let test_snapshot_damage () =
   loads_fail "trailing bytes" vfs;
   restore ();
   (* The previous formats — one whose chunks carry no CRC, one with 64-bit
-     fields — are refused by name. *)
+     fields, one with frame-of-reference key and time columns — are
+     refused by name. *)
   List.iter
     (fun old ->
       with_lkst fs vfs (fun b ->
@@ -947,7 +991,7 @@ let test_snapshot_damage () =
       | exception Failure msg -> Alcotest.(check bool) ("names " ^ old) true (contains msg old)
       | _ -> Alcotest.failf "an %s snapshot loaded" old);
       restore ())
-    [ "MVSBT-SNAPSHOT-2"; "MVSBT-SNAPSHOT-3" ]
+    [ "MVSBT-SNAPSHOT-2"; "MVSBT-SNAPSHOT-3"; "MVSBT-SNAPSHOT-4" ]
 
 (* A state chunk whose CRC holds but whose configuration no tree could
    have is refused at open, as a corrupt chunk, before a store is made:

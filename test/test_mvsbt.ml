@@ -188,6 +188,76 @@ let test_root_star_btree_backed () =
     (run_against_oracle ~config ~key_space:64 ~time_span:1000 ~n:400 ~seed:11
        ~check_every:100 ())
 
+(* root* against a list model, newest entry first (the directory's
+   first in-memory form): random registers, each 0 to 3 time units after
+   the last, 0 replacing it; prunes and finds at random times around the
+   registered ones.  After every step both backings agree with the model
+   on the step's answer, the count, the current root and the tenures. *)
+let prop_root_star_model =
+  let open QCheck in
+  let op =
+    Gen.(
+      frequency
+        [ (5, map2 (fun dt pid -> `Register (dt, pid)) (int_range 0 3) (int_range 0 1000));
+          (1, map (fun d -> `Prune d) (int_range (-3) 40));
+          (4, map (fun d -> `Find d) (int_range (-3) 40)) ])
+  in
+  Test.make ~name:"root* agrees with a list model" ~count:300
+    (make Gen.(pair (int_range 0 20) (list_size (int_range 0 120) op)))
+    (fun (start, ops) ->
+      List.for_all
+        (fun btree ->
+          let rs = Root_star.create ~btree () and model = ref [] and now = ref start in
+          let find at = List.find_opt (fun (ts, _) -> ts <= at) !model |> Option.map snd in
+          let agree () =
+            let oldest_first = List.rev !model in
+            let rec tenures = function
+              | [ (ts, pid) ] -> [ (Interval.make ts max_int, pid) ]
+              | (ts, pid) :: ((ts', _) :: _ as rest) -> (Interval.make ts ts', pid) :: tenures rest
+              | [] -> []
+            in
+            Root_star.count rs = List.length !model
+            && (match !model with
+               | [] -> ( match Root_star.latest rs with exception Not_found -> true | _ -> false)
+               | (_, pid) :: _ -> Storage.Page_id.to_int (Root_star.latest rs) = pid)
+            && List.map (fun (iv, pid) -> (iv, Storage.Page_id.to_int pid)) (Root_star.tenures rs)
+               = tenures oldest_first
+          in
+          List.for_all
+            (fun op ->
+              let answered =
+                match op with
+                | `Register (dt, pid) ->
+                    if !model <> [] then now := !now + dt;
+                    Root_star.register rs ~at:!now (Storage.Page_id.of_int pid);
+                    (model :=
+                       match !model with
+                       | (ts, _) :: rest when ts = !now -> (!now, pid) :: rest
+                       | m -> (!now, pid) :: m);
+                    true
+                | `Prune d ->
+                    let below = start + d in
+                    let rec keep = function
+                      | _ :: ((ts', _) :: _ as rest) when ts' <= below -> keep rest
+                      | l -> l
+                    in
+                    let kept = List.rev (keep (List.rev !model)) in
+                    let dropped = List.length !model - List.length kept in
+                    model := kept;
+                    Root_star.prune rs ~below = dropped
+                | `Find d ->
+                    let at = start + d in
+                    let got =
+                      match Root_star.find rs ~at with
+                      | pid -> Some (Storage.Page_id.to_int pid)
+                      | exception Not_found -> None
+                    in
+                    got = find at
+              in
+              answered && agree ())
+            ops)
+        [ false; true ])
+
 let test_disposal_reduces_pages () =
   (* Same same-instant batch with and without disposal: disposal must not
      use more pages. *)
@@ -424,13 +494,38 @@ end)
 
 let forever = max_int
 
+(* A page's two dictionaries as the layout keeps them: its key
+   boundaries less its low key, and its instants but [forever] less its
+   created time, each ascending, each entry once. *)
+let dictionaries (p : SC.page) =
+  let plo = p.SC.prange.Interval.lo and created = p.SC.created in
+  ( List.sort_uniq compare
+      (List.concat_map
+         (fun r -> [ r.SC.range.Interval.lo - plo; r.SC.range.Interval.hi - plo ])
+         p.SC.records),
+    List.sort_uniq compare
+      (List.concat_map
+         (fun r ->
+           List.filter_map
+             (fun x -> if x = forever then None else Some (x - created))
+             [ r.SC.rt_start; r.SC.rt_end ])
+         p.SC.records) )
+
+let rank dict x =
+  let rec go i = function
+    | y :: rest -> if y = x then i else go (i + 1) rest
+    | [] -> invalid_arg "rank"
+  in
+  go 0 dict
+
 (* The codes a page stores in each column, in the column order the
-   header's width bytes follow: low key, high key, start, end, the two
-   value words, child.  [`Time] codes keep the all-ones code clear for
-   [forever], which is representable at any width. *)
+   header's width bytes follow: the ranks of its low key, high key,
+   start and end ([forever]'s rank the time dictionary's size), then the
+   two value words and the child, each less its column's least. *)
 let column_codes (p : SC.page) =
-  let recs = p.SC.records in
-  let plo = p.SC.prange.Interval.lo in
+  let recs = p.SC.records and keys, times = dictionaries p in
+  let key x = rank keys (x - p.SC.prange.Interval.lo)
+  and time x = if x = forever then List.length times else rank times (x - p.SC.created) in
   let spread xs =
     match xs with
     | [] -> []
@@ -438,53 +533,69 @@ let column_codes (p : SC.page) =
         let least = List.fold_left min x rest in
         List.map (fun v -> v - least) xs
   in
-  let times f =
-    `Time
-      (List.filter_map
-         (fun r -> if f r = forever then None else Some (f r - p.SC.created))
-         recs)
-  in
-  [ `Plain (List.map (fun r -> r.SC.range.Interval.lo - plo) recs);
-    `Plain (List.map (fun r -> r.SC.range.Interval.hi - plo) recs);
-    times (fun r -> r.SC.rt_start);
-    times (fun r -> r.SC.rt_end);
-    `Plain (spread (List.map (fun r -> fst r.SC.value) recs));
-    `Plain (spread (List.map (fun r -> snd r.SC.value) recs));
-    `Plain
-      (spread
-         (List.filter_map (fun r -> Option.map Storage.Page_id.to_int r.SC.child) recs)) ]
+  [ List.map (fun r -> key r.SC.range.Interval.lo) recs;
+    List.map (fun r -> key r.SC.range.Interval.hi) recs;
+    List.map (fun r -> time r.SC.rt_start) recs;
+    List.map (fun r -> time r.SC.rt_end) recs;
+    spread (List.map (fun r -> fst r.SC.value) recs);
+    spread (List.map (fun r -> snd r.SC.value) recs);
+    spread (List.filter_map (fun r -> Option.map Storage.Page_id.to_int r.SC.child) recs) ]
 
-(* Whether [w] bytes hold [code], unsigned: a code that wrapped negative
-   needs all 8; a time's code must also stay below the all-ones code. *)
-let fits ~time code w =
-  w = 8 || (code >= 0 && if time then code < (1 lsl (8 * w)) - 1 else code lsr (8 * w) = 0)
+(* The fewest bytes that hold every code, unsigned: a code that wrapped
+   negative needs all 8. *)
+let least_width codes =
+  let fits w code = w = 8 || (code >= 0 && code lsr (8 * w) = 0) in
+  let rec go w = if List.for_all (fits w) codes then w else go (w + 1) in
+  go 0
 
-let check_layout (p : SC.page) ~off ~probes =
+(* The header's dictionary fields: the sizes, i32s at payload bytes 48
+   and 52, and the entry widths, bytes 56 and 57. *)
+let dictionary_fields buf off =
+  Storage.Zcodec.
+    (get_i32 buf (off + 48), get_i32 buf (off + 52), get_u8 buf (off + 56), get_u8 buf (off + 57))
+
+let widths buf off = List.init 7 (fun c -> Storage.Zcodec.get_u8 buf (off + Layout.widths_at + c))
+
+(* [p] encoded at [off] of a buffer of its largest payload's room past
+   [off], every byte of it not zero beforehand. *)
+let encoded (p : SC.page) ~off =
   let room = Layout.max_payload ~b:(List.length p.SC.records) in
   let buf = Bigarray.Array1.create Bigarray.char Bigarray.c_layout (off + room) in
   Bigarray.Array1.fill buf '\xa5';
-  let len = Layout.encode buf ~off ~len:room p in
-  (* a page comes back whole *)
-  if Layout.decode buf off len <> p then QCheck.Test.fail_report "the page does not decode back";
-  (* each column in the fewest bytes, and the records one stride each *)
-  let stride = ref 0 in
+  (buf, Layout.encode buf ~off ~len:room p)
+
+let bytes_of buf off len = String.init len (fun i -> Bigarray.Array1.get buf (off + i))
+
+let check_layout (p : SC.page) ~off ~probes =
+  let buf, len = encoded p ~off in
+  (* a page comes back whole, and encodes to the same bytes again *)
+  let back = Layout.decode buf off len in
+  if back <> p then QCheck.Test.fail_report "the page does not decode back";
+  let again, again_len = encoded back ~off:0 in
+  if bytes_of again 0 again_len <> bytes_of buf off len then
+    QCheck.Test.fail_report "the decoded page encodes to other bytes";
+  (* each dictionary holds what it should in the fewest bytes, each
+     column its codes in the fewest bytes, and the parts fill the payload *)
+  let keys, times = dictionaries p and nk, nt, kw, tw = dictionary_fields buf off in
+  if nk <> List.length keys || nt <> List.length times then
+    QCheck.Test.fail_reportf "dictionaries of %d and %d entries, want %d and %d" nk nt
+      (List.length keys) (List.length times);
+  if kw <> least_width keys || tw <> least_width times then
+    QCheck.Test.fail_reportf "dictionary widths %d and %d are not the least" kw tw;
   List.iteri
-    (fun c codes ->
-      let w = Storage.Zcodec.get_u8 buf (off + Layout.widths_at + c) in
-      stride := !stride + w;
-      let time, codes = match codes with `Time cs -> (true, cs) | `Plain cs -> (false, cs) in
-      let all w = List.for_all (fun code -> fits ~time code w) codes in
-      if not (all w && (w = 0 || not (all (w - 1)))) then
+    (fun c (codes, w) ->
+      if w <> least_width codes then
         QCheck.Test.fail_reportf "column %d: width %d is not the least" c w)
-    (column_codes p);
-  if len <> Layout.header_bytes + (List.length p.SC.records * !stride) + 7 then
-    QCheck.Test.fail_reportf "a %d-byte payload for stride %d" len !stride;
+    (List.combine (column_codes p) (widths buf off));
+  let stride = List.fold_left ( + ) 0 (widths buf off) in
+  if len <> Layout.header_bytes + (nk * kw) + (nt * tw) + (List.length p.SC.records * stride) + 7
+  then QCheck.Test.fail_reportf "a %d-byte payload for stride %d" len stride;
   (* a scan in place answers as a scan of the page *)
   List.iter
     (fun (key, at) ->
       List.iter
         (fun logical ->
-          let want = SC.point ~logical ~key ~at p
+          let want = SC.point ~logical ~key ~at back
           and got = Layout.point ~logical ~key ~at (buf, off, len) in
           if got <> want then
             QCheck.Test.fail_reportf "(%d, %d)%s: scanned (%d, %d) child %d, want (%d, %d) child %d"
@@ -501,25 +612,28 @@ let gen_word =
       [ (2, return 0); (4, int_range (-300) 300); (1, return max_int); (1, return min_int);
         (2, int) ])
 
-(* A page of 1 to 64 records whose every column ranges over one value,
-   a few bytes or all 8: keys in the page's range, times from [created]
-   on (some [forever]), values of any sign, children any page id. *)
+(* A page of 1 to 64 records, a leaf or an index page, whose every key,
+   time, value word and child ranges over one span, a few bytes or all
+   8: keys in the page's range and often at its ends, times from
+   [created] on, often at it, some ends [forever], values of any sign,
+   children any page id.  With it, points at random around the page's
+   rectangle and past it. *)
 let gen_page =
   let open QCheck.Gen in
-  let span = oneofl [ 0; 200; 70_000; 1 lsl 40; max_int / 4 ] in
+  let span = oneofl [ 0; 3; 200; 70_000; 1 lsl 40; max_int / 4 ] in
   let* n = int_range 1 64 and* level = frequency [ (1, return 0); (1, int_range 1 3) ] in
   let* plo = oneofl [ 0; 17; 1 lsl 33 ] and* key_span = span in
   let* created = oneofl [ 0; 5; 1 lsl 35 ] and* time_span = span in
   let* child_base = oneofl [ 0; 9; 1 lsl 50 ] in
   let* child_span = span and* value_span = oneofl [ `Same; `Any ] in
   let* alive = oneofl [ `None; `Some; `All ] in
-  let phi = plo + 1 + key_span in
+  let phi = plo + 1 + key_span and last = created + time_span in
   let* records =
     list_repeat n
-      (let* lo = int_range plo (phi - 1) in
-       let* hi = int_range (lo + 1) phi in
-       let* start = int_range created (created + time_span) in
-       let* stop = int_range start (created + time_span) in
+      (let* lo = frequency [ (1, return plo); (5, int_range plo (phi - 1)) ] in
+       let* hi = frequency [ (1, return phi); (5, int_range (lo + 1) phi) ] in
+       let* start = frequency [ (1, return created); (5, int_range created last) ] in
+       let* stop = int_range start last in
        let* ends = match alive with `None -> return false | `All -> return true | `Some -> bool in
        let* s = gen_word and* c = gen_word in
        let* child = int_range child_base (child_base + child_span) in
@@ -529,12 +643,15 @@ let gen_page =
            value = (match value_span with `Same -> (7, -7) | `Any -> (s, c));
            child = (if level = 0 then None else Some (Storage.Page_id.of_int child)) })
   in
+  let* points = list_repeat 20 (pair (int_range (plo - 2) (phi + 2)) (int_range (created - 2) (last + 2))) in
   return
-    { SC.pid = Storage.Page_id.of_int 3; level; prange = Interval.make plo phi; created;
-      closed = (match alive with `All -> forever | _ -> created + time_span + 1); records }
+    ( { SC.pid = Storage.Page_id.of_int 3; level; prange = Interval.make plo phi; created;
+        closed = (match alive with `All -> forever | _ -> last + 1); records },
+      points )
 
-(* Points at and beside every record's boundaries, and a few past the
-   page's. *)
+(* Points at and beside every record's boundaries, and past the page's:
+   below its low key and at its high key, before it was created, past
+   every instant, and at [forever] itself. *)
 let probes (p : SC.page) =
   let keys =
     List.concat_map
@@ -548,26 +665,41 @@ let probes (p : SC.page) =
       p.SC.records
   in
   let pick l i = List.nth l (i mod List.length l) in
+  let { Interval.lo = plo; hi = phi } = p.SC.prange and created = p.SC.created in
+  let past = List.fold_left (fun m r -> max m (min r.SC.rt_end (forever - 2))) created p.SC.records in
   List.init 40 (fun i -> (pick keys (i * 7), pick times (i * 13)))
-  @ [ (p.SC.prange.Interval.lo, p.SC.created); (p.SC.prange.Interval.hi, forever - 1) ]
+  @ [ (plo, created); (plo - 1, created); (phi, created); (phi - 1, created - 1);
+      (plo, past + 1); (phi - 1, forever - 1); (plo, forever) ]
 
 let prop_page_layout =
   QCheck.Test.make ~name:"page layout: round trip, scan in place, least widths" ~count:300
     (QCheck.make
-       ~print:(fun p ->
+       ~print:(fun (p, _) ->
          Printf.sprintf "level %d, %d records, keys from %d, created %d" p.SC.level
            (List.length p.SC.records) p.SC.prange.Interval.lo p.SC.created)
        gen_page)
     (* at an unaligned offset, past bytes that are not zero *)
-    (fun p -> check_layout p ~off:3 ~probes:(probes p))
+    (fun (p, points) -> check_layout p ~off:3 ~probes:(probes p @ points))
 
-(* The two extremes the random pages reach only now and then: every
-   column of width 0 but the high key's (one record, its value zero, its
-   end [forever]), and every column 8 bytes wide. *)
+let record ~lo ~hi ~start ~stop value child =
+  { SC.range = Interval.make lo hi; rt_start = start; rt_end = stop; value; child }
+
+(* A leaf of 200 records, each its own keys and times: 400 key
+   boundaries and 300 instants, so every rank takes 2 bytes. *)
+let many =
+  { SC.pid = Storage.Page_id.of_int 2; level = 0; prange = Interval.make 0 400; created = 5;
+    closed = forever;
+    records =
+      List.init 200 (fun i ->
+          record ~lo:(2 * i) ~hi:((2 * i) + 1) ~start:(5 + (3 * i))
+            ~stop:(if i mod 2 = 0 then forever else 6 + (3 * i))
+            (i, 1) None) }
+
+(* The extremes the random pages reach only now and then: every column
+   of width 0 but the high key's (one record, its value zero, its start
+   and end [forever]); every dictionary, value and child 8 bytes wide;
+   and ranks of 2 bytes. *)
 let test_layout_extremes () =
-  let record ~lo ~hi ~start ~stop value child =
-    { SC.range = Interval.make lo hi; rt_start = start; rt_end = stop; value; child }
-  in
   let narrow =
     { SC.pid = Storage.Page_id.of_int 0; level = 0; prange = Interval.make 0 10; created = 4;
       closed = forever;
@@ -581,24 +713,77 @@ let test_layout_extremes () =
           record ~lo:(max_int - 1) ~hi:max_int ~start:(max_int - 2) ~stop:forever
             (max_int, min_int) (Some (Storage.Page_id.of_int max_int)) ] }
   in
-  let widths p =
-    let buf = Bigarray.Array1.create Bigarray.char Bigarray.c_layout 512 in
-    ignore (Layout.encode buf ~off:0 ~len:512 p);
-    List.init 7 (fun c -> Storage.Zcodec.get_u8 buf (Layout.widths_at + c))
+  let shape p =
+    let buf, _ = encoded p ~off:0 in
+    let _, _, kw, tw = dictionary_fields buf 0 in
+    ((kw, tw), widths buf 0)
   in
-  Alcotest.(check (list int)) "narrow" [ 0; 1; 0; 0; 0; 0; 0 ] (widths narrow);
-  Alcotest.(check (list int)) "wide" [ 8; 8; 8; 8; 8; 8; 8 ] (widths wide);
+  let expect name want p =
+    Alcotest.(check (pair (pair int int) (list int))) name want (shape p)
+  in
+  expect "narrow" ((1, 0), [ 0; 1; 0; 0; 0; 0; 0 ]) narrow;
+  expect "wide" ((8, 8), [ 1; 1; 1; 1; 8; 8; 8 ]) wide;
+  expect "many" ((2, 2), [ 2; 2; 2; 2; 1; 0; 0 ]) many;
   List.iter
     (fun p ->
       ignore
         (check_layout p ~off:3
-           ~probes:[ (0, 0); (5, 4); (0, max_int - 2); (max_int - 1, max_int - 1); (9, 5) ]))
-    [ narrow; wide ]
+           ~probes:
+             ([ (0, 0); (5, 4); (0, max_int - 2); (max_int - 1, max_int - 1); (9, 5); (1, 8);
+                (398, 602); (399, 603); (-1, 5); (400, forever - 1); (0, forever) ]
+             @ probes p)))
+    [ narrow; wide; many ]
+
+(* A pass over a frame that adds no value allocates nothing: [point]
+   allocates its result pair and no more, 10,000 times over one frame,
+   at a key between two records' ranges, at a time before the page, and
+   at a key below it. *)
+let test_scan_allocates_nothing () =
+  let buf, len = encoded many ~off:0 in
+  let frame = (buf, 0, len) in
+  List.iter
+    (fun (what, logical, key, at) ->
+      Alcotest.(check (pair (pair int int) int)) what ((0, 0), -2)
+        (Layout.point ~logical ~key ~at frame);
+      let before = Gc.minor_words () in
+      for _ = 1 to 10_000 do
+        ignore (Sys.opaque_identity (Layout.point ~logical ~key ~at frame))
+      done;
+      let words = Gc.minor_words () -. before in
+      if words > float_of_int ((3 * 10_000) + 64) then
+        Alcotest.failf "%s: %.0f minor words over 10,000 scans" what words)
+    [ ("a key between ranges", false, 101, 200); ("a time before the page", true, 101, 4);
+      ("a key below the page", true, -1, 200) ]
+
+(* A record whose rank runs past its dictionary is refused by name: the
+   loads that read the dictionary are unchecked.  [many]'s ranks are 2
+   bytes each, the first record's low key rank its first field and its
+   end rank its fourth. *)
+let test_decode_checks_ranks () =
+  let buf, len = encoded many ~off:0 in
+  let nk, nt, _, _ = dictionary_fields buf 0 in
+  let first = len - 7 - (200 * List.fold_left ( + ) 0 (widths buf 0)) in
+  let set at v =
+    Storage.Zcodec.set_u8 buf at (v land 0xff);
+    Storage.Zcodec.set_u8 buf (at + 1) (v lsr 8)
+  in
+  List.iter
+    (fun (what, at, bad, good) ->
+      set at bad;
+      (match Layout.decode buf 0 len with
+      | exception Mvsbt.Malformed_frame { page = 2; _ } -> ()
+      | exception e -> Alcotest.failf "%s: %s" what (Printexc.to_string e)
+      | _ -> Alcotest.failf "%s: decoded" what);
+      set at good;
+      Alcotest.(check bool) (what ^ ", restored") true (Layout.decode buf 0 len = many))
+    [ ("a key rank of the dictionary's size", first, nk, 0);
+      ("a key rank of 65535", first, 0xffff, 0);
+      ("an end rank past forever's", first + 6, nt + 1, nt) ]
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_matches_oracle; prop_height_bound; prop_pages_per_insertion;
-      prop_root_count_grows_slowly; prop_page_layout ]
+      prop_root_count_grows_slowly; prop_page_layout; prop_root_star_model ]
 
 let () =
   Alcotest.run "mvsbt"
@@ -619,6 +804,9 @@ let () =
           Alcotest.test_case "durable file-backed tree" `Quick test_durable_mvsbt_direct;
           Alcotest.test_case "graphviz dump" `Quick test_pp_dot_smoke;
           Alcotest.test_case "page layout extremes" `Quick test_layout_extremes;
+          Alcotest.test_case "a scan that adds nothing allocates nothing" `Quick
+            test_scan_allocates_nothing;
+          Alcotest.test_case "decode checks every rank" `Quick test_decode_checks_ranks;
         ] );
       ("oracle", oracle_tests);
       ("properties", qcheck_tests);
