@@ -95,7 +95,13 @@ let digest files =
     files;
   Digest.string (Buffer.contents b)
 
-let enumerate ops =
+(* The distinct images of every cut ([all]) or of the final one only.
+   At cut [k] (a crash immediately after op [k-1]) nothing volatile may
+   survive, or everything may (the crash lost no cached state), or the
+   write in flight may partly land on the durable image: torn (a prefix
+   reached the platter) or reordered (the whole write jumped the queue
+   ahead of earlier unsynced writes). *)
+let images ~all ops =
   let ops = Array.of_list ops in
   let n = Array.length ops in
   let seen = Hashtbl.create 997 in
@@ -109,64 +115,29 @@ let enumerate ops =
   in
   let st = ref empty in
   for k = 0 to n do
-    (* Crash immediately after op [k-1]: nothing volatile survives... *)
-    emit k Durable (durable_files !st);
-    (* ...or everything does (the crash lost no cached state)... *)
-    emit k Applied (applied_files !st);
-    (* ...or the write in flight partially lands on the durable image:
-       torn (a prefix reached the platter) or reordered (the whole write
-       jumped the queue ahead of earlier unsynced writes). *)
-    (if k > 0 then
-       match ops.(k - 1) with
-       | M.Pwrite { path; off; data } -> (
-           match SM.find_opt path !st.dur with
-           | None -> ()
-           | Some base ->
-               let dlen = String.length data in
-               if dlen >= 2 then begin
-                 let half = String.sub data 0 (dlen / 2) in
-                 emit k Torn
-                   (SM.bindings (SM.add path (splice base ~off ~data:half) !st.dur))
-               end;
-               emit k Reordered
-                 (SM.bindings (SM.add path (splice base ~off ~data) !st.dur)))
-       | _ -> ());
+    if all || k = n then begin
+      emit k Durable (durable_files !st);
+      emit k Applied (applied_files !st);
+      if k > 0 then
+        match ops.(k - 1) with
+        | M.Pwrite { path; off; data } -> (
+            match SM.find_opt path !st.dur with
+            | None -> ()
+            | Some base ->
+                let dlen = String.length data in
+                if dlen >= 2 then begin
+                  let half = String.sub data 0 (dlen / 2) in
+                  emit k Torn (SM.bindings (SM.add path (splice base ~off ~data:half) !st.dur))
+                end;
+                emit k Reordered (SM.bindings (SM.add path (splice base ~off ~data) !st.dur)))
+        | _ -> ()
+    end;
     if k < n then st := apply !st ops.(k)
   done;
   List.rev !out
 
-let enumerate_at ops =
-  let ops = Array.of_list ops in
-  let n = Array.length ops in
-  let st = ref empty in
-  for k = 0 to n - 1 do
-    st := apply !st ops.(k)
-  done;
-  let seen = Hashtbl.create 7 in
-  let out = ref [] in
-  let emit kind files =
-    let d = digest files in
-    if not (Hashtbl.mem seen d) then begin
-      Hashtbl.add seen d ();
-      out := { cut = n; kind; files } :: !out
-    end
-  in
-  emit Durable (durable_files !st);
-  emit Applied (applied_files !st);
-  (if n > 0 then
-     match ops.(n - 1) with
-     | M.Pwrite { path; off; data } -> (
-         match SM.find_opt path !st.dur with
-         | None -> ()
-         | Some base ->
-             let dlen = String.length data in
-             if dlen >= 2 then begin
-               let half = String.sub data 0 (dlen / 2) in
-               emit Torn (SM.bindings (SM.add path (splice base ~off ~data:half) !st.dur))
-             end;
-             emit Reordered (SM.bindings (SM.add path (splice base ~off ~data) !st.dur)))
-     | _ -> ());
-  List.rev !out
+let enumerate = images ~all:true
+let enumerate_at = images ~all:false
 
 (* --- Loading an image back into a filesystem ---------------------------------- *)
 

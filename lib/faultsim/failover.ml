@@ -17,41 +17,14 @@ let pp_boundary ppf b =
     | Replayed -> "replayed"
     | Acked -> "acked")
 
-type spec = {
-  seed : int;
-  max_key : int;
-  updates : int;
-  batch : int;
-  sync_replicas : int;
-  query_count : int;
-}
+type spec = { seed : int; max_key : int; updates : int; batch : int; sync_replicas : int }
 
-let default_spec =
-  { seed = 11; max_key = 24; updates = 96; batch = 4; sync_replicas = 1; query_count = 12 }
+let default_spec = { seed = 11; max_key = 24; updates = 96; batch = 4; sync_replicas = 1 }
 
 type point = { p_boundary : boundary; p_batch : int }
 
 let pp_point ppf p =
   Format.fprintf ppf "batch %d, killed after %a" p.p_batch pp_boundary p.p_boundary
-
-type report = {
-  points : int;
-  images : int;
-  fenced : int;
-  max_acked : int;
-  violations : (point * string) list;
-}
-
-let pp_report ppf r =
-  Format.fprintf ppf
-    "%d leader-kill states, %d deposed-leader images audited, %d stale-epoch frames \
-     fenced, max acked %d, %d violation%s"
-    r.points r.images r.fenced r.max_acked
-    (List.length r.violations)
-    (if List.length r.violations = 1 then "" else "s");
-  List.iter
-    (fun (p, reason) -> Format.fprintf ppf "@\n  [%a] %s" pp_point p reason)
-    r.violations
 
 (* --- One simulated cluster ---------------------------------------------------- *)
 
@@ -70,14 +43,7 @@ type fnode = {
   mutable f_acked : int;  (* watermark as last acked to the leader *)
 }
 
-let panel eng qs =
-  List.map (fun (klo, khi, tlo, thi) -> Durable.sum_count eng ~klo ~khi ~tlo ~thi) qs
-
-let apply_update eng (u : Harness.update) =
-  match u with
-  | Harness.Insert { key; value; at } ->
-      Storage.Storage_error.ok_exn (Durable.insert eng ~key ~value ~at)
-  | Harness.Delete { key; at } -> Storage.Storage_error.ok_exn (Durable.delete eng ~key ~at)
+let apply_update eng u = Storage.Storage_error.ok_exn (Scenario.apply eng u)
 
 (* The offline schedule: follower 0 hiccups every fifth batch, follower 1
    receives only every other batch.  Skew is the point — promotion must
@@ -88,8 +54,8 @@ exception Killed
 
 type sim_result = { s_images : int; s_fenced : int; s_acked : int; s_violations : string list }
 
-let run_point spec (trace : Harness.trace) qs expect ~boundary ~kill_batch =
-  let n = Array.length trace.Harness.updates in
+let run_point spec (script : Scenario.script) oracle ~boundary ~kill_batch =
+  let n = Array.length script.steps in
   let nb = (n + spec.batch - 1) / spec.batch in
   assert (kill_batch < nb);
   let violations = ref [] in
@@ -98,8 +64,7 @@ let run_point spec (trace : Harness.trace) qs expect ~boundary ~kill_batch =
   let lfs = M.create () in
   let lvfs = M.vfs lfs in
   let leng =
-    Durable.open_ ~sync_policy:Wal.Never ~vfs:lvfs ~max_key:trace.Harness.max_key
-      ~path:"lead" ()
+    Durable.open_ ~sync_policy:Wal.Never ~vfs:lvfs ~max_key:script.max_key ~path:"lead" ()
   in
   let tail = Wal.Tail.create (lvfs.Storage.Vfs.v_open `Log (Durable.wal_path "lead")) in
   let backlog = Backlog.create ~floor:0 () in
@@ -110,7 +75,7 @@ let run_point spec (trace : Harness.trace) qs expect ~boundary ~kill_batch =
         let vfs = M.vfs fs in
         let path = "f" ^ string_of_int i in
         let eng =
-          Durable.open_ ~sync_policy:Wal.Never ~vfs ~max_key:trace.Harness.max_key ~path ()
+          Durable.open_ ~sync_policy:Wal.Never ~vfs ~max_key:script.max_key ~path ()
         in
         { f_path = path; f_vfs = vfs; f_eng = eng; f_sent = 0; f_net = []; f_inbox = [];
           f_acked = 0 })
@@ -156,7 +121,7 @@ let run_point spec (trace : Harness.trace) qs expect ~boundary ~kill_batch =
        let kill bd = if b = kill_batch && bd = boundary then raise Killed in
        let lo = b * spec.batch and hi = min n ((b + 1) * spec.batch) in
        for i = lo to hi - 1 do
-         apply_update leng trace.Harness.updates.(i)
+         apply_update leng script.steps.(i)
        done;
        issued := hi;
        kill Logged;
@@ -234,16 +199,16 @@ let run_point spec (trace : Harness.trace) qs expect ~boundary ~kill_batch =
   if Epoch.load ~vfs:promoted.f_vfs promoted.f_path <> new_epoch then
     viol "promoted epoch did not persist";
   let promoted_n = Apply.watermark promoted.f_eng in
-  (* The no-lost-acks guarantee is the semi-sync quorum's promise.  With
-     [sync_replicas = 0] an ack certifies only the leader's own fsync, so
-     failing over can lose acked writes — the matrix demonstrates it by
-     failing if this check is enabled there. *)
-  if spec.sync_replicas >= 1 && !acked > promoted_n then
-    viol "acked write lost: acked %d, promoted watermark %d" !acked promoted_n;
-  if promoted_n > !issued then
-    viol "promoted watermark %d beyond the %d issued updates" promoted_n !issued;
-  if panel promoted.f_eng qs <> expect promoted_n then
-    viol "promoted state diverges from the oracle prefix of %d updates" promoted_n;
+  let audit what ~floor ~ceiling eng =
+    List.iter (viol "%s: %s" what) (Scenario.check oracle ~floor ~ceiling eng)
+  in
+  (* No acked write is lost: that is the semi-sync quorum's promise.
+     With [sync_replicas = 0] an ack certifies only the leader's own
+     fsync, so failing over can lose acked writes, and the matrix fails
+     if it is held to them there. *)
+  audit "promoted node"
+    ~floor:(if spec.sync_replicas >= 1 then !acked else 0)
+    ~ceiling:!issued promoted.f_eng;
   (* Fencing: deliver every stale frame to the promoted node.  Each must
      be refused on its epoch alone, moving nothing. *)
   let fenced = ref 0 in
@@ -260,41 +225,21 @@ let run_point spec (trace : Harness.trace) qs expect ~boundary ~kill_batch =
   (* --- The deposed leader's disk, under every legal crash image. ------------- *)
   let images = Explorer.enumerate_at (M.ops lfs) in
   List.iter
-    (fun img ->
-      let vfs = M.vfs (Explorer.to_memory_fs img) in
-      match
-        Durable.open_ ~sync_policy:Wal.Never ~vfs ~max_key:trace.Harness.max_key
-          ~path:"lead" ()
-      with
-      | exception e ->
-          viol "deposed-leader recovery (%a image) raised %s" Explorer.pp_kind img.kind
-            (Printexc.to_string e)
-      | eng ->
-          let rec_n = Apply.watermark eng in
-          if !acked > rec_n then
-            viol "deposed leader (%a image) recovered %d updates, %d were acked"
-              Explorer.pp_kind img.kind rec_n !acked;
-          if rec_n > !issued then
-            viol "deposed leader (%a image) recovered %d updates, only %d issued"
-              Explorer.pp_kind img.kind rec_n !issued;
-          if panel eng qs <> expect rec_n then
-            viol "deposed leader (%a image) diverges from the oracle prefix of %d"
-              Explorer.pp_kind img.kind rec_n;
-          Durable.close eng)
+    (fun (img : Explorer.image) ->
+      Scenario.with_image Storage.Store_kind.Memory ~prefix:"lead" img @@ fun vfs path ->
+      Scenario.check_recovered oracle ~floor:!acked ~ceiling:!issued (fun () ->
+          Durable.open_ ~sync_policy:Wal.Never ~vfs ~max_key:script.max_key ~path ())
+      |> List.iter (viol "deposed leader (%a image): %s" Explorer.pp_kind img.kind))
     images;
   (* --- Life after promotion. ------------------------------------------------- *)
   (* Clients retry everything unacked: the script suffix replays onto the
      new leader verbatim (each update was generated against exactly the
      oracle state the new leader now holds). *)
   for i = promoted_n to n - 1 do
-    apply_update promoted.f_eng trace.Harness.updates.(i)
+    apply_update promoted.f_eng script.steps.(i)
   done;
   Storage.Storage_error.ok_exn (Durable.sync_wal promoted.f_eng);
-  if Apply.watermark promoted.f_eng <> n then
-    viol "promoted leader finished at %d updates, script has %d"
-      (Apply.watermark promoted.f_eng) n;
-  if panel promoted.f_eng qs <> expect n then
-    viol "promoted leader diverges from the oracle after the retried suffix";
+  audit "promoted leader after the retried suffix" ~floor:n ~ceiling:n promoted.f_eng;
   (* The surviving follower resubscribes — a fresh tail + backlog over
      the promoted node's own WAL, exactly what its hub would serve. *)
   let ptail =
@@ -324,11 +269,7 @@ let run_point spec (trace : Harness.trace) qs expect ~boundary ~kill_batch =
           | o -> viol "surviving follower resync: %a" Apply.pp_outcome o)
         frames;
       Storage.Storage_error.ok_exn (Durable.sync_wal other.f_eng);
-      if Apply.watermark other.f_eng <> n then
-        viol "surviving follower resynced to %d updates, script has %d"
-          (Apply.watermark other.f_eng) n;
-      if panel other.f_eng qs <> expect n then
-        viol "surviving follower diverges from the oracle after resync");
+      audit "surviving follower after resync" ~floor:n ~ceiling:n other.f_eng);
   Wal.Tail.close ptail;
   Wal.Tail.close tail;
   Durable.close leng;
@@ -344,54 +285,39 @@ let run_point spec (trace : Harness.trace) qs expect ~boundary ~kill_batch =
 
 let run ?limit spec =
   if spec.batch <= 0 then invalid_arg "Faultsim.Failover: batch must be positive";
-  let trace =
-    Harness.run_trace ~sync_policy:Wal.Never ~seed:spec.seed ~updates:spec.updates
-      ~max_key:spec.max_key ()
+  let script =
+    Scenario.script `Replica ~seed:spec.seed ~updates:spec.updates ~max_key:spec.max_key
   in
-  let n = Array.length trace.Harness.updates in
-  let nb = (n + spec.batch - 1) / spec.batch in
-  let qs =
-    Harness.queries ~max_key:trace.Harness.max_key ~max_t:trace.Harness.max_t ~seed:42
-      ~count:spec.query_count
-  in
-  let memo = Hashtbl.create 64 in
-  let expect n =
-    match Hashtbl.find_opt memo n with
-    | Some a -> a
-    | None ->
-        let a = Harness.oracle_answers trace qs n in
-        Hashtbl.add memo n a;
-        a
-  in
+  let oracle = Scenario.oracle script script.steps in
+  let nb = (Array.length script.steps + spec.batch - 1) / spec.batch in
   let points =
-    List.concat_map
-      (fun b -> List.map (fun bd -> { p_boundary = bd; p_batch = b }) boundaries)
-      (List.init nb Fun.id)
+    List.init nb (fun b -> List.map (fun bd -> { p_boundary = bd; p_batch = b }) boundaries)
+    |> List.concat |> Scenario.sample ?limit
   in
-  let points =
-    match limit with
-    | Some l when List.length points > l && l > 0 ->
-        let arr = Array.of_list points in
-        let total = Array.length arr in
-        List.init l (fun i -> arr.(i * total / l))
-    | _ -> points
+  let results =
+    List.map
+      (fun p ->
+        ( p,
+          try run_point spec script oracle ~boundary:p.p_boundary ~kill_batch:p.p_batch
+          with e ->
+            (* What a kill point raises is its violation; the matrix goes on. *)
+            { s_images = 0; s_fenced = 0; s_acked = 0;
+              s_violations = [ "raised " ^ Printexc.to_string e ] } ))
+      points
   in
-  let images = ref 0 and fenced = ref 0 and max_acked = ref 0 in
-  let violations = ref [] in
-  List.iter
-    (fun p ->
-      let r =
-        run_point spec trace qs expect ~boundary:p.p_boundary ~kill_batch:p.p_batch
-      in
-      images := !images + r.s_images;
-      fenced := !fenced + r.s_fenced;
-      max_acked := max !max_acked r.s_acked;
-      List.iter (fun reason -> violations := (p, reason) :: !violations) r.s_violations)
-    points;
+  let sum f = List.fold_left (fun acc (_, r) -> acc + f r) 0 results in
   {
-    points = List.length points;
-    images = !images;
-    fenced = !fenced;
-    max_acked = !max_acked;
-    violations = List.rev !violations;
+    Scenario.counts =
+      [
+        ("kill states", List.length points);
+        ("deposed-leader images", sum (fun r -> r.s_images));
+        ("fenced", sum (fun r -> r.s_fenced));
+        ("max acked", List.fold_left (fun m (_, r) -> max m r.s_acked) 0 results);
+      ];
+    violations =
+      List.concat_map
+        (fun (p, r) ->
+          let at = Format.asprintf "%a" pp_point p in
+          List.map (fun reason -> { Scenario.at; reason }) r.s_violations)
+        results;
   }

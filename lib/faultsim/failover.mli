@@ -5,7 +5,7 @@
     whose WAL is tailed through the real {!Wal.Tail} into a real
     {!Replica.Backlog}, and two follower engines replaying shipped frames
     through {!Replica.Apply} — all over {!Storage.Vfs.Memory}, driven by
-    one deterministic update script ({!Harness.run_trace}).  Updates flow
+    one deterministic update script ({!Scenario.script}).  Updates flow
     in batches through six pipeline stages, and the leader is killed at
     each stage of each batch:
 
@@ -24,33 +24,28 @@
     skewed replicas.  At the kill the most-advanced follower is promoted:
     its inbox is discarded (never acked, so no client ack depends on it),
     the fencing epoch is bumped through {!Replica.Epoch}, and the checks
-    run:
+    run, each through {!Scenario.check}:
 
-    - no client-acked write is lost: [acked <= promoted watermark] —
-      checked when [sync_replicas >= 1], the quorum that promises it
-      (with [0] an ack certifies only the leader's own fsync, and the
-      matrix indeed observes acked writes dying with the leader);
-    - nothing is invented: [promoted watermark <= issued];
-    - the promoted engine answers a query panel exactly like the
-      {!Reference} oracle replaying the acked-or-better prefix;
+    - the promoted node passes with floor [acked] and ceiling [issued]:
+      no client-acked write is lost, nothing is invented.  The floor
+      holds when [sync_replicas >= 1], the quorum that promises it (with
+      [0] an ack certifies only the leader's own fsync, and the matrix
+      indeed observes acked writes dying with the leader), and is 0
+      otherwise;
     - late frames from the deposed term carry a stale epoch and are
       refused without moving the promoted watermark;
     - the deposed leader's own disk, under every distinct crash image of
-      its journal's final cut ({!Explorer.enumerate_at}), recovers to
-      [acked <= recovered <= issued] and matches the oracle prefix;
+      its journal's final cut ({!Explorer.enumerate_at}), passes
+      {!Scenario.check_recovered} with floor [acked] and ceiling
+      [issued];
     - the cluster continues: the promoted leader re-applies the unacked
       script suffix, the surviving follower resubscribes through a fresh
-      tail + backlog over the {e promoted} node's WAL, and both land on
-      the oracle's final state.
+      tail + backlog over the {e promoted} node's WAL, and both pass
+      with the whole script as floor and ceiling.
 
     Every follower watermark is also checked against the leader's durable
     watermark at every stage of every batch — a follower must never hold
     a record its leader could still lose. *)
-
-type boundary = Logged | Synced | Shipped | Received | Replayed | Acked
-
-val boundaries : boundary list
-val pp_boundary : Format.formatter -> boundary -> unit
 
 type spec = {
   seed : int;
@@ -58,27 +53,15 @@ type spec = {
   updates : int;  (** Length of the update script. *)
   batch : int;  (** Updates per pipeline round; rounds × 6 = kill points. *)
   sync_replicas : int;  (** The semi-sync ack quorum (>= 1 to defer acks). *)
-  query_count : int;  (** Rectangles in the oracle comparison panel. *)
 }
 
 val default_spec : spec
 (** 96 updates over 24 keys in batches of 4 — 24 rounds × 6 boundaries =
-    144 kill points — with [sync_replicas = 1] and a 12-query panel. *)
+    144 kill points — with [sync_replicas = 1]. *)
 
-type point = { p_boundary : boundary; p_batch : int }
-
-val pp_point : Format.formatter -> point -> unit
-
-type report = {
-  points : int;  (** Distinct leader-kill states checked. *)
-  images : int;  (** Deposed-leader crash images recovered and audited. *)
-  fenced : int;  (** Stale-epoch frames refused after promotions. *)
-  max_acked : int;  (** Largest client-acked watermark at any kill. *)
-  violations : (point * string) list;
-}
-
-val pp_report : Format.formatter -> report -> unit
-
-val run : ?limit:int -> spec -> report
+val run : ?limit:int -> spec -> Scenario.report
 (** The full matrix.  [limit] stride-samples the kill points down to at
-    most that many (for smoke runs); default checks every point. *)
+    most that many (for smoke runs); default checks every point.  What a
+    kill point raises is a violation at that point.  Counts: [kill
+    states], [deposed-leader images] audited, stale-epoch frames
+    [fenced], and the [max acked] watermark at any kill. *)

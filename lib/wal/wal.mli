@@ -42,6 +42,9 @@ type sync_policy =
 
 val pp_sync_policy : Format.formatter -> sync_policy -> unit
 
+val header_bytes : int
+(** 16: the log's header (magic, version, CRC) precedes every frame. *)
+
 exception Crashed
 (** Alias of {!Storage.Vfs.Crashed}: raised by a {!Faulty} file once its
     fault triggers; every later operation on the crashed file raises it

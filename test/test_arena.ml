@@ -1504,7 +1504,7 @@ let run_script ~store ~seed ~updates ~max_key =
     (* A cold pool: the answers read their pages out of the store. *)
     Rta.drop_cache (Durable.warehouse eng);
     let h = Durable.horizon eng in
-    let rects = Faultsim.Harness.queries ~max_key ~max_t:(!now + 2) ~seed:(seed + round) ~count:10 in
+    let rects = Faultsim.Scenario.rectangles ~max_key ~max_t:(!now + 2) ~seed:(seed + round) ~count:10 in
     List.iter
       (fun (klo, khi, tlo, thi) ->
         let got = guarded (fun () -> Durable.sum_count eng ~klo ~khi ~tlo ~thi) in
@@ -1819,7 +1819,7 @@ let test_second_open_rejected kind () =
           ( Reference.Warehouse.rta_sum oracle ~klo ~khi ~tlo ~thi,
             Reference.Warehouse.rta_count oracle ~klo ~khi ~tlo ~thi )
           (Durable.sum_count eng ~klo ~khi ~tlo ~thi))
-      (Faultsim.Harness.queries ~max_key ~max_t:3002 ~seed:5 ~count:40)
+      (Faultsim.Scenario.rectangles ~max_key ~max_t:3002 ~seed:5 ~count:40)
   in
   (* Cold pool: every answer reads its pages back out of the files. *)
   Rta.drop_cache (Durable.warehouse eng);
@@ -1864,21 +1864,22 @@ let test_failed_open_releases_fds store () =
 
 (* --- Crash matrices over the mmap working set --------------------------------- *)
 
+module S = Faultsim.Scenario
+
+let last_image j =
+  let images = Faultsim.Explorer.enumerate (Array.to_list j.S.ops) in
+  List.nth images (List.length images - 1)
+
 (* The matrices' mmap leg recovers from a mapped checkpoint, not from a
-   RAM copy: an engine opened inside [Harness.with_image] over the
+   RAM copy: an engine opened inside [Scenario.with_image] over the
    trace's last image maps that image's checkpoint, and the directory
    goes with it. *)
 let test_image_recovery_maps () =
   let maps = "/proc/self/maps" in
   if not (Sys.file_exists maps) then Alcotest.skip ();
-  let trace =
-    Faultsim.Harness.run_trace ~store:Storage.Store_kind.Mmap ~checkpoint_every:20 ~updates:40
-      ~max_key:10 ()
-  in
-  let images = Faultsim.Explorer.enumerate (Array.to_list trace.Faultsim.Harness.ops) in
-  let last = List.nth images (List.length images - 1) in
+  let j = S.record ~checkpoint_every:20 (S.script `Crash ~seed:1 ~updates:40 ~max_key:10) in
   let dir =
-    Faultsim.Harness.with_image Storage.Store_kind.Mmap ~prefix:"w" last @@ fun vfs path ->
+    S.with_image Storage.Store_kind.Mmap ~prefix:"w" (last_image j) @@ fun vfs path ->
     let eng = Durable.open_ ~store:Storage.Store_kind.Mmap ~vfs ~max_key:10 ~path () in
     Fun.protect ~finally:(fun () -> Durable.close eng) @@ fun () ->
     let mapped =
@@ -1895,36 +1896,44 @@ let test_image_recovery_maps () =
   in
   Alcotest.(check bool) "the directory is removed" false (Sys.file_exists dir)
 
+(* A failed check closes the engine it opened: under the mmap store a
+   leaked engine would keep its descriptors and its mapped checkpoint
+   after the image's directory is gone. *)
+let test_failed_check_closes () =
+  let fd_dir = "/proc/self/fd" in
+  if not (Sys.file_exists fd_dir) then Alcotest.skip ();
+  let open_fds () = Array.length (Sys.readdir fd_dir) in
+  let j = S.record ~checkpoint_every:20 (S.script `Crash ~seed:1 ~updates:40 ~max_key:10) in
+  let o = S.oracle j.S.script j.S.log in
+  let base = open_fds () in
+  let vs =
+    S.with_image Storage.Store_kind.Mmap ~prefix:"w" (last_image j) @@ fun vfs path ->
+    S.check_recovered o ~floor:1000 ~ceiling:1000 (fun () ->
+        Durable.open_ ~store:Storage.Store_kind.Mmap ~vfs ~max_key:10 ~path ())
+  in
+  Alcotest.(check int) "one violation" 1 (List.length vs);
+  Alcotest.(check int) "descriptors after the check" base (open_fds ())
+
+let no_violations what r =
+  match r.S.violations with
+  | [] -> ()
+  | v :: _ -> Alcotest.failf "%s violation at %s: %s" what v.S.at v.S.reason
+
 (* Explorer tears the journal at every boundary.  Neither store's working
    set reaches the journaled files, so the images are those of the
    memory store; recovery under the mmap store writes each out to a real
    directory, maps its checkpoint and rebuilds the working set from it. *)
 let test_crash_matrix_mmap () =
-  let trace =
-    Faultsim.Harness.run_trace ~store:Storage.Store_kind.Mmap ~checkpoint_every:20
-      ~updates:40 ~max_key:10 ()
-  in
-  let r = Faultsim.Harness.check ~limit:60 trace in
-  (match r.Faultsim.Harness.violations with
-  | [] -> ()
-  | v :: _ ->
-      Alcotest.failf "crash matrix violation: %s"
-        (Format.asprintf "%a" Faultsim.Harness.pp_violation v));
-  Alcotest.(check bool) "checked a real sample" true (r.Faultsim.Harness.checked >= 30)
+  let j = S.record ~checkpoint_every:20 (S.script `Crash ~seed:1 ~updates:40 ~max_key:10) in
+  let r = S.crash ~limit:60 ~store:Storage.Store_kind.Mmap j in
+  no_violations "crash matrix" r;
+  Alcotest.(check bool) "checked a real sample" true (S.count r "checked" >= 30)
 
 let test_vacuum_matrix_mmap () =
-  let trace =
-    Faultsim.Vacuum_matrix.run_trace ~store:Storage.Store_kind.Mmap ~updates:50
-      ~max_key:10 ()
-  in
-  let r = Faultsim.Vacuum_matrix.check ~limit:25 trace in
-  (match r.Faultsim.Vacuum_matrix.violations with
-  | [] -> ()
-  | v :: _ ->
-      Alcotest.failf "vacuum matrix violation: %s"
-        (Format.asprintf "%a" Faultsim.Vacuum_matrix.pp_violation v));
-  Alcotest.(check bool) "checked a real sample" true
-    (r.Faultsim.Vacuum_matrix.checked >= 15)
+  let j = S.record ~checkpoint_every:40 (S.script `Vacuum ~seed:1 ~updates:50 ~max_key:10) in
+  let r = S.crash ~limit:25 ~store:Storage.Store_kind.Mmap j in
+  no_violations "vacuum matrix" r;
+  Alcotest.(check bool) "checked a real sample" true (S.count r "checked" >= 15)
 
 let () =
   Alcotest.run "arena"
@@ -1989,6 +1998,7 @@ let () =
       ( "crash-matrix",
         [
           Alcotest.test_case "mmap recovery maps the image" `Quick test_image_recovery_maps;
+          Alcotest.test_case "a failed check closes its engine" `Quick test_failed_check_closes;
           Alcotest.test_case "mmap store" `Slow test_crash_matrix_mmap;
           Alcotest.test_case "mmap store vacuum" `Slow test_vacuum_matrix_mmap;
         ] );

@@ -335,22 +335,14 @@ let prop_enospc_checkpoint_atomic =
 (* --- The sweep ---------------------------------------------------------------- *)
 
 let test_errsweep_small_clean () =
-  let spec =
-    { Faultsim.Errsweep.default_spec with
-      updates = 30;
-      max_key = 12;
-      checkpoint_at = 15;
-      query_count = 8 }
-  in
-  let r = Faultsim.Errsweep.run ~limit_per_class:12 spec in
-  if not (Faultsim.Errsweep.clean r) then
-    Alcotest.failf "sweep violations:@\n%a" Faultsim.Errsweep.pp_report r;
-  Alcotest.(check int) "4 classes x 12 points" 48 r.Faultsim.Errsweep.fault_points;
-  Alcotest.(check bool) "faults fired" true (r.Faultsim.Errsweep.triggered > 0);
-  Alcotest.(check bool) "some runs healed by retry" true
-    (r.Faultsim.Errsweep.retried > 0);
-  Alcotest.(check bool) "enospc runs went read-only" true
-    (r.Faultsim.Errsweep.read_only > 0)
+  let module S = Faultsim.Scenario in
+  (* 30 updates with a checkpoint after 15. *)
+  let r = S.errno ~limit:12 (S.script `Errsweep ~seed:1 ~updates:30 ~max_key:12) in
+  if r.S.violations <> [] then Alcotest.failf "sweep violations:@\n%a" S.pp_report r;
+  Alcotest.(check int) "4 classes x 12 points" 48 (S.count r "fault points");
+  Alcotest.(check bool) "faults fired" true (S.count r "fired" > 0);
+  Alcotest.(check bool) "some runs healed by retry" true (S.count r "healed" > 0);
+  Alcotest.(check bool) "enospc runs went read-only" true (S.count r "read-only" > 0)
 
 (* --- A corrupt working-set page under checkpoint --------------------------------- *)
 

@@ -454,12 +454,13 @@ let test_failover_matrix () =
     { Faultsim.Failover.default_spec with Faultsim.Failover.updates = 48; batch = 4 }
   in
   let r = Faultsim.Failover.run spec in
+  let count = Faultsim.Scenario.count r in
   Alcotest.(check int) "violations"
-    0 (List.length r.Faultsim.Failover.violations);
-  Alcotest.(check int) "all kill points checked" 72 r.Faultsim.Failover.points;
-  Alcotest.(check bool) "deposed images audited" true (r.Faultsim.Failover.images > 0);
-  Alcotest.(check bool) "stale frames fenced" true (r.Faultsim.Failover.fenced > 0);
-  Alcotest.(check bool) "acks were in flight" true (r.Faultsim.Failover.max_acked > 0)
+    0 (List.length r.Faultsim.Scenario.violations);
+  Alcotest.(check int) "all kill points checked" 72 (count "kill states");
+  Alcotest.(check bool) "deposed images audited" true (count "deposed-leader images" > 0);
+  Alcotest.(check bool) "stale frames fenced" true (count "fenced" > 0);
+  Alcotest.(check bool) "acks were in flight" true (count "max acked" > 0)
 
 (* Any op sequence x any kill point: the promoted follower equals the
    oracle restricted to the acked-or-better prefix, and no acked write is
@@ -473,11 +474,10 @@ let prop_failover_no_lost_acks =
           Faultsim.Failover.seed = seed + 100;
           updates = 30;
           batch;
-          sync_replicas;
-          query_count = 8 }
+          sync_replicas }
       in
       let r = Faultsim.Failover.run spec in
-      r.Faultsim.Failover.violations = [])
+      r.Faultsim.Scenario.violations = [])
 
 (* --- Kill -9 the leader process: no acked write may be lost ---------------------- *)
 

@@ -360,14 +360,14 @@ let test_watermarks () =
 (* --- The crash matrix --------------------------------------------------------- *)
 
 let test_vacuum_matrix () =
-  let trace = Faultsim.Vacuum_matrix.run_trace ~max_key:12 () in
-  let r = Faultsim.Vacuum_matrix.check trace in
+  let module S = Faultsim.Scenario in
+  let r =
+    S.crash (S.record ~checkpoint_every:40 (S.script `Vacuum ~seed:1 ~updates:110 ~max_key:12))
+  in
   Alcotest.(check bool)
-    (Format.asprintf "matrix: %a" Faultsim.Vacuum_matrix.pp_report r)
-    true
-    (r.Faultsim.Vacuum_matrix.violations = []);
-  Alcotest.(check bool) "at least 100 kill states" true
-    (r.Faultsim.Vacuum_matrix.checked >= 100)
+    (Format.asprintf "matrix: %a" S.pp_report r)
+    true (r.S.violations = []);
+  Alcotest.(check bool) "at least 100 kill states" true (S.count r "checked" >= 100)
 
 (* --- Property: vacuum never changes what it keeps ----------------------------- *)
 
