@@ -11,7 +11,9 @@
 
    Cost model: as in the paper, estimated time = #I/O x 10 ms + measured
    CPU time, with LRU buffer pools (default 64 pages) in front of the
-   simulated disk. *)
+   simulated disk.  The MVSBTs are the frame store the server runs, over
+   RAM; each figure closes its warehouses when it is done with them, since
+   their RAM chunks are mappings the GC is not charged for. *)
 
 (* --smoke is a CI mode: a tiny dataset and a quick experiment subset, so
    the whole run finishes in seconds.  It must be read here, before the
@@ -114,6 +116,10 @@ let run_batch_rta rta stats rects =
   in
   (List.rev !results, m)
 
+(* A batch's page reads and writes: the estimates add CPU time, so only
+   these counts are exact from run to run. *)
+let io (m : Storage.Cost_model.measurement) = Printf.sprintf "%d/%d" m.reads m.writes
+
 let check_agreement ~what a b =
   List.iteri
     (fun i ((s1, c1), (s2, c2)) ->
@@ -143,12 +149,13 @@ let fig4a () =
       ()
   in
   let rta_points = ref [] in
-  let _, _, _ =
+  let rta, _, _ =
     build_rta
       ~on_event:(fun i r ->
         if List.mem i checkpoints then rta_points := (i, Rta.page_count r) :: !rta_points)
       ()
   in
+  Rta.close rta;
   Printf.printf "%12s %14s %14s %14s %14s %8s\n" "updates" "mvbt pages" "mvbt MB"
     "2-mvsbt pages" "2-mvsbt MB" "ratio";
   List.iter2
@@ -167,7 +174,8 @@ let fig4a () =
 let update_time () =
   header "Update cost per insertion/deletion (section 5, discussed with fig 4a)";
   let _, _, m1 = build_mvbt () in
-  let _, _, m2 = build_rta () in
+  let rta, _, m2 = build_rta () in
+  Rta.close rta;
   let n = float_of_int (total_updates ()) in
   let row name (m : Storage.Cost_model.measurement) =
     Printf.printf "%10s  total: %s\n" name (Format.asprintf "%a" Storage.Cost_model.pp_measurement m);
@@ -185,17 +193,20 @@ let fig4b () =
   header "Figure 4b: RTA query estimated time vs query rectangle size (R/I = 1, buffer 64)";
   let mvbt, mvbt_stats, _ = build_mvbt () in
   let rta, rta_stats, _ = build_rta () in
-  Printf.printf "%10s %16s %16s %12s\n" "QRS" "mvbt est (s)" "2-mvsbt est (s)" "speedup";
+  Printf.printf "%10s %16s %16s %12s %22s %22s\n" "QRS" "mvbt est (s)" "2-mvsbt est (s)"
+    "speedup" "mvbt reads/writes" "2-mvsbt reads/writes";
   List.iter
     (fun qrs ->
       let rects = rects_for ~qrs ~seed:(int_of_float (qrs *. 1e6) + 17) in
       let res1, m1 = run_batch_mvbt mvbt mvbt_stats rects in
       let res2, m2 = run_batch_rta rta rta_stats rects in
       check_agreement ~what:(Printf.sprintf "fig4b qrs=%g" qrs) res1 res2;
-      Printf.printf "%9.2f%% %16.4f %16.4f %11.1fx\n" (qrs *. 100.) m1.estimated_s
+      Printf.printf "%9.2f%% %16.4f %16.4f %11.1fx %22s %22s\n" (qrs *. 100.) m1.estimated_s
         m2.estimated_s
-        (m1.estimated_s /. m2.estimated_s))
+        (m1.estimated_s /. m2.estimated_s)
+        (io m1) (io m2))
     [ 0.0001; 0.001; 0.01; 0.1; 1.0 ];
+  Rta.close rta;
   Printf.printf
     "(paper: speedup grows with QRS; >5000x when the rectangle is the whole space)\n"
 
@@ -203,7 +214,8 @@ let fig4b () =
 
 let fig4c () =
   header "Figure 4c: RTA query estimated time vs buffer size (QRS = 1%)";
-  Printf.printf "%10s %16s %16s %12s\n" "buffer" "mvbt est (s)" "2-mvsbt est (s)" "speedup";
+  Printf.printf "%10s %16s %16s %12s %22s %22s\n" "buffer" "mvbt est (s)" "2-mvsbt est (s)"
+    "speedup" "mvbt reads/writes" "2-mvsbt reads/writes";
   List.iter
     (fun capacity ->
       let mvbt, mvbt_stats, _ = build_mvbt ~pool_capacity:capacity () in
@@ -212,8 +224,11 @@ let fig4c () =
       let res1, m1 = run_batch_mvbt mvbt mvbt_stats rects in
       let res2, m2 = run_batch_rta rta rta_stats rects in
       check_agreement ~what:(Printf.sprintf "fig4c buffer=%d" capacity) res1 res2;
-      Printf.printf "%10d %16.4f %16.4f %11.1fx\n" capacity m1.estimated_s m2.estimated_s
-        (m1.estimated_s /. m2.estimated_s))
+      Rta.close rta;
+      Printf.printf "%10d %16.4f %16.4f %11.1fx %22s %22s\n" capacity m1.estimated_s
+        m2.estimated_s
+        (m1.estimated_s /. m2.estimated_s)
+        (io m1) (io m2))
     [ 16; 32; 64; 128; 256; 512 ]
 
 (* --- Ablation: strong factor f --------------------------------------------------- *)
@@ -230,7 +245,8 @@ let ablation_f () =
       Printf.printf "%6.2f %12d %12d %18.4f %18.4f\n" f (Rta.page_count rta)
         (Rta.record_count rta)
         (m.estimated_s *. 1000. /. float_of_int (total_updates ()))
-        qm.estimated_s)
+        qm.estimated_s;
+      Rta.close rta)
     [ 0.5; 0.6; 0.7; 0.8; 0.9; 0.95 ]
 
 (* --- Ablation: the three optimisations ------------------------------------------- *)
@@ -251,7 +267,8 @@ let ablation_opt () =
       Printf.printf "%10s %8b %9b %12d %14s %16.4f\n"
         (match variant with Mvsbt.Plain -> "plain" | Mvsbt.Logical -> "logical")
         merging disposal (Rta.page_count rta) (string_of_int (Rta.record_count rta))
-        (m.estimated_s *. 1000. /. float_of_int (total_updates ())))
+        (m.estimated_s *. 1000. /. float_of_int (total_updates ()));
+      Rta.close rta)
     combos;
   Printf.printf "(logical splitting is optimisation 4.2.1; the plain 4.1 algorithm splits Theta(b) records per insertion)\n"
 
@@ -289,7 +306,8 @@ let ablation_data () =
           Printf.printf "%16s %12s %14d %14d %15.1fx %12b\n" kd_name st_name
             (Mvbt.page_count mvbt) (Rta.page_count rta)
             (m1.estimated_s /. m2.estimated_s)
-            agree
+            agree;
+          Rta.close rta
   in
   List.iter
     (fun (kd, kd_name) ->
@@ -392,7 +410,8 @@ let ablation_root_star () =
       Printf.printf "%12s %12d %16.4f %18.2f\n"
         (if btree then "b+tree" else "array")
         (Rta.root_count rta) m.estimated_s
-        (float_of_int (m.reads + m.writes) /. float_of_int queries_per_batch))
+        (float_of_int (m.reads + m.writes) /. float_of_int queries_per_batch);
+      Rta.close rta)
     [ false; true ]
 
 (* --- WAL overhead ------------------------------------------------------------------- *)
@@ -430,11 +449,9 @@ let wal_overhead () =
         Unix.rmdir dir)
       (fun () -> f (Filename.concat dir "wh"))
   in
-  let base_s =
-    wall (fun () ->
-        let rta = Rta.create ~config:mvsbt_config ~max_key:spec.max_key () in
-        apply ~insert:(Rta.insert rta) ~delete:(Rta.delete rta) n)
-  in
+  let rta = Rta.create ~config:mvsbt_config ~max_key:spec.max_key () in
+  let base_s = wall (fun () -> apply ~insert:(Rta.insert rta) ~delete:(Rta.delete rta) n) in
+  Rta.close rta;
   let per_update_base = base_s /. float_of_int n in
   Printf.printf "  %-22s %9d updates %9.3f s %11.0f upd/s\n" "no WAL (in-memory)" n base_s
     (float_of_int n /. base_s);
@@ -795,6 +812,7 @@ let telemetry_overhead () =
       (float_of_int n /. build_s)
       (List.length rects)
       (query_s *. 1e6 /. float_of_int (List.length rects));
+    Rta.close rta;
     build_s
   in
   let base_s = run "disabled (Tracer.noop)" None in
@@ -832,15 +850,15 @@ let micro () =
   let mvbt, _, _ = build_mvbt () in
   let horizon = Rta.now rta in
   let rng = Workload.Rng.create ~seed:31 in
-  let mk_insert_rta () =
-    (* A fresh small index, hammered with one more insertion each run. *)
-    let r = Rta.create ~config:mvsbt_config ~max_key:spec.max_key () in
+  (* A fresh small index, hammered with one more insertion each run. *)
+  let fresh = Rta.create ~config:mvsbt_config ~max_key:spec.max_key () in
+  let insert_rta =
     let t = ref 1 and k = ref 0 in
     fun () ->
       incr t;
       k := (!k + 7919) mod spec.max_key;
-      if Rta.is_alive r ~key:!k then Rta.delete r ~key:!k ~at:!t
-      else Rta.insert r ~key:!k ~value:1 ~at:!t
+      if Rta.is_alive fresh ~key:!k then Rta.delete fresh ~key:!k ~at:!t
+      else Rta.insert fresh ~key:!k ~value:1 ~at:!t
   in
   let tests =
     [
@@ -858,7 +876,7 @@ let micro () =
            let klo = Workload.Rng.int rng (spec.max_key - klen) in
            ignore (Mvbt.snapshot mvbt ~klo ~khi:(klo + klen)
                      ~at:(Workload.Rng.int rng (horizon + 1)))));
-      Test.make ~name:"rta update" (Staged.stage (mk_insert_rta ()));
+      Test.make ~name:"rta update" (Staged.stage insert_rta);
     ]
   in
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
@@ -874,7 +892,9 @@ let micro () =
           | Some [ est ] -> Printf.printf "%-28s %12.1f ns/op\n%!" name est
           | _ -> Printf.printf "%-28s (no estimate)\n%!" name)
         results)
-    tests
+    tests;
+  Rta.close rta;
+  Rta.close fresh
 
 (* --- Shard scaling ------------------------------------------------------------------- *)
 
@@ -1300,11 +1320,11 @@ let vacuum_churn () =
 
 (* Everything above charges the paper's simulated 10 ms per I/O.  This
    experiment drops the cost model entirely: the same warehouse is built
-   over each page backend — [memory] (heap pages) and [mmap] (zero-copy
-   mapped overlay files on real disk, which hold every page, since no
-   checkpoint is taken) — and the Figure-4b QRS
-   sweep plus a cold-cache point-query panel are timed with the wall
-   clock.
+   over each store kind a server runs — [memory] (the frame store over
+   RAM) and [mmap] (zero-copy mapped overlay files on real disk, which
+   hold every page, since no checkpoint is taken), both with the served
+   pools' clock eviction — and the Figure-4b QRS sweep plus a cold-cache
+   point-query panel are timed with the wall clock.
 
    "Cold" means pool-cold: the buffer pool is dropped (dirty pages
    written back) before every point query, so each descent faults its
@@ -1325,11 +1345,9 @@ let store_disk () =
   let run name (store : Storage.Store_kind.t) =
     let stats = Storage.Io_stats.create () in
     let rta =
-      match store with
-      | Memory -> Rta.create ~config:mvsbt_config ~stats ~max_key:spec.max_key ()
-      | Mmap ->
-          Rta.create_durable ~config:mvsbt_config ~stats ~max_key:spec.max_key
-            ~path:(Filename.concat dir name) ()
+      Rta.create ~config:mvsbt_config ~policy:Storage.Evict.Second_chance ~stats
+        ~backing:(Storage.Store_kind.backing store) ~path:(Filename.concat dir name)
+        ~max_key:spec.max_key ()
     in
     let t0 = Unix.gettimeofday () in
     List.iter
@@ -1378,11 +1396,14 @@ let store_disk () =
       (Storage.Io_stats.mapped_reads stats)
       (Storage.Io_stats.mapped_writes stats)
       (Storage.Io_stats.readaheads stats);
+    Rta.close rta;
     (name, sweep)
   in
   (* forced order: list literals evaluate right-to-left *)
   let mem = run "memory" Memory in
   let mmap = run "mmap" Mmap in
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Unix.rmdir dir;
   let all = [ mem; mmap ] in
   Printf.printf "\n  QRS sweep, wall-clock seconds per %d-query batch (pool-cold):\n"
     queries_per_batch;

@@ -388,7 +388,7 @@ let query verbosity spec (config, buffer) input snapshot rect_opt n_random qrs =
     match snapshot with
     | Some path ->
         let stats = Storage.Io_stats.create () in
-        (Rta.load ~pool_capacity:buffer ~stats ~path (), stats)
+        (Rta.load ~pool_capacity:buffer ~stats ~snapshot:path (), stats)
     | None ->
         let rta, stats, _ = build_rta ~spec ~config ~buffer ~input in
         (rta, stats)
@@ -1254,25 +1254,18 @@ let profile_impl verbosity spec (config, buffer) input n_queries qrs store slack
   let mem = Tracer.Memory.create ~capacity:(ring_capacity ~spec ~n_queries) () in
   let stats = Storage.Io_stats.create () in
   let tracer = Tracer.create ~stats ~debug:true (Tracer.Memory.sink mem) in
+  (* The envelopes count logical page touches, which are store
+     independent — running them over mapped overlays proves the zero-copy
+     path doesn't change what the tree visits. *)
   let rta =
-    match (store : Storage.Store_kind.t) with
-    | Memory ->
-        Rta.create ~config ~pool_capacity:buffer ~stats ~telemetry:tracer
-          ~max_key:spec.Workload.Generator.max_key ()
-    | Mmap ->
-        (* The envelopes count logical page touches, which are backend
-           independent — running them over a real page store proves the
-           zero-copy path doesn't change what the tree visits. *)
-        let dir = scratch_dir "rta-profile-store" in
-        let rta =
-          Rta.create_durable ~config ~pool_capacity:buffer ~stats ~telemetry:tracer
-            ~max_key:spec.Workload.Generator.max_key ~path:(Filename.concat dir "wh") ()
-        in
-        (* The overlay files are a cache of this run: the tree closes
-           before its directory goes, as [at_exit] runs the latest first. *)
-        at_exit (fun () -> Rta.close rta);
-        rta
+    Rta.create ~config ~pool_capacity:buffer ~stats ~telemetry:tracer
+      ~backing:(Storage.Store_kind.backing store)
+      ~path:(Filename.concat (scratch_dir "rta-profile-store") "wh")
+      ~max_key:spec.Workload.Generator.max_key ()
   in
+  (* The overlay files are a cache of this run: the tree closes before
+     its directory goes, as [at_exit] runs the latest first. *)
+  at_exit (fun () -> Rta.close rta);
   let checker = Telemetry.Bound_check.create ~slack ~worst ~b:config.Mvsbt.b () in
   (* K for the update envelope is the number of distinct keys ever seen
      (the paper's key-space parameter); n for queries is the update count. *)

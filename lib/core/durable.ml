@@ -307,17 +307,17 @@ let open_ ?config ?pool_capacity ?stats ?(sync_policy = Wal.Every_n 32)
        against its CRC on the way, and a mismatch fails the open before
        the log is replayed or truncated; no page is decoded and none is
        written. *)
-    let backing = match store with Storage.Store_kind.Memory -> `Buffered | Mmap -> `Auto in
+    let backing = Storage.Store_kind.backing store and overlays = store_prefix path in
     let ckpt_gen, rta =
       match pointer with
       | Some gen ->
           ( gen,
-            Rta.load_durable ?pool_capacity ~stats ~telemetry ~vfs ~backing
-              ~snapshot:(gen_prefix path gen) ~path:(store_prefix path) () )
+            Rta.load ?pool_capacity ~stats ~telemetry ~vfs ~backing ~path:overlays
+              ~snapshot:(gen_prefix path gen) () )
       | None ->
           ( 0,
-            Rta.create_durable ?config ?pool_capacity ~stats ~telemetry ~backing ~max_key
-              ~path:(store_prefix path) () )
+            Rta.create ?config ?pool_capacity ~policy:Storage.Evict.Second_chance ~stats
+              ~telemetry ~backing ~path:overlays ~max_key () )
     in
     release_on_error (fun () -> Rta.close rta) @@ fun () ->
     if Rta.max_key rta <> max_key then

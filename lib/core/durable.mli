@@ -135,7 +135,7 @@ val open_ :
     (e.g. under [RTA_FORCE_NO_MMAP]), both are RAM images, as under
     [Memory].  A mapped file is read through the OS, not through [vfs],
     so a synthetic [vfs] takes [Memory].  The open verifies every chunk
-    and writes no page ({!Rta.load_durable}), then the WAL tail replays
+    and writes no page ({!Rta.load}), then the WAL tail replays
     into the overlay.
     Every {!checkpoint} copies the stored frames into the next
     generation and then moves the trees onto it, emptying the overlays.

@@ -163,12 +163,20 @@ module Chunks = struct
     k rd
 end
 
-(* A snapshot ({!Make.Persist.save}) is this magic, then {!Chunks}: the
+(* A snapshot ({!Make.save}) is this magic, then {!Chunks}: the
    state, the page count, then one chunk per page — the page's frame
-   exactly as a durable tree stores it, and reads it in place. *)
+   exactly as the tree stores it, and reads it in place. *)
 let snapshot_magic = "MVSBT-SNAPSHOT-5"
 
-module Make (G : Aggregate.Group.S) = struct
+module type VALUE_CODEC = sig
+  type t
+
+  val words : int
+  val encode : (int -> unit) -> t -> unit
+  val decode : (unit -> int) -> t
+end
+
+module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
   type record = {
     range : Interval.t;
     rt_start : int;
@@ -186,24 +194,11 @@ module Make (G : Aggregate.Group.S) = struct
     mutable records : record list;
   }
 
-  module Store = Storage.Page_store.Mem (struct
-    type t = page
-  end)
-
-  module Pool = Storage.Buffer_pool.Make (Store)
-
-  (* A save of a page-file tree stages the base it writes: each frame at
-     its offset in the file, then, once the file is durable, the move of
-     the tree onto it. *)
+  (* A save stages the base it writes: each frame at its offset in the
+     file, then, once the file is durable, the move of the tree onto it. *)
   type staging = {
     add : Storage.Page_id.t -> offset:int -> bytes -> unit;
     commit : unit -> unit;
-  }
-
-  type frames = {
-    frame : Storage.Page_id.t -> bytes; (* a page's stored frame, CRC-checked *)
-    stage : string -> staging; (* the base a save to this file builds *)
-    overlay : unit -> int; (* bytes of the frames sealed since the last rebase *)
   }
 
   (* A point query's state as it descends: the point, the sum so far,
@@ -241,11 +236,10 @@ module Make (G : Aggregate.Group.S) = struct
     scan_page q page;
     (q.sum, q.next)
 
-  (* The tree is agnostic to where its pages live; a backend bundles the
-     operations of one buffer-pooled page store (in the heap by default,
-     frames through {!Durable}).  [b_read] hands a writer the page,
-     decoded; [b_scan] runs a query's scan over it, wherever it is.  The
-     tree calls [b_root] each time it sets its current root. *)
+  (* A backend bundles the operations of the tree's buffer-pooled frame
+     store ({!make_backend}).  [b_read] hands a writer the page, decoded;
+     [b_scan] runs a query's scan over it, wherever it is.  The tree calls
+     [b_root] each time it sets its current root. *)
   type backend = {
     b_root : Storage.Page_id.t -> unit;
     b_alloc : unit -> Storage.Page_id.t;
@@ -257,28 +251,11 @@ module Make (G : Aggregate.Group.S) = struct
     b_list : unit -> Storage.Page_id.t list;
     b_live : unit -> int;
     b_drop : unit -> unit;
-    b_frames : frames option; (* [Some] on a frame store *)
+    b_frame : Storage.Page_id.t -> bytes; (* a page's stored frame, CRC-checked *)
+    b_stage : string -> staging; (* the base a save to this file builds *)
+    b_overlay : unit -> int; (* bytes of the frames sealed since the last rebase *)
     b_close : unit -> unit;
   }
-
-  let mem_backend ~pool_capacity ~io_stats =
-    let store = Store.create ~stats:io_stats () in
-    let pool = Pool.create ~capacity:pool_capacity store in
-    {
-      b_root = ignore;
-      b_alloc = (fun () -> Pool.alloc pool);
-      b_read = (fun pid -> Pool.read pool pid);
-      b_scan = (fun pid q -> scan_page q (Pool.read pool pid));
-      b_write = (fun pid page -> Pool.write pool pid page);
-      b_free = (fun pid -> Pool.free pool pid);
-      b_exists = (fun pid -> Pool.mem pool pid);
-      (* Flush first: ids must reflect pages still sitting in the pool. *)
-      b_list = (fun () -> Pool.flush pool; Store.ids store);
-      b_live = (fun () -> Store.live_pages store);
-      b_drop = (fun () -> Pool.drop_cache pool);
-      b_frames = None;
-      b_close = ignore;
-    }
 
   type t = {
     backend : backend;
@@ -326,19 +303,13 @@ module Make (G : Aggregate.Group.S) = struct
     { backend; io_stats; cfg; key_space; root_star; cur_root = pid; height = 1;
       now_ = 0; horizon = 0; touches = 0; tel = Telemetry.Tracer.noop }
 
-  let create ?config ?(pool_capacity = 64) ?stats ~key_space () =
-    let cfg = match config with Some c -> c | None -> default_config ~b:64 in
-    validate_create cfg key_space;
-    let io_stats = match stats with Some s -> s | None -> Storage.Io_stats.create () in
-    boot ~cfg ~key_space ~io_stats (mem_backend ~pool_capacity ~io_stats)
-
   let config t = t.cfg
   let key_space t = t.key_space
   let stats t = t.io_stats
   let now t = t.now_
   let horizon t = t.horizon
   let page_count t = t.backend.b_live ()
-  let overlay_bytes t = match t.backend.b_frames with Some f -> f.overlay () | None -> 0
+  let overlay_bytes t = t.backend.b_overlay ()
   let height t = t.height
   let root_count t = Root_star.count t.root_star
 
@@ -957,12 +928,6 @@ module Make (G : Aggregate.Group.S) = struct
 
   (* --- On-disk formats ---------------------------------------------------------- *)
 
-  module type VALUE_CODEC = sig
-    val words : int
-    val encode : (int -> unit) -> G.t -> unit
-    val decode : (unit -> int) -> G.t
-  end
-
   (* A page's payload, one layout for snapshots and stored frames alike.
      A header:
 
@@ -993,7 +958,7 @@ module Make (G : Aggregate.Group.S) = struct
      tests every record on ranks alone.  The level says whether records
      have children: at a leaf the child column is empty, of width 0 and
      base -1, so every child there reads as -1, no page id. *)
-  module Record_codec (V : VALUE_CODEC) = struct
+  module Record_codec = struct
     module Z = Storage.Zcodec
 
     let level_at = 8
@@ -1551,7 +1516,7 @@ module Make (G : Aggregate.Group.S) = struct
       horizon = st.s_horizon; touches = 0; tel = Telemetry.Tracer.noop }
 
   let corrupt_chunk path what =
-    failwith (Printf.sprintf "Mvsbt.Persist: %s: corrupt %s chunk" path what)
+    failwith (Printf.sprintf "Mvsbt: %s: corrupt %s chunk" path what)
 
   (* Stream the snapshot at [path]: [k] gets its state, the file's size
      and a function that feeds each verified page frame to a consumer, as
@@ -1559,7 +1524,7 @@ module Make (G : Aggregate.Group.S) = struct
      misframed, overlong or checksum-failing file fails. *)
   let with_snapshot ~vfs ~path k =
     Chunks.with_file vfs ~path ~magic:snapshot_magic @@ fun rd ->
-    let st = decode_state ~who:"Mvsbt.Durable.of_snapshot" (Chunks.chunk rd) in
+    let st = decode_state ~who:"Mvsbt.of_snapshot" (Chunks.chunk rd) in
     k st rd.Chunks.size (fun page ->
         let n_pages = Storage.Codec.Reader.i32 (Chunks.chunk rd) in
         for _ = 1 to n_pages do
@@ -1567,230 +1532,209 @@ module Make (G : Aggregate.Group.S) = struct
         done;
         if not (Chunks.at_end rd) then Chunks.fail rd "bytes after the last page")
 
-  module Durable (V : VALUE_CODEC) = struct
-    module RC = Record_codec (V)
+  (* --- The frame store ---------------------------------------------------------- *)
 
-    (* A page is sealed once it closes: only vacuum changes it after. *)
-    module Mmap_store = Storage.Page_store.Mmap (struct
-      type t = page
+  (* A page is sealed once it closes: only vacuum changes it after. *)
+  module Mmap_store = Storage.Page_store.Mmap (struct
+    type t = page
 
-      let encode = RC.encode
-      let sealed p = p.closed <> forever
-    end)
+    let encode = Record_codec.encode
+    let sealed p = p.closed <> forever
+  end)
 
-    module Mmap_pool = Storage.Buffer_pool.Make (Mmap_store)
+  module Mmap_pool = Storage.Buffer_pool.Make (Mmap_store)
 
-    (* The room a page's frame may take: [b] records in the widest
-       layout.  A sealed page's frame takes only the bytes it encodes to. *)
-    let min_page_size cfg = Mmap_store.block_overhead + RC.max_payload ~b:cfg.b
+  (* The room a page's frame may take: [b] records in the widest layout.
+     A sealed page's frame takes only the bytes it encodes to. *)
+  let min_page_size cfg = Mmap_store.block_overhead + Record_codec.max_payload ~b:cfg.b
 
-    (* The mapped store pairs with clock eviction: with queries scanning
-       frames in place, eviction is pure bookkeeping, so the cheaper
-       approximation beats exact LRU's list surgery per touch. *)
-    let make_backend ~pool_capacity store =
-      let pool =
-        Mmap_pool.create ~capacity:pool_capacity ~policy:Storage.Evict.Second_chance store
-      in
-      (* The current root is pinned in the pool: every descent starts
-         there.  The pin moves when the tree moves its root. *)
-      let pinned_root = ref None in
-      {
-        b_root =
-          (fun pid ->
-            (match !pinned_root with
-            | Some old when Mmap_pool.pin_count pool old > 0 -> Mmap_pool.unpin pool old
-            | _ -> ());
-            Mmap_pool.pin pool pid;
-            pinned_root := Some pid);
-        b_alloc = (fun () -> Mmap_pool.alloc pool);
-        (* Only writers and maintenance passes decode a frame. *)
-        b_read =
-          (fun pid ->
-            match Mmap_pool.read pool pid with
-            | Storage.Page_store.Decoded page -> page
-            | Framed ->
-                let buf, off, len = Mmap_store.frame store pid in
-                RC.decode buf off len);
-        b_scan =
-          (fun pid q ->
-            match Mmap_pool.read pool pid with
-            | Storage.Page_store.Decoded page -> scan_page q page
-            | Framed -> RC.scan_frame q (Mmap_store.frame store pid));
-        b_write = (fun pid page -> Mmap_pool.write pool pid (Storage.Page_store.Decoded page));
-        b_free = (fun pid -> Mmap_pool.free pool pid);
-        b_exists = (fun pid -> Mmap_pool.mem pool pid);
-        b_list =
-          (fun () ->
-            Mmap_pool.flush pool;
-            Mmap_store.written_ids store);
-        b_live = (fun () -> Mmap_store.live_pages store);
-        b_drop = (fun () -> Mmap_pool.drop_cache pool);
-        b_frames =
-          Some
-            {
-              frame =
-                (fun pid ->
-                  Mmap_pool.clean pool pid;
-                  Mmap_store.read_frame store pid);
-              stage =
-                (fun file ->
-                  let staged = Mmap_store.stage store ~file () in
-                  {
-                    add =
-                      (fun pid ~offset frame ->
-                        ignore
-                          (Mmap_store.stage_frame staged pid ~offset frame ~pos:0
-                             ~len:(Bytes.length frame)));
-                    (* Pages the new base left out leave the pool too, so a
-                       dirty one is never written back into the store. *)
-                    commit =
-                      (fun () ->
-                        Mmap_store.rebase store staged;
-                        Mmap_pool.retain pool (Mmap_store.mem store));
-                  });
-              overlay = (fun () -> Mmap_store.overlay_bytes store);
-            };
-        b_close = (fun () -> Mmap_store.close store);
-      }
+  (* A tree without a path keeps its overlay in RAM and names no file. *)
+  let overlay_at ?(backing = `Auto) path =
+    match path with
+    | Some path -> (backing, path)
+    | None when backing = `Map -> invalid_arg "Mvsbt: a mapped overlay needs a path"
+    | None -> (`Buffered, "(ram)")
 
-    let create ?config ?(pool_capacity = 64) ?stats ?(backing = `Auto) ~key_space ~path () =
-      let cfg = match config with Some c -> c | None -> default_config ~b:64 in
-      validate_create cfg key_space;
-      let io_stats = match stats with Some s -> s | None -> Storage.Io_stats.create () in
-      let store =
-        Mmap_store.create ~stats:io_stats ~page_size:(min_page_size cfg) ~backing ~path ()
-      in
-      boot ~cfg ~key_space ~io_stats (make_backend ~pool_capacity store)
+  let make_backend ~policy ~pool_capacity store =
+    let pool = Mmap_pool.create ~capacity:pool_capacity ~policy store in
+    (* The current root is pinned in the pool: every descent starts
+       there.  The pin moves when the tree moves its root. *)
+    let pinned_root = ref None in
+    {
+      b_root =
+        (fun pid ->
+          (match !pinned_root with
+          | Some old when Mmap_pool.pin_count pool old > 0 -> Mmap_pool.unpin pool old
+          | _ -> ());
+          Mmap_pool.pin pool pid;
+          pinned_root := Some pid);
+      b_alloc = (fun () -> Mmap_pool.alloc pool);
+      (* Only writers and maintenance passes decode a frame. *)
+      b_read =
+        (fun pid ->
+          match Mmap_pool.read pool pid with
+          | Storage.Page_store.Decoded page -> page
+          | Framed ->
+              let buf, off, len = Mmap_store.frame store pid in
+              Record_codec.decode buf off len);
+      b_scan =
+        (fun pid q ->
+          match Mmap_pool.read pool pid with
+          | Storage.Page_store.Decoded page -> scan_page q page
+          | Framed -> Record_codec.scan_frame q (Mmap_store.frame store pid));
+      b_write = (fun pid page -> Mmap_pool.write pool pid (Storage.Page_store.Decoded page));
+      b_free = (fun pid -> Mmap_pool.free pool pid);
+      b_exists = (fun pid -> Mmap_pool.mem pool pid);
+      b_list =
+        (fun () ->
+          Mmap_pool.flush pool;
+          Mmap_store.written_ids store);
+      b_live = (fun () -> Mmap_store.live_pages store);
+      b_drop = (fun () -> Mmap_pool.drop_cache pool);
+      b_frame =
+        (fun pid ->
+          Mmap_pool.clean pool pid;
+          Mmap_store.read_frame store pid);
+      b_stage =
+        (fun file ->
+          let staged = Mmap_store.stage store ~file () in
+          {
+            add =
+              (fun pid ~offset frame ->
+                ignore
+                  (Mmap_store.stage_frame staged pid ~offset frame ~pos:0
+                     ~len:(Bytes.length frame)));
+            (* Pages the new base left out leave the pool too, so a dirty
+               one is never written back into the store. *)
+            commit =
+              (fun () ->
+                Mmap_store.rebase store staged;
+                Mmap_pool.retain pool (Mmap_store.mem store));
+          });
+      b_overlay = (fun () -> Mmap_store.overlay_bytes store);
+      b_close = (fun () -> Mmap_store.close store);
+    }
 
-    (* A state chunk brings in only what {!create} accepts: a
-       configuration that passes {!validate_create}, and a [b] whose
-       largest page payload fits a chunk, so a snapshot's config can never
-       size its pages past what a snapshot can hold. *)
-    let check_state ~path st =
-      match validate_create st.s_cfg st.s_key_space with
-      | () when RC.max_payload ~b:st.s_cfg.b <= Chunks.max_len -> ()
-      | () | (exception Invalid_argument _) -> corrupt_chunk path "state"
+  let create ?config ?(pool_capacity = 64) ?(policy = Storage.Evict.Lru) ?stats ?backing ?path
+      ~key_space () =
+    let cfg = match config with Some c -> c | None -> default_config ~b:64 in
+    validate_create cfg key_space;
+    let backing, path = overlay_at ?backing path in
+    let io_stats = match stats with Some s -> s | None -> Storage.Io_stats.create () in
+    let store =
+      Mmap_store.create ~stats:io_stats ~page_size:(min_page_size cfg) ~backing ~path ()
+    in
+    boot ~cfg ~key_space ~io_stats (make_backend ~policy ~pool_capacity store)
 
-    (* A page chunk's structure ({!Record_codec}'s [well_formed], a
-       record count within [b] among its rules), checked on a copy of its
-       payload in [scratch], which grows to fit it, so that the rules read
-       the bytes as a scan does.  {!of_snapshot} runs it before it stages
-       a frame into a base.  The CRC only catches bit rot; these rules
-       check input from outside the program. *)
-    let check_page_chunk ~b ~path ~scratch (f : Chunks.frame) =
-      if Bigarray.Array1.dim !scratch < f.len then
-        scratch :=
-          Bigarray.Array1.create Bigarray.char Bigarray.c_layout
-            (Int.max f.len (2 * Bigarray.Array1.dim !scratch));
-      Storage.Zcodec.blit_of_bytes f.buf (f.pos + Chunks.frame_bytes) !scratch 0 f.len;
-      if not (RC.well_formed !scratch 0 f.len ~b) then corrupt_chunk path "page"
+  (* A state chunk brings in only what {!create} accepts: a configuration
+     that passes {!validate_create}, and a [b] whose largest page payload
+     fits a chunk, so a snapshot's config can never size its pages past
+     what a snapshot can hold. *)
+  let check_state ~path st =
+    match validate_create st.s_cfg st.s_key_space with
+    | () when Record_codec.max_payload ~b:st.s_cfg.b <= Chunks.max_len -> ()
+    | () | (exception Invalid_argument _) -> corrupt_chunk path "state"
 
-    (* Open a tree over a {!Persist} snapshot without decoding a page:
-       each verified chunk frame already is the page's frame, CRC
-       included, so the base records where it is — mapped, or copied
-       into a RAM image — and the overlay at [path] starts empty.  The
-       snapshot's config, checked before any store exists, sizes the
-       pages. *)
-    let of_snapshot ?(pool_capacity = 64) ?stats ?(vfs = Storage.Vfs.os)
-        ?(backing = `Auto) ~snapshot ~path () =
-      let io_stats = match stats with Some s -> s | None -> Storage.Io_stats.create () in
-      with_snapshot ~vfs ~path:snapshot @@ fun st size pages ->
-      check_state ~path:snapshot st;
-      let store =
-        Mmap_store.create ~stats:io_stats ~page_size:(min_page_size st.s_cfg) ~backing ~path ()
-      in
-      (try
-         let staged = Mmap_store.stage store ~file:snapshot ~size () in
-         let scratch = ref (Bigarray.Array1.create Bigarray.char Bigarray.c_layout 4096) in
-         pages (fun f ->
-             check_page_chunk ~b:st.s_cfg.b ~path:snapshot ~scratch f;
-             let id = Int64.to_int (Bytes.get_int64_le f.buf (f.pos + Chunks.frame_bytes)) in
-             if
-               id < 0
-               || not
-                    (Mmap_store.stage_frame staged (Storage.Page_id.of_int id)
-                       ~offset:f.offset f.buf ~pos:f.pos ~len:(Chunks.frame_bytes + f.len))
-             then corrupt_chunk snapshot "page");
-         Mmap_store.rebase store staged;
-         (* The root is pinned now, so it must be a page of the base. *)
-         if not (Mmap_store.mem store st.s_cur_root) then corrupt_chunk snapshot "state";
-         of_state ~io_stats (make_backend ~pool_capacity store) st
-       with e ->
-         Mmap_store.close store;
-         raise e)
-  end
+  (* A page chunk's structure ({!Record_codec}'s [well_formed], a record
+     count within [b] among its rules), checked on a copy of its payload
+     in [scratch], which grows to fit it, so that the rules read the bytes
+     as a scan does.  {!of_snapshot} runs it before it stages a frame into
+     a base.  The CRC only catches bit rot; these rules check input from
+     outside the program. *)
+  let check_page_chunk ~b ~path ~scratch (f : Chunks.frame) =
+    if Bigarray.Array1.dim !scratch < f.len then
+      scratch :=
+        Bigarray.Array1.create Bigarray.char Bigarray.c_layout
+          (Int.max f.len (2 * Bigarray.Array1.dim !scratch));
+    Storage.Zcodec.blit_of_bytes f.buf (f.pos + Chunks.frame_bytes) !scratch 0 f.len;
+    if not (Record_codec.well_formed !scratch 0 f.len ~b) then corrupt_chunk path "page"
+
+  (* Open a tree over a snapshot without decoding a page: each verified
+     chunk frame already is the page's frame, CRC included, so the base
+     records where it is — mapped, or copied into a RAM image — and the
+     overlay starts empty.  The snapshot's config, checked before any
+     store exists, sizes the pages.  A loaded tree is a served one, so
+     its pool runs clock eviction: with queries scanning frames in place,
+     eviction is pure bookkeeping, and the cheaper approximation beats
+     exact LRU's list surgery per touch. *)
+  let of_snapshot ?(pool_capacity = 64) ?stats ?(vfs = Storage.Vfs.os) ?backing ?path ~snapshot
+      () =
+    let backing, path = overlay_at ?backing path in
+    let io_stats = match stats with Some s -> s | None -> Storage.Io_stats.create () in
+    with_snapshot ~vfs ~path:snapshot @@ fun st size pages ->
+    check_state ~path:snapshot st;
+    let store =
+      Mmap_store.create ~stats:io_stats ~page_size:(min_page_size st.s_cfg) ~backing ~path ()
+    in
+    (try
+       let staged = Mmap_store.stage store ~file:snapshot ~size () in
+       let scratch = ref (Bigarray.Array1.create Bigarray.char Bigarray.c_layout 4096) in
+       pages (fun f ->
+           check_page_chunk ~b:st.s_cfg.b ~path:snapshot ~scratch f;
+           let id = Int64.to_int (Bytes.get_int64_le f.buf (f.pos + Chunks.frame_bytes)) in
+           if
+             id < 0
+             || not
+                  (Mmap_store.stage_frame staged (Storage.Page_id.of_int id)
+                     ~offset:f.offset f.buf ~pos:f.pos ~len:(Chunks.frame_bytes + f.len))
+           then corrupt_chunk snapshot "page");
+       Mmap_store.rebase store staged;
+       (* The root is pinned now, so it must be a page of the base. *)
+       if not (Mmap_store.mem store st.s_cur_root) then corrupt_chunk snapshot "state";
+       of_state ~io_stats
+         (make_backend ~policy:Storage.Evict.Second_chance ~pool_capacity store)
+         st
+     with e ->
+       Mmap_store.close store;
+       raise e)
 
   (* --- Snapshot persistence --------------------------------------------------- *)
 
-  module Persist (V : VALUE_CODEC) = struct
-    module RC = Record_codec (V)
+  let write ~stage ~vfs t ~path =
+    let file = vfs.Storage.Vfs.v_open `Create path in
+    Fun.protect ~finally:(fun () -> file.Storage.Vfs.f_close ()) @@ fun () ->
+    (* Counting what is appended gives each frame's offset in the file. *)
+    let written = ref 0 in
+    let oc =
+      { file with
+        Storage.Vfs.f_append =
+          (fun buf pos len ->
+            file.Storage.Vfs.f_append buf pos len;
+            written := !written + len) }
+    in
+    let magic = Bytes.of_string snapshot_magic in
+    oc.Storage.Vfs.f_append magic 0 (Bytes.length magic);
+    let w = Chunks.writer (state_bytes t) in
+    encode_state w t;
+    Chunks.append oc w;
+    (* Pages in the reverse of the walk's preorder, one frame each.  The
+       store already holds each page's frame, so the walk decodes only
+       roots and index pages, to find children, and every frame is copied
+       as stored, its CRC verified on the way out: holding the decoded
+       index pages until they are written would put a slice of the tree
+       back in the heap.  When [stage], each copied frame is staged, at
+       its offset, into the base the tree moves onto once the file is
+       durable. *)
+    let writes = ref [] in
+    let staging = if stage then Some (t.backend.b_stage path) else None in
+    walk t ~leaves:false (fun pid _ ->
+        writes :=
+          (fun () ->
+            let frame = t.backend.b_frame pid in
+            Option.iter (fun s -> s.add pid ~offset:!written frame) staging;
+            Chunks.append_frame oc frame)
+          :: !writes);
+    let w = Chunks.writer 4 in
+    Storage.Codec.Writer.i32 w (List.length !writes);
+    Chunks.append oc w;
+    List.iter (fun write -> write ()) !writes;
+    Option.fold ~none:ignore ~some:(fun s -> s.commit) staging
 
-    let write ~stage ~vfs t ~path =
-      let file = vfs.Storage.Vfs.v_open `Create path in
-      Fun.protect ~finally:(fun () -> file.Storage.Vfs.f_close ()) @@ fun () ->
-      (* Counting what is appended gives each frame's offset in the file. *)
-      let written = ref 0 in
-      let oc =
-        { file with
-          Storage.Vfs.f_append =
-            (fun buf pos len ->
-              file.Storage.Vfs.f_append buf pos len;
-              written := !written + len) }
-      in
-      let magic = Bytes.of_string snapshot_magic in
-      oc.Storage.Vfs.f_append magic 0 (Bytes.length magic);
-      let w = Chunks.writer (state_bytes t) in
-      encode_state w t;
-      Chunks.append oc w;
-      (* Pages in the reverse of the walk's preorder, one frame each.  A
-         heap tree's pages are in memory already and are encoded, one at
-         a time into one scratch buffer, their CRC computed as they are
-         framed.  A durable tree already holds each page's frame, so its
-         walk decodes only roots and index pages, to find children, and
-         every frame is copied as stored, its CRC verified on the way out:
-         holding the decoded index pages until they are written would put
-         a slice of the tree back in the heap.  When [stage], each copied
-         frame is staged, at its offset, into the base the tree moves onto
-         once the file is durable. *)
-      let writes = ref [] in
-      let commit =
-        match t.backend.b_frames with
-        | None ->
-            let room = RC.max_payload ~b:t.cfg.b in
-            let scratch = Bigarray.Array1.create Bigarray.char Bigarray.c_layout room in
-            iter_pages t (fun p ->
-                writes :=
-                  (fun () ->
-                    let len = RC.encode scratch ~off:0 ~len:room p in
-                    let frame = Bytes.create (Chunks.frame_bytes + len) in
-                    Storage.Zcodec.blit_to_bytes scratch 0 frame Chunks.frame_bytes len;
-                    Chunks.seal frame ~len;
-                    Chunks.append_frame oc frame)
-                  :: !writes);
-            ignore
-        | Some frames ->
-            let staging = if stage then Some (frames.stage path) else None in
-            walk t ~leaves:false (fun pid _ ->
-                writes :=
-                  (fun () ->
-                    let frame = frames.frame pid in
-                    Option.iter (fun s -> s.add pid ~offset:!written frame) staging;
-                    Chunks.append_frame oc frame)
-                  :: !writes);
-            Option.fold ~none:ignore ~some:(fun s -> s.commit) staging
-      in
-      let w = Chunks.writer 4 in
-      Storage.Codec.Writer.i32 w (List.length !writes);
-      Chunks.append oc w;
-      List.iter (fun write -> write ()) !writes;
-      commit
+  let save ?(vfs = Storage.Vfs.os) t ~path =
+    let (_ : unit -> unit) = write ~stage:false ~vfs t ~path in
+    ()
 
-    let save ?(vfs = Storage.Vfs.os) t ~path =
-      let (_ : unit -> unit) = write ~stage:false ~vfs t ~path in
-      ()
-
-    let save_staged ?(vfs = Storage.Vfs.os) t ~path = write ~stage:true ~vfs t ~path
-  end
+  let save_staged ?(vfs = Storage.Vfs.os) t ~path = write ~stage:true ~vfs t ~path
 
   let pp_dot ppf t =
     Format.fprintf ppf "digraph mvsbt {@.  node [shape=record];@.";

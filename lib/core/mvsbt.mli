@@ -70,8 +70,8 @@ val default_config : b:int -> config
 (** Checkpoint files: a magic naming the format, then a sequence of
     chunks, each framed [[len u32][crc32 u32][payload]] — the frame of
     WAL records and of page blocks ({!Storage.Page_store.Mmap}), with the
-    CRC over the payload.  {!Make.Persist} writes MVSBT snapshots this
-    way and {!Rta} its base-table file; {!Durable} scrubs all three files
+    CRC over the payload.  {!Make.save} writes MVSBT snapshots this way
+    and {!Rta} its base-table file; {!Durable} scrubs all three files
     of a checkpoint through the same reader. *)
 module Chunks : sig
   val frame_bytes : int
@@ -128,21 +128,135 @@ module Chunks : sig
 end
 
 val snapshot_magic : string
-(** The magic of {!Make.Persist} snapshots. *)
+(** The magic of {!Make.save} snapshots. *)
 
-module Make (G : Aggregate.Group.S) : sig
+(** Binary codec for aggregate values: the on-disk form of a value in
+    every stored page and snapshot.  A value is a fixed number of integer
+    words; each word is a column of the page ({!Make.Record_codec}),
+    stored relative to the page's least word in that column, in the
+    fewest bytes that hold them all. *)
+module type VALUE_CODEC = sig
+  type t
+
+  val words : int
+  (** The number of words one value encodes to. *)
+
+  val encode : (int -> unit) -> t -> unit
+  (** [encode put v] passes [v]'s [words] words to [put], in order. *)
+
+  val decode : (unit -> int) -> t
+  (** [decode next] rebuilds a value from [words] calls to [next], which
+      return the words {!encode} produced, in the same order. *)
+end
+
+(** An MVSBT over {!Storage.Page_store.Mmap}, behind a pinning buffer
+    pool: its frames in mapped files or in RAM.  A page is read from the
+    snapshot the tree was opened or last rebased on (mapped read-only, or
+    a RAM image of its frames), unless it was written since: then a page
+    that can still change is held decoded, and a closed one is in the
+    overlay, a log of the frames sealed since, each encoded once when its
+    page closed and taking the bytes it encodes to.  Every frame is laid
+    out by {!Record_codec}: each page's records one size, each field in
+    the bytes that page needs.  A {!query} scans each frame on its path
+    in place, in one pass over the records, and decodes nothing; only
+    {!insert} and maintenance passes decode a frame.  The layout is the
+    one {!save} writes to snapshots.  The pool keeps the current root
+    pinned, moving the pin when the tree moves its root.  The overlay is
+    a cache of this handle's pages: nothing reads it back after
+    {!close}, and a tree is made durable by {!save_staged} and the rebase
+    it returns. *)
+module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) : sig
   type t
 
   val create :
     ?config:config ->
     ?pool_capacity:int ->
+    ?policy:Storage.Evict.policy ->
     ?stats:Storage.Io_stats.t ->
+    ?backing:[ `Auto | `Map | `Buffered ] ->
+    ?path:string ->
     key_space:int ->
     unit ->
     t
-  (** An MVSBT over the key domain [\[0, key_space)].  [config] defaults
-      to [default_config ~b:64]; [pool_capacity] sizes the LRU buffer pool
-      (default 64 pages, the paper's default). *)
+  (** An empty MVSBT over the key domain [\[0, key_space)].  [config]
+      defaults to [default_config ~b:64]; [pool_capacity] sizes the buffer
+      pool (default 64 pages, the paper's default), and [policy] picks its
+      eviction (default {!Storage.Evict.Lru}, the paper's).  Its overlay is
+      an {!Storage.Arena}: with a [path], created (truncating) there,
+      [backing] (default [`Auto]) picking the flavour — see
+      {!Storage.Arena.create}; a mapped overlay goes with mapped bases,
+      which are read through the OS, not through a {!Storage.Vfs.t}.
+      Without a [path] the overlay is RAM and no file is touched.  A
+      page's frame may take up to the largest payload of [b] records
+      ({!Record_codec.max_payload}: every field 8 bytes wide) plus the
+      per-page integrity frame, the rule {!of_snapshot} sizes its pages by
+      too; each takes the bytes it encodes to.
+      @raise Invalid_argument on a configuration no tree can have, or
+      [`Map] without a [path]. *)
+
+  val of_snapshot :
+    ?pool_capacity:int ->
+    ?stats:Storage.Io_stats.t ->
+    ?vfs:Storage.Vfs.t ->
+    ?backing:[ `Auto | `Map | `Buffered ] ->
+    ?path:string ->
+    snapshot:string ->
+    unit ->
+    t
+  (** A tree whose base is the {!save}d snapshot [snapshot], with an
+      empty overlay, at [path] or in RAM, as {!create} makes it.  The
+      snapshot is read once through [vfs] (default {!Storage.Vfs.os}),
+      through one reused buffer, and every chunk is verified: its CRC;
+      the state's configuration, by {!create}'s rules and a [b] whose
+      largest payload fits a chunk, before any store is made; each page
+      chunk's structure (a record count within [b], widths of at most 8,
+      dictionaries that ascend strictly, dictionaries, records and zero
+      padding that fill the chunk, an empty child column at a leaf,
+      children that are page ids); and its page id, which must be
+      non-negative and not repeat.  The current root must be one of the
+      pages.  A page chunk is byte for byte the page's {!Record_codec}
+      frame, so nothing is decoded and no page is written: the base
+      records each frame's offset, and then maps the file read-only, or,
+      under [`Buffered], without a [path] or where mapping fails, keeps a
+      RAM image of the frames copied as they streamed past
+      ({!Storage.Page_store.Mmap.stage}); then no file but [snapshot] is
+      touched.  A page read later is CRC-checked again, so a byte of the
+      snapshot that rots after the open fails the reads that reach it.
+      A page's room follows the snapshot's config (see {!create}).  A
+      loaded tree is a served one: its pool runs clock eviction
+      ({!Storage.Evict.Second_chance}).
+      @raise Storage.Storage_error.Io with [Checksum_mismatch] on a chunk
+      that fails its CRC.
+      @raise Failure on a malformed, truncated or overlong snapshot, a
+      corrupt state chunk, or a page id that is negative or repeats. *)
+
+  (** {2 Snapshot persistence}
+
+      A snapshot is the whole page graph (every page with its original
+      id, the [root*] directory, and the configuration) in a file of
+      {!Chunks}.  Each page is one chunk whose frame is exactly the frame
+      the tree stores, so a save copies its pages' stored frames out, and
+      {!of_snapshot} — the one way back in — reads them in place, without
+      decoding. *)
+
+  val save : ?vfs:Storage.Vfs.t -> t -> path:string -> unit
+  (** Write a snapshot.  The index remains usable.  The frames are copied
+      as stored (one charged read each, CRC-checked; only index pages are
+      decoded, to walk the graph), and the pages held decoded are
+      encoded.
+      @raise Storage.Page_store.Corrupt_page if a stored page fails its
+      checksum. *)
+
+  val save_staged : ?vfs:Storage.Vfs.t -> t -> path:string -> unit -> unit
+  (** {!save}, returning the rebase: the step that moves the tree onto
+      the file just written — its base becomes that file, its overlay is
+      emptied, the previous base is released, and pages the file left out
+      (unreachable ones) leave the store and the pool.  Run it only once
+      the file is durable; it reads nothing, since each frame's offset was
+      recorded as it was written (and, for a RAM base, the frame copied).
+      @raise Storage.Arena.Unavailable from the rebase if the file cannot
+      be mapped; the tree then stays on its previous base and overlay,
+      which still hold every page. *)
 
   val config : t -> config
   val key_space : t -> int
@@ -210,9 +324,8 @@ module Make (G : Aggregate.Group.S) : sig
   (** Live pages — the space metric of figure 4a. *)
 
   val overlay_bytes : t -> int
-  (** Bytes a {!Durable} tree's overlay holds: the frames of the pages
-      sealed since its last rebase, dead ones included; 0 for a heap
-      tree. *)
+  (** Bytes the overlay holds: the frames of the pages sealed since the
+      last rebase, dead ones included. *)
 
   val record_count : t -> int
   (** Total records over all pages (occupied slots).  Full scan. *)
@@ -242,9 +355,9 @@ module Make (G : Aggregate.Group.S) : sig
   (** Flush and empty the buffer pool (cold-cache measurements). *)
 
   val close : t -> unit
-  (** Release a {!Durable} tree's files (its overlay's descriptor and
-      mapping, and its checkpoint mapping); a no-op for heap trees.  The
-      handle must not be used afterwards. *)
+  (** Release the tree's overlay (its descriptor and mapping, or its RAM
+      chunks) and its base (the checkpoint's mapping, or its RAM image).
+      The handle must not be used afterwards. *)
 
   val check_invariants : t -> unit
   (** Structural validation over the whole graph: Property 1 (alive
@@ -255,23 +368,6 @@ module Make (G : Aggregate.Group.S) : sig
 
   val pp_dot : Format.formatter -> t -> unit
   (** Graphviz rendering of the page graph, for debugging and docs. *)
-
-  (** Binary codec for aggregate values, supplied by the caller to enable
-      on-disk page formats ({!Persist} snapshots and {!Durable} trees).
-      A value is a fixed number of integer words; each word is a column
-      of the page ({!Record_codec}), stored relative to the page's least
-      word in that column, in the fewest bytes that hold them all. *)
-  module type VALUE_CODEC = sig
-    val words : int
-    (** The number of words one value encodes to. *)
-
-    val encode : (int -> unit) -> G.t -> unit
-    (** [encode put v] passes [v]'s [words] words to [put], in order. *)
-
-    val decode : (unit -> int) -> G.t
-    (** [decode next] rebuilds a value from [words] calls to [next], which
-        return the words {!encode} produced, in the same order. *)
-  end
 
   (** {2 Pages and their layout}
 
@@ -320,7 +416,7 @@ module Make (G : Aggregate.Group.S) : sig
       dictionary once, by bisection, and tests each record on its ranks
       without decoding a key or a time.  The zero bytes at the end keep
       every load inside the payload. *)
-  module Record_codec (V : VALUE_CODEC) : sig
+  module Record_codec : sig
     val header_bytes : int
 
     val widths_at : int
@@ -359,111 +455,4 @@ module Make (G : Aggregate.Group.S) : sig
 
   val point : logical:bool -> key:int -> at:int -> page -> G.t * int
   (** {!Record_codec.point} over a decoded page. *)
-
-  (** An MVSBT over {!Storage.Page_store.Mmap}, behind a pinning,
-      second-chance buffer pool: the tree every durable warehouse serves
-      from, with its frames in mapped files or in RAM.  A page is read
-      from the {!Persist} snapshot the tree was opened or last rebased on
-      (mapped read-only, or a RAM image of its frames), unless it was
-      written since: then a page that can still change is held decoded,
-      and a closed one is in the overlay, a log of the frames sealed
-      since, each encoded once when its page closed and taking the bytes
-      it encodes to.  Every frame is laid out by
-      {!Record_codec}: each page's records one size, each field in the
-      bytes that page needs.  A {!query} scans each frame on its path in
-      place, in one pass over the records, and decodes nothing; only
-      {!insert} and maintenance passes decode a frame.  The layout is
-      the one {!Persist} writes to snapshots.  The handle type and every
-      operation are those of the heap tree.  The pool keeps the current
-      root pinned, moving the pin when the tree moves its root.  The
-      overlay is a cache of this handle's pages: nothing reads it back
-      after {!close}, and a tree is made durable by {!Persist.save_staged}
-      and the rebase it returns. *)
-  module Durable (V : VALUE_CODEC) : sig
-    val create :
-      ?config:config ->
-      ?pool_capacity:int ->
-      ?stats:Storage.Io_stats.t ->
-      ?backing:[ `Auto | `Map | `Buffered ] ->
-      key_space:int ->
-      path:string ->
-      unit ->
-      t
-    (** An empty tree, its overlay created (truncating) at [path].  A
-        page's frame may take up to the largest payload of [b] records
-        ({!Record_codec.max_payload}: every field 8 bytes wide) plus the
-        per-page integrity frame, the rule {!of_snapshot} sizes its pages
-        by too; each takes the bytes it encodes to.
-        [backing] (default [`Auto]) picks the arena flavour — see
-        {!Storage.Arena.create}; a mapped overlay goes with mapped bases,
-        which are read through the OS, not through a {!Storage.Vfs.t}.
-        @raise Invalid_argument on a configuration no tree can have. *)
-
-    val of_snapshot :
-      ?pool_capacity:int ->
-      ?stats:Storage.Io_stats.t ->
-      ?vfs:Storage.Vfs.t ->
-      ?backing:[ `Auto | `Map | `Buffered ] ->
-      snapshot:string ->
-      path:string ->
-      unit ->
-      t
-    (** A durable handle whose base is the {!Persist} snapshot
-        [snapshot], with an empty overlay created at [path].  The
-        snapshot is read once through [vfs] (default {!Storage.Vfs.os}),
-        through one reused buffer, and every chunk is verified: its CRC;
-        the state's configuration, by {!create}'s rules and a [b] whose
-        largest payload fits a chunk, before any store is made; each page
-        chunk's structure (a record count within [b], widths of at most
-        8, dictionaries that ascend strictly, dictionaries, records and
-        zero padding that fill the chunk, an empty child column at a
-        leaf, children that are page ids); and its page id,
-        which must be non-negative and not repeat.  The current root must
-        be one of the pages.  A page chunk is byte for byte the page's
-        {!Record_codec} frame, so
-        nothing is decoded and no page is written: the base records each
-        frame's offset, and then maps the file read-only, or, under
-        [`Buffered] or where mapping fails, keeps a RAM image of the
-        frames copied as they streamed past ({!Storage.Page_store.Mmap.stage});
-        under [`Buffered] no file but [snapshot] is touched.
-        A page read later is CRC-checked again, so a byte of the snapshot
-        that rots after the open fails the reads that reach it.  A page's
-        room follows the snapshot's config (see {!create}).
-        @raise Storage.Storage_error.Io with [Checksum_mismatch] on a
-        chunk that fails its CRC.
-        @raise Failure on a malformed, truncated or overlong snapshot, a
-        corrupt state chunk, or a page id that is negative or repeats. *)
-  end
-
-  (** Snapshot persistence: serialise the whole page graph (every page
-      with its original id, the [root*] directory, and the configuration)
-      to a file of {!Chunks}.  The caller supplies the binary codec for
-      aggregate values.  Each page is one chunk whose frame is exactly
-      the frame a {!Durable} tree stores, so such a tree copies its
-      pages' stored frames out, and {!Durable.of_snapshot} — the one way
-      back in — reads them in place, without decoding. *)
-  module Persist (V : VALUE_CODEC) : sig
-    val save : ?vfs:Storage.Vfs.t -> t -> path:string -> unit
-    (** Write a snapshot.  The index remains usable.  A {!Durable} tree's
-        frames are copied as stored (one charged read each, CRC-checked;
-        only index pages are decoded, to walk the graph), and its pages
-        held decoded are encoded; a heap tree's pages are encoded.  The
-        bytes are the same either way.
-        @raise Storage.Page_store.Corrupt_page if a stored page fails its
-        checksum. *)
-
-    val save_staged : ?vfs:Storage.Vfs.t -> t -> path:string -> unit -> unit
-    (** {!save}, returning the rebase: for a {!Durable} tree, the step that
-        moves it onto the file just written — its base becomes that file,
-        its overlay is emptied, the previous base is released, and pages
-        the file left out (unreachable ones) leave the store and the
-        pool.  Run it only once the file is durable; it reads nothing,
-        since each frame's offset was recorded as it was written (and,
-        for a RAM base, the frame copied).  For a heap tree it does
-        nothing.
-        @raise Storage.Arena.Unavailable from the rebase if the file
-        cannot be mapped; the tree then stays on its previous base and
-        overlay, which still hold every page. *)
-
-  end
 end

@@ -1,7 +1,8 @@
 module G = Aggregate.Group.Sum_count
-module Index = Mvsbt.Make (G)
 
 module Value_codec = struct
+  type t = G.t
+
   let words = 2
 
   let encode put ((s, c) : G.t) =
@@ -14,7 +15,7 @@ module Value_codec = struct
     (s, c)
 end
 
-module Durable_index = Index.Durable (Value_codec)
+module Index = Mvsbt.Make (G) (Value_codec)
 
 type t = {
   lkst : Index.t; (* tuples alive at a given time *)
@@ -38,26 +39,6 @@ let apply_telemetry telemetry t =
   t
 
 let page_touches t = Index.page_touches t.lkst + Index.page_touches t.lklt
-
-let create ?config ?pool_capacity ?stats ?telemetry ~max_key () =
-  if max_key < 1 then invalid_arg "Rta.create: max_key must be >= 1";
-  let stats = match stats with Some s -> s | None -> Storage.Io_stats.create () in
-  (* Key domain [0, max_key]: insertions land on k+1, queries on range
-     bounds up to max_key. *)
-  let key_space = max_key + 1 in
-  let mk () = Index.create ?config ?pool_capacity ~stats ~key_space () in
-  apply_telemetry telemetry
-    {
-      lkst = mk ();
-      lklt = mk ();
-      alive = Hashtbl.create 1024;
-      max_key;
-      now_ = 0;
-      n_updates = 0;
-      tel = Telemetry.Tracer.noop;
-    }
-
-(* --- Durable (file-backed) warehouses ------------------------------------- *)
 
 (* The base table and counters, as a checkpoint's [.meta] carries them. *)
 let encode_meta t w =
@@ -89,13 +70,18 @@ let decode_meta rd =
 let lkst_suffix = ".lkst.pages"
 let lklt_suffix = ".lklt.pages"
 
-let create_durable ?config ?pool_capacity ?stats ?telemetry ?backing ~max_key ~path () =
-  if max_key < 1 then invalid_arg "Rta.create_durable: max_key must be >= 1";
+(* Each tree's overlay is at [path] and its suffix, or in RAM. *)
+let overlay_path path suffix = Option.map (fun path -> path ^ suffix) path
+
+let create ?config ?pool_capacity ?policy ?stats ?telemetry ?backing ?path ~max_key () =
+  if max_key < 1 then invalid_arg "Rta.create: max_key must be >= 1";
   let stats = match stats with Some s -> s | None -> Storage.Io_stats.create () in
+  (* Key domain [0, max_key]: insertions land on k+1, queries on range
+     bounds up to max_key. *)
   let key_space = max_key + 1 in
   let mk suffix =
-    Durable_index.create ?config ?pool_capacity ~stats ?backing ~key_space
-      ~path:(path ^ suffix) ()
+    Index.create ?config ?pool_capacity ?policy ~stats ?backing
+      ?path:(overlay_path path suffix) ~key_space ()
   in
   apply_telemetry telemetry
     {
@@ -239,8 +225,6 @@ let pp_dot ppf t =
 
 (* --- Persistence --------------------------------------------------------- *)
 
-module Persist = Index.Persist (Value_codec)
-
 let meta_magic = "RTA-META-2"
 
 (* [.meta] is the magic and one chunk: the base table and counters. *)
@@ -253,13 +237,13 @@ let save_meta ~vfs t ~path =
   Mvsbt.Chunks.append oc w
 
 let save ?(vfs = Storage.Vfs.os) t ~path =
-  Persist.save ~vfs t.lkst ~path:(path ^ ".lkst");
-  Persist.save ~vfs t.lklt ~path:(path ^ ".lklt");
+  Index.save ~vfs t.lkst ~path:(path ^ ".lkst");
+  Index.save ~vfs t.lklt ~path:(path ^ ".lklt");
   save_meta ~vfs t ~path
 
 let save_staged ?(vfs = Storage.Vfs.os) t ~path =
-  let lkst = Persist.save_staged ~vfs t.lkst ~path:(path ^ ".lkst") in
-  let lklt = Persist.save_staged ~vfs t.lklt ~path:(path ^ ".lklt") in
+  let lkst = Index.save_staged ~vfs t.lkst ~path:(path ^ ".lkst") in
+  let lklt = Index.save_staged ~vfs t.lklt ~path:(path ^ ".lklt") in
   save_meta ~vfs t ~path;
   (* Each tree moves on its own: one that fails stays whole on its old
      base, and does not keep the other from moving. *)
@@ -285,11 +269,15 @@ let snapshot_updates ?(vfs = Storage.Vfs.os) ~path () =
   let _, _, n_updates, _ = read_meta ~vfs ~path in
   n_updates
 
-(* The base table and counters come from the snapshot's [.meta], each
-   tree from [tree snapshot_ext overlay_suffix]; a tree that fails to load
-   closes the one built before it. *)
-let load_with ?telemetry ~vfs ~path tree =
-  let max_key, now_, n_updates, alive = read_meta ~vfs ~path in
+(* The base table and counters come from the snapshot's [.meta]; a tree
+   that fails to load closes the one built before it. *)
+let load ?pool_capacity ?stats ?telemetry ?(vfs = Storage.Vfs.os) ?backing ?path ~snapshot () =
+  let stats = match stats with Some s -> s | None -> Storage.Io_stats.create () in
+  let max_key, now_, n_updates, alive = read_meta ~vfs ~path:snapshot in
+  let tree ext suffix =
+    Index.of_snapshot ?pool_capacity ~stats ~vfs ?backing ?path:(overlay_path path suffix)
+      ~snapshot:(snapshot ^ ext) ()
+  in
   let lkst = tree ".lkst" lkst_suffix in
   let lklt =
     try tree ".lklt" lklt_suffix
@@ -299,18 +287,6 @@ let load_with ?telemetry ~vfs ~path tree =
   in
   apply_telemetry telemetry
     { lkst; lklt; alive; max_key; now_; n_updates; tel = Telemetry.Tracer.noop }
-
-let load_durable ?pool_capacity ?stats ?telemetry ?(vfs = Storage.Vfs.os) ?backing
-    ~snapshot ~path () =
-  let stats = match stats with Some s -> s | None -> Storage.Io_stats.create () in
-  load_with ?telemetry ~vfs ~path:snapshot (fun ext suffix ->
-      Durable_index.of_snapshot ?pool_capacity ~stats ~vfs ?backing
-        ~snapshot:(snapshot ^ ext) ~path:(path ^ suffix) ())
-
-(* Under [`Buffered] the overlays are RAM: [path] only names them. *)
-let load ?pool_capacity ?stats ?telemetry ?vfs ~path () =
-  load_durable ?pool_capacity ?stats ?telemetry ?vfs ~backing:`Buffered ~snapshot:path
-    ~path ()
 
 (* --- Vacuum (retention) ---------------------------------------------------- *)
 

@@ -28,48 +28,43 @@ type t
 val create :
   ?config:Mvsbt.config ->
   ?pool_capacity:int ->
+  ?policy:Storage.Evict.policy ->
   ?stats:Storage.Io_stats.t ->
   ?telemetry:Telemetry.Tracer.t ->
+  ?backing:[ `Auto | `Map | `Buffered ] ->
+  ?path:string ->
   max_key:int ->
   unit ->
   t
 (** A warehouse over keys [\[0, max_key)].  Both MVSBTs share the [stats]
-    sink and the configuration.  [telemetry] attaches a tracer to the
-    warehouse and both indices (see {!set_telemetry}). *)
+    sink, the configuration and the pool settings: [pool_capacity]
+    pages each (default 64) under [policy] (default
+    {!Storage.Evict.Lru}, the paper's; a served warehouse runs
+    {!Storage.Evict.Second_chance}).  [telemetry] attaches a tracer to the
+    warehouse and both indices (see {!set_telemetry}).
 
-val create_durable :
-  ?config:Mvsbt.config ->
-  ?pool_capacity:int ->
-  ?stats:Storage.Io_stats.t ->
-  ?telemetry:Telemetry.Tracer.t ->
-  ?backing:[ `Auto | `Map | `Buffered ] ->
-  max_key:int ->
-  path:string ->
-  unit ->
-  t
-(** Like {!create}, but both MVSBTs keep their pages as CRC-framed
-    frames ({!Storage.Page_store.Mmap} behind pinning buffer pools),
-    which queries scan in place: the pages sealed since the last
-    checkpoint in overlays ([<path>.lkst.pages] and [<path>.lklt.pages],
-    their frames back to back), the pages that can still change held
-    decoded, and the rest in the checkpoint itself once there is one
-    (see {!save_staged}).  A page stores its keys and times once each,
-    in two sorted dictionaries, each record's keys and times as ranks
-    into them, and each field in the bytes that page needs (about 12 a
-    record, dictionaries included, over the benchmark's store); its
-    frame takes those bytes.
-    [backing] picks the arena flavour: the overlay files are mapped, or
-    the overlays are RAM and no file is touched ([`Buffered], and the
-    fallback where mapping is unavailable) — see {!Storage.Arena.create}.
-    The overlays are a cache of this warehouse's pages, never read back:
-    make the warehouse durable with {!save}, or run it under
-    {!Durable}.
+    Both MVSBTs keep their pages as CRC-framed frames
+    ({!Storage.Page_store.Mmap} behind pinning buffer pools), which
+    queries scan in place: the pages sealed since the last checkpoint in
+    overlays, the pages that can still change held decoded, and the rest
+    in the checkpoint itself once there is one (see {!save_staged}).  A
+    page stores its keys and times once each, in two sorted dictionaries,
+    each record's keys and times as ranks into them, and each field in
+    the bytes that page needs (about 12 a record, dictionaries included,
+    over the benchmark's store); its frame takes those bytes.  With a
+    [path], the overlays are [<path>.lkst.pages] and [<path>.lklt.pages],
+    their frames back to back, and [backing] picks the arena flavour: the
+    files are mapped, or the overlays are RAM and no file is touched
+    ([`Buffered], and the fallback where mapping is unavailable) — see
+    {!Storage.Arena.create}.  Without a [path] the overlays are RAM.  The
+    overlays are a cache of this warehouse's pages, never read back: make
+    the warehouse durable with {!save}, or run it under {!Durable}.
     @raise Invalid_argument on a configuration no tree can have. *)
 
 val close : t -> unit
-(** Release the files of a durable warehouse (overlay descriptors and
-    mappings, and the mapping of its checkpoint); a no-op for an
-    in-memory one.  The warehouse must not be used afterwards. *)
+(** Release both trees' overlays (descriptors and mappings, or RAM
+    chunks) and bases (the checkpoint's mapping, or its RAM image).  The
+    warehouse must not be used afterwards. *)
 
 val max_key : t -> int
 val config : t -> Mvsbt.config
@@ -131,8 +126,7 @@ val page_count : t -> int
 (** Live pages over both MVSBTs (the "two-MVSBT" space of figure 4a). *)
 
 val overlay_bytes : t -> int
-(** Bytes both overlays of a durable warehouse hold (see
-    {!Mvsbt.Make.overlay_bytes}); 0 for an in-memory one. *)
+(** Bytes both overlays hold (see {!Mvsbt.Make.overlay_bytes}). *)
 
 val record_count : t -> int
 (** Total records (occupied slots) over both MVSBTs.  Full scan. *)
@@ -177,18 +171,16 @@ val pp_dot : Format.formatter -> t -> unit
 
 val save : ?vfs:Storage.Vfs.t -> t -> path:string -> unit
 (** Snapshot both MVSBTs and the base table to [path.lkst], [path.lklt]
-    and [path.meta] (see {!Mvsbt.Make.Persist}).  A durable warehouse's
-    pages are copied as stored, frames and CRCs included, without
-    decoding leaves; the files are byte-identical whichever store holds
-    the pages.
+    and [path.meta] (see {!Mvsbt.Make.save}).  The pages are copied as
+    stored, frames and CRCs included, without decoding leaves; the files
+    are byte-identical wherever the frames are.
     @raise Storage.Page_store.Corrupt_page if a stored page fails its
     checksum. *)
 
 val save_staged : ?vfs:Storage.Vfs.t -> t -> path:string -> unit -> unit
-(** {!save}, returning the rebase of a durable warehouse: run once the
-    three files are durable, it moves each tree onto its new snapshot
-    file and empties its overlay ({!Mvsbt.Make.Persist.save_staged}).
-    Each tree moves on its own.  A no-op for heap warehouses.
+(** {!save}, returning the rebase: run once the three files are durable,
+    it moves each tree onto its new snapshot file and empties its overlay
+    ({!Mvsbt.Make.save_staged}).  Each tree moves on its own.
     @raise Storage.Arena.Unavailable from the rebase if a file cannot be
     mapped; that tree stays on its previous base and overlay. *)
 
@@ -198,40 +190,31 @@ val try_save :
     returned as [Error], and so is a corrupt stored page, as a
     [Checksum_mismatch] ({!Storage.Page_store.protect}). *)
 
-val load_durable :
-  ?pool_capacity:int ->
-  ?stats:Storage.Io_stats.t ->
-  ?telemetry:Telemetry.Tracer.t ->
-  ?vfs:Storage.Vfs.t ->
-  ?backing:[ `Auto | `Map | `Buffered ] ->
-  snapshot:string ->
-  path:string ->
-  unit ->
-  t
-(** Open a durable warehouse over the {!save}d snapshot [snapshot]: each
-    tree reads its pages from its snapshot file, verified chunk by chunk
-    as it is read once and then mapped read-only (or kept as a RAM image
-    of its frames), and writes pages to a fresh, empty overlay at
-    [path], as {!create_durable} lays it out
-    ({!Mvsbt.Make.Durable.of_snapshot}).  Nothing is decoded and no page
-    is written.  The page size follows the snapshot's config.
-    @raise Storage.Storage_error.Io with [Checksum_mismatch], naming the
-    file and chunk, if any chunk fails its CRC.
-    @raise Failure on malformed, older-format or missing snapshot files,
-    or on a page id that is negative or repeats. *)
-
 val load :
   ?pool_capacity:int ->
   ?stats:Storage.Io_stats.t ->
   ?telemetry:Telemetry.Tracer.t ->
   ?vfs:Storage.Vfs.t ->
-  path:string ->
+  ?backing:[ `Auto | `Map | `Buffered ] ->
+  ?path:string ->
+  snapshot:string ->
   unit ->
   t
-(** {!load_durable} of the snapshot at [path] under [`Buffered]: the
-    frames are copied into RAM as they are verified, the overlays are
-    RAM too, and no file is written.  A reader replica's warehouse, and
-    the [--snapshot] of [rta_cli query], are loaded this way. *)
+(** Open a warehouse over the {!save}d snapshot [snapshot]: each tree
+    reads its pages from its snapshot file, verified chunk by chunk as it
+    is read once and then mapped read-only, or kept as a RAM image of its
+    frames, and writes pages to a fresh, empty overlay at [path], as
+    {!create} lays it out, or in RAM without a [path]
+    ({!Mvsbt.Make.of_snapshot}).  Nothing is decoded and no page is
+    written.  The page size follows the snapshot's config.  A loaded
+    warehouse is a served one: its pools run
+    {!Storage.Evict.Second_chance}.  A durable engine's warehouse, a
+    reader replica's and the [--snapshot] of [rta_cli query] are loaded
+    this way.
+    @raise Storage.Storage_error.Io with [Checksum_mismatch], naming the
+    file and chunk, if any chunk fails its CRC.
+    @raise Failure on malformed, older-format or missing snapshot files,
+    or on a page id that is negative or repeats. *)
 
 val snapshot_files : (string * string) list
 (** The three files of a {!save}: each extension with the magic its file

@@ -362,7 +362,7 @@ let copy_warehouse rta =
   let fs = Storage.Vfs.Memory.create () in
   let vfs = Storage.Vfs.Memory.vfs fs in
   Rta.save ~vfs rta ~path:"replica";
-  Rta.load ~vfs ~path:"replica" ()
+  Rta.load ~vfs ~snapshot:"replica" ()
 
 let create ?(config = default_config) ?(telemetry = Tracer.noop) ?boundaries engines =
   let shards = Array.length engines in

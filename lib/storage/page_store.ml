@@ -64,10 +64,6 @@ struct
 
   let mem t id = Page_id.Tbl.mem t.pages id
   let live_pages t = t.live
-
-  let ids t =
-    Page_id.Tbl.fold (fun id _ acc -> id :: acc) t.pages []
-    |> List.sort (fun a b -> Int.compare (Page_id.to_int a) (Page_id.to_int b))
 end
 
 module type PAGE_CODEC = sig

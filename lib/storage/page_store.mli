@@ -3,16 +3,16 @@
     A page store owns a growing collection of fixed-size pages addressed by
     {!Page_id.t}.  Two implementations share one signature:
 
-    - {!Mem} keeps payloads in the heap, as values.  It backs the heap
-      reference trees — the paper's figures ([Rta.create]), [Btree],
+    - {!Mem} keeps payloads in the heap, as values.  It backs [Btree],
       [Mvbt] and [Sbtree]; physical I/O is still charged to {!Io_stats}
       so experiments measure the same quantity the paper does.
-    - {!Mmap} is the store every durable tree serves from, under both
-      store kinds.  It keeps pages as CRC-framed frames in two places: a
-      {e base}, the committed checkpoint the store was opened or last
-      rebased on — the file mapped read-only, or a RAM image of its
-      frames — and an {e overlay}, an {!Arena} holding the frames of the
-      pages sealed since, back to back.  A page that can still change is
+    - {!Mmap} is the store every MVSBT runs on: served trees under both
+      store kinds, and the paper's figures over RAM.  It keeps pages as
+      CRC-framed frames in two places: a {e base}, the committed
+      checkpoint the store was opened or last rebased on — the file
+      mapped read-only, or a RAM image of its frames — and an
+      {e overlay}, an {!Arena} holding the frames of the pages sealed
+      since, back to back.  A page that can still change is
       the one exception: once written it is held decoded until it seals,
       when it is encoded once into the overlay, or until the next rebase,
       whose checkpoint encoded it into the new base.  A read hands back
@@ -73,10 +73,6 @@ end) : sig
   include S with type payload = P.t
 
   val create : ?stats:Io_stats.t -> unit -> t
-
-  val ids : t -> Page_id.t list
-  (** Live page ids, ascending.  Charges nothing — enumeration for
-      maintenance passes (vacuum), not a page transfer. *)
 end
 
 module type PAGE_CODEC = sig

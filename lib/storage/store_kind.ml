@@ -8,4 +8,5 @@ let of_string = function
   | _ -> None
 
 let all = [ Memory; Mmap ]
+let backing = function Memory -> `Buffered | Mmap -> `Auto
 let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -36,4 +36,8 @@ val of_string : string -> t option
 val all : t list
 (** In declaration order: [Memory; Mmap]. *)
 
+val backing : t -> [ `Auto | `Map | `Buffered ]
+(** The {!Arena} backing a durable open gives the kind's overlays:
+    [`Buffered] for [Memory], [`Auto] for [Mmap]. *)
+
 val pp : Format.formatter -> t -> unit

@@ -141,8 +141,9 @@ end
 
     Where {!Fault} models a {e crash} (the process dies mid-write), this
     wrapper models the kernel {e returning an error} from a single
-    syscall while the process keeps running — the substrate of the
-    [Faultsim.Errsweep] driver, which sweeps k over a whole trace. *)
+    syscall while the process keeps running — the substrate of
+    [Faultsim.Scenario.errno] (the [errsweep] preset of [rta_cli
+    fault-matrix]), which sweeps k over a whole trace. *)
 module Inject : sig
   type err_class =
     | Enospc  (** Allocation failure — writes, creations, renames. *)

@@ -741,11 +741,12 @@ let rechunk fs vfs at f =
         [ Bytes.sub b 0 at; head; payload; Bytes.sub b rest (Bytes.length b - rest) ])
 
 (* The warehouse's page layout: Rta's values, a sum and a count. *)
-module Sum_count_tree = Mvsbt.Make (Aggregate.Group.Sum_count)
-
-module Layout =
-  Sum_count_tree.Record_codec
+module Sum_count_tree =
+  Mvsbt.Make
+    (Aggregate.Group.Sum_count)
     (struct
+      type t = Aggregate.Group.Sum_count.t
+
       let words = 2
 
       let encode put (s, c) =
@@ -757,6 +758,8 @@ module Layout =
         let c = next () in
         (s, c)
     end)
+
+module Layout = Sum_count_tree.Record_codec
 
 let contains msg needle =
   let n = String.length needle in
@@ -777,21 +780,21 @@ let loads_fail ?(crc = false) what vfs =
     | exception e -> Alcotest.failf "%s: %s: %s" what name (Printexc.to_string e)
     | _ -> Alcotest.failf "%s: %s loaded" what name
   in
-  attempt "frame load" (fun () -> ignore (Rta.load ~vfs ~path:"s" ()))
+  attempt "frame load" (fun () -> ignore (Rta.load ~vfs ~snapshot:"s" ()))
 
 let test_snapshot_damage () =
-  let fs, vfs, heap = snapshot_fs () in
+  let fs, vfs, saved = snapshot_fs () in
   let pristine = List.assoc "s.lkst" (M.contents fs) in
   let restore () = with_lkst fs vfs (fun _ -> Bytes.of_string pristine) in
-  (* intact: the frame load answers as the heap tree that saved it *)
-  let disk = Rta.load ~vfs ~path:"s" () in
+  (* intact: the frame load answers as the tree that saved it *)
+  let disk = Rta.load ~vfs ~snapshot:"s" () in
   List.iter
     (fun (klo, khi, tlo, thi) ->
-      Alcotest.(check (pair int int)) "frame load answers as the heap tree"
-        (Rta.sum_count heap ~klo ~khi ~tlo ~thi)
+      Alcotest.(check (pair int int)) "frame load answers as the tree that saved it"
+        (Rta.sum_count saved ~klo ~khi ~tlo ~thi)
         (Rta.sum_count disk ~klo ~khi ~tlo ~thi))
     [ (0, 40, 0, 300); (5, 17, 30, 90); (20, 21, 0, 1000); (0, 40, 150, 151) ];
-  Alcotest.(check int) "every page loaded" (Rta.page_count heap) (Rta.page_count disk);
+  Alcotest.(check int) "every page loaded" (Rta.page_count saved) (Rta.page_count disk);
   let offsets = chunk_offsets pristine in
   let last = List.nth offsets (List.length offsets - 1) in
   let first_page = List.nth offsets 2 in
@@ -973,8 +976,8 @@ let test_snapshot_damage () =
      short of the tree, where the mapped store once sized its page file
      by it. *)
   set_id last (1 lsl 40);
-  Alcotest.(check int) "an id of 2^40 loads" (Rta.page_count heap)
-    (Rta.page_count (Rta.load ~vfs ~path:"s" ()));
+  Alcotest.(check int) "an id of 2^40 loads" (Rta.page_count saved)
+    (Rta.page_count (Rta.load ~vfs ~snapshot:"s" ()));
   restore ();
   with_lkst fs vfs (fun b -> Bytes.cat b (Bytes.make 3 '\000'));
   loads_fail "trailing bytes" vfs;
@@ -987,7 +990,7 @@ let test_snapshot_damage () =
       with_lkst fs vfs (fun b ->
           Bytes.blit_string old 0 b 0 16;
           b);
-      (match Rta.load ~vfs ~path:"s" () with
+      (match Rta.load ~vfs ~snapshot:"s" () with
       | exception Failure msg -> Alcotest.(check bool) ("names " ^ old) true (contains msg old)
       | _ -> Alcotest.failf "an %s snapshot loaded" old);
       restore ())
@@ -1011,7 +1014,7 @@ let test_state_damage () =
       rechunk fs vfs 16 (fun p ->
           f p;
           p);
-      (match Rta.load ~vfs ~path:"s" () with
+      (match Rta.load ~vfs ~snapshot:"s" () with
       | exception Failure msg when contains msg "corrupt state chunk" -> ()
       | exception e -> Alcotest.failf "%s: %s" what (Printexc.to_string e)
       | _ -> Alcotest.failf "%s: loaded" what);
@@ -1026,7 +1029,7 @@ let test_state_damage () =
       ("key space 0", fun p -> Bytes.set_int64_le p 16 0L);
       ("a current root that is no page", fun p -> Bytes.set_int64_le p 40 (Int64.of_int (1 lsl 40)))
     ];
-  Alcotest.(check bool) "intact, it loads" true (Rta.page_count (Rta.load ~vfs ~path:"s" ()) > 0)
+  Alcotest.(check bool) "intact, it loads" true (Rta.page_count (Rta.load ~vfs ~snapshot:"s" ()) > 0)
 
 (* tmpfs where there is one: the engine runs are fsync-bound, and a
    mapping of a tmpfs file is a mapping all the same. *)
@@ -1182,16 +1185,16 @@ let prop_overlay_model backing =
    a kept view would fault), and a growing overlay moves to a new buffer.
    With a pool that never evicts, the frames faulted in from the first
    base are still pooled after a second rebase, and those faulted in from
-   the overlay after it has grown; answers match a heap twin's
-   throughout, points and ranges alike. *)
+   the overlay after it has grown; answers match those of a twin built
+   without a path (its overlays in RAM) throughout, points and ranges
+   alike. *)
 let test_frames_move backing () =
   let dir = fast_temp_dir "rta-test-move" in
   Fun.protect ~finally:(fun () -> rm_tree dir) @@ fun () ->
   let config = { (Mvsbt.default_config ~b:8) with f = 0.75 } and max_key = 40 in
-  let heap = Rta.create ~config ~max_key () in
+  let twin = Rta.create ~config ~max_key () in
   let disk =
-    Rta.create_durable ~config ~pool_capacity:20_000 ~backing ~max_key
-      ~path:(Filename.concat dir "w") ()
+    Rta.create ~config ~pool_capacity:20_000 ~backing ~path:(Filename.concat dir "w") ~max_key ()
   in
   Fun.protect ~finally:(fun () -> Rta.close disk) @@ fun () ->
   let now = ref 0 in
@@ -1203,19 +1206,19 @@ let test_frames_move backing () =
         (fun rta ->
           if Rta.is_alive rta ~key then Rta.delete rta ~key ~at:!now
           else Rta.insert rta ~key ~value:(1 + (!now mod 13)) ~at:!now)
-        [ heap; disk ]
+        [ twin; disk ]
     done
   in
   let agree what =
     for i = 0 to 20 do
       let at = i * (!now + 2) / 20 and key = (i * 3) mod (max_key + 1) in
-      Alcotest.(check (pair int int)) (what ^ ": lkst") (Rta.lkst heap ~key ~at)
+      Alcotest.(check (pair int int)) (what ^ ": lkst") (Rta.lkst twin ~key ~at)
         (Rta.lkst disk ~key ~at);
-      Alcotest.(check (pair int int)) (what ^ ": lklt") (Rta.lklt heap ~key ~at)
+      Alcotest.(check (pair int int)) (what ^ ": lklt") (Rta.lklt twin ~key ~at)
         (Rta.lklt disk ~key ~at);
       let klo = i mod 10 and tlo = at / 2 in
       Alcotest.(check (pair int int)) (what ^ ": range")
-        (Rta.sum_count heap ~klo ~khi:(klo + 25) ~tlo ~thi:(at + 1))
+        (Rta.sum_count twin ~klo ~khi:(klo + 25) ~tlo ~thi:(at + 1))
         (Rta.sum_count disk ~klo ~khi:(klo + 25) ~tlo ~thi:(at + 1))
     done
   in
@@ -1255,15 +1258,15 @@ let test_frames_move backing () =
    flipped in the file, and a query fails with [Corrupt_page] reading no
    page from the store.  A vacuum, which decodes what it prunes and
    re-encodes it, fails too, and re-seals nothing: once the bytes are
-   mended, answers are the heap twin's again. *)
+   mended, answers are the RAM twin's again. *)
 let test_rot_while_pooled () =
   let dir = fast_temp_dir "rta-test-rot" in
   Fun.protect ~finally:(fun () -> rm_tree dir) @@ fun () ->
   let config = { (Mvsbt.default_config ~b:8) with f = 0.75 } and max_key = 40 in
-  let heap = Rta.create ~config ~max_key () in
+  let twin = Rta.create ~config ~max_key () in
   let disk =
-    Rta.create_durable ~config ~pool_capacity:20_000 ~backing:`Map ~max_key
-      ~path:(Filename.concat dir "w") ()
+    Rta.create ~config ~pool_capacity:20_000 ~backing:`Map ~path:(Filename.concat dir "w")
+      ~max_key ()
   in
   Fun.protect ~finally:(fun () -> Rta.close disk) @@ fun () ->
   for at = 1 to 600 do
@@ -1272,17 +1275,17 @@ let test_rot_while_pooled () =
       (fun rta ->
         if Rta.is_alive rta ~key then Rta.delete rta ~key ~at
         else Rta.insert rta ~key ~value:(1 + (at mod 13)) ~at)
-      [ heap; disk ]
+      [ twin; disk ]
   done;
   let base = Filename.concat dir "c1" in
   Rta.save_staged disk ~path:base ();
   let agree what ~from =
     for i = 0 to 20 do
       let at = from + (i * (602 - from) / 20) and key = i * 3 mod (max_key + 1) in
-      Alcotest.(check (pair int int)) (what ^ ": lkst") (Rta.lkst heap ~key ~at)
+      Alcotest.(check (pair int int)) (what ^ ": lkst") (Rta.lkst twin ~key ~at)
         (Rta.lkst disk ~key ~at);
       Alcotest.(check (pair int int)) (what ^ ": range")
-        (Rta.sum_count heap ~klo:0 ~khi:max_key ~tlo:from ~thi:(at + 1))
+        (Rta.sum_count twin ~klo:0 ~khi:max_key ~tlo:from ~thi:(at + 1))
         (Rta.sum_count disk ~klo:0 ~khi:max_key ~tlo:from ~thi:(at + 1))
     done
   in
@@ -1325,13 +1328,13 @@ let test_rot_while_pooled () =
    again and leaving its old frame there dead, and a page it frees
    leaves its frame dead too.  The checkpoint after it copies the live
    pages into the next base and empties the overlay, dead frames and
-   all.  Under either store, answers match a heap twin's before the
+   all.  Under either store, answers match a RAM twin's before the
    vacuum, after it and after the checkpoint. *)
 let test_vacuum_then_checkpoint store () =
   let dir = fast_temp_dir "rta-test-dead" in
   Fun.protect ~finally:(fun () -> rm_tree dir) @@ fun () ->
   let config = { (Mvsbt.default_config ~b:8) with f = 0.75 } and max_key = 40 in
-  let heap = Rta.create ~config ~max_key () in
+  let twin = Rta.create ~config ~max_key () in
   let eng =
     Durable.open_ ~config ~store ~pool_capacity:8 ~max_key ~path:(Filename.concat dir "w") ()
   in
@@ -1340,13 +1343,13 @@ let test_vacuum_then_checkpoint store () =
   let play lo hi =
     for at = lo to hi do
       let key = at * 7 mod max_key and value = 1 + (at mod 13) in
-      if Rta.is_alive heap ~key then begin
+      if Rta.is_alive twin ~key then begin
         ok (Durable.delete eng ~key ~at);
-        Rta.delete heap ~key ~at
+        Rta.delete twin ~key ~at
       end
       else begin
         ok (Durable.insert eng ~key ~value ~at);
-        Rta.insert heap ~key ~value ~at
+        Rta.insert twin ~key ~value ~at
       end
     done
   in
@@ -1354,10 +1357,10 @@ let test_vacuum_then_checkpoint store () =
     let from = Rta.horizon disk in
     for i = 0 to 20 do
       let at = from + (i * (1202 - from) / 20) and key = i * 3 mod (max_key + 1) in
-      Alcotest.(check (pair int int)) (what ^ ": lkst") (Rta.lkst heap ~key ~at)
+      Alcotest.(check (pair int int)) (what ^ ": lkst") (Rta.lkst twin ~key ~at)
         (Rta.lkst disk ~key ~at);
       Alcotest.(check (pair int int)) (what ^ ": range")
-        (Rta.sum_count heap ~klo:(i mod 10) ~khi:max_key ~tlo:from ~thi:(at + 1))
+        (Rta.sum_count twin ~klo:(i mod 10) ~khi:max_key ~tlo:from ~thi:(at + 1))
         (Rta.sum_count disk ~klo:(i mod 10) ~khi:max_key ~tlo:from ~thi:(at + 1))
     done
   in
@@ -1372,7 +1375,7 @@ let test_vacuum_then_checkpoint store () =
   Alcotest.(check bool) "the overlay holds the pages sealed since the checkpoint" true
     (sealed > 0);
   let r = ok (Durable.vacuum eng ~horizon:900) in
-  ignore (Rta.vacuum heap ~horizon:900);
+  ignore (Rta.vacuum twin ~horizon:900);
   Rta.drop_cache disk;
   Alcotest.(check bool) "the vacuum freed and pruned pages" true
     (r.Rta.v_progress.Rta.pages_freed > 0 && r.Rta.v_progress.Rta.pages_pruned > 0);
@@ -1398,8 +1401,7 @@ let dir_image dir =
    given store kind and a 4-page pool, over a [Vfs.Memory] under
    [Memory], or under [Mmap] the files of a temp directory, mapped, with
    pages of 6 records so that the tree closes pages from the first
-   updates.  A heap tree ([Rta.create]) plays the same script beside it.
-   A first life plays half the script, checkpoints, plays an eighth more
+   updates.  A first life plays half the script, checkpoints, plays an eighth more
    and asks queries that are answered through the rebased base and the
    emptied overlay, then closes.  A second life reopens from that
    checkpoint plus the WAL tail (the checkpoint read in place and the
@@ -1407,11 +1409,11 @@ let dir_image dir =
    vacuums half the history away, plays the rest, checkpoints a second
    time and asks again.  Every range answer is paired with the oracle's,
    [None] where the window reaches below the horizon.  Each round also
-   asks the heap twin the same ranges and every point (each key, at
-   times from the horizon to past the last update: points on closed
-   pages, which are framed, and on alive ones, held decoded since they
-   were written), first from a cold pool and then again from the warm
-   one, and fails at the first answer that differs.  Returns the
+   holds the same ranges and every point (each key, at times from the
+   horizon to past the last update: points on closed pages, which are
+   framed, and on alive ones, held decoded since they were written) to
+   the oracle, first from a cold pool and then again from the warm one,
+   and fails at the first answer that differs.  Returns the
    answers, the page and record counts after the last checkpoint and
    after a reopen from it, and the image of the engine's files: the
    working set never reaches it, so under either store only WAL,
@@ -1433,7 +1435,6 @@ let run_script ~store ~seed ~updates ~max_key =
     Durable.open_ ~config ~sync_policy:(Wal.Every_n 4) ~store ~pool_capacity:4 ~vfs ~max_key
       ~path ()
   in
-  let heap = Rta.create ~config ~max_key () in
   let ok = Storage.Storage_error.ok_exn in
   let rng = Random.State.make [| seed; 0x3a7e |] in
   let oracle = Reference.Warehouse.create () in
@@ -1451,7 +1452,6 @@ let run_script ~store ~seed ~updates ~max_key =
         in
         let key = find 0 in
         ok (Durable.delete eng ~key ~at:!now);
-        Rta.delete heap ~key ~at:!now;
         Reference.Warehouse.delete oracle ~key ~at:!now
       end
       else begin
@@ -1462,18 +1462,24 @@ let run_script ~store ~seed ~updates ~max_key =
         let key = find 0 in
         let value = 1 + Random.State.int rng 100 in
         ok (Durable.insert eng ~key ~value ~at:!now);
-        Rta.insert heap ~key ~value ~at:!now;
         Reference.Warehouse.insert oracle ~key ~value ~at:!now
       end
     done
   in
   let answers = ref [] in
   let guarded f = match f () with v -> Some v | exception Mvsbt.Below_horizon _ -> None in
-  let as_heap eng round ~warm rects =
+  (* The oracle's answer, [None] below the horizon [h]. *)
+  let oracle_at h at f = if at < h then None else Some (f oracle) in
+  let oracle_range h (klo, khi, tlo, thi) =
+    oracle_at h (max 0 tlo) (fun o ->
+        ( Reference.Warehouse.rta_sum o ~klo ~khi ~tlo ~thi,
+          Reference.Warehouse.rta_count o ~klo ~khi ~tlo ~thi ))
+  in
+  let as_oracle eng round ~warm rects =
     let rta = Durable.warehouse eng and h = Durable.horizon eng in
     let differs what got want =
       if got <> want then
-        QCheck.Test.fail_reportf "%s, round %d, %s pool: %s differs from the heap tree's"
+        QCheck.Test.fail_reportf "%s, round %d, %s pool: %s differs from the oracle's"
           (Storage.Store_kind.to_string store) round
           (if warm then "warm" else "cold")
           what
@@ -1482,22 +1488,22 @@ let run_script ~store ~seed ~updates ~max_key =
     for key = 0 to max_key do
       List.iter
         (fun at ->
-          let point name f =
+          let point name f want =
             differs
               (Printf.sprintf "%s (%d, %d)" name key at)
               (guarded (fun () -> f rta ~key ~at))
-              (guarded (fun () -> f heap ~key ~at))
+              (oracle_at h at (fun o -> want o ~key ~at))
           in
-          point "lkst" Rta.lkst;
-          point "lklt" Rta.lklt)
+          point "lkst" Rta.lkst Reference.Warehouse.lkst;
+          point "lklt" Rta.lklt Reference.Warehouse.lklt)
         times
     done;
     List.iter
-      (fun (klo, khi, tlo, thi) ->
+      (fun ((klo, khi, tlo, thi) as rect) ->
         differs
           (Printf.sprintf "[%d, %d) x [%d, %d)" klo khi tlo thi)
           (guarded (fun () -> Rta.sum_count rta ~klo ~khi ~tlo ~thi))
-          (guarded (fun () -> Rta.sum_count heap ~klo ~khi ~tlo ~thi)))
+          (oracle_range h rect))
       rects
   in
   let ask eng round =
@@ -1506,20 +1512,13 @@ let run_script ~store ~seed ~updates ~max_key =
     let h = Durable.horizon eng in
     let rects = Faultsim.Scenario.rectangles ~max_key ~max_t:(!now + 2) ~seed:(seed + round) ~count:10 in
     List.iter
-      (fun (klo, khi, tlo, thi) ->
+      (fun ((klo, khi, tlo, thi) as rect) ->
         let got = guarded (fun () -> Durable.sum_count eng ~klo ~khi ~tlo ~thi) in
-        let want =
-          if max 0 tlo < h then None
-          else
-            Some
-              ( Reference.Warehouse.rta_sum oracle ~klo ~khi ~tlo ~thi,
-                Reference.Warehouse.rta_count oracle ~klo ~khi ~tlo ~thi )
-        in
-        answers := (got, want) :: !answers)
+        answers := (got, oracle_range h rect) :: !answers)
       rects;
     Rta.drop_cache (Durable.warehouse eng);
-    as_heap eng round ~warm:false rects;
-    as_heap eng round ~warm:true rects
+    as_oracle eng round ~warm:false rects;
+    as_oracle eng round ~warm:true rects
   in
   let eighth = max 1 (updates / 8) in
   let eng = open_ () in
@@ -1537,7 +1536,6 @@ let run_script ~store ~seed ~updates ~max_key =
   ok (Durable.checkpoint eng);
   ask eng 2;
   ignore (ok (Durable.vacuum eng ~horizon:(!now / 2)));
-  ignore (Rta.vacuum heap ~horizon:(!now / 2));
   play eng (updates - (updates / 2) - (2 * eighth));
   ok (Durable.checkpoint eng);
   ask eng 3;

@@ -318,7 +318,7 @@ let prop_enospc_checkpoint_atomic =
             "checkpoint failed but pointer moved to generation %d" gen
       | _ -> ());
       (* The committed generation's snapshot files load on their own. *)
-      let snap = Rta.load ~vfs:base ~path:(Printf.sprintf "w.ckpt-%d" gen) () in
+      let snap = Rta.load ~vfs:base ~snapshot:(Printf.sprintf "w.ckpt-%d" gen) () in
       ignore (Rta.n_updates snap);
       let qs = query_panel ~max_key ~max_t:(now' + 2) in
       let expected =

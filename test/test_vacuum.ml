@@ -155,6 +155,40 @@ let test_vacuum_incremental_with_queries () =
   (* The plan is empty once everything is applied. *)
   Alcotest.(check int) "drained plan" 0 (List.length (Rta.vacuum_plan t))
 
+(* WAL replay applies a vacuum's chunks again, over a store that may
+   already hold their effect, and each applier reports only the work it
+   did: the first pass's pages freed are the page count's drop and the
+   [pages_reclaimed] delta, and the same chunks applied again report
+   nothing and change nothing. *)
+let test_vacuum_reports_its_work () =
+  let max_key = 40 in
+  let t, oracle, now = build_pair ~n:600 ~max_key ~seed:17 in
+  let stats = Rta.stats t in
+  Rta.vacuum_begin t ~horizon:(now / 2);
+  let chunks = Rta.vacuum_plan ~max_pages:8 t in
+  let pass () =
+    let pages = Rta.page_count t and reclaimed = Storage.Io_stats.pages_reclaimed stats in
+    let p =
+      List.fold_left
+        (fun acc chunk -> Rta.vacuum_progress_add acc (Rta.vacuum_apply t chunk))
+        Rta.vacuum_progress_zero chunks
+    in
+    (p, pages - Rta.page_count t, Storage.Io_stats.pages_reclaimed stats - reclaimed)
+  in
+  let first, dropped, reclaimed = pass () in
+  Alcotest.(check bool) "the first pass frees pages" true (first.Rta.pages_freed > 0);
+  Alcotest.(check bool) "and prunes records" true (first.Rta.records_dropped > 0);
+  Alcotest.(check int) "pages freed: the page count's drop" dropped first.Rta.pages_freed;
+  Alcotest.(check int) "pages freed: the pages reclaimed" reclaimed first.Rta.pages_freed;
+  let again, dropped, reclaimed = pass () in
+  Alcotest.(check int) "replayed: no page freed" 0 again.Rta.pages_freed;
+  Alcotest.(check int) "replayed: no page pruned" 0 again.Rta.pages_pruned;
+  Alcotest.(check int) "replayed: no record dropped" 0 again.Rta.records_dropped;
+  Alcotest.(check int) "replayed: the page count stays" 0 dropped;
+  Alcotest.(check int) "replayed: no page reclaimed" 0 reclaimed;
+  Rta.check_invariants t;
+  check_queries ~above_only:true t oracle ~max_key ~now ~seed:19 ~queries:100
+
 let test_root_star_prune () =
   let rs = Root_star.create () in
   List.iter (fun (at, pid) -> Root_star.register rs ~at (Storage.Page_id.of_int pid))
@@ -423,6 +457,8 @@ let () =
           Alcotest.test_case "idempotent and monotone" `Quick test_vacuum_idempotent;
           Alcotest.test_case "incremental with queries serving" `Quick
             test_vacuum_incremental_with_queries;
+          Alcotest.test_case "appliers report only the work they did" `Quick
+            test_vacuum_reports_its_work;
           Alcotest.test_case "root* tenure pruning" `Quick test_root_star_prune;
         ] );
       ( "durable",
