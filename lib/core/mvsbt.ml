@@ -177,30 +177,6 @@ module type VALUE_CODEC = sig
 end
 
 module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
-  type record = {
-    range : Interval.t;
-    rt_start : int;
-    mutable rt_end : int; (* [forever] while alive *)
-    mutable value : G.t;
-    child : Storage.Page_id.t option; (* [None] for leaf records *)
-  }
-
-  type page = {
-    pid : Storage.Page_id.t;
-    level : int; (* 0 = leaf *)
-    prange : Interval.t;
-    created : int;
-    mutable closed : int; (* [forever] while alive *)
-    mutable records : record list;
-  }
-
-  (* A save stages the base it writes: each frame at its offset in the
-     file, then, once the file is durable, the move of the tree onto it. *)
-  type staging = {
-    add : Storage.Page_id.t -> offset:int -> bytes -> unit;
-    commit : unit -> unit;
-  }
-
   (* A point query's state as it descends: the point, the sum so far,
      and the child the record containing the point names in the page
      just scanned — [leaf] at a leaf, [missing] if none does. *)
@@ -215,721 +191,8 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
   let leaf = -1
   let missing = -2
 
-  (* One pass over a decoded page (Appendix A): a record alive at [at]
-     whose low key is at or below [key] adds its value under logical
-     splitting, and the one containing [key] adds it under either
-     variant and names the child. *)
-  let scan_page q page =
-    q.next <- missing;
-    List.iter
-      (fun r ->
-        if r.rt_start <= q.at && q.at < r.rt_end && r.range.Interval.lo <= q.key then
-          if q.key < r.range.Interval.hi then begin
-            q.sum <- G.add q.sum r.value;
-            q.next <- (match r.child with None -> leaf | Some c -> Storage.Page_id.to_int c)
-          end
-          else if q.logical then q.sum <- G.add q.sum r.value)
-      page.records
-
-  let point ~logical ~key ~at page =
-    let q = { key; at; logical; sum = G.zero; next = missing } in
-    scan_page q page;
-    (q.sum, q.next)
-
-  (* A backend bundles the operations of the tree's buffer-pooled frame
-     store ({!make_backend}).  [b_read] hands a writer the page, decoded;
-     [b_scan] runs a query's scan over it, wherever it is.  The tree calls
-     [b_root] each time it sets its current root. *)
-  type backend = {
-    b_root : Storage.Page_id.t -> unit;
-    b_alloc : unit -> Storage.Page_id.t;
-    b_read : Storage.Page_id.t -> page;
-    b_scan : Storage.Page_id.t -> cursor -> unit;
-    b_write : Storage.Page_id.t -> page -> unit;
-    b_free : Storage.Page_id.t -> unit;
-    b_exists : Storage.Page_id.t -> bool;
-    b_list : unit -> Storage.Page_id.t list;
-    b_live : unit -> int;
-    b_drop : unit -> unit;
-    b_frame : Storage.Page_id.t -> bytes; (* a page's stored frame, CRC-checked *)
-    b_stage : string -> staging; (* the base a save to this file builds *)
-    b_overlay : unit -> int; (* bytes of the frames sealed since the last rebase *)
-    b_close : unit -> unit;
-  }
-
-  type t = {
-    backend : backend;
-    io_stats : Storage.Io_stats.t;
-    cfg : config;
-    key_space : int;
-    root_star : Root_star.t;
-    mutable cur_root : Storage.Page_id.t;
-    mutable height : int;
-    mutable now_ : int;
-    mutable horizon : int; (* queries below this time are refused *)
-    mutable touches : int; (* logical page accesses; see [page_touches] *)
-    mutable tel : Telemetry.Tracer.t;
-  }
-
-  let strong_cap cfg = int_of_float (cfg.f *. float_of_int cfg.b)
-
-  let validate_create cfg key_space =
-    if cfg.b < 4 then invalid_arg "Mvsbt.create: b must be >= 4";
-    if not (cfg.f > 0. && cfg.f <= 1.) then invalid_arg "Mvsbt.create: f must be in (0, 1]";
-    if strong_cap cfg < 2 then
-      invalid_arg "Mvsbt.create: f*b must be >= 2 (fan-out of at least 2)";
-    if key_space < 1 then invalid_arg "Mvsbt.create: key_space must be >= 1"
-
-  (* Allocate the initial root (one all-covering zero record) and assemble
-     the handle. *)
-  let boot ~cfg ~key_space ~io_stats backend =
-    let root_star = Root_star.create ~btree:cfg.root_star_btree ~stats:io_stats () in
-    let pid = backend.b_alloc () in
-    let root =
-      {
-        pid;
-        level = 0;
-        prange = Interval.make 0 key_space;
-        created = 0;
-        closed = forever;
-        records =
-          [ { range = Interval.make 0 key_space; rt_start = 0; rt_end = forever;
-              value = G.zero; child = None } ];
-      }
-    in
-    backend.b_write pid root;
-    backend.b_root pid;
-    Root_star.register root_star ~at:0 pid;
-    { backend; io_stats; cfg; key_space; root_star; cur_root = pid; height = 1;
-      now_ = 0; horizon = 0; touches = 0; tel = Telemetry.Tracer.noop }
-
-  let config t = t.cfg
-  let key_space t = t.key_space
-  let stats t = t.io_stats
-  let now t = t.now_
-  let horizon t = t.horizon
-  let page_count t = t.backend.b_live ()
-  let overlay_bytes t = t.backend.b_overlay ()
-  let height t = t.height
-  let root_count t = Root_star.count t.root_star
-
-  let drop_cache t =
-    t.backend.b_drop ();
-    Root_star.drop_cache t.root_star
-
-  let close t = t.backend.b_close ()
-
-  let read t pid =
-    t.touches <- t.touches + 1;
-    t.backend.b_read pid
-
-  let touch t page =
-    t.touches <- t.touches + 1;
-    t.backend.b_write page.pid page
-
-  let set_root t pid =
-    t.cur_root <- pid;
-    t.backend.b_root pid
-
-  let page_touches t = t.touches
-  let telemetry t = t.tel
-  let set_telemetry t tel = t.tel <- tel
-
-  let alive r = r.rt_end = forever
-  let alive_at tau r = r.rt_start <= tau && tau < r.rt_end
-
-  (* Partly-covered record: intersects [k, maxkey) without being contained
-     in it, i.e. it contains [k] with its low end strictly below. *)
-  let partly_covered page k =
-    List.find_opt
-      (fun r -> alive r && r.range.Interval.lo < k && Interval.mem k r.range)
-      page.records
-
-  (* Fully-covered records, ascending by range. *)
-  let fully_covered page k =
-    List.filter (fun r -> alive r && r.range.Interval.lo >= k) page.records
-    |> List.sort (fun a b -> Int.compare a.range.Interval.lo b.range.Interval.lo)
-
-  let first_fully_covered page k =
-    List.fold_left
-      (fun best r ->
-        if alive r && r.range.Interval.lo >= k then
-          match best with
-          | Some b when b.range.Interval.lo <= r.range.Interval.lo -> best
-          | _ -> Some r
-        else best)
-      None page.records
-
-  (* --- Insertion ---------------------------------------------------------- *)
-
-  type op = { killed : record list; added : record list }
-
-  let mk_record ~now range value child =
-    { range; rt_start = now; rt_end = forever; value; child }
-
-  (* Vertical split of [r] at the current time, adding [v]. *)
-  let plus_v_copy ~now v r = mk_record ~now r.range (G.add r.value v) r.child
-
-  (* The records receiving [v] by vertical split at this page, lowest page
-     case — the single "representative" under logical splitting, all
-     fully-covered records under the plain algorithm. *)
-  let covered_targets t page k =
-    match t.cfg.variant with
-    | Plain -> fully_covered page k
-    | Logical -> ( match first_fully_covered page k with None -> [] | Some r -> [ r ])
-
-  let op_for_lowest t page k v ~now : op =
-    if page.level = 0 then
-      match partly_covered page k with
-      | Some rc ->
-          (* Split into three: vertically at [now], horizontally at [k].
-             Under logical splitting the top-right piece carries just the
-             delta [v]; under the plain algorithm values are absolute. *)
-          let low, high = Interval.split_at k rc.range in
-          let high_value =
-            match t.cfg.variant with Logical -> v | Plain -> G.add rc.value v
-          in
-          let extra =
-            match t.cfg.variant with
-            | Logical -> []
-            | Plain -> fully_covered page k
-          in
-          {
-            killed = rc :: extra;
-            added =
-              mk_record ~now low rc.value None
-              :: mk_record ~now high high_value None
-              :: List.map (plus_v_copy ~now v) extra;
-          }
-      | None ->
-          let targets = covered_targets t page k in
-          { killed = targets; added = List.map (plus_v_copy ~now v) targets }
-    else begin
-      (* Index page without a partly-covered record. *)
-      let targets = covered_targets t page k in
-      { killed = targets; added = List.map (plus_v_copy ~now v) targets }
-    end
-
-  (* Op for a path page whose partly-covered record is [partly];
-     [child_descs] are the replacement pages when the child was split. *)
-  let op_for_path t page k v ~now ~partly ~child_descs : op =
-    let targets = covered_targets t page k in
-    let from_child =
-      match child_descs with
-      | [] -> []
-      | descs ->
-          List.mapi
-            (fun i (range, pid) ->
-              let value =
-                match t.cfg.variant with
-                | Plain -> partly.value
-                | Logical -> if i = 0 then partly.value else G.zero
-              in
-              mk_record ~now range value (Some pid))
-            descs
-    in
-    {
-      killed = (if child_descs <> [] then [ partly ] else []) @ targets;
-      added = from_child @ List.map (plus_v_copy ~now v) targets;
-    }
-
-  (* Record merging (section 4.2.2).  Time merge: an alive record whose
-     dead predecessor has the same rectangle sides, value and child is
-     folded back into it.  Key merge: under logical splitting an alive
-     zero-valued record is absorbed by its alive left neighbour when both
-     started together (the zero delta contributes nothing); under the
-     plain algorithm values are absolute, so the neighbours must carry
-     equal values instead. *)
-  let merge_pass t page candidates =
-    let key_mergeable m n =
-      match t.cfg.variant with
-      | Logical -> G.equal n.value G.zero
-      | Plain -> G.equal m.value n.value
-    in
-    (* Only freshly added (or just-merged) records can take part in a new
-       merge, so the worklist stays tiny and the pass is O(|added| * b). *)
-    let work = Queue.create () in
-    List.iter (fun r -> Queue.add r work) candidates;
-    while not (Queue.is_empty work) do
-      let a = Queue.pop work in
-      if List.memq a page.records && alive a then begin
-        (* Time merge: fold [a] back into a dead twin ending where [a]
-           starts. *)
-        match
-          List.find_opt
-            (fun d ->
-              d != a && (not (alive d)) && d.rt_end = a.rt_start
-              && Interval.equal d.range a.range
-              && G.equal d.value a.value && d.child = a.child)
-            page.records
-        with
-        | Some d ->
-            d.rt_end <- forever;
-            page.records <- List.filter (fun r -> r != a) page.records;
-            Queue.add d work
-        | None -> (
-            (* Key merge with the alive neighbour above or below. *)
-            let try_pair m n =
-              if
-                n.range.Interval.lo = m.range.Interval.hi
-                && n.rt_start = m.rt_start && n.rt_end = m.rt_end
-                && key_mergeable m n && n.child = m.child
-              then begin
-                let merged = { m with range = Interval.hull m.range n.range } in
-                page.records <-
-                  List.filter_map
-                    (fun r ->
-                      if r == m then Some merged
-                      else if r == n then None
-                      else Some r)
-                    page.records;
-                Queue.add merged work;
-                true
-              end
-              else false
-            in
-            let neighbour_above =
-              List.find_opt
-                (fun n -> n != a && alive n && n.range.Interval.lo = a.range.Interval.hi)
-                page.records
-            in
-            let merged_up =
-              match neighbour_above with Some n -> try_pair a n | None -> false
-            in
-            if not merged_up then
-              let neighbour_below =
-                List.find_opt
-                  (fun m -> m != a && alive m && m.range.Interval.hi = a.range.Interval.lo)
-                  page.records
-              in
-              match neighbour_below with
-              | Some m -> ignore (try_pair m a)
-              | None -> ())
-      end
-    done
-
-  (* Split [buffer] (alive records of an overflowing page, restarted at the
-     current time) into chunks obeying the strong condition. *)
-  let distribute t buffer =
-    let n = List.length buffer in
-    let cap = strong_cap t.cfg in
-    if n <= cap then [ buffer ]
-    else begin
-      let m = (n + cap - 1) / cap in
-      let base = n / m and extra = n mod m in
-      let rec take k xs =
-        if k = 0 then ([], xs)
-        else
-          match xs with
-          | x :: rest ->
-              let taken, left = take (k - 1) rest in
-              (x :: taken, left)
-          | [] -> assert false
-      in
-      let rec go i xs =
-        if xs = [] then []
-        else
-          let size = base + if i < extra then 1 else 0 in
-          let chunk, rest = take size xs in
-          chunk :: go (i + 1) rest
-      in
-      go 0 buffer
-    end
-
-  let chunk_span chunk =
-    List.fold_left (fun acc r -> Interval.hull acc r.range) Interval.empty chunk
-
-  (* Apply [op] to [page] at time [now].  Returns the replacement
-     descriptors when the page had to be time split (possibly key split),
-     or [] when the op fit in place. *)
-  let apply_op t page op ~now : (Interval.t * Storage.Page_id.t) list =
-    let remaining =
-      List.filter_map
-        (fun r ->
-          if List.memq r op.killed then
-            if t.cfg.disposal && r.rt_start = now then None
-            else begin
-              r.rt_end <- now;
-              Some r
-            end
-          else Some r)
-        page.records
-    in
-    if List.length remaining + List.length op.added <= t.cfg.b then begin
-      page.records <- remaining @ op.added;
-      if t.cfg.merging then merge_pass t page op.added;
-      touch t page;
-      []
-    end
-    else begin
-      (* Time split: alive records restart at [now] in fresh pages. *)
-      let survivors =
-        List.filter alive remaining
-        |> List.map (fun r -> { r with rt_start = now; rt_end = forever })
-      in
-      let buffer =
-        List.sort
-          (fun a b -> Int.compare a.range.Interval.lo b.range.Interval.lo)
-          (survivors @ op.added)
-      in
-      page.closed <- now;
-      touch t page;
-      let chunks = distribute t buffer in
-      Telemetry.Tracer.event t.tel "mvsbt.time_split"
-        ~attrs:
-          [
-            ("page", Telemetry.Tracer.Int (Storage.Page_id.to_int page.pid));
-            ("level", Telemetry.Tracer.Int page.level);
-          ];
-      if List.length chunks > 1 then
-        Telemetry.Tracer.event t.tel "mvsbt.key_split"
-          ~attrs:
-            [
-              ("page", Telemetry.Tracer.Int (Storage.Page_id.to_int page.pid));
-              ("chunks", Telemetry.Tracer.Int (List.length chunks));
-            ];
-      (* Key-split value adjustment under logical splitting: queries in a
-         higher chunk must still see the mass of the lower chunks, so the
-         lowest record of chunk j gains the sum of chunks 1..j-1. *)
-      (match (t.cfg.variant, chunks) with
-      | Logical, _ :: _ :: _ ->
-          let prefix = ref G.zero in
-          List.iter
-            (fun chunk ->
-              let chunk_sum =
-                List.fold_left (fun acc r -> G.add acc r.value) G.zero chunk
-              in
-              (match chunk with
-              | lowest :: _ ->
-                  if not (G.equal !prefix G.zero) then
-                    lowest.value <- G.add lowest.value !prefix
-              | [] -> assert false);
-              prefix := G.add !prefix chunk_sum)
-            chunks
-      | _ -> ());
-      let descs =
-        List.map
-          (fun chunk ->
-            let pid = t.backend.b_alloc () in
-            let p =
-              { pid; level = page.level; prange = chunk_span chunk;
-                created = now; closed = forever; records = chunk }
-            in
-            touch t p;
-            (p.prange, pid))
-          chunks
-      in
-      if t.cfg.disposal && page.created = now then t.backend.b_free page.pid;
-      descs
-    end
-
-  (* Install a fresh root covering the whole key space above [descs]. *)
-  let grow_root t descs ~now =
-    match descs with
-    | [] -> ()
-    | [ (_, pid) ] ->
-        (* A pure time split of the root: the copy is the new root of the
-           same height. *)
-        set_root t pid;
-        Root_star.register t.root_star ~at:now pid
-    | pieces ->
-        let pid = t.backend.b_alloc () in
-        let level = (read t (snd (List.hd pieces))).level + 1 in
-        let records =
-          List.map
-            (fun (range, child) -> mk_record ~now range G.zero (Some child))
-            pieces
-        in
-        let root =
-          { pid; level; prange = Interval.make 0 t.key_space; created = now;
-            closed = forever; records }
-        in
-        touch t root;
-        set_root t pid;
-        t.height <- t.height + 1;
-        Telemetry.Tracer.event t.tel "mvsbt.root_grow"
-          ~attrs:[ ("height", Telemetry.Tracer.Int t.height) ];
-        Root_star.register t.root_star ~at:now pid
-
-  let insert t ~key ~at v =
-    if key < 0 || key >= t.key_space then
-      invalid_arg "Mvsbt.insert: key outside key domain";
-    if at < t.now_ then
-      invalid_arg
-        (Printf.sprintf
-           "Mvsbt.insert: time %d precedes current time %d (transaction time is monotone)"
-           at t.now_);
-    Telemetry.Tracer.with_span t.tel ~level:`Debug "mvsbt.insert" @@ fun () ->
-    t.now_ <- at;
-    (* Phase 1: descend along partly-covered records, keeping the chain of
-       (page, partly-covered record), nearest ancestor first. *)
-    let rec descend page path =
-      if page.level = 0 then (page, path)
-      else
-        match partly_covered page key with
-        | None -> (page, path)
-        | Some r -> (
-            match r.child with
-            | None -> assert false
-            | Some c -> descend (read t c) ((page, r) :: path))
-    in
-    let lowest, path = descend (read t t.cur_root) [] in
-    (* Phase 2: handle the lowest page. *)
-    let descs = apply_op t lowest (op_for_lowest t lowest key v ~now:at) ~now:at in
-    (* Phase 3: walk back up the partly-covered chain. *)
-    let descs =
-      List.fold_left
-        (fun child_descs (page, partly) ->
-          let op = op_for_path t page key v ~now:at ~partly ~child_descs in
-          apply_op t page op ~now:at)
-        descs path
-    in
-    (* Phase 4: the root itself was split. *)
-    grow_root t descs ~now:at
-
-  (* --- Point query ---------------------------------------------------------- *)
-
-  let query t ~key ~at =
-    if key < 0 || key >= t.key_space then
-      invalid_arg "Mvsbt.query: key outside key domain";
-    if at < 0 then invalid_arg "Mvsbt.query: negative time";
-    if at < t.horizon then raise (Below_horizon { at; horizon = t.horizon });
-    Telemetry.Tracer.with_span t.tel ~level:`Debug "mvsbt.query" @@ fun () ->
-    let root = if at >= t.now_ then t.cur_root else Root_star.find t.root_star ~at in
-    let q = { key; at; logical = t.cfg.variant = Logical; sum = G.zero; next = missing } in
-    let rec go pid =
-      t.touches <- t.touches + 1;
-      t.backend.b_scan pid q;
-      if q.next = missing then
-        Format.kasprintf failwith "Mvsbt: no record containing (%d, %d) in page %d" key at
-          (Storage.Page_id.to_int pid);
-      if q.next <> leaf then go (Storage.Page_id.of_int q.next)
-    in
-    go root;
-    q.sum
-
-  (* --- Vacuum (retention) ---------------------------------------------------- *)
-
-  (* Partial persistence gives vacuum its correctness argument for free:
-     a page with [closed <= h] is invisible to every query at a time
-     [>= h] (nothing in it is alive there), and inside a still-visible
-     page a record with [rt_end <= h] is equally invisible, so it can be
-     dropped *in place* — no copying into fresh pages, no parent-pointer
-     rewrites.  Conversely any page with [closed > h] stays reachable at
-     some time in [h, now], so pruning can never orphan a live page. *)
-
-  let set_horizon t h =
-    if h < 0 then invalid_arg "Mvsbt.set_horizon: negative horizon";
-    if h < t.horizon then
-      invalid_arg
-        (Printf.sprintf "Mvsbt.set_horizon: horizon moves backwards (%d < %d)" h t.horizon);
-    (* A horizon past [now] is legal here — alive records ([rt_end =
-       forever]) survive any horizon, so the tree stays well-formed; it
-       just refuses more queries.  The warehouse ([Rta]) bounds the
-       horizon by its own clock, which can run ahead of either tree's
-       (the LKLT side only ticks on deletes). *)
-    t.horizon <- h;
-    (* Tenures wholly below the horizon would keep traversals anchored on
-       root pages vacuum is about to free. *)
-    ignore (Root_star.prune t.root_star ~below:h)
-
-  type vacuum_action = Free_page | Prune_records
-
-  (* Deterministic scan of the whole store (not just the reachable graph:
-     a crash between tenure pruning and page freeing leaves dead pages
-     that are no longer reachable, and re-vacuum must still find them). *)
-  let vacuum_scan t =
-    let h = t.horizon in
-    t.backend.b_list ()
-    |> List.filter_map (fun pid ->
-           match t.backend.b_read pid with
-           | exception Not_found -> None
-           | page ->
-               if page.closed <= h then Some (pid, Free_page)
-               else if List.exists (fun r -> r.rt_end <= h) page.records then
-                 Some (pid, Prune_records)
-               else None)
-    |> List.sort (fun (a, _) (b, _) ->
-           Int.compare (Storage.Page_id.to_int a) (Storage.Page_id.to_int b))
-
-  (* Appliers are tolerant of already-done work (missing page, nothing to
-     drop): WAL replay after a crash re-applies actions idempotently, and
-     a checkpoint taken mid-vacuum may already omit the dead pages. *)
-  let vacuum_free t pid =
-    if t.backend.b_exists pid then begin
-      t.backend.b_free pid;
-      Storage.Io_stats.record_pages_reclaimed t.io_stats 1;
-      true
-    end
-    else false
-
-  let vacuum_prune t pid =
-    if not (t.backend.b_exists pid) then 0
-    else begin
-      let page = read t pid in
-      let h = t.horizon in
-      let keep, drop = List.partition (fun r -> r.rt_end > h) page.records in
-      (* [keep] is never empty: a page with [closed > h] had records alive
-         just below its close time, and their [rt_end >= closed > h]. *)
-      if drop = [] then 0
-      else begin
-        page.records <- keep;
-        touch t page;
-        List.length drop
-      end
-    end
-
-  (* --- Whole-graph traversal ------------------------------------------------ *)
-
-  let page_exists t pid = t.backend.b_exists pid
-
-  (* Preorder walk from the root tenures, each page once.  [f pid page]
-     gets the page read, or [None] under [~leaves:false] for a leaf
-     reached from its parent: its level is known, so it is not read. *)
-  let walk t ~leaves f =
-    let visited = ref Storage.Page_id.Set.empty in
-    let rec go pid ~leaf =
-      if not (Storage.Page_id.Set.mem pid !visited) then begin
-        visited := Storage.Page_id.Set.add pid !visited;
-        if leaf && not leaves then f pid None
-        else begin
-          let page = read t pid in
-          f pid (Some page);
-          List.iter
-            (fun r ->
-              match r.child with
-              (* Dead record copies may reference disposed pages; queries can
-                 never follow them (their effective lifetime is empty). *)
-              | Some c when page_exists t c -> go c ~leaf:(page.level = 1)
-              | Some _ | None -> ())
-            page.records
-        end
-      end
-    in
-    List.iter (fun (_, pid) -> go pid ~leaf:false) (Root_star.tenures t.root_star)
-
-  let iter_pages t f = walk t ~leaves:true (fun _ page -> Option.iter f page)
-
-  let record_count t =
-    let n = ref 0 in
-    iter_pages t (fun p -> n := !n + List.length p.records);
-    !n
-
-  (* --- Invariant checking ---------------------------------------------------- *)
-
-  let check_invariants t =
-    let fail fmt = Format.kasprintf failwith fmt in
-    let root_pids =
-      List.fold_left
-        (fun s (_, pid) -> Storage.Page_id.Set.add pid s)
-        Storage.Page_id.Set.empty
-        (Root_star.tenures t.root_star)
-    in
-    iter_pages t (fun page ->
-        let pid = Storage.Page_id.to_int page.pid in
-        if page.records = [] then fail "Mvsbt: page %d empty" pid;
-        if List.length page.records > t.cfg.b then fail "Mvsbt: page %d over-full" pid;
-        let lifetime_hi = min page.closed (t.now_ + 1) in
-        List.iter
-          (fun r ->
-            if Interval.is_empty r.range then fail "Mvsbt: empty record range";
-            if not (Interval.subset r.range page.prange) then
-              fail "Mvsbt: record range escapes page %d" pid;
-            if r.rt_start > r.rt_end then fail "Mvsbt: inverted record interval";
-            if r.rt_start < page.created then
-              fail "Mvsbt: record starts before page %d was created" pid;
-            (match (page.level, r.child) with
-            | 0, Some _ -> fail "Mvsbt: leaf record with child in page %d" pid
-            | 0, None | _, Some _ -> ()
-            | _, None -> fail "Mvsbt: index record without child in page %d" pid);
-            match r.child with
-            | None -> ()
-            | Some c -> (
-                let slice =
-                  Interval.inter
-                    (Interval.make r.rt_start (min r.rt_end lifetime_hi))
-                    (Interval.make page.created lifetime_hi)
-                in
-                let visible =
-                  (* Queries below the horizon are refused, so only the
-                     part of the slice at or above it must stay sound. *)
-                  Interval.inter slice (Interval.make t.horizon lifetime_hi)
-                in
-                match read t c with
-                | exception Not_found ->
-                    (* A reference to a disposed page is legal only when no
-                       query can follow it. *)
-                    if not (Interval.is_empty visible) then
-                      fail "Mvsbt: reachable record references a disposed page"
-                | child ->
-                    if child.level <> page.level - 1 then fail "Mvsbt: level mismatch";
-                    if not (Interval.equal child.prange r.range) then
-                      fail "Mvsbt: record range differs from child page range";
-                    if
-                      not
-                        (Interval.subset visible
-                           (Interval.make child.created (min child.closed (t.now_ + 1))))
-                    then fail "Mvsbt: record refers to child page outside its lifetime"))
-          page.records;
-        (* Property 1 at every interesting instant of the page lifetime. *)
-        (* Property 1 is only promised at queryable instants: vacuum
-           prunes records dead below the horizon, so coverage below it is
-           deliberately full of holes. *)
-        let times =
-          page.created :: t.horizon
-          :: List.concat_map (fun r -> [ r.rt_start; r.rt_end ]) page.records
-          |> List.filter (fun x -> page.created <= x && t.horizon <= x && x < lifetime_hi)
-          |> List.sort_uniq Int.compare
-        in
-        List.iter
-          (fun tau ->
-            let alive_recs =
-              List.filter (fun r -> alive_at tau r) page.records
-              |> List.sort (fun a b ->
-                     Int.compare a.range.Interval.lo b.range.Interval.lo)
-            in
-            let rec chain pos = function
-              | [] ->
-                  if pos <> page.prange.Interval.hi then
-                    fail "Mvsbt: page %d not covered at time %d (stops at %d)" pid tau
-                      pos
-              | r :: rest ->
-                  if r.range.Interval.lo <> pos then
-                    fail "Mvsbt: gap/overlap in page %d at time %d (key %d, expected %d)"
-                      pid tau r.range.Interval.lo pos;
-                  chain r.range.Interval.hi rest
-            in
-            chain page.prange.Interval.lo alive_recs;
-            (* Lemma 3: without merging, non-root pages keep at least
-               ceil(f*b/2) alive records. *)
-            if
-              (not t.cfg.merging)
-              && (not (Storage.Page_id.Set.mem page.pid root_pids))
-              && List.length alive_recs < (strong_cap t.cfg + 1) / 2
-            then
-              fail "Mvsbt: page %d below Lemma-3 density at time %d (%d alive)" pid tau
-                (List.length alive_recs))
-          times);
-    (* Root tenures partition the time axis from the horizon up (vacuum
-       prunes tenures that end at or below it). *)
-    let rec tenure_chain pos = function
-      | [] -> if pos <> forever then fail "Mvsbt: root tenures do not reach maxtime"
-      | (iv, _) :: rest ->
-          if iv.Interval.lo <> pos then fail "Mvsbt: root tenure gap at %d" pos;
-          tenure_chain iv.Interval.hi rest
-    in
-    (match Root_star.tenures t.root_star with
-    | [] -> fail "Mvsbt: no root tenures"
-    | (iv0, _) :: _ as ts ->
-        if iv0.Interval.lo > t.horizon then
-          fail "Mvsbt: root tenures start at %d, above the horizon %d" iv0.Interval.lo
-            t.horizon;
-        tenure_chain iv0.Interval.lo ts)
-
-  (* --- On-disk formats ---------------------------------------------------------- *)
-
-  (* A page's payload, one layout for snapshots and stored frames alike.
-     A header:
+  (* A page's payload, one layout for every page, stored, sealed or
+     still changing, and for snapshots.  A header:
 
        id i64 | level i32 | low key i64 | high key i64 | created i64
        | closed i64 | record count i32                      (48 bytes)
@@ -942,22 +205,32 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
      bytes each, and [pad] zero bytes.  The key dictionary holds the
      page's key boundaries, every record's low and high key, less the
      page's low key; the time dictionary its instants, every start and
-     end but [forever], less [created].  Each ascends, holds an entry
-     once, and takes its width, the fewest bytes that hold every entry.
-     A record has one field per column: its low key, high key, start and
-     end as ranks into the dictionaries, a time rank equal to the time
-     dictionary's size standing for [forever]; each word of its value,
-     and its child, less the column's base, the page's minimum.  A field
-     takes its column's width, the fewest bytes that hold every code of
-     the page, at one offset in every record, so any field reads as one
-     unaligned 64-bit load and a mask, and a value word or child one add
-     more.  A column of width 0 reads at offset 0, masked to nothing, a
-     dictionary of width 0 is not read at all, and the pad keeps every
-     load inside the payload.  Ranks order as the keys and times they
-     stand for, so a scan ranks its point in each dictionary once and
-     tests every record on ranks alone.  The level says whether records
-     have children: at a leaf the child column is empty, of width 0 and
-     base -1, so every child there reads as -1, no page id. *)
+     end but [forever], less [created].  Each ascends and holds an entry
+     once.  A record has one field per column: its low key, high key,
+     start and end as ranks into the dictionaries, a time rank equal to
+     the time dictionary's size standing for [forever]; each word of its
+     value, and its child, less the column's base.  A field is at one
+     offset in every record, so any field reads as one unaligned 64-bit
+     load and a mask, and a value word or child one add more.  A column
+     of width 0 reads at offset 0, masked to nothing, a dictionary of
+     width 0 is not read at all, and the pad keeps every load inside the
+     payload.  Ranks order as the keys and times they stand for, so a
+     scan ranks its point in each dictionary once and tests every record
+     on ranks alone.  The level says whether records have children: at a
+     leaf the child column is empty, of width 0 and base -1, so every
+     child there reads as -1, no page id.
+
+     A page comes in two widths.  A page that can still change is kept
+     {e wide}, in a RAM slot of {!max_payload} bytes, where its writer
+     edits it in place: every entry, value word and child 8 bytes, every
+     base 0, each rank in the bytes of [2 b].  A page is {e narrowed}
+     when it seals, and when a checkpoint copies it: each dictionary
+     entry and column then takes the fewest bytes that hold all of its
+     codes, each value word and child relative to the page's least.  A
+     writer {e widens} a stored page back into a slot.  Either width
+     scans alike, and narrowing a wide page gives the same bytes
+     whatever edits led to it: its dictionaries hold exactly the keys
+     and instants its records name, in order, once each. *)
   module Record_codec = struct
     module Z = Storage.Zcodec
 
@@ -1015,6 +288,14 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
     let[@inline] u8 (buf : Z.buf) i = Char.code (Bigarray.Array1.get buf i)
     let[@inline] i32 buf i = (load buf i lsl 31) asr 31
     let[@inline] col_width buf off c = u8 buf (off + widths_at + c)
+    let[@inline] level buf off = i32 buf (off + level_at)
+    let[@inline] low buf off = load buf (off + low_at)
+    let[@inline] high buf off = load buf (off + high_at)
+    let[@inline] created buf off = load buf (off + created_at)
+    let[@inline] closed buf off = load buf (off + closed_at)
+    let[@inline] count buf off = i32 buf (off + count_at)
+    let[@inline] n_keys buf off = i32 buf (off + keys_at)
+    let[@inline] n_times buf off = i32 buf (off + times_at)
 
     (* Column [c]'s offset in a record: 0 at width 0. *)
     let col_at buf off c =
@@ -1026,6 +307,14 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
         done;
         !at
       end
+
+    (* The sum of the column widths: a record's length. *)
+    let record_bytes buf off =
+      let s = ref 0 in
+      for c = 0 to columns - 1 do
+        s := !s + col_width buf off c
+      done;
+      !s
 
     (* The record stride of the [len]-byte payload at [off] of [buf], read
        from its header alone; -1 unless every width is at most 8, no count
@@ -1042,8 +331,8 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
           if w > 8 then wide := true;
           stride := !stride + w
         done;
-        let stride = !stride and count = i32 buf (off + count_at) in
-        let nk = i32 buf (off + keys_at) and nt = i32 buf (off + times_at) in
+        let stride = !stride and count = count buf off in
+        let nk = n_keys buf off and nt = n_times buf off in
         if (not !wide) && count >= 0 && nk >= 0 && nt >= 0 && (count = 0 || stride > 0)
            && header_bytes + (nk * kw) + (nt * tw) + (count * stride) + pad = len
         then stride
@@ -1088,194 +377,6 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
     let malformed buf off len detail =
       raise (Malformed_frame { page = (if len >= 8 then Z.get_i64 buf off else -1); detail })
 
-    let bad_page (p : page) what =
-      Format.kasprintf invalid_arg "Mvsbt: page %d: %s" (Storage.Page_id.to_int p.pid) what
-
-    (* The dictionary of the first [n] of [codes], ascending, each once;
-       code [j]'s rank in it goes to [ranks.(dest.(j))].  A hash table of
-       the distinct codes (open addressing, a power of two at least twice
-       [n]) finds each code's first occurrence, only the distinct codes
-       are sorted (by insertion: a page has a few dozen among up to
-       [2 b]), and every rank is then an array read.  The loops compare
-       ints inline, as a sort or a search through a closure does not. *)
-    let dictionary (codes : int array) (dest : int array) n (ranks : int array) =
-      let bits = ref 1 in
-      while 1 lsl !bits < 2 * n do
-        incr bits
-      done;
-      let size = 1 lsl !bits in
-      let table = Array.make size (-1) and distinct = Array.make n 0 and d = ref 0 in
-      let first = Array.make n 0 in
-      for j = 0 to n - 1 do
-        let x = codes.(j) in
-        let h = ref ((x * 0x4F1BBCDCBFA53E0B) lsr (63 - !bits)) in
-        while table.(!h) >= 0 && distinct.(table.(!h)) <> x do
-          h := (!h + 1) land (size - 1)
-        done;
-        if table.(!h) < 0 then begin
-          table.(!h) <- !d;
-          distinct.(!d) <- x;
-          incr d
-        end;
-        first.(j) <- table.(!h)
-      done;
-      let order = Array.init !d Fun.id in
-      for i = 1 to !d - 1 do
-        let o = order.(i) and k = ref (i - 1) in
-        while !k >= 0 && distinct.(order.(!k)) > distinct.(o) do
-          order.(!k + 1) <- order.(!k);
-          decr k
-        done;
-        order.(!k + 1) <- o
-      done;
-      let rank = Array.make !d 0 in
-      Array.iteri (fun r o -> rank.(o) <- r) order;
-      for j = 0 to n - 1 do
-        ranks.(dest.(j)) <- rank.(first.(j))
-      done;
-      Array.map (fun o -> distinct.(o)) order
-
-    (* [p]'s payload into the [len] bytes of [buf] from [off]: its
-       dictionaries from its keys and times, then each column's codes,
-       hence its base and width, then every entry and field, each with
-       one 64-bit store, in offset order, so the bytes a store writes past
-       its field are overwritten by the next field, or are the pad.  Its
-       length. *)
-    let encode buf ~off ~len (p : page) =
-      if off < 0 || len < 0 || off > Bigarray.Array1.dim buf - len then
-        invalid_arg "Mvsbt.Record_codec.encode: slice outside buffer";
-      let leaf = p.level = 0 and plo = p.prange.Interval.lo and created = p.created in
-      let key x =
-        if x < plo then bad_page p "a key below the page's";
-        x - plo
-      and time x =
-        if x < created then bad_page p "a time before the page's";
-        x - created
-      in
-      (* The dictionaries, from every key and every instant but
-         [forever], and each record's ranks: its low key's, high key's,
-         start's and end's, in column order, at [ranks.(4 i)] on. *)
-      let n = List.length p.records in
-      let ranks = Array.make (4 * n) 0 in
-      let keys = Array.make (2 * n) 0 and key_dest = Array.make (2 * n) 0 in
-      let times = Array.make (2 * n) 0 and time_dest = Array.make (2 * n) 0 and nt = ref 0 in
-      let alive = ref [] in
-      List.iteri
-        (fun i r ->
-          keys.(2 * i) <- key r.range.Interval.lo;
-          key_dest.(2 * i) <- 4 * i;
-          keys.((2 * i) + 1) <- key r.range.Interval.hi;
-          key_dest.((2 * i) + 1) <- (4 * i) + 1;
-          let instant dest x =
-            if x = forever then alive := dest :: !alive
-            else begin
-              times.(!nt) <- time x;
-              time_dest.(!nt) <- dest;
-              incr nt
-            end
-          in
-          instant ((4 * i) + 2) r.rt_start;
-          instant ((4 * i) + 3) r.rt_end)
-        p.records;
-      let keys = dictionary keys key_dest (2 * n) ranks
-      and times = dictionary times time_dest !nt ranks in
-      let nk = Array.length keys and nt = Array.length times in
-      List.iter (fun dest -> ranks.(dest) <- nt) !alive;
-      let last d = if Array.length d = 0 then 0 else d.(Array.length d - 1) in
-      let kw = width (last keys) and tw = width (last times) in
-      (* Each record's value words. *)
-      let words = Array.make (n * V.words) 0 and k = ref 0 in
-      let put x =
-        words.(!k) <- x;
-        incr k
-      in
-      let child r =
-        match (r.child, leaf) with
-        | Some c, false -> Storage.Page_id.to_int c
-        | None, true -> -1
-        | _ -> bad_page p "a child the level contradicts"
-      in
-      (* Per column: the largest rank, or the least and the largest
-         value, from which the base and the largest code follow. *)
-      let top = Array.make columns 0 in
-      let least = Array.make columns max_int and most = Array.make columns min_int in
-      List.iteri
-        (fun i r ->
-          for c = lo_col to end_col do
-            top.(c) <- Int.max top.(c) ranks.((4 * i) + c)
-          done;
-          V.encode put r.value;
-          for j = 0 to V.words - 1 do
-            let c = value_col + j and x = words.(!k - V.words + j) in
-            least.(c) <- Int.min least.(c) x;
-            most.(c) <- Int.max most.(c) x
-          done;
-          if not leaf then begin
-            let c = child r in
-            least.(child_col) <- Int.min least.(child_col) c;
-            most.(child_col) <- Int.max most.(child_col) c
-          end)
-        p.records;
-      let base = Array.make columns 0 in
-      if leaf then base.(child_col) <- -1;
-      for c = value_col to child_col do
-        if least.(c) <= most.(c) then begin
-          base.(c) <- least.(c);
-          top.(c) <- most.(c) - least.(c)
-        end
-      done;
-      let w = Array.map width top and at = Array.make columns 0 and stride = ref 0 in
-      for c = 0 to columns - 1 do
-        at.(c) <- !stride;
-        stride := !stride + w.(c)
-      done;
-      let stride = !stride in
-      let records = header_bytes + (nk * kw) + (nt * tw) in
-      let total = records + (n * stride) + pad in
-      if total > len then
-        raise
-          (Storage.Codec.Overflow
-             (Printf.sprintf "a %d-byte page payload exceeds its %d bytes" total len));
-      Z.set_i64 buf off (Storage.Page_id.to_int p.pid);
-      Z.set_i32 buf (off + level_at) p.level;
-      Z.set_i64 buf (off + low_at) plo;
-      Z.set_i64 buf (off + high_at) p.prange.Interval.hi;
-      Z.set_i64 buf (off + created_at) created;
-      Z.set_i64 buf (off + closed_at) p.closed;
-      Z.set_i32 buf (off + count_at) n;
-      Z.set_i32 buf (off + keys_at) nk;
-      Z.set_i32 buf (off + times_at) nt;
-      Z.set_u8 buf (off + key_width_at) kw;
-      Z.set_u8 buf (off + time_width_at) tw;
-      for c = 0 to columns - 1 do
-        Z.set_u8 buf (off + widths_at + c) w.(c)
-      done;
-      for c = value_col to child_col do
-        Z.set_i64 buf (off + bases_at + (8 * (c - value_col))) base.(c)
-      done;
-      (* Every store lies inside [total]: the last one starts at least a
-         byte before the pad, which is 7 bytes long. *)
-      let put_entries at w d = if w > 0 then Array.iteri (fun i x -> store buf (at + (i * w)) x) d in
-      put_entries (off + header_bytes) kw keys;
-      put_entries (off + header_bytes + (nk * kw)) tw times;
-      let[@inline] put_code r c code = if w.(c) > 0 then store buf (r + at.(c)) code in
-      List.iteri
-        (fun i rc ->
-          let r = off + records + (i * stride) in
-          for c = lo_col to end_col do
-            put_code r c ranks.((4 * i) + c)
-          done;
-          for j = 0 to V.words - 1 do
-            let c = value_col + j in
-            put_code r c (words.((i * V.words) + j) - base.(c))
-          done;
-          if not leaf then put_code r child_col (child rc - base.(child_col)))
-        p.records;
-      for i = total - pad to total - 1 do
-        Z.set_u8 buf (off + i) 0
-      done;
-      total
-
     (* {!stride}, for a payload that must have one. *)
     let checked_stride buf off len =
       let stride = stride buf off len in
@@ -1291,68 +392,26 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
     let[@inline] records_at_of buf off =
       times_at_of buf off + (i32 buf (off + times_at) * u8 buf (off + time_width_at))
 
-    (* The dictionaries are read into arrays, the time dictionary's with
-       [forever] after its last entry, and a rank read from a record is
-       checked against its dictionary before it indexes it. *)
-    let decode buf off len =
-      let stride = checked_stride buf off len in
-      let records = records_at_of buf off in
-      let level = i32 buf (off + level_at) and low = load buf (off + low_at)
-      and created = load buf (off + created_at) in
-      let dictionary ~at ~width_at ~count_at ~base ~past =
-        let w = u8 buf (off + width_at) and n = i32 buf (off + count_at) in
-        Array.init (n + past) (fun i -> if i = n then forever else base + code buf (at + (i * w)) w)
-      in
-      let keys =
-        dictionary ~at:(off + header_bytes) ~width_at:key_width_at ~count_at:keys_at ~base:low ~past:0
-      and times =
-        dictionary ~at:(times_at_of buf off) ~width_at:time_width_at ~count_at:times_at
-          ~base:created ~past:1
-      in
-      let w = Array.init columns (col_width buf off) and at = Array.init columns (col_at buf off) in
-      let m = Array.map mask w in
-      let field r c = load buf (r + at.(c)) land m.(c) in
-      let lookup (dict : int array) r c =
-        let i = field r c in
-        if i < 0 || i >= Array.length dict then
-          malformed buf off len
-            (Printf.sprintf "the record at byte %d names entry %d of a %d-entry dictionary"
-               (r - off) i (Array.length dict));
-        Array.unsafe_get dict i
-      in
-      let key r c = lookup keys r c and time r c = lookup times r c in
-      let value = value_reader buf off in
-      let child_base = load buf (off + bases_at + (8 * V.words)) in
-      let record i =
-        let r = records + (i * stride) in
-        let range = Interval.make (key r lo_col) (key r hi_col) in
-        let rt_start = time r start_col and rt_end = time r end_col in
-        let value = value r in
-        let child =
-          if level = 0 then None else Some (Storage.Page_id.of_int (child_base + field r child_col))
-        in
-        { range; rt_start; rt_end; value; child }
-      in
-      { pid = Storage.Page_id.of_int (load buf off); level;
-        prange = Interval.make low (load buf (off + high_at));
-        created; closed = load buf (off + closed_at);
-        records = List.init (i32 buf (off + count_at)) record }
+    (* The length of a payload, from its header. *)
+    let length buf off = records_at_of buf off + (count buf off * record_bytes buf off) + pad - off
+
+    let sealed buf off = closed buf off <> forever
 
     (* Whether the [len]-byte payload at [off] holds a page of at most
-       [b] records that a scan and {!decode} read as they expect, checked
+       [b] records that a scan and {!widen} read as they expect, checked
        without building the page: a header that agrees with the length, a
        level, both dictionaries strictly ascending (a scan bisects them),
        a pad of zeros, an empty child column at a leaf, and at an index
        level children that are page ids (a negative one would read as a
        scan's [leaf] sentinel, and end a descent early with a partial
-       sum).  Ranks are left to {!decode}: a scan indexes nothing by them. *)
+       sum).  Ranks are left to {!widen}: a scan indexes nothing by them. *)
     let well_formed buf off len ~b =
       let stride = stride buf off len in
       stride >= 0
       &&
       let keys = off + header_bytes and times = times_at_of buf off
       and records = records_at_of buf off in
-      let level = i32 buf (off + level_at) and count = i32 buf (off + count_at) in
+      let level = level buf off and count = count buf off in
       let ascending at w n base =
         let rec from i prev =
           i = n || (let x = base + code buf (at + (i * w)) w in x > prev && from (i + 1) x)
@@ -1366,33 +425,33 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
         i = count || (child_base + code buf (records + (i * stride) + cat) cw >= 0 && children (i + 1))
       in
       level >= 0 && count <= b
-      && ascending keys (u8 buf (off + key_width_at)) (i32 buf (off + keys_at)) (load buf (off + low_at))
-      && ascending times (u8 buf (off + time_width_at)) (i32 buf (off + times_at))
-           (load buf (off + created_at))
+      && ascending keys (u8 buf (off + key_width_at)) (n_keys buf off) (low buf off)
+      && ascending times (u8 buf (off + time_width_at)) (n_times buf off) (created buf off)
       && zeros (records + (count * stride))
       && if level = 0 then cw = 0 && child_base = -1 else children 0
 
-    (* [scan_page] over a frame in place, decoding nothing but the values
-       it adds: the point is ranked in each dictionary once, and each
-       record's test is three or four loads of ranks.  [sum] plus what the
-       pass adds, and the child it names, go to [k env]: the header is
-       parsed into locals, and the value reader is made at the first
-       value added, so a pass that adds nothing allocates nothing. *)
+    (* One page's share of a point query, by one pass over its payload in
+       place, decoding nothing but the values it adds: the point is
+       ranked in each dictionary once, and each record's test is three or
+       four loads of ranks.  A record alive at [at] whose low key is at
+       or below [key] adds its value under logical splitting, and the one
+       containing [key] adds it under either variant and names the child
+       (Appendix A).  [sum] plus what the pass adds, and the child it
+       names, go to [k env]: the header is parsed into locals, and the
+       value reader is made at the first value added, so a pass that adds
+       nothing allocates nothing. *)
     let scan buf off len ~key ~at ~logical sum env k =
       let stride = checked_stride buf off len in
       let keys = off + header_bytes and times = times_at_of buf off
       and records = records_at_of buf off in
-      let level = i32 buf (off + level_at) and count = i32 buf (off + count_at) in
-      let nt = i32 buf (off + times_at) in
+      let level = level buf off and count = count buf off in
+      let nt = n_times buf off in
       (* The point's ranks: a record holds it where [lo < uk <= hi] and
          [start < ut <= end], [forever] ranking past every instant. *)
-      let uk =
-        rank buf keys (u8 buf (off + key_width_at)) (i32 buf (off + keys_at)) (load buf (off + low_at))
-          key
+      let uk = rank buf keys (u8 buf (off + key_width_at)) (n_keys buf off) (low buf off) key
       and ut =
         if at = forever then nt + 1
-        else
-          rank buf times (u8 buf (off + time_width_at)) nt (load buf (off + created_at)) at
+        else rank buf times (u8 buf (off + time_width_at)) nt (created buf off) at
       in
       let w_lo = col_width buf off lo_col and w_hi = col_width buf off hi_col in
       let w_start = col_width buf off start_col and w_end = col_width buf off end_col in
@@ -1404,7 +463,7 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
       let child_width = col_width buf off child_col in
       let child_at = stride - child_width and child_base = load buf (off + bases_at + (8 * V.words)) in
       let sum = ref sum and next = ref missing and reader = ref None in
-      (* The records lie inside the frame, and the frame inside [buf]
+      (* The records lie inside the payload, and the payload inside [buf]
          ({!Storage.Page_store.Mmap.frame}), so the loads go unchecked.
          Loop invariants are hoisted by hand: the compiler does not. *)
       let r = ref records in
@@ -1442,7 +501,1189 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
 
     let pair () sum next = (sum, next)
     let point ~logical ~key ~at (buf, off, len) = scan buf off len ~key ~at ~logical G.zero () pair
+
+    (* --- Reading a page of either width ------------------------------------- *)
+
+    (* Record [i]'s code in column [c], and the keys, times, value and
+       child it stands for.  A rank is checked against its dictionary
+       before it indexes it. *)
+    let field buf off i c =
+      code buf
+        (records_at_of buf off + (i * record_bytes buf off) + col_at buf off c)
+        (col_width buf off c)
+
+    let entry buf off ~dict ~at ~w ~base k =
+      if k < 0 || k >= dict then
+        malformed buf off (length buf off)
+          (Printf.sprintf "a record names entry %d of a %d-entry dictionary" k dict);
+      base + code buf (at + (k * w)) w
+
+    let key_field buf off i c =
+      entry buf off ~dict:(n_keys buf off) ~at:(off + header_bytes)
+        ~w:(u8 buf (off + key_width_at)) ~base:(low buf off) (field buf off i c)
+
+    let time_field buf off i c =
+      let k = field buf off i c and nt = n_times buf off in
+      if k = nt then forever
+      else
+        entry buf off ~dict:nt ~at:(times_at_of buf off) ~w:(u8 buf (off + time_width_at))
+          ~base:(created buf off) k
+
+    let value_field buf off i =
+      value_reader buf off (records_at_of buf off + (i * record_bytes buf off))
+
+    let child_field buf off i =
+      if level buf off = 0 then -1
+      else load buf (off + bases_at + (8 * V.words)) + field buf off i child_col
+
+    (* --- Narrowing ---------------------------------------------------------- *)
+
+    (* The bytes of the wide page at [off] of [src] as it seals, at
+       [doff] of [dst]: each dictionary entry in the width of its
+       dictionary's last, each column in the width of its largest code,
+       a value word or child less its column's least, every store a 64-bit
+       one in offset order, so the bytes a store writes past its field are
+       overwritten by the next field's, or are the pad.  Its length. *)
+    let narrow src off dst doff =
+      let n = count src off and level = level src off in
+      let nk = n_keys src off and nt = n_times src off in
+      let keys = off + header_bytes and times = times_at_of src off in
+      let r0 = records_at_of src off and wstride = record_bytes src off in
+      let rw = col_width src off lo_col in
+      let last at k = if k = 0 then 0 else load src (at + (8 * (k - 1))) in
+      let kw = width (last keys nk) and tw = width (last times nt) in
+      (* Per column: the width, the base and the offset in a record. *)
+      let w = Array.make columns 0 and base = Array.make columns 0 in
+      for c = lo_col to end_col do
+        let top = ref 0 in
+        for i = 0 to n - 1 do
+          top := Int.max !top (code src (r0 + (i * wstride) + (c * rw)) rw)
+        done;
+        w.(c) <- width !top
+      done;
+      let spread c at =
+        let least = ref max_int and most = ref min_int in
+        for i = 0 to n - 1 do
+          let x = load src (r0 + (i * wstride) + at) in
+          least := Int.min !least x;
+          most := Int.max !most x
+        done;
+        if !least <= !most then begin
+          base.(c) <- !least;
+          w.(c) <- width (!most - !least)
+        end
+      in
+      for j = 0 to V.words - 1 do
+        spread (value_col + j) ((4 * rw) + (8 * j))
+      done;
+      if level = 0 then base.(child_col) <- -1 else spread child_col ((4 * rw) + (8 * V.words));
+      let at = Array.make columns 0 and stride = ref 0 in
+      for c = 0 to columns - 1 do
+        at.(c) <- !stride;
+        stride := !stride + w.(c)
+      done;
+      let stride = !stride in
+      let records = header_bytes + (nk * kw) + (nt * tw) in
+      let total = records + (n * stride) + pad in
+      if doff < 0 || doff > Bigarray.Array1.dim dst - total then
+        invalid_arg "Mvsbt.Record_codec.narrow: no room";
+      Z.set_i64 dst doff (load src off);
+      Z.set_i32 dst (doff + level_at) level;
+      Z.set_i64 dst (doff + low_at) (low src off);
+      Z.set_i64 dst (doff + high_at) (high src off);
+      Z.set_i64 dst (doff + created_at) (created src off);
+      Z.set_i64 dst (doff + closed_at) (closed src off);
+      Z.set_i32 dst (doff + count_at) n;
+      Z.set_i32 dst (doff + keys_at) nk;
+      Z.set_i32 dst (doff + times_at) nt;
+      Z.set_u8 dst (doff + key_width_at) kw;
+      Z.set_u8 dst (doff + time_width_at) tw;
+      for c = 0 to columns - 1 do
+        Z.set_u8 dst (doff + widths_at + c) w.(c)
+      done;
+      for c = value_col to child_col do
+        Z.set_i64 dst (doff + bases_at + (8 * (c - value_col))) base.(c)
+      done;
+      (* Every store lies inside [total]: the last one starts at least a
+         byte before the pad, which is 7 bytes long. *)
+      let entries from w k to_ =
+        if w > 0 then
+          for i = 0 to k - 1 do
+            store dst (to_ + (i * w)) (load src (from + (8 * i)))
+          done
+      in
+      entries keys kw nk (doff + header_bytes);
+      entries times tw nt (doff + header_bytes + (nk * kw));
+      for i = 0 to n - 1 do
+        let s = r0 + (i * wstride) and d = doff + records + (i * stride) in
+        for c = lo_col to end_col do
+          if w.(c) > 0 then store dst (d + at.(c)) (code src (s + (c * rw)) rw)
+        done;
+        for c = value_col to columns - 1 do
+          if w.(c) > 0 then
+            store dst (d + at.(c)) (load src (s + (4 * rw) + (8 * (c - value_col))) - base.(c))
+        done
+      done;
+      for i = total - pad to total - 1 do
+        Z.set_u8 dst (doff + i) 0
+      done;
+      total
+
+    (* --- Wide pages ----------------------------------------------------------- *)
+
+    (* The width of a rank in a wide page of up to [b] records. *)
+    let rank_width ~b = width (2 * b)
+
+    let[@inline] wide_stride buf off =
+      (4 * col_width buf off lo_col) + (8 * V.words) + col_width buf off child_col
+
+    let[@inline] record_at buf off i = records_at_of buf off + (i * wide_stride buf off)
+
+    (* Store a [w]-byte rank a byte at a time: the bytes past it are the
+       next field's. *)
+    let put_rank buf p w v =
+      for k = 0 to w - 1 do
+        Bigarray.Array1.unsafe_set buf (p + k) (Char.unsafe_chr ((v lsr (8 * k)) land 0xff))
+      done
+
+    (* The empty wide page [id], for up to [b] records. *)
+    let init buf off ~b ~id ~level ~low ~high ~created =
+      if level < 0 || high < low then invalid_arg "Mvsbt.Record_codec.init: a page no tree makes";
+      let rw = rank_width ~b in
+      Z.set_i64 buf off id;
+      Z.set_i32 buf (off + level_at) level;
+      Z.set_i64 buf (off + low_at) low;
+      Z.set_i64 buf (off + high_at) high;
+      Z.set_i64 buf (off + created_at) created;
+      Z.set_i64 buf (off + closed_at) forever;
+      Z.set_i32 buf (off + count_at) 0;
+      Z.set_i32 buf (off + keys_at) 0;
+      Z.set_i32 buf (off + times_at) 0;
+      Z.set_u8 buf (off + key_width_at) 8;
+      Z.set_u8 buf (off + time_width_at) 8;
+      for c = 0 to columns - 1 do
+        Z.set_u8 buf (off + widths_at + c)
+          (if c <= end_col then rw else if c < child_col || level > 0 then 8 else 0)
+      done;
+      for j = 0 to V.words do
+        Z.set_i64 buf (off + bases_at + (8 * j)) (if j = V.words && level = 0 then -1 else 0)
+      done;
+      for i = 0 to pad - 1 do
+        Z.set_u8 buf (off + header_bytes + i) 0
+      done
+
+    let close buf off t = Z.set_i64 buf (off + closed_at) t
+
+    (* A key or an instant of a wide page: the dictionary at [at] of [n]
+       8-byte entries over [base], and the rank columns [c0] to [c1] that
+       name its entries. *)
+    type dict = { entries : int; size_at : int; c0 : int; c1 : int }
+
+    let key_dict off =
+      { entries = off + header_bytes; size_at = off + keys_at; c0 = lo_col; c1 = hi_col }
+      [@@inline]
+
+    let time_dict buf off =
+      { entries = times_at_of buf off; size_at = off + times_at; c0 = start_col; c1 = end_col }
+      [@@inline]
+
+    (* The first of the [n] entries at [d] that is [x] or above. *)
+    let seek buf d n base x =
+      let lo = ref 0 and hi = ref n in
+      while !lo < !hi do
+        let mid = (!lo + !hi) lsr 1 in
+        if base + load buf (d.entries + (8 * mid)) < x then lo := mid + 1 else hi := mid
+      done;
+      !lo
+
+    (* [x]'s rank in the wide page's dictionary [d], entered in its place
+       if absent: the bytes after that place, to the end of the payload,
+       move up 8, and every rank at or past it in [d]'s columns, the
+       [forever] of a time included, grows by one.  The page must have
+       room for one more entry. *)
+    let enter buf off d base x =
+      let n = i32 buf d.size_at in
+      let p = seek buf d n base x in
+      if p < n && base + load buf (d.entries + (8 * p)) = x then p
+      else begin
+        let from = d.entries + (8 * p) and stop = off + length buf off in
+        Z.blit buf from buf (from + 8) (stop - from);
+        store buf from (x - base);
+        Z.set_i32 buf d.size_at (n + 1);
+        let rw = col_width buf off lo_col and stride = wide_stride buf off in
+        let r0 = records_at_of buf off in
+        for i = 0 to count buf off - 1 do
+          for c = d.c0 to d.c1 do
+            let at = r0 + (i * stride) + (c * rw) in
+            let v = code buf at rw in
+            if v >= p then put_rank buf at rw (v + 1)
+          done
+        done;
+        p
+      end
+
+    let key_rank buf off x =
+      let d = key_dict off in
+      seek buf d (n_keys buf off) (low buf off) x
+
+    let time_rank buf off x =
+      if x = forever then n_times buf off
+      else seek buf (time_dict buf off) (n_times buf off) (created buf off) x
+
+    let enter_key buf off x = ignore (enter buf off (key_dict off) (low buf off) x)
+
+    let enter_time buf off x =
+      if x <> forever then ignore (enter buf off (time_dict buf off) (created buf off) x)
+
+    (* Fields of the wide page's record at byte [r]. *)
+    let[@inline] rank_in buf off r c =
+      let rw = col_width buf off lo_col in
+      code buf (r + (c * rw)) rw
+
+    let key_of buf off r c = low buf off + load buf (off + header_bytes + (8 * rank_in buf off r c))
+
+    let time_of buf off r c =
+      let k = rank_in buf off r c in
+      if k = n_times buf off then forever else created buf off + load buf (times_at_of buf off + (8 * k))
+
+    let value_of buf off r =
+      let at = ref (r + (4 * col_width buf off lo_col)) in
+      V.decode (fun () ->
+          let x = load buf !at in
+          at := !at + 8;
+          x)
+
+    let child_of buf off r =
+      if level buf off = 0 then -1 else load buf (r + (4 * col_width buf off lo_col) + (8 * V.words))
+
+    let set_rank buf off r c k =
+      let rw = col_width buf off lo_col in
+      put_rank buf (r + (c * rw)) rw k
+
+    let set_value buf off r v =
+      let at = ref (r + (4 * col_width buf off lo_col)) in
+      V.encode
+        (fun x ->
+          store buf !at x;
+          at := !at + 8)
+        v
+
+    (* Record [i]'s end, [forever] included. *)
+    let set_stop buf off i t =
+      enter_time buf off t;
+      set_rank buf off (record_at buf off i) end_col (time_rank buf off t)
+
+    let set_hi buf off i x =
+      enter_key buf off x;
+      set_rank buf off (record_at buf off i) hi_col (key_rank buf off x)
+
+    (* Append a record to the wide page at [off], which has room for it. *)
+    let append buf off ~lo ~hi ~start ~stop value ~child =
+      let low = low buf off and created = created buf off in
+      if lo < low then invalid_arg "Mvsbt.Record_codec.append: a key below the page's";
+      if hi < lo then invalid_arg "Mvsbt.Record_codec.append: an inverted key range";
+      if (start < created && start <> forever) || (stop < created && stop <> forever) then
+        invalid_arg "Mvsbt.Record_codec.append: a time before the page's";
+      if (child < 0) <> (level buf off = 0) then
+        invalid_arg "Mvsbt.Record_codec.append: a child the level contradicts";
+      enter_key buf off lo;
+      enter_key buf off hi;
+      enter_time buf off start;
+      enter_time buf off stop;
+      let n = count buf off in
+      let r = record_at buf off n in
+      set_rank buf off r lo_col (key_rank buf off lo);
+      set_rank buf off r hi_col (key_rank buf off hi);
+      set_rank buf off r start_col (time_rank buf off start);
+      set_rank buf off r end_col (time_rank buf off stop);
+      set_value buf off r value;
+      if child >= 0 then store buf (r + (4 * col_width buf off lo_col) + (8 * V.words)) child;
+      Z.set_i32 buf (off + count_at) (n + 1)
+
+    (* Drop record [i], the records after it moving down. *)
+    let remove buf off i =
+      let n = count buf off and stride = wide_stride buf off in
+      let r = record_at buf off i in
+      Z.blit buf (r + stride) buf r ((n - 1 - i) * stride);
+      Z.set_i32 buf (off + count_at) (n - 1)
+
+    (* Drop every dictionary entry no record names, renumbering the ranks
+       past it, with [marks] (room for either dictionary's entries and
+       one more) as scratch. *)
+    let sweep buf off (marks : int array) =
+      let n = count buf off and rw = col_width buf off lo_col in
+      let stride = wide_stride buf off in
+      let one d =
+        let k = i32 buf d.size_at in
+        Array.fill marks 0 (k + 1) 0;
+        let r0 = records_at_of buf off in
+        for i = 0 to n - 1 do
+          for c = d.c0 to d.c1 do
+            marks.(code buf (r0 + (i * stride) + (c * rw)) rw) <- 1
+          done
+        done;
+        let kept = ref 0 in
+        for j = 0 to k - 1 do
+          if marks.(j) = 1 then begin
+            store buf (d.entries + (8 * !kept)) (load buf (d.entries + (8 * j)));
+            marks.(j) <- !kept;
+            incr kept
+          end
+        done;
+        let kept = !kept in
+        if kept < k then begin
+          marks.(k) <- kept;
+          for i = 0 to n - 1 do
+            for c = d.c0 to d.c1 do
+              let at = r0 + (i * stride) + (c * rw) in
+              put_rank buf at rw marks.(code buf at rw)
+            done
+          done;
+          let from = d.entries + (8 * k) and stop = off + length buf off in
+          Z.blit buf from buf (from - (8 * (k - kept))) (stop - from);
+          Z.set_i32 buf d.size_at kept
+        end
+      in
+      one (key_dict off);
+      one (time_dict buf off)
+
+    (* The wide form of the narrow page [(buf, off, len)], for up to [b]
+       records, at [doff] of [dst]: every rank checked against its
+       dictionary before anything indexes by it. *)
+    let widen ~b buf off len dst doff =
+      let stride = checked_stride buf off len in
+      let n = count buf off and level = level buf off in
+      let nk = n_keys buf off and nt = n_times buf off in
+      if n > b || nk > 2 * b || nt > 2 * b || high buf off < low buf off then
+        malformed buf off len (Printf.sprintf "it is not a page of at most %d records" b);
+      init dst doff ~b ~id:(load buf off) ~level ~low:(low buf off) ~high:(high buf off)
+        ~created:(created buf off);
+      Z.set_i64 dst (doff + closed_at) (closed buf off);
+      let kw = u8 buf (off + key_width_at) and tw = u8 buf (off + time_width_at) in
+      let times = times_at_of buf off and records = records_at_of buf off in
+      for i = 0 to nk - 1 do
+        store dst (doff + header_bytes + (8 * i)) (code buf (off + header_bytes + (i * kw)) kw)
+      done;
+      for i = 0 to nt - 1 do
+        store dst (doff + header_bytes + (8 * nk) + (8 * i)) (code buf (times + (i * tw)) tw)
+      done;
+      Z.set_i32 dst (doff + keys_at) nk;
+      Z.set_i32 dst (doff + times_at) nt;
+      Z.set_i32 dst (doff + count_at) n;
+      let rw = rank_width ~b in
+      let dstride = wide_stride dst doff and d0 = records_at_of dst doff in
+      for i = 0 to n - 1 do
+        let s = records + (i * stride) and d = d0 + (i * dstride) in
+        for c = 0 to columns - 1 do
+          let w = col_width buf off c in
+          let x = code buf (s + col_at buf off c) w in
+          if c <= end_col then begin
+            let dict = if c <= hi_col then nk else nt + 1 in
+            if x >= dict then
+              malformed buf off len
+                (Printf.sprintf "the record at byte %d names entry %d of a %d-entry dictionary"
+                   (s - off) x dict);
+            put_rank dst (d + (c * rw)) rw x
+          end
+          else if c < child_col || level > 0 then
+            store dst (d + (4 * rw) + (8 * (c - value_col)))
+              (load buf (off + bases_at + (8 * (c - value_col))) + x)
+        done
+      done
   end
+
+  module R = Record_codec
+
+  (* --- The frame store ---------------------------------------------------------- *)
+
+  (* A page is sealed once it closes: only vacuum changes it after. *)
+  module Mmap_store = Storage.Page_store.Mmap (struct
+    let sealed = R.sealed
+    let length = R.length
+    let narrow = R.narrow
+  end)
+
+  module Mmap_pool = Storage.Buffer_pool.Make (Mmap_store)
+
+  (* Every page is a frame in the store: a writer edits one that can
+     still change in its slot, wide, and the pool keeps only residency,
+     dirtiness and pins, so every read and write is charged as if pages
+     moved.  The current root is pinned in the pool: every descent starts
+     there, and the pin moves when the tree moves its root. *)
+  type t = {
+    store : Mmap_store.t;
+    pool : Mmap_pool.t;
+    widen : Storage.Zcodec.buf -> int -> int -> Storage.Zcodec.buf -> int -> unit;
+    marks : int array; (* a sweep's scratch, [2 b + 1] entries *)
+    mutable work : int array; (* the merge pass's worklist *)
+    io_stats : Storage.Io_stats.t;
+    cfg : config;
+    key_space : int;
+    root_star : Root_star.t;
+    mutable cur_root : Storage.Page_id.t;
+    mutable height : int;
+    mutable now_ : int;
+    mutable horizon : int; (* queries below this time are refused *)
+    mutable touches : int; (* logical page accesses; see [page_touches] *)
+    mutable tel : Telemetry.Tracer.t;
+  }
+
+  let strong_cap cfg = int_of_float (cfg.f *. float_of_int cfg.b)
+
+  let validate_create cfg key_space =
+    if cfg.b < 4 then invalid_arg "Mvsbt.create: b must be >= 4";
+    if not (cfg.f > 0. && cfg.f <= 1.) then invalid_arg "Mvsbt.create: f must be in (0, 1]";
+    if strong_cap cfg < 2 then
+      invalid_arg "Mvsbt.create: f*b must be >= 2 (fan-out of at least 2)";
+    if key_space < 1 then invalid_arg "Mvsbt.create: key_space must be >= 1"
+
+  (* The room a page may take: [b] records in the wide layout.  A sealed
+     page's frame takes only the bytes it narrows to. *)
+  let min_page_size cfg = Mmap_store.block_overhead + R.max_payload ~b:cfg.b
+
+  (* A tree without a path keeps its overlay in RAM and names no file. *)
+  let overlay_at ?(backing = `Auto) path =
+    match path with
+    | Some path -> (backing, path)
+    | None when backing = `Map -> invalid_arg "Mvsbt: a mapped overlay needs a path"
+    | None -> (`Buffered, "(ram)")
+
+  let handle ~cfg ~key_space ~io_stats ~root_star ~policy ~pool_capacity store ~root =
+    { store; pool = Mmap_pool.create ~capacity:pool_capacity ~policy store;
+      widen = R.widen ~b:cfg.b; marks = Array.make ((2 * cfg.b) + 1) 0;
+      work = Array.make ((2 * cfg.b) + 2) 0; io_stats; cfg; key_space; root_star;
+      cur_root = root; height = 1; now_ = 0; horizon = 0; touches = 0;
+      tel = Telemetry.Tracer.noop }
+
+  let config t = t.cfg
+  let key_space t = t.key_space
+  let stats t = t.io_stats
+  let now t = t.now_
+  let horizon t = t.horizon
+  let page_count t = Mmap_store.live_pages t.store
+  let overlay_bytes t = Mmap_store.overlay_bytes t.store
+  let height t = t.height
+  let root_count t = Root_star.count t.root_star
+
+  let drop_cache t =
+    Mmap_pool.drop_cache t.pool;
+    Root_star.drop_cache t.root_star
+
+  let close t = Mmap_store.close t.store
+
+  (* A charged read: the page is then resident, and {!frame} or {!edit}
+     reaches it. *)
+  let read t pid =
+    t.touches <- t.touches + 1;
+    Mmap_pool.read t.pool pid
+
+  let frame t pid = Mmap_store.frame t.store pid
+  let edit t pid = Mmap_store.edit t.store pid ~widen:t.widen
+
+  let touch t pid =
+    t.touches <- t.touches + 1;
+    Mmap_pool.write t.pool pid ()
+
+  let set_root t pid =
+    if Mmap_pool.pin_count t.pool t.cur_root > 0 then Mmap_pool.unpin t.pool t.cur_root;
+    Mmap_pool.pin t.pool pid;
+    t.cur_root <- pid
+
+  let page_touches t = t.touches
+  let telemetry t = t.tel
+  let set_telemetry t tel = t.tel <- tel
+  let page_exists t pid = Mmap_pool.mem t.pool pid
+
+  (* A record a writer adds: it starts now and is alive. *)
+  type fresh = { lo : int; hi : int; mutable value : G.t; child : int }
+
+  (* [records] laid out in a fresh slot as page [pid] at [level] over
+     [low, high), created [now], and written. *)
+  let lay_out t pid ~level ~low ~high ~now records =
+    let buf, off = Mmap_store.fresh t.store pid in
+    R.init buf off ~b:t.cfg.b ~id:(Storage.Page_id.to_int pid) ~level ~low ~high ~created:now;
+    List.iter
+      (fun f -> R.append buf off ~lo:f.lo ~hi:f.hi ~start:now ~stop:forever f.value ~child:f.child)
+      records;
+    touch t pid
+
+  (* Allocate the initial root (one all-covering zero record) and assemble
+     the handle. *)
+  let boot ~cfg ~key_space ~io_stats ~policy ~pool_capacity store =
+    let root_star = Root_star.create ~btree:cfg.root_star_btree ~stats:io_stats () in
+    let pid = Mmap_store.alloc store in
+    let t = handle ~cfg ~key_space ~io_stats ~root_star ~policy ~pool_capacity store ~root:pid in
+    let buf, off = Mmap_store.fresh store pid in
+    R.init buf off ~b:cfg.b ~id:(Storage.Page_id.to_int pid) ~level:0 ~low:0 ~high:key_space
+      ~created:0;
+    R.append buf off ~lo:0 ~hi:key_space ~start:0 ~stop:forever G.zero ~child:(-1);
+    Mmap_pool.write t.pool pid ();
+    Mmap_pool.pin t.pool pid;
+    Root_star.register root_star ~at:0 pid;
+    t
+
+  (* --- A wide page's records ------------------------------------------------ *)
+
+  let rec_at = R.record_at
+  let lo_of buf off i = R.key_of buf off (rec_at buf off i) R.lo_col
+  let hi_of buf off i = R.key_of buf off (rec_at buf off i) R.hi_col
+  let start_of buf off i = R.time_of buf off (rec_at buf off i) R.start_col
+  let stop_of buf off i = R.time_of buf off (rec_at buf off i) R.end_col
+  let value_of buf off i = R.value_of buf off (rec_at buf off i)
+  let child_of buf off i = R.child_of buf off (rec_at buf off i)
+  let alive buf off i = R.rank_in buf off (rec_at buf off i) R.end_col = R.n_times buf off
+
+  (* The first record, in page order, that [p] holds of, or -1. *)
+  let find_record buf off p =
+    let n = R.count buf off in
+    let rec go i = if i = n then -1 else if p i then i else go (i + 1) in
+    go 0
+
+  (* Partly-covered record: intersects [k, maxkey) without being contained
+     in it, i.e. it contains [k] with its low end strictly below. *)
+  let partly_covered buf off k =
+    find_record buf off (fun i ->
+        alive buf off i && lo_of buf off i < k && k < hi_of buf off i)
+
+  (* Fully-covered records, ascending by range. *)
+  let fully_covered buf off k =
+    List.init (R.count buf off) Fun.id
+    |> List.filter (fun i -> alive buf off i && lo_of buf off i >= k)
+    |> List.sort (fun a b -> Int.compare (lo_of buf off a) (lo_of buf off b))
+
+  let first_fully_covered buf off k =
+    let best = ref (-1) in
+    for i = 0 to R.count buf off - 1 do
+      if alive buf off i && lo_of buf off i >= k
+         && (!best < 0 || lo_of buf off i < lo_of buf off !best)
+      then best := i
+    done;
+    !best
+
+  (* --- Insertion ---------------------------------------------------------- *)
+
+  (* What an insertion does to one page: the records it ends, by index,
+     and those it adds. *)
+  type op = { killed : int list; added : fresh list }
+
+  let copy_of buf off i value =
+    { lo = lo_of buf off i; hi = hi_of buf off i; value; child = child_of buf off i }
+
+  (* Vertical split of record [i] at the current time, adding [v]. *)
+  let plus_v_copy buf off v i = copy_of buf off i (G.add (value_of buf off i) v)
+
+  (* The records receiving [v] by vertical split at this page, lowest page
+     case — the single "representative" under logical splitting, all
+     fully-covered records under the plain algorithm. *)
+  let covered_targets t buf off k =
+    match t.cfg.variant with
+    | Plain -> fully_covered buf off k
+    | Logical -> ( match first_fully_covered buf off k with -1 -> [] | i -> [ i ])
+
+  let op_for_lowest t buf off k v : op =
+    if R.level buf off = 0 then
+      match partly_covered buf off k with
+      | -1 ->
+          let targets = covered_targets t buf off k in
+          { killed = targets; added = List.map (plus_v_copy buf off v) targets }
+      | rc ->
+          (* Split into three: vertically at [now], horizontally at [k].
+             Under logical splitting the top-right piece carries just the
+             delta [v]; under the plain algorithm values are absolute. *)
+          let value = value_of buf off rc in
+          let high_value = match t.cfg.variant with Logical -> v | Plain -> G.add value v in
+          let extra = match t.cfg.variant with Logical -> [] | Plain -> fully_covered buf off k in
+          {
+            killed = rc :: extra;
+            added =
+              { lo = lo_of buf off rc; hi = k; value; child = -1 }
+              :: { lo = k; hi = hi_of buf off rc; value = high_value; child = -1 }
+              :: List.map (plus_v_copy buf off v) extra;
+          }
+    else begin
+      (* Index page without a partly-covered record. *)
+      let targets = covered_targets t buf off k in
+      { killed = targets; added = List.map (plus_v_copy buf off v) targets }
+    end
+
+  (* Op for a path page whose partly-covered record is [partly];
+     [child_descs] are the replacement pages when the child was split. *)
+  let op_for_path t buf off k v ~partly ~child_descs : op =
+    let targets = covered_targets t buf off k in
+    let from_child =
+      match child_descs with
+      | [] -> []
+      | descs ->
+          let value = value_of buf off partly in
+          List.mapi
+            (fun i ((range : Interval.t), pid) ->
+              let value =
+                match t.cfg.variant with Plain -> value | Logical -> if i = 0 then value else G.zero
+              in
+              { lo = range.lo; hi = range.hi; value; child = Storage.Page_id.to_int pid })
+            descs
+    in
+    {
+      killed = (if child_descs <> [] then [ partly ] else []) @ targets;
+      added = from_child @ List.map (plus_v_copy buf off v) targets;
+    }
+
+  (* Record merging (section 4.2.2), over the records from [first] on,
+     those just added.  Time merge: an alive record whose dead
+     predecessor has the same rectangle sides, value and child is folded
+     back into it.  Key merge: under logical splitting an alive
+     zero-valued record is absorbed by its alive left neighbour when both
+     started together (the zero delta contributes nothing); under the
+     plain algorithm values are absolute, so the neighbours must carry
+     equal values instead.  Only freshly added (or just-merged) records
+     can take part in a new merge, so the worklist stays tiny and the
+     pass is O(|added| * b).  The worklist holds record indices: one
+     names a record until the record goes or is replaced by a merge.
+     Whether a record went or moved its high key. *)
+  let merge_pass t buf off ~first =
+    let key_mergeable m n =
+      match t.cfg.variant with
+      | Logical -> G.equal (value_of buf off n) G.zero
+      | Plain -> G.equal (value_of buf off m) (value_of buf off n)
+    in
+    let head = ref 0 and tail = ref 0 and changed = ref false in
+    let push i =
+      if !tail = Array.length t.work then t.work <- Array.append t.work t.work;
+      t.work.(!tail) <- i;
+      incr tail
+    in
+    let forget j =
+      for q = !head to !tail - 1 do
+        if t.work.(q) = j then t.work.(q) <- -1
+      done
+    in
+    (* Drop record [j]: the worklist's indices past it move down. *)
+    let drop j =
+      forget j;
+      R.remove buf off j;
+      changed := true;
+      for q = !head to !tail - 1 do
+        if t.work.(q) > j then t.work.(q) <- t.work.(q) - 1
+      done
+    in
+    for i = first to R.count buf off - 1 do
+      push i
+    done;
+    while !head < !tail do
+      let a = t.work.(!head) in
+      incr head;
+      if a >= 0 && alive buf off a then begin
+        (* Time merge: fold [a] back into a dead twin ending where [a]
+           starts. *)
+        match
+          find_record buf off (fun d ->
+              d <> a && (not (alive buf off d))
+              && stop_of buf off d = start_of buf off a
+              && lo_of buf off d = lo_of buf off a
+              && hi_of buf off d = hi_of buf off a
+              && G.equal (value_of buf off d) (value_of buf off a)
+              && child_of buf off d = child_of buf off a)
+        with
+        | d when d >= 0 ->
+            R.set_stop buf off d forever;
+            drop a;
+            push (if d > a then d - 1 else d)
+        | _ -> (
+            (* Key merge with the alive neighbour above or below: [m]
+               takes [n]'s range. *)
+            let try_pair m n =
+              if
+                lo_of buf off n = hi_of buf off m
+                && start_of buf off n = start_of buf off m
+                && stop_of buf off n = stop_of buf off m
+                && key_mergeable m n
+                && child_of buf off n = child_of buf off m
+              then begin
+                R.set_hi buf off m (hi_of buf off n);
+                forget m;
+                drop n;
+                push (if n < m then m - 1 else m);
+                true
+              end
+              else false
+            in
+            let neighbour_above =
+              find_record buf off (fun n ->
+                  n <> a && alive buf off n && lo_of buf off n = hi_of buf off a)
+            in
+            let merged_up = neighbour_above >= 0 && try_pair a neighbour_above in
+            if not merged_up then
+              match
+                find_record buf off (fun m ->
+                    m <> a && alive buf off m && hi_of buf off m = lo_of buf off a)
+              with
+              | -1 -> ()
+              | m -> ignore (try_pair m a))
+      end
+    done;
+    !changed
+
+  (* Split [buffer] (alive records of an overflowing page, restarted at the
+     current time) into chunks obeying the strong condition. *)
+  let distribute t buffer =
+    let n = List.length buffer in
+    let cap = strong_cap t.cfg in
+    if n <= cap then [ buffer ]
+    else begin
+      let m = (n + cap - 1) / cap in
+      let base = n / m and extra = n mod m in
+      let rec take k xs =
+        if k = 0 then ([], xs)
+        else
+          match xs with
+          | x :: rest ->
+              let taken, left = take (k - 1) rest in
+              (x :: taken, left)
+          | [] -> assert false
+      in
+      let rec go i xs =
+        if xs = [] then []
+        else
+          let size = base + if i < extra then 1 else 0 in
+          let chunk, rest = take size xs in
+          chunk :: go (i + 1) rest
+      in
+      go 0 buffer
+    end
+
+  let chunk_span chunk =
+    List.fold_left (fun acc f -> Interval.hull acc (Interval.make f.lo f.hi)) Interval.empty chunk
+
+  (* Apply the op [plan] makes for page [pid] at time [now], editing the
+     page in its slot.  Returns the replacement descriptors when the page
+     had to be time split (possibly key split), or [] when the op fit in
+     place. *)
+  let apply_op t pid ~now plan : (Interval.t * Storage.Page_id.t) list =
+    let buf, off = edit t pid in
+    let op = plan buf off in
+    let disposed i = t.cfg.disposal && start_of buf off i = now in
+    let gone = List.filter disposed op.killed in
+    let kill () =
+      List.iter (fun i -> if not (disposed i) then R.set_stop buf off i now) op.killed
+    in
+    if R.count buf off - List.length gone + List.length op.added <= t.cfg.b then begin
+      kill ();
+      List.iter (R.remove buf off) (List.sort (fun a b -> Int.compare b a) gone);
+      let first = R.count buf off in
+      List.iter
+        (fun f ->
+          R.append buf off ~lo:f.lo ~hi:f.hi ~start:now ~stop:forever f.value ~child:f.child)
+        op.added;
+      let merged = t.cfg.merging && merge_pass t buf off ~first in
+      if gone <> [] || merged then R.sweep buf off t.marks;
+      touch t pid;
+      []
+    end
+    else begin
+      (* Time split: alive records restart at [now] in fresh pages.  A
+         record the op disposes of stays in the closed page as it was. *)
+      kill ();
+      let survivors =
+        List.init (R.count buf off) Fun.id
+        |> List.filter (fun i -> alive buf off i && not (List.mem i op.killed))
+        |> List.map (fun i -> copy_of buf off i (value_of buf off i))
+      in
+      let buffer = List.sort (fun a b -> Int.compare a.lo b.lo) (survivors @ op.added) in
+      let level = R.level buf off and created = R.created buf off in
+      R.close buf off now;
+      (* The page may leave its slot from here on: it is sealed. *)
+      touch t pid;
+      let chunks = distribute t buffer in
+      Telemetry.Tracer.event t.tel "mvsbt.time_split"
+        ~attrs:
+          [
+            ("page", Telemetry.Tracer.Int (Storage.Page_id.to_int pid));
+            ("level", Telemetry.Tracer.Int level);
+          ];
+      if List.length chunks > 1 then
+        Telemetry.Tracer.event t.tel "mvsbt.key_split"
+          ~attrs:
+            [
+              ("page", Telemetry.Tracer.Int (Storage.Page_id.to_int pid));
+              ("chunks", Telemetry.Tracer.Int (List.length chunks));
+            ];
+      (* Key-split value adjustment under logical splitting: queries in a
+         higher chunk must still see the mass of the lower chunks, so the
+         lowest record of chunk j gains the sum of chunks 1..j-1. *)
+      (match (t.cfg.variant, chunks) with
+      | Logical, _ :: _ :: _ ->
+          let prefix = ref G.zero in
+          List.iter
+            (fun chunk ->
+              let chunk_sum = List.fold_left (fun acc f -> G.add acc f.value) G.zero chunk in
+              (match chunk with
+              | lowest :: _ ->
+                  if not (G.equal !prefix G.zero) then
+                    lowest.value <- G.add lowest.value !prefix
+              | [] -> assert false);
+              prefix := G.add !prefix chunk_sum)
+            chunks
+      | _ -> ());
+      let descs =
+        List.map
+          (fun chunk ->
+            let span = chunk_span chunk in
+            let p = Mmap_pool.alloc t.pool in
+            lay_out t p ~level ~low:span.Interval.lo ~high:span.Interval.hi ~now chunk;
+            (span, p))
+          chunks
+      in
+      if t.cfg.disposal && created = now then Mmap_pool.free t.pool pid;
+      descs
+    end
+
+  (* Install a fresh root covering the whole key space above [descs]. *)
+  let grow_root t descs ~now =
+    match descs with
+    | [] -> ()
+    | [ (_, pid) ] ->
+        (* A pure time split of the root: the copy is the new root of the
+           same height. *)
+        set_root t pid;
+        Root_star.register t.root_star ~at:now pid
+    | pieces ->
+        let pid = Mmap_pool.alloc t.pool in
+        let first = snd (List.hd pieces) in
+        read t first;
+        let level =
+          let buf, off, _ = frame t first in
+          R.level buf off + 1
+        in
+        lay_out t pid ~level ~low:0 ~high:t.key_space ~now
+          (List.map
+             (fun ((range : Interval.t), child) ->
+               { lo = range.lo; hi = range.hi; value = G.zero;
+                 child = Storage.Page_id.to_int child })
+             pieces);
+        set_root t pid;
+        t.height <- t.height + 1;
+        Telemetry.Tracer.event t.tel "mvsbt.root_grow"
+          ~attrs:[ ("height", Telemetry.Tracer.Int t.height) ];
+        Root_star.register t.root_star ~at:now pid
+
+  let insert t ~key ~at v =
+    if key < 0 || key >= t.key_space then
+      invalid_arg "Mvsbt.insert: key outside key domain";
+    if at < t.now_ then
+      invalid_arg
+        (Printf.sprintf
+           "Mvsbt.insert: time %d precedes current time %d (transaction time is monotone)"
+           at t.now_);
+    Telemetry.Tracer.with_span t.tel ~level:`Debug "mvsbt.insert" @@ fun () ->
+    t.now_ <- at;
+    (* Phase 1: descend along partly-covered records, keeping the chain of
+       (page, partly-covered record), nearest ancestor first.  Every page
+       on it is edited below, so each is brought into a slot. *)
+    let rec descend pid path =
+      read t pid;
+      let buf, off = edit t pid in
+      if R.level buf off = 0 then (pid, path)
+      else
+        match partly_covered buf off key with
+        | -1 -> (pid, path)
+        | r -> descend (Storage.Page_id.of_int (child_of buf off r)) ((pid, r) :: path)
+    in
+    let lowest, path = descend t.cur_root [] in
+    (* Phase 2: handle the lowest page. *)
+    let descs = apply_op t lowest ~now:at (fun buf off -> op_for_lowest t buf off key v) in
+    (* Phase 3: walk back up the partly-covered chain. *)
+    let descs =
+      List.fold_left
+        (fun child_descs (pid, partly) ->
+          apply_op t pid ~now:at (fun buf off ->
+              op_for_path t buf off key v ~partly ~child_descs))
+        descs path
+    in
+    (* Phase 4: the root itself was split. *)
+    grow_root t descs ~now:at
+
+  (* --- Point query ---------------------------------------------------------- *)
+
+  let query t ~key ~at =
+    if key < 0 || key >= t.key_space then
+      invalid_arg "Mvsbt.query: key outside key domain";
+    if at < 0 then invalid_arg "Mvsbt.query: negative time";
+    if at < t.horizon then raise (Below_horizon { at; horizon = t.horizon });
+    Telemetry.Tracer.with_span t.tel ~level:`Debug "mvsbt.query" @@ fun () ->
+    let root = if at >= t.now_ then t.cur_root else Root_star.find t.root_star ~at in
+    let q = { key; at; logical = t.cfg.variant = Logical; sum = G.zero; next = missing } in
+    let rec go pid =
+      read t pid;
+      R.scan_frame q (frame t pid);
+      if q.next = missing then
+        Format.kasprintf failwith "Mvsbt: no record containing (%d, %d) in page %d" key at
+          (Storage.Page_id.to_int pid);
+      if q.next <> leaf then go (Storage.Page_id.of_int q.next)
+    in
+    go root;
+    q.sum
+
+  (* --- Vacuum (retention) ---------------------------------------------------- *)
+
+  (* Partial persistence gives vacuum its correctness argument for free:
+     a page with [closed <= h] is invisible to every query at a time
+     [>= h] (nothing in it is alive there), and inside a still-visible
+     page a record with [rt_end <= h] is equally invisible, so it can be
+     dropped *in place* — no copying into fresh pages, no parent-pointer
+     rewrites.  Conversely any page with [closed > h] stays reachable at
+     some time in [h, now], so pruning can never orphan a live page. *)
+
+  let set_horizon t h =
+    if h < 0 then invalid_arg "Mvsbt.set_horizon: negative horizon";
+    if h < t.horizon then
+      invalid_arg
+        (Printf.sprintf "Mvsbt.set_horizon: horizon moves backwards (%d < %d)" h t.horizon);
+    (* A horizon past [now] is legal here — alive records ([rt_end =
+       forever]) survive any horizon, so the tree stays well-formed; it
+       just refuses more queries.  The warehouse ([Rta]) bounds the
+       horizon by its own clock, which can run ahead of either tree's
+       (the LKLT side only ticks on deletes). *)
+    t.horizon <- h;
+    (* Tenures wholly below the horizon would keep traversals anchored on
+       root pages vacuum is about to free. *)
+    ignore (Root_star.prune t.root_star ~below:h)
+
+  type vacuum_action = Free_page | Prune_records
+
+  (* How many records of the page at [off] ended by [h]. *)
+  let ended_by buf off h =
+    let n = ref 0 in
+    for i = 0 to R.count buf off - 1 do
+      if R.time_field buf off i R.end_col <= h then incr n
+    done;
+    !n
+
+  (* Deterministic scan of the whole store (not just the reachable graph:
+     a crash between tenure pruning and page freeing leaves dead pages
+     that are no longer reachable, and re-vacuum must still find them). *)
+  let vacuum_scan t =
+    let h = t.horizon in
+    Mmap_pool.flush t.pool;
+    Mmap_store.written_ids t.store
+    |> List.filter_map (fun pid ->
+           match Mmap_pool.read t.pool pid with
+           | exception Not_found -> None
+           | () ->
+               let buf, off, _ = frame t pid in
+               if R.closed buf off <= h then Some (pid, Free_page)
+               else if ended_by buf off h > 0 then Some (pid, Prune_records)
+               else None)
+
+  (* Appliers are tolerant of already-done work (missing page, nothing to
+     drop): WAL replay after a crash re-applies actions idempotently, and
+     a checkpoint taken mid-vacuum may already omit the dead pages. *)
+  let vacuum_free t pid =
+    if page_exists t pid then begin
+      Mmap_pool.free t.pool pid;
+      Storage.Io_stats.record_pages_reclaimed t.io_stats 1;
+      true
+    end
+    else false
+
+  let vacuum_prune t pid =
+    if not (page_exists t pid) then 0
+    else begin
+      read t pid;
+      let h = t.horizon in
+      let dropped =
+        let buf, off, _ = frame t pid in
+        ended_by buf off h
+      in
+      (* At least one record stays: a page with [closed > h] had records
+         alive just below its close time, and their [rt_end >= closed > h]. *)
+      if dropped > 0 then begin
+        let buf, off = edit t pid in
+        for i = R.count buf off - 1 downto 0 do
+          if stop_of buf off i <= h then R.remove buf off i
+        done;
+        R.sweep buf off t.marks;
+        touch t pid
+      end;
+      dropped
+    end
+
+  (* --- Whole-graph traversal ------------------------------------------------ *)
+
+  (* Preorder walk from the root tenures, each page once, marked in a
+     bitmap over page ids.  [f pid] runs as each page is reached, and, but
+     for a leaf reached from its parent under [~leaves:false] (its level
+     is known, so it is not read), the page is read and [visit pid
+     frame] runs on its payload before the next page is read.  Children
+     come from the frame's child column, through a stack of ids, a leaf's
+     flagged in the low bit: a child that does not exist is skipped (dead
+     record copies may reference disposed pages; queries can never follow
+     them).  Whether each page was reached goes back to the caller. *)
+  let walk t ~leaves ?(visit = fun _ _ -> ()) f =
+    let seen = Bytes.make ((Mmap_store.next_id t.store + 7) / 8) '\000' in
+    let stack = ref (Array.make 64 0) and top = ref 0 in
+    let push x =
+      if !top = Array.length !stack then stack := Array.append !stack !stack;
+      !stack.(!top) <- x;
+      incr top
+    in
+    let roots = Root_star.tenures t.root_star in
+    List.iter (fun (_, pid) -> push (Storage.Page_id.to_int pid lsl 1)) (List.rev roots);
+    while !top > 0 do
+      decr top;
+      let x = !stack.(!top) in
+      let id = x lsr 1 and is_leaf = x land 1 = 1 in
+      let byte = Char.code (Bytes.get seen (id lsr 3)) and bit = 1 lsl (id land 7) in
+      if byte land bit = 0 then begin
+        Bytes.set seen (id lsr 3) (Char.chr (byte lor bit));
+        let pid = Storage.Page_id.of_int id in
+        f pid;
+        if leaves || not is_leaf then begin
+          read t pid;
+          let buf, off, len = frame t pid in
+          visit pid (buf, off, len);
+          let buf, off, _ = frame t pid in
+          let level = R.level buf off in
+          if level > 0 then
+            for i = R.count buf off - 1 downto 0 do
+              let c = R.child_field buf off i in
+              if page_exists t (Storage.Page_id.of_int c) then
+                push ((c lsl 1) lor if level = 1 then 1 else 0)
+            done
+        end
+      end
+    done;
+    fun pid ->
+      let id = Storage.Page_id.to_int pid in
+      id lsr 3 < Bytes.length seen
+      && Char.code (Bytes.get seen (id lsr 3)) land (1 lsl (id land 7)) <> 0
+
+  let iter_frames t visit =
+    let (_ : Storage.Page_id.t -> bool) = walk t ~leaves:true ~visit ignore in
+    ()
+
+  let record_count t =
+    let n = ref 0 in
+    iter_frames t (fun _ (buf, off, _) -> n := !n + R.count buf off);
+    !n
+
+  (* --- Invariant checking ---------------------------------------------------- *)
+
+  let check_invariants t =
+    let fail fmt = Format.kasprintf failwith fmt in
+    let root_pids = List.map snd (Root_star.tenures t.root_star) in
+    iter_frames t (fun page (buf, off, _) ->
+        let pid = Storage.Page_id.to_int page in
+        let n = R.count buf off and level = R.level buf off in
+        let prange = Interval.make (R.low buf off) (R.high buf off) in
+        let created = R.created buf off and closed = R.closed buf off in
+        (* The records are copied out first: reading a child may move the
+           page's frame. *)
+        let records =
+          List.init n (fun i ->
+              ( Interval.make (R.key_field buf off i R.lo_col) (R.key_field buf off i R.hi_col),
+                R.time_field buf off i R.start_col,
+                R.time_field buf off i R.end_col,
+                R.child_field buf off i ))
+        in
+        if n = 0 then fail "Mvsbt: page %d empty" pid;
+        if n > t.cfg.b then fail "Mvsbt: page %d over-full" pid;
+        let lifetime_hi = min closed (t.now_ + 1) in
+        List.iter
+          (fun (range, rt_start, rt_end, child) ->
+            if Interval.is_empty range then fail "Mvsbt: empty record range";
+            if not (Interval.subset range prange) then
+              fail "Mvsbt: record range escapes page %d" pid;
+            if rt_start > rt_end then fail "Mvsbt: inverted record interval";
+            if rt_start < created then
+              fail "Mvsbt: record starts before page %d was created" pid;
+            if level = 0 && child <> -1 then fail "Mvsbt: leaf record with child in page %d" pid;
+            if level > 0 && child < 0 then fail "Mvsbt: index record without child in page %d" pid;
+            if level > 0 then begin
+              let slice =
+                Interval.inter
+                  (Interval.make rt_start (min rt_end lifetime_hi))
+                  (Interval.make created lifetime_hi)
+              in
+              let visible =
+                (* Queries below the horizon are refused, so only the
+                   part of the slice at or above it must stay sound. *)
+                Interval.inter slice (Interval.make t.horizon lifetime_hi)
+              in
+              let c = Storage.Page_id.of_int child in
+              match read t c with
+              | exception Not_found ->
+                  (* A reference to a disposed page is legal only when no
+                     query can follow it. *)
+                  if not (Interval.is_empty visible) then
+                    fail "Mvsbt: reachable record references a disposed page"
+              | () ->
+                  let cbuf, coff, _ = frame t c in
+                  if R.level cbuf coff <> level - 1 then fail "Mvsbt: level mismatch";
+                  if not (Interval.equal (Interval.make (R.low cbuf coff) (R.high cbuf coff)) range)
+                  then fail "Mvsbt: record range differs from child page range";
+                  if
+                    not
+                      (Interval.subset visible
+                         (Interval.make (R.created cbuf coff)
+                            (min (R.closed cbuf coff) (t.now_ + 1))))
+                  then fail "Mvsbt: record refers to child page outside its lifetime"
+            end)
+          records;
+        (* Property 1 at every interesting instant of the page lifetime.
+           It is only promised at queryable instants: vacuum prunes
+           records dead below the horizon, so coverage below it is
+           deliberately full of holes. *)
+        let times =
+          created :: t.horizon
+          :: List.concat_map (fun (_, s, e, _) -> [ s; e ]) records
+          |> List.filter (fun x -> created <= x && t.horizon <= x && x < lifetime_hi)
+          |> List.sort_uniq Int.compare
+        in
+        List.iter
+          (fun tau ->
+            let alive_recs =
+              List.filter (fun (_, s, e, _) -> s <= tau && tau < e) records
+              |> List.map (fun (range, _, _, _) -> range)
+              |> List.sort (fun (a : Interval.t) (b : Interval.t) -> Int.compare a.lo b.lo)
+            in
+            let rec chain pos = function
+              | [] ->
+                  if pos <> prange.Interval.hi then
+                    fail "Mvsbt: page %d not covered at time %d (stops at %d)" pid tau pos
+              | (r : Interval.t) :: rest ->
+                  if r.lo <> pos then
+                    fail "Mvsbt: gap/overlap in page %d at time %d (key %d, expected %d)" pid
+                      tau r.lo pos;
+                  chain r.hi rest
+            in
+            chain prange.Interval.lo alive_recs;
+            (* Lemma 3: without merging, non-root pages keep at least
+               ceil(f*b/2) alive records. *)
+            if
+              (not t.cfg.merging)
+              && (not (List.mem page root_pids))
+              && List.length alive_recs < (strong_cap t.cfg + 1) / 2
+            then
+              fail "Mvsbt: page %d below Lemma-3 density at time %d (%d alive)" pid tau
+                (List.length alive_recs))
+          times);
+    (* Root tenures partition the time axis from the horizon up (vacuum
+       prunes tenures that end at or below it). *)
+    let rec tenure_chain pos = function
+      | [] -> if pos <> forever then fail "Mvsbt: root tenures do not reach maxtime"
+      | (iv, _) :: rest ->
+          if iv.Interval.lo <> pos then fail "Mvsbt: root tenure gap at %d" pos;
+          tenure_chain iv.Interval.hi rest
+    in
+    match Root_star.tenures t.root_star with
+    | [] -> fail "Mvsbt: no root tenures"
+    | (iv0, _) :: _ as ts ->
+        if iv0.Interval.lo > t.horizon then
+          fail "Mvsbt: root tenures start at %d, above the horizon %d" iv0.Interval.lo
+            t.horizon;
+        tenure_chain iv0.Interval.lo ts
+
+  (* --- On-disk formats ---------------------------------------------------------- *)
 
   (* The handle state — configuration, clock, current root, root*
      directory — as the snapshot's state chunk carries it. *)
@@ -1507,13 +1748,15 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
     { s_cfg = { b; f; variant; merging; disposal; root_star_btree }; s_key_space;
       s_now; s_horizon; s_cur_root; s_height; s_roots }
 
-  let of_state ~io_stats backend st =
+  let of_state ~io_stats ~policy ~pool_capacity store st =
     let root_star = Root_star.create ~btree:st.s_cfg.root_star_btree ~stats:io_stats () in
     List.iter (fun (ts, pid) -> Root_star.register root_star ~at:ts pid) st.s_roots;
-    backend.b_root st.s_cur_root;
-    { backend; io_stats; cfg = st.s_cfg; key_space = st.s_key_space; root_star;
-      cur_root = st.s_cur_root; height = st.s_height; now_ = st.s_now;
-      horizon = st.s_horizon; touches = 0; tel = Telemetry.Tracer.noop }
+    let t =
+      handle ~cfg:st.s_cfg ~key_space:st.s_key_space ~io_stats ~root_star ~policy ~pool_capacity
+        store ~root:st.s_cur_root
+    in
+    Mmap_pool.pin t.pool st.s_cur_root;
+    { t with height = st.s_height; now_ = st.s_now; horizon = st.s_horizon }
 
   let corrupt_chunk path what =
     failwith (Printf.sprintf "Mvsbt: %s: corrupt %s chunk" path what)
@@ -1532,89 +1775,6 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
         done;
         if not (Chunks.at_end rd) then Chunks.fail rd "bytes after the last page")
 
-  (* --- The frame store ---------------------------------------------------------- *)
-
-  (* A page is sealed once it closes: only vacuum changes it after. *)
-  module Mmap_store = Storage.Page_store.Mmap (struct
-    type t = page
-
-    let encode = Record_codec.encode
-    let sealed p = p.closed <> forever
-  end)
-
-  module Mmap_pool = Storage.Buffer_pool.Make (Mmap_store)
-
-  (* The room a page's frame may take: [b] records in the widest layout.
-     A sealed page's frame takes only the bytes it encodes to. *)
-  let min_page_size cfg = Mmap_store.block_overhead + Record_codec.max_payload ~b:cfg.b
-
-  (* A tree without a path keeps its overlay in RAM and names no file. *)
-  let overlay_at ?(backing = `Auto) path =
-    match path with
-    | Some path -> (backing, path)
-    | None when backing = `Map -> invalid_arg "Mvsbt: a mapped overlay needs a path"
-    | None -> (`Buffered, "(ram)")
-
-  let make_backend ~policy ~pool_capacity store =
-    let pool = Mmap_pool.create ~capacity:pool_capacity ~policy store in
-    (* The current root is pinned in the pool: every descent starts
-       there.  The pin moves when the tree moves its root. *)
-    let pinned_root = ref None in
-    {
-      b_root =
-        (fun pid ->
-          (match !pinned_root with
-          | Some old when Mmap_pool.pin_count pool old > 0 -> Mmap_pool.unpin pool old
-          | _ -> ());
-          Mmap_pool.pin pool pid;
-          pinned_root := Some pid);
-      b_alloc = (fun () -> Mmap_pool.alloc pool);
-      (* Only writers and maintenance passes decode a frame. *)
-      b_read =
-        (fun pid ->
-          match Mmap_pool.read pool pid with
-          | Storage.Page_store.Decoded page -> page
-          | Framed ->
-              let buf, off, len = Mmap_store.frame store pid in
-              Record_codec.decode buf off len);
-      b_scan =
-        (fun pid q ->
-          match Mmap_pool.read pool pid with
-          | Storage.Page_store.Decoded page -> scan_page q page
-          | Framed -> Record_codec.scan_frame q (Mmap_store.frame store pid));
-      b_write = (fun pid page -> Mmap_pool.write pool pid (Storage.Page_store.Decoded page));
-      b_free = (fun pid -> Mmap_pool.free pool pid);
-      b_exists = (fun pid -> Mmap_pool.mem pool pid);
-      b_list =
-        (fun () ->
-          Mmap_pool.flush pool;
-          Mmap_store.written_ids store);
-      b_live = (fun () -> Mmap_store.live_pages store);
-      b_drop = (fun () -> Mmap_pool.drop_cache pool);
-      b_frame =
-        (fun pid ->
-          Mmap_pool.clean pool pid;
-          Mmap_store.read_frame store pid);
-      b_stage =
-        (fun file ->
-          let staged = Mmap_store.stage store ~file () in
-          {
-            add =
-              (fun pid ~offset frame ->
-                ignore
-                  (Mmap_store.stage_frame staged pid ~offset frame ~pos:0
-                     ~len:(Bytes.length frame)));
-            (* Pages the new base left out leave the pool too, so a dirty
-               one is never written back into the store. *)
-            commit =
-              (fun () ->
-                Mmap_store.rebase store staged;
-                Mmap_pool.retain pool (Mmap_store.mem store));
-          });
-      b_overlay = (fun () -> Mmap_store.overlay_bytes store);
-      b_close = (fun () -> Mmap_store.close store);
-    }
-
   let create ?config ?(pool_capacity = 64) ?(policy = Storage.Evict.Lru) ?stats ?backing ?path
       ~key_space () =
     let cfg = match config with Some c -> c | None -> default_config ~b:64 in
@@ -1624,7 +1784,7 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
     let store =
       Mmap_store.create ~stats:io_stats ~page_size:(min_page_size cfg) ~backing ~path ()
     in
-    boot ~cfg ~key_space ~io_stats (make_backend ~policy ~pool_capacity store)
+    boot ~cfg ~key_space ~io_stats ~policy ~pool_capacity store
 
   (* A state chunk brings in only what {!create} accepts: a configuration
      that passes {!validate_create}, and a [b] whose largest page payload
@@ -1632,7 +1792,7 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
      what a snapshot can hold. *)
   let check_state ~path st =
     match validate_create st.s_cfg st.s_key_space with
-    | () when Record_codec.max_payload ~b:st.s_cfg.b <= Chunks.max_len -> ()
+    | () when R.max_payload ~b:st.s_cfg.b <= Chunks.max_len -> ()
     | () | (exception Invalid_argument _) -> corrupt_chunk path "state"
 
   (* A page chunk's structure ({!Record_codec}'s [well_formed], a record
@@ -1647,7 +1807,7 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
         Bigarray.Array1.create Bigarray.char Bigarray.c_layout
           (Int.max f.len (2 * Bigarray.Array1.dim !scratch));
     Storage.Zcodec.blit_of_bytes f.buf (f.pos + Chunks.frame_bytes) !scratch 0 f.len;
-    if not (Record_codec.well_formed !scratch 0 f.len ~b) then corrupt_chunk path "page"
+    if not (R.well_formed !scratch 0 f.len ~b) then corrupt_chunk path "page"
 
   (* Open a tree over a snapshot without decoding a page: each verified
      chunk frame already is the page's frame, CRC included, so the base
@@ -1666,27 +1826,25 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
     let store =
       Mmap_store.create ~stats:io_stats ~page_size:(min_page_size st.s_cfg) ~backing ~path ()
     in
-    (try
-       let staged = Mmap_store.stage store ~file:snapshot ~size () in
-       let scratch = ref (Bigarray.Array1.create Bigarray.char Bigarray.c_layout 4096) in
-       pages (fun f ->
-           check_page_chunk ~b:st.s_cfg.b ~path:snapshot ~scratch f;
-           let id = Int64.to_int (Bytes.get_int64_le f.buf (f.pos + Chunks.frame_bytes)) in
-           if
-             id < 0
-             || not
-                  (Mmap_store.stage_frame staged (Storage.Page_id.of_int id)
-                     ~offset:f.offset f.buf ~pos:f.pos ~len:(Chunks.frame_bytes + f.len))
-           then corrupt_chunk snapshot "page");
-       Mmap_store.rebase store staged;
-       (* The root is pinned now, so it must be a page of the base. *)
-       if not (Mmap_store.mem store st.s_cur_root) then corrupt_chunk snapshot "state";
-       of_state ~io_stats
-         (make_backend ~policy:Storage.Evict.Second_chance ~pool_capacity store)
-         st
-     with e ->
-       Mmap_store.close store;
-       raise e)
+    try
+      let staged = Mmap_store.stage store ~file:snapshot ~size () in
+      let scratch = ref (Bigarray.Array1.create Bigarray.char Bigarray.c_layout 4096) in
+      pages (fun f ->
+          check_page_chunk ~b:st.s_cfg.b ~path:snapshot ~scratch f;
+          let id = Int64.to_int (Bytes.get_int64_le f.buf (f.pos + Chunks.frame_bytes)) in
+          if
+            id < 0
+            || not
+                 (Mmap_store.stage_frame staged (Storage.Page_id.of_int id)
+                    ~offset:f.offset f.buf ~pos:f.pos ~len:(Chunks.frame_bytes + f.len))
+          then corrupt_chunk snapshot "page");
+      Mmap_store.rebase store staged;
+      (* The root is pinned now, so it must be a page of the base. *)
+      if not (Mmap_store.mem store st.s_cur_root) then corrupt_chunk snapshot "state";
+      of_state ~io_stats ~policy:Storage.Evict.Second_chance ~pool_capacity store st
+    with e ->
+      Mmap_store.close store;
+      raise e
 
   (* --- Snapshot persistence --------------------------------------------------- *)
 
@@ -1707,28 +1865,44 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
     let w = Chunks.writer (state_bytes t) in
     encode_state w t;
     Chunks.append oc w;
-    (* Pages in the reverse of the walk's preorder, one frame each.  The
-       store already holds each page's frame, so the walk decodes only
-       roots and index pages, to find children, and every frame is copied
-       as stored, its CRC verified on the way out: holding the decoded
-       index pages until they are written would put a slice of the tree
-       back in the heap.  When [stage], each copied frame is staged, at
-       its offset, into the base the tree moves onto once the file is
-       durable. *)
-    let writes = ref [] in
-    let staging = if stage then Some (t.backend.b_stage path) else None in
-    walk t ~leaves:false (fun pid _ ->
-        writes :=
-          (fun () ->
-            let frame = t.backend.b_frame pid in
-            Option.iter (fun s -> s.add pid ~offset:!written frame) staging;
-            Chunks.append_frame oc frame)
-          :: !writes);
+    (* Pages in the reverse of the walk's preorder, one frame each, the
+       walk holding only ids: a bitmap of those reached and an array of
+       them in order.  The store already holds each page's frame, so
+       every frame is copied as stored, its CRC verified on the way out,
+       and a page in a slot is narrowed.  When [stage], each copied frame
+       is staged, at its offset, into the base the tree moves onto once
+       the file is durable. *)
+    let order = ref (Array.make 256 0) and n = ref 0 in
+    let (_ : Storage.Page_id.t -> bool) =
+      walk t ~leaves:false (fun pid ->
+          if !n = Array.length !order then order := Array.append !order !order;
+          !order.(!n) <- Storage.Page_id.to_int pid;
+          incr n)
+    in
+    let staged = if stage then Some (Mmap_store.stage t.store ~file:path ()) else None in
     let w = Chunks.writer 4 in
-    Storage.Codec.Writer.i32 w (List.length !writes);
+    Storage.Codec.Writer.i32 w !n;
     Chunks.append oc w;
-    List.iter (fun write -> write ()) !writes;
-    Option.fold ~none:ignore ~some:(fun s -> s.commit) staging
+    for i = !n - 1 downto 0 do
+      let pid = Storage.Page_id.of_int !order.(i) in
+      Mmap_pool.clean t.pool pid;
+      let frame = Mmap_store.read_frame t.store pid in
+      Option.iter
+        (fun s ->
+          ignore
+            (Mmap_store.stage_frame s pid ~offset:!written frame ~pos:0
+               ~len:(Bytes.length frame)))
+        staged;
+      Chunks.append_frame oc frame
+    done;
+    match staged with
+    | None -> ignore
+    | Some s ->
+        (* Pages the new base left out leave the pool too, so a dirty
+           one is never written back into the store. *)
+        fun () ->
+          Mmap_store.rebase t.store s;
+          Mmap_pool.retain t.pool (Mmap_store.mem t.store)
 
   let save ?(vfs = Storage.Vfs.os) t ~path =
     let (_ : unit -> unit) = write ~stage:false ~vfs t ~path in
@@ -1738,28 +1912,25 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
 
   let pp_dot ppf t =
     Format.fprintf ppf "digraph mvsbt {@.  node [shape=record];@.";
-    iter_pages t (fun page ->
+    iter_frames t (fun pid (buf, off, _) ->
+        let id = Storage.Page_id.to_int pid and n = R.count buf off in
         let label =
           String.concat "|"
-            (List.map
-               (fun r ->
-                 Format.asprintf "%a@%d..%s: %a" Interval.pp r.range r.rt_start
-                   (if r.rt_end = forever then "inf" else string_of_int r.rt_end)
-                   G.pp r.value)
-               page.records)
+            (List.init n (fun i ->
+                 let stop = R.time_field buf off i R.end_col in
+                 Format.asprintf "%a@%d..%s: %a" Interval.pp
+                   (Interval.make (R.key_field buf off i R.lo_col) (R.key_field buf off i R.hi_col))
+                   (R.time_field buf off i R.start_col)
+                   (if stop = forever then "inf" else string_of_int stop)
+                   G.pp (R.value_field buf off i)))
         in
-        Format.fprintf ppf "  p%d [label=\"{p%d lvl%d %a|%s}\"];@."
-          (Storage.Page_id.to_int page.pid)
-          (Storage.Page_id.to_int page.pid)
-          page.level Interval.pp page.prange label;
-        List.iter
-          (fun r ->
-            match r.child with
-            | Some c ->
-                Format.fprintf ppf "  p%d -> p%d;@."
-                  (Storage.Page_id.to_int page.pid)
-                  (Storage.Page_id.to_int c)
-            | None -> ())
-          page.records);
+        Format.fprintf ppf "  p%d [label=\"{p%d lvl%d %a|%s}\"];@." id id (R.level buf off)
+          Interval.pp
+          (Interval.make (R.low buf off) (R.high buf off))
+          label;
+        for i = 0 to n - 1 do
+          let c = R.child_field buf off i in
+          if c >= 0 then Format.fprintf ppf "  p%d -> p%d;@." id c
+        done);
     Format.fprintf ppf "}@."
 end

@@ -369,28 +369,12 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) : sig
   val pp_dot : Format.formatter -> t -> unit
   (** Graphviz rendering of the page graph, for debugging and docs. *)
 
-  (** {2 Pages and their layout}
+  (** {2 The page layout}
 
-      A page as writers hold it, decoded, and the one byte layout every
-      stored page and snapshot page chunk has.  Exposed for the layout's
-      tests; a tree's pages are reached only through its operations. *)
-
-  type record = {
-    range : Interval.t;  (** Its key range, within the page's. *)
-    rt_start : int;
-    mutable rt_end : int;  (** [max_int] while alive. *)
-    mutable value : G.t;
-    child : Storage.Page_id.t option;  (** [None] exactly at a leaf. *)
-  }
-
-  type page = {
-    pid : Storage.Page_id.t;
-    level : int;  (** 0 at a leaf. *)
-    prange : Interval.t;
-    created : int;
-    mutable closed : int;  (** [max_int] while alive. *)
-    mutable records : record list;
-  }
+      The one byte layout of every page, stored, sealed or still
+      changing, and of every snapshot page chunk.  Exposed for the
+      layout's tests; a tree's pages are reached only through its
+      operations. *)
 
   (** A page's payload: a header, two dictionaries, then the records in
       columns.  The header keeps the page's id (i64), level (i32), key
@@ -401,21 +385,28 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) : sig
       value word and for the child.  The key dictionary holds the page's
       key boundaries (every record's low and high key) less its low key,
       the time dictionary its instants (every start and end but
-      [max_int]) less its created time, each ascending, each entry once,
-      in the fewest bytes that hold every entry.  The records follow,
-      each the sum of the widths long, then 7 zero bytes.  The columns
-      are a record's low key, high key, start and end, as ranks into the
-      dictionaries (a time rank equal to the time dictionary's size is
-      [max_int], alive); each value word, and the child, less its
-      column's base, the page's least.  Each column takes the fewest
-      bytes that hold all its codes in the page (at [b] = 64 a rank takes
-      one byte), and a leaf's child column is empty (width 0, base -1: no
-      page).  Every field is at one offset in each record, so a scan
-      reads it with one unaligned 64-bit load and a mask.  Ranks order as
-      the keys and times they stand for: a scan ranks its point in each
-      dictionary once, by bisection, and tests each record on its ranks
-      without decoding a key or a time.  The zero bytes at the end keep
-      every load inside the payload. *)
+      [max_int]) less its created time, each ascending, each entry once.
+      The records follow, each the sum of the widths long, then 7 zero
+      bytes.  The columns are a record's low key, high key, start and
+      end, as ranks into the dictionaries (a time rank equal to the time
+      dictionary's size is [max_int], alive); each value word, and the
+      child, less its column's base.  A leaf's child column is empty
+      (width 0, base -1: no page).  Every field is at one offset in each
+      record, so a scan reads it with one unaligned 64-bit load and a
+      mask.  Ranks order as the keys and times they stand for: a scan
+      ranks its point in each dictionary once, by bisection, and tests
+      each record on its ranks without decoding a key or a time.  The
+      zero bytes at the end keep every load inside the payload.
+
+      A page comes in two widths, which scan alike.  A page that can
+      still change is {e wide}, in a slot of {!max_payload} bytes where
+      its writer edits it in place: each dictionary entry, value word and
+      child 8 bytes, every base 0, each rank in the bytes of [2 b].  A
+      page is {e narrowed} when it seals, and when a checkpoint copies
+      it: each dictionary entry and column then takes the fewest bytes
+      that hold all of its codes (at [b] = 64 a rank takes one byte),
+      each value word and child relative to the page's least.  A writer
+      {e widens} a stored page back into a slot. *)
   module Record_codec : sig
     val header_bytes : int
 
@@ -424,27 +415,53 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) : sig
         each value word, child. *)
 
     val max_payload : b:int -> int
-    (** The largest payload of a page of at most [b] records: [2 b]
-        entries in each dictionary, each entry, value word and child 8
-        bytes wide, each rank in the bytes that hold [2 b]. *)
+    (** The largest payload of a page of at most [b] records, a wide
+        one: [2 b] entries in each dictionary, each entry, value word and
+        child 8 bytes wide, each rank in the bytes that hold [2 b]. *)
 
-    val encode : Storage.Zcodec.buf -> off:int -> len:int -> page -> int
-    (** [encode buf ~off ~len p] writes [p]'s payload into the [len] bytes
-        of [buf] from [off] and returns its length.
-        @raise Storage.Codec.Overflow if it does not fit.
-        @raise Invalid_argument on a page no tree makes: a key below the
-        page's low key, a time before it was created, or a child the
-        level contradicts. *)
+    val init :
+      Storage.Zcodec.buf -> int -> b:int -> id:int -> level:int -> low:int -> high:int ->
+      created:int -> unit
+    (** [init buf off ~b ~id ~level ~low ~high ~created] lays out at [off]
+        the wide page [id], of no records, alive, for up to [b] records
+        over the keys [low, high).
+        @raise Invalid_argument on a negative level or [high < low]. *)
 
-    val decode : Storage.Zcodec.buf -> int -> int -> page
-    (** [decode buf off len] reads back the payload of [len] bytes at
-        [off].
-        @raise Malformed_frame if its header and length disagree, or a
-        record's rank runs past its dictionary. *)
+    val append :
+      Storage.Zcodec.buf -> int -> lo:int -> hi:int -> start:int -> stop:int -> G.t ->
+      child:int -> unit
+    (** Add a record after the wide page's last, its keys and instants
+        entered in the dictionaries in their places; [child] is [-1] at a
+        leaf.  The page must have room for it: at most [b] records, and
+        [2 b] keys and instants.
+        @raise Invalid_argument on a record no tree makes: a key below
+        the page's, [hi < lo], a time before the page was created (but
+        [max_int]), or a child the level contradicts. *)
+
+    val close : Storage.Zcodec.buf -> int -> int -> unit
+    (** [close buf off t] ends the page's lifetime at [t]: it seals. *)
+
+    val length : Storage.Zcodec.buf -> int -> int
+    (** The length of the payload at an offset, from its header. *)
+
+    val narrow : Storage.Zcodec.buf -> int -> Storage.Zcodec.buf -> int -> int
+    (** [narrow src off dst doff] writes the wide page at [off] of [src]
+        into [dst] from [doff] as it seals, each dictionary and column in
+        the fewest bytes, and returns its length: the same bytes for the
+        same records, in order, whatever edits made them.
+        @raise Invalid_argument if it does not fit [dst]. *)
+
+    val widen :
+      b:int -> Storage.Zcodec.buf -> int -> int -> Storage.Zcodec.buf -> int -> unit
+    (** [widen ~b buf off len dst doff] lays out at [doff] the wide form,
+        for up to [b] records, of the [len]-byte payload at [off].
+        @raise Malformed_frame if its header and length disagree, it
+        holds more than [b] records' entries, or a record's rank runs
+        past its dictionary. *)
 
     val point : logical:bool -> key:int -> at:int -> Storage.Zcodec.buf * int * int -> G.t * int
     (** One page's share of a point query, by a pass over the payload in
-        place, as {!query} runs it on a stored frame: the sum of the
+        place, of either width, as {!query} runs it: the sum of the
         values it adds (every record alive at [at] whose low key is at or
         below [key] when [logical], else only the one containing the
         point), and the child of the record containing the point — its
@@ -452,7 +469,4 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) : sig
         allocates only the values it adds; [point] adds its result pair.
         @raise Malformed_frame if the header and length disagree. *)
   end
-
-  val point : logical:bool -> key:int -> at:int -> page -> G.t * int
-  (** {!Record_codec.point} over a decoded page. *)
 end

@@ -91,6 +91,58 @@ module Image = struct
     t.used <- 0
 end
 
+(* --- Slots ------------------------------------------------------------------- *)
+
+module Slots = struct
+  (* Slots of [size] bytes, [per] to a RAM chunk of about 128 KiB.  The
+     free stack is the only part in the heap: an int per slot ever cut. *)
+  type t = {
+    size : int;
+    per : int;
+    mutable chunks : Zcodec.buf array;
+    mutable free : int array;
+    mutable n_free : int;
+    mutable cut : int; (* slots handed out at least once *)
+  }
+
+  let create ~size () =
+    if size < 1 then invalid_arg "Arena.Slots.create: size must be >= 1";
+    { size; per = max 1 (131072 / size); chunks = [||]; free = [||]; n_free = 0; cut = 0 }
+
+  let alloc t =
+    if t.n_free > 0 then begin
+      t.n_free <- t.n_free - 1;
+      t.free.(t.n_free)
+    end
+    else begin
+      let s = t.cut in
+      if s / t.per = Array.length t.chunks then
+        t.chunks <- Array.append t.chunks [| ram_chunk (t.per * t.size) |];
+      t.cut <- s + 1;
+      s
+    end
+
+  let free t s =
+    if s < 0 || s >= t.cut then invalid_arg "Arena.Slots.free: no such slot";
+    if t.n_free = Array.length t.free then
+      t.free <- Array.append t.free (Array.make (max 8 t.n_free) 0);
+    t.free.(t.n_free) <- s;
+    t.n_free <- t.n_free + 1
+
+  let locate t s =
+    if s < 0 || s >= t.cut then invalid_arg "Arena.Slots.locate: no such slot";
+    (t.chunks.(s / t.per), s mod t.per * t.size)
+
+  let used t = t.cut - t.n_free
+
+  let release t =
+    Array.iter (fun buf -> ignore (unmap buf)) t.chunks;
+    t.chunks <- [||];
+    t.free <- [||];
+    t.n_free <- 0;
+    t.cut <- 0
+end
+
 (* --- Arenas ------------------------------------------------------------------- *)
 
 (* An arena is an image it appends to: under [`Map] one shared mapping of

@@ -124,3 +124,32 @@ module Image : sig
       collection finds it.  The image is empty afterwards, and a buffer
       of it fetched before has no elements left.  Idempotent. *)
 end
+
+(** Fixed-size slots of RAM, reused once freed: where a page that can
+    still change is kept, and edited in place.  Slots are cut from
+    anonymous mappings of about 128 KiB ({!Image.ram}'s chunks), which
+    {!release} unmaps; the heap holds only the stack of free slots. *)
+module Slots : sig
+  type t
+
+  val create : size:int -> unit -> t
+  (** Slots of [size] bytes, none cut yet.
+      @raise Invalid_argument if [size < 1]. *)
+
+  val alloc : t -> int
+  (** A slot, the last freed if any: its bytes are whatever it last
+      held, zeros in a slot never used. *)
+
+  val free : t -> int -> unit
+  (** @raise Invalid_argument on a slot never handed out. *)
+
+  val locate : t -> int -> Zcodec.buf * int
+  (** [(buf, off)]: the slot is [size] bytes of [buf] from [off], valid
+      until {!release}. *)
+
+  val used : t -> int
+  (** Slots handed out and not freed. *)
+
+  val release : t -> unit
+  (** Free every slot and unmap the RAM now. *)
+end

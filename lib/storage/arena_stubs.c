@@ -229,6 +229,19 @@ CAMLprim value rta_blit_bytes_bigarray(value vsrc, value vsrc_off, value vdst,
   return Val_unit;
 }
 
+/* A move inside or between mappings, for a frame edited in place: the
+   ranges may overlap, so it is a memmove.  The OCaml side has checked
+   both. */
+CAMLprim value rta_blit_bigarray(value vsrc, value vsrc_off, value vdst, value vdst_off,
+                                 value vlen)
+{
+  size_t len = (size_t)Long_val(vlen);
+  if (len > 0)
+    memmove((char *)Caml_ba_data_val(vdst) + Long_val(vdst_off),
+            (const char *)Caml_ba_data_val(vsrc) + Long_val(vsrc_off), len);
+  return Val_unit;
+}
+
 CAMLprim value rta_arena_willneed(value vba, value voff, value vlen)
 {
 #if !defined(_WIN32) && defined(POSIX_MADV_WILLNEED)

@@ -67,32 +67,121 @@ struct
 end
 
 module type PAGE_CODEC = sig
-  type t
-
-  val encode : Zcodec.buf -> off:int -> len:int -> t -> int
-  val sealed : t -> bool
+  val sealed : Zcodec.buf -> int -> bool
+  val length : Zcodec.buf -> int -> int
+  val narrow : Zcodec.buf -> int -> Zcodec.buf -> int -> int
 end
 
-type 'a view = Decoded of 'a | Framed
+(* A page table: an int per page id, 0 for none, in chunks of 128 ids.
+   A chunk is made when an id in it is first set and dropped when its
+   last id is removed, and the chunks held are found by bisecting their
+   ascending numbers, so the table holds about a word per live page
+   however far apart their ids are: ids retired long ago, or one far
+   past the rest in a snapshot, cost nothing. *)
+module Table = struct
+  let bits = 7
+  let mask = (1 lsl bits) - 1
+
+  type t = {
+    mutable nums : int array; (* the chunks' numbers, ascending, in [0, n) *)
+    mutable chunks : int array array;
+    mutable held : int array; (* ids each chunk holds *)
+    mutable n : int;
+    mutable count : int;
+  }
+
+  let create () = { nums = [||]; chunks = [||]; held = [||]; n = 0; count = 0 }
+
+  (* The index of chunk [c], or of where it would go. *)
+  let seek t c =
+    let lo = ref 0 and hi = ref t.n in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if Array.unsafe_get t.nums mid < c then lo := mid + 1 else hi := mid
+    done;
+    !lo
+
+  let get t id =
+    let c = id asr bits in
+    let i = seek t c in
+    if i < t.n && Array.unsafe_get t.nums i = c then
+      Array.unsafe_get (Array.unsafe_get t.chunks i) (id land mask)
+    else 0
+
+  let set t id v =
+    let c = id lsr bits in
+    let i = seek t c in
+    if not (i < t.n && t.nums.(i) = c) then begin
+      if t.n = Array.length t.nums then begin
+        let grow a fill = Array.append a (Array.make (max 8 t.n) fill) in
+        t.nums <- grow t.nums 0;
+        t.chunks <- grow t.chunks [||];
+        t.held <- grow t.held 0
+      end;
+      let shift a = Array.blit a i a (i + 1) (t.n - i) in
+      shift t.nums;
+      shift t.chunks;
+      shift t.held;
+      t.nums.(i) <- c;
+      t.chunks.(i) <- Array.make (mask + 1) 0;
+      t.held.(i) <- 0;
+      t.n <- t.n + 1
+    end;
+    let a = t.chunks.(i) in
+    if a.(id land mask) = 0 then begin
+      t.held.(i) <- t.held.(i) + 1;
+      t.count <- t.count + 1
+    end;
+    a.(id land mask) <- v
+
+  let remove t id =
+    let c = id asr bits in
+    let i = seek t c in
+    if i < t.n && t.nums.(i) = c && t.chunks.(i).(id land mask) <> 0 then begin
+      t.chunks.(i).(id land mask) <- 0;
+      t.held.(i) <- t.held.(i) - 1;
+      t.count <- t.count - 1;
+      if t.held.(i) = 0 then begin
+        let shift a = Array.blit a (i + 1) a i (t.n - i - 1) in
+        shift t.nums;
+        shift t.chunks;
+        shift t.held;
+        t.n <- t.n - 1;
+        t.chunks.(t.n) <- [||]
+      end
+    end
+
+  (* Ascending by id. *)
+  let iter f t =
+    for i = 0 to t.n - 1 do
+      Array.iteri (fun j v -> if v <> 0 then f ((t.nums.(i) lsl bits) lor j) v) t.chunks.(i)
+    done
+end
 
 module Mmap (C : PAGE_CODEC) = struct
-  type payload = C.t view
+  type payload = unit
 
-  (* Where a page is: its frame at an offset of the base, the image of
-     the committed checkpoint the store was last based on, or at an
-     offset of the overlay if it was sealed since; or, written since and
-     not sealed, the page itself, decoded. *)
-  type loc = Base of int | Overlay of int | Live of C.t
+  (* Where a page is, as one int of the page table: its frame at an
+     offset of the base, the image of the committed checkpoint the store
+     was last based on, or at an offset of the overlay if it was sealed
+     since; or, written since and not sealed, in a RAM slot, edited in
+     place. *)
+  let base off = (off lsl 2) lor 1
+  let overlay off = (off lsl 2) lor 2
+  let slot s = (s lsl 2) lor 3
+  let[@inline] kind loc = loc land 3
+  let[@inline] at loc = loc lsr 2
 
   type t = {
     overlay : Arena.t;
+    slots : Arena.Slots.t;
     path : string;
     page_size : int;
     backing : [ `Auto | `Map | `Buffered ];
     mutable map_base : bool; (* bases are mapped files, not RAM images *)
     mutable base : Arena.Image.t;
     mutable base_path : string;
-    mutable where : loc Page_id.Tbl.t;
+    mutable table : Table.t;
     mutable next_id : int;
     mutable live : int;
     stats : Io_stats.t;
@@ -108,7 +197,8 @@ module Mmap (C : PAGE_CODEC) = struct
      The overlay holds them back to back, each from an 8-byte boundary.
      The CRC covers the payload only; [len] is validated against the page
      size and the buffer before the checksum runs, so a corrupt length
-     cannot read out of bounds. *)
+     cannot read out of bounds.  A slot holds a payload alone, from its
+     first byte: it is never written out as it is. *)
   let block_overhead = 8
 
   let create ?(stats = Io_stats.create ()) ?(page_size = 4096)
@@ -116,13 +206,14 @@ module Mmap (C : PAGE_CODEC) = struct
     if page_size < 32 + block_overhead then
       invalid_arg "Page_store.Mmap: page_size too small";
     let overlay = Arena.create ~backing ~chunk:(64 * page_size) ~path () in
-    { overlay; path; page_size; backing; map_base = Arena.backing overlay = `Map;
-      base = Arena.Image.empty (); base_path = path; where = Page_id.Tbl.create 1024;
-      next_id = 0; live = 0; stats; tracer }
+    { overlay; slots = Arena.Slots.create ~size:page_size (); path; page_size; backing;
+      map_base = Arena.backing overlay = `Map; base = Arena.Image.empty ();
+      base_path = path; table = Table.create (); next_id = 0; live = 0; stats; tracer }
 
   let stats t = t.stats
   let page_size t = t.page_size
   let backing t = Arena.backing t.overlay
+  let next_id t = t.next_id
 
   (* As in {!Mem}: ids are never reused. *)
   let alloc t =
@@ -135,20 +226,9 @@ module Mmap (C : PAGE_CODEC) = struct
   let page_attr id () = [ ("page", Telemetry.Tracer.Int (Page_id.to_int id)) ]
 
   let find t id =
-    match Page_id.Tbl.find_opt t.where id with None -> raise Not_found | Some loc -> loc
-
-  (* Where a framed page is: the buffer that holds it, the offset of its
-     frame and the file it belongs to.  The buffer is fetched afresh on
-     every call: a mapped overlay's is replaced when it grows, and a
-     rebase releases the base's. *)
-  let place t = function
-    | Base off ->
-        let buf, off = Arena.Image.locate t.base off in
-        (buf, off, t.base_path)
-    | Overlay off ->
-        let buf, off = Arena.locate t.overlay off in
-        (buf, off, t.path)
-    | Live _ -> invalid_arg "Page_store.Mmap: the page is held decoded"
+    let loc = Table.get t.table (Page_id.to_int id) in
+    if loc = 0 then raise Not_found;
+    loc
 
   (* The payload length of the frame at [off] of [buf]; [Corrupt_page]
      when its length field runs past the page size or the buffer, checked
@@ -162,24 +242,35 @@ module Mmap (C : PAGE_CODEC) = struct
     end;
     len
 
-  (* The payload of the framed page at [loc], as [(buf, off, len)], its
-     CRC checked — on every call, not once per fault: a mapped base shows
-     the file's current bytes, so a frame the pool has held since it was
-     verified can have rotted since, and a scan of it must fail as a
-     fault would. *)
-  let checked_frame t id loc =
-    let buf, off, path = place t loc in
-    let len = frame_len t buf off ~path id in
-    let pos = off + block_overhead in
-    if Zcodec.crc32 buf ~pos ~len <> Zcodec.get_i32 buf (off + 4) land 0xFFFFFFFF then begin
-      Io_stats.record_crc_failure t.stats;
-      raise (Corrupt_page { path; page = id })
-    end;
-    (buf, pos, len)
+  (* The payload of the page at [loc], as [(buf, off, len)]: a slot's as
+     it stands, a frame's with its CRC checked — on every call, not once
+     per fault: a mapped base shows the file's current bytes, so a frame
+     the pool has held since it was verified can have rotted since, and
+     a scan of it must fail as a fault would.  The buffer is fetched
+     afresh on every call: a mapped overlay's is replaced when it grows,
+     and a rebase releases the base's. *)
+  let located t id loc =
+    if kind loc = 3 then begin
+      let buf, off = Arena.Slots.locate t.slots (at loc) in
+      (buf, off, C.length buf off)
+    end
+    else begin
+      let (buf, off), path =
+        if kind loc = 1 then (Arena.Image.locate t.base (at loc), t.base_path)
+        else (Arena.locate t.overlay (at loc), t.path)
+      in
+      let len = frame_len t buf off ~path id in
+      let pos = off + block_overhead in
+      if Zcodec.crc32 buf ~pos ~len <> Zcodec.get_i32 buf (off + 4) land 0xFFFFFFFF then begin
+        Io_stats.record_crc_failure t.stats;
+        raise (Corrupt_page { path; page = id })
+      end;
+      (buf, pos, len)
+    end
 
   (* One charged page read.  Still one logical page transfer — the
      quantity the cost model and the Theorem-1/2 bound checker count —
-     even though no syscall runs, and even for a page held decoded;
+     even though no syscall runs, and even for a page in a slot;
      [mapped_reads] isolates the zero-copy share. *)
   let charged t id f =
     let loc = find t id in
@@ -189,76 +280,109 @@ module Mmap (C : PAGE_CODEC) = struct
     Io_stats.record_mapped_read t.stats;
     f loc
 
-  let read t id =
-    charged t id @@ function
-    | Live p -> Decoded p
-    | loc ->
-        ignore (checked_frame t id loc);
-        Framed
+  let read t id = charged t id @@ fun loc -> if kind loc <> 3 then ignore (located t id loc)
 
   (* Not charged: the read that made the page resident was. *)
-  let frame t id = checked_frame t id (find t id)
+  let frame t id = located t id (find t id)
 
-  (* Encode [p] as a frame at [off] of [buf], which has room for a page. *)
-  let encode_frame t buf off p =
-    let len = C.encode buf ~off:(off + block_overhead) ~len:(t.page_size - block_overhead) p in
+  let fresh t id =
+    let id = Page_id.to_int id in
+    if id >= t.next_id || Table.get t.table id <> 0 then
+      invalid_arg "Page_store.Mmap.fresh: not a new page";
+    let s = Arena.Slots.alloc t.slots in
+    Table.set t.table id (slot s);
+    Arena.Slots.locate t.slots s
+
+  let edit t id ~widen =
+    let loc = find t id in
+    if kind loc = 3 then Arena.Slots.locate t.slots (at loc)
+    else begin
+      let buf, pos, len = located t id loc in
+      let s = Arena.Slots.alloc t.slots in
+      let dst, off = Arena.Slots.locate t.slots s in
+      (match widen buf pos len dst off with
+      | () -> ()
+      | exception e ->
+          Arena.Slots.free t.slots s;
+          raise e);
+      Table.set t.table (Page_id.to_int id) (slot s);
+      (dst, off)
+    end
+
+  (* Narrow the page in slot [s] into a frame at [off] of [buf], which
+     has room for a page. *)
+  let seal_into t s buf off =
+    let src, src_off = Arena.Slots.locate t.slots s in
+    let len = C.narrow src src_off buf (off + block_overhead) in
+    if len > t.page_size - block_overhead then
+      invalid_arg "Page_store.Mmap: a sealed page outgrew its room";
     Zcodec.set_i32 buf off len;
     Zcodec.set_i32 buf (off + 4) (Zcodec.crc32 buf ~pos:(off + block_overhead) ~len);
     len
 
   let read_frame t id =
-    charged t id @@ function
-    | Live p ->
-        let buf = Bigarray.Array1.create Bigarray.char Bigarray.c_layout t.page_size in
-        let len = encode_frame t buf 0 p in
-        let out = Bytes.create (block_overhead + len) in
-        Zcodec.blit_to_bytes buf 0 out 0 (block_overhead + len);
-        out
-    | loc ->
-        let buf, pos, len = checked_frame t id loc in
-        let out = Bytes.create (block_overhead + len) in
-        Zcodec.blit_to_bytes buf (pos - block_overhead) out 0 (block_overhead + len);
-        out
+    charged t id @@ fun loc ->
+    if kind loc = 3 then begin
+      let buf = Bigarray.Array1.create Bigarray.char Bigarray.c_layout t.page_size in
+      let len = seal_into t (at loc) buf 0 in
+      let out = Bytes.create (block_overhead + len) in
+      Zcodec.blit_to_bytes buf 0 out 0 (block_overhead + len);
+      out
+    end
+    else begin
+      let buf, pos, len = located t id loc in
+      let out = Bytes.create (block_overhead + len) in
+      Zcodec.blit_to_bytes buf (pos - block_overhead) out 0 (block_overhead + len);
+      out
+    end
 
-  (* A sealed page is encoded at the overlay's tail, from an 8-byte
-     boundary: the overlay grows by the bytes of the pages sealed, not by
-     their ids or a page size.  A frame the page had there before, or
-     that a freed page leaves, is dead until the next rebase empties the
-     overlay.  A page that can still change is kept as it is, and encoded
-     only once it seals, or by the checkpoint that copies it into the
-     next base. *)
-  let write t id = function
-    | Framed -> invalid_arg "Page_store.Mmap.write: a page is written decoded"
-    | Decoded p ->
-        Telemetry.Tracer.with_span t.tracer ~level:`Debug "page.write" ~attrs:(page_attr id)
-        @@ fun () ->
-        Io_stats.record_write t.stats;
-        Io_stats.record_mapped_write t.stats;
-        if not (C.sealed p) then Page_id.Tbl.replace t.where id (Live p)
-        else
-          let align8 n = (n + 7) land lnot 7 in
-          let off =
-            Arena.append t.overlay ~room:(align8 t.page_size) (fun buf off ->
-                align8 (block_overhead + encode_frame t buf off p))
-          in
-          Page_id.Tbl.replace t.where id (Overlay off)
+  (* A page in a slot that has sealed is narrowed to the overlay's tail,
+     from an 8-byte boundary, and its slot freed: the overlay grows by the
+     bytes of the pages sealed, not by their ids or a page size.  A frame
+     the page had there before, or that a freed page leaves, is dead
+     until the next rebase empties the overlay.  A page that can still
+     change stays in its slot, and is narrowed only once it seals, or by
+     the checkpoint that copies it into the next base. *)
+  let write t id () =
+    Telemetry.Tracer.with_span t.tracer ~level:`Debug "page.write" ~attrs:(page_attr id)
+    @@ fun () ->
+    Io_stats.record_write t.stats;
+    Io_stats.record_mapped_write t.stats;
+    let loc = Table.get t.table (Page_id.to_int id) in
+    if kind loc = 3 then begin
+      let src, src_off = Arena.Slots.locate t.slots (at loc) in
+      if C.sealed src src_off then begin
+        let align8 n = (n + 7) land lnot 7 in
+        let off =
+          Arena.append t.overlay ~room:(align8 t.page_size) (fun buf off ->
+              align8 (block_overhead + seal_into t (at loc) buf off))
+        in
+        Arena.Slots.free t.slots (at loc);
+        Table.set t.table (Page_id.to_int id) (overlay off)
+      end
+    end
 
   let free t id =
     Io_stats.record_free t.stats;
-    Page_id.Tbl.remove t.where id;
+    let loc = Table.get t.table (Page_id.to_int id) in
+    if kind loc = 3 then Arena.Slots.free t.slots (at loc);
+    Table.remove t.table (Page_id.to_int id);
     t.live <- t.live - 1
 
-  let mem t id = Page_id.Tbl.mem t.where id
+  let mem t id = Table.get t.table (Page_id.to_int id) <> 0
   let live_pages t = t.live
 
   let written_ids t =
-    Page_id.Tbl.fold (fun id _ acc -> id :: acc) t.where []
-    |> List.sort (fun a b -> compare (Page_id.to_int a) (Page_id.to_int b))
+    let ids = ref [] in
+    Table.iter (fun id _ -> ids := Page_id.of_int id :: !ids) t.table;
+    List.rev !ids
 
   let overlay_bytes t = Arena.used t.overlay
+  let slots_used t = Arena.Slots.used t.slots
 
   let close t =
     Arena.close t.overlay;
+    Arena.Slots.release t.slots;
     Arena.Image.release t.base
 
   (* --- Bases ------------------------------------------------------------------- *)
@@ -266,7 +390,7 @@ module Mmap (C : PAGE_CODEC) = struct
   type staged = {
     file : string;
     image : Arena.Image.t option; (* [None]: map [file] when committed *)
-    offsets : loc Page_id.Tbl.t;
+    offsets : Table.t;
     mutable top : int; (* one past the highest id *)
   }
 
@@ -291,10 +415,11 @@ module Mmap (C : PAGE_CODEC) = struct
             | img -> Some img
             | exception Arena.Unavailable _ when t.backing <> `Map -> ram ())
     in
-    { file; image; offsets = Page_id.Tbl.create 1024; top = 0 }
+    { file; image; offsets = Table.create (); top = 0 }
 
   let stage_frame s id ~offset src ~pos ~len =
-    (not (Page_id.Tbl.mem s.offsets id))
+    let id = Page_id.to_int id in
+    Table.get s.offsets id = 0
     && begin
          let off =
            match s.image with
@@ -302,16 +427,18 @@ module Mmap (C : PAGE_CODEC) = struct
                Arena.Image.append img src ~pos ~len
            | _ -> offset
          in
-         Page_id.Tbl.replace s.offsets id (Base off);
-         s.top <- max s.top (Page_id.to_int id + 1);
+         Table.set s.offsets id (base off);
+         s.top <- max s.top (id + 1);
          true
        end
 
   (* Mapping the new file is the one step that can fail, and it comes
-     first: a failed rebase leaves the old base and the overlay, which
-     together still hold every page.  The overlay is emptied, dead frames
-     and all, best-effort: a file that will not shrink costs space, and
-     is written again from its start. *)
+     first: a failed rebase leaves the old base, the overlay and the
+     slots, which together still hold every page.  The overlay is
+     emptied, dead frames and all, best-effort: a file that will not
+     shrink costs space, and is written again from its start.  The slots
+     go too: every page they held is in the new base, or left out of
+     it. *)
   let rebase t s =
     let image =
       match s.image with Some img -> img | None -> Arena.Image.map ~path:s.file
@@ -321,13 +448,14 @@ module Mmap (C : PAGE_CODEC) = struct
        page cache. *)
     if Arena.Image.mapped image then begin
       Arena.Image.willneed image;
-      Io_stats.record_readaheads t.stats (Page_id.Tbl.length s.offsets)
+      Io_stats.record_readaheads t.stats s.offsets.count
     end;
     Arena.Image.release t.base;
     t.base <- image;
     t.base_path <- s.file;
-    t.where <- s.offsets;
-    t.live <- Page_id.Tbl.length s.offsets;
+    t.table <- s.offsets;
+    t.live <- s.offsets.count;
     t.next_id <- max t.next_id s.top;
+    Arena.Slots.release t.slots;
     try Arena.reset t.overlay with Unix.Unix_error _ -> ()
 end

@@ -7,22 +7,22 @@
       [Mvbt] and [Sbtree]; physical I/O is still charged to {!Io_stats}
       so experiments measure the same quantity the paper does.
     - {!Mmap} is the store every MVSBT runs on: served trees under both
-      store kinds, and the paper's figures over RAM.  It keeps pages as
-      CRC-framed frames in two places: a {e base}, the committed
-      checkpoint the store was opened or last rebased on — the file
-      mapped read-only, or a RAM image of its frames — and an
+      store kinds, and the paper's figures over RAM.  Every page in it is
+      a frame, off the OCaml heap, in one of three places: a {e base},
+      the committed checkpoint the store was opened or last rebased on —
+      the file mapped read-only, or a RAM image of its frames; an
       {e overlay}, an {!Arena} holding the frames of the pages sealed
-      since, back to back.  A page that can still change is
-      the one exception: once written it is held decoded until it seals,
-      when it is encoded once into the overlay, or until the next rebase,
-      whose checkpoint encoded it into the new base.  A read hands back
-      {!Framed} for a page in a frame, having checked its CRC — bit-rot
-      is detected loudly ({!Corrupt_page}), never decoded into garbage —
-      and the caller scans or decodes the frame in place ({!Mmap.frame}),
-      which checks the CRC again, since a page can rot while a pool
-      holds it.
-      The overlay is a cache of its owner's pages, never read back by a
-      later store.
+      since, back to back; or, for a page that can still change, a RAM
+      slot ({!Arena.Slots}) where its writer edits it in place, in a
+      layout wide enough for any edit.  A page in a slot that seals is
+      narrowed once into the overlay, when it is written back.  Where
+      each page is, the page table keeps as one int per page id, in
+      chunks dropped once their ids are all gone.  A read checks a
+      framed page's CRC — bit-rot is detected loudly ({!Corrupt_page}),
+      never decoded into garbage — and the caller scans the payload in
+      place ({!Mmap.frame}), which checks the CRC again, since a page can
+      rot while a pool holds it.  The overlay and the slots are a cache
+      of their owner's pages, never read back by a later store.
 
     Stores are deliberately dumb: no caching.  Layer {!Buffer_pool} on top
     for buffering. *)
@@ -76,31 +76,28 @@ end) : sig
 end
 
 module type PAGE_CODEC = sig
-  type t
+  val sealed : Zcodec.buf -> int -> bool
+  (** Whether the page whose payload is at an offset of a slot can no
+      longer change, bar vacuum: it is narrowed when it is written. *)
 
-  val encode : Zcodec.buf -> off:int -> len:int -> t -> int
-  (** [encode buf ~off ~len p] writes [p]'s payload into the [len] bytes
-      of [buf] from [off] and returns its length.
-      @raise Codec.Overflow if the payload exceeds [len] bytes. *)
+  val length : Zcodec.buf -> int -> int
+  (** The length of the payload at an offset of a slot. *)
 
-  val sealed : t -> bool
-  (** Whether the page can no longer change, bar vacuum: a sealed page
-      is encoded when it is written, any other is kept decoded. *)
+  val narrow : Zcodec.buf -> int -> Zcodec.buf -> int -> int
+  (** [narrow src off dst dst_off] writes the sealed form of the payload
+      at [off] of a slot [src] into [dst] from [dst_off], where there is
+      room for a page, and returns its length. *)
 end
 
-(** What a read of an {!Mmap} store hands back. *)
-type 'a view =
-  | Decoded of 'a  (** A page that can still change, as last written. *)
-  | Framed  (** A page in a CRC-checked frame: see {!Mmap.frame}. *)
-
 module Mmap (C : PAGE_CODEC) : sig
-  include S with type payload = C.t view
-  (** {!S.write} takes a [Decoded] page, and raises [Invalid_argument] on
-      [Framed]. *)
+  include S with type payload = unit
+  (** {!S.read} charges a read and checks a framed page's CRC; {!S.write}
+      charges a write, and narrows a sealed page in a slot into the
+      overlay. *)
 
   val block_overhead : int
   (** Bytes of each frame spent on its integrity header ([len] + [crc],
-      8); the codec sees at most [page_size - block_overhead] bytes. *)
+      8); a payload takes at most [page_size - block_overhead] bytes. *)
 
   val create :
     ?stats:Io_stats.t ->
@@ -110,18 +107,19 @@ module Mmap (C : PAGE_CODEC) : sig
     path:string ->
     unit ->
     t
-  (** A fresh, empty store: no base, and an empty overlay at [path] — an
-      {!Arena} ([backing] as in {!Arena.create}, default [`Auto]; RAM
-      chunks, or a first mapping, of 64 pages) to which each page sealed
-      is appended as a frame, [len][crc32][payload] — the frame of WAL
-      records and checkpoint chunks — from an 8-byte boundary.  A frame
-      takes the bytes its page encodes to, at most [page_size] (default
-      4096, the paper's setting), so the overlay grows with the bytes of
-      the pages sealed, whatever their ids.  A page sealed again (a
-      vacuum's prune) is appended again, and its old frame, like a freed
-      page's, is dead until the next {!rebase} empties the overlay.  A
-      store whose overlay is mapped maps its bases too; one whose overlay
-      is RAM keeps RAM images of its bases.
+  (** A fresh, empty store: no base, no slot, and an empty overlay at
+      [path] — an {!Arena} ([backing] as in {!Arena.create}, default
+      [`Auto]; RAM chunks, or a first mapping, of 64 pages) to which each
+      page sealed is appended as a frame, [len][crc32][payload] — the
+      frame of WAL records and checkpoint chunks — from an 8-byte
+      boundary.  A frame takes the bytes its page narrows to, at most
+      [page_size] (default 4096, the paper's setting), so the overlay
+      grows with the bytes of the pages sealed, whatever their ids.  A
+      page sealed again (a vacuum's prune) is appended again, and its old
+      frame, like a freed page's, is dead until the next {!rebase}
+      empties the overlay.  Slots are [page_size] bytes.  A store whose
+      overlay is mapped maps its bases too; one whose overlay is RAM
+      keeps RAM images of its bases.
 
       Each logical read/write is charged to [stats] as a [read]/[write]
       {e plus} a [mapped_read]/[mapped_write], whether or not it touches a
@@ -143,32 +141,60 @@ module Mmap (C : PAGE_CODEC) : sig
       the last {!rebase}, live or dead, with its alignment. *)
 
   val written_ids : t -> Page_id.t list
-  (** Every page id written (allocated, written, not freed), in the base,
-      the overlay or held decoded, ascending. *)
+  (** Every page id held (made by {!fresh}, or written, and not freed),
+      in the base, the overlay or a slot, ascending. *)
+
+  val next_id : t -> int
+  (** One past the highest id allocated or staged. *)
+
+  val slots_used : t -> int
+  (** Pages held in slots. *)
 
   val close : t -> unit
-  (** Release the overlay (see {!Arena.close}) and unmap the base. *)
+  (** Release the overlay (see {!Arena.close}) and the slots, and unmap
+      the base. *)
 
   val frame : t -> Page_id.t -> Zcodec.buf * int * int
-  (** [(buf, off, len)]: the payload of a {!Framed} page is [len] bytes
-      of [buf] from [off], wherever the page is now, its CRC checked on
-      every call.  Not charged — the {!read} that handed back [Framed]
-      was — but not trusted to it either: a pool keeps a page resident
-      past that read, and a mapped base shows the file's current bytes,
-      so a byte that rots in the meantime must fail the next scan, not
-      change its answer.  The buffer is valid until the store's next
-      {!write} or {!rebase}: fetch it again for every scan rather than
-      keeping it, since an overlay that grows moves to a new buffer, and
-      a rebase moves every frame and unmaps the base it leaves.
+  (** [(buf, off, len)]: the page's payload is [len] bytes of [buf] from
+      [off], wherever the page is now: in its slot, or a frame whose CRC
+      is checked on every call.  Not charged — the {!read} before it was
+      — but not trusted to it either: a pool keeps a page resident past
+      that read, and a mapped base shows the file's current bytes, so a
+      byte that rots in the meantime must fail the next scan, not change
+      its answer.  The buffer is valid until the store's next {!write},
+      {!edit} or {!rebase}: fetch it again for every scan rather than
+      keeping it, since an overlay that grows moves to a new buffer, a
+      page that seals leaves its slot, and a rebase moves every frame and
+      unmaps the base it leaves.
       @raise Corrupt_page on a checksum mismatch, or a length field that
       runs past the page size or the buffer.
-      @raise Invalid_argument if the page is held decoded.
+      @raise Not_found if the page was never written or was freed. *)
+
+  val fresh : t -> Page_id.t -> Zcodec.buf * int
+  (** A slot for the page just allocated as [id], whose writer lays the
+      page out there before it writes it: [(buf, off)], [page_size] bytes
+      of [buf] from [off], holding whatever the slot last held.  Not
+      charged.
+      @raise Invalid_argument if [id] was not allocated or is held. *)
+
+  val edit :
+    t ->
+    Page_id.t ->
+    widen:(Zcodec.buf -> int -> int -> Zcodec.buf -> int -> unit) ->
+    Zcodec.buf * int
+  (** The slot of a page its writer is about to change, as {!fresh}
+      gives it: the page's own, or a new one into which [widen buf off
+      len dst dst_off] copies the page's CRC-checked frame ({!frame}),
+      after which the page lives there.  Valid until the page is
+      written sealed, freed or rebased.  Not charged.
+      @raise Corrupt_page as {!frame} does, and whatever [widen] raises,
+      the page then staying where it was.
       @raise Not_found if the page was never written or was freed. *)
 
   val read_frame : t -> Page_id.t -> bytes
   (** A page's whole frame, [len][crc32][payload], copied out of the base
-      or the overlay, CRC-checked and not decoded, or, for a page held
-      decoded, encoded.  Charged as one read, like {!read}.
+      or the overlay, CRC-checked, or, for a page in a slot, narrowed.
+      Charged as one read, like {!read}.
       @raise Corrupt_page on a checksum mismatch.
       @raise Not_found if the page was never written or was freed. *)
 
@@ -204,9 +230,10 @@ module Mmap (C : PAGE_CODEC) : sig
 
   val rebase : t -> staged -> unit
   (** Move the store onto the staged base: its pages become exactly the
-      staged ones, held decoded pages included, the previous base is
+      staged ones, those in slots included, the previous base is
       released ({!Arena.Image.release}: unmapped now, not by the GC), the
-      overlay is emptied ({!Arena.reset}), dead frames and all, and ids
+      overlay is emptied ({!Arena.reset}), dead frames and all, every
+      slot is released ({!Arena.Slots.release}), and ids
       keep coming from past both the old cursor and the highest staged
       id.  A mapped base is hinted to the kernel once, whole
       ([posix_madvise(WILLNEED)]), and its pages are counted in

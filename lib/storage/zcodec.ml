@@ -84,3 +84,13 @@ let blit_of_bytes src src_off (dst : buf) dst_off len =
      || dst_off > Bigarray.Array1.dim dst - len
   then invalid_arg "Zcodec.blit_of_bytes: range outside buffer";
   unsafe_blit_of_bytes src src_off dst dst_off len
+
+external unsafe_blit : buf -> int -> buf -> int -> int -> unit = "rta_blit_bigarray"
+  [@@noalloc]
+
+let blit (src : buf) src_off (dst : buf) dst_off len =
+  if len < 0 || src_off < 0 || dst_off < 0
+     || src_off > Bigarray.Array1.dim src - len
+     || dst_off > Bigarray.Array1.dim dst - len
+  then invalid_arg "Zcodec.blit: range outside buffer";
+  unsafe_blit src src_off dst dst_off len

@@ -56,3 +56,10 @@ val blit_to_bytes : buf -> int -> bytes -> int -> int -> unit
 
 val blit_of_bytes : bytes -> int -> buf -> int -> int -> unit
 (** The same copy the other way, from bytes into a mapped slice. *)
+
+val blit : buf -> int -> buf -> int -> int -> unit
+(** [blit src src_off dst dst_off len] copies [len] bytes between mapped
+    slices, the same buffer's included: one [memmove], so the ranges may
+    overlap.
+    @raise Invalid_argument, before any byte moves, if either range runs
+    past its buffer. *)

@@ -380,42 +380,73 @@ let test_image_chunks () =
 
 (* --- Mmap page store ---------------------------------------------------------- *)
 
-(* Every page sealed: written as a frame. *)
-module Int_list_codec = struct
-  type t = int list
+(* Test pages: a 5-byte head, sealed or not (a byte) and the data's
+   length (an i32), then the data.  A page seals as it is, head and all,
+   and widens back into a slot as it is; [narrows] counts the seals. *)
+module Test_codec = struct
+  let narrows = ref 0
+  let sealed buf off = Zc.get_u8 buf off = 1
+  let length buf off = 5 + Zc.get_i32 buf (off + 1)
 
-  let encode buf ~off ~len v =
-    let n = 4 + (8 * List.length v) in
-    if n > len then raise (Storage.Codec.Overflow "int list");
-    Zc.set_i32 buf off (List.length v);
-    List.iteri (fun i x -> Zc.set_i64 buf (off + 4 + (8 * i)) x) v;
-    n
+  let copy src off dst doff len =
+    for i = 0 to len - 1 do
+      Zc.set_u8 dst (doff + i) (Zc.get_u8 src (off + i))
+    done
 
-  let sealed _ = true
+  let narrow src off dst doff =
+    incr narrows;
+    let len = length src off in
+    copy src off dst doff len;
+    len
+
+  let widen buf off len dst doff = copy buf off dst doff len
 end
 
-module MStore = Storage.Page_store.Mmap (Int_list_codec)
+module PStore = Storage.Page_store.Mmap (Test_codec)
 
-let decode_int_list (buf, off, len) =
-  let n = Zc.get_i32 buf off in
-  if 4 + (8 * n) > len then Alcotest.fail "a list longer than its frame";
-  List.init n (fun i -> Zc.get_i64 buf (off + 4 + (8 * i)))
+(* Lay [data] out as page [id]'s, in its slot — a fresh one for a page
+   never written, else its own, into which a framed page is widened
+   first — then write it. *)
+let put s id data ~sealed =
+  let buf, off =
+    if PStore.mem s id then PStore.edit s id ~widen:Test_codec.widen else PStore.fresh s id
+  in
+  Zc.set_u8 buf off (if sealed then 1 else 0);
+  Zc.set_i32 buf (off + 1) (String.length data);
+  String.iteri (fun i c -> Zc.set_u8 buf (off + 5 + i) (Char.code c)) data;
+  PStore.write s id ()
 
-(* A charged read, its frame decoded. *)
+(* The data of the payload [(buf, off, len)]. *)
+let data_of (buf, off, len) =
+  if len < 5 || Zc.get_i32 buf (off + 1) <> len - 5 then Alcotest.fail "a page of another length";
+  String.init (len - 5) (fun i -> Char.chr (Zc.get_u8 buf (off + 5 + i)))
+
+let ints v =
+  let b = Bytes.create (4 + (8 * List.length v)) in
+  Bytes.set_int32_le b 0 (Int32.of_int (List.length v));
+  List.iteri (fun i x -> Bytes.set_int64_le b (4 + (8 * i)) (Int64.of_int x)) v;
+  Bytes.to_string b
+
+let decode_int_list frame =
+  let d = data_of frame in
+  let n = Int32.to_int (String.get_int32_le d 0) in
+  if 4 + (8 * n) <> String.length d then Alcotest.fail "a list of another length";
+  List.init n (fun i -> Int64.to_int (String.get_int64_le d (4 + (8 * i))))
+
+(* A charged read, its payload decoded. *)
 let read_value s id =
-  match MStore.read s id with
-  | Storage.Page_store.Framed -> decode_int_list (MStore.frame s id)
-  | Decoded v -> v
+  PStore.read s id;
+  decode_int_list (PStore.frame s id)
 
-let write_value s id v = MStore.write s id (Storage.Page_store.Decoded v)
+let write_value s id v = put s id (ints v) ~sealed:true
 
 let store_lifecycle ~backing ~path () =
   let stats = Storage.Io_stats.create () in
-  let s = MStore.create ~stats ~page_size:128 ~backing ~path () in
+  let s = PStore.create ~stats ~page_size:128 ~backing ~path () in
   let payload i = [ i; i * i; -i ] in
   let ids =
     List.init 10 (fun i ->
-        let id = MStore.alloc s in
+        let id = PStore.alloc s in
         write_value s id (payload i);
         id)
   in
@@ -426,22 +457,22 @@ let store_lifecycle ~backing ~path () =
   (* Overlay slots are handed out densely: a page with a large id takes
      the next slot, and the file does not grow to reach its id. *)
   let far =
-    List.init 5000 (fun _ -> MStore.alloc s) |> List.rev |> List.hd
+    List.init 5000 (fun _ -> PStore.alloc s) |> List.rev |> List.hd
   in
   write_value s far [ 1 ];
   Alcotest.(check (list int)) "far page round trip" [ 1 ] (read_value s far);
-  if MStore.backing s = `Map then
+  if PStore.backing s = `Map then
     Alcotest.(check bool) "the overlay is not sized by a page id" true
       ((Unix.stat path).Unix.st_size < 64 * 128 * 2);
-  MStore.free s far;
+  PStore.free s far;
   (* The overlay is sized by its frames: short pages sealed at a 4 KiB
-     page size take the bytes they encode to, 92 each (96 aligned), not
+     page size take the bytes they seal to, 97 each (104 aligned), not
      4 KiB each, and read back. *)
-  let wide = MStore.create ~page_size:4096 ~backing ~path:(path ^ ".wide") () in
+  let wide = PStore.create ~page_size:4096 ~backing ~path:(path ^ ".wide") () in
   let n = 4000 and value i = List.init 10 (fun j -> i + j) in
   let wide_ids =
     List.init n (fun i ->
-        let id = MStore.alloc wide in
+        let id = PStore.alloc wide in
         write_value wide id (value i);
         id)
   in
@@ -450,26 +481,26 @@ let store_lifecycle ~backing ~path () =
       if i mod 97 = 0 then
         Alcotest.(check (list int)) "wide round trip" (value i) (read_value wide id))
     wide_ids;
-  let frame_bytes = n * (MStore.block_overhead + 4 + 80) in
+  let frame_bytes = n * (PStore.block_overhead + 5 + 4 + 80) in
   Alcotest.(check bool) "the overlay is sized by its frames" true
-    (MStore.overlay_bytes wide >= frame_bytes && MStore.overlay_bytes wide <= 2 * frame_bytes);
-  if MStore.backing wide = `Map then
+    (PStore.overlay_bytes wide >= frame_bytes && PStore.overlay_bytes wide <= 2 * frame_bytes);
+  if PStore.backing wide = `Map then
     Alcotest.(check bool) "the overlay file is sized by its frames" true
       ((Unix.stat (path ^ ".wide")).Unix.st_size <= 2 * frame_bytes);
-  MStore.close wide;
+  PStore.close wide;
   (* mapped accesses are charged both as I/O and as mapped ops *)
   Alcotest.(check bool) "mapped reads counted" true
     (Storage.Io_stats.mapped_reads stats >= 10);
   Alcotest.(check bool) "mapped writes counted" true
     (Storage.Io_stats.mapped_writes stats >= 10);
   let freed = List.nth ids 3 in
-  MStore.free s freed;
-  Alcotest.(check bool) "freed page gone" false (MStore.mem s freed);
+  PStore.free s freed;
+  Alcotest.(check bool) "freed page gone" false (PStore.mem s freed);
   Alcotest.check_raises "read freed" Not_found (fun () -> ignore (read_value s freed));
-  Alcotest.(check int) "live pages" 5008 (MStore.live_pages s);
+  Alcotest.(check int) "live pages" 5008 (PStore.live_pages s);
   (* ids continue; a retired id is never reused *)
-  Alcotest.(check int) "ids continue" 5010 (Storage.Page_id.to_int (MStore.alloc s));
-  MStore.close s
+  Alcotest.(check int) "ids continue" 5010 (Storage.Page_id.to_int (PStore.alloc s));
+  PStore.close s
 
 let test_mmap_store_buffered () =
   let dir = Filename.temp_dir "rta-test-mstore" "" in
@@ -486,89 +517,69 @@ let rm_tree dir =
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Sys.rmdir dir
 
-(* A page that counts its encodings and seals when told. *)
-module Counted = struct
-  type t = { value : int list; mutable closed : bool }
-
-  let encodes = ref 0
-
-  let encode buf ~off ~len p =
-    incr encodes;
-    Int_list_codec.encode buf ~off ~len p.value
-
-  let sealed p = p.closed
-end
-
-module CStore = Storage.Page_store.Mmap (Counted)
-
-(* A page that can still change is held as written: its writes, and the
-   reads after them, encode and decode nothing.  It is encoded once, when
-   it is written sealed; reads of it after that check its frame and
-   encode nothing more, and a later write (vacuum's prune) encodes it
-   again, at the overlay's tail, where it reads back pruned.  A
-   checkpoint's copy of a page held decoded encodes it.  A rebase onto
-   those copies empties the overlay, the pruned page's dead frame
-   with it. *)
+(* A page that can still change is edited in its slot: its writes, and
+   the reads after them, narrow nothing.  It is narrowed once, when it is
+   written sealed, and its slot freed; reads of it after that check its
+   frame and narrow nothing more, and a later write (vacuum's prune)
+   widens it back into a slot and narrows it again, at the overlay's
+   tail, where it reads back pruned.  A checkpoint's copy of a page in a
+   slot narrows it.  A rebase onto those copies empties the overlay, the
+   pruned page's dead frame with it, and the slots. *)
 let test_encode_once backing () =
   let dir = Filename.temp_dir "rta-test-encode" "" in
   Fun.protect ~finally:(fun () -> rm_tree dir) @@ fun () ->
   let stats = Storage.Io_stats.create () in
-  let s = CStore.create ~stats ~page_size:128 ~backing ~path:(Filename.concat dir "o") () in
-  let encodes = Counted.encodes in
-  encodes := 0;
-  let id = CStore.alloc s in
-  let p = { Counted.value = [ 1; 2; 3 ]; closed = false } in
+  let s = PStore.create ~stats ~page_size:128 ~backing ~path:(Filename.concat dir "o") () in
+  let narrows = Test_codec.narrows in
+  narrows := 0;
+  let id = PStore.alloc s in
   for _ = 1 to 5 do
-    CStore.write s id (Storage.Page_store.Decoded p)
+    put s id (ints [ 1; 2; 3 ]) ~sealed:false
   done;
-  (match CStore.read s id with
-  | Storage.Page_store.Decoded q -> Alcotest.(check bool) "held as written" true (q == p)
-  | Framed -> Alcotest.fail "an alive page was framed");
-  Alcotest.(check int) "alive write-backs encode nothing" 0 !encodes;
-  Alcotest.check_raises "an alive page has no frame"
-    (Invalid_argument "Page_store.Mmap: the page is held decoded") (fun () ->
-      ignore (CStore.frame s id));
-  p.closed <- true;
-  CStore.write s id (Storage.Page_store.Decoded p);
-  Alcotest.(check int) "sealing encodes once" 1 !encodes;
+  PStore.read s id;
+  Alcotest.(check (list int)) "held in its slot" [ 1; 2; 3 ] (decode_int_list (PStore.frame s id));
+  Alcotest.(check int) "alive write-backs narrow nothing" 0 !narrows;
+  Alcotest.(check int) "one slot" 1 (PStore.slots_used s);
+  put s id (ints [ 1; 2; 3 ]) ~sealed:true;
+  Alcotest.(check int) "sealing narrows once" 1 !narrows;
+  Alcotest.(check int) "and frees the slot" 0 (PStore.slots_used s);
   for _ = 1 to 3 do
-    match CStore.read s id with
-    | Storage.Page_store.Framed ->
-        Alcotest.(check (list int)) "the frame holds the page" [ 1; 2; 3 ]
-          (decode_int_list (CStore.frame s id))
-    | Decoded _ -> Alcotest.fail "a sealed page came back decoded"
+    PStore.read s id;
+    Alcotest.(check (list int)) "the frame holds the page" [ 1; 2; 3 ]
+      (decode_int_list (PStore.frame s id))
   done;
-  Alcotest.(check int) "reads of a sealed page encode nothing" 1 !encodes;
-  CStore.write s id (Storage.Page_store.Decoded { Counted.value = [ 3 ]; closed = true });
-  Alcotest.(check int) "a pruned sealed page is encoded again" 2 !encodes;
+  Alcotest.(check int) "reads of a sealed page narrow nothing" 1 !narrows;
+  put s id (ints [ 3 ]) ~sealed:true;
+  Alcotest.(check int) "a pruned sealed page is narrowed again" 2 !narrows;
   Alcotest.(check (list int)) "the pruned page reads back pruned" [ 3 ]
-    (decode_int_list (CStore.frame s id));
-  (* 36 bytes, then 20, each from an 8-byte boundary *)
-  Alcotest.(check int) "the overlay holds the dead frame and the live one" (40 + 24)
-    (CStore.overlay_bytes s);
-  let other = CStore.alloc s in
-  CStore.write s other (Storage.Page_store.Decoded { Counted.value = [ 9 ]; closed = false });
-  let frame = CStore.read_frame s other in
-  Alcotest.(check int) "a checkpoint's copy encodes an alive page" 3 !encodes;
+    (decode_int_list (PStore.frame s id));
+  (* 41 bytes, then 25, each from an 8-byte boundary *)
+  Alcotest.(check int) "the overlay holds the dead frame and the live one" (48 + 32)
+    (PStore.overlay_bytes s);
+  let other = PStore.alloc s in
+  put s other (ints [ 9 ]) ~sealed:false;
+  let frame = PStore.read_frame s other in
+  Alcotest.(check int) "a checkpoint's copy narrows a page in a slot" 3 !narrows;
   Alcotest.(check int) "into a whole frame" (Bytes.length frame)
-    (CStore.block_overhead + Int32.to_int (Bytes.get_int32_le frame 0));
+    (PStore.block_overhead + Int32.to_int (Bytes.get_int32_le frame 0));
   Alcotest.(check (pair int int)) "every access charged" (5, 8)
     (Storage.Io_stats.reads stats, Storage.Io_stats.writes stats);
-  let frames = [ (id, CStore.read_frame s id); (other, frame) ] in
+  let frames = [ (id, PStore.read_frame s id); (other, frame) ] in
   let file = Filename.concat dir "base" in
   write_bytes file (Bytes.concat Bytes.empty (List.map snd frames));
-  let staged = CStore.stage s ~file () in
+  let staged = PStore.stage s ~file () in
   ignore
     (List.fold_left
        (fun offset (id, f) ->
-         ignore (CStore.stage_frame staged id ~offset f ~pos:0 ~len:(Bytes.length f));
+         ignore (PStore.stage_frame staged id ~offset f ~pos:0 ~len:(Bytes.length f));
          offset + Bytes.length f)
        0 frames);
-  CStore.rebase s staged;
-  Alcotest.(check int) "a rebase empties the overlay" 0 (CStore.overlay_bytes s);
+  PStore.rebase s staged;
+  Alcotest.(check int) "a rebase empties the overlay" 0 (PStore.overlay_bytes s);
+  Alcotest.(check int) "and the slots" 0 (PStore.slots_used s);
   Alcotest.(check (list (list int))) "the base holds both pages" [ [ 3 ]; [ 9 ] ]
-    (List.map (fun (id, _) -> decode_int_list (CStore.frame s id)) frames);
-  CStore.close s
+    (List.map (fun (id, _) -> decode_int_list (PStore.frame s id)) frames);
+  PStore.close s
 
 (* --- Frames in a base --------------------------------------------------------------- *)
 
@@ -597,20 +608,20 @@ let flip_in_place path off =
 let base_frames ~backing ~dir =
   let stats = Storage.Io_stats.create () in
   let mk name =
-    MStore.create ~stats ~page_size:128 ~backing ~path:(Filename.concat dir name) ()
+    PStore.create ~stats ~page_size:128 ~backing ~path:(Filename.concat dir name) ()
   in
   let a = mk "a" and b = mk "b" in
   let id = Storage.Page_id.of_int in
   let ids = [ 0; 1; 2; 5; 9 ] in
   let value i = List.init (1 + (i mod 4)) (fun j -> (i * 1000) + j - 7) in
   for _ = 0 to 9 do
-    ignore (MStore.alloc a)
+    ignore (PStore.alloc a)
   done;
   List.iter (fun i -> write_value a (id i) (value i)) ids;
-  let own = List.init 4 (fun _ -> MStore.alloc b) |> List.rev |> List.hd in
+  let own = List.init 4 (fun _ -> PStore.alloc b) |> List.rev |> List.hd in
   write_value b own [ 42 ];
   let reads0 = Storage.Io_stats.reads stats in
-  let frames = List.map (fun i -> MStore.read_frame a (id i)) ids in
+  let frames = List.map (fun i -> PStore.read_frame a (id i)) ids in
   Alcotest.(check int) "one read per frame" (List.length ids)
     (Storage.Io_stats.reads stats - reads0);
   let header = 13 in
@@ -626,34 +637,34 @@ let base_frames ~backing ~dir =
   in
   let rebase path frames =
     lay_out path frames;
-    let staged = MStore.stage b ~file:path () in
+    let staged = PStore.stage b ~file:path () in
     List.iter2
       (fun i (off, f) ->
         Alcotest.(check bool) "staged" true
-          (MStore.stage_frame staged (id i) ~offset:off f ~pos:0 ~len:(Bytes.length f)))
+          (PStore.stage_frame staged (id i) ~offset:off f ~pos:0 ~len:(Bytes.length f)))
       ids (List.combine offsets frames);
     let f = List.hd frames in
     Alcotest.(check bool) "a repeated id is refused" false
-      (MStore.stage_frame staged (id 5) ~offset:header f ~pos:0 ~len:(Bytes.length f));
-    MStore.rebase b staged
+      (PStore.stage_frame staged (id 5) ~offset:header f ~pos:0 ~len:(Bytes.length f));
+    PStore.rebase b staged
   in
   let base = Filename.concat dir "base" in
   rebase base frames;
-  Alcotest.(check bool) "the overlay's page is gone" false (MStore.mem b own);
-  Alcotest.(check int) "live pages are the base's" (List.length ids) (MStore.live_pages b);
+  Alcotest.(check bool) "the overlay's page is gone" false (PStore.mem b own);
+  Alcotest.(check int) "live pages are the base's" (List.length ids) (PStore.live_pages b);
   List.iter2
     (fun i frame ->
       Alcotest.(check int) "frame = [len][crc][payload]"
-        (Int32.to_int (Bytes.get_int32_le frame 0) + MStore.block_overhead)
+        (Int32.to_int (Bytes.get_int32_le frame 0) + PStore.block_overhead)
         (Bytes.length frame);
-      Alcotest.(check bytes) "the frame comes back verbatim" frame (MStore.read_frame b (id i));
+      Alcotest.(check bytes) "the frame comes back verbatim" frame (PStore.read_frame b (id i));
       Alcotest.(check (list int)) "a base page decodes" (value i) (read_value b (id i)))
     ids frames;
-  Alcotest.(check int) "ids continue past the base" 10 (Storage.Page_id.to_int (MStore.alloc b));
+  Alcotest.(check int) "ids continue past the base" 10 (Storage.Page_id.to_int (PStore.alloc b));
   write_value b (id 5) [ 7 ];
   Alcotest.(check (list int)) "the overlay shadows the base" [ 7 ] (read_value b (id 5));
   let fails what =
-    (match MStore.read_frame b (id 9) with
+    (match PStore.read_frame b (id 9) with
     | exception Storage.Page_store.Corrupt_page _ -> ()
     | _ -> Alcotest.failf "%s: read_frame returned a corrupt frame" what);
     match read_value b (id 9) with
@@ -661,8 +672,8 @@ let base_frames ~backing ~dir =
     | _ -> Alcotest.failf "%s: a corrupt page decoded" what
   in
   let nine = List.length ids - 1 in
-  let at_nine = List.nth offsets nine + MStore.block_overhead + 3 in
-  if MStore.backing b = `Map then begin
+  let at_nine = List.nth offsets nine + PStore.block_overhead + 3 in
+  if PStore.backing b = `Map then begin
     let failures = Storage.Io_stats.crc_failures stats in
     flip_in_place base at_nine;
     fails "rot after the rebase";
@@ -687,8 +698,8 @@ let base_frames ~backing ~dir =
       rebase (Filename.concat dir "base3") (List.filteri (fun i _ -> i < nine) frames @ [ long ]);
       fails (Printf.sprintf "length field %d" len))
     [ 128; 1 lsl 20 ];
-  MStore.close a;
-  MStore.close b
+  PStore.close a;
+  PStore.close b
 
 let test_base_frames backing () =
   let dir = Filename.temp_dir "rta-test-base" "" in
@@ -1041,21 +1052,6 @@ let fast_temp_dir prefix =
 
 (* --- The overlay against a model ------------------------------------------------- *)
 
-(* Pages of raw bytes, sealed when told: any payload the room holds. *)
-module Raw = struct
-  type t = { data : string; sealed : bool }
-
-  let encode buf ~off ~len p =
-    let n = String.length p.data in
-    if n > len then raise (Storage.Codec.Overflow "raw page");
-    String.iteri (fun i c -> Zc.set_u8 buf (off + i) (Char.code c)) p.data;
-    n
-
-  let sealed p = p.sealed
-end
-
-module RStore = Storage.Page_store.Mmap (Raw)
-
 type store_op = Alloc | Write of int * int * bool | Free of int | Rebase
 
 let pp_store_op = function
@@ -1066,15 +1062,14 @@ let pp_store_op = function
 
 (* Random runs of the store's operations at a 128-byte page size: allocs;
    writes of pages that can still change and of sealed ones, of any
-   length from 0 to the codec's 120 bytes of room, to fresh pages and to
+   length up to the 120 bytes of a frame's room, to fresh pages and to
    written ones (a sealed page written sealed again is a re-seal); frees;
    and rebases onto a file of every page's frame, as a checkpoint makes
    one.  After each step, every page written reads back as the model has
-   it — held as written if it can change and was written since the last
-   rebase, else a frame whose payload is its bytes — a freed page is
-   gone, and the overlay holds no more than the frames appended since the
-   last rebase, each from an 8-byte boundary, plus one room per RAM
-   chunk. *)
+   it, and the pages in slots are those that can change and were written
+   since the last rebase; a freed page is gone, and the overlay holds no
+   more than the frames appended since the last rebase, each from an
+   8-byte boundary, plus one room per RAM chunk. *)
 let prop_overlay_model backing =
   let page_size = 128 in
   let chunk = 64 * page_size in
@@ -1088,7 +1083,7 @@ let prop_overlay_model backing =
              ( 100,
                map3
                  (fun i n s -> Write (i, n, s > 0))
-                 (0 -- 1000) (0 -- (page_size - 8)) (0 -- 3) );
+                 (0 -- 1000) (0 -- (page_size - 8 - 5)) (0 -- 3) );
              (8, map (fun i -> Free i) (0 -- 1000));
              (1, return Rebase) ]))
   in
@@ -1100,8 +1095,8 @@ let prop_overlay_model backing =
     (fun ops ->
       let dir = fast_temp_dir "rta-test-model" in
       Fun.protect ~finally:(fun () -> rm_tree dir) @@ fun () ->
-      let s = RStore.create ~page_size ~backing ~path:(Filename.concat dir "o") () in
-      Fun.protect ~finally:(fun () -> RStore.close s) @@ fun () ->
+      let s = PStore.create ~page_size ~backing ~path:(Filename.concat dir "o") () in
+      Fun.protect ~finally:(fun () -> PStore.close s) @@ fun () ->
       let module Id = Storage.Page_id in
       (* page id -> (page, held as written) *)
       let model = Hashtbl.create 64 and writable = ref [||] and freed = ref [] in
@@ -1109,38 +1104,37 @@ let prop_overlay_model backing =
       let written () = Hashtbl.fold (fun id _ acc -> id :: acc) model [] |> List.sort compare in
       let base_file n = Filename.concat dir (Printf.sprintf "base%d" n) in
       let step k = function
-        | Alloc -> writable := Array.append !writable [| Id.to_int (RStore.alloc s) |]
+        | Alloc -> writable := Array.append !writable [| Id.to_int (PStore.alloc s) |]
         | Write (i, n, sealed) when !writable <> [||] ->
             let id = !writable.(i mod Array.length !writable) in
-            let p =
-              { Raw.data = String.init n (fun j -> Char.chr ((k + (31 * j)) land 0xff)); sealed }
-            in
-            RStore.write s (Id.of_int id) (Storage.Page_store.Decoded p);
-            Hashtbl.replace model id (p, not sealed);
-            if sealed then appended := !appended + ((RStore.block_overhead + n + 7) land lnot 7)
+            let data = String.init n (fun j -> Char.chr ((k + (31 * j)) land 0xff)) in
+            put s (Id.of_int id) data ~sealed;
+            Hashtbl.replace model id (data, not sealed);
+            if sealed then
+              appended := !appended + ((PStore.block_overhead + 5 + n + 7) land lnot 7)
         | Free i when Hashtbl.length model > 0 ->
             let ids = written () in
             let id = List.nth ids (i mod List.length ids) in
-            RStore.free s (Id.of_int id);
+            PStore.free s (Id.of_int id);
             Hashtbl.remove model id;
             writable := Array.of_list (List.filter (( <> ) id) (Array.to_list !writable));
             freed := id :: !freed
         | Rebase ->
             let frames =
-              List.map (fun id -> (id, RStore.read_frame s (Id.of_int id))) (written ())
+              List.map (fun id -> (id, PStore.read_frame s (Id.of_int id))) (written ())
             in
             incr bases;
             write_bytes (base_file !bases) (Bytes.concat Bytes.empty (List.map snd frames));
-            let staged = RStore.stage s ~file:(base_file !bases) () in
+            let staged = PStore.stage s ~file:(base_file !bases) () in
             ignore
               (List.fold_left
                  (fun offset (id, f) ->
                    ignore
-                     (RStore.stage_frame staged (Id.of_int id) ~offset f ~pos:0
+                     (PStore.stage_frame staged (Id.of_int id) ~offset f ~pos:0
                         ~len:(Bytes.length f));
                    offset + Bytes.length f)
                  0 frames);
-            RStore.rebase s staged;
+            PStore.rebase s staged;
             if !bases > 1 then Sys.remove (base_file (!bases - 1));
             Hashtbl.filter_map_inplace (fun _ (p, _) -> Some (p, false)) model;
             appended := 0
@@ -1149,23 +1143,22 @@ let prop_overlay_model backing =
       let check k op =
         let fail fmt = QCheck.Test.fail_reportf ("step %d (%s): " ^^ fmt) k (pp_store_op op) in
         Hashtbl.iter
-          (fun id (p, held) ->
-            match RStore.read s (Id.of_int id) with
-            | Storage.Page_store.Decoded q ->
-                if not (held && q == p) then fail "page %d came back decoded" id
-            | Framed ->
-                if held then fail "page %d, held as written, came back framed" id;
-                let buf, off, len = RStore.frame s (Id.of_int id) in
-                if String.init len (fun j -> Char.chr (Zc.get_u8 buf (off + j))) <> p.Raw.data
-                then fail "page %d reads %d bytes, not its %d" id len (String.length p.Raw.data))
+          (fun id (data, _) ->
+            PStore.read s (Id.of_int id);
+            let got = data_of (PStore.frame s (Id.of_int id)) in
+            if got <> data then
+              fail "page %d reads %d bytes, not its %d" id (String.length got) (String.length data))
           model;
+        let held = Hashtbl.fold (fun _ (_, held) n -> if held then n + 1 else n) model 0 in
+        if PStore.slots_used s <> held then
+          fail "%d pages in slots, %d that can change" (PStore.slots_used s) held;
         List.iter
           (fun id ->
-            match RStore.read s (Id.of_int id) with
+            match PStore.read s (Id.of_int id) with
             | exception Not_found -> ()
             | _ -> fail "freed page %d reads" id)
           !freed;
-        let used = RStore.overlay_bytes s in
+        let used = PStore.overlay_bytes s in
         let chunks = (used + chunk - 1) / chunk in
         if used > !appended + (page_size * chunks) then
           fail "the overlay holds %d bytes, %d appended since the last rebase" used !appended
@@ -1592,42 +1585,42 @@ let prop_backends_agree =
 let check_bases_released backing =
   let dir = fast_temp_dir "rta-test-release" in
   Fun.protect ~finally:(fun () -> rm_tree dir) @@ fun () ->
-  let s = RStore.create ~page_size:128 ~backing ~path:(Filename.concat dir "o") () in
-  let page k = Storage.Page_store.Decoded { Raw.data = String.make (k + 1) 'p'; sealed = true } in
-  let ids = List.init 40 (fun k -> (RStore.alloc s, k)) in
-  List.iter (fun (id, k) -> RStore.write s id (page k)) ids;
+  let s = PStore.create ~page_size:128 ~backing ~path:(Filename.concat dir "o") () in
+  let page id k = put s id (String.make (k + 1) 'p') ~sealed:true in
+  let ids = List.init 40 (fun k -> (PStore.alloc s, k)) in
+  List.iter (fun (id, k) -> page id k) ids;
   (* A checkpoint's rebase: every page's frame into a file, staged as the
      open stages a checkpoint, with the file's size. *)
   let rebase gen =
     let file = Filename.concat dir (Printf.sprintf "base%d" gen) in
-    let frames = List.map (fun (id, _) -> (id, RStore.read_frame s id)) ids in
+    let frames = List.map (fun (id, _) -> (id, PStore.read_frame s id)) ids in
     write_bytes file (Bytes.concat Bytes.empty (List.map snd frames));
-    let staged = RStore.stage s ~file ~size:(Unix.stat file).Unix.st_size () in
+    let staged = PStore.stage s ~file ~size:(Unix.stat file).Unix.st_size () in
     ignore
       (List.fold_left
          (fun offset (id, f) ->
-           ignore (RStore.stage_frame staged id ~offset f ~pos:0 ~len:(Bytes.length f));
+           ignore (PStore.stage_frame staged id ~offset f ~pos:0 ~len:(Bytes.length f));
            offset + Bytes.length f)
          0 frames);
-    RStore.rebase s staged
+    PStore.rebase s staged
   in
   let buffer (id, _) =
-    let buf, _, _ = RStore.frame s id in
+    let buf, _, _ = PStore.frame s id in
     buf
   in
   let reads what =
     List.iter
       (fun (id, k) ->
-        let buf, off, len = RStore.frame s id in
-        if len <> k + 1 || Zc.get_u8 buf off <> Char.code 'p' then
-          Alcotest.failf "%s: page %d reads %d bytes" what k len)
+        let data = data_of (PStore.frame s id) in
+        if data <> String.make (k + 1) 'p' then
+          Alcotest.failf "%s: page %d reads %d bytes" what k (String.length data))
       ids
   in
   rebase 1;
   let base = buffer (List.hd ids) in
   (* A page sealed again goes to the overlay. *)
   let last = List.nth ids 39 in
-  RStore.write s (fst last) (page (snd last));
+  page (fst last) (snd last);
   let overlay = buffer last in
   Alcotest.(check bool) "the base and the overlay hold frames" true
     (Bigarray.Array1.dim base > 0 && Bigarray.Array1.dim overlay > 0);
@@ -1636,7 +1629,7 @@ let check_bases_released backing =
     (0, 0) (Bigarray.Array1.dim base, Bigarray.Array1.dim overlay);
   reads "after the rebase";
   let base = buffer (List.hd ids) in
-  RStore.close s;
+  PStore.close s;
   Alcotest.(check int) "a close releases the last base" 0 (Bigarray.Array1.dim base)
 
 (* Each rebase unmaps the generation it leaves before the checkpoint

@@ -510,22 +510,56 @@ module Layout = SC.Record_codec
 
 let forever = max_int
 
+(* A page as a list of records: the model the layout is checked against.
+   A tree keeps no such thing; its pages are frames. *)
+type mrecord = {
+  range : Interval.t;
+  rt_start : int;
+  rt_end : int;
+  value : int * int;
+  child : int option;
+}
+
+type mpage = {
+  pid : int;
+  level : int;
+  prange : Interval.t;
+  created : int;
+  closed : int;
+  records : mrecord list;
+}
+
+(* The model's share of a point query (Appendix A): a record alive at
+   [at] whose low key is at or below [key] adds its value under logical
+   splitting, and the one containing [key] adds it under either variant
+   and names the child. *)
+let model_point ~logical ~key ~at p =
+  List.fold_left
+    (fun (((s, c) as sum), next) r ->
+      if r.rt_start <= at && at < r.rt_end && r.range.Interval.lo <= key then
+        let add () = ((s + fst r.value, c + snd r.value)) in
+        if key < r.range.Interval.hi then (add (), match r.child with None -> -1 | Some c -> c)
+        else if logical then (add (), next)
+        else (sum, next)
+      else (sum, next))
+    ((0, 0), -2) p.records
+
 (* A page's two dictionaries as the layout keeps them: its key
    boundaries less its low key, and its instants but [forever] less its
    created time, each ascending, each entry once. *)
-let dictionaries (p : SC.page) =
-  let plo = p.SC.prange.Interval.lo and created = p.SC.created in
+let dictionaries p =
+  let plo = p.prange.Interval.lo and created = p.created in
   ( List.sort_uniq compare
       (List.concat_map
-         (fun r -> [ r.SC.range.Interval.lo - plo; r.SC.range.Interval.hi - plo ])
-         p.SC.records),
+         (fun r -> [ r.range.Interval.lo - plo; r.range.Interval.hi - plo ])
+         p.records),
     List.sort_uniq compare
       (List.concat_map
          (fun r ->
            List.filter_map
              (fun x -> if x = forever then None else Some (x - created))
-             [ r.SC.rt_start; r.SC.rt_end ])
-         p.SC.records) )
+             [ r.rt_start; r.rt_end ])
+         p.records) )
 
 let rank dict x =
   let rec go i = function
@@ -538,10 +572,10 @@ let rank dict x =
    header's width bytes follow: the ranks of its low key, high key,
    start and end ([forever]'s rank the time dictionary's size), then the
    two value words and the child, each less its column's least. *)
-let column_codes (p : SC.page) =
-  let recs = p.SC.records and keys, times = dictionaries p in
-  let key x = rank keys (x - p.SC.prange.Interval.lo)
-  and time x = if x = forever then List.length times else rank times (x - p.SC.created) in
+let column_codes p =
+  let recs = p.records and keys, times = dictionaries p in
+  let key x = rank keys (x - p.prange.Interval.lo)
+  and time x = if x = forever then List.length times else rank times (x - p.created) in
   let spread xs =
     match xs with
     | [] -> []
@@ -549,13 +583,13 @@ let column_codes (p : SC.page) =
         let least = List.fold_left min x rest in
         List.map (fun v -> v - least) xs
   in
-  [ List.map (fun r -> key r.SC.range.Interval.lo) recs;
-    List.map (fun r -> key r.SC.range.Interval.hi) recs;
-    List.map (fun r -> time r.SC.rt_start) recs;
-    List.map (fun r -> time r.SC.rt_end) recs;
-    spread (List.map (fun r -> fst r.SC.value) recs);
-    spread (List.map (fun r -> snd r.SC.value) recs);
-    spread (List.filter_map (fun r -> Option.map Storage.Page_id.to_int r.SC.child) recs) ]
+  [ List.map (fun r -> key r.range.Interval.lo) recs;
+    List.map (fun r -> key r.range.Interval.hi) recs;
+    List.map (fun r -> time r.rt_start) recs;
+    List.map (fun r -> time r.rt_end) recs;
+    spread (List.map (fun r -> fst r.value) recs);
+    spread (List.map (fun r -> snd r.value) recs);
+    spread (List.filter_map (fun r -> r.child) recs) ]
 
 (* The fewest bytes that hold every code, unsigned: a code that wrapped
    negative needs all 8. *)
@@ -572,51 +606,101 @@ let dictionary_fields buf off =
 
 let widths buf off = List.init 7 (fun c -> Storage.Zcodec.get_u8 buf (off + Layout.widths_at + c))
 
-(* [p] encoded at [off] of a buffer of its largest payload's room past
-   [off], every byte of it not zero beforehand. *)
-let encoded (p : SC.page) ~off =
-  let room = Layout.max_payload ~b:(List.length p.SC.records) in
-  let buf = Bigarray.Array1.create Bigarray.char Bigarray.c_layout (off + room) in
-  Bigarray.Array1.fill buf '\xa5';
-  (buf, Layout.encode buf ~off ~len:room p)
+let bigarray n fill =
+  let buf = Bigarray.Array1.create Bigarray.char Bigarray.c_layout n in
+  Bigarray.Array1.fill buf fill;
+  buf
+
+(* [p] laid out wide, record by record, at [off] of a slot for pages of
+   its record count, every byte of it not zero beforehand. *)
+let wide (p : mpage) ~off =
+  let b = max 1 (List.length p.records) in
+  let buf = bigarray (off + Layout.max_payload ~b) '\x5a' in
+  Layout.init buf off ~b ~id:p.pid ~level:p.level ~low:p.prange.Interval.lo
+    ~high:p.prange.Interval.hi ~created:p.created;
+  Layout.close buf off p.closed;
+  List.iter
+    (fun r ->
+      Layout.append buf off ~lo:r.range.Interval.lo ~hi:r.range.Interval.hi ~start:r.rt_start
+        ~stop:r.rt_end r.value ~child:(Option.value r.child ~default:(-1)))
+    p.records;
+  (buf, Layout.length buf off)
+
+(* [p] narrowed from its wide form to [off] of a buffer of the room of
+   its largest payload past [off], every byte of it not zero beforehand. *)
+let encoded (p : mpage) ~off =
+  let src, _ = wide p ~off:0 in
+  let buf = bigarray (off + Layout.max_payload ~b:(max 1 (List.length p.records))) '\xa5' in
+  (buf, Layout.narrow src 0 buf off)
 
 let bytes_of buf off len = String.init len (fun i -> Bigarray.Array1.get buf (off + i))
 
-let check_layout (p : SC.page) ~off ~probes =
+let check_layout (p : mpage) ~off ~probes =
   let buf, len = encoded p ~off in
-  (* a page comes back whole, and encodes to the same bytes again *)
-  let back = Layout.decode buf off len in
-  if back <> p then QCheck.Test.fail_report "the page does not decode back";
-  let again, again_len = encoded back ~off:0 in
+  (* a narrowed page widens back and narrows to the same bytes *)
+  let b = max 1 (List.length p.records) in
+  let slot = bigarray (Layout.max_payload ~b) '\x33' in
+  Layout.widen ~b buf off len slot 0;
+  let again = bigarray (Layout.max_payload ~b) '\x77' in
+  let again_len = Layout.narrow slot 0 again 0 in
   if bytes_of again 0 again_len <> bytes_of buf off len then
-    QCheck.Test.fail_report "the decoded page encodes to other bytes";
+    QCheck.Test.fail_report "the widened page narrows to other bytes";
   (* each dictionary holds what it should in the fewest bytes, each
-     column its codes in the fewest bytes, and the parts fill the payload *)
+     column the page's codes in the fewest bytes, and the parts fill the
+     payload *)
   let keys, times = dictionaries p and nk, nt, kw, tw = dictionary_fields buf off in
   if nk <> List.length keys || nt <> List.length times then
     QCheck.Test.fail_reportf "dictionaries of %d and %d entries, want %d and %d" nk nt
       (List.length keys) (List.length times);
   if kw <> least_width keys || tw <> least_width times then
     QCheck.Test.fail_reportf "dictionary widths %d and %d are not the least" kw tw;
+  let entries at w n = List.init n (fun i ->
+      let x = ref 0 in
+      for k = w - 1 downto 0 do
+        x := (!x lsl 8) lor Storage.Zcodec.get_u8 buf (at + (i * w) + k)
+      done;
+      !x)
+  in
+  if entries (off + Layout.header_bytes) kw nk <> keys
+     || entries (off + Layout.header_bytes + (nk * kw)) tw nt <> times
+  then QCheck.Test.fail_report "a dictionary holds other entries";
+  let ws = widths buf off in
+  let stride = List.fold_left ( + ) 0 ws in
+  let records = off + Layout.header_bytes + (nk * kw) + (nt * tw) in
   List.iteri
     (fun c (codes, w) ->
       if w <> least_width codes then
-        QCheck.Test.fail_reportf "column %d: width %d is not the least" c w)
-    (List.combine (column_codes p) (widths buf off));
-  let stride = List.fold_left ( + ) 0 (widths buf off) in
-  if len <> Layout.header_bytes + (nk * kw) + (nt * tw) + (List.length p.SC.records * stride) + 7
+        QCheck.Test.fail_reportf "column %d: width %d is not the least" c w;
+      let at = List.fold_left ( + ) 0 (List.filteri (fun i _ -> i < c) ws) in
+      let stored =
+        List.init (List.length codes) (fun i ->
+            let x = ref 0 in
+            for k = w - 1 downto 0 do
+              x := (!x lsl 8) lor Storage.Zcodec.get_u8 buf (records + (i * stride) + at + k)
+            done;
+            !x)
+      in
+      let wanted = List.map (fun x -> if w = 8 then x else x land ((1 lsl (8 * w)) - 1)) codes in
+      if stored <> wanted then QCheck.Test.fail_reportf "column %d holds other codes" c)
+    (List.combine (column_codes p) ws);
+  if len <> Layout.header_bytes + (nk * kw) + (nt * tw) + (List.length p.records * stride) + 7
   then QCheck.Test.fail_reportf "a %d-byte payload for stride %d" len stride;
-  (* a scan in place answers as a scan of the page *)
+  (* a scan in place, of either width, answers as the model *)
+  let wide_buf, wide_len = wide p ~off:5 in
   List.iter
     (fun (key, at) ->
       List.iter
         (fun logical ->
-          let want = SC.point ~logical ~key ~at back
-          and got = Layout.point ~logical ~key ~at (buf, off, len) in
-          if got <> want then
-            QCheck.Test.fail_reportf "(%d, %d)%s: scanned (%d, %d) child %d, want (%d, %d) child %d"
-              key at (if logical then " logical" else "") (fst (fst got)) (snd (fst got))
-              (snd got) (fst (fst want)) (snd (fst want)) (snd want))
+          let want = model_point ~logical ~key ~at p in
+          List.iter
+            (fun (width, got) ->
+              if got <> want then
+                QCheck.Test.fail_reportf
+                  "(%d, %d)%s, %s: scanned (%d, %d) child %d, want (%d, %d) child %d" key at
+                  (if logical then " logical" else "") width (fst (fst got)) (snd (fst got))
+                  (snd got) (fst (fst want)) (snd (fst want)) (snd want))
+            [ ("narrow", Layout.point ~logical ~key ~at (buf, off, len));
+              ("wide", Layout.point ~logical ~key ~at (wide_buf, 5, wide_len)) ])
         [ true; false ])
     probes;
   true
@@ -654,35 +738,35 @@ let gen_page =
        let* s = gen_word and* c = gen_word in
        let* child = int_range child_base (child_base + child_span) in
        return
-         { SC.range = Interval.make lo hi; rt_start = start;
+         { range = Interval.make lo hi; rt_start = start;
            rt_end = (if ends then forever else stop);
            value = (match value_span with `Same -> (7, -7) | `Any -> (s, c));
-           child = (if level = 0 then None else Some (Storage.Page_id.of_int child)) })
+           child = (if level = 0 then None else Some child) })
   in
   let* points = list_repeat 20 (pair (int_range (plo - 2) (phi + 2)) (int_range (created - 2) (last + 2))) in
   return
-    ( { SC.pid = Storage.Page_id.of_int 3; level; prange = Interval.make plo phi; created;
+    ( { pid = 3; level; prange = Interval.make plo phi; created;
         closed = (match alive with `All -> forever | _ -> last + 1); records },
       points )
 
 (* Points at and beside every record's boundaries, and past the page's:
    below its low key and at its high key, before it was created, past
    every instant, and at [forever] itself. *)
-let probes (p : SC.page) =
+let probes p =
   let keys =
     List.concat_map
       (fun r ->
-        let { Interval.lo; hi } = r.SC.range in
+        let { Interval.lo; hi } = r.range in
         [ lo - 1; lo; hi - 1; hi ])
-      p.SC.records
+      p.records
   and times =
     List.concat_map
-      (fun r -> [ r.SC.rt_start - 1; r.SC.rt_start; r.SC.rt_end - 1; min r.SC.rt_end (forever - 1) ])
-      p.SC.records
+      (fun r -> [ r.rt_start - 1; r.rt_start; r.rt_end - 1; min r.rt_end (forever - 1) ])
+      p.records
   in
   let pick l i = List.nth l (i mod List.length l) in
-  let { Interval.lo = plo; hi = phi } = p.SC.prange and created = p.SC.created in
-  let past = List.fold_left (fun m r -> max m (min r.SC.rt_end (forever - 2))) created p.SC.records in
+  let { Interval.lo = plo; hi = phi } = p.prange and created = p.created in
+  let past = List.fold_left (fun m r -> max m (min r.rt_end (forever - 2))) created p.records in
   List.init 40 (fun i -> (pick keys (i * 7), pick times (i * 13)))
   @ [ (plo, created); (plo - 1, created); (phi, created); (phi - 1, created - 1);
       (plo, past + 1); (phi - 1, forever - 1); (plo, forever) ]
@@ -691,20 +775,19 @@ let prop_page_layout =
   QCheck.Test.make ~name:"page layout: round trip, scan in place, least widths" ~count:300
     (QCheck.make
        ~print:(fun (p, _) ->
-         Printf.sprintf "level %d, %d records, keys from %d, created %d" p.SC.level
-           (List.length p.SC.records) p.SC.prange.Interval.lo p.SC.created)
+         Printf.sprintf "level %d, %d records, keys from %d, created %d" p.level
+           (List.length p.records) p.prange.Interval.lo p.created)
        gen_page)
     (* at an unaligned offset, past bytes that are not zero *)
     (fun (p, points) -> check_layout p ~off:3 ~probes:(probes p @ points))
 
 let record ~lo ~hi ~start ~stop value child =
-  { SC.range = Interval.make lo hi; rt_start = start; rt_end = stop; value; child }
+  { range = Interval.make lo hi; rt_start = start; rt_end = stop; value; child }
 
 (* A leaf of 200 records, each its own keys and times: 400 key
    boundaries and 300 instants, so every rank takes 2 bytes. *)
 let many =
-  { SC.pid = Storage.Page_id.of_int 2; level = 0; prange = Interval.make 0 400; created = 5;
-    closed = forever;
+  { pid = 2; level = 0; prange = Interval.make 0 400; created = 5; closed = forever;
     records =
       List.init 200 (fun i ->
           record ~lo:(2 * i) ~hi:((2 * i) + 1) ~start:(5 + (3 * i))
@@ -717,17 +800,14 @@ let many =
    and ranks of 2 bytes. *)
 let test_layout_extremes () =
   let narrow =
-    { SC.pid = Storage.Page_id.of_int 0; level = 0; prange = Interval.make 0 10; created = 4;
-      closed = forever;
+    { pid = 0; level = 0; prange = Interval.make 0 10; created = 4; closed = forever;
       records = [ record ~lo:0 ~hi:10 ~start:forever ~stop:forever (0, 0) None ] }
   and wide =
-    { SC.pid = Storage.Page_id.of_int 1; level = 1; prange = Interval.make 0 max_int; created = 0;
-      closed = forever;
+    { pid = 1; level = 1; prange = Interval.make 0 max_int; created = 0; closed = forever;
       records =
-        [ record ~lo:0 ~hi:1 ~start:0 ~stop:(max_int - 1) (min_int, max_int)
-            (Some (Storage.Page_id.of_int 0));
+        [ record ~lo:0 ~hi:1 ~start:0 ~stop:(max_int - 1) (min_int, max_int) (Some 0);
           record ~lo:(max_int - 1) ~hi:max_int ~start:(max_int - 2) ~stop:forever
-            (max_int, min_int) (Some (Storage.Page_id.of_int max_int)) ] }
+            (max_int, min_int) (Some max_int) ] }
   in
   let shape p =
     let buf, _ = encoded p ~off:0 in
@@ -771,30 +851,40 @@ let test_scan_allocates_nothing () =
     [ ("a key between ranges", false, 101, 200); ("a time before the page", true, 101, 4);
       ("a key below the page", true, -1, 200) ]
 
-(* A record whose rank runs past its dictionary is refused by name: the
-   loads that read the dictionary are unchecked.  [many]'s ranks are 2
-   bytes each, the first record's low key rank its first field and its
-   end rank its fourth. *)
-let test_decode_checks_ranks () =
+(* A record whose rank runs past its dictionary is refused by name when
+   the page is widened for a writer: the wide page is indexed by ranks
+   with unchecked loads.  So is a page with more records than [b], or
+   more entries than [2 b].  [many]'s ranks are 2 bytes each, the first
+   record's low key rank its first field and its end rank its fourth. *)
+let test_widen_checks_ranks () =
   let buf, len = encoded many ~off:0 in
   let nk, nt, _, _ = dictionary_fields buf 0 in
   let first = len - 7 - (200 * List.fold_left ( + ) 0 (widths buf 0)) in
+  let slot = bigarray (Layout.max_payload ~b:200) '\x00' in
+  let widens ~b = Layout.widen ~b buf 0 len slot 0 in
   let set at v =
     Storage.Zcodec.set_u8 buf at (v land 0xff);
     Storage.Zcodec.set_u8 buf (at + 1) (v lsr 8)
   in
+  let refused what ~b =
+    match widens ~b with
+    | exception Mvsbt.Malformed_frame { page = 2; _ } -> ()
+    | exception e -> Alcotest.failf "%s: %s" what (Printexc.to_string e)
+    | () -> Alcotest.failf "%s: widened" what
+  in
   List.iter
     (fun (what, at, bad, good) ->
       set at bad;
-      (match Layout.decode buf 0 len with
-      | exception Mvsbt.Malformed_frame { page = 2; _ } -> ()
-      | exception e -> Alcotest.failf "%s: %s" what (Printexc.to_string e)
-      | _ -> Alcotest.failf "%s: decoded" what);
+      refused what ~b:200;
       set at good;
-      Alcotest.(check bool) (what ^ ", restored") true (Layout.decode buf 0 len = many))
+      widens ~b:200;
+      let again = bigarray (Layout.max_payload ~b:200) '\x00' in
+      Alcotest.(check string) (what ^ ", restored") (bytes_of buf 0 len)
+        (bytes_of again 0 (Layout.narrow slot 0 again 0)))
     [ ("a key rank of the dictionary's size", first, nk, 0);
       ("a key rank of 65535", first, 0xffff, 0);
-      ("an end rank past forever's", first + 6, nt + 1, nt) ]
+      ("an end rank past forever's", first + 6, nt + 1, nt) ];
+  refused "200 records for a b of 199" ~b:199
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
@@ -822,7 +912,7 @@ let () =
           Alcotest.test_case "page layout extremes" `Quick test_layout_extremes;
           Alcotest.test_case "a scan that adds nothing allocates nothing" `Quick
             test_scan_allocates_nothing;
-          Alcotest.test_case "decode checks every rank" `Quick test_decode_checks_ranks;
+          Alcotest.test_case "widen checks every rank" `Quick test_widen_checks_ranks;
         ] );
       ("oracle", oracle_tests);
       ("properties", qcheck_tests);
