@@ -634,17 +634,7 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
     (* The width of a rank in a wide page of up to [b] records. *)
     let rank_width ~b = width (2 * b)
 
-    let[@inline] wide_stride buf off =
-      (4 * col_width buf off lo_col) + (8 * V.words) + col_width buf off child_col
-
-    let[@inline] record_at buf off i = records_at_of buf off + (i * wide_stride buf off)
-
-    (* Store a [w]-byte rank a byte at a time: the bytes past it are the
-       next field's. *)
-    let put_rank buf p w v =
-      for k = 0 to w - 1 do
-        Bigarray.Array1.unsafe_set buf (p + k) (Char.unsafe_chr ((v lsr (8 * k)) land 0xff))
-      done
+    let close buf off t = Z.set_i64 buf (off + closed_at) t
 
     (* The empty wide page [id], for up to [b] records. *)
     let init buf off ~b ~id ~level ~low ~high ~created =
@@ -672,180 +662,204 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
         Z.set_u8 buf (off + header_bytes + i) 0
       done
 
-    let close buf off t = Z.set_i64 buf (off + closed_at) t
+    (* A wide page open for editing: its shape, read from its header once
+       and kept in step by every edit, which writes what changes back to
+       the header.  Within one page, equal ranks stand for equal keys or
+       instants: each dictionary holds an entry once. *)
+    module Wide = struct
+      type t = {
+        mutable buf : Z.buf;
+        mutable off : int;
+        mutable rw : int; (* a rank's width *)
+        mutable rmask : int;
+        mutable stride : int;
+        mutable index : bool; (* above the leaves *)
+        mutable low : int;
+        mutable created : int;
+        mutable nk : int;
+        mutable nt : int; (* also [forever]'s rank *)
+        mutable count : int;
+        mutable times : int; (* where the time dictionary begins *)
+        mutable recs : int; (* where the records begin *)
+      }
 
-    (* A key or an instant of a wide page: the dictionary at [at] of [n]
-       8-byte entries over [base], and the rank columns [c0] to [c1] that
-       name its entries. *)
-    type dict = { entries : int; size_at : int; c0 : int; c1 : int }
+      let make () =
+        { buf = Bigarray.Array1.create Bigarray.char Bigarray.c_layout 0; off = 0; rw = 1;
+          rmask = 0xff; stride = 0; index = false; low = 0; created = 0; nk = 0; nt = 0;
+          count = 0; times = 0; recs = 0 }
 
-    let key_dict off =
-      { entries = off + header_bytes; size_at = off + keys_at; c0 = lo_col; c1 = hi_col }
-      [@@inline]
+      let place v =
+        v.times <- v.off + header_bytes + (8 * v.nk);
+        v.recs <- v.times + (8 * v.nt)
 
-    let time_dict buf off =
-      { entries = times_at_of buf off; size_at = off + times_at; c0 = start_col; c1 = end_col }
-      [@@inline]
+      let open_ v buf off =
+        let rw = col_width buf off lo_col and index = level buf off > 0 in
+        v.buf <- buf;
+        v.off <- off;
+        v.rw <- rw;
+        v.rmask <- mask rw;
+        v.index <- index;
+        v.stride <- (4 * rw) + (8 * V.words) + if index then 8 else 0;
+        v.low <- low buf off;
+        v.created <- created buf off;
+        v.nk <- n_keys buf off;
+        v.nt <- n_times buf off;
+        v.count <- count buf off;
+        place v
 
-    (* The first of the [n] entries at [d] that is [x] or above. *)
-    let seek buf d n base x =
-      let lo = ref 0 and hi = ref n in
-      while !lo < !hi do
-        let mid = (!lo + !hi) lsr 1 in
-        if base + load buf (d.entries + (8 * mid)) < x then lo := mid + 1 else hi := mid
-      done;
-      !lo
+      let[@inline] at v i c = v.recs + (i * v.stride) + (c * v.rw)
+      let[@inline] rank v i c = load v.buf (at v i c) land v.rmask
+      let[@inline] alive v i = rank v i end_col = v.nt
+      let[@inline] key v k = v.low + load v.buf (v.off + header_bytes + (8 * k))
+      let[@inline] time v k = if k = v.nt then forever else v.created + load v.buf (v.times + (8 * k))
 
-    (* [x]'s rank in the wide page's dictionary [d], entered in its place
-       if absent: the bytes after that place, to the end of the payload,
-       move up 8, and every rank at or past it in [d]'s columns, the
-       [forever] of a time included, grows by one.  The page must have
-       room for one more entry. *)
-    let enter buf off d base x =
-      let n = i32 buf d.size_at in
-      let p = seek buf d n base x in
-      if p < n && base + load buf (d.entries + (8 * p)) = x then p
-      else begin
-        let from = d.entries + (8 * p) and stop = off + length buf off in
-        Z.blit buf from buf (from + 8) (stop - from);
-        store buf from (x - base);
-        Z.set_i32 buf d.size_at (n + 1);
-        let rw = col_width buf off lo_col and stride = wide_stride buf off in
-        let r0 = records_at_of buf off in
-        for i = 0 to count buf off - 1 do
-          for c = d.c0 to d.c1 do
-            let at = r0 + (i * stride) + (c * rw) in
-            let v = code buf at rw in
-            if v >= p then put_rank buf at rw (v + 1)
-          done
+      (* A rank, a byte at a time: the bytes past it are the next field's. *)
+      let put v p k =
+        for j = 0 to v.rw - 1 do
+          Bigarray.Array1.unsafe_set v.buf (p + j) (Char.unsafe_chr ((k lsr (8 * j)) land 0xff))
+        done
+
+      let value v i =
+        let at = ref (at v i value_col) in
+        V.decode (fun () ->
+            let x = load v.buf !at in
+            at := !at + 8;
+            x)
+
+      let set_value v i x =
+        let at = ref (at v i value_col) in
+        V.encode
+          (fun w ->
+            store v.buf !at w;
+            at := !at + 8)
+          x
+
+      let child v i = if v.index then load v.buf (at v i value_col + (8 * V.words)) else -1
+
+      (* How many of the [n] entries at [d] over [base] lie below [x]. *)
+      let below v d n base x =
+        let lo = ref 0 and hi = ref n in
+        while !lo < !hi do
+          let mid = (!lo + !hi) lsr 1 in
+          if base + load v.buf (d + (8 * mid)) < x then lo := mid + 1 else hi := mid
         done;
-        p
-      end
+        !lo
 
-    let key_rank buf off x =
-      let d = key_dict off in
-      seek buf d (n_keys buf off) (low buf off) x
+      let keys_below v x = below v (v.off + header_bytes) v.nk v.low x
+      let times_below v x = below v v.times v.nt v.created x
 
-    let time_rank buf off x =
-      if x = forever then n_times buf off
-      else seek buf (time_dict buf off) (n_times buf off) (created buf off) x
-
-    let enter_key buf off x = ignore (enter buf off (key_dict off) (low buf off) x)
-
-    let enter_time buf off x =
-      if x <> forever then ignore (enter buf off (time_dict buf off) (created buf off) x)
-
-    (* Fields of the wide page's record at byte [r]. *)
-    let[@inline] rank_in buf off r c =
-      let rw = col_width buf off lo_col in
-      code buf (r + (c * rw)) rw
-
-    let key_of buf off r c = low buf off + load buf (off + header_bytes + (8 * rank_in buf off r c))
-
-    let time_of buf off r c =
-      let k = rank_in buf off r c in
-      if k = n_times buf off then forever else created buf off + load buf (times_at_of buf off + (8 * k))
-
-    let value_of buf off r =
-      let at = ref (r + (4 * col_width buf off lo_col)) in
-      V.decode (fun () ->
-          let x = load buf !at in
-          at := !at + 8;
-          x)
-
-    let child_of buf off r =
-      if level buf off = 0 then -1 else load buf (r + (4 * col_width buf off lo_col) + (8 * V.words))
-
-    let set_rank buf off r c k =
-      let rw = col_width buf off lo_col in
-      put_rank buf (r + (c * rw)) rw k
-
-    let set_value buf off r v =
-      let at = ref (r + (4 * col_width buf off lo_col)) in
-      V.encode
-        (fun x ->
-          store buf !at x;
-          at := !at + 8)
-        v
-
-    (* Record [i]'s end, [forever] included. *)
-    let set_stop buf off i t =
-      enter_time buf off t;
-      set_rank buf off (record_at buf off i) end_col (time_rank buf off t)
-
-    let set_hi buf off i x =
-      enter_key buf off x;
-      set_rank buf off (record_at buf off i) hi_col (key_rank buf off x)
-
-    (* Append a record to the wide page at [off], which has room for it. *)
-    let append buf off ~lo ~hi ~start ~stop value ~child =
-      let low = low buf off and created = created buf off in
-      if lo < low then invalid_arg "Mvsbt.Record_codec.append: a key below the page's";
-      if hi < lo then invalid_arg "Mvsbt.Record_codec.append: an inverted key range";
-      if (start < created && start <> forever) || (stop < created && stop <> forever) then
-        invalid_arg "Mvsbt.Record_codec.append: a time before the page's";
-      if (child < 0) <> (level buf off = 0) then
-        invalid_arg "Mvsbt.Record_codec.append: a child the level contradicts";
-      enter_key buf off lo;
-      enter_key buf off hi;
-      enter_time buf off start;
-      enter_time buf off stop;
-      let n = count buf off in
-      let r = record_at buf off n in
-      set_rank buf off r lo_col (key_rank buf off lo);
-      set_rank buf off r hi_col (key_rank buf off hi);
-      set_rank buf off r start_col (time_rank buf off start);
-      set_rank buf off r end_col (time_rank buf off stop);
-      set_value buf off r value;
-      if child >= 0 then store buf (r + (4 * col_width buf off lo_col) + (8 * V.words)) child;
-      Z.set_i32 buf (off + count_at) (n + 1)
-
-    (* Drop record [i], the records after it moving down. *)
-    let remove buf off i =
-      let n = count buf off and stride = wide_stride buf off in
-      let r = record_at buf off i in
-      Z.blit buf (r + stride) buf r ((n - 1 - i) * stride);
-      Z.set_i32 buf (off + count_at) (n - 1)
-
-    (* Drop every dictionary entry no record names, renumbering the ranks
-       past it, with [marks] (room for either dictionary's entries and
-       one more) as scratch. *)
-    let sweep buf off (marks : int array) =
-      let n = count buf off and rw = col_width buf off lo_col in
-      let stride = wide_stride buf off in
-      let one d =
-        let k = i32 buf d.size_at in
-        Array.fill marks 0 (k + 1) 0;
-        let r0 = records_at_of buf off in
-        for i = 0 to n - 1 do
-          for c = d.c0 to d.c1 do
-            marks.(code buf (r0 + (i * stride) + (c * rw)) rw) <- 1
-          done
-        done;
-        let kept = ref 0 in
-        for j = 0 to k - 1 do
-          if marks.(j) = 1 then begin
-            store buf (d.entries + (8 * !kept)) (load buf (d.entries + (8 * j)));
-            marks.(j) <- !kept;
-            incr kept
-          end
-        done;
-        let kept = !kept in
-        if kept < k then begin
-          marks.(k) <- kept;
-          for i = 0 to n - 1 do
-            for c = d.c0 to d.c1 do
-              let at = r0 + (i * stride) + (c * rw) in
-              put_rank buf at rw marks.(code buf at rw)
+      (* [x]'s rank in the dictionary of [n] entries at [d], entered in
+         its place if absent: the bytes after that place, to the end of
+         the payload, move up 8, and every rank at or past it in the
+         columns [c] and [c + 1] grows by one — for times [forever]'s
+         too. *)
+      let enter v d n base ~size_at ~c x =
+        let p = below v d n base x in
+        if p < n && base + load v.buf (d + (8 * p)) = x then p
+        else begin
+          let from = d + (8 * p) in
+          Z.blit v.buf from v.buf (from + 8) (v.recs + (v.count * v.stride) + pad - from);
+          store v.buf from (x - base);
+          Z.set_i32 v.buf (v.off + size_at) (n + 1);
+          if c = lo_col then v.nk <- n + 1 else v.nt <- n + 1;
+          place v;
+          for i = 0 to v.count - 1 do
+            for col = c to c + 1 do
+              let a = at v i col in
+              let k = load v.buf a land v.rmask in
+              if k >= p then put v a (k + 1)
             done
           done;
-          let from = d.entries + (8 * k) and stop = off + length buf off in
-          Z.blit buf from buf (from - (8 * (k - kept))) (stop - from);
-          Z.set_i32 buf d.size_at kept
+          p
         end
-      in
-      one (key_dict off);
-      one (time_dict buf off)
+
+      let enter_key v x = enter v (v.off + header_bytes) v.nk v.low ~size_at:keys_at ~c:lo_col x
+
+      let enter_time v x =
+        if x = forever then v.nt
+        else enter v v.times v.nt v.created ~size_at:times_at ~c:start_col x
+
+      let set_rank v i c k = put v (at v i c) k
+
+      (* Record [i]'s end, [forever] included. *)
+      let set_stop v i t =
+        let k = enter_time v t in
+        set_rank v i end_col k
+
+      let set_count v n =
+        v.count <- n;
+        Z.set_i32 v.buf (v.off + count_at) n
+
+      (* Add a record after the last; the page must have room for it. *)
+      let append v ~lo ~hi ~start ~stop value ~child =
+        if lo < v.low then invalid_arg "Mvsbt.Record_codec.append: a key below the page's";
+        if hi < lo then invalid_arg "Mvsbt.Record_codec.append: an inverted key range";
+        if (start < v.created && start <> forever) || (stop < v.created && stop <> forever) then
+          invalid_arg "Mvsbt.Record_codec.append: a time before the page's";
+        if (child < 0) = v.index then
+          invalid_arg "Mvsbt.Record_codec.append: a child the level contradicts";
+        (* Each entry goes in at or past the ones before it, so no rank
+           taken moves again. *)
+        let kl = enter_key v lo in
+        let kh = enter_key v hi in
+        let ks = enter_time v start in
+        let ke = enter_time v stop in
+        let i = v.count in
+        set_rank v i lo_col kl;
+        set_rank v i hi_col kh;
+        set_rank v i start_col ks;
+        set_rank v i end_col ke;
+        set_value v i value;
+        if v.index then store v.buf (at v i value_col + (8 * V.words)) child;
+        set_count v (i + 1)
+
+      (* Drop record [i], the records after it moving down. *)
+      let remove v i =
+        let r = at v i 0 in
+        Z.blit v.buf (r + v.stride) v.buf r ((v.count - 1 - i) * v.stride);
+        set_count v (v.count - 1)
+
+      (* Drop every dictionary entry no record names, renumbering the
+         ranks past it, with [marks] (room for either dictionary's
+         entries and one more) as scratch. *)
+      let sweep v (marks : int array) =
+        let one d k ~size_at ~c =
+          Array.fill marks 0 (k + 1) 0;
+          for i = 0 to v.count - 1 do
+            marks.(rank v i c) <- 1;
+            marks.(rank v i (c + 1)) <- 1
+          done;
+          let kept = ref 0 in
+          for j = 0 to k - 1 do
+            if marks.(j) = 1 then begin
+              store v.buf (d + (8 * !kept)) (load v.buf (d + (8 * j)));
+              marks.(j) <- !kept;
+              incr kept
+            end
+          done;
+          let kept = !kept in
+          if kept < k then begin
+            marks.(k) <- kept;
+            for i = 0 to v.count - 1 do
+              set_rank v i c marks.(rank v i c);
+              set_rank v i (c + 1) marks.(rank v i (c + 1))
+            done;
+            let from = d + (8 * k) in
+            Z.blit v.buf from v.buf (from - (8 * (k - kept)))
+              (v.recs + (v.count * v.stride) + pad - from);
+            Z.set_i32 v.buf (v.off + size_at) kept;
+            if c = lo_col then v.nk <- kept else v.nt <- kept;
+            place v
+          end
+        in
+        one (v.off + header_bytes) v.nk ~size_at:keys_at ~c:lo_col;
+        one v.times v.nt ~size_at:times_at ~c:start_col
+    end
+
+    let append buf off ~lo ~hi ~start ~stop value ~child =
+      let v = Wide.make () in
+      Wide.open_ v buf off;
+      Wide.append v ~lo ~hi ~start ~stop value ~child
 
     (* The wide form of the narrow page [(buf, off, len)], for up to [b]
        records, at [doff] of [dst]: every rank checked against its
@@ -858,7 +872,7 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
         malformed buf off len (Printf.sprintf "it is not a page of at most %d records" b);
       init dst doff ~b ~id:(load buf off) ~level ~low:(low buf off) ~high:(high buf off)
         ~created:(created buf off);
-      Z.set_i64 dst (doff + closed_at) (closed buf off);
+      close dst doff (closed buf off);
       let kw = u8 buf (off + key_width_at) and tw = u8 buf (off + time_width_at) in
       let times = times_at_of buf off and records = records_at_of buf off in
       for i = 0 to nk - 1 do
@@ -870,10 +884,10 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
       Z.set_i32 dst (doff + keys_at) nk;
       Z.set_i32 dst (doff + times_at) nt;
       Z.set_i32 dst (doff + count_at) n;
-      let rw = rank_width ~b in
-      let dstride = wide_stride dst doff and d0 = records_at_of dst doff in
+      let v = Wide.make () in
+      Wide.open_ v dst doff;
       for i = 0 to n - 1 do
-        let s = records + (i * stride) and d = d0 + (i * dstride) in
+        let s = records + (i * stride) in
         for c = 0 to columns - 1 do
           let w = col_width buf off c in
           let x = code buf (s + col_at buf off c) w in
@@ -883,10 +897,10 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
               malformed buf off len
                 (Printf.sprintf "the record at byte %d names entry %d of a %d-entry dictionary"
                    (s - off) x dict);
-            put_rank dst (d + (c * rw)) rw x
+            Wide.set_rank v i c x
           end
           else if c < child_col || level > 0 then
-            store dst (d + (4 * rw) + (8 * (c - value_col)))
+            store dst (Wide.at v i value_col + (8 * (c - value_col)))
               (load buf (off + bases_at + (8 * (c - value_col))) + x)
         done
       done
@@ -914,6 +928,7 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
     store : Mmap_store.t;
     pool : Mmap_pool.t;
     widen : Storage.Zcodec.buf -> int -> int -> Storage.Zcodec.buf -> int -> unit;
+    page : R.Wide.t; (* the page a writer has open *)
     marks : int array; (* a sweep's scratch, [2 b + 1] entries *)
     mutable work : int array; (* the merge pass's worklist *)
     io_stats : Storage.Io_stats.t;
@@ -950,7 +965,7 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
 
   let handle ~cfg ~key_space ~io_stats ~root_star ~policy ~pool_capacity store ~root =
     { store; pool = Mmap_pool.create ~capacity:pool_capacity ~policy store;
-      widen = R.widen ~b:cfg.b; marks = Array.make ((2 * cfg.b) + 1) 0;
+      widen = R.widen ~b:cfg.b; page = R.Wide.make (); marks = Array.make ((2 * cfg.b) + 1) 0;
       work = Array.make ((2 * cfg.b) + 2) 0; io_stats; cfg; key_space; root_star;
       cur_root = root; height = 1; now_ = 0; horizon = 0; touches = 0;
       tel = Telemetry.Tracer.noop }
@@ -1002,8 +1017,10 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
   let lay_out t pid ~level ~low ~high ~now records =
     let buf, off = Mmap_store.fresh t.store pid in
     R.init buf off ~b:t.cfg.b ~id:(Storage.Page_id.to_int pid) ~level ~low ~high ~created:now;
+    R.Wide.open_ t.page buf off;
     List.iter
-      (fun f -> R.append buf off ~lo:f.lo ~hi:f.hi ~start:now ~stop:forever f.value ~child:f.child)
+      (fun f ->
+        R.Wide.append t.page ~lo:f.lo ~hi:f.hi ~start:now ~stop:forever f.value ~child:f.child)
       records;
     touch t pid
 
@@ -1022,99 +1039,101 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
     Root_star.register root_star ~at:0 pid;
     t
 
-  (* --- A wide page's records ------------------------------------------------ *)
+  (* --- Insertion ---------------------------------------------------------- *)
 
-  let rec_at = R.record_at
-  let lo_of buf off i = R.key_of buf off (rec_at buf off i) R.lo_col
-  let hi_of buf off i = R.key_of buf off (rec_at buf off i) R.hi_col
-  let start_of buf off i = R.time_of buf off (rec_at buf off i) R.start_col
-  let stop_of buf off i = R.time_of buf off (rec_at buf off i) R.end_col
-  let value_of buf off i = R.value_of buf off (rec_at buf off i)
-  let child_of buf off i = R.child_of buf off (rec_at buf off i)
-  let alive buf off i = R.rank_in buf off (rec_at buf off i) R.end_col = R.n_times buf off
+  module W = R.Wide
+
+  (* Page [pid] open for editing in [t.page], brought into a slot if it
+     is not in one. *)
+  let open_page t pid =
+    let buf, off = edit t pid in
+    W.open_ t.page buf off;
+    t.page
 
   (* The first record, in page order, that [p] holds of, or -1. *)
-  let find_record buf off p =
-    let n = R.count buf off in
-    let rec go i = if i = n then -1 else if p i then i else go (i + 1) in
+  let find_record (v : W.t) p =
+    let rec go i = if i = v.count then -1 else if p i then i else go (i + 1) in
     go 0
 
   (* Partly-covered record: intersects [k, maxkey) without being contained
-     in it, i.e. it contains [k] with its low end strictly below. *)
-  let partly_covered buf off k =
-    find_record buf off (fun i ->
-        alive buf off i && lo_of buf off i < k && k < hi_of buf off i)
+     in it, i.e. it contains [k] with its low end strictly below: its low
+     key's rank is below the keys under [k], its high key's at or past
+     those up to [k]. *)
+  let partly_covered (v : W.t) k =
+    let under = W.keys_below v k and upto = W.keys_below v (k + 1) in
+    find_record v (fun i ->
+        W.alive v i && W.rank v i R.lo_col < under && upto <= W.rank v i R.hi_col)
 
   (* Fully-covered records, ascending by range. *)
-  let fully_covered buf off k =
-    List.init (R.count buf off) Fun.id
-    |> List.filter (fun i -> alive buf off i && lo_of buf off i >= k)
-    |> List.sort (fun a b -> Int.compare (lo_of buf off a) (lo_of buf off b))
+  let fully_covered (v : W.t) k =
+    let under = W.keys_below v k in
+    List.init v.count Fun.id
+    |> List.filter (fun i -> W.alive v i && W.rank v i R.lo_col >= under)
+    |> List.sort (fun a b -> Int.compare (W.rank v a R.lo_col) (W.rank v b R.lo_col))
 
-  let first_fully_covered buf off k =
-    let best = ref (-1) in
-    for i = 0 to R.count buf off - 1 do
-      if alive buf off i && lo_of buf off i >= k
-         && (!best < 0 || lo_of buf off i < lo_of buf off !best)
+  let first_fully_covered (v : W.t) k =
+    let under = W.keys_below v k and best = ref (-1) in
+    for i = 0 to v.count - 1 do
+      if W.alive v i && W.rank v i R.lo_col >= under
+         && (!best < 0 || W.rank v i R.lo_col < W.rank v !best R.lo_col)
       then best := i
     done;
     !best
-
-  (* --- Insertion ---------------------------------------------------------- *)
 
   (* What an insertion does to one page: the records it ends, by index,
      and those it adds. *)
   type op = { killed : int list; added : fresh list }
 
-  let copy_of buf off i value =
-    { lo = lo_of buf off i; hi = hi_of buf off i; value; child = child_of buf off i }
+  let copy_of (v : W.t) i value =
+    { lo = W.key v (W.rank v i R.lo_col); hi = W.key v (W.rank v i R.hi_col); value;
+      child = W.child v i }
 
-  (* Vertical split of record [i] at the current time, adding [v]. *)
-  let plus_v_copy buf off v i = copy_of buf off i (G.add (value_of buf off i) v)
+  (* Vertical split of record [i] at the current time, adding [x]. *)
+  let plus_v_copy v x i = copy_of v i (G.add (W.value v i) x)
 
-  (* The records receiving [v] by vertical split at this page, lowest page
+  (* The records receiving [x] by vertical split at this page, lowest page
      case — the single "representative" under logical splitting, all
      fully-covered records under the plain algorithm. *)
-  let covered_targets t buf off k =
+  let covered_targets t v k =
     match t.cfg.variant with
-    | Plain -> fully_covered buf off k
-    | Logical -> ( match first_fully_covered buf off k with -1 -> [] | i -> [ i ])
+    | Plain -> fully_covered v k
+    | Logical -> ( match first_fully_covered v k with -1 -> [] | i -> [ i ])
 
-  let op_for_lowest t buf off k v : op =
-    if R.level buf off = 0 then
-      match partly_covered buf off k with
+  let op_for_lowest t (v : W.t) k x : op =
+    if not v.index then
+      match partly_covered v k with
       | -1 ->
-          let targets = covered_targets t buf off k in
-          { killed = targets; added = List.map (plus_v_copy buf off v) targets }
+          let targets = covered_targets t v k in
+          { killed = targets; added = List.map (plus_v_copy v x) targets }
       | rc ->
           (* Split into three: vertically at [now], horizontally at [k].
              Under logical splitting the top-right piece carries just the
-             delta [v]; under the plain algorithm values are absolute. *)
-          let value = value_of buf off rc in
-          let high_value = match t.cfg.variant with Logical -> v | Plain -> G.add value v in
-          let extra = match t.cfg.variant with Logical -> [] | Plain -> fully_covered buf off k in
+             delta [x]; under the plain algorithm values are absolute. *)
+          let value = W.value v rc in
+          let high_value = match t.cfg.variant with Logical -> x | Plain -> G.add value x in
+          let extra = match t.cfg.variant with Logical -> [] | Plain -> fully_covered v k in
           {
             killed = rc :: extra;
             added =
-              { lo = lo_of buf off rc; hi = k; value; child = -1 }
-              :: { lo = k; hi = hi_of buf off rc; value = high_value; child = -1 }
-              :: List.map (plus_v_copy buf off v) extra;
+              { lo = W.key v (W.rank v rc R.lo_col); hi = k; value; child = -1 }
+              :: { lo = k; hi = W.key v (W.rank v rc R.hi_col); value = high_value; child = -1 }
+              :: List.map (plus_v_copy v x) extra;
           }
     else begin
       (* Index page without a partly-covered record. *)
-      let targets = covered_targets t buf off k in
-      { killed = targets; added = List.map (plus_v_copy buf off v) targets }
+      let targets = covered_targets t v k in
+      { killed = targets; added = List.map (plus_v_copy v x) targets }
     end
 
   (* Op for a path page whose partly-covered record is [partly];
      [child_descs] are the replacement pages when the child was split. *)
-  let op_for_path t buf off k v ~partly ~child_descs : op =
-    let targets = covered_targets t buf off k in
+  let op_for_path t (v : W.t) k x ~partly ~child_descs : op =
+    let targets = covered_targets t v k in
     let from_child =
       match child_descs with
       | [] -> []
       | descs ->
-          let value = value_of buf off partly in
+          let value = W.value v partly in
           List.mapi
             (fun i ((range : Interval.t), pid) ->
               let value =
@@ -1125,7 +1144,7 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
     in
     {
       killed = (if child_descs <> [] then [ partly ] else []) @ targets;
-      added = from_child @ List.map (plus_v_copy buf off v) targets;
+      added = from_child @ List.map (plus_v_copy v x) targets;
     }
 
   (* Record merging (section 4.2.2), over the records from [first] on,
@@ -1138,15 +1157,15 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
      equal values instead.  Only freshly added (or just-merged) records
      can take part in a new merge, so the worklist stays tiny and the
      pass is O(|added| * b).  The worklist holds record indices: one
-     names a record until the record goes or is replaced by a merge.
-     Whether a record went or moved its high key. *)
-  let merge_pass t buf off ~first =
+     names a record until the record goes, or a merge replaces it.
+     Whether anything merged. *)
+  let merge_pass t (v : W.t) ~first =
     let key_mergeable m n =
       match t.cfg.variant with
-      | Logical -> G.equal (value_of buf off n) G.zero
-      | Plain -> G.equal (value_of buf off m) (value_of buf off n)
+      | Logical -> G.equal (W.value v n) G.zero
+      | Plain -> G.equal (W.value v m) (W.value v n)
     in
-    let head = ref 0 and tail = ref 0 and changed = ref false in
+    let head = ref 0 and tail = ref 0 and merged = ref false in
     let push i =
       if !tail = Array.length t.work then t.work <- Array.append t.work t.work;
       t.work.(!tail) <- i;
@@ -1160,32 +1179,34 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
     (* Drop record [j]: the worklist's indices past it move down. *)
     let drop j =
       forget j;
-      R.remove buf off j;
-      changed := true;
+      W.remove v j;
+      merged := true;
       for q = !head to !tail - 1 do
         if t.work.(q) > j then t.work.(q) <- t.work.(q) - 1
       done
     in
-    for i = first to R.count buf off - 1 do
+    for i = first to v.count - 1 do
       push i
     done;
     while !head < !tail do
       let a = t.work.(!head) in
       incr head;
-      if a >= 0 && alive buf off a then begin
+      if a >= 0 && W.alive v a then begin
+        let a_lo = W.rank v a R.lo_col and a_hi = W.rank v a R.hi_col in
+        let a_start = W.rank v a R.start_col in
         (* Time merge: fold [a] back into a dead twin ending where [a]
            starts. *)
         match
-          find_record buf off (fun d ->
-              d <> a && (not (alive buf off d))
-              && stop_of buf off d = start_of buf off a
-              && lo_of buf off d = lo_of buf off a
-              && hi_of buf off d = hi_of buf off a
-              && G.equal (value_of buf off d) (value_of buf off a)
-              && child_of buf off d = child_of buf off a)
+          find_record v (fun d ->
+              d <> a
+              && W.rank v d R.end_col = a_start
+              && W.rank v d R.lo_col = a_lo
+              && W.rank v d R.hi_col = a_hi
+              && G.equal (W.value v d) (W.value v a)
+              && W.child v d = W.child v a)
         with
         | d when d >= 0 ->
-            R.set_stop buf off d forever;
+            W.set_rank v d R.end_col v.nt;
             drop a;
             push (if d > a then d - 1 else d)
         | _ -> (
@@ -1193,13 +1214,13 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
                takes [n]'s range. *)
             let try_pair m n =
               if
-                lo_of buf off n = hi_of buf off m
-                && start_of buf off n = start_of buf off m
-                && stop_of buf off n = stop_of buf off m
+                W.rank v n R.lo_col = W.rank v m R.hi_col
+                && W.rank v n R.start_col = W.rank v m R.start_col
+                && W.rank v n R.end_col = W.rank v m R.end_col
                 && key_mergeable m n
-                && child_of buf off n = child_of buf off m
+                && W.child v n = W.child v m
               then begin
-                R.set_hi buf off m (hi_of buf off n);
+                W.set_rank v m R.hi_col (W.rank v n R.hi_col);
                 forget m;
                 drop n;
                 push (if n < m then m - 1 else m);
@@ -1207,21 +1228,16 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
               end
               else false
             in
-            let neighbour_above =
-              find_record buf off (fun n ->
-                  n <> a && alive buf off n && lo_of buf off n = hi_of buf off a)
-            in
-            let merged_up = neighbour_above >= 0 && try_pair a neighbour_above in
-            if not merged_up then
+            let above = find_record v (fun n -> n <> a && W.alive v n && W.rank v n R.lo_col = a_hi) in
+            if not (above >= 0 && try_pair a above) then
               match
-                find_record buf off (fun m ->
-                    m <> a && alive buf off m && hi_of buf off m = lo_of buf off a)
+                find_record v (fun m -> m <> a && W.alive v m && W.rank v m R.hi_col = a_lo)
               with
               | -1 -> ()
               | m -> ignore (try_pair m a))
       end
     done;
-    !changed
+    !merged
 
   (* Split [buffer] (alive records of an overflowing page, restarted at the
      current time) into chunks obeying the strong condition. *)
@@ -1259,23 +1275,26 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
      had to be time split (possibly key split), or [] when the op fit in
      place. *)
   let apply_op t pid ~now plan : (Interval.t * Storage.Page_id.t) list =
-    let buf, off = edit t pid in
-    let op = plan buf off in
-    let disposed i = t.cfg.disposal && start_of buf off i = now in
-    let gone = List.filter disposed op.killed in
-    let kill () =
-      List.iter (fun i -> if not (disposed i) then R.set_stop buf off i now) op.killed
+    let v = open_page t pid in
+    let op = plan v in
+    (* A record the op ends that started now is disposed of: no query
+       can see it. *)
+    let started_now =
+      let k = W.times_below v now in
+      if k < v.nt && W.time v k = now then k else -1
     in
-    if R.count buf off - List.length gone + List.length op.added <= t.cfg.b then begin
+    let disposed i = t.cfg.disposal && W.rank v i R.start_col = started_now in
+    let gone = List.filter disposed op.killed in
+    let kill () = List.iter (fun i -> if not (disposed i) then W.set_stop v i now) op.killed in
+    if v.count - List.length gone + List.length op.added <= t.cfg.b then begin
       kill ();
-      List.iter (R.remove buf off) (List.sort (fun a b -> Int.compare b a) gone);
-      let first = R.count buf off in
+      List.iter (W.remove v) (List.sort (fun a b -> Int.compare b a) gone);
+      let first = v.count in
       List.iter
-        (fun f ->
-          R.append buf off ~lo:f.lo ~hi:f.hi ~start:now ~stop:forever f.value ~child:f.child)
+        (fun f -> W.append v ~lo:f.lo ~hi:f.hi ~start:now ~stop:forever f.value ~child:f.child)
         op.added;
-      let merged = t.cfg.merging && merge_pass t buf off ~first in
-      if gone <> [] || merged then R.sweep buf off t.marks;
+      let merged = t.cfg.merging && merge_pass t v ~first in
+      if gone <> [] || merged then W.sweep v t.marks;
       touch t pid;
       []
     end
@@ -1284,14 +1303,14 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
          record the op disposes of stays in the closed page as it was. *)
       kill ();
       let survivors =
-        List.init (R.count buf off) Fun.id
-        |> List.filter (fun i -> alive buf off i && not (List.mem i op.killed))
-        |> List.map (fun i -> copy_of buf off i (value_of buf off i))
+        List.init v.count Fun.id
+        |> List.filter (fun i -> W.alive v i && not (List.mem i op.killed))
+        |> List.map (fun i -> copy_of v i (W.value v i))
       in
       let buffer = List.sort (fun a b -> Int.compare a.lo b.lo) (survivors @ op.added) in
-      let level = R.level buf off and created = R.created buf off in
-      R.close buf off now;
-      (* The page may leave its slot from here on: it is sealed. *)
+      let level = R.level v.buf v.off and created = v.created in
+      R.close v.buf v.off now;
+      (* The page is sealed: it may leave its slot from here on. *)
       touch t pid;
       let chunks = distribute t buffer in
       Telemetry.Tracer.event t.tel "mvsbt.time_split"
@@ -1381,22 +1400,21 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
        on it is edited below, so each is brought into a slot. *)
     let rec descend pid path =
       read t pid;
-      let buf, off = edit t pid in
-      if R.level buf off = 0 then (pid, path)
+      let page = open_page t pid in
+      if not page.index then (pid, path)
       else
-        match partly_covered buf off key with
+        match partly_covered page key with
         | -1 -> (pid, path)
-        | r -> descend (Storage.Page_id.of_int (child_of buf off r)) ((pid, r) :: path)
+        | r -> descend (Storage.Page_id.of_int (W.child page r)) ((pid, r) :: path)
     in
     let lowest, path = descend t.cur_root [] in
     (* Phase 2: handle the lowest page. *)
-    let descs = apply_op t lowest ~now:at (fun buf off -> op_for_lowest t buf off key v) in
+    let descs = apply_op t lowest ~now:at (fun page -> op_for_lowest t page key v) in
     (* Phase 3: walk back up the partly-covered chain. *)
     let descs =
       List.fold_left
         (fun child_descs (pid, partly) ->
-          apply_op t pid ~now:at (fun buf off ->
-              op_for_path t buf off key v ~partly ~child_descs))
+          apply_op t pid ~now:at (fun page -> op_for_path t page key v ~partly ~child_descs))
         descs path
     in
     (* Phase 4: the root itself was split. *)
@@ -1497,11 +1515,11 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
       (* At least one record stays: a page with [closed > h] had records
          alive just below its close time, and their [rt_end >= closed > h]. *)
       if dropped > 0 then begin
-        let buf, off = edit t pid in
-        for i = R.count buf off - 1 downto 0 do
-          if stop_of buf off i <= h then R.remove buf off i
+        let v = open_page t pid in
+        for i = v.count - 1 downto 0 do
+          if W.time v (W.rank v i R.end_col) <= h then W.remove v i
         done;
-        R.sweep buf off t.marks;
+        W.sweep v t.marks;
         touch t pid
       end;
       dropped
