@@ -72,14 +72,14 @@ module type PAGE_CODEC = sig
   val narrow : Zcodec.buf -> int -> Zcodec.buf -> int -> int
 end
 
-(* A page table: an int per page id, 0 for none, in chunks of 128 ids.
+(* A page table: an int per page id, 0 for none, in chunks of 32 ids.
    A chunk is made when an id in it is first set and dropped when its
    last id is removed, and the chunks held are found by bisecting their
    ascending numbers, so the table holds about a word per live page
    however far apart their ids are: ids retired long ago, or one far
    past the rest in a snapshot, cost nothing. *)
 module Table = struct
-  let bits = 7
+  let bits = 5
   let mask = (1 lsl bits) - 1
 
   type t = {

@@ -886,6 +886,46 @@ let test_widen_checks_ranks () =
       ("an end rank past forever's", first + 6, nt + 1, nt) ];
   refused "200 records for a b of 199" ~b:199
 
+(* --- The tree's heap ------------------------------------------------------------- *)
+
+(* A tree keeps its pages off the heap, and its page table in about a
+   word per live page: after a few thousand updates and a vacuum churn
+   that frees most of the pages ever made, the words reachable from the
+   handle stay within 4 per live page and a fixed allowance (the pool's
+   index, root*, the scratch a writer reuses).  A decoded page (a record
+   list), a hashed table entry per page (about 7 words), or a table that
+   grows with every id ever allocated each break it. *)
+let test_heap_footprint () =
+  let key_space = 512 in
+  let tree = T.create ~config:(mk_config ~b:16 ()) ~key_space () in
+  let rng = make_rng 11 and now = ref 0 in
+  let insert n =
+    for _ = 1 to n do
+      incr now;
+      T.insert tree ~key:(rng key_space) ~at:!now (1 + rng 9)
+    done
+  in
+  insert 3000;
+  let ids = ref 0 in
+  for _ = 1 to 12 do
+    insert 1500;
+    T.set_horizon tree (!now - 3000);
+    List.iter
+      (fun (pid, action) ->
+        ids := max !ids (Storage.Page_id.to_int pid);
+        match action with
+        | T.Free_page -> ignore (T.vacuum_free tree pid)
+        | T.Prune_records -> ignore (T.vacuum_prune tree pid))
+      (T.vacuum_scan tree)
+  done;
+  T.check_invariants tree;
+  Gc.full_major ();
+  let words = Obj.reachable_words (Obj.repr tree) and pages = T.page_count tree in
+  if !ids < 4 * pages then Alcotest.failf "the churn left %d pages of %d ids" pages !ids;
+  let bound = (4 * pages) + 3_000 in
+  if words > bound then
+    Alcotest.failf "%d words reachable from a tree of %d live pages (bound %d)" words pages bound
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_matches_oracle; prop_height_bound; prop_pages_per_insertion;
@@ -909,6 +949,7 @@ let () =
           Alcotest.test_case "boundary keys" `Quick test_boundary_keys;
           Alcotest.test_case "durable file-backed tree" `Quick test_durable_mvsbt_direct;
           Alcotest.test_case "graphviz dump" `Quick test_pp_dot_smoke;
+          Alcotest.test_case "heap footprint under vacuum churn" `Quick test_heap_footprint;
           Alcotest.test_case "page layout extremes" `Quick test_layout_extremes;
           Alcotest.test_case "a scan that adds nothing allocates nothing" `Quick
             test_scan_allocates_nothing;
