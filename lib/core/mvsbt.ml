@@ -1885,24 +1885,27 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
     Chunks.append oc w;
     (* Pages in the reverse of the walk's preorder, one frame each, the
        walk holding only ids: a bitmap of those reached and an array of
-       them in order.  The store already holds each page's frame, so
-       every frame is copied as stored, its CRC verified on the way out,
-       and a page in a slot is narrowed.  When [stage], each copied frame
-       is staged, at its offset, into the base the tree moves onto once
-       the file is durable. *)
+       them in order.  Then, ascending, the pages no root* tenure reaches
+       (without disposal, a root that root* replaced at the instant it
+       was registered), so that a load holds every page the tree counts.
+       The store already holds each page's frame, so every frame is
+       copied as stored, its CRC verified on the way out, and a page in a
+       slot is narrowed.  When [stage], each copied frame is staged, at
+       its offset, into the base the tree moves onto once the file is
+       durable. *)
     let order = ref (Array.make 256 0) and n = ref 0 in
-    let (_ : Storage.Page_id.t -> bool) =
+    let reached =
       walk t ~leaves:false (fun pid ->
           if !n = Array.length !order then order := Array.append !order !order;
           !order.(!n) <- Storage.Page_id.to_int pid;
           incr n)
     in
+    let unreached = List.filter (fun pid -> not (reached pid)) (Mmap_store.written_ids t.store) in
     let staged = if stage then Some (Mmap_store.stage t.store ~file:path ()) else None in
     let w = Chunks.writer 4 in
-    Storage.Codec.Writer.i32 w !n;
+    Storage.Codec.Writer.i32 w (!n + List.length unreached);
     Chunks.append oc w;
-    for i = !n - 1 downto 0 do
-      let pid = Storage.Page_id.of_int !order.(i) in
+    let copy pid =
       Mmap_pool.clean t.pool pid;
       let frame = Mmap_store.read_frame t.store pid in
       Option.iter
@@ -1912,7 +1915,11 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
                ~len:(Bytes.length frame)))
         staged;
       Chunks.append_frame oc frame
+    in
+    for i = !n - 1 downto 0 do
+      copy (Storage.Page_id.of_int !order.(i))
     done;
+    List.iter copy unreached;
     match staged with
     | None -> ignore
     | Some s ->
