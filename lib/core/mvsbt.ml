@@ -715,9 +715,11 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
 
       (* A rank, a byte at a time: the bytes past it are the next field's. *)
       let put v p k =
-        for j = 0 to v.rw - 1 do
-          Bigarray.Array1.unsafe_set v.buf (p + j) (Char.unsafe_chr ((k lsr (8 * j)) land 0xff))
-        done
+        if v.rw = 1 then Bigarray.Array1.unsafe_set v.buf p (Char.unsafe_chr (k land 0xff))
+        else
+          for j = 0 to v.rw - 1 do
+            Bigarray.Array1.unsafe_set v.buf (p + j) (Char.unsafe_chr ((k lsr (8 * j)) land 0xff))
+          done
 
       let value v i =
         let at = ref (at v i value_col) in
