@@ -31,7 +31,7 @@
     - under [store = Mmap], [p.store.lkst.pages] and [p.store.lklt.pages]
       — the overlays: the pages that closed since the committed
       checkpoint, which holds the rest (a page that can still change is
-      held decoded in RAM).  A cache that every open and every
+      edited in a RAM slot).  A cache that every open and every
       checkpoint empties and nothing reads back.  Under [store = Memory]
       the overlays are RAM, and there are no such files.
 

@@ -502,40 +502,6 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
     let pair () sum next = (sum, next)
     let point ~logical ~key ~at (buf, off, len) = scan buf off len ~key ~at ~logical G.zero () pair
 
-    (* --- Reading a page of either width ------------------------------------- *)
-
-    (* Record [i]'s code in column [c], and the keys, times, value and
-       child it stands for.  A rank is checked against its dictionary
-       before it indexes it. *)
-    let field buf off i c =
-      code buf
-        (records_at_of buf off + (i * record_bytes buf off) + col_at buf off c)
-        (col_width buf off c)
-
-    let entry buf off ~dict ~at ~w ~base k =
-      if k < 0 || k >= dict then
-        malformed buf off (length buf off)
-          (Printf.sprintf "a record names entry %d of a %d-entry dictionary" k dict);
-      base + code buf (at + (k * w)) w
-
-    let key_field buf off i c =
-      entry buf off ~dict:(n_keys buf off) ~at:(off + header_bytes)
-        ~w:(u8 buf (off + key_width_at)) ~base:(low buf off) (field buf off i c)
-
-    let time_field buf off i c =
-      let k = field buf off i c and nt = n_times buf off in
-      if k = nt then forever
-      else
-        entry buf off ~dict:nt ~at:(times_at_of buf off) ~w:(u8 buf (off + time_width_at))
-          ~base:(created buf off) k
-
-    let value_field buf off i =
-      value_reader buf off (records_at_of buf off + (i * record_bytes buf off))
-
-    let child_field buf off i =
-      if level buf off = 0 then -1
-      else load buf (off + bases_at + (8 * V.words)) + field buf off i child_col
-
     (* --- Narrowing ---------------------------------------------------------- *)
 
     (* The bytes of the wide page at [off] of [src] as it seals, at
@@ -930,7 +896,8 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
     store : Mmap_store.t;
     pool : Mmap_pool.t;
     widen : Storage.Zcodec.buf -> int -> int -> Storage.Zcodec.buf -> int -> unit;
-    page : R.Wide.t; (* the page a writer has open *)
+    page : R.Wide.t; (* the page open for editing or reading *)
+    scratch : Storage.Zcodec.buf; (* a page widened for reading *)
     marks : int array; (* a sweep's scratch, [2 b + 1] entries *)
     mutable work : int array; (* the merge pass's worklist *)
     io_stats : Storage.Io_stats.t;
@@ -967,7 +934,9 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
 
   let handle ~cfg ~key_space ~io_stats ~root_star ~policy ~pool_capacity store ~root =
     { store; pool = Mmap_pool.create ~capacity:pool_capacity ~policy store;
-      widen = R.widen ~b:cfg.b; page = R.Wide.make (); marks = Array.make ((2 * cfg.b) + 1) 0;
+      widen = R.widen ~b:cfg.b; page = R.Wide.make ();
+      scratch = Bigarray.Array1.create Bigarray.char Bigarray.c_layout (min_page_size cfg);
+      marks = Array.make ((2 * cfg.b) + 1) 0;
       work = Array.make ((2 * cfg.b) + 2) 0; io_stats; cfg; key_space; root_star;
       cur_root = root; height = 1; now_ = 0; horizon = 0; touches = 0;
       tel = Telemetry.Tracer.noop }
@@ -1050,6 +1019,14 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
   let open_page t pid =
     let buf, off = edit t pid in
     W.open_ t.page buf off;
+    t.page
+
+  (* Page [pid] open in [t.page] for reading, widened from wherever it is
+     into [t.scratch], so that what the store does next leaves it be. *)
+  let view t pid =
+    let buf, off, len = frame t pid in
+    t.widen buf off len t.scratch 0;
+    W.open_ t.page t.scratch 0;
     t.page
 
   (* The first record, in page order, that [p] holds of, or -1. *)
@@ -1470,11 +1447,13 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
 
   type vacuum_action = Free_page | Prune_records
 
-  (* How many records of the page at [off] ended by [h]. *)
-  let ended_by buf off h =
+  let ended_by (v : W.t) i h = W.time v (W.rank v i R.end_col) <= h
+
+  (* How many records of the open page ended by [h]. *)
+  let count_ended (v : W.t) h =
     let n = ref 0 in
-    for i = 0 to R.count buf off - 1 do
-      if R.time_field buf off i R.end_col <= h then incr n
+    for i = 0 to v.count - 1 do
+      if ended_by v i h then incr n
     done;
     !n
 
@@ -1489,9 +1468,9 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
            match Mmap_pool.read t.pool pid with
            | exception Not_found -> None
            | () ->
-               let buf, off, _ = frame t pid in
-               if R.closed buf off <= h then Some (pid, Free_page)
-               else if ended_by buf off h > 0 then Some (pid, Prune_records)
+               let v = view t pid in
+               if R.closed v.buf v.off <= h then Some (pid, Free_page)
+               else if count_ended v h > 0 then Some (pid, Prune_records)
                else None)
 
   (* Appliers are tolerant of already-done work (missing page, nothing to
@@ -1510,16 +1489,13 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
     else begin
       read t pid;
       let h = t.horizon in
-      let dropped =
-        let buf, off, _ = frame t pid in
-        ended_by buf off h
-      in
+      let dropped = count_ended (view t pid) h in
       (* At least one record stays: a page with [closed > h] had records
          alive just below its close time, and their [rt_end >= closed > h]. *)
       if dropped > 0 then begin
         let v = open_page t pid in
         for i = v.count - 1 downto 0 do
-          if W.time v (W.rank v i R.end_col) <= h then W.remove v i
+          if ended_by v i h then W.remove v i
         done;
         W.sweep v t.marks;
         touch t pid
@@ -1532,12 +1508,12 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
   (* Preorder walk from the root tenures, each page once, marked in a
      bitmap over page ids.  [f pid] runs as each page is reached, and, but
      for a leaf reached from its parent under [~leaves:false] (its level
-     is known, so it is not read), the page is read and [visit pid
-     frame] runs on its payload before the next page is read.  Children
-     come from the frame's child column, through a stack of ids, a leaf's
-     flagged in the low bit: a child that does not exist is skipped (dead
-     record copies may reference disposed pages; queries can never follow
-     them).  Whether each page was reached goes back to the caller. *)
+     is known, so it is not read), the page is read and [visit pid page]
+     runs on its {!view}.  Children come from the page's child column,
+     through a stack of ids, a leaf's flagged in the low bit: a child
+     that does not exist is skipped (dead record copies may reference
+     disposed pages; queries can never follow them).  Whether each page
+     was reached goes back to the caller. *)
   let walk t ~leaves ?(visit = fun _ _ -> ()) f =
     let seen = Bytes.make ((Mmap_store.next_id t.store + 7) / 8) '\000' in
     let stack = ref (Array.make 64 0) and top = ref 0 in
@@ -1559,13 +1535,12 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
         f pid;
         if leaves || not is_leaf then begin
           read t pid;
-          let buf, off, len = frame t pid in
-          visit pid (buf, off, len);
-          let buf, off, _ = frame t pid in
-          let level = R.level buf off in
+          let v = view t pid in
+          let level = R.level v.buf v.off in
+          visit pid v;
           if level > 0 then
-            for i = R.count buf off - 1 downto 0 do
-              let c = R.child_field buf off i in
+            for i = v.count - 1 downto 0 do
+              let c = W.child v i in
               if page_exists t (Storage.Page_id.of_int c) then
                 push ((c lsl 1) lor if level = 1 then 1 else 0)
             done
@@ -1577,13 +1552,13 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
       id lsr 3 < Bytes.length seen
       && Char.code (Bytes.get seen (id lsr 3)) land (1 lsl (id land 7)) <> 0
 
-  let iter_frames t visit =
+  let iter_pages t visit =
     let (_ : Storage.Page_id.t -> bool) = walk t ~leaves:true ~visit ignore in
     ()
 
   let record_count t =
     let n = ref 0 in
-    iter_frames t (fun _ (buf, off, _) -> n := !n + R.count buf off);
+    iter_pages t (fun _ v -> n := !n + v.count);
     !n
 
   (* --- Invariant checking ---------------------------------------------------- *)
@@ -1591,19 +1566,17 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
   let check_invariants t =
     let fail fmt = Format.kasprintf failwith fmt in
     let root_pids = List.map snd (Root_star.tenures t.root_star) in
-    iter_frames t (fun page (buf, off, _) ->
+    iter_pages t (fun page v ->
         let pid = Storage.Page_id.to_int page in
-        let n = R.count buf off and level = R.level buf off in
-        let prange = Interval.make (R.low buf off) (R.high buf off) in
-        let created = R.created buf off and closed = R.closed buf off in
-        (* The records are copied out first: reading a child may move the
-           page's frame. *)
+        let n = v.count and level = R.level v.buf v.off in
+        let prange = Interval.make v.low (R.high v.buf v.off) in
+        let created = v.created and closed = R.closed v.buf v.off in
         let records =
           List.init n (fun i ->
-              ( Interval.make (R.key_field buf off i R.lo_col) (R.key_field buf off i R.hi_col),
-                R.time_field buf off i R.start_col,
-                R.time_field buf off i R.end_col,
-                R.child_field buf off i ))
+              ( Interval.make (W.key v (W.rank v i R.lo_col)) (W.key v (W.rank v i R.hi_col)),
+                W.time v (W.rank v i R.start_col),
+                W.time v (W.rank v i R.end_col),
+                W.child v i ))
         in
         if n = 0 then fail "Mvsbt: page %d empty" pid;
         if n > t.cfg.b then fail "Mvsbt: page %d over-full" pid;
@@ -1939,24 +1912,24 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
 
   let pp_dot ppf t =
     Format.fprintf ppf "digraph mvsbt {@.  node [shape=record];@.";
-    iter_frames t (fun pid (buf, off, _) ->
-        let id = Storage.Page_id.to_int pid and n = R.count buf off in
+    iter_pages t (fun pid v ->
+        let id = Storage.Page_id.to_int pid in
         let label =
           String.concat "|"
-            (List.init n (fun i ->
-                 let stop = R.time_field buf off i R.end_col in
+            (List.init v.count (fun i ->
+                 let stop = W.time v (W.rank v i R.end_col) in
                  Format.asprintf "%a@%d..%s: %a" Interval.pp
-                   (Interval.make (R.key_field buf off i R.lo_col) (R.key_field buf off i R.hi_col))
-                   (R.time_field buf off i R.start_col)
+                   (Interval.make (W.key v (W.rank v i R.lo_col)) (W.key v (W.rank v i R.hi_col)))
+                   (W.time v (W.rank v i R.start_col))
                    (if stop = forever then "inf" else string_of_int stop)
-                   G.pp (R.value_field buf off i)))
+                   G.pp (W.value v i)))
         in
-        Format.fprintf ppf "  p%d [label=\"{p%d lvl%d %a|%s}\"];@." id id (R.level buf off)
+        Format.fprintf ppf "  p%d [label=\"{p%d lvl%d %a|%s}\"];@." id id (R.level v.buf v.off)
           Interval.pp
-          (Interval.make (R.low buf off) (R.high buf off))
+          (Interval.make v.low (R.high v.buf v.off))
           label;
-        for i = 0 to n - 1 do
-          let c = R.child_field buf off i in
+        for i = 0 to v.count - 1 do
+          let c = W.child v i in
           if c >= 0 then Format.fprintf ppf "  p%d -> p%d;@." id c
         done);
     Format.fprintf ppf "}@."

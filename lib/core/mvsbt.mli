@@ -153,14 +153,14 @@ end
     pool: its frames in mapped files or in RAM.  A page is read from the
     snapshot the tree was opened or last rebased on (mapped read-only, or
     a RAM image of its frames), unless it was written since: then a page
-    that can still change is held decoded, and a closed one is in the
-    overlay, a log of the frames sealed since, each encoded once when its
-    page closed and taking the bytes it encodes to.  Every frame is laid
-    out by {!Record_codec}: each page's records one size, each field in
-    the bytes that page needs.  A {!query} scans each frame on its path
-    in place, in one pass over the records, and decodes nothing; only
-    {!insert} and maintenance passes decode a frame.  The layout is the
-    one {!save} writes to snapshots.  The pool keeps the current root
+    that can still change is in a RAM slot, wide, where {!insert} and
+    vacuum edit it in place, and a closed one is in the overlay, a log of
+    the frames sealed since, each narrowed once when its page closed and
+    taking the bytes it narrows to.  No page is ever held in the heap.
+    Every page is laid out by {!Record_codec}: each page's records one
+    size, each field in the bytes that page needs.  A {!query} scans each
+    page on its path in place, in one pass over the records, and decodes
+    nothing.  The layout is the one {!save} writes to snapshots.  The pool keeps the current root
     pinned, moving the pin when the tree moves its root.  The overlay is
     a cache of this handle's pages: nothing reads it back after
     {!close}, and a tree is made durable by {!save_staged} and the rebase
@@ -237,13 +237,15 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) : sig
       {!Chunks}.  Each page is one chunk whose frame is exactly the frame
       the tree stores, so a save copies its pages' stored frames out, and
       {!of_snapshot} — the one way back in — reads them in place, without
-      decoding. *)
+      widening any. *)
 
   val save : ?vfs:Storage.Vfs.t -> t -> path:string -> unit
-  (** Write a snapshot.  The index remains usable.  The frames are copied
-      as stored (one charged read each, CRC-checked; only index pages are
-      decoded, to walk the graph), and the pages held decoded are
-      encoded.
+  (** Write a snapshot.  The index remains usable.  The pages root*
+      reaches come first, in the reverse of a preorder walk that reads
+      only index pages' child columns and holds only ids, then, ascending,
+      any it does not reach, so a load holds every page {!page_count}
+      counts.  The frames are copied as stored (one charged read each,
+      CRC-checked), and the pages in slots are narrowed.
       @raise Storage.Page_store.Corrupt_page if a stored page fails its
       checksum. *)
 

@@ -46,7 +46,8 @@ val create :
     Both MVSBTs keep their pages as CRC-framed frames
     ({!Storage.Page_store.Mmap} behind pinning buffer pools), which
     queries scan in place: the pages sealed since the last checkpoint in
-    overlays, the pages that can still change held decoded, and the rest
+    overlays, the pages that can still change in RAM slots where writers
+    edit them, and the rest
     in the checkpoint itself once there is one (see {!save_staged}).  A
     page stores its keys and times once each, in two sorted dictionaries,
     each record's keys and times as ranks into them, and each field in

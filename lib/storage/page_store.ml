@@ -75,9 +75,9 @@ end
 (* A page table: an int per page id, 0 for none, in chunks of 32 ids.
    A chunk is made when an id in it is first set and dropped when its
    last id is removed, and the chunks held are found by bisecting their
-   ascending numbers, so the table holds about a word per live page
-   however far apart their ids are: ids retired long ago, or one far
-   past the rest in a snapshot, cost nothing. *)
+   ascending numbers: the table holds about a word per live page where
+   ids are dense, a chunk per page at worst, and nothing for ids retired
+   long ago or for one far past the rest in a snapshot. *)
 module Table = struct
   let bits = 5
   let mask = (1 lsl bits) - 1

@@ -3,8 +3,8 @@
     Both kinds serve from one store, {!Page_store.Mmap}: pages in
     CRC-framed frames, which a query scans in place, a base holding the
     committed checkpoint's frames and an overlay holding the frames of
-    pages sealed since, with the pages that can still change held
-    decoded.  The kinds differ only in where the frames are.  [Memory]
+    pages sealed since, with the pages that can still change in RAM
+    slots.  The kinds differ only in where the frames are.  [Memory]
     is that store over RAM: the open copies each checkpoint frame into a
     RAM image as it verifies it, and the overlay is a RAM arena, so the
     store touches no file.  [Mmap] maps the committed checkpoint

@@ -4,7 +4,7 @@
     page access on a mapped store to round-trip through an intermediate
     copy.  This module reads and writes the same little-endian words in a
     [Bigarray.Array1] of chars — the type [Unix.map_file] yields — so
-    page frames are encoded into, scanned and decoded from the mapped
+    page frames are narrowed into, scanned and widened from the mapped
     bytes {e in place} (the MVSBT's layout is [Mvsbt]'s [Record_codec]).
     A word written here reads back through [Codec.Reader] from a copy of
     the bytes, and {!crc32} agrees with [Codec.crc32] on equal contents;
