@@ -830,8 +830,8 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
       Wide.append v ~lo ~hi ~start ~stop value ~child
 
     (* The wide form of the narrow page [(buf, off, len)], for up to [b]
-       records, at [doff] of [dst]: every rank checked against its
-       dictionary before anything indexes by it. *)
+       records, at [doff] of [dst], a column at a time: every rank
+       checked against its dictionary before anything indexes by it. *)
     let widen ~b buf off len dst doff =
       let stride = checked_stride buf off len in
       let n = count buf off and level = level buf off in
@@ -854,23 +854,28 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
       Z.set_i32 dst (doff + count_at) n;
       let v = Wide.make () in
       Wide.open_ v dst doff;
-      for i = 0 to n - 1 do
-        let s = records + (i * stride) in
-        for c = 0 to columns - 1 do
-          let w = col_width buf off c in
-          let x = code buf (s + col_at buf off c) w in
-          if c <= end_col then begin
-            let dict = if c <= hi_col then nk else nt + 1 in
+      let last = if level > 0 then child_col else child_col - 1 in
+      for c = lo_col to last do
+        let w = col_width buf off c and at = records + col_at buf off c in
+        let m = mask w in
+        if c <= end_col then begin
+          let dict = if c <= hi_col then nk else nt + 1 in
+          for i = 0 to n - 1 do
+            let x = if w = 0 then 0 else load buf (at + (i * stride)) land m in
             if x >= dict then
               malformed buf off len
                 (Printf.sprintf "the record at byte %d names entry %d of a %d-entry dictionary"
-                   (s - off) x dict);
+                   (at + (i * stride) - col_at buf off c - off) x dict);
             Wide.set_rank v i c x
-          end
-          else if c < child_col || level > 0 then
+          done
+        end
+        else begin
+          let base = load buf (off + bases_at + (8 * (c - value_col))) in
+          for i = 0 to n - 1 do
             store dst (Wide.at v i value_col + (8 * (c - value_col)))
-              (load buf (off + bases_at + (8 * (c - value_col))) + x)
-        done
+              (base + if w = 0 then 0 else load buf (at + (i * stride)) land m)
+          done
+        end
       done
   end
 
