@@ -241,9 +241,12 @@ let apply_record rta rd =
         let horizon = Storage.Codec.Reader.i64 rd in
         Rta.vacuum_begin rta ~horizon
     | x when x = op_vacuum_chunk ->
-        (* A checkpoint taken mid-vacuum snapshots only reachable pages,
-           so a replayed chunk may name pages the snapshot never held;
-           the appliers tolerate pages already gone or already clean. *)
+        (* A checkpoint taken mid-vacuum holds every page its tree
+           counted, the dead ones yet to be freed among them, and a
+           replayed chunk frees them.  The appliers tolerate pages
+           already gone or already clean: a snapshot of this format that
+           holds only the pages root* reaches, as earlier writers wrote,
+           lacks the dead ones. *)
         let _horizon = Storage.Codec.Reader.i64 rd in
         ignore (Rta.vacuum_apply rta (decode_vacuum_actions rd))
     | x -> failwith (Printf.sprintf "Durable: unknown WAL opcode %d" x)

@@ -862,7 +862,7 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
           let dict = if c <= hi_col then nk else nt + 1 in
           for i = 0 to n - 1 do
             let x = if w = 0 then 0 else load buf (at + (i * stride)) land m in
-            if x >= dict then
+            if x < 0 || x >= dict then
               malformed buf off len
                 (Printf.sprintf "the record at byte %d names entry %d of a %d-entry dictionary"
                    (at + (i * stride) - col_at buf off c - off) x dict);
@@ -1468,19 +1468,20 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
   let vacuum_scan t =
     let h = t.horizon in
     Mmap_pool.flush t.pool;
-    Mmap_store.written_ids t.store
-    |> List.filter_map (fun pid ->
-           match Mmap_pool.read t.pool pid with
-           | exception Not_found -> None
-           | () ->
-               let v = view t pid in
-               if R.closed v.buf v.off <= h then Some (pid, Free_page)
-               else if count_ended v h > 0 then Some (pid, Prune_records)
-               else None)
+    let actions = ref [] in
+    Mmap_store.iter_ids t.store (fun pid ->
+        Mmap_pool.read t.pool pid;
+        let v = view t pid in
+        if R.closed v.buf v.off <= h then actions := (pid, Free_page) :: !actions
+        else if count_ended v h > 0 then actions := (pid, Prune_records) :: !actions);
+    List.rev !actions
 
   (* Appliers are tolerant of already-done work (missing page, nothing to
-     drop): WAL replay after a crash re-applies actions idempotently, and
-     a checkpoint taken mid-vacuum may already omit the dead pages. *)
+     drop), so replaying an action is idempotent.  A checkpoint taken
+     mid-vacuum holds the dead pages yet to be freed ({!write} writes
+     every page held), and the replayed actions free them; a snapshot of
+     this format that holds only the pages root* reaches, as earlier
+     writers wrote, lacks them. *)
   let vacuum_free t pid =
     if page_exists t pid then begin
       Mmap_pool.free t.pool pid;
@@ -1510,8 +1511,9 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
 
   (* --- Whole-graph traversal ------------------------------------------------ *)
 
-  (* Preorder walk from the root tenures, each page once, marked in a
-     bitmap over page ids.  [f pid] runs as each page is reached, and, but
+  (* Preorder walk from the root tenures, each page once, marked in the
+     store's bitmap over its page table, as sparse as the table however
+     far apart the ids.  [f pid] runs as each page is reached, and, but
      for a leaf reached from its parent under [~leaves:false] (its level
      is known, so it is not read), the page is read and [visit pid page]
      runs on its {!view}.  Children come from the page's child column,
@@ -1520,7 +1522,7 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
      disposed pages; queries can never follow them).  Whether each page
      was reached goes back to the caller. *)
   let walk t ~leaves ?(visit = fun _ _ -> ()) f =
-    let seen = Bytes.make ((Mmap_store.next_id t.store + 7) / 8) '\000' in
+    let seen = Mmap_store.marks t.store in
     let stack = ref (Array.make 64 0) and top = ref 0 in
     let push x =
       if !top = Array.length !stack then stack := Array.append !stack !stack;
@@ -1532,11 +1534,8 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
     while !top > 0 do
       decr top;
       let x = !stack.(!top) in
-      let id = x lsr 1 and is_leaf = x land 1 = 1 in
-      let byte = Char.code (Bytes.get seen (id lsr 3)) and bit = 1 lsl (id land 7) in
-      if byte land bit = 0 then begin
-        Bytes.set seen (id lsr 3) (Char.chr (byte lor bit));
-        let pid = Storage.Page_id.of_int id in
+      let pid = Storage.Page_id.of_int (x lsr 1) and is_leaf = x land 1 = 1 in
+      if Mmap_store.mark seen pid then begin
         f pid;
         if leaves || not is_leaf then begin
           read t pid;
@@ -1552,10 +1551,7 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
         end
       end
     done;
-    fun pid ->
-      let id = Storage.Page_id.to_int pid in
-      id lsr 3 < Bytes.length seen
-      && Char.code (Bytes.get seen (id lsr 3)) land (1 lsl (id land 7)) <> 0
+    Mmap_store.marked seen
 
   let iter_pages t visit =
     let (_ : Storage.Page_id.t -> bool) = walk t ~leaves:true ~visit ignore in
@@ -1865,25 +1861,27 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
     Chunks.append oc w;
     (* Pages in the reverse of the walk's preorder, one frame each, the
        walk holding only ids: a bitmap of those reached and an array of
-       them in order.  Then, ascending, the pages no root* tenure reaches
-       (without disposal, a root that root* replaced at the instant it
-       was registered), so that a load holds every page the tree counts.
+       them in order.  Then, ascending, from the same array, the pages no
+       root* tenure reaches (without disposal, a root that root* replaced
+       at the instant it was registered; mid-vacuum, the dead pages yet to
+       be freed), so that a load holds every page the tree counts.
        The store already holds each page's frame, so every frame is
        copied as stored, its CRC verified on the way out, and a page in a
        slot is narrowed.  When [stage], each copied frame is staged, at
        its offset, into the base the tree moves onto once the file is
        durable. *)
     let order = ref (Array.make 256 0) and n = ref 0 in
-    let reached =
-      walk t ~leaves:false (fun pid ->
-          if !n = Array.length !order then order := Array.append !order !order;
-          !order.(!n) <- Storage.Page_id.to_int pid;
-          incr n)
+    let add pid =
+      if !n = Array.length !order then order := Array.append !order !order;
+      !order.(!n) <- Storage.Page_id.to_int pid;
+      incr n
     in
-    let unreached = List.filter (fun pid -> not (reached pid)) (Mmap_store.written_ids t.store) in
+    let reached = walk t ~leaves:false add in
+    let n_reached = !n in
+    Mmap_store.iter_ids t.store (fun pid -> if not (reached pid) then add pid);
     let staged = if stage then Some (Mmap_store.stage t.store ~file:path ()) else None in
     let w = Chunks.writer 4 in
-    Storage.Codec.Writer.i32 w (!n + List.length unreached);
+    Storage.Codec.Writer.i32 w !n;
     Chunks.append oc w;
     let copy pid =
       Mmap_pool.clean t.pool pid;
@@ -1896,10 +1894,12 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
         staged;
       Chunks.append_frame oc frame
     in
-    for i = !n - 1 downto 0 do
+    for i = n_reached - 1 downto 0 do
       copy (Storage.Page_id.of_int !order.(i))
     done;
-    List.iter copy unreached;
+    for i = n_reached to !n - 1 do
+      copy (Storage.Page_id.of_int !order.(i))
+    done;
     match staged with
     | None -> ignore
     | Some s ->

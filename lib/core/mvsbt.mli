@@ -251,9 +251,9 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) : sig
 
   val save_staged : ?vfs:Storage.Vfs.t -> t -> path:string -> unit -> unit
   (** {!save}, returning the rebase: the step that moves the tree onto
-      the file just written — its base becomes that file, its overlay is
-      emptied, the previous base is released, and pages the file left out
-      (unreachable ones) leave the store and the pool.  Run it only once
+      the file just written — its base becomes that file, which holds
+      every page the tree held, its overlay is emptied, and the previous
+      base is released.  Run it only once
       the file is durable; it reads nothing, since each frame's offset was
       recorded as it was written (and, for a RAM base, the frame copied).
       @raise Storage.Arena.Unavailable from the rebase if the file cannot

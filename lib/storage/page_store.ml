@@ -156,6 +156,16 @@ module Table = struct
     for i = 0 to t.n - 1 do
       Array.iteri (fun j v -> if v <> 0 then f ((t.nums.(i) lsl bits) lor j) v) t.chunks.(i)
     done
+
+  (* Where the id [id], if held, falls among the ids the chunks cover,
+     in [0, 32 n); -1 if it is not held.  A bitmap over these places is
+     as sparse as the table, for as long as no chunk is made or dropped. *)
+  let place t id =
+    let c = id asr bits in
+    let i = seek t c in
+    if i < t.n && t.nums.(i) = c && t.chunks.(i).(id land mask) <> 0 then
+      (i lsl bits) lor (id land mask)
+    else -1
 end
 
 module Mmap (C : PAGE_CODEC) = struct
@@ -213,7 +223,6 @@ module Mmap (C : PAGE_CODEC) = struct
   let stats t = t.stats
   let page_size t = t.page_size
   let backing t = Arena.backing t.overlay
-  let next_id t = t.next_id
 
   (* As in {!Mem}: ids are never reused. *)
   let alloc t =
@@ -372,10 +381,28 @@ module Mmap (C : PAGE_CODEC) = struct
   let mem t id = Table.get t.table (Page_id.to_int id) <> 0
   let live_pages t = t.live
 
-  let written_ids t =
-    let ids = ref [] in
-    Table.iter (fun id _ -> ids := Page_id.of_int id :: !ids) t.table;
-    List.rev !ids
+  let iter_ids t f = Table.iter (fun id _ -> f (Page_id.of_int id)) t.table
+
+  (* A bit for each id the table's chunks cover, in the table's own
+     places. *)
+  type marks = { covered : Table.t; bits : Bytes.t }
+
+  let marks t =
+    { covered = t.table; bits = Bytes.make (((t.table.n lsl Table.bits) + 7) / 8) '\000' }
+
+  let mark m id =
+    let p = Table.place m.covered (Page_id.to_int id) in
+    if p < 0 then raise Not_found;
+    let byte = Char.code (Bytes.get m.bits (p lsr 3)) and bit = 1 lsl (p land 7) in
+    byte land bit = 0
+    && begin
+         Bytes.set m.bits (p lsr 3) (Char.chr (byte lor bit));
+         true
+       end
+
+  let marked m id =
+    let p = Table.place m.covered (Page_id.to_int id) in
+    p >= 0 && Char.code (Bytes.get m.bits (p lsr 3)) land (1 lsl (p land 7)) <> 0
 
   let overlay_bytes t = Arena.used t.overlay
   let slots_used t = Arena.Slots.used t.slots

@@ -140,12 +140,27 @@ module Mmap (C : PAGE_CODEC) : sig
   (** Bytes the overlay holds ({!Arena.used}): every frame appended since
       the last {!rebase}, live or dead, with its alignment. *)
 
-  val written_ids : t -> Page_id.t list
-  (** Every page id held (made by {!fresh}, or written, and not freed),
-      in the base, the overlay or a slot, ascending. *)
+  val iter_ids : t -> (Page_id.t -> unit) -> unit
+  (** [iter_ids t f] runs [f] on every page id held (made by {!fresh},
+      or written, and not freed), in the base, the overlay or a slot,
+      ascending.  [f] may read, edit and write pages, but not make or
+      free one. *)
 
-  val next_id : t -> int
-  (** One past the highest id allocated or staged. *)
+  type marks
+  (** A set of the pages a store holds, a bit for each id its page
+      table's chunks cover: as sparse as the table, however far apart
+      the ids.  It stays valid while no page is made ({!fresh}) or freed,
+      and the store is not rebased. *)
+
+  val marks : t -> marks
+  (** An empty set over the pages held now. *)
+
+  val mark : marks -> Page_id.t -> bool
+  (** Add a page; [false] if it was in the set already.
+      @raise Not_found if the store does not hold the page. *)
+
+  val marked : marks -> Page_id.t -> bool
+  (** Whether a page is in the set. *)
 
   val slots_used : t -> int
   (** Pages held in slots. *)

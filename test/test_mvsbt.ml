@@ -855,7 +855,10 @@ let test_scan_allocates_nothing () =
    the page is widened for a writer: the wide page is indexed by ranks
    with unchecked loads.  So is a page with more records than [b], or
    more entries than [2 b].  [many]'s ranks are 2 bytes each, the first
-   record's low key rank its first field and its end rank its fourth. *)
+   record's low key rank its first field and its end rank its fourth.  A
+   header may give a rank column 8 bytes, which no writer lays out: a
+   rank of -1 there is refused too, not taken for one below the
+   dictionary's size. *)
 let test_widen_checks_ranks () =
   let buf, len = encoded many ~off:0 in
   let nk, nt, _, _ = dictionary_fields buf 0 in
@@ -884,7 +887,32 @@ let test_widen_checks_ranks () =
     [ ("a key rank of the dictionary's size", first, nk, 0);
       ("a key rank of 65535", first, 0xffff, 0);
       ("an end rank past forever's", first + 6, nt + 1, nt) ];
-  refused "200 records for a b of 199" ~b:199
+  refused "200 records for a b of 199" ~b:199;
+  (* one record of one byte, its high key's rank into 2 keys; laid out
+     again with that column 8 bytes wide *)
+  let one =
+    { pid = 3; level = 0; prange = Interval.make 0 10; created = 4; closed = forever;
+      records = [ record ~lo:0 ~hi:10 ~start:forever ~stop:forever (0, 0) None ] }
+  in
+  let buf, len = encoded one ~off:0 in
+  Alcotest.(check (list int)) "one rank of one byte" [ 0; 1; 0; 0; 0; 0; 0 ] (widths buf 0);
+  let r = len - 7 - 1 and len8 = len + 7 in
+  let buf8 = bigarray len8 '\x00' in
+  Storage.Zcodec.blit buf 0 buf8 0 r;
+  Storage.Zcodec.set_u8 buf8 (Layout.widths_at + 1) 8;
+  let slot = bigarray (Layout.max_payload ~b:1) '\x00' in
+  let widens8 rank =
+    Storage.Zcodec.set_i64 buf8 r rank;
+    Layout.widen ~b:1 buf8 0 len8 slot 0
+  in
+  widens8 1;
+  let again = bigarray (Layout.max_payload ~b:1) '\x00' in
+  Alcotest.(check string) "an 8-byte rank widens and narrows to 1 byte" (bytes_of buf 0 len)
+    (bytes_of again 0 (Layout.narrow slot 0 again 0));
+  match widens8 (-1) with
+  | exception Mvsbt.Malformed_frame { page = 3; _ } -> ()
+  | exception e -> Alcotest.failf "an 8-byte rank of -1: %s" (Printexc.to_string e)
+  | () -> Alcotest.failf "an 8-byte rank of -1: widened"
 
 (* --- The tree's heap ------------------------------------------------------------- *)
 
@@ -926,6 +954,82 @@ let test_heap_footprint () =
   if words > bound then
     Alcotest.failf "%d words reachable from a tree of %d live pages (bound %d)" words pages bound
 
+(* A page chunk is input from outside the program, and its id may lie
+   far past the rest: one at 2^40 among a few hundred loads as an extra
+   page, and the tree then saves, walks and grows in room that follows
+   its live pages, not its highest id.  A save allocates about what it
+   does without that page (some 60 KB), not a bitmap over 2^40 ids, and
+   a load after it holds every page. *)
+let test_far_page_id () =
+  let tree = T.create ~config:(mk_config ~b:8 ()) ~key_space:64 () in
+  let insert tree ~seed ~from n =
+    let rng = make_rng seed in
+    for at = from to from + n - 1 do
+      T.insert tree ~key:(rng 64) ~at (1 + rng 9)
+    done
+  in
+  insert tree ~seed:5 ~from:1 400;
+  let dir = Filename.temp_dir "mvsbt_far" "" in
+  let file name = Filename.concat dir name in
+  let allocated f =
+    let before = Gc.allocated_bytes () in
+    f ();
+    Gc.allocated_bytes () -. before
+  in
+  let plain = allocated (fun () -> T.save tree ~path:(file "plain")) in
+  (* the same snapshot with one more page chunk: a copy of the last page
+     whose id is 2^40 *)
+  let chunks =
+    Mvsbt.Chunks.with_file Storage.Vfs.os ~path:(file "plain") ~magic:Mvsbt.snapshot_magic
+    @@ fun rd ->
+    let rec go acc =
+      match Mvsbt.Chunks.next rd with
+      | None -> List.rev acc
+      | Some f -> go (Bytes.sub f.buf f.pos (Mvsbt.Chunks.frame_bytes + f.len) :: acc)
+    in
+    go []
+  in
+  let state, pages = match chunks with s :: _ :: p -> (s, p) | _ -> assert false in
+  let far = Bytes.copy (List.nth pages (List.length pages - 1)) in
+  let len = Bytes.length far - Mvsbt.Chunks.frame_bytes in
+  Bytes.set_int64_le far Mvsbt.Chunks.frame_bytes (Int64.shift_left 1L 40);
+  Bytes.set_int32_le far 4
+    (Int32.of_int (Storage.Codec.crc32 far ~pos:Mvsbt.Chunks.frame_bytes ~len));
+  let out = Storage.Vfs.os.v_open `Create (file "far") in
+  let magic = Bytes.of_string Mvsbt.snapshot_magic in
+  out.f_append magic 0 (Bytes.length magic);
+  Mvsbt.Chunks.append_frame out state;
+  let w = Mvsbt.Chunks.writer 4 in
+  Storage.Codec.Writer.i32 w (List.length pages + 1);
+  Mvsbt.Chunks.append out w;
+  List.iter (Mvsbt.Chunks.append_frame out) (pages @ [ far ]);
+  out.f_close ();
+  let loaded = T.of_snapshot ~snapshot:(file "far") () in
+  Alcotest.(check int) "the far page loads" (T.page_count tree + 1) (T.page_count loaded);
+  let saved = allocated (fun () -> T.save loaded ~path:(file "again")) in
+  if saved > (2. *. plain) +. 65536. then
+    Alcotest.failf "a save with a page at id 2^40 allocated %.0f bytes (%.0f without)" saved plain;
+  let again = T.of_snapshot ~snapshot:(file "again") () in
+  Alcotest.(check int) "a load after the save holds every page" (T.page_count loaded)
+    (T.page_count again);
+  (* the loaded tree grows past the far id, and still saves whole *)
+  insert loaded ~seed:6 ~from:401 200;
+  insert tree ~seed:6 ~from:401 200;
+  T.check_invariants loaded;
+  Alcotest.(check int) "records" (T.record_count tree) (T.record_count loaded);
+  T.save loaded ~path:(file "grown");
+  let grown = T.of_snapshot ~snapshot:(file "grown") () in
+  Alcotest.(check int) "pages after growing" (T.page_count loaded) (T.page_count grown);
+  for key = 0 to 63 do
+    for at = 0 to 61 do
+      let at = at * 10 in
+      Alcotest.(check int) (Printf.sprintf "query (%d,%d)" key at) (T.query tree ~key ~at)
+        (T.query grown ~key ~at)
+    done
+  done;
+  List.iter (fun n -> Sys.remove (file n)) [ "plain"; "far"; "again"; "grown" ];
+  Sys.rmdir dir
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_matches_oracle; prop_height_bound; prop_pages_per_insertion;
@@ -950,6 +1054,7 @@ let () =
           Alcotest.test_case "durable file-backed tree" `Quick test_durable_mvsbt_direct;
           Alcotest.test_case "graphviz dump" `Quick test_pp_dot_smoke;
           Alcotest.test_case "heap footprint under vacuum churn" `Quick test_heap_footprint;
+          Alcotest.test_case "a page id far past the rest" `Quick test_far_page_id;
           Alcotest.test_case "page layout extremes" `Quick test_layout_extremes;
           Alcotest.test_case "a scan that adds nothing allocates nothing" `Quick
             test_scan_allocates_nothing;
