@@ -1902,12 +1902,7 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
     done;
     match staged with
     | None -> ignore
-    | Some s ->
-        (* Pages the new base left out leave the pool too, so a dirty
-           one is never written back into the store. *)
-        fun () ->
-          Mmap_store.rebase t.store s;
-          Mmap_pool.retain t.pool (Mmap_store.mem t.store)
+    | Some s -> fun () -> Mmap_store.rebase t.store s
 
   let save ?(vfs = Storage.Vfs.os) t ~path =
     let (_ : unit -> unit) = write ~stage:false ~vfs t ~path in

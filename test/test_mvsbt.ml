@@ -1027,6 +1027,7 @@ let test_far_page_id () =
         (T.query grown ~key ~at)
     done
   done;
+  List.iter T.close [ loaded; again; grown ];
   List.iter (fun n -> Sys.remove (file n)) [ "plain"; "far"; "again"; "grown" ];
   Sys.rmdir dir
 
