@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
 # The bytes `rta_cli build --save` writes for one trace under six tree
-# configurations: the md5 and size of each snapshot file.  A change to
-# how pages are laid out or written that alters the bytes the same way
-# under every store passes the cross-store `cmp`, but not this:
+# configurations: the md5 and size of each snapshot file.  Then the
+# bytes a durable build of the same trace leaves: its log, its
+# checkpoint pointer and the files of its last checkpoint generation.
+# A change to how pages, log records, pointers or checkpoints are laid
+# out or written that alters the bytes the same way under every store
+# passes the cross-store `cmp`, but not this:
 #
 #   bash .github/snapshot-md5.sh | diff bench/results/snapshot-md5.txt -
 #
@@ -27,3 +30,9 @@ plain --plain
 no-merging --no-merging
 b8-f0.75 -b 8 -f 0.75
 CONFIGS
+"$CLI" build --input "$D/trace.bin" --max-key 2000 --wal "$D/wh" --checkpoint-every 1500 \
+  > /dev/null
+for ext in wal ckpt ckpt-6.lkst ckpt-6.lklt ckpt-6.meta; do
+  sum=$(md5sum < "$D/wh.$ext" | cut -d ' ' -f 1)
+  echo "durable $ext $sum $(wc -c < "$D/wh.$ext")"
+done

@@ -1,4 +1,5 @@
 module E = Storage.Storage_error
+module Frame = Storage.Frame
 
 type recovery_report = {
   replayed : int;  (* WAL records replayed (applied or seq-skipped) *)
@@ -60,74 +61,77 @@ type t = {
 
 (* --- WAL record payloads ------------------------------------------------------ *)
 
-(* seq i64 | op u8 | payload.  [seq] is the warehouse's n_updates after
-   applying the record, so recovery can tell which records a checkpoint
-   already covers.  Payloads:
-   - insert:       at i64 | key i64 | value i64
-   - delete:       at i64 | key i64
-   - vacuum_begin: horizon i64
-   - vacuum_chunk: horizon i64 | n i32 | n x (side u8 | free u8 | pid i64)
+(* seq i64 | op u8 | payload, by op:
+   - 1, insert:       at i64 | key i64 | value i64
+   - 2, delete:       at i64 | key i64
+   - 3, vacuum_begin: horizon i64
+   - 4, vacuum_chunk: horizon i64 | n i32 | n x (side u8 | free u8 | pid i64)
    Vacuum records carry the {e explicit} page actions rather than "rescan
    at horizon h": replay is then deterministic whatever order the
    original scan visited the stores in, and a chunk interrupted by a
    crash re-applies exactly the same frees and prunes (each tolerant of
    already-done work). *)
 
-let op_insert = 1
-let op_delete = 2
-let op_vacuum_begin = 3
-let op_vacuum_chunk = 4
 let record_max_bytes = 8 + 1 + 8 + 8 + 8
 
-let encode_insert ~seq ~key ~value ~at =
-  let w = Storage.Codec.Writer.create record_max_bytes in
-  Storage.Codec.Writer.i64 w seq;
-  Storage.Codec.Writer.u8 w op_insert;
-  Storage.Codec.Writer.i64 w at;
-  Storage.Codec.Writer.i64 w key;
-  Storage.Codec.Writer.i64 w value;
-  (Storage.Codec.Writer.contents w, Storage.Codec.Writer.pos w)
+type record =
+  | Insert of { key : int; value : int; at : int }
+  | Delete of { key : int; at : int }
+  | Vacuum_begin of { horizon : int }
+  | Vacuum_chunk of { horizon : int; actions : Rta.vacuum_action list }
 
-let encode_delete ~seq ~key ~at =
-  let w = Storage.Codec.Writer.create record_max_bytes in
-  Storage.Codec.Writer.i64 w seq;
-  Storage.Codec.Writer.u8 w op_delete;
-  Storage.Codec.Writer.i64 w at;
-  Storage.Codec.Writer.i64 w key;
-  (Storage.Codec.Writer.contents w, Storage.Codec.Writer.pos w)
+let encode_record ~seq r =
+  let open Storage.Codec.Writer in
+  let n = match r with Vacuum_chunk { actions; _ } -> List.length actions | _ -> 0 in
+  let w = create (max record_max_bytes (8 + 1 + 8 + 4 + (10 * n))) in
+  i64 w seq;
+  (match r with
+  | Insert { key; value; at } -> u8 w 1; i64 w at; i64 w key; i64 w value
+  | Delete { key; at } -> u8 w 2; i64 w at; i64 w key
+  | Vacuum_begin { horizon } -> u8 w 3; i64 w horizon
+  | Vacuum_chunk { horizon; actions } ->
+      u8 w 4;
+      i64 w horizon;
+      i32 w (List.length actions);
+      List.iter
+        (fun a ->
+          u8 w (match a.Rta.va_side with Rta.Lkst -> 0 | Rta.Lklt -> 1);
+          bool w a.Rta.va_free;
+          i64 w a.Rta.va_pid)
+        actions);
+  (contents w, pos w)
 
-let encode_vacuum_begin ~seq ~horizon =
-  let w = Storage.Codec.Writer.create (8 + 1 + 8) in
-  Storage.Codec.Writer.i64 w seq;
-  Storage.Codec.Writer.u8 w op_vacuum_begin;
-  Storage.Codec.Writer.i64 w horizon;
-  (Storage.Codec.Writer.contents w, Storage.Codec.Writer.pos w)
+let decode_record rd =
+  let open Storage.Codec.Reader in
+  let seq = i64 rd in
+  let fail what x = failwith (Printf.sprintf "Durable: %s %d" what x) in
+  let action _ =
+    let va_side =
+      match u8 rd with 0 -> Rta.Lkst | 1 -> Rta.Lklt | x -> fail "unknown vacuum side" x
+    in
+    let va_free = bool rd in
+    { Rta.va_side; va_free; va_pid = i64 rd }
+  in
+  ( seq,
+    match u8 rd with
+    | 1 ->
+        let at = i64 rd in
+        let key = i64 rd in
+        Insert { key; value = i64 rd; at }
+    | 2 ->
+        let at = i64 rd in
+        Delete { key = i64 rd; at }
+    | 3 -> Vacuum_begin { horizon = i64 rd }
+    | 4 ->
+        let horizon = i64 rd in
+        let n = i32 rd in
+        if n < 0 then fail "negative vacuum action count" n;
+        Vacuum_chunk { horizon; actions = List.init n action }
+    | op -> fail "unknown WAL opcode" op )
 
-let side_u8 = function Rta.Lkst -> 0 | Rta.Lklt -> 1
-let side_of_u8 = function 0 -> Rta.Lkst | 1 -> Rta.Lklt | x -> failwith (Printf.sprintf "Durable: unknown vacuum side %d" x)
-
-let encode_vacuum_chunk ~seq ~horizon actions =
-  let n = List.length actions in
-  let w = Storage.Codec.Writer.create (8 + 1 + 8 + 4 + (10 * n)) in
-  Storage.Codec.Writer.i64 w seq;
-  Storage.Codec.Writer.u8 w op_vacuum_chunk;
-  Storage.Codec.Writer.i64 w horizon;
-  Storage.Codec.Writer.i32 w n;
-  List.iter
-    (fun a ->
-      Storage.Codec.Writer.u8 w (side_u8 a.Rta.va_side);
-      Storage.Codec.Writer.u8 w (if a.Rta.va_free then 1 else 0);
-      Storage.Codec.Writer.i64 w a.Rta.va_pid)
-    actions;
-  (Storage.Codec.Writer.contents w, Storage.Codec.Writer.pos w)
-
-let decode_vacuum_actions rd =
-  let n = Storage.Codec.Reader.i32 rd in
-  List.init n (fun _ ->
-      let side = side_of_u8 (Storage.Codec.Reader.u8 rd) in
-      let free = Storage.Codec.Reader.u8 rd <> 0 in
-      let pid = Storage.Codec.Reader.i64 rd in
-      { Rta.va_side = side; va_free = free; va_pid = pid })
+let record_seq payload =
+  if Bytes.length payload < 8 then invalid_arg "Durable.record_seq: record too short";
+  Int64.to_int (Bytes.get_int64_le payload 0)
 
 (* --- Checkpoint files --------------------------------------------------------- *)
 
@@ -158,38 +162,12 @@ let store_prefix path = path ^ ".store"
 
 let fsync_dir_of vfs p = vfs.Storage.Vfs.v_sync_dir (Filename.dirname p)
 
-let write_pointer vfs path gen =
-  let w = Storage.Codec.Writer.create (String.length ptr_magic + 8 + 4) in
-  String.iter (fun ch -> Storage.Codec.Writer.u8 w (Char.code ch)) ptr_magic;
-  Storage.Codec.Writer.i64 w gen;
-  let len = Storage.Codec.Writer.pos w in
-  let buf = Storage.Codec.Writer.contents w in
-  (* Unsigned 32-bit CRC: splice raw rather than through Writer.i32. *)
-  Bytes.set_int32_le buf len (Int32.of_int (Storage.Codec.crc32 buf ~pos:0 ~len));
-  Storage.Vfs.write_file_atomic vfs ~path:(ptr_path path) buf ~len:(len + 4);
-  fsync_dir_of vfs path
+let write_pointer vfs path gen = Frame.Word.store vfs ~path:(ptr_path path) ~magic:ptr_magic gen
 
 (* [None] when no checkpoint was ever committed; a present-but-corrupt
    pointer fails loudly rather than silently recovering from an empty
    state (the WAL alone no longer holds the full history). *)
-let read_pointer vfs path =
-  let file = ptr_path path in
-  if not (vfs.Storage.Vfs.v_exists file) then None
-  else begin
-    let buf = Storage.Vfs.read_file vfs file in
-    let size = Bytes.length buf in
-    let expect = String.length ptr_magic + 8 + 4 in
-    if size <> expect then failwith "Durable: corrupt checkpoint pointer (bad size)";
-    let crc = Int32.to_int (Bytes.get_int32_le buf (size - 4)) land 0xFFFFFFFF in
-    if Storage.Codec.crc32 buf ~pos:0 ~len:(size - 4) <> crc then
-      failwith "Durable: corrupt checkpoint pointer (checksum mismatch)";
-    let rd = Storage.Codec.Reader.create buf in
-    let magic =
-      String.init (String.length ptr_magic) (fun _ -> Char.chr (Storage.Codec.Reader.u8 rd))
-    in
-    if magic <> ptr_magic then failwith "Durable: corrupt checkpoint pointer (bad magic)";
-    Some (Storage.Codec.Reader.i64 rd)
-  end
+let read_pointer vfs path = Frame.Word.load vfs ~path:(ptr_path path) ~magic:ptr_magic
 
 (* Snapshot files of any generation other than the committed one are
    leftovers of a checkpoint that crashed (or errored) before, or was
@@ -219,37 +197,25 @@ let remove_stale_generations vfs path ~keep =
 (* --- Recovery ----------------------------------------------------------------- *)
 
 let apply_record rta rd =
-  let seq = Storage.Codec.Reader.i64 rd in
-  let op = Storage.Codec.Reader.u8 rd in
+  let seq, record = decode_record rd in
   let applied = Rta.n_updates rta in
   if seq <= applied then () (* already inside the checkpoint *)
   else if seq > applied + 1 then
     failwith
       (Printf.sprintf "Durable: WAL sequence gap (record %d over state %d)" seq applied)
   else
-    match op with
-    | x when x = op_insert ->
-        let at = Storage.Codec.Reader.i64 rd in
-        let key = Storage.Codec.Reader.i64 rd in
-        let value = Storage.Codec.Reader.i64 rd in
-        Rta.insert rta ~key ~value ~at
-    | x when x = op_delete ->
-        let at = Storage.Codec.Reader.i64 rd in
-        let key = Storage.Codec.Reader.i64 rd in
-        Rta.delete rta ~key ~at
-    | x when x = op_vacuum_begin ->
-        let horizon = Storage.Codec.Reader.i64 rd in
-        Rta.vacuum_begin rta ~horizon
-    | x when x = op_vacuum_chunk ->
+    match record with
+    | Insert { key; value; at } -> Rta.insert rta ~key ~value ~at
+    | Delete { key; at } -> Rta.delete rta ~key ~at
+    | Vacuum_begin { horizon } -> Rta.vacuum_begin rta ~horizon
+    | Vacuum_chunk { actions; _ } ->
         (* A checkpoint taken mid-vacuum holds every page its tree
            counted, the dead ones yet to be freed among them, and a
            replayed chunk frees them.  The appliers tolerate pages
            already gone or already clean: a snapshot of this format that
            holds only the pages root* reaches, as earlier writers wrote,
            lacks the dead ones. *)
-        let _horizon = Storage.Codec.Reader.i64 rd in
-        ignore (Rta.vacuum_apply rta (decode_vacuum_actions rd))
-    | x -> failwith (Printf.sprintf "Durable: unknown WAL opcode %d" x)
+        ignore (Rta.vacuum_apply rta actions)
 
 (* [f ()], but an exception out of it first runs [release] (best effort)
    so a failed open gives back the log and the files it had opened. *)
@@ -680,15 +646,15 @@ and vacuum_begin t ~horizon =
     invalid_arg
       (Printf.sprintf "Durable.vacuum_begin: horizon %d beyond current time %d" horizon
          (Rta.now t.rta));
-  let buf, len = encode_vacuum_begin ~seq:(Rta.n_updates t.rta + 1) ~horizon in
+  let buf, len = encode_record ~seq:(Rta.n_updates t.rta + 1) (Vacuum_begin { horizon }) in
   log_then_apply ~maintenance:true t
     ~append:(fun () -> Wal.append t.wal ~len buf)
     ~apply:(fun () -> Rta.vacuum_begin t.rta ~horizon)
 
 and vacuum_chunk t actions =
   let buf, len =
-    encode_vacuum_chunk ~seq:(Rta.n_updates t.rta + 1) ~horizon:(Rta.horizon t.rta)
-      actions
+    encode_record ~seq:(Rta.n_updates t.rta + 1)
+      (Vacuum_chunk { horizon = Rta.horizon t.rta; actions })
   in
   let progress = ref Rta.vacuum_progress_zero in
   match
@@ -736,7 +702,7 @@ let insert t ~key ~value ~at =
     invalid_arg (Printf.sprintf "Durable.insert: key %d is already alive (1TNF)" key);
   if at < Rta.now t.rta then
     invalid_arg "Durable: time went backwards (transaction time is monotone)";
-  let buf, len = encode_insert ~seq:(Rta.n_updates t.rta + 1) ~key ~value ~at in
+  let buf, len = encode_record ~seq:(Rta.n_updates t.rta + 1) (Insert { key; value; at }) in
   Telemetry.Tracer.with_span t.tel "durable.insert"
     ~attrs:(fun () -> [ ("key", Telemetry.Tracer.Int key) ])
   @@ fun () ->
@@ -749,7 +715,7 @@ let delete t ~key ~at =
     invalid_arg (Printf.sprintf "Durable.delete: key %d is not alive" key);
   if at < Rta.now t.rta then
     invalid_arg "Durable: time went backwards (transaction time is monotone)";
-  let buf, len = encode_delete ~seq:(Rta.n_updates t.rta + 1) ~key ~at in
+  let buf, len = encode_record ~seq:(Rta.n_updates t.rta + 1) (Delete { key; at }) in
   Telemetry.Tracer.with_span t.tel "durable.delete"
     ~attrs:(fun () -> [ ("key", Telemetry.Tracer.Int key) ])
   @@ fun () ->
@@ -852,21 +818,21 @@ let scrub ?(stats = Storage.Io_stats.create ()) ?(vfs = Storage.Vfs.os) ?repair_
     () =
   let checked = ref 0 and corrupt = ref [] and repaired = ref [] and irreparable = ref [] in
   let scrub_file ~twin file magic =
-    Mvsbt.Chunks.with_file vfs ~path:file ~magic @@ fun rd ->
+    Frame.Reader.with_file vfs ~path:file ~magic @@ fun rd ->
     let with_twin k =
       match twin with
       | None -> k (fun () -> None)
       | Some t ->
-          Mvsbt.Chunks.with_file vfs ~path:t ~magic @@ fun trd ->
-          k (fun () -> try Mvsbt.Chunks.next trd with Failure _ -> None)
+          Frame.Reader.with_file vfs ~path:t ~magic @@ fun trd ->
+          k (fun () -> match Frame.Reader.next trd with Whole f -> Some f | _ -> None)
     in
     with_twin @@ fun twin_next ->
     let out = lazy (vfs.Storage.Vfs.v_open `Reopen file) in
-    let repair (f : Mvsbt.Chunks.frame) =
+    let repair (f : Frame.Reader.frame) =
       match twin_next () with
-      | Some (t : Mvsbt.Chunks.frame) when t.ok && t.offset = f.offset && t.len = f.len ->
+      | Some (t : Frame.Reader.frame) when t.offset = f.offset && t.len = f.len ->
           (Lazy.force out).Storage.Vfs.f_pwrite f.offset t.buf t.pos
-            (Mvsbt.Chunks.frame_bytes + t.len);
+            (Frame.header_bytes + t.len);
           Storage.Io_stats.record_repaired stats;
           true
       | _ -> false
@@ -877,16 +843,16 @@ let scrub ?(stats = Storage.Io_stats.create ()) ?(vfs = Storage.Vfs.os) ?repair_
       corrupt := c :: !corrupt;
       if repaired_ then repaired := c :: !repaired else irreparable := c :: !irreparable
     in
-    (* A damaged length field ends the walk of its file: the chunks after
-       it cannot be found. *)
+    (* A damaged length field, or a file that ends inside a chunk, ends
+       the walk of its file: the chunks after it cannot be found. *)
     let rec walk index =
-      match Mvsbt.Chunks.next rd with
-      | None -> ()
-      | exception Failure _ -> bad index false
-      | Some f ->
+      match Frame.Reader.next rd with
+      | End -> ()
+      | Bad_length _ | Torn _ -> bad index false
+      | (Whole _ | Bad_crc _) as frame ->
           incr checked;
           Storage.Io_stats.record_scrubbed stats;
-          if f.ok then ignore (twin_next ()) else bad index (repair f);
+          (match frame with Bad_crc f -> bad index (repair f) | _ -> ignore (twin_next ()));
           walk (index + 1)
     in
     Fun.protect
@@ -906,32 +872,30 @@ let scrub ?(stats = Storage.Io_stats.create ()) ?(vfs = Storage.Vfs.os) ?repair_
         (fun (ext, magic) ->
           scrub_file ~twin:(Option.map (fun t -> t ^ ext) twin) (prefix ^ ext) magic)
         Rta.snapshot_files);
-  (* The log: every fully-present frame must verify.  A frame whose
-     length is sane is stepped over, so every bad one is reported; an
-     impossible length ends the walk. *)
+  (* The log: its header, then every fully-present frame, must verify.
+     A bad CRC is stepped over, so every bad frame is reported; a header
+     that fails, or an impossible length, ends the walk.  A torn tail is
+     not corruption: it is what a crash mid-append leaves, and recovery
+     drops it. *)
   let wal_frames, wal_corrupt =
     let file = wal_path path in
     if not (vfs.Storage.Vfs.v_exists file) then (0, [])
     else begin
       let f = vfs.Storage.Vfs.v_open `Reopen file in
-      let rec go tail n bad =
-        match Wal.Tail.poll tail with
-        | Wal.Tail.Frame _ -> go tail (n + 1) bad
-        | Need_more -> (n, List.rev bad)
-        | Corrupt _ ->
-            let off = Wal.Tail.offset tail in
-            let hdr = Bytes.create 4 in
-            let len =
-              if f.Storage.Vfs.f_pread off hdr 0 4 = 4 then
-                Int32.to_int (Bytes.get_int32_le hdr 0)
-              else 0
-            in
-            if len > 0 && len <= Wal.max_record_bytes then
-              go (Wal.Tail.create ~from:(off + 8 + len) f) n (off :: bad)
-            else (n, List.rev (off :: bad))
-      in
       Fun.protect ~finally:(fun () -> f.Storage.Vfs.f_close ()) @@ fun () ->
-      go (Wal.Tail.create f) 0 []
+      if Wal.header_fault f <> None then (0, [ 0 ])
+      else
+        let rd =
+          Frame.Reader.create ~max_len:Wal.max_record_bytes ~from:Wal.header_bytes ~path:file f
+        in
+        let rec go n bad =
+          match Frame.Reader.next rd with
+          | Whole _ -> go (n + 1) bad
+          | Bad_crc fr -> go n (fr.offset :: bad)
+          | Bad_length off -> (n, List.rev (off :: bad))
+          | Torn _ | End -> (n, List.rev bad)
+        in
+        go 0 []
     end
   in
   let sort l = List.sort compare l in
@@ -953,12 +917,12 @@ let inject_bit_flips ?(vfs = Storage.Vfs.os) ~path ~seed ~flips () =
         if ext = ".meta" then []
         else
           let file = prefix ^ ext in
-          Mvsbt.Chunks.with_file vfs ~path:file ~magic @@ fun rd ->
+          Frame.Reader.with_file vfs ~path:file ~magic @@ fun rd ->
           let rec go acc =
-            match Mvsbt.Chunks.next rd with
-            | None -> List.rev acc
-            | Some f ->
-                go (({ file; index = f.index }, f.offset + Mvsbt.Chunks.frame_bytes, f.len) :: acc)
+            match Frame.Reader.next rd with
+            | Whole f | Bad_crc f ->
+                go (({ file; index = f.index }, f.offset + Frame.header_bytes, f.len) :: acc)
+            | Bad_length _ | Torn _ | End -> List.rev acc
           in
           go [])
       Rta.snapshot_files

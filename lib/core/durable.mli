@@ -19,9 +19,9 @@
     On-disk layout under a path prefix [p]:
     - [p.wal] — the log;
     - [p.ckpt-<gen>.lkst], [p.ckpt-<gen>.lklt], [p.ckpt-<gen>.meta] — the
-      snapshot files of checkpoint generation [<gen>], every chunk framed
-      with its length and CRC32 ({!Mvsbt.Chunks});
-    - [p.ckpt] — a small CRC-framed pointer naming the committed
+      snapshot files of checkpoint generation [<gen>], every chunk a
+      {!Storage.Frame} with its length and CRC32;
+    - [p.ckpt] — a {!Storage.Frame.Word} file naming the committed
       generation.  The snapshot files and the directory are fsynced
       before the pointer is atomically renamed into place (the single
       commit point), and the WAL is truncated only after that — so a
@@ -64,6 +64,29 @@
       path recovers normally — nothing acknowledged is ever lost. *)
 
 type t
+
+(** {2 Log records}
+
+    [seq i64 | op u8 | body], [seq] the warehouse's update count after
+    the record, so that recovery and a follower can tell which records a
+    checkpoint already covers.  Recovery, {!Replica.Apply} and the
+    leader's backlog all read records through this decoder. *)
+
+type record =
+  | Insert of { key : int; value : int; at : int }
+  | Delete of { key : int; at : int }
+  | Vacuum_begin of { horizon : int }
+  | Vacuum_chunk of { horizon : int; actions : Rta.vacuum_action list }
+
+val encode_record : seq:int -> record -> bytes * int
+(** The buffer, and the length of the record in it. *)
+
+val decode_record : Storage.Codec.Reader.t -> int * record
+(** @raise Storage.Codec.Overflow on a truncated record.
+    @raise Failure on an unknown opcode or vacuum side. *)
+
+val record_seq : bytes -> int
+(** @raise Invalid_argument on a record shorter than its [seq]. *)
 
 type recovery_report = {
   replayed : int;
@@ -360,7 +383,8 @@ val close : t -> unit
 (** {2 Scrub}
 
     Scrub checks ahead of time what recovery reads: the three files of
-    the committed checkpoint, chunk by chunk, and the frames of the log.
+    the committed checkpoint, chunk by chunk, and the header and frames
+    of the log.
     It takes no lock and never writes the log; closing its descriptor
     leaves the one-process guard of an engine open on the log in
     place. *)
@@ -376,8 +400,10 @@ type scrub_report = {
   irreparable : chunk list;  (** Corrupt chunks no usable twin covers. *)
   wal_frames : int;  (** Log frames that verified. *)
   wal_corrupt : int list;
-      (** Offsets of fully-present log frames that failed their CRC.  Scrub
-          never repairs the log: a twin's log bytes differ. *)
+      (** Offsets of fully-present log frames that failed their CRC, or
+          of one whose length is impossible, which ends the walk; [[0]]
+          for a whole header that fails its check, which an open refuses.
+          Scrub never repairs the log: a twin's log bytes differ. *)
 }
 
 val scrub_clean : scrub_report -> bool

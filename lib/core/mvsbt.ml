@@ -1,3 +1,5 @@
+module Frame = Storage.Frame
+
 let forever = max_int
 
 (* Raised (not returned) so the refusal propagates through every query
@@ -30,142 +32,9 @@ let default_config ~b =
   { b; f = 0.9; variant = Logical; merging = true; disposal = true;
     root_star_btree = false }
 
-(* Checkpoint files: a magic naming the format, then chunks framed
-   [len u32][crc32 u32][payload] — the frame of WAL records and page
-   blocks.  Chunks are written with one [f_append] for the frame header
-   and one for the payload, so [Vfs.Memory] journals each as a disk
-   operation.  The reader streams through one buffer, refilled by large
-   preads and grown only for a chunk larger than itself, so reading never
-   holds more than a buffer of the file. *)
-module Chunks = struct
-  let frame_bytes = 8
-  let max_len = 1 lsl 30 (* of a payload: a length past it is corrupt *)
-
-  let writer n =
-    let w = Storage.Codec.Writer.create (frame_bytes + n) in
-    Storage.Codec.Writer.i64 w 0;
-    w
-
-  let append_frame out buf =
-    let len = Bytes.length buf - frame_bytes in
-    out.Storage.Vfs.f_append buf 0 frame_bytes;
-    out.Storage.Vfs.f_append buf frame_bytes len
-
-  (* Fill in the header of the frame whose [len]-byte payload follows it
-     in [buf]. *)
-  let seal buf ~len =
-    Bytes.set_int32_le buf 0 (Int32.of_int len);
-    Bytes.set_int32_le buf 4
-      (Int32.of_int (Storage.Codec.crc32 buf ~pos:frame_bytes ~len))
-
-  let append out w =
-    let buf = Storage.Codec.Writer.contents w in
-    let len = Storage.Codec.Writer.pos w - frame_bytes in
-    seal buf ~len;
-    out.Storage.Vfs.f_append buf 0 frame_bytes;
-    out.Storage.Vfs.f_append buf frame_bytes len
-
-  type reader = {
-    file : Storage.Vfs.file;
-    path : string;
-    size : int;
-    mutable buf : bytes;
-    mutable pos : int; (* next unread byte of [buf] *)
-    mutable lim : int; (* end of the bytes read into [buf] *)
-    mutable file_pos : int; (* file offset of [buf]'s byte [lim] *)
-    mutable index : int; (* of the next chunk *)
-  }
-
-  type frame = { offset : int; index : int; buf : bytes; pos : int; len : int; ok : bool }
-
-  let fail (rd : reader) msg = failwith (Printf.sprintf "Mvsbt.Chunks: %s: %s" rd.path msg)
-
-  (* Make the next [n] bytes contiguous in [rd.buf] from [rd.pos].  A
-     request past the end of the file fails before any buffer is grown
-     for it. *)
-  let fill (rd : reader) n =
-    let have = rd.lim - rd.pos in
-    if have < n then begin
-      if have + (rd.size - rd.file_pos) < n then fail rd "truncated file";
-      let dst =
-        if n <= Bytes.length rd.buf then rd.buf
-        else Bytes.create (max n (2 * Bytes.length rd.buf))
-      in
-      Bytes.blit rd.buf rd.pos dst 0 have;
-      rd.buf <- dst;
-      rd.pos <- 0;
-      rd.lim <- have;
-      let want = min (Bytes.length dst - have) (rd.size - rd.file_pos) in
-      while rd.lim < have + want do
-        let got =
-          rd.file.Storage.Vfs.f_pread rd.file_pos dst rd.lim (have + want - rd.lim)
-        in
-        if got <= 0 then fail rd "truncated file";
-        rd.lim <- rd.lim + got;
-        rd.file_pos <- rd.file_pos + got
-      done
-    end
-
-  let at_end (rd : reader) = rd.pos = rd.lim && rd.file_pos = rd.size
-
-  let next (rd : reader) =
-    if at_end rd then None
-    else begin
-      fill rd frame_bytes;
-      let len = Int32.to_int (Bytes.get_int32_le rd.buf rd.pos) land 0xFFFFFFFF in
-      if len > max_len then fail rd "corrupt chunk length";
-      let crc = Int32.to_int (Bytes.get_int32_le rd.buf (rd.pos + 4)) land 0xFFFFFFFF in
-      fill rd (frame_bytes + len);
-      let pos = rd.pos and index = rd.index in
-      rd.pos <- pos + frame_bytes + len;
-      rd.index <- index + 1;
-      Some
-        { offset = rd.file_pos - (rd.lim - pos); index; buf = rd.buf; pos; len;
-          ok = Storage.Codec.crc32 rd.buf ~pos:(pos + frame_bytes) ~len = crc }
-    end
-
-  let frame rd =
-    match next rd with
-    | None -> fail rd "truncated file"
-    | Some f when f.ok -> f
-    | Some f ->
-        Storage.Storage_error.raise_io ~op:Storage.Storage_error.Pread ~path:rd.path
-          ~detail:(Printf.sprintf "chunk %d" f.index) Storage.Storage_error.Checksum_mismatch
-
-  let chunk rd =
-    let f = frame rd in
-    Storage.Codec.Reader.create ~pos:(f.pos + frame_bytes) ~len:f.len f.buf
-
-  (* A file of another format — including this one's predecessors, whose
-     chunks carry no CRC — is refused by name; there is no second reader. *)
-  let with_file vfs ~path ~magic k =
-    let file = vfs.Storage.Vfs.v_open `Reopen path in
-    Fun.protect ~finally:(fun () -> file.Storage.Vfs.f_close ()) @@ fun () ->
-    let rd =
-      { file; path; size = file.Storage.Vfs.f_size (); buf = Bytes.create 65536; pos = 0;
-        lim = 0; file_pos = 0; index = 0 }
-    in
-    let n = String.length magic in
-    let got =
-      if rd.size < n then ""
-      else begin
-        fill rd n;
-        rd.pos <- n;
-        Bytes.sub_string rd.buf 0 n
-      end
-    in
-    if got <> magic then begin
-      let family = String.sub magic 0 (String.rindex magic '-' + 1) in
-      if String.starts_with ~prefix:family got then
-        fail rd (Printf.sprintf "format %s is not readable (this build reads %s)" got magic)
-      else fail rd "bad magic"
-    end;
-    k rd
-end
-
-(* A snapshot ({!Make.save}) is this magic, then {!Chunks}: the
-   state, the page count, then one chunk per page — the page's frame
-   exactly as the tree stores it, and reads it in place. *)
+(* A snapshot ({!Make.save}) is this magic, then {!Storage.Frame}s: the
+   state, the page count, then one per page — the page's frame exactly
+   as the tree stores it, and reads it in place. *)
 let snapshot_magic = "MVSBT-SNAPSHOT-5"
 
 module type VALUE_CODEC = sig
@@ -1755,20 +1624,6 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
   let corrupt_chunk path what =
     failwith (Printf.sprintf "Mvsbt: %s: corrupt %s chunk" path what)
 
-  (* Stream the snapshot at [path]: [k] gets its state, the file's size
-     and a function that feeds each verified page frame to a consumer, as
-     a slice of a reused buffer valid only during the call.  A short,
-     misframed, overlong or checksum-failing file fails. *)
-  let with_snapshot ~vfs ~path k =
-    Chunks.with_file vfs ~path ~magic:snapshot_magic @@ fun rd ->
-    let st = decode_state ~who:"Mvsbt.of_snapshot" (Chunks.chunk rd) in
-    k st rd.Chunks.size (fun page ->
-        let n_pages = Storage.Codec.Reader.i32 (Chunks.chunk rd) in
-        for _ = 1 to n_pages do
-          page (Chunks.frame rd)
-        done;
-        if not (Chunks.at_end rd) then Chunks.fail rd "bytes after the last page")
-
   let create ?config ?(pool_capacity = 64) ?(policy = Storage.Evict.Lru) ?stats ?backing ?path
       ~key_space () =
     let cfg = match config with Some c -> c | None -> default_config ~b:64 in
@@ -1786,7 +1641,7 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
      what a snapshot can hold. *)
   let check_state ~path st =
     match validate_create st.s_cfg st.s_key_space with
-    | () when R.max_payload ~b:st.s_cfg.b <= Chunks.max_len -> ()
+    | () when R.max_payload ~b:st.s_cfg.b <= Frame.max_chunk -> ()
     | () | (exception Invalid_argument _) -> corrupt_chunk path "state"
 
   (* A page chunk's structure ({!Record_codec}'s [well_formed], a record
@@ -1795,19 +1650,20 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
      as a scan does.  {!of_snapshot} runs it before it stages a frame into
      a base.  The CRC only catches bit rot; these rules check input from
      outside the program. *)
-  let check_page_chunk ~b ~path ~scratch (f : Chunks.frame) =
+  let check_page_chunk ~b ~path ~scratch (f : Frame.Reader.frame) =
     if Bigarray.Array1.dim !scratch < f.len then
       scratch :=
         Bigarray.Array1.create Bigarray.char Bigarray.c_layout
           (Int.max f.len (2 * Bigarray.Array1.dim !scratch));
-    Storage.Zcodec.blit_of_bytes f.buf (f.pos + Chunks.frame_bytes) !scratch 0 f.len;
+    Storage.Zcodec.blit_of_bytes f.buf (f.pos + Frame.header_bytes) !scratch 0 f.len;
     if not (R.well_formed !scratch 0 f.len ~b) then corrupt_chunk path "page"
 
   (* Open a tree over a snapshot without decoding a page: each verified
      chunk frame already is the page's frame, CRC included, so the base
      records where it is — mapped, or copied into a RAM image — and the
      overlay starts empty.  The snapshot's config, checked before any
-     store exists, sizes the pages.  A loaded tree is a served one, so
+     store exists, sizes the pages.  A short, misframed, overlong or
+     checksum-failing file fails.  A loaded tree is a served one, so
      its pool runs clock eviction: with queries scanning frames in place,
      eviction is pure bookkeeping, and the cheaper approximation beats
      exact LRU's list surgery per touch. *)
@@ -1815,23 +1671,27 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
       () =
     let backing, path = overlay_at ?backing path in
     let io_stats = match stats with Some s -> s | None -> Storage.Io_stats.create () in
-    with_snapshot ~vfs ~path:snapshot @@ fun st size pages ->
+    Frame.Reader.with_file vfs ~path:snapshot ~magic:snapshot_magic @@ fun rd ->
+    let st = decode_state ~who:"Mvsbt.of_snapshot" (Frame.Reader.payload rd) in
     check_state ~path:snapshot st;
     let store =
       Mmap_store.create ~stats:io_stats ~page_size:(min_page_size st.s_cfg) ~backing ~path ()
     in
     try
-      let staged = Mmap_store.stage store ~file:snapshot ~size () in
+      let staged = Mmap_store.stage store ~file:snapshot ~size:(Frame.Reader.size rd) () in
       let scratch = ref (Bigarray.Array1.create Bigarray.char Bigarray.c_layout 4096) in
-      pages (fun f ->
-          check_page_chunk ~b:st.s_cfg.b ~path:snapshot ~scratch f;
-          let id = Int64.to_int (Bytes.get_int64_le f.buf (f.pos + Chunks.frame_bytes)) in
-          if
-            id < 0
-            || not
-                 (Mmap_store.stage_frame staged (Storage.Page_id.of_int id)
-                    ~offset:f.offset f.buf ~pos:f.pos ~len:(Chunks.frame_bytes + f.len))
-          then corrupt_chunk snapshot "page");
+      for _ = 1 to Storage.Codec.Reader.i32 (Frame.Reader.payload rd) do
+        let f = Frame.Reader.whole rd in
+        check_page_chunk ~b:st.s_cfg.b ~path:snapshot ~scratch f;
+        let id = Int64.to_int (Bytes.get_int64_le f.buf (f.pos + Frame.header_bytes)) in
+        if
+          id < 0
+          || not
+               (Mmap_store.stage_frame staged (Storage.Page_id.of_int id) ~offset:f.offset
+                  f.buf ~pos:f.pos ~len:(Frame.header_bytes + f.len))
+        then corrupt_chunk snapshot "page"
+      done;
+      Frame.Reader.finish rd;
       Mmap_store.rebase store staged;
       (* The root is pinned now, so it must be a page of the base. *)
       if not (Mmap_store.mem store st.s_cur_root) then corrupt_chunk snapshot "state";
@@ -1856,9 +1716,9 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
     in
     let magic = Bytes.of_string snapshot_magic in
     oc.Storage.Vfs.f_append magic 0 (Bytes.length magic);
-    let w = Chunks.writer (state_bytes t) in
+    let w = Frame.writer (state_bytes t) in
     encode_state w t;
-    Chunks.append oc w;
+    Frame.append oc w;
     (* Pages in the reverse of the walk's preorder, one frame each, the
        walk holding only ids: a bitmap of those reached and an array of
        them in order.  Then, ascending, from the same array, the pages no
@@ -1880,9 +1740,9 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
     let n_reached = !n in
     Mmap_store.iter_ids t.store (fun pid -> if not (reached pid) then add pid);
     let staged = if stage then Some (Mmap_store.stage t.store ~file:path ()) else None in
-    let w = Chunks.writer 4 in
+    let w = Frame.writer 4 in
     Storage.Codec.Writer.i32 w !n;
-    Chunks.append oc w;
+    Frame.append oc w;
     let copy pid =
       Mmap_pool.clean t.pool pid;
       let frame = Mmap_store.read_frame t.store pid in
@@ -1892,7 +1752,7 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) = struct
             (Mmap_store.stage_frame s pid ~offset:!written frame ~pos:0
                ~len:(Bytes.length frame)))
         staged;
-      Chunks.append_frame oc frame
+      Frame.append_frame oc frame
     in
     for i = n_reached - 1 downto 0 do
       copy (Storage.Page_id.of_int !order.(i))

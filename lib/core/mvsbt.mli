@@ -67,68 +67,9 @@ val default_config : b:int -> config
 (** [f = 0.9] (the paper's experimental setting), [Logical] variant,
     merging and disposal on, main-memory [root*]. *)
 
-(** Checkpoint files: a magic naming the format, then a sequence of
-    chunks, each framed [[len u32][crc32 u32][payload]] — the frame of
-    WAL records and of page blocks ({!Storage.Page_store.Mmap}), with the
-    CRC over the payload.  {!Make.save} writes MVSBT snapshots this way
-    and {!Rta} its base-table file; {!Durable} scrubs all three files
-    of a checkpoint through the same reader. *)
-module Chunks : sig
-  val frame_bytes : int
-  (** The frame header: length and CRC, 8 bytes. *)
-
-  val writer : int -> Storage.Codec.Writer.t
-  (** A writer with room for an [n]-byte payload after a blank frame
-      header; encode the payload into it, then {!append} it. *)
-
-  val append : Storage.Vfs.file -> Storage.Codec.Writer.t -> unit
-  (** Fill in a {!writer}'s frame header (length and CRC of what was
-      written after it) and append the chunk. *)
-
-  val append_frame : Storage.Vfs.file -> bytes -> unit
-  (** Append a buffer that is exactly one framed chunk, as stored. *)
-
-  type reader
-
-  type frame = {
-    offset : int;  (** File offset of the frame header. *)
-    index : int;  (** Chunk number, from 0 after the magic. *)
-    buf : bytes;
-    pos : int;
-        (** The frame is [buf]'s bytes [pos .. pos + frame_bytes + len - 1],
-            valid until the next read. *)
-    len : int;  (** Payload length. *)
-    ok : bool;  (** Whether the payload matches its CRC. *)
-  }
-
-  val with_file :
-    Storage.Vfs.t -> path:string -> magic:string -> (reader -> 'a) -> 'a
-  (** Open [path], check that it starts with [magic], and stream it.  A
-      file of another format is refused by name — one of this format's
-      predecessors, whose chunks carry no CRC, included.
-      @raise Failure on a missing, foreign or older-format file. *)
-
-  val next : reader -> frame option
-  (** The next chunk, judged but not refused; [None] at the end.
-      @raise Failure on a length that runs past the end of the file. *)
-
-  val frame : reader -> frame
-  (** The next chunk, which must be there and verify.
-      @raise Storage.Storage_error.Io with [Checksum_mismatch] on [Pread]
-      of the file, naming the chunk index, if it does not.
-      @raise Failure on a truncated file. *)
-
-  val chunk : reader -> Storage.Codec.Reader.t
-  (** {!frame}'s payload, as a reader. *)
-
-  val at_end : reader -> bool
-
-  val fail : reader -> string -> 'a
-  (** Raise [Failure] naming the file. *)
-end
-
 val snapshot_magic : string
-(** The magic of {!Make.save} snapshots. *)
+(** The magic of {!Make.save} snapshots: the file is this magic, then
+    {!Storage.Frame}s. *)
 
 (** Binary codec for aggregate values: the on-disk form of a value in
     every stored page and snapshot.  A value is a fixed number of integer
@@ -234,7 +175,7 @@ module Make (G : Aggregate.Group.S) (V : VALUE_CODEC with type t = G.t) : sig
 
       A snapshot is the whole page graph (every page with its original
       id, the [root*] directory, and the configuration) in a file of
-      {!Chunks}.  Each page is one chunk whose frame is exactly the frame
+      {!Storage.Frame}s.  Each page is one frame, exactly the frame
       the tree stores, so a save copies its pages' stored frames out, and
       {!of_snapshot} — the one way back in — reads them in place, without
       widening any. *)

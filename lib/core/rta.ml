@@ -232,9 +232,9 @@ let save_meta ~vfs t ~path =
   let oc = vfs.Storage.Vfs.v_open `Create (path ^ ".meta") in
   Fun.protect ~finally:(fun () -> oc.Storage.Vfs.f_close ()) @@ fun () ->
   oc.Storage.Vfs.f_append (Bytes.of_string meta_magic) 0 (String.length meta_magic);
-  let w = Mvsbt.Chunks.writer (64 + (Hashtbl.length t.alive * 24)) in
+  let w = Storage.Frame.writer (64 + (Hashtbl.length t.alive * 24)) in
   encode_meta t w;
-  Mvsbt.Chunks.append oc w
+  Storage.Frame.append oc w
 
 let save ?(vfs = Storage.Vfs.os) t ~path =
   Index.save ~vfs t.lkst ~path:(path ^ ".lkst");
@@ -260,9 +260,9 @@ let snapshot_files = [ (".lkst", Mvsbt.snapshot_magic); (".lklt", Mvsbt.snapshot
                        (".meta", meta_magic) ]
 
 let read_meta ~vfs ~path =
-  Mvsbt.Chunks.with_file vfs ~path:(path ^ ".meta") ~magic:meta_magic @@ fun rd ->
-  let meta = decode_meta (Mvsbt.Chunks.chunk rd) in
-  if not (Mvsbt.Chunks.at_end rd) then Mvsbt.Chunks.fail rd "bytes after the last chunk";
+  Storage.Frame.Reader.with_file vfs ~path:(path ^ ".meta") ~magic:meta_magic @@ fun rd ->
+  let meta = decode_meta (Storage.Frame.Reader.payload rd) in
+  Storage.Frame.Reader.finish rd;
   meta
 
 let snapshot_updates ?(vfs = Storage.Vfs.os) ~path () =

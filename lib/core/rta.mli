@@ -164,8 +164,8 @@ val page_touches : t -> int
     A saved warehouse occupies three files: [<path>.lkst], [<path>.lklt]
     (the two MVSBT snapshots) and [<path>.meta] (the base table of alive
     tuples plus counters).  Each is a magic naming its format followed by
-    {!Mvsbt.Chunks}, every chunk framed with its length and CRC32, so a
-    load verifies every byte it reads. *)
+    {!Storage.Frame}s, each with its length and CRC32, so a load
+    verifies every byte it reads. *)
 
 val pp_dot : Format.formatter -> t -> unit
 (** Graphviz rendering of both MVSBT page graphs (debugging / docs). *)

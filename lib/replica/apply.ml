@@ -1,14 +1,6 @@
 module Codec = Storage.Codec
 module E = Storage.Storage_error
 
-(* Wire-format constants of the Durable WAL record payload
-   (seq i64 | op u8 | payload, with per-op payloads) — documented in
-   lib/core/durable.ml. *)
-let op_insert = 1
-let op_delete = 2
-let op_vacuum_begin = 3
-let op_vacuum_chunk = 4
-
 type outcome =
   | Applied of int
   | Skipped
@@ -18,28 +10,11 @@ type outcome =
 
 let watermark eng = Rta.n_updates (Durable.warehouse eng)
 
-let decode_vacuum_actions rd =
-  let n = Codec.Reader.i32 rd in
-  List.init n (fun _ ->
-      let side =
-        match Codec.Reader.u8 rd with
-        | 0 -> Rta.Lkst
-        | 1 -> Rta.Lklt
-        | x -> failwith (Printf.sprintf "unknown vacuum side %d" x)
-      in
-      let free = Codec.Reader.u8 rd <> 0 in
-      let pid = Codec.Reader.i64 rd in
-      { Rta.va_side = side; va_free = free; va_pid = pid })
-
 let replay eng payload =
-  match
-    let rd = Codec.Reader.create payload in
-    let seq = Codec.Reader.i64 rd in
-    let op = Codec.Reader.u8 rd in
-    (seq, op, rd)
-  with
+  match Durable.decode_record (Codec.Reader.create payload) with
   | exception Codec.Overflow _ -> Rejected "truncated WAL record payload"
-  | seq, op, rd -> (
+  | exception Failure m -> Rejected m
+  | seq, record -> (
       let applied = watermark eng in
       if seq <= applied then Skipped
       else if seq > applied + 1 then Gap { expect = applied + 1; got = seq }
@@ -51,40 +26,17 @@ let replay eng payload =
            second format.  This covers vacuum too: the leader's retention
            frames re-free and re-prune the same pages here, keeping the
            follower's horizon and page graph in step. *)
-        let res =
-          try
-            if op = op_insert then begin
-              let at = Codec.Reader.i64 rd in
-              let key = Codec.Reader.i64 rd in
-              let value = Codec.Reader.i64 rd in
-              `Io (Durable.insert eng ~key ~value ~at)
-            end
-            else if op = op_delete then begin
-              let at = Codec.Reader.i64 rd in
-              let key = Codec.Reader.i64 rd in
-              `Io (Durable.delete eng ~key ~at)
-            end
-            else if op = op_vacuum_begin then begin
-              let horizon = Codec.Reader.i64 rd in
-              `Io (Durable.vacuum_begin eng ~horizon)
-            end
-            else if op = op_vacuum_chunk then begin
-              let _horizon = Codec.Reader.i64 rd in
-              let actions = decode_vacuum_actions rd in
-              match Durable.vacuum_chunk eng actions with
-              | Ok _progress -> `Io (Ok ())
-              | Error e -> `Io (Error e)
-            end
-            else `Precondition (Printf.sprintf "unknown WAL opcode %d" op)
-          with
-          | Invalid_argument m -> `Precondition m
-          | Codec.Overflow _ -> `Precondition "truncated WAL record payload"
-          | Failure m -> `Precondition m
-        in
-        match res with
-        | `Io (Ok ()) -> Applied (watermark eng)
-        | `Io (Error e) -> Failed e
-        | `Precondition m -> Rejected m)
+        match
+          match record with
+          | Durable.Insert { key; value; at } -> Durable.insert eng ~key ~value ~at
+          | Delete { key; at } -> Durable.delete eng ~key ~at
+          | Vacuum_begin { horizon } -> Durable.vacuum_begin eng ~horizon
+          | Vacuum_chunk { actions; _ } ->
+              Result.map ignore (Durable.vacuum_chunk eng actions)
+        with
+        | Ok () -> Applied (watermark eng)
+        | Error e -> Failed e
+        | exception (Invalid_argument m | Failure m) -> Rejected m)
 
 let pp_outcome ppf = function
   | Applied w -> Format.fprintf ppf "applied (watermark %d)" w

@@ -2,7 +2,7 @@
     engine.
 
     Each shipped frame is the payload of one leader WAL record.  Replay
-    decodes it and re-applies the operation through the follower engine's
+    decodes it with {!Durable.decode_record} and re-applies the operation through the follower engine's
     ordinary write path ({!Durable.insert}/[delete]), which logs it to
     the follower's {e own} WAL under the identical sequence number — the
     follower is a full engine, recoverable and promotable, not a passive

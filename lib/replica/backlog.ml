@@ -6,9 +6,7 @@ type t = {
   mutable evicted : int;
 }
 
-let seq_of frame =
-  if Bytes.length frame < 8 then invalid_arg "Replica.Backlog: frame too short";
-  Int64.to_int (Bytes.get_int64_le frame 0)
+let seq_of = Durable.record_seq
 
 let create ?(cap = 1 lsl 16) ~floor () =
   if cap < 1 then invalid_arg "Replica.Backlog: cap must be >= 1";

@@ -6,10 +6,9 @@
     first record after a checkpoint truncated history) needs a state
     transfer instead, and the subscription handshake refuses it.
 
-    Frames self-describe their position — the payload's first eight bytes
-    are the record's little-endian sequence number ({!Durable}'s WAL
-    record layout) — so {!add} can enforce contiguity and drop
-    duplicates without any side channel. *)
+    Frames self-describe their position — {!Durable.record_seq} reads
+    the record's sequence number — so {!add} can enforce contiguity and
+    drop duplicates without any side channel. *)
 
 type t
 
@@ -42,5 +41,5 @@ val evicted : t -> int
 (** Frames evicted by the retention cap over this backlog's life. *)
 
 val seq_of : bytes -> int
-(** The record sequence number in a frame's first eight bytes.
+(** {!Durable.record_seq}: the record sequence number of a frame.
     @raise Invalid_argument on a short frame. *)

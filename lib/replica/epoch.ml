@@ -1,35 +1,12 @@
-module Codec = Storage.Codec
-
 let magic = "RTA-EPOCH-1"
 let path_of base = base ^ ".epoch"
-let file_bytes = String.length magic + 8 + 4
 
 let load ?(vfs = Storage.Vfs.os) base =
-  let path = path_of base in
-  if not (vfs.Storage.Vfs.v_exists path) then 0
-  else begin
-    let buf = Storage.Vfs.read_file vfs path in
-    let size = Bytes.length buf in
-    if size <> file_bytes then failwith "Replica.Epoch: corrupt epoch file (bad size)";
-    let crc = Int32.to_int (Bytes.get_int32_le buf (size - 4)) land 0xFFFFFFFF in
-    if Codec.crc32 buf ~pos:0 ~len:(size - 4) <> crc then
-      failwith "Replica.Epoch: corrupt epoch file (checksum mismatch)";
-    let rd = Codec.Reader.create buf in
-    let m = String.init (String.length magic) (fun _ -> Char.chr (Codec.Reader.u8 rd)) in
-    if m <> magic then failwith "Replica.Epoch: corrupt epoch file (bad magic)";
-    let e = Codec.Reader.i64 rd in
-    if e < 0 then failwith "Replica.Epoch: corrupt epoch file (negative epoch)";
-    e
-  end
+  match Storage.Frame.Word.load vfs ~path:(path_of base) ~magic with
+  | None -> 0
+  | Some e when e < 0 -> failwith (Printf.sprintf "%s: corrupt (negative epoch)" (path_of base))
+  | Some e -> e
 
 let store ?(vfs = Storage.Vfs.os) base epoch =
   if epoch < 0 then invalid_arg "Replica.Epoch.store: epoch must be >= 0";
-  let w = Codec.Writer.create file_bytes in
-  String.iter (fun c -> Codec.Writer.u8 w (Char.code c)) magic;
-  Codec.Writer.i64 w epoch;
-  let len = Codec.Writer.pos w in
-  let buf = Codec.Writer.contents w in
-  (* Unsigned 32-bit CRC: splice raw rather than through Writer.i32. *)
-  Bytes.set_int32_le buf len (Int32.of_int (Codec.crc32 buf ~pos:0 ~len));
-  Storage.Vfs.write_file_atomic vfs ~path:(path_of base) buf ~len:(len + 4);
-  vfs.Storage.Vfs.v_sync_dir (Filename.dirname (path_of base))
+  Storage.Frame.Word.store vfs ~path:(path_of base) ~magic epoch

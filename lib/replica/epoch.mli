@@ -5,10 +5,9 @@
     {e before} accepting its first write, so a deposed leader that comes
     back (or its late frames, still in flight) carries a provably stale
     epoch and is answered [Err Fenced] by everyone that has seen the new
-    one.  Stored next to the engine's files as [<base>.epoch] — one
-    CRC-framed little-endian integer, written via
-    {!Storage.Vfs.write_file_atomic} so a crash mid-promotion leaves the
-    old epoch, never a torn one. *)
+    one.  Stored next to the engine's files as [<base>.epoch], a
+    {!Storage.Frame.Word} file, replaced atomically so a crash
+    mid-promotion leaves the old epoch, never a torn one. *)
 
 val path_of : string -> string
 (** [base ^ ".epoch"]. *)

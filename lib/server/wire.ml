@@ -2,7 +2,7 @@ module Codec = Storage.Codec
 
 let version = 1
 let version_traced = 2
-let frame_header_bytes = 8
+let frame_header_bytes = Storage.Frame.header_bytes (* before the payload *)
 let max_payload_bytes = 1 lsl 16
 
 (* Tags.  Requests and responses live in disjoint ranges so a stream
@@ -238,38 +238,35 @@ let error_code_u8 = function
 let health_u8 = function Durable.Healthy -> 0 | Durable.Degraded -> 1 | Durable.Read_only -> 2
 let role_u8 = function R_single -> 0 | R_leader -> 1 | R_follower -> 2
 
+let check_len len =
+  if len = 0 then invalid_arg "Wire.frame: empty payload";
+  if len > max_payload_bytes then invalid_arg "Wire.frame: payload exceeds max_payload_bytes"
+
 let frame payload =
   let len = Bytes.length payload in
-  if len = 0 then invalid_arg "Wire.frame: empty payload";
-  if len > max_payload_bytes then invalid_arg "Wire.frame: payload exceeds max_payload_bytes";
-  let out = Bytes.create (frame_header_bytes + len) in
-  Bytes.set_int32_le out 0 (Int32.of_int len);
-  Bytes.set_int32_le out 4 (Int32.of_int (Codec.crc32 payload ~pos:0 ~len));
-  Bytes.blit payload 0 out frame_header_bytes len;
-  out
+  check_len len;
+  Storage.Frame.make payload ~pos:0 ~len
 
-(* One payload buffer, exactly sized.  An untraced message is the
-   version-1 layout byte for byte ([version, tag, body]); a trace id
-   switches the frame to version 2, which interposes the id between the
-   version and the tag ([version_traced, trace i64, tag, body]).  Version
-   negotiation is per-frame: a v1-only peer simply never sends or
-   receives v2 frames, and a traced server answers v1 requests with v1
-   responses. *)
+(* One frame, exactly sized, sealed in place.  An untraced message is
+   the version-1 layout byte for byte ([version, tag, body]); a trace id
+   switches the frame to version 2 ([version_traced, trace i64, tag,
+   body]).  Version negotiation is per-frame: a v1-only peer never sends
+   or receives v2 frames, and a traced server answers v1 requests with
+   v1 responses. *)
 let payload ?trace ~tag ~body_bytes fill =
-  match trace with
-  | None ->
-      let w = Codec.Writer.create (2 + body_bytes) in
-      Codec.Writer.u8 w version;
-      Codec.Writer.u8 w tag;
-      fill w;
-      frame (Codec.Writer.contents w)
+  let w = Storage.Frame.writer ((if Option.is_none trace then 2 else 10) + body_bytes) in
+  (match trace with
+  | None -> Codec.Writer.u8 w version
   | Some id ->
-      let w = Codec.Writer.create (10 + body_bytes) in
       Codec.Writer.u8 w version_traced;
-      Codec.Writer.i64 w (Int64.to_int id);
-      Codec.Writer.u8 w tag;
-      fill w;
-      frame (Codec.Writer.contents w)
+      Codec.Writer.i64 w (Int64.to_int id));
+  Codec.Writer.u8 w tag;
+  fill w;
+  let buf = Codec.Writer.contents w in
+  let len = Bytes.length buf - frame_header_bytes in
+  check_len len;
+  Storage.Frame.seal buf ~pos:0 ~len;
+  buf
 
 let write_string w s =
   Codec.Writer.i32 w (String.length s);
@@ -391,9 +388,9 @@ let encode_response ?trace resp =
           Codec.Writer.i64 w floor;
           Codec.Writer.i64 w durable)
   | Wal_frames { epoch; durable; commit; frames } ->
-      (* Each shipped record keeps the WAL's own CRC framing (len, crc,
-         payload) inside the message, on top of the message-level frame
-         CRC — a follower re-checks every record before replaying it. *)
+      (* Each shipped record is a {!Storage.Frame}, as in the log, inside
+         the message, on top of the message's own frame — a follower
+         re-checks every record before replaying it. *)
       let body =
         (3 * 8) + 4 + List.fold_left (fun a f -> a + 8 + Bytes.length f) 0 frames
       in
@@ -404,12 +401,10 @@ let encode_response ?trace resp =
           Codec.Writer.i32 w (List.length frames);
           List.iter
             (fun f ->
-              let len = Bytes.length f in
-              Codec.Writer.i32 w len;
-              (* Store the unsigned CRC through its signed 32-bit image;
-                 the decoder masks it back. *)
-              Codec.Writer.i32 w (Int32.to_int (Int32.of_int (Codec.crc32 f ~pos:0 ~len)));
-              write_bytes_raw w f)
+              let at = Codec.Writer.pos w in
+              Codec.Writer.i64 w 0;
+              write_bytes_raw w f;
+              Storage.Frame.seal (Codec.Writer.contents w) ~pos:at ~len:(Bytes.length f))
             frames)
   | Replica_stats_reply r ->
       let n = List.length r.r_followers in
@@ -504,7 +499,7 @@ let read_string rd ~remaining =
     raise (Reject (Bad_payload (Printf.sprintf "string length %d out of range" len)));
   String.init len (fun _ -> Char.chr (Codec.Reader.u8 rd))
 
-let decode_body_request rd ~len tag =
+let decode_body_request rd ~body:_ ~len tag =
   match tag with
   | t when t = tag_query ->
       let agg = agg_of_code (Codec.Reader.u8 rd) in
@@ -547,7 +542,7 @@ let decode_body_request rd ~len tag =
       ignore len;
       raise (Reject (Unknown_tag t))
 
-let decode_body_response rd ~len tag =
+let decode_body_response rd ~body ~len tag =
   match tag with
   | t when t = tag_agg ->
       let sum = Codec.Reader.i64 rd in
@@ -625,15 +620,16 @@ let decode_body_response rd ~len tag =
         raise (Reject (Bad_payload (Printf.sprintf "frame count %d out of range" n)));
       let frames =
         List.init n (fun _ ->
-            let flen = Codec.Reader.i32 rd in
-            if flen <= 0 || flen > len - Codec.Reader.pos rd then
-              raise
-                (Reject (Bad_payload (Printf.sprintf "record length %d out of range" flen)));
-            let crc = Codec.Reader.i32 rd land 0xFFFFFFFF in
-            let b = Bytes.init flen (fun _ -> Char.chr (Codec.Reader.u8 rd)) in
-            if Codec.crc32 b ~pos:0 ~len:flen <> crc then
-              raise (Reject (Bad_payload "record checksum mismatch inside wal-frames"));
-            b)
+            let at = Codec.Reader.pos rd in
+            match Storage.Frame.check body ~pos:at ~avail:(len - at) ~max_len:len with
+            | Whole ->
+                let flen = Storage.Frame.length body at in
+                Codec.Reader.skip rd (frame_header_bytes + flen);
+                Bytes.sub body (at + frame_header_bytes) flen
+            | Bad_crc ->
+                raise (Reject (Bad_payload "record checksum mismatch inside wal-frames"))
+            | Short | Bad_length ->
+                raise (Reject (Bad_payload (Printf.sprintf "record at %d out of range" at))))
       in
       Wal_frames { epoch; durable; commit; frames }
   | t when t = tag_replica_stats_reply ->
@@ -683,34 +679,33 @@ let decode decode_body ~buf ~pos ~avail =
     Fail (Bad_payload "window outside buffer")
   else if avail < frame_header_bytes then Incomplete
   else begin
-    let len = Int32.to_int (Bytes.get_int32_le buf pos) in
+    let len = Storage.Frame.length buf pos in
     if len > max_payload_bytes then Fail (Oversized len)
     else if len < 2 then Fail (Bad_length len)
-    else if avail < frame_header_bytes + len then Incomplete
-    else begin
-      let crc = Int32.to_int (Bytes.get_int32_le buf (pos + 4)) land 0xFFFFFFFF in
-      if Codec.crc32 buf ~pos:(pos + frame_header_bytes) ~len <> crc then Fail Bad_crc
-      else begin
-        let body = Bytes.sub buf (pos + frame_header_bytes) len in
-        let rd = Codec.Reader.create body in
-        match
-          let v = Codec.Reader.u8 rd in
-          let trace =
-            if v = version then None
-            else if v = version_traced then Some (Int64.of_int (Codec.Reader.i64 rd))
-            else raise (Reject (Unknown_version v))
-          in
-          let tag = Codec.Reader.u8 rd in
-          let msg = decode_body rd ~len tag in
-          if Codec.Reader.pos rd <> len then
-            raise (Reject (Bad_payload "trailing bytes after message"));
-          (msg, trace)
-        with
-        | msg -> Complete (msg, frame_header_bytes + len)
-        | exception Reject e -> Fail e
-        | exception Codec.Overflow _ -> Fail (Bad_payload "payload ended early")
-      end
-    end
+    else
+      match Storage.Frame.check buf ~pos ~avail ~max_len:max_payload_bytes with
+      | Short -> Incomplete
+      | Bad_length -> Fail (Bad_length len)
+      | Bad_crc -> Fail Bad_crc
+      | Whole -> (
+          let body = Bytes.sub buf (pos + frame_header_bytes) len in
+          let rd = Codec.Reader.create body in
+          match
+            let v = Codec.Reader.u8 rd in
+            let trace =
+              if v = version then None
+              else if v = version_traced then Some (Int64.of_int (Codec.Reader.i64 rd))
+              else raise (Reject (Unknown_version v))
+            in
+            let tag = Codec.Reader.u8 rd in
+            let msg = decode_body rd ~body ~len tag in
+            if Codec.Reader.pos rd <> len then
+              raise (Reject (Bad_payload "trailing bytes after message"));
+            (msg, trace)
+          with
+          | msg -> Complete (msg, frame_header_bytes + len)
+          | exception Reject e -> Fail e
+          | exception Codec.Overflow _ -> Fail (Bad_payload "payload ended early"))
   end
 
 let decode_request_traced ~buf ~pos ~avail = decode decode_body_request ~buf ~pos ~avail

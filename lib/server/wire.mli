@@ -1,12 +1,10 @@
 (** The network wire protocol: versioned, length-prefixed, CRC32-framed
     binary messages over a byte stream.
 
-    Every message travels as one frame:
+    Every message travels as one {!Storage.Frame}, [len u32 | crc u32 |
+    payload]:
 
     {v
-    +----------+----------+----------------------+
-    | len  u32 | crc  u32 | payload (len bytes)  |
-    +----------+----------+----------------------+
     payload (v1) = 1 u8 | tag u8 | body
     payload (v2) = 2 u8 | trace i64 | tag u8 | body
     v}
@@ -19,13 +17,10 @@
     v1 message); the decoder accepts both versions and the [*_traced]
     variants surface the id.
 
-    [len] counts the payload only and is validated against
-    {!max_payload_bytes} {e before} any allocation, so a hostile length
-    prefix cannot make the decoder over-read or over-allocate.  [crc] is
-    the {!Storage.Codec.crc32} of the payload, checked before the payload
-    is interpreted.  Integers are little-endian ({!Storage.Codec}); the
-    protocol [version] is the first payload byte so it is covered by the
-    checksum.
+    [len] is validated against {!max_payload_bytes} {e before} any
+    allocation, and the CRC before the payload is interpreted.  Integers
+    are little-endian ({!Storage.Codec}); the [version] is the first
+    payload byte, so the CRC covers it.
 
     The decoder is total: any byte sequence yields either a decoded
     message, {!decoded.Incomplete} (a well-formed prefix — read more
@@ -42,9 +37,6 @@ val version : int
 val version_traced : int
 (** Protocol version 2: identical to v1 plus a trace id after the
     version byte. *)
-
-val frame_header_bytes : int
-(** Bytes before the payload: 4 (length) + 4 (CRC). *)
 
 val max_payload_bytes : int
 (** Sanity bound on one payload; larger length prefixes are {!Oversized}. *)
@@ -204,8 +196,8 @@ type response =
           is [durable].  A follower below [floor] needs a snapshot
           transfer and is refused instead. *)
   | Wal_frames of { epoch : int; durable : int; commit : int; frames : bytes list }
-      (** A batch of WAL record payloads in sequence order, each
-          CRC-framed inside the message exactly like the on-disk log.  An
+      (** A batch of WAL record payloads in sequence order, each a
+          {!Storage.Frame} inside the message, as in the log.  An
           empty [frames] list is a heartbeat carrying watermarks only. *)
   | Replica_stats_reply of replica_stats
   | Vacuum_reply of {

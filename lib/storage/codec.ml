@@ -97,4 +97,8 @@ module Reader = struct
     v
 
   let bool t = u8 t <> 0
+
+  let skip t n =
+    ensure t n;
+    t.pos <- t.pos + n
 end

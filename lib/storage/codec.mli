@@ -73,6 +73,9 @@ module Reader : sig
   val i64 : t -> int
   val bool : t -> bool
 
+  val skip : t -> int -> unit
+  (** Step over [n] bytes. *)
+
   val create : ?pos:int -> ?len:int -> bytes -> t
   (** A reader over [len] bytes of the buffer from [pos] (default: all of
       it); reading past them raises {!Overflow}.  {!pos} is absolute.

@@ -198,18 +198,12 @@ module Mmap (C : PAGE_CODEC) = struct
     tracer : Telemetry.Tracer.t;
   }
 
-  (* A frame, in a base or the overlay, is framed so bit-rot anywhere is
-     detected at read time, not silently decoded — the frame of WAL
-     records and checkpoint chunks:
-
-       | len 4B | crc 4B | payload (len bytes) |
-
-     The overlay holds them back to back, each from an 8-byte boundary.
-     The CRC covers the payload only; [len] is validated against the page
-     size and the buffer before the checksum runs, so a corrupt length
-     cannot read out of bounds.  A slot holds a payload alone, from its
-     first byte: it is never written out as it is. *)
-  let block_overhead = 8
+  (* A page in a base or the overlay is a {!Frame}, so bit-rot anywhere
+     is detected at read time, not silently decoded.  The overlay holds
+     frames back to back, each from an 8-byte boundary.  A slot holds a
+     payload alone, from its first byte: it is never written out as it
+     is. *)
+  let block_overhead = Frame.header_bytes
 
   let create ?(stats = Io_stats.create ()) ?(page_size = 4096)
       ?(tracer = Telemetry.Tracer.noop) ?(backing = `Auto) ~path () =
@@ -239,25 +233,12 @@ module Mmap (C : PAGE_CODEC) = struct
     if loc = 0 then raise Not_found;
     loc
 
-  (* The payload length of the frame at [off] of [buf]; [Corrupt_page]
-     when its length field runs past the page size or the buffer, checked
-     before anything reads the payload. *)
-  let frame_len t buf off ~path id =
-    let room = Bigarray.Array1.dim buf - off - block_overhead in
-    let len = if room < 0 || off < 0 then -1 else Zcodec.get_i32 buf off in
-    if len < 0 || len > min room (t.page_size - block_overhead) then begin
-      Io_stats.record_crc_failure t.stats;
-      raise (Corrupt_page { path; page = id })
-    end;
-    len
-
   (* The payload of the page at [loc], as [(buf, off, len)]: a slot's as
-     it stands, a frame's with its CRC checked — on every call, not once
-     per fault: a mapped base shows the file's current bytes, so a frame
-     the pool has held since it was verified can have rotted since, and
-     a scan of it must fail as a fault would.  The buffer is fetched
-     afresh on every call: a mapped overlay's is replaced when it grows,
-     and a rebase releases the base's. *)
+     it stands, a frame's once found whole, on every call, not once per
+     fault: a mapped base shows the file's current bytes, so a frame can
+     rot after a pool first verified it.  The buffer is fetched afresh
+     on every call: a mapped overlay's is replaced when it grows, and a
+     rebase releases the base's. *)
   let located t id loc =
     if kind loc = 3 then begin
       let buf, off = Arena.Slots.locate t.slots (at loc) in
@@ -268,13 +249,14 @@ module Mmap (C : PAGE_CODEC) = struct
         if kind loc = 1 then (Arena.Image.locate t.base (at loc), t.base_path)
         else (Arena.locate t.overlay (at loc), t.path)
       in
-      let len = frame_len t buf off ~path id in
-      let pos = off + block_overhead in
-      if Zcodec.crc32 buf ~pos ~len <> Zcodec.get_i32 buf (off + 4) land 0xFFFFFFFF then begin
-        Io_stats.record_crc_failure t.stats;
-        raise (Corrupt_page { path; page = id })
-      end;
-      (buf, pos, len)
+      match
+        Frame.Mapped.check buf ~pos:off ~avail:(Bigarray.Array1.dim buf - off)
+          ~max_len:(t.page_size - Frame.header_bytes)
+      with
+      | Whole -> (buf, off + Frame.header_bytes, Zcodec.get_i32 buf off)
+      | Short | Bad_length | Bad_crc ->
+          Io_stats.record_crc_failure t.stats;
+          raise (Corrupt_page { path; page = id })
     end
 
   (* One charged page read.  Still one logical page transfer — the
@@ -325,25 +307,20 @@ module Mmap (C : PAGE_CODEC) = struct
     let len = C.narrow src src_off buf (off + block_overhead) in
     if len > t.page_size - block_overhead then
       invalid_arg "Page_store.Mmap: a sealed page outgrew its room";
-    Zcodec.set_i32 buf off len;
-    Zcodec.set_i32 buf (off + 4) (Zcodec.crc32 buf ~pos:(off + block_overhead) ~len);
+    Frame.Mapped.seal buf ~pos:off ~len;
     len
 
   let read_frame t id =
     charged t id @@ fun loc ->
-    if kind loc = 3 then begin
-      let buf = Bigarray.Array1.create Bigarray.char Bigarray.c_layout t.page_size in
-      let len = seal_into t (at loc) buf 0 in
-      let out = Bytes.create (block_overhead + len) in
-      Zcodec.blit_to_bytes buf 0 out 0 (block_overhead + len);
-      out
-    end
-    else begin
-      let buf, pos, len = located t id loc in
-      let out = Bytes.create (block_overhead + len) in
-      Zcodec.blit_to_bytes buf (pos - block_overhead) out 0 (block_overhead + len);
-      out
-    end
+    let buf, pos, len =
+      if kind loc <> 3 then located t id loc
+      else
+        let buf = Bigarray.Array1.create Bigarray.char Bigarray.c_layout t.page_size in
+        (buf, block_overhead, seal_into t (at loc) buf 0)
+    in
+    let out = Bytes.create (block_overhead + len) in
+    Zcodec.blit_to_bytes buf (pos - block_overhead) out 0 (block_overhead + len);
+    out
 
   (* A page in a slot that has sealed is narrowed to the overlay's tail,
      from an 8-byte boundary, and its slot freed: the overlay grows by the

@@ -28,9 +28,9 @@
     for buffering. *)
 
 exception Corrupt_page of { path : string; page : Page_id.t }
-(** A page frame whose stored CRC32 does not match its payload (or whose
-    length field is out of range); [path] is the file that holds it, a
-    checkpoint or an overlay.  Counted in {!Io_stats.crc_failures}. *)
+(** A page frame that {!Frame.Mapped.check} does not find whole; [path]
+    is the file that holds it, a checkpoint or an overlay.  Counted in
+    {!Io_stats.crc_failures}. *)
 
 val protect : (unit -> 'a) -> ('a, Storage_error.t) result
 (** {!Storage_error.protect}, which also returns a {!Corrupt_page} as a
@@ -96,8 +96,8 @@ module Mmap (C : PAGE_CODEC) : sig
       overlay. *)
 
   val block_overhead : int
-  (** Bytes of each frame spent on its integrity header ([len] + [crc],
-      8); a payload takes at most [page_size - block_overhead] bytes. *)
+  (** {!Frame.header_bytes}: a payload takes at most
+      [page_size - block_overhead] bytes. *)
 
   val create :
     ?stats:Io_stats.t ->
@@ -110,9 +110,7 @@ module Mmap (C : PAGE_CODEC) : sig
   (** A fresh, empty store: no base, no slot, and an empty overlay at
       [path] — an {!Arena} ([backing] as in {!Arena.create}, default
       [`Auto]; RAM chunks, or a first mapping, of 64 pages) to which each
-      page sealed is appended as a frame, [len][crc32][payload] — the
-      frame of WAL records and checkpoint chunks — from an 8-byte
-      boundary.  A frame takes the bytes its page narrows to, at most
+      page sealed is appended as a {!Frame} from an 8-byte boundary.  A frame takes the bytes its page narrows to, at most
       [page_size] (default 4096, the paper's setting), so the overlay
       grows with the bytes of the pages sealed, whatever their ids.  A
       page sealed again (a vacuum's prune) is appended again, and its old
@@ -207,7 +205,7 @@ module Mmap (C : PAGE_CODEC) : sig
       @raise Not_found if the page was never written or was freed. *)
 
   val read_frame : t -> Page_id.t -> bytes
-  (** A page's whole frame, [len][crc32][payload], copied out of the base
+  (** A page's whole {!Frame}, copied out of the base
       or the overlay, CRC-checked, or, for a page in a slot, narrowed.
       Charged as one read, like {!read}.
       @raise Corrupt_page on a checksum mismatch.

@@ -8,6 +8,7 @@ let pp_sync_policy ppf = function
 exception Crashed = Storage.Vfs.Crashed
 
 module E = Storage.Storage_error
+module Frame = Storage.Frame
 
 module Stats = struct
   type t = {
@@ -20,14 +21,8 @@ module Stats = struct
   }
 
   let create () =
-    {
-      n_appends = 0;
-      n_bytes = 0;
-      n_fsyncs = 0;
-      n_replayed = 0;
-      n_dropped_bytes = 0;
-      n_truncations = 0;
-    }
+    { n_appends = 0; n_bytes = 0; n_fsyncs = 0; n_replayed = 0; n_dropped_bytes = 0;
+      n_truncations = 0 }
 
   let appends t = t.n_appends
   let bytes t = t.n_bytes
@@ -35,14 +30,6 @@ module Stats = struct
   let replayed t = t.n_replayed
   let dropped_bytes t = t.n_dropped_bytes
   let truncations t = t.n_truncations
-
-  let reset t =
-    t.n_appends <- 0;
-    t.n_bytes <- 0;
-    t.n_fsyncs <- 0;
-    t.n_replayed <- 0;
-    t.n_dropped_bytes <- 0;
-    t.n_truncations <- 0
 
   let pp ppf t =
     Format.fprintf ppf "appends=%d bytes=%d fsyncs=%d replayed=%d dropped=%d truncations=%d"
@@ -76,7 +63,6 @@ end
 let magic = "MVSBTWAL"
 let version = 1
 let header_bytes = String.length magic + 4 + 4
-let frame_header_bytes = 8
 let max_record_bytes = 1 lsl 20
 
 type t = {
@@ -91,23 +77,17 @@ type t = {
   mutable broken : bool; (* a failed append could not be rolled back *)
 }
 
-let header_buf () =
-  let w = Storage.Codec.Writer.create header_bytes in
-  String.iter (fun ch -> Storage.Codec.Writer.u8 w (Char.code ch)) magic;
-  Storage.Codec.Writer.i32 w version;
-  let buf = Storage.Codec.Writer.contents w in
-  let crc = Storage.Codec.crc32 buf ~pos:0 ~len:(header_bytes - 4) in
-  (* Unsigned 32-bit CRC: splice raw — Writer.i32 rejects the top half of
-     the unsigned range. *)
-  Bytes.set_int32_le buf (header_bytes - 4) (Int32.of_int crc);
-  buf
-
-let header_valid file =
-  if file.f_size () < header_bytes then false
+(* The header is a word file of its own at the start of the log: the
+   magic, the version as 4 bytes, and their CRC. *)
+let header_fault file =
+  if file.f_size () < header_bytes then None
   else begin
     let buf = Bytes.create header_bytes in
-    let got = file.f_pread 0 buf 0 header_bytes in
-    got = header_bytes && Bytes.equal buf (header_buf ())
+    if file.f_pread 0 buf 0 header_bytes < header_bytes then None
+    else
+      match Frame.Word.decode ~magic ~width:4 buf with
+      | Ok v -> if v = version then None else Some (Printf.sprintf "version %d" v)
+      | Error e -> Some e
   end
 
 let open_log ?(policy = Every_n 32) ?(stats = Stats.create ())
@@ -119,14 +99,25 @@ let open_log ?(policy = Every_n 32) ?(stats = Stats.create ())
     { file; path; pol = policy; st = stats; tel = telemetry; appended = false;
       unsynced = 0; closed = false; broken = false }
   in
-  if file.f_size () = 0 then file.f_append (header_buf ()) 0 header_bytes
-  else if not (header_valid file) then begin
-    (* A torn or foreign header means nothing in the file can be trusted:
-       recover as a clean empty log. *)
-    file.f_truncate 0;
-    file.f_append (header_buf ()) 0 header_bytes;
-    stats.Stats.n_truncations <- stats.Stats.n_truncations + 1
-  end;
+  let size = file.f_size () in
+  (* A header is fsynced before any record can follow it, so a short one
+     is a crash while the log was being made, and nothing is lost by
+     starting afresh; a whole one that fails its check is damage, and
+     the log is refused as it is. *)
+  if size < header_bytes then begin
+    if size > 0 then begin
+      file.f_truncate 0;
+      stats.Stats.n_truncations <- stats.Stats.n_truncations + 1
+    end;
+    file.f_append (Frame.Word.encode ~magic ~width:4 version) 0 header_bytes;
+    file.f_sync ()
+  end
+  else
+    Option.iter
+      (fun e ->
+        (try file.f_close () with E.Io _ -> ());
+        E.raise_io ~op:E.Pread ~path ~detail:("header: " ^ e) E.Checksum_mismatch)
+      (header_fault file);
   t
 
 let open_path ?policy ?stats ?telemetry path =
@@ -134,47 +125,31 @@ let open_path ?policy ?stats ?telemetry path =
 
 let check_open t = if t.closed then invalid_arg "Wal: log is closed"
 
+let frames ~path ?(from = header_bytes) file =
+  Frame.Reader.create ~max_len:max_record_bytes ~from ~path file
+
 let replay t f =
   check_open t;
   if t.appended then invalid_arg "Wal.replay: records were already appended";
   Telemetry.Tracer.with_span t.tel "wal.replay" @@ fun () ->
-  let size = t.file.f_size () in
-  let hdr = Bytes.create frame_header_bytes in
-  let count = ref 0 in
-  let off = ref header_bytes in
-  let stop = ref false in
-  while not !stop do
-    let remaining = size - !off in
-    if remaining < frame_header_bytes then stop := true
-    else begin
-      let got = t.file.f_pread !off hdr 0 frame_header_bytes in
-      if got < frame_header_bytes then stop := true
-      else begin
-        let len = Int32.to_int (Bytes.get_int32_le hdr 0) in
-        let crc = Int32.to_int (Bytes.get_int32_le hdr 4) land 0xFFFFFFFF in
-        if len <= 0 || len > max_record_bytes || remaining < frame_header_bytes + len then
-          stop := true
-        else begin
-          let payload = Bytes.create len in
-          let got = t.file.f_pread (!off + frame_header_bytes) payload 0 len in
-          if got < len || Storage.Codec.crc32 payload ~pos:0 ~len <> crc then stop := true
-          else begin
-            f (Storage.Codec.Reader.create payload);
-            incr count;
-            off := !off + frame_header_bytes + len
-          end
-        end
-      end
-    end
-  done;
-  t.st.Stats.n_replayed <- t.st.Stats.n_replayed + !count;
-  if !off < size then begin
-    (* Torn or corrupt tail: cut it off so new appends extend a
-       well-formed log instead of burying garbage mid-file. *)
-    t.st.Stats.n_dropped_bytes <- t.st.Stats.n_dropped_bytes + (size - !off);
-    t.file.f_truncate !off
-  end;
-  !count
+  let rd = frames ~path:t.path t.file in
+  let rec go count =
+    match Frame.Reader.next rd with
+    | Whole fr ->
+        f (Storage.Codec.Reader.create ~pos:(fr.pos + Frame.header_bytes) ~len:fr.len fr.buf);
+        go (count + 1)
+    | End -> count
+    | Torn off | Bad_length off | Bad_crc { offset = off; _ } ->
+        (* Torn or corrupt tail: cut it off so new appends extend a
+           well-formed log instead of burying garbage mid-file. *)
+        let size = t.file.f_size () in
+        t.st.Stats.n_dropped_bytes <- t.st.Stats.n_dropped_bytes + (size - off);
+        t.file.f_truncate off;
+        count
+  in
+  let count = go 0 in
+  t.st.Stats.n_replayed <- t.st.Stats.n_replayed + count;
+  count
 
 let do_sync t =
   Telemetry.Tracer.with_span t.tel "wal.sync" @@ fun () ->
@@ -197,12 +172,9 @@ let append t ?(pos = 0) ?len buf =
   if t.broken then Error (E.v ~op:E.Append ~path:t.path E.Wal_poisoned)
   else begin
     Telemetry.Tracer.with_span t.tel ~level:`Debug "wal.append"
-      ~attrs:(fun () -> [ ("bytes", Telemetry.Tracer.Int (frame_header_bytes + len)) ])
+      ~attrs:(fun () -> [ ("bytes", Telemetry.Tracer.Int (Frame.header_bytes + len)) ])
     @@ fun () ->
-    let frame = Bytes.create (frame_header_bytes + len) in
-    Bytes.set_int32_le frame 0 (Int32.of_int len);
-    Bytes.set_int32_le frame 4 (Int32.of_int (Storage.Codec.crc32 buf ~pos ~len));
-    Bytes.blit buf pos frame frame_header_bytes len;
+    let frame = Frame.make buf ~pos ~len in
     t.appended <- true;
     match
       E.protect (fun () ->
@@ -257,65 +229,33 @@ let unsynced t = t.unsynced
 
 (* --- Live tailing ------------------------------------------------------------- *)
 
-(* [replay] is a recovery primitive: at the first frame it cannot finish
-   it declares the tail torn and truncates.  A {e live} reader cannot do
-   that — a frame whose bytes have not all landed yet is indistinguishable
-   from one whose writer died mid-append, and only time tells them apart.
-   The tailer therefore never judges: an incomplete frame is [Need_more]
-   (poll again once the file has grown), and only a frame that is fully
-   present but fails its checksum — bytes that can never become valid by
-   appending more — is [Corrupt]. *)
+(* Where [replay] truncates, a live reader waits: a torn frame may be one
+   still being written (see the interface). *)
 module Tail = struct
   type event = Frame of bytes | Need_more | Corrupt of string
 
-  type t = {
-    file : file;
-    mutable off : int;  (* byte offset of the next unread frame *)
-    mutable closed : bool;
-  }
+  type t = { file : file; frames : Frame.Reader.t; mutable closed : bool }
 
-  let create ?from file =
-    let off = match from with Some o -> max o header_bytes | None -> header_bytes in
-    { file; off; closed = false }
+  let create ?(from = header_bytes) file =
+    { file; frames = frames ~path:"<wal>" ~from:(max from header_bytes) file; closed = false }
 
   let open_path path = create (os_file ~path)
-  let offset t = t.off
 
   let poll t =
     if t.closed then invalid_arg "Wal.Tail: tailer is closed";
-    let size = t.file.f_size () in
     (* A size below our offset means the log was reset under us (a
        checkpoint truncation): everything we read is already covered by
        the checkpoint, so restart after the header. *)
-    if size < t.off then t.off <- header_bytes;
-    let remaining = size - t.off in
-    if remaining < frame_header_bytes then Need_more
-    else begin
-      let hdr = Bytes.create frame_header_bytes in
-      let got = t.file.f_pread t.off hdr 0 frame_header_bytes in
-      if got < frame_header_bytes then Need_more
-      else begin
-        let len = Int32.to_int (Bytes.get_int32_le hdr 0) in
-        let crc = Int32.to_int (Bytes.get_int32_le hdr 4) land 0xFFFFFFFF in
-        if len <= 0 || len > max_record_bytes then
-          Corrupt (Printf.sprintf "bad record length %d at offset %d" len t.off)
-        else if remaining < frame_header_bytes + len then
-          (* The frame header is down but the payload is still (or was
-             being) written: not an error yet. *)
-          Need_more
-        else begin
-          let payload = Bytes.create len in
-          let got = t.file.f_pread (t.off + frame_header_bytes) payload 0 len in
-          if got < len then Need_more
-          else if Storage.Codec.crc32 payload ~pos:0 ~len <> crc then
-            Corrupt (Printf.sprintf "record checksum mismatch at offset %d" t.off)
-          else begin
-            t.off <- t.off + frame_header_bytes + len;
-            Frame payload
-          end
-        end
-      end
-    end
+    if t.file.f_size () < Frame.Reader.offset t.frames then
+      Frame.Reader.seek t.frames header_bytes;
+    match Frame.Reader.next t.frames with
+    | Whole fr -> Frame (Bytes.sub fr.buf (fr.pos + Frame.header_bytes) fr.len)
+    | Torn _ | End -> Need_more
+    | Bad_length off -> Corrupt (Printf.sprintf "bad record length at offset %d" off)
+    | Bad_crc fr ->
+        (* Stay on the bad record: every later poll reports it again. *)
+        Frame.Reader.seek t.frames fr.offset;
+        Corrupt (Printf.sprintf "record checksum mismatch at offset %d" fr.offset)
 
   let close t =
     if not t.closed then begin

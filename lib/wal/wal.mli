@@ -1,29 +1,17 @@
 (** Write-ahead log: the delta-durability primitive.
 
-    An append-only file of length-prefixed, CRC32-framed records.  The
+    An append-only file: a 16-byte header, a {!Storage.Frame.Word} whose
+    integer is the version, then one {!Storage.Frame} per record.  The
     engine logs every update here {e before} applying it to the MVSBT
     pair, so the warehouse state is always recoverable as
 
     {v latest checkpoint + replay of the log tail v}
 
-    Frame format (all integers little-endian):
-
-    {v
-    offset 0           16                                    EOF
-           +-----------+--[record]--[record]--....--[record]-+
-    header | magic  8B |
-           | version4B |      one record:
-           | crc32  4B |      +--------+---------+---------------+
-           +-----------+      | len 4B | crc 4B  | payload (len) |
-                              +--------+---------+---------------+
-    v}
-
-    The CRC covers the payload only; [len] is validated against a sanity
-    bound before any allocation.  {!replay} walks the records from the
-    start and stops {e cleanly} at the first torn or corrupt frame — a
-    crash mid-append loses at most the record being written, never the
-    prefix — then truncates the file back to the last valid record so
-    subsequent appends extend a well-formed log.
+    {!replay} walks the records from the start and stops {e cleanly} at
+    the first torn or corrupt frame — a crash mid-append loses at most
+    the record being written, never the prefix — then truncates the file
+    back to the last valid record so subsequent appends extend a
+    well-formed log.
 
     Sync policy controls when [fsync] is issued: [Never] (the OS decides,
     fastest, loses recent tail on power failure), [Every_n n] (group
@@ -44,6 +32,11 @@ val pp_sync_policy : Format.formatter -> sync_policy -> unit
 
 val header_bytes : int
 (** 16: the log's header (magic, version, CRC) precedes every frame. *)
+
+val header_fault : Storage.Vfs.file -> string option
+(** What is wrong with the whole header of a log file (its CRC, its
+    magic or its version); [None] for a good header or a short one,
+    which {!open_log} starts afresh. *)
 
 exception Crashed
 (** Alias of {!Storage.Vfs.Crashed}: raised by a {!Faulty} file once its
@@ -72,9 +65,8 @@ module Stats : sig
   (** Bytes of torn or corrupt tail discarded by {!Wal.replay}. *)
 
   val truncations : t -> int
-  (** Log resets: checkpoint truncations plus bad-header recoveries. *)
+  (** Log resets: checkpoint truncations plus short-header recoveries. *)
 
-  val reset : t -> unit
   val pp : Format.formatter -> t -> unit
 end
 
@@ -128,15 +120,19 @@ val open_log :
   ?path:string ->
   file ->
   t
-(** Open a log over [file].  An empty file gets a fresh header; a valid
-    header is accepted in place (the tail is then available to
-    {!replay}); a torn or foreign header resets the log to empty — a
-    garbage log recovers as a clean empty one, by design.  [policy]
-    defaults to [Every_n 32].  [path] is used only as context in typed
-    errors.  [telemetry] (default {!Telemetry.Tracer.noop}) receives a
-    span per {!append} (with the framed byte count), fsync ([wal.sync] —
-    explicit or group commit), {!replay} and {!truncate}.
-    @raise Storage.Storage_error.Io if (re)writing the header fails. *)
+(** Open a log over [file].  A file shorter than a header gets a fresh
+    one, fsynced before any record can follow it (an fsync
+    {!Stats.fsyncs} does not count), so a crash can leave only a short
+    header.  A valid header is accepted in place, its records left to
+    {!replay}; a whole header that fails its check is refused, [file]
+    closed and left as it is.  [policy] defaults to [Every_n 32].
+    [path] names the log in typed errors.  [telemetry] (default
+    {!Telemetry.Tracer.noop}) receives a span per {!append} (with the
+    framed byte count), fsync ([wal.sync] — explicit or group commit),
+    {!replay} and {!truncate}.
+    @raise Storage.Storage_error.Io with [Checksum_mismatch] (detail
+    ["header: ..."]) on a whole header that fails its check, or any
+    error writing a fresh one. *)
 
 val open_path :
   ?policy:sync_policy -> ?stats:Stats.t -> ?telemetry:Telemetry.Tracer.t -> string -> t
@@ -230,9 +226,6 @@ module Tail : sig
       checkpoint truncation (file shrank below the read offset) and
       restarts after the header — records read before the truncation were
       covered by the checkpoint by construction. *)
-
-  val offset : t -> int
-  (** Byte offset of the next unread frame. *)
 
   val close : t -> unit
 end

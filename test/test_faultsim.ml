@@ -387,11 +387,11 @@ let test_flipped_checkpoint_refused () =
     |> List.map (fun f -> (f, read_all (Filename.concat dir f)))
   in
   let frames file magic =
-    Mvsbt.Chunks.with_file Storage.Vfs.os ~path:file ~magic @@ fun rd ->
+    Storage.Frame.Reader.with_file Storage.Vfs.os ~path:file ~magic @@ fun rd ->
     let rec go acc =
-      match Mvsbt.Chunks.next rd with
-      | None -> Array.of_list (List.rev acc)
-      | Some f -> go ((f.Mvsbt.Chunks.index, f.offset + Mvsbt.Chunks.frame_bytes, f.len) :: acc)
+      match Storage.Frame.Reader.next rd with
+      | Whole f -> go ((f.index, f.offset + Storage.Frame.header_bytes, f.len) :: acc)
+      | _ -> Array.of_list (List.rev acc)
     in
     go []
   in
@@ -529,13 +529,13 @@ let test_overlay_files_are_a_cache () =
 let flip_chunk file index =
   let magic = List.assoc (Filename.extension file) Rta.snapshot_files in
   let payload, len =
-    Mvsbt.Chunks.with_file Storage.Vfs.os ~path:file ~magic @@ fun rd ->
+    Storage.Frame.Reader.with_file Storage.Vfs.os ~path:file ~magic @@ fun rd ->
     let rec go () =
-      match Mvsbt.Chunks.next rd with
-      | None -> Alcotest.failf "%s has no chunk %d" file index
-      | Some f when f.Mvsbt.Chunks.index = index ->
-          (f.offset + Mvsbt.Chunks.frame_bytes, f.len)
-      | Some _ -> go ()
+      match Storage.Frame.Reader.next rd with
+      | (Whole f | Bad_crc f) when f.index = index ->
+          (f.offset + Storage.Frame.header_bytes, f.len)
+      | Whole _ | Bad_crc _ -> go ()
+      | _ -> Alcotest.failf "%s has no chunk %d" file index
     in
     go ()
   in

@@ -980,29 +980,29 @@ let test_far_page_id () =
   (* the same snapshot with one more page chunk: a copy of the last page
      whose id is 2^40 *)
   let chunks =
-    Mvsbt.Chunks.with_file Storage.Vfs.os ~path:(file "plain") ~magic:Mvsbt.snapshot_magic
+    Storage.Frame.Reader.with_file Storage.Vfs.os ~path:(file "plain")
+      ~magic:Mvsbt.snapshot_magic
     @@ fun rd ->
     let rec go acc =
-      match Mvsbt.Chunks.next rd with
-      | None -> List.rev acc
-      | Some f -> go (Bytes.sub f.buf f.pos (Mvsbt.Chunks.frame_bytes + f.len) :: acc)
+      match Storage.Frame.Reader.next rd with
+      | Whole f -> go (Bytes.sub f.buf f.pos (Storage.Frame.header_bytes + f.len) :: acc)
+      | _ -> List.rev acc
     in
     go []
   in
   let state, pages = match chunks with s :: _ :: p -> (s, p) | _ -> assert false in
   let far = Bytes.copy (List.nth pages (List.length pages - 1)) in
-  let len = Bytes.length far - Mvsbt.Chunks.frame_bytes in
-  Bytes.set_int64_le far Mvsbt.Chunks.frame_bytes (Int64.shift_left 1L 40);
-  Bytes.set_int32_le far 4
-    (Int32.of_int (Storage.Codec.crc32 far ~pos:Mvsbt.Chunks.frame_bytes ~len));
+  let len = Bytes.length far - Storage.Frame.header_bytes in
+  Bytes.set_int64_le far Storage.Frame.header_bytes (Int64.shift_left 1L 40);
+  Storage.Frame.seal far ~pos:0 ~len;
   let out = Storage.Vfs.os.v_open `Create (file "far") in
   let magic = Bytes.of_string Mvsbt.snapshot_magic in
   out.f_append magic 0 (Bytes.length magic);
-  Mvsbt.Chunks.append_frame out state;
-  let w = Mvsbt.Chunks.writer 4 in
+  Storage.Frame.append_frame out state;
+  let w = Storage.Frame.writer 4 in
   Storage.Codec.Writer.i32 w (List.length pages + 1);
-  Mvsbt.Chunks.append out w;
-  List.iter (Mvsbt.Chunks.append_frame out) (pages @ [ far ]);
+  Storage.Frame.append out w;
+  List.iter (Storage.Frame.append_frame out) (pages @ [ far ]);
   out.f_close ();
   let loaded = T.of_snapshot ~snapshot:(file "far") () in
   Alcotest.(check int) "the far page loads" (T.page_count tree + 1) (T.page_count loaded);

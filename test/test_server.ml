@@ -699,11 +699,17 @@ let test_read_only_over_wire () =
   | r -> Alcotest.failf "read-only health answered %a" Wire.pp_response r
 
 (* A failed batch sync must fail every op the batch applied: the records
-   are in the log but their durability is unknown, so nothing is acked. *)
+   are in the log but their durability is unknown, so nothing is acked.
+   Every fsync after the one that makes the log, its header's, fails. *)
 let failing_sync file =
+  let made = ref false in
   { file with
     Storage.Vfs.f_sync =
-      (fun () -> raise (E.Io (E.v ~op:E.Fsync ~path:"injected" ~detail:"fsync refused" E.Eio)));
+      (fun () ->
+        if !made then
+          raise (E.Io (E.v ~op:E.Fsync ~path:"injected" ~detail:"fsync refused" E.Eio));
+        made := true;
+        file.Storage.Vfs.f_sync ());
   }
 
 let test_sync_failure_acks_nothing () =
@@ -819,12 +825,13 @@ let test_rotten_checkpoint_page () =
      place, behind the engine's back: its mapping must see the change. *)
   let file = prefix ^ ".ckpt-1.lkst" in
   let payloads =
-    Mvsbt.Chunks.with_file Storage.Vfs.os ~path:file ~magic:Mvsbt.snapshot_magic @@ fun rd ->
+    Storage.Frame.Reader.with_file Storage.Vfs.os ~path:file ~magic:Mvsbt.snapshot_magic
+    @@ fun rd ->
     let rec go acc =
-      match Mvsbt.Chunks.next rd with
-      | None -> acc
-      | Some f when f.Mvsbt.Chunks.index < 2 -> go acc
-      | Some f -> go ((f.offset + Mvsbt.Chunks.frame_bytes + (f.len / 2)) :: acc)
+      match Storage.Frame.Reader.next rd with
+      | Whole f when f.index < 2 -> go acc
+      | Whole f -> go ((f.offset + Storage.Frame.header_bytes + (f.len / 2)) :: acc)
+      | _ -> acc
     in
     go []
   in

@@ -133,14 +133,24 @@ let test_wal_corrupt_record () =
   Wal.close wal;
   cleanup prefix
 
+let write_file path s = Out_channel.with_open_bin path (fun oc -> output_string oc s)
+let file_size path = (Unix.stat path).Unix.st_size
+
+(* A whole header that fails its check is refused, typed and naming the
+   log, and the file is left as it is; a header shorter than one is what
+   a crash while the log was being made leaves, and starts afresh. *)
 let test_wal_garbage_header () =
   let prefix = temp_prefix () in
   let path = prefix ^ ".wal" in
-  let oc = open_out_bin path in
-  output_string oc "certainly not a write-ahead log";
-  close_out oc;
+  write_file path "certainly not a write-ahead log";
+  (match Wal.open_path path with
+  | _ -> Alcotest.fail "a foreign file opened as a log"
+  | exception Storage.Storage_error.Io { errno = Checksum_mismatch; path = p; _ } ->
+      Alcotest.(check string) "the error names the log" path p);
+  Alcotest.(check int) "foreign file left as it is" 31 (file_size path);
+  write_file path "MVSBTWAL\001\000";
   let wal = Wal.open_path path in
-  Alcotest.(check int) "garbage log resets to empty" 0 (Wal.replay wal (fun _ -> ()));
+  Alcotest.(check int) "torn header resets to empty" 0 (Wal.replay wal (fun _ -> ()));
   Alcotest.(check int) "reset counted" 1 (Wal.Stats.truncations (Wal.stats wal));
   ok (Wal.append wal (payload "fresh"));
   Wal.close wal;
@@ -150,6 +160,37 @@ let test_wal_garbage_header () =
   Alcotest.(check (list string)) "fresh record" [ "fresh" ] got;
   Wal.close wal;
   cleanup prefix
+
+(* One flipped byte in the header of a log that holds records: the open
+   refuses it rather than emptying the log, the file keeps its size, and
+   scrub does not call it clean. *)
+let test_wal_rotten_header () =
+  let prefix = temp_prefix () in
+  Fun.protect ~finally:(fun () -> cleanup prefix) @@ fun () ->
+  let wh = Durable.open_ ~max_key:1000 ~path:prefix () in
+  for i = 1 to 60 do
+    ok (Durable.insert wh ~key:i ~value:i ~at:i)
+  done;
+  Durable.close wh;
+  let path = prefix ^ ".wal" in
+  let size = file_size path in
+  let fd = Unix.openfile path [ Unix.O_RDWR ] 0 in
+  let b = Bytes.create 1 in
+  ignore (Unix.read fd b 0 1 : int);
+  ignore (Unix.lseek fd 0 Unix.SEEK_SET : int);
+  Bytes.set_uint8 b 0 (Bytes.get_uint8 b 0 lxor 0x04);
+  ignore (Unix.write fd b 0 1 : int);
+  Unix.close fd;
+  (match Durable.open_ ~max_key:1000 ~path:prefix () with
+  | wh ->
+      Durable.close wh;
+      Alcotest.fail "opened a log whose header is rotten"
+  | exception Storage.Storage_error.Io { errno = Checksum_mismatch; path = p; _ } ->
+      Alcotest.(check string) "the error names the log" path p);
+  Alcotest.(check int) "the log keeps its size" size (file_size path);
+  let report = Durable.scrub ~path:prefix () in
+  Alcotest.(check bool) "scrub does not call it clean" false (Durable.scrub_clean report);
+  Alcotest.(check (list int)) "scrub names the header" [ 0 ] report.Durable.wal_corrupt
 
 let test_faulty_crash () =
   let prefix = temp_prefix () in
@@ -440,14 +481,18 @@ let test_durable_empty_and_garbage_log () =
   Alcotest.(check int) "fresh: nothing replayed" 0 (Durable.replayed_on_open wh);
   Durable.close wh;
   cleanup prefix;
-  (* A garbage .wal and no checkpoint: still a clean empty warehouse. *)
+  (* A garbage .wal and no checkpoint: a whole header's worth of garbage
+     is refused; less than a header is a clean empty warehouse. *)
   let prefix = temp_prefix () in
-  let oc = open_out_bin (prefix ^ ".wal") in
-  output_string oc (String.init 100 (fun i -> Char.chr (i * 37 mod 256)));
-  close_out oc;
+  let garbage n = write_file (prefix ^ ".wal") (String.init n (fun i -> Char.chr (i * 37 mod 256))) in
+  garbage 100;
+  (match Durable.open_ ~max_key ~path:prefix () with
+  | _ -> Alcotest.fail "garbage log opened"
+  | exception Storage.Storage_error.Io { errno = Checksum_mismatch; _ } -> ());
+  garbage 10;
   let wh = Durable.open_ ~max_key ~path:prefix () in
-  Alcotest.(check int) "garbage log: empty warehouse" 0 (Rta.n_updates (Durable.warehouse wh));
-  Alcotest.(check (pair int int)) "garbage log: zero aggregate" (0, 0)
+  Alcotest.(check int) "torn header: empty warehouse" 0 (Rta.n_updates (Durable.warehouse wh));
+  Alcotest.(check (pair int int)) "torn header: zero aggregate" (0, 0)
     (Durable.sum_count wh ~klo:0 ~khi:max_key ~tlo:0 ~thi:50_000);
   Durable.close wh;
   cleanup prefix;
@@ -673,6 +718,7 @@ let () =
           Alcotest.test_case "torn tail" `Quick test_wal_torn_tail;
           Alcotest.test_case "corrupt record" `Quick test_wal_corrupt_record;
           Alcotest.test_case "garbage header" `Quick test_wal_garbage_header;
+          Alcotest.test_case "rotten header is refused" `Quick test_wal_rotten_header;
           Alcotest.test_case "fault injection" `Quick test_faulty_crash;
           Alcotest.test_case "dropped write" `Quick test_faulty_dropped;
           Alcotest.test_case "duplicated write" `Quick test_faulty_duplicated;
